@@ -7,7 +7,6 @@ from .expr import Jet2, eval_jet2, parse, to_string
 from .geometry import (
     ChartedManifold,
     ConstantField,
-    DerivedField,
     ExprField,
     christoffel,
     covariant_derivative,
@@ -45,7 +44,6 @@ __all__ = [
     "ChartedManifold",
     "ExprField",
     "ConstantField",
-    "DerivedField",
     "euclidean",
     "metric_at",
     "christoffel",

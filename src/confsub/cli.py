@@ -61,11 +61,15 @@ def main(argv=None) -> int:
         return EXIT_SCENE
 
     tol = scene.tolerances
-    env_tol = env_default_theorem_tol()
-    if env_tol is not None:
-        tol = tol.with_theorem(env_tol)
-    if args.tol is not None:
-        tol = tol.with_theorem(args.tol)
+    try:
+        env_tol = env_default_theorem_tol()
+        if env_tol is not None:
+            tol = tol.with_theorem(env_tol)
+        if args.tol is not None:
+            tol = tol.with_theorem(args.tol)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_SCENE
     only = [s.strip() for s in args.only.split(",") if s.strip()] if args.only else None
 
     try:

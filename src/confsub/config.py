@@ -6,6 +6,7 @@ checker verdicts (holds below tol, fails above 10*tol, inconclusive between).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,11 @@ class Tolerances:
     split_margin: float = 1e-3  # anything closer below the threshold is ambiguous
     exclusion_distance: float = 1e-3
 
+    def __post_init__(self):
+        # nan or a non-positive tolerance would make every verdict inconclusive
+        if not (math.isfinite(self.theorem) and self.theorem > 0.0):
+            raise ValueError(f"theorem tolerance must be a finite number > 0, got {self.theorem!r}")
+
     def with_theorem(self, tol: float) -> "Tolerances":
         return replace(self, theorem=float(tol))
 
@@ -34,8 +40,11 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 def env_default_theorem_tol() -> float | None:
-    """Optional override of the theorem tolerance via CONFSUB_TOL."""
+    """Optional override of the theorem tolerance via CONFSUB_TOL; ValueError if malformed."""
     raw = os.environ.get("CONFSUB_TOL")
     if raw is None or raw.strip() == "":
         return None
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"CONFSUB_TOL must be a finite number > 0, got {raw!r}") from None

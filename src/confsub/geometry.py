@@ -11,21 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonSPDMetricError, StructureError
-from .expr import (
-    Const,
-    Jet2,
-    ScalarExpr,
-    as_jet,
-    evaluate,
-    jet_seeds,
-    parse,
-    value_of,
-)
+from .expr import Const, ScalarExpr, evaluate, jet_seeds, parse, value_of
+from .jets import ArrayJet
 
 __all__ = [
     "ExcludedLocus",
@@ -34,16 +26,19 @@ __all__ = [
     "VectorField",
     "ExprField",
     "ConstantField",
-    "DerivedField",
     "euclidean_metric",
     "canonical_complex_structure",
     "euclidean",
     "metric_at",
     "metric_entries",
+    "metric_jet",
+    "complex_structure_jet",
+    "christoffel_symbols",
     "christoffel",
     "covariant_derivative",
     "lie_bracket",
-    "complex_structure_at",
+    "j_residuals",
+    "nabla_j_norm",
     "complex_structure_residuals",
     "nabla_j_residual",
 ]
@@ -139,42 +134,41 @@ def metric_entries(M: ChartedManifold, xs) -> list[list]:
     return out
 
 
+def _check_spd(G: np.ndarray, p):
+    eigs = np.linalg.eigvalsh((G + G.T) / 2.0)
+    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
+        raise NonSPDMetricError(f"metric not positive definite at {tuple(p)}: eigs {eigs}")
+
+
 def metric_at(M: ChartedManifold, p) -> np.ndarray:
     """SPD metric matrix at a point; raises NonSPDMetricError otherwise."""
     G = np.array(
         [[value_of(evaluate(M.metric[i][j], p)) for j in range(M.dim)] for i in range(M.dim)]
     )
     G = (G + G.T) / 2.0
-    eigs = np.linalg.eigvalsh(G)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
-        raise NonSPDMetricError(f"metric not positive definite at {tuple(p)}: eigs {eigs}")
+    _check_spd(G, p)
     return G
 
 
-def _metric_jets(M: ChartedManifold, p) -> list[list[Jet2]]:
-    seeds = jet_seeds(p, second_order=False)
-    grid = metric_entries(M, seeds)
-    return [[as_jet(grid[i][j], M.dim) for j in range(M.dim)] for i in range(M.dim)]
+def metric_jet(M: ChartedManifold, p) -> ArrayJet:
+    """Metric values g_ij and derivatives d[l, i, j] = d_l g_ij at a point."""
+    return ArrayJet.from_scalars(metric_entries(M, jet_seeds(p, second_order=False)), M.dim)
 
 
-def christoffel(M: ChartedManifold, p) -> ConnectionCoefficients:
-    """Levi-Civita connection coefficients from jet derivatives of the metric."""
-    n = M.dim
-    jets = _metric_jets(M, p)
-    G = np.array([[jets[i][j].value for j in range(n)] for i in range(n)])
-    dG = np.empty((n, n, n))  # dG[l, i, j] = d_l g_ij
-    for i in range(n):
-        for j in range(n):
-            dG[:, i, j] = jets[i][j].gradient
-    eigs = np.linalg.eigvalsh((G + G.T) / 2.0)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
-        raise NonSPDMetricError(f"metric not positive definite at {tuple(p)}")
+def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
+    """gamma[k, i, j] = Gamma^k_ij from a metric jet; raises NonSPDMetricError."""
+    G, dG = g.v, g.d
+    _check_spd(G, p)
     Ginv = np.linalg.inv(G)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     sym = dG + dG.transpose(1, 0, 2) - np.einsum("lij->ijl", dG)
     gamma = 0.5 * np.einsum("kl,ijl->kij", Ginv, sym)
-    gamma = (gamma + gamma.transpose(0, 2, 1)) / 2.0  # exact lower-index symmetry
-    return ConnectionCoefficients(tuple(float(x) for x in p), gamma)
+    return (gamma + gamma.transpose(0, 2, 1)) / 2.0  # exact lower-index symmetry
+
+
+def christoffel(M: ChartedManifold, p) -> ConnectionCoefficients:
+    """Levi-Civita connection coefficients from jet derivatives of the metric."""
+    return ConnectionCoefficients(tuple(float(x) for x in p), christoffel_symbols(metric_jet(M, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +176,14 @@ def christoffel(M: ChartedManifold, p) -> ConnectionCoefficients:
 
 
 class VectorField:
-    """A tangent vector field evaluable in jet arithmetic near a point."""
+    """A tangent vector field whose first-order jet is available near a point."""
 
     dim: int
 
     def values_at(self, p) -> np.ndarray:
         raise NotImplementedError
 
-    def jets_at(self, p) -> list[Jet2]:
+    def jets_at(self, p) -> ArrayJet:
         raise NotImplementedError
 
 
@@ -207,9 +201,9 @@ class ExprField(VectorField):
     def values_at(self, p) -> np.ndarray:
         return np.array([value_of(evaluate(c, p)) for c in self.components])
 
-    def jets_at(self, p) -> list[Jet2]:
+    def jets_at(self, p) -> ArrayJet:
         seeds = jet_seeds(p, second_order=False)
-        return [as_jet(evaluate(c, seeds), self.dim) for c in self.components]
+        return ArrayJet.from_scalars([evaluate(c, seeds) for c in self.components], self.dim)
 
 
 class ConstantField(VectorField):
@@ -220,23 +214,8 @@ class ConstantField(VectorField):
     def values_at(self, p) -> np.ndarray:
         return self.vec.copy()
 
-    def jets_at(self, p) -> list[Jet2]:
-        return [Jet2(v, np.zeros(self.dim)) for v in self.vec]
-
-
-class DerivedField(VectorField):
-    """Field given by a procedure mapping generic chart scalars to components."""
-
-    def __init__(self, fn: Callable, dim: int):
-        self.fn = fn
-        self.dim = dim
-
-    def values_at(self, p) -> np.ndarray:
-        return np.array([value_of(c) for c in self.fn([float(x) for x in p])])
-
-    def jets_at(self, p) -> list[Jet2]:
-        out = self.fn(jet_seeds(p, second_order=False))
-        return [as_jet(c, self.dim) for c in out]
+    def jets_at(self, p) -> ArrayJet:
+        return ArrayJet.constant(self.vec, self.dim)
 
 
 def _as_field(Y, dim: int) -> VectorField:
@@ -247,71 +226,60 @@ def _as_field(Y, dim: int) -> VectorField:
 
 def covariant_derivative(M: ChartedManifold, Y, X, p) -> np.ndarray:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (X a vector at p)."""
-    Yf = _as_field(Y, M.dim)
+    Yj = _as_field(Y, M.dim).jets_at(p)
     X = np.asarray(X, dtype=float)
-    jets = Yf.jets_at(p)
     gamma = christoffel(M, p).gamma
-    Yv = np.array([j.value for j in jets])
-    dY = np.array([j.gradient for j in jets])  # dY[k, i] = d_i Y^k
-    return dY @ X + np.einsum("kij,i,j->k", gamma, X, Yv)
+    return X @ Yj.d + (gamma @ Yj.v) @ X
 
 
 def lie_bracket(X, Y, p, dim: int | None = None) -> np.ndarray:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at p."""
     if dim is None:
         dim = X.dim if isinstance(X, VectorField) else len(np.asarray(X))
-    Xf = _as_field(X, dim)
-    Yf = _as_field(Y, dim)
-    Xj = Xf.jets_at(p)
-    Yj = Yf.jets_at(p)
-    Xv = np.array([j.value for j in Xj])
-    Yv = np.array([j.value for j in Yj])
-    dX = np.array([j.gradient for j in Xj])
-    dY = np.array([j.gradient for j in Yj])
-    return dY @ Xv - dX @ Yv
+    Xj = _as_field(X, dim).jets_at(p)
+    Yj = _as_field(Y, dim).jets_at(p)
+    return Xj.v @ Yj.d - Yj.v @ Xj.d
 
 
 # ---------------------------------------------------------------------------
 # Almost complex structure
 
 
-def complex_structure_at(M: ChartedManifold, p) -> np.ndarray:
+def complex_structure_jet(M: ChartedManifold, p) -> ArrayJet:
+    """Values J^i_j and derivatives d[l, i, j] = d_l J^i_j at a point."""
     if M.complex_structure is None:
         raise StructureError("manifold has no complex structure")
-    J = M.complex_structure
-    return np.array(
-        [[value_of(evaluate(J[i][j], p)) for j in range(M.dim)] for i in range(M.dim)]
+    seeds = jet_seeds(p, second_order=False)
+    return ArrayJet.from_scalars(
+        [[evaluate(e, seeds) for e in row] for row in M.complex_structure], M.dim
     )
 
 
-def complex_structure_residuals(M: ChartedManifold, p) -> tuple[float, float]:
+def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[float, float]:
     """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
-    J = complex_structure_at(M, p)
-    G = metric_at(M, p)
-    r_square = float(np.max(np.abs(J @ J + np.eye(M.dim))))
+    r_square = float(np.max(np.abs(J @ J + np.eye(J.shape[0]))))
     r_compat = float(np.max(np.abs(J.T @ G @ J - G)))
     return r_square, r_compat
 
 
+def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> float:
+    """Max g-norm over coordinate pairs (i, j) of (nabla_{d_i} J) d_j; zero iff Kaehler."""
+    gam = gamma.transpose(1, 0, 2)  # gam[i][k, j] = Gamma^k_ij
+    # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - J^k_m Gamma^m_ij, stacked over i
+    nab = J.d + gam @ J.v - J.v @ gam
+    cols = nab.transpose(0, 2, 1)  # cols[i, j] = (nabla_i J) d_j
+    return math.sqrt(max(float(np.max(np.sum((cols @ G) * cols, axis=-1))), 0.0))
+
+
+def complex_structure_residuals(M: ChartedManifold, p) -> tuple[float, float]:
+    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
+    g = metric_jet(M, p)
+    _check_spd(g.v, p)
+    return j_residuals(g.v, complex_structure_jet(M, p).v)
+
+
 def nabla_j_residual(M: ChartedManifold, p) -> float:
     """Max g-norm over coordinate pairs of (nabla_{d_i} J) d_j; zero iff Kaehler at p."""
-    if M.complex_structure is None:
-        raise StructureError("manifold has no complex structure")
-    n = M.dim
-    seeds = jet_seeds(p, second_order=False)
-    Jj = [[as_jet(evaluate(M.complex_structure[i][j], seeds), n) for j in range(n)] for i in range(n)]
-    Jv = np.array([[Jj[i][j].value for j in range(n)] for i in range(n)])
-    dJ = np.empty((n, n, n))  # dJ[l, k, j] = d_l J^k_j
-    for k in range(n):
-        for j in range(n):
-            dJ[:, k, j] = Jj[k][j].gradient
-    gamma = christoffel(M, p).gamma
-    G = metric_at(M, p)
-    worst = 0.0
-    for i in range(n):
-        # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - J^k_m Gamma^m_ij
-        nab = dJ[i] + gamma[:, i, :] @ Jv - Jv @ gamma[:, i, :]
-        for j in range(n):
-            w = nab[:, j]
-            worst = max(worst, math.sqrt(float(w @ G @ w)))
-    return worst
+    J = complex_structure_jet(M, p)
+    g = metric_jet(M, p)
+    return nabla_j_norm(g.v, J, christoffel_symbols(g, p))

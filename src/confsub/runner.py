@@ -1,7 +1,10 @@
 """Suite runner: structure validation, Kaehler gate, checker dispatch, report assembly.
 
-Exit code contract: 0 success, 2 scene error (raised before a report exists),
-3 structural failure, 4 theorem disagreement, 5 hypothesis violations only.
+Exit code contract: 0 success, 2 scene error (raised before a report exists:
+an unreadable or invalid scene, a tolerance that is not a finite number > 0,
+or a map, metric or complex structure that leaves its domain at a sample
+point), 3 structural failure, 4 theorem disagreement, 5 hypothesis violations
+only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
 """
@@ -12,8 +15,8 @@ from dataclasses import replace
 
 from . import __version__
 from .config import Tolerances
-from .errors import EngineError, StructureError
-from .geometry import complex_structure_residuals, nabla_j_residual
+from .errors import EngineError, SceneError, StructureError
+from .expr import ExprDomainError
 from .report import RunReport, StructureRow
 from .scenes import Scene, sample_points
 from .theorems import CHECKERS, ConditionReport, _memo_check
@@ -69,16 +72,18 @@ def run(
     dims_seen = set()
     for idx, p in enumerate(sampled):
         ctx = fmap.context(p, tol)
-        split = ctx.split  # validates frames, conformality, splitting
+        try:
+            split = ctx.split  # evaluates every expression; validates frames and splitting
+        except ExprDomainError as err:
+            raise SceneError(f"{err} at point {tuple(float(x) for x in p)}") from None
         kah = None
         if use_j:
-            r_sq, r_compat = complex_structure_residuals(fmap.source, p)
+            r_sq, r_compat, kah = ctx.kahler_residuals()
             if r_sq > tol.structural or r_compat > tol.structural:
                 raise StructureError(
                     f"complex structure invalid at {tuple(float(x) for x in p)}: "
                     f"J^2 residual {r_sq:.3e}, compatibility residual {r_compat:.3e}"
                 )
-            kah = nabla_j_residual(fmap.source, p)
         dims = split.dims if use_j else None
         if use_j:
             dims_seen.add(dims)

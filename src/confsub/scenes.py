@@ -285,7 +285,9 @@ def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
         try:
             tol = tol.with_theorem(float(value))
         except ValueError:
-            raise SceneError(f"bad tolerance {value!r}", lineno) from None
+            raise SceneError(
+                f"bad tolerance {value!r}: must be a finite number > 0", lineno
+            ) from None
 
     source = ChartedManifold(src_dim, src_metric, src_j, box, excluded)
     target = ChartedManifold(tgt_dim, tgt_metric, None, None, ())

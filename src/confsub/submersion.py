@@ -2,24 +2,28 @@
 
 Per point the engine builds a `PointContext`: metric, Jacobian, orthonormal
 vertical/horizontal frames, the invariant/anti-invariant refinement of the
-vertical space, the dilation, and all projectors.  The construction runs twice
-through the same code path, once on floats (validated) and once on first-order
-jets, so every constructed frame field comes with its first derivatives and
-brackets, covariant derivatives and the pullback connection need no finite
-differencing.
+vertical space, the dilation, and all projectors.  One pass builds them all on
+first-order array jets (`jets.ArrayJet`: values `v[...]` and derivatives
+`d[l, ...] = d_l v[...]`, derivative axis first), so every product rule is a
+plain batched matrix product.  Frames are stacked arrays, `(k, dim)` values
+with `(dim, k, dim)` derivatives, so every constructed frame field comes with
+its first derivatives and brackets, covariant derivatives and the pullback
+connection need no finite differencing.  Every pivot, drop and validation
+decision reads the values only.
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
-fields in coordinate order, and Gram-Schmidt drops seeds whose post-projection
-norm falls below the drop tolerance.  The invariant part of the vertical space
-is the range of -(P_V J P_V)^2, which is a smooth g-orthogonal projector
-whenever the structure is genuinely semi-invariant; a singular value
-decomposition of P_V J P_V (float pass only) validates the split and rejects
-ambiguous points.
+fields in coordinate order, and Gram-Schmidt projects each seed against all
+earlier basis vectors at once and drops seeds whose post-projection norm falls
+below the drop tolerance.  The invariant part of the vertical space is the
+range of -(P_V J P_V)^2, which is a smooth g-orthogonal projector whenever the
+structure is genuinely semi-invariant; a singular value decomposition of
+P_V J P_V validates the split and rejects ambiguous points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,22 +35,20 @@ from .errors import (
     BookkeepingError,
     CriticalPointError,
     NotConformalError,
+    SingularMetricError,
     StructureError,
 )
-from .expr import Jet2, ScalarExpr, as_jet, evaluate, jet_seeds, s_log, s_sqrt, value_of
-from .geometry import ChartedManifold, VectorField, christoffel, metric_entries
-from .linops import (
-    gram_inner,
-    gram_schmidt,
-    inverse,
-    lin_comb,
-    mat_mul,
-    mat_vec,
-    projector,
-    values_mat,
-    values_vec,
-    vdot,
+from .expr import Jet2, ScalarExpr, as_jet, evaluate, jet_seeds, value_of
+from .geometry import (
+    ChartedManifold,
+    VectorField,
+    christoffel_symbols,
+    complex_structure_jet,
+    j_residuals,
+    metric_jet,
+    nabla_j_norm,
 )
+from .jets import ArrayJet
 
 __all__ = [
     "SmoothMap",
@@ -143,161 +145,210 @@ class GradLnLambda:
 
 @dataclass
 class _PipelineResult:
-    G: list
-    Ginv: list
-    DF: list  # DF[a][i], rows indexed by target component
-    J: list | None
-    gN: list  # target metric grid at the image point
-    vertical: list
-    horizontal: list
-    d1: list | None
-    d2: list | None
-    jd2: list | None
-    mu: list | None
-    PV: list
-    PH: list
-    PD1: list | None
-    PD2: list | None
-    PJD2: list | None
-    PMU: list | None
-    lambda_sq: object
-    lam: object
+    """The frame pass at one point; frames are `(k, dim)` jets, matrices `(dim, dim)`."""
+
+    G: ArrayJet
+    Ginv: ArrayJet
+    DF: ArrayJet  # DF.v[a, i] = d_i F^a
+    J: ArrayJet | None
+    gN: ArrayJet  # target metric at the image point, as a function on the source
+    vertical: ArrayJet
+    horizontal: ArrayJet
+    d1: ArrayJet | None
+    d2: ArrayJet | None
+    jd2: ArrayJet | None
+    mu: ArrayJet | None
+    PV: ArrayJet
+    PH: ArrayJet
+    PD1: ArrayJet | None
+    PD2: ArrayJet | None
+    PJD2: ArrayJet | None
+    PMU: ArrayJet | None
+    lambda_sq: ArrayJet  # scalar jet: v a float, d the coordinate gradient
+    lam: float
     conf_residual: float
-    invariance_residuals: tuple[float, float]  # (J(d1) in d1, J(d2) horizontal)
 
 
-def _run_pipeline(dim, n, G, DF, J, gN_of, tol: Tolerances, validate: bool, point):
+def _inverse(G: ArrayJet) -> ArrayJet:
+    """Inverse with d(G^-1) = -G^-1 dG G^-1.
+
+    Partial-pivot elimination on the values rejects a zero matrix and any pivot
+    below 1e-14 of the largest entry.
+    """
+    U = G.v.tolist()  # plain floats: cheaper than numpy calls on a few rows
+    n = len(U)
+    scale = max(abs(x) for row in U for x in row)
+    if scale == 0.0:
+        raise SingularMetricError("zero matrix")
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(U[r][col]))
+        if abs(U[pivot][col]) < 1e-14 * scale:
+            raise SingularMetricError("singular matrix")
+        U[col], U[pivot] = U[pivot], U[col]
+        top = U[col]
+        for r in range(col + 1, n):
+            f = U[r][col] / top[col]
+            if f != 0.0:
+                U[r] = [x - f * y for x, y in zip(U[r], top)]
+    inv = np.linalg.inv(G.v)
+    return ArrayJet(inv, -(inv @ G.d @ inv))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_lower(m: int) -> np.ndarray:
+    """Mask that keeps the lower triangle and halves the diagonal (shared, read-only)."""
+    mask = np.tri(m) - 0.5 * np.eye(m)
+    mask.flags.writeable = False
+    return mask
+
+
+def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None):
+    """Metric Gram-Schmidt of the seed rows in order, dropping near-dependent seeds.
+
+    Seeds are first projected off the span of `against` (orthonormal rows, not
+    returned).  Each seed is then projected against all earlier kept rows in
+    one matrix-vector product and dropped when the value of its squared norm
+    falls below drop**2.  The kept rows are B = L^-1 P, where P holds the kept
+    projected seeds and P G P^T = L L^T with L lower triangular, so all their
+    derivatives follow at once from the derivative of a Cholesky factor:
+    dB = L^-1 dP - Phi(L^-1 dM L^-T) B with M = P G P^T, where Phi keeps the
+    lower triangle and halves the diagonal.
+    """
+    if against is not None and not len(against.v):
+        against = None
+    Gv = G.v
+    Pv = seeds.v if against is None else seeds.v - (seeds.v @ Gv @ against.v.T) @ against.v
+    PG = Pv @ Gv
+    k, dim = Pv.shape
+    B = np.empty((k, dim))
+    Linv = np.zeros((k, k))  # row j: B[j] as a combination of the kept seeds
+    kept = []
+    for i in range(k):
+        m = len(kept)
+        c = B[:m] @ PG[i]
+        w = Pv[i] - c @ B[:m]
+        n2 = float(w @ Gv @ w)
+        if n2 >= drop * drop:
+            r = 1.0 / math.sqrt(n2)
+            B[m] = w * r
+            Linv[m, :m] = -r * (c @ Linv[:m, :m])
+            Linv[m, m] = r
+            kept.append(i)
+    m = len(kept)
+    if m == 0:
+        return ArrayJet(B[:0], np.zeros((dim, 0, dim)))
+    B, Linv = B[:m], Linv[:m, :m]
+    P = seeds if m == k else ArrayJet(seeds.v[kept], seeds.d[:, kept])
+    if against is not None:
+        P = P - (P @ G @ against.T) @ against
+    PG = P @ G
+    dM = PG.d @ P.v.T + PG.v @ P.T.d
+    X = (Linv @ dM @ Linv.T) * _half_lower(m)
+    return ArrayJet(B, Linv @ P.d - X @ B)
+
+
+def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
+    """Metric-orthogonal projection onto the span of orthonormal rows B: B^T B G."""
+    return B.T @ (B @ G)
+
+
+def _row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Metric norms of the rows of W."""
+    return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
+
+
+def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
+                  tol: Tolerances, point) -> _PipelineResult:
+    """The frame pass on array jets; every decision reads values only."""
     point = tuple(float(x) for x in point)
-    """Shared frame construction; scalars are floats or jets throughout."""
-    Ginv = inverse(G)
+    dim, n = DF.v.shape[1], DF.v.shape[0]
+    Ginv = _inverse(G)
 
-    seeds_h = [mat_vec(Ginv, DF[a]) for a in range(n)]
-    horizontal = gram_schmidt(G, seeds_h, tol.drop)
-    if len(horizontal) < n:
+    horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop)  # seeds: G^-1 grad F^a
+    if len(horizontal.v) < n:
         raise CriticalPointError(
-            f"differential has rank {len(horizontal)} < {n} at {point}"
+            f"differential has rank {len(horizontal.v)} < {n} at {point}"
         )
-
-    coord = [[1.0 if i == k else 0.0 for i in range(dim)] for k in range(dim)]
-    vertical = gram_schmidt(G, coord, tol.drop, against=horizontal)
-    if len(vertical) != dim - n:
+    vertical = _gram_schmidt(G, ArrayJet.constant(np.eye(dim), dim), tol.drop, against=horizontal)
+    if len(vertical.v) != dim - n:
         raise StructureError(
-            f"vertical frame has {len(vertical)} vectors, expected {dim - n} at {point}"
+            f"vertical frame has {len(vertical.v)} vectors, expected {dim - n} at {point}"
         )
 
-    def push(v):
-        return [vdot(DF[a], v) for a in range(n)]
-
-    FX = [push(X) for X in horizontal]
-    gN = gN_of
-    gram = [[gram_inner(gN, FX[a], FX[b]) for b in range(n)] for a in range(n)]
-    lambda_sq = gram[0][0]
-    for a in range(1, n):
-        lambda_sq = lambda_sq + gram[a][a]
-    lambda_sq = lambda_sq * (1.0 / n)
-    lam = s_sqrt(lambda_sq)
-
-    lsq = value_of(lambda_sq)
-    conf_residual = 0.0
-    for a in range(n):
-        for b in range(n):
-            expect = lsq if a == b else 0.0
-            conf_residual = max(conf_residual, abs(value_of(gram[a][b]) - expect))
-    if validate and conf_residual > tol.conformality * lsq:
+    FX = horizontal @ DF.T  # rows dF(X_a)
+    gram = FX @ gN @ FX.T
+    lambda_sq = ArrayJet(np.trace(gram.v) / n, np.trace(gram.d, axis1=1, axis2=2) / n)
+    lsq = float(lambda_sq.v)
+    conf_residual = float(np.max(np.abs(gram.v - lsq * np.eye(n))))
+    if conf_residual > tol.conformality * lsq:
         raise NotConformalError(
             f"not horizontally conformal at {point}: residual {conf_residual:.3e} "
             f"against square dilation {lsq:.3e}"
         )
 
-    PV = projector(G, vertical, dim)
-    PH = projector(G, horizontal, dim)
+    PV = _projector(G, vertical)
+    PH = _projector(G, horizontal)
 
     d1 = d2 = jd2 = mu = None
     PD1 = PD2 = PJD2 = PMU = None
-    invariance = (0.0, 0.0)
     if J is not None:
-        Qm = mat_mul(PV, mat_mul(J, PV))
-        if validate:
-            k_vert = len(vertical)
-            Qv = np.empty((k_vert, k_vert))
-            for i in range(k_vert):
-                for j in range(k_vert):
-                    Qv[i, j] = value_of(gram_inner(G, vertical[i], mat_vec(Qm, vertical[j])))
-            svals = np.linalg.svd(Qv, compute_uv=False) if k_vert else np.array([])
-            thr = 1.0 - tol.split_threshold
-            n_d1 = int(np.sum(svals > thr))
-            # genuine structures give singular values at 1 or 0; anything in
-            # between means the invariant subspace is not well separated
-            for s in svals:
-                if tol.split_margin <= s <= thr:
-                    raise AmbiguousSplittingError(
-                        f"splitting ambiguous at {point}: singular value {s:.6f} "
-                        f"between {tol.split_margin} and {thr:.7f}"
-                    )
-            if n_d1 % 2 != 0:
-                raise StructureError(
-                    f"invariant vertical subspace has odd dimension {n_d1} at {point}"
+        Qm = PV @ (J @ PV)
+        Qv = vertical.v @ G.v @ Qm.v @ vertical.v.T
+        svals = np.linalg.svd(Qv, compute_uv=False) if len(Qv) else np.array([])
+        thr = 1.0 - tol.split_threshold
+        n_d1 = int(np.sum(svals > thr))
+        # genuine structures give singular values at 1 or 0; anything in
+        # between means the invariant subspace is not well separated
+        for s in svals:
+            if tol.split_margin <= s <= thr:
+                raise AmbiguousSplittingError(
+                    f"splitting ambiguous at {point}: singular value {s:.6f} "
+                    f"between {tol.split_margin} and {thr:.7f}"
                 )
+        if n_d1 % 2 != 0:
+            raise StructureError(
+                f"invariant vertical subspace has odd dimension {n_d1} at {point}"
+            )
         # -(P_V J P_V)^2 projects onto the J-invariant part of the vertical space
-        QQ = [[-x for x in row] for row in mat_mul(Qm, Qm)]
-        d1 = gram_schmidt(G, [mat_vec(QQ, v) for v in vertical], tol.drop)
-        d2 = gram_schmidt(G, vertical, tol.drop, against=d1)
-        jd2 = gram_schmidt(G, [mat_vec(J, w) for w in d2], tol.drop)
-        mu = gram_schmidt(G, horizontal, tol.drop, against=jd2)
-        PD1 = projector(G, d1, dim)
-        PD2 = projector(G, d2, dim)
-        PJD2 = projector(G, jd2, dim)
-        PMU = projector(G, mu, dim)
+        d1 = _gram_schmidt(G, -(vertical @ (Qm @ Qm).T), tol.drop)
+        d2 = _gram_schmidt(G, vertical, tol.drop, against=d1)
+        jd2 = _gram_schmidt(G, d2 @ J.T, tol.drop)
+        mu = _gram_schmidt(G, horizontal, tol.drop, against=jd2)
+        PD1 = _projector(G, d1)
+        PD2 = _projector(G, d2)
+        PJD2 = _projector(G, jd2)
+        PMU = _projector(G, mu)
 
-        if validate:
-            if len(d1) != n_d1:
-                raise StructureError(
-                    f"invariant frame has {len(d1)} vectors but {n_d1} singular values "
-                    f"above threshold at {point}"
-                )
-            if len(jd2) != len(d2):
-                raise StructureError(f"J(d2) frame degenerate at {point}")
-            if len(mu) % 2 != 0:
-                raise StructureError(
-                    f"complement of J(d2) has odd dimension {len(mu)} at {point}"
-                )
-            Gfv = values_mat(G)
-            PD1v = values_mat(PD1)
-            PVv = values_mat(PV)
-            r_d1 = 0.0
-            for u in d1:
-                w = values_vec(mat_vec(J, u))
-                w = w - PD1v @ w
-                r_d1 = max(r_d1, math.sqrt(float(w @ Gfv @ w)))
-            r_d2 = 0.0
-            for w0 in d2:
-                w = PVv @ values_vec(mat_vec(J, w0))
-                r_d2 = max(r_d2, math.sqrt(float(w @ Gfv @ w)))
-            invariance = (r_d1, r_d2)
-            if r_d1 > tol.structural or r_d2 > tol.structural:
-                raise StructureError(
-                    f"vertical space is not semi-invariant at {point}: "
-                    f"J(d1) residual {r_d1:.3e}, J(d2) horizontality residual {r_d2:.3e}"
-                )
+        if len(d1.v) != n_d1:
+            raise StructureError(
+                f"invariant frame has {len(d1.v)} vectors but {n_d1} singular values "
+                f"above threshold at {point}"
+            )
+        if len(jd2.v) != len(d2.v):
+            raise StructureError(f"J(d2) frame degenerate at {point}")
+        if len(mu.v) % 2 != 0:
+            raise StructureError(
+                f"complement of J(d2) has odd dimension {len(mu.v)} at {point}"
+            )
+        Jd1 = d1.v @ J.v.T
+        r_d1 = float(np.max(_row_norms(Jd1 - Jd1 @ PD1.v.T, G.v), initial=0.0))
+        r_d2 = float(np.max(_row_norms(d2.v @ J.v.T @ PV.v.T, G.v), initial=0.0))
+        if r_d1 > tol.structural or r_d2 > tol.structural:
+            raise StructureError(
+                f"vertical space is not semi-invariant at {point}: "
+                f"J(d1) residual {r_d1:.3e}, J(d2) horizontality residual {r_d2:.3e}"
+            )
 
-    if validate:
-        frame = vertical + horizontal
-        Gf = values_mat(G)
-        for i, u in enumerate(frame):
-            for j, v in enumerate(frame):
-                got = float(values_vec(u) @ Gf @ values_vec(v))
-                if abs(got - (1.0 if i == j else 0.0)) > tol.structural:
-                    raise StructureError(
-                        f"frame not orthonormal at {point}: gram[{i},{j}] = {got}"
-                    )
-        gNf = values_mat(gN)
-        for v in vertical:
-            fv = values_vec(push(v))
-            r = math.sqrt(float(fv @ gNf @ fv))
-            if r > tol.structural:
-                raise StructureError(
-                    f"pushforward of vertical vector has norm {r:.3e} at {point}"
-                )
+    frame = np.vstack((vertical.v, horizontal.v))
+    gram = frame @ G.v @ frame.T
+    off = np.abs(gram - np.eye(dim)) > tol.structural
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise StructureError(f"frame not orthonormal at {point}: gram[{i},{j}] = {gram[i, j]}")
+    pushed = _row_norms(vertical.v @ DF.v.T, gN.v)
+    if pushed.max() > tol.structural:
+        r = pushed[np.argmax(pushed > tol.structural)]
+        raise StructureError(f"pushforward of vertical vector has norm {r:.3e} at {point}")
 
     return _PipelineResult(
         G=G,
@@ -318,10 +369,19 @@ def _run_pipeline(dim, n, G, DF, J, gN_of, tol: Tolerances, validate: bool, poin
         PJD2=PJD2,
         PMU=PMU,
         lambda_sq=lambda_sq,
-        lam=lam,
+        lam=math.sqrt(lsq),
         conf_residual=conf_residual,
-        invariance_residuals=invariance,
     )
+
+
+def _value_view(name: str):
+    """Read-only property: the value part of a pass field (None stays None)."""
+
+    def get(self):
+        jet = getattr(self.data, name)
+        return None if jet is None else jet.v
+
+    return property(get)
 
 
 class PointContext:
@@ -350,168 +410,76 @@ class PointContext:
         return self._get("comp_jets", build)
 
     @property
-    def df_pseudo(self) -> list[list[Jet2]]:
-        """First-order jets of the Jacobian entries (gradient rows from Hessians)."""
-
-        def build():
-            rows = []
-            for j in self.comp_jets:
-                rows.append(
-                    [Jet2(j.gradient[i], j.hessian[i].copy()) for i in range(self.fmap.source.dim)]
-                )
-            return rows
-
-        return self._get("df_pseudo", build)
-
-    @property
-    def _src_metric_jets(self):
-        def build():
-            seeds = jet_seeds(self.p, second_order=False)
-            grid = metric_entries(self.fmap.source, seeds)
-            d = self.fmap.source.dim
-            return [[as_jet(grid[i][j], d) for j in range(d)] for i in range(d)]
-
-        return self._get("src_metric_jets", build)
-
-    @property
-    def _src_j_jets(self):
-        def build():
-            J = self.fmap.source.complex_structure
-            if J is None:
-                return None
-            seeds = jet_seeds(self.p, second_order=False)
-            d = self.fmap.source.dim
-            return [[as_jet(evaluate(J[i][j], seeds), d) for j in range(d)] for i in range(d)]
-
-        return self._get("src_j_jets", build)
-
-    # -- pipeline passes -----------------------------------------------------
-
-    def _gn_grid(self, target_point):
-        tgt = self.fmap.target
-        out = [[None] * tgt.dim for _ in range(tgt.dim)]
-        for i in range(tgt.dim):
-            for j in range(i, tgt.dim):
-                v = evaluate(tgt.metric[i][j], target_point)
-                out[i][j] = v
-                out[j][i] = v
-        return out
-
-    @property
-    def fdata(self) -> _PipelineResult:
-        def build():
-            dim, n = self.fmap.source.dim, self.fmap.target.dim
-            G = [[self._src_metric_jets[i][j].value for j in range(dim)] for i in range(dim)]
-            DF = [[j.gradient[i] for i in range(dim)] for j in self.comp_jets]
-            Jm = None
-            if self._src_j_jets is not None:
-                Jm = [[self._src_j_jets[i][j].value for j in range(dim)] for i in range(dim)]
-            fp = [j.value for j in self.comp_jets]
-            gN = self._gn_grid(fp)
-            return _run_pipeline(dim, n, G, DF, Jm, gN, self.tol, True, self.p)
-
-        return self._get("fdata", build)
-
-    @property
-    def jdata(self) -> _PipelineResult:
-        def build():
-            self.fdata  # float pass validates first; jet pass reuses its branch structure
-            dim, n = self.fmap.source.dim, self.fmap.target.dim
-            G = self._src_metric_jets
-            DF = self.df_pseudo
-            Jm = self._src_j_jets
-            gN = self._gn_grid(self.comp_jets)
-            return _run_pipeline(dim, n, G, DF, Jm, gN, self.tol, False, self.p)
-
-        return self._get("jdata", build)
-
-    # -- float views ----------------------------------------------------------
-
-    @property
-    def Gf(self) -> np.ndarray:
-        return self._get("Gf", lambda: values_mat(self.fdata.G))
-
-    @property
-    def Ginvf(self) -> np.ndarray:
-        return self._get("Ginvf", lambda: values_mat(self.fdata.Ginv))
-
-    @property
-    def GNf(self) -> np.ndarray:
-        return self._get("GNf", lambda: values_mat(self.fdata.gN))
-
-    @property
-    def DFf(self) -> np.ndarray:
-        return self._get("DFf", lambda: values_mat(self.fdata.DF))
-
-    @property
-    def Jf(self) -> np.ndarray | None:
-        if self.fdata.J is None:
-            return None
-        return self._get("Jf", lambda: values_mat(self.fdata.J))
-
-    @property
     def target_point(self) -> np.ndarray:
         return self._get("target_point", lambda: np.array([j.value for j in self.comp_jets]))
 
-    def _proj(self, name):
-        mat = getattr(self.fdata, name)
-        if mat is None:
-            return None
-        return values_mat(mat)
+    @property
+    def _target_metric(self) -> ArrayJet:
+        """Target metric at the image point, derivatives in target coordinates."""
+        return self._get("target_metric", lambda: metric_jet(self.fmap.target, self.target_point))
+
+    # -- the frame pass ---------------------------------------------------------
 
     @property
-    def PVf(self):
-        return self._get("PVf", lambda: self._proj("PV"))
+    def data(self) -> _PipelineResult:
+        def build():
+            src = self.fmap.source
+            dim, n = src.dim, self.fmap.target.dim
+            comps = self.comp_jets
+            # d_l DF[a, i] is the Hessian entry [a, l, i]
+            DF = ArrayJet(
+                np.array([c.gradient for c in comps]),
+                np.array([c.hessian for c in comps]).transpose(1, 0, 2),
+            )
+            tgt = self._target_metric
+            # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
+            gN = ArrayJet(tgt.v, (DF.v.T @ tgt.d.reshape(n, n * n)).reshape(dim, n, n))
+            J = complex_structure_jet(src, self.p) if src.complex_structure is not None else None
+            return _run_pipeline(metric_jet(src, self.p), DF, J, gN, self.tol, self.p)
 
-    @property
-    def PHf(self):
-        return self._get("PHf", lambda: self._proj("PH"))
+        return self._get("data", build)
 
-    @property
-    def PD1f(self):
-        return self._get("PD1f", lambda: self._proj("PD1"))
+    # the stage names the layer timings of the benchmark read
+    fdata = jdata = data
 
-    @property
-    def PD2f(self):
-        return self._get("PD2f", lambda: self._proj("PD2"))
+    # -- float views: the value parts of the pass ------------------------------
 
-    @property
-    def PJD2f(self):
-        return self._get("PJD2f", lambda: self._proj("PJD2"))
-
-    @property
-    def PMUf(self):
-        return self._get("PMUf", lambda: self._proj("PMU"))
+    Gf = _value_view("G")
+    Ginvf = _value_view("Ginv")
+    GNf = _value_view("gN")
+    DFf = _value_view("DF")
+    Jf = _value_view("J")
+    PVf = _value_view("PV")
+    PHf = _value_view("PH")
+    PD1f = _value_view("PD1")
+    PD2f = _value_view("PD2")
+    PJD2f = _value_view("PJD2")
+    PMUf = _value_view("PMU")
 
     @property
     def gamma_src(self) -> np.ndarray:
-        return self._get("gamma_src", lambda: christoffel(self.fmap.source, self.p).gamma)
+        return self._get("gamma_src", lambda: christoffel_symbols(self.data.G, self.p))
 
     @property
     def gamma_tgt(self) -> np.ndarray:
         return self._get(
-            "gamma_tgt", lambda: christoffel(self.fmap.target, self.target_point).gamma
+            "gamma_tgt", lambda: christoffel_symbols(self._target_metric, self.target_point)
         )
 
-    def frame(self, name: str, floats: bool = True) -> list:
-        key = ("frame", name, floats)
+    def frame(self, name: str) -> list[np.ndarray]:
+        """The named frame family as a list of value vectors."""
 
         def build():
-            data = self.fdata if floats else self.jdata
-            vecs = getattr(data, name)
-            if vecs is None:
-                return []
-            if floats:
-                return [values_vec(v) for v in vecs]
-            return vecs
+            jet = getattr(self.data, name)
+            return [] if jet is None else list(jet.v)
 
-        return self._get(key, build)
+        return self._get(("frame", name), build)
 
     @property
     def split(self) -> SplitFrame:
         def build():
-            f = self.fdata
-            as_np = lambda vs: tuple(values_vec(v) for v in (vs or []))
+            f = self.data
+            as_np = lambda jet: () if jet is None else tuple(jet.v)
             return SplitFrame(
                 point=tuple(float(x) for x in self.p),
                 vertical=as_np(f.vertical),
@@ -520,11 +488,22 @@ class PointContext:
                 d2=as_np(f.d2),
                 jd2=as_np(f.jd2),
                 mu=as_np(f.mu),
-                lam=float(value_of(f.lam)),
+                lam=f.lam,
                 lambda_sq_residual=f.conf_residual,
             )
 
         return self._get("split", build)
+
+    def kahler_residuals(self) -> tuple[float, float, float]:
+        """(|J^2 + I|, compatibility, |nabla J|) from the point's own metric and J jets.
+
+        Bit-identical to `geometry.complex_structure_residuals` and
+        `geometry.nabla_j_residual`, which evaluate the same jets.
+        """
+        gamma = self.gamma_src  # rejects a non-SPD metric first
+        J = self.data.J
+        r_square, r_compat = j_residuals(self.Gf, J.v)
+        return r_square, r_compat, nabla_j_norm(self.Gf, J, gamma)
 
     @property
     def has_j(self) -> bool:
@@ -560,104 +539,79 @@ class PointContext:
     def push(self, v) -> np.ndarray:
         return self.DFf @ np.asarray(v, dtype=float)
 
-    def _wrap(self, jets) -> list[Jet2]:
-        d = self.fmap.source.dim
-        return [as_jet(j, d) for j in jets]
-
-    def cov(self, Xv, Yjets) -> np.ndarray:
-        """nabla_X of a field given by its jets at the point (X a float vector)."""
+    def cov(self, Xv, Y: ArrayJet) -> np.ndarray:
+        """nabla_X of a field given by its jet at the point (X a float vector)."""
         Xv = np.asarray(Xv, dtype=float)
-        Yjets = self._wrap(Yjets)
-        Yv = np.array([j.value for j in Yjets])
-        dY = np.array([j.gradient for j in Yjets])
-        return dY @ Xv + np.einsum("kij,i,j->k", self.gamma_src, Xv, Yv)
+        return Xv @ Y.d + (self.gamma_src @ Y.v) @ Xv
 
-    def bracket(self, Xjets, Yjets) -> np.ndarray:
-        Xjets = self._wrap(Xjets)
-        Yjets = self._wrap(Yjets)
-        Xv = np.array([j.value for j in Xjets])
-        Yv = np.array([j.value for j in Yjets])
-        dX = np.array([j.gradient for j in Xjets])
-        dY = np.array([j.gradient for j in Yjets])
-        return dY @ Xv - dX @ Yv
+    def bracket(self, X: ArrayJet, Y: ArrayJet) -> np.ndarray:
+        return X.v @ Y.d - Y.v @ X.d
 
-    def section_push(self, Xjets) -> list[Jet2]:
-        """First-order jets of the pushforward section q -> dF_q(X_q)."""
-        n = self.fmap.target.dim
-        return [vdot(self.df_pseudo[a], Xjets) for a in range(n)]
+    def section_push(self, X: ArrayJet) -> ArrayJet:
+        """Jet of the pushforward section q -> dF_q(X_q)."""
+        return self.data.DF @ X
 
-    def pullback_deriv(self, Zv, section_jets) -> np.ndarray:
+    def pullback_deriv(self, Zv, section: ArrayJet) -> np.ndarray:
         """Pullback-connection derivative of a target-vector section along Z."""
         Zv = np.asarray(Zv, dtype=float)
-        sv = np.array([value_of(s) for s in section_jets])
-        ds = np.array([as_jet(s, self.fmap.source.dim).gradient for s in section_jets])
-        FZ = self.push(Zv)
-        return ds @ Zv + np.einsum("abc,b,c->a", self.gamma_tgt, FZ, sv)
+        return Zv @ section.d + (self.gamma_tgt @ section.v) @ self.push(Zv)
 
-    def sff_jets(self, Xjets, Yjets) -> np.ndarray:
+    def sff_jets(self, X: ArrayJet, Y: ArrayJet) -> np.ndarray:
         """Second fundamental form on two fields given by jets at the point."""
-        Xjets = self._wrap(Xjets)
-        Yjets = self._wrap(Yjets)
-        Xv = np.array([value_of(j) for j in Xjets])
-        Yv = np.array([value_of(j) for j in Yjets])
-        sec = self.section_push(Yjets)
-        t1 = np.array([as_jet(s, self.fmap.source.dim).gradient @ Xv for s in sec])
-        t2 = np.einsum("abc,b,c->a", self.gamma_tgt, self.DFf @ Xv, self.DFf @ Yv)
-        t3 = self.DFf @ self.cov(Xv, Yjets)
+        DF = self.DFf
+        t1 = X.v @ self.section_push(Y).d
+        t2 = (self.gamma_tgt @ (DF @ Y.v)) @ (DF @ X.v)
+        t3 = DF @ self.cov(X.v, Y)
         return t1 + t2 - t3
 
     # -- extensions ------------------------------------------------------------
 
-    def subframe_jets(self, name: str) -> list[list[Jet2]]:
+    def subframe_jets(self, name: str) -> list[ArrayJet]:
+        """The named frame family as a list of vector jets."""
+
         def build():
-            d = self.fmap.source.dim
-            return [[as_jet(c, d) for c in vec] for vec in self.frame(name, floats=False)]
+            jet = getattr(self.data, name)
+            return [] if jet is None else jet.rows()
 
         return self._get(("subframe_jets", name), build)
 
-    def jsubframe_jets(self, name: str) -> list[list[Jet2]]:
+    def jsubframe_jets(self, name: str) -> list[ArrayJet]:
         """Jets of the complex structure applied to the named frame fields."""
 
         def build():
-            return [self.jmul_jets(jets) for jets in self.subframe_jets(name)]
+            jet = getattr(self.data, name)
+            return [] if jet is None else (jet @ self.data.J.T).rows()
 
         return self._get(("jsubframe_jets", name), build)
 
-    def extend(self, v, name: str) -> list[Jet2]:
+    def extend(self, v, name: str) -> ArrayJet:
         """Constant-coefficient extension of a vector in the named frame family."""
-        vecs_f = self.frame(name)
-        vecs_j = self.frame(name, floats=False)
-        if not vecs_f:
-            return [as_jet(0.0, self.fmap.source.dim) for _ in range(self.fmap.source.dim)]
-        coeffs = [float(np.asarray(v) @ self.Gf @ w) for w in vecs_f]
-        out = lin_comb(coeffs, vecs_j)
-        return [as_jet(c, self.fmap.source.dim) for c in out]
+        frame = getattr(self.data, name)
+        if frame is None:
+            return ArrayJet.constant(np.zeros(self.fmap.source.dim), self.fmap.source.dim)
+        return (frame.v @ (self.Gf @ np.asarray(v, dtype=float))) @ frame
 
-    def extend_full(self, v) -> list[Jet2]:
+    def extend_full(self, v) -> ArrayJet:
         """Extension over the full vertical + horizontal frame."""
-        vert = self.extend(self.PVf @ np.asarray(v, dtype=float), "vertical")
-        hor = self.extend(self.PHf @ np.asarray(v, dtype=float), "horizontal")
-        return [a + b for a, b in zip(vert, hor)]
+        v = np.asarray(v, dtype=float)
+        return self.extend(self.PVf @ v, "vertical") + self.extend(self.PHf @ v, "horizontal")
 
     # -- J operators on fields (jets) and vectors (floats) ---------------------
 
-    def jmul_jets(self, Ujets) -> list[Jet2]:
-        return [vdot(row, Ujets) for row in self.jdata.J]
+    def jmul_jets(self, U: ArrayJet) -> ArrayJet:
+        return self.data.J @ U
 
-    def _pmat_jets(self, name):
-        return getattr(self.jdata, name)
+    def phi_jets(self, U: ArrayJet) -> ArrayJet:
+        return self.data.PV @ self.jmul_jets(U)
 
-    def phi_jets(self, Ujets):
-        return mat_vec(self.jdata.PV, self.jmul_jets(Ujets))
+    def omega_jets(self, U: ArrayJet) -> ArrayJet:
+        return self.data.PJD2 @ self.jmul_jets(U)
 
-    def omega_jets(self, Ujets):
-        return mat_vec(self.jdata.PJD2, self.jmul_jets(Ujets))
+    def b_jets(self, X: ArrayJet) -> ArrayJet:
+        return self.data.PD2 @ self.jmul_jets(X)
 
-    def b_jets(self, Xjets):
-        return mat_vec(self.jdata.PD2, self.jmul_jets(Xjets))
-
-    def c_jets(self, Xjets):
-        return mat_vec(self.jdata.PMU, self.jmul_jets(Xjets))
+    def c_jets(self, X: ArrayJet) -> ArrayJet:
+        return self.data.PMU @ self.jmul_jets(X)
 
     def phi_vec(self, v):
         return self.PVf @ (self.Jf @ np.asarray(v, dtype=float))
@@ -695,8 +649,8 @@ class PointContext:
         """Trace of the second fundamental form over the full orthonormal frame."""
         out = np.zeros(self.fmap.target.dim)
         for name in ("vertical", "horizontal"):
-            for jets in self.subframe_jets(name):
-                out = out + self.sff_jets(jets, jets)
+            for jet in self.subframe_jets(name):
+                out = out + self.sff_jets(jet, jet)
         return out
 
     def fiber_mean_curvature_vec(self) -> np.ndarray:
@@ -711,13 +665,11 @@ class PointContext:
     @property
     def grad_ln_lambda(self) -> GradLnLambda:
         def build():
-            lnl = s_log(self.jdata.lambda_sq) * 0.5
-            coord_grad = lnl.gradient
-            vec = self.Ginvf @ coord_grad
+            lsq = self.data.lambda_sq
+            vec = self.Ginvf @ (0.5 * lsq.d / lsq.v)
             h = self.PHf @ vec
             v = self.PVf @ vec
-            lam = self.split.lam
-            h_norm = lam * self.gnorm(h)
+            h_norm = self.split.lam * self.gnorm(h)
             return GradLnLambda(
                 vector=vec,
                 horizontal_part=h,
@@ -746,7 +698,7 @@ class FrameField(VectorField):
     def values_at(self, p) -> np.ndarray:
         return self.fmap.context(p, self.tol).frame(self.name)[self.index]
 
-    def jets_at(self, p) -> list[Jet2]:
+    def jets_at(self, p) -> ArrayJet:
         ctx = self.fmap.context(p, self.tol)
         return ctx.subframe_jets(self.name)[self.index]
 

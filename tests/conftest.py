@@ -1,9 +1,23 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confsub.scenes import load_preset, sample_points
+from confsub.scenes import load_preset, load_scene_text, preset_names, sample_points
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+BENCH_SCENES = sorted((REPO / "bench" / "scenes").glob("*.txt"))
+ALL_SCENE_NAMES = tuple(preset_names()) + tuple(f.stem for f in BENCH_SCENES)
+
+
+def fresh_scene(name):
+    """A newly parsed preset or bench scene, with an empty point cache."""
+    for f in BENCH_SCENES:
+        if f.stem == name:
+            return load_scene_text(f.read_text(encoding="utf-8"), name_hint=name)
+    return load_preset(name)
 
 
 @functools.lru_cache(maxsize=None)

@@ -95,3 +95,36 @@ def fd_sff(fmap, p, Xfield, Yfield, h=H):
     nab = dY @ Xv + np.einsum("kij,i,j->k", gamma_m, Xv, Yv)
     term3 = DF @ nab
     return term1 + term2 - term3
+
+
+PASS_FIELDS = (
+    "vertical", "horizontal", "d1", "d2", "jd2", "mu",
+    "PV", "PH", "PD1", "PD2", "PJD2", "PMU", "lambda_sq",
+)
+
+
+def _rel_gap(got, want):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return float(np.max(np.abs(got - want), initial=0.0)) / scale
+
+
+def pass_derivative_margins(fmap, p, tol, h=H):
+    """Gap between each array jet's derivative part and central differences of its values.
+
+    Every frame family, projector and the square dilation of the frame pass is
+    compared with `fd_jacobian` of its values at p +- h e_l (derivative axis
+    moved first, as in the jet), and the connection coefficients built from
+    the metric jet with `fd_christoffel`.  Gaps are relative to
+    max(1, largest reference entry); families a scene lacks are left out.
+    """
+    p = np.asarray(p, dtype=float)
+    ctx = fmap.context(p, tol)
+    out = {}
+    for name in PASS_FIELDS:
+        jet = getattr(ctx.data, name)
+        if jet is None:
+            continue
+        fd = fd_jacobian(lambda q: getattr(fmap.context(q, tol).data, name).v, p, h)
+        out[name] = _rel_gap(jet.d, np.moveaxis(fd, -1, 0))
+    out["gamma_src"] = _rel_gap(ctx.gamma_src, fd_christoffel(fmap.source, p, h))
+    return out

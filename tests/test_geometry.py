@@ -21,7 +21,9 @@ from confsub.geometry import (
     metric_at,
     nabla_j_residual,
 )
+from confsub.runner import run
 
+from .conftest import ALL_SCENE_NAMES, fresh_scene
 from .fdtools import fd_christoffel
 
 
@@ -232,3 +234,17 @@ def test_manifold_contains():
 def test_christoffel_exact_lower_symmetry(polar_like):
     gamma = christoffel(polar_like, (1.3, 0.4)).gamma
     assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+
+def test_runner_kahler_residual_matches_geometry():
+    # the runner reuses the point's jets; the standalone function re-evaluates
+    # them, and both must print the same report value
+    checked = 0
+    for name in ALL_SCENE_NAMES:
+        sc = fresh_scene(name)
+        if sc.source.complex_structure is None or sc.machinery_only:
+            continue
+        for row in run(sc, points=4, structure_only=True).structure:
+            assert row.kahler_residual == nabla_j_residual(sc.source, row.point), name
+            checked += 1
+    assert checked >= 20

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from confsub.errors import AmbiguousSplittingError, CriticalPointError, StructureError
-from confsub.expr import parse
-from confsub.geometry import ConstantField, euclidean
+from confsub.errors import (
+    AmbiguousSplittingError,
+    CriticalPointError,
+    SingularMetricError,
+    StructureError,
+)
+from confsub.expr import Const, parse
+from confsub.geometry import ChartedManifold, ConstantField, euclidean
 from confsub.submersion import (
     FrameField,
     SmoothMap,
@@ -481,3 +486,18 @@ def test_non_conformal_map_rejected():
     F = SmoothMap(euclidean(3), euclidean(2), (parse("x1", 3), parse("2*x2", 3)))
     with pytest.raises(NotConformalError, match="not horizontally conformal"):
         split_frame(F, np.array([0.1, 0.2, 0.3]))
+
+
+def test_singular_metric_rejected():
+    # zero, singular and near-singular metrics: a pivot below 1e-14 of the
+    # largest entry is singular; just above it the frame pass proceeds
+    def diag_map(g11, g22):
+        zero = Const(0.0)
+        metric = ((parse(g11, 2), zero), (zero, parse(g22, 2)))
+        return SmoothMap(ChartedManifold(2, metric), euclidean(1), (parse("x1", 2),))
+
+    p = np.array([0.1, 0.2])
+    for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15")):
+        with pytest.raises(SingularMetricError):
+            split_frame(diag_map(g11, g22), p)
+    assert split_frame(diag_map("1", "2e-14"), p).lam == pytest.approx(1.0)
