@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Compare the canonical reports of two source trees, row by row.
+
+Usage: python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC
+
+Runs `python -m confsub check <scene> --seed S --format canonical` as a
+subprocess with PYTHONPATH set to each tree in turn, for the six presets and
+the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12.  Each report
+is parsed with `confsub.report.from_canonical` (from CHANGE_SRC).  Prints the
+number of verdict changes (verdict_a, verdict_b, agreement, vacuity, labels,
+skipped checkers, Kaehler flag and structure dims) and exit-code changes, and
+the largest residual change per row name in units of the theorem tolerance.
+Exits 1 on any verdict or exit-code change.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 11, 12)
+BENCH_SCENES = sorted(str(f) for f in (REPO / "bench" / "scenes").glob("*.txt"))
+
+
+def check(src: str, *args: str) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    proc = subprocess.run([sys.executable, "-m", "confsub", "check", *args],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    return proc.returncode, proc.stdout
+
+
+def head(report) -> tuple:
+    """Kaehler flag, skipped checkers, per-point dims and row names."""
+    dims = [s.dims for s in report.structure]
+    return report.kahler_verified, report.skipped, dims, list(report.reports)
+
+
+def verdict_key(r) -> tuple:
+    return (r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    parent, change = argv
+    sys.path.insert(0, str(Path(change).resolve()))
+    from confsub.report import from_canonical
+
+    _, listing = check(change, "--list-presets")
+    scenes = listing.split() + BENCH_SCENES
+    rows = verdict_changes = exit_changes = 0
+    worst: dict[str, float] = {}
+    for scene in scenes:
+        for seed in SEEDS:
+            args = (scene, "--seed", str(seed), "--format", "canonical")
+            (code_p, out_p), (code_c, out_c) = check(parent, *args), check(change, *args)
+            label = f"{Path(scene).stem} seed {seed}"
+            if code_p != code_c:
+                exit_changes += 1
+                print(f"exit code {code_p} -> {code_c}: {label}")
+            if not (out_p and out_c):
+                continue
+            rp, rc = from_canonical(out_p), from_canonical(out_c)
+            if head(rp) != head(rc):
+                verdict_changes += 1
+                print(f"structure, skipped checkers or row names changed: {label}")
+                continue
+            tol = rp.theorem_tolerance
+            for name, reps in rp.reports.items():
+                for a, b in zip(reps, rc.reports[name], strict=True):
+                    rows += 1
+                    if verdict_key(a) != verdict_key(b):
+                        verdict_changes += 1
+                        print(f"verdict change: {name} at {a.point} ({label}): "
+                              f"{verdict_key(a)} -> {verdict_key(b)}")
+                    gap = abs(a.residual_a - b.residual_a)
+                    if a.residual_b is not None and b.residual_b is not None:
+                        gap = max(gap, abs(a.residual_b - b.residual_b))
+                    worst[name] = max(worst.get(name, 0.0), gap / tol)
+    print(f"{len(scenes)} scenes x {len(SEEDS)} seeds, {rows} rows compared")
+    print(f"verdict changes: {verdict_changes}")
+    print(f"exit-code changes: {exit_changes}")
+    print("largest residual change per row (units of the theorem tolerance):")
+    for name in sorted(worst, key=worst.get, reverse=True):
+        print(f"  {name:<38} {worst[name]:.3e}")
+    return 1 if verdict_changes or exit_changes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,12 +16,14 @@ sys.path.insert(0, ".")
 
 import numpy as np
 
-from confsub.geometry import christoffel
+from confsub.geometry import christoffel_symbols, metric_jet
 from confsub.scenes import load_preset, preset_names, sample_points
-from confsub.submersion import FrameField, second_fundamental_form
+from confsub.submersion import on_pairs
 
 from tests.conftest import ALL_SCENE_NAMES, fresh_scene  # noqa: E402
-from tests.fdtools import PASS_FIELDS, fd_christoffel, fd_sff, pass_derivative_margins  # noqa: E402
+from tests.fdtools import (  # noqa: E402
+    PASS_FIELDS, FrameField, fd_christoffel, fd_sff, pass_derivative_margins,
+)
 
 
 def main() -> int:
@@ -30,14 +32,15 @@ def main() -> int:
         sc = load_preset(name)
         worst_g = worst_s = 0.0
         for p in sample_points(sc, count=5, seed=11):
-            got = christoffel(sc.source, p).gamma
+            got = christoffel_symbols(metric_jet(sc.source, p), p)
             want = fd_christoffel(sc.source, p)
             scale = max(1.0, float(np.max(np.abs(want))))
             worst_g = max(worst_g, float(np.max(np.abs(got - want))) / scale)
             X = FrameField(sc.fmap, "horizontal", 0)
             V = FrameField(sc.fmap, "vertical", 0)
+            S = sc.fmap.context(p).tensors.sff
             for pair in ((X, X), (X, V)):
-                a = second_fundamental_form(sc.fmap, p, *pair)
+                a = on_pairs(S, *(F.values_at(p) for F in pair))
                 b = fd_sff(sc.fmap, p, *pair)
                 s = max(1.0, float(np.max(np.abs(b))))
                 worst_s = max(worst_s, float(np.max(np.abs(a - b))) / s)

@@ -8,29 +8,21 @@ from .geometry import (
     ChartedManifold,
     ConstantField,
     ExprField,
-    christoffel,
     covariant_derivative,
     euclidean,
     lie_bracket,
-    metric_at,
     nabla_j_residual,
 )
 from .submersion import (
     FundamentalTensorsAtPoint,
+    PointContext,
     SmoothMap,
     SplitFrame,
     bc_decompose,
-    fiber_mean_curvature,
-    fundamental_tensors,
-    grad_ln_lambda,
     jacobian,
-    oneill_a,
-    oneill_t,
+    on_pairs,
     phi_omega,
-    second_fundamental_form,
     sff_identity_residuals,
-    split_frame,
-    tension,
 )
 
 __all__ = [
@@ -45,24 +37,16 @@ __all__ = [
     "ExprField",
     "ConstantField",
     "euclidean",
-    "metric_at",
-    "christoffel",
     "covariant_derivative",
     "lie_bracket",
     "nabla_j_residual",
     "SmoothMap",
     "SplitFrame",
+    "PointContext",
     "FundamentalTensorsAtPoint",
-    "fundamental_tensors",
     "jacobian",
-    "split_frame",
     "phi_omega",
     "bc_decompose",
-    "oneill_t",
-    "oneill_a",
-    "second_fundamental_form",
-    "tension",
-    "fiber_mean_curvature",
-    "grad_ln_lambda",
+    "on_pairs",
     "sff_identity_residuals",
 ]

@@ -528,11 +528,15 @@ def evaluate(e: ScalarExpr, xs) -> Scalar:
             return s_pow(evaluate(e.base, xs), e.exponent)
         except ValueError as err:
             raise ExprDomainError(str(err), to_string(e)) from None
+        except OverflowError:
+            raise ExprDomainError("numerical overflow", to_string(e)) from None
     if isinstance(e, Call):
         try:
             return _FUNC_IMPL[e.func](evaluate(e.arg, xs))
         except ValueError as err:
             raise ExprDomainError(str(err), to_string(e)) from None
+        except OverflowError:
+            raise ExprDomainError("numerical overflow", to_string(e)) from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

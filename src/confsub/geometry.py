@@ -4,7 +4,8 @@ A manifold is a single global chart: a dimension, a symmetric grid of metric
 component expressions, an optional almost complex structure given the same
 way, and a sampling box with excluded hypersurfaces.  All operations are pure
 and pointwise; derivatives come from jet evaluation of the component
-expressions.
+expressions.  The covariant-derivative and bracket formulas are written once
+here (`nabla`, `brackets`) and shared with the per-point tables.
 """
 
 from __future__ import annotations
@@ -22,19 +23,18 @@ from .jets import ArrayJet
 __all__ = [
     "ExcludedLocus",
     "ChartedManifold",
-    "ConnectionCoefficients",
     "VectorField",
     "ExprField",
     "ConstantField",
     "euclidean_metric",
     "canonical_complex_structure",
     "euclidean",
-    "metric_at",
     "metric_entries",
     "metric_jet",
     "complex_structure_jet",
     "christoffel_symbols",
-    "christoffel",
+    "nabla",
+    "brackets",
     "covariant_derivative",
     "lie_bracket",
     "j_residuals",
@@ -90,12 +90,6 @@ class ChartedManifold:
         return all(loc.distance(p) >= 1e-3 for loc in self.excluded)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    point: tuple[float, ...]
-    gamma: np.ndarray  # gamma[k, i, j], symmetric in (i, j)
-
-
 def euclidean_metric(dim: int) -> tuple[tuple[ScalarExpr, ...], ...]:
     return tuple(
         tuple(Const(1.0) if i == j else Const(0.0) for j in range(dim)) for i in range(dim)
@@ -140,16 +134,6 @@ def _check_spd(G: np.ndarray, p):
         raise NonSPDMetricError(f"metric not positive definite at {tuple(p)}: eigs {eigs}")
 
 
-def metric_at(M: ChartedManifold, p) -> np.ndarray:
-    """SPD metric matrix at a point; raises NonSPDMetricError otherwise."""
-    G = np.array(
-        [[value_of(evaluate(M.metric[i][j], p)) for j in range(M.dim)] for i in range(M.dim)]
-    )
-    G = (G + G.T) / 2.0
-    _check_spd(G, p)
-    return G
-
-
 def metric_jet(M: ChartedManifold, p) -> ArrayJet:
     """Metric values g_ij and derivatives d[l, i, j] = d_l g_ij at a point."""
     return ArrayJet.from_scalars(metric_entries(M, jet_seeds(p, second_order=False)), M.dim)
@@ -166,9 +150,21 @@ def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
     return (gamma + gamma.transpose(0, 2, 1)) / 2.0  # exact lower-index symmetry
 
 
-def christoffel(M: ChartedManifold, p) -> ConnectionCoefficients:
-    """Levi-Civita connection coefficients from jet derivatives of the metric."""
-    return ConnectionCoefficients(tuple(float(x) for x in p), christoffel_symbols(metric_jet(M, p), p))
+def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
+    """Covariant derivatives along every coordinate field: out[l, ...] = nabla_{d_l} Y.
+
+    `Y` is a field (values `(dim,)`) or a stack of fields (`(k, dim)`);
+    (nabla_{d_l} Y)^k = d_l Y^k + Gamma^k_li Y^i.  Along a vector X the
+    derivative is X @ out (a contraction over the first axis).  With the
+    pullback coefficients Gamma_N^a_cb d_l F^c in place of `gamma` the same
+    formula is the pullback connection on target-vector sections.
+    """
+    return Y.d + np.einsum("kli,...i->l...k", gamma, Y.v)
+
+
+def brackets(X: ArrayJet, Y: ArrayJet) -> np.ndarray:
+    """Lie brackets of two stacks of fields: out[a, b] = X_a^i d_i Y_b - Y_b^i d_i X_a."""
+    return np.einsum("ai,ibk->abk", X.v, Y.d) - np.einsum("bi,iak->abk", Y.v, X.d)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +222,16 @@ def _as_field(Y, dim: int) -> VectorField:
 
 def covariant_derivative(M: ChartedManifold, Y, X, p) -> np.ndarray:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (X a vector at p)."""
-    Yj = _as_field(Y, M.dim).jets_at(p)
-    X = np.asarray(X, dtype=float)
-    gamma = christoffel(M, p).gamma
-    return X @ Yj.d + (gamma @ Yj.v) @ X
+    gamma = christoffel_symbols(metric_jet(M, p), p)
+    return np.asarray(X, dtype=float) @ nabla(gamma, _as_field(Y, M.dim).jets_at(p))
 
 
 def lie_bracket(X, Y, p, dim: int | None = None) -> np.ndarray:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at p."""
     if dim is None:
         dim = X.dim if isinstance(X, VectorField) else len(np.asarray(X))
-    Xj = _as_field(X, dim).jets_at(p)
-    Yj = _as_field(Y, dim).jets_at(p)
-    return Xj.v @ Yj.d - Yj.v @ Xj.d
+    Xj, Yj = (_as_field(F, dim).jets_at(p) for F in (X, Y))
+    return brackets(ArrayJet(Xj.v[None], Xj.d[:, None]), ArrayJet(Yj.v[None], Yj.d[:, None]))[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class ArrayJet:
         """Transpose of a matrix jet."""
         return ArrayJet(self.v.T, self.d.transpose(0, 2, 1))
 
-    def rows(self) -> list["ArrayJet"]:
-        """The rows of a matrix jet (a frame) as vector jets."""
-        return [ArrayJet(self.v[i], self.d[:, i]) for i in range(self.v.shape[0])]
-
     def __matmul__(self, other):
         if not isinstance(other, ArrayJet):  # constant right factor
             return ArrayJet(self.v @ other, self.d @ other)

@@ -2,9 +2,9 @@
 
 Exit code contract: 0 success, 2 scene error (raised before a report exists:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
-or a map, metric or complex structure that leaves its domain at a sample
-point), 3 structural failure, 4 theorem disagreement, 5 hypothesis violations
-only.
+or a map, metric or complex structure that leaves its domain or overflows at
+a sample point), 3 structural failure, 4 theorem disagreement, 5 hypothesis
+violations only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
 """
@@ -55,7 +55,7 @@ def run(
     the_seed = scene.seed if seed is None else int(seed)
     sampled = sample_points(scene, count=count, seed=the_seed)
     fmap = scene.fmap
-    use_j = fmap.source.complex_structure is not None and not scene.machinery_only
+    use_j = fmap.source.complex_structure is not None  # None on machinery-only scenes
 
     report = RunReport(
         scene=scene.name,

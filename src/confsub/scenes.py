@@ -94,7 +94,10 @@ def _parse_box(raw: str, dim: int, lineno: int):
         nums = part.split()
         if len(nums) != 2:
             raise SceneError(f"interval must be 'lo hi', got {part!r}", lineno)
-        lo, hi = float(nums[0]), float(nums[1])
+        try:
+            lo, hi = float(nums[0]), float(nums[1])
+        except ValueError:
+            raise SceneError(f"interval bounds must be numbers, got {part!r}", lineno) from None
         if not lo < hi:
             raise SceneError(f"empty interval {part!r}", lineno)
         box.append((lo, hi))
@@ -111,7 +114,10 @@ def _parse_exclusion(raw: str, dim: int, lineno: int) -> ExcludedLocus:
     coord = int(name[1:])
     if coord < 1 or coord > dim:
         raise SceneError(f"exclusion coordinate {name} out of range", lineno)
-    value = float(parts[2])
+    try:
+        value = float(parts[2])
+    except ValueError:
+        raise SceneError(f"exclusion value must be a number, got {parts[2]!r}", lineno) from None
     if parts[1] == "mod" and value <= 0:
         raise SceneError("modulus must be positive", lineno)
     return ExcludedLocus(parts[1], coord - 1, value)
@@ -188,7 +194,7 @@ def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            parts = key.split()
+            parts = key.split() or [""]
             if parts[0] == "g" and len(parts) == 3:
                 try:
                     i, j = int(parts[1]), int(parts[2])
@@ -289,7 +295,8 @@ def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
                 f"bad tolerance {value!r}: must be a finite number > 0", lineno
             ) from None
 
-    source = ChartedManifold(src_dim, src_metric, src_j, box, excluded)
+    # a machinery-only scene ignores a declared J everywhere: drop it here, once
+    source = ChartedManifold(src_dim, src_metric, None if machinery else src_j, box, excluded)
     target = ChartedManifold(tgt_dim, tgt_metric, None, None, ())
     try:
         fmap = SmoothMap(source, target, components)

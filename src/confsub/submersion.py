@@ -1,31 +1,31 @@
 """Everything attached to a smooth map between charted manifolds.
 
-Per point the engine builds a `PointContext`: metric, Jacobian, orthonormal
-vertical/horizontal frames, the invariant/anti-invariant refinement of the
-vertical space, the dilation, and all projectors.  One pass builds them all on
-first-order array jets (`jets.ArrayJet`: values `v[...]` and derivatives
-`d[l, ...] = d_l v[...]`, derivative axis first), so every product rule is a
-plain batched matrix product.  Frames are stacked arrays, `(k, dim)` values
-with `(dim, k, dim)` derivatives, so every constructed frame field comes with
-its first derivatives and brackets, covariant derivatives and the pullback
-connection need no finite differencing.  Every pivot, drop and validation
-decision reads the values only.
+Per point the engine builds a `PointContext`.  One frame pass on first-order
+array jets (`jets.ArrayJet`: values `v[...]`, derivatives `d[l, ...] =
+d_l v[...]`) builds the metric, Jacobian, orthonormal vertical/horizontal
+frames, the invariant/anti-invariant refinement of the vertical space, the
+dilation and all projectors; every pivot, drop and validation decision reads
+the values only.  From those jets the context builds per-point tables, each
+once and on first use: the second fundamental form `S[a, i, j]` from the
+component Hessians, O'Neill's `T[:, i, j]` and `A[:, i, j]` from the projector
+jets, and for each frame family the checkers differentiate the covariant
+derivatives `nabla_{d_l}` of its rows and the pullback-connection derivatives
+of their images under dF.  A structure-only run builds none of them.
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
-fields in coordinate order, and Gram-Schmidt projects each seed against all
-earlier basis vectors at once and drops seeds whose post-projection norm falls
-below the drop tolerance.  The invariant part of the vertical space is the
-range of -(P_V J P_V)^2, which is a smooth g-orthogonal projector whenever the
-structure is genuinely semi-invariant; a singular value decomposition of
-P_V J P_V validates the split and rejects ambiguous points.
+fields in coordinate order, and Gram-Schmidt drops seeds whose norm falls
+below the drop tolerance after projection against all earlier basis vectors.
+The invariant part of the vertical space is the range of -(P_V J P_V)^2; a
+singular value decomposition of P_V J P_V validates the split and rejects
+ambiguous points.  A scene declared machinery-only has no J from the start.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,14 @@ from .errors import (
     SingularMetricError,
     StructureError,
 )
-from .expr import Jet2, ScalarExpr, as_jet, evaluate, jet_seeds, value_of
+from .expr import Jet2, ScalarExpr, as_jet, evaluate, jet_seeds
 from .geometry import (
     ChartedManifold,
-    VectorField,
     christoffel_symbols,
     complex_structure_jet,
     j_residuals,
     metric_jet,
+    nabla,
     nabla_j_norm,
 )
 from .jets import ArrayJet
@@ -56,18 +56,13 @@ __all__ = [
     "GradLnLambda",
     "FundamentalTensorsAtPoint",
     "PointContext",
-    "FrameField",
     "jacobian",
-    "split_frame",
     "phi_omega",
     "bc_decompose",
-    "oneill_t",
-    "oneill_a",
-    "second_fundamental_form",
-    "tension",
-    "fiber_mean_curvature",
-    "grad_ln_lambda",
-    "fundamental_tensors",
+    "on_pairs",
+    "along",
+    "row_norms",
+    "bookkeeping",
     "sff_identity_residuals",
 ]
 
@@ -77,7 +72,6 @@ class SmoothMap:
     source: ChartedManifold
     target: ChartedManifold
     components: tuple[ScalarExpr, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.components) != self.target.dim:
@@ -86,15 +80,8 @@ class SmoothMap:
             raise ValueError("a submersion needs source dimension > target dimension")
 
     def context(self, p, tol: Tolerances = DEFAULT_TOLERANCES) -> "PointContext":
-        key = (tuple(float(x) for x in p), tol)
-        ctx = self._cache.get(key)
-        if ctx is None:
-            ctx = PointContext(self, np.asarray(p, dtype=float), tol)
-            self._cache[key] = ctx
-        return ctx
-
-    def value_at(self, p) -> np.ndarray:
-        return np.array([value_of(evaluate(c, p)) for c in self.components])
+        """A new point context; its tables are built on first use and kept by the caller."""
+        return PointContext(self, np.asarray(p, dtype=float), tol)
 
 
 @dataclass(frozen=True)
@@ -118,18 +105,20 @@ class SplitFrame:
 
 @dataclass(frozen=True)
 class FundamentalTensorsAtPoint:
-    """The submersion tensors at one point, bundled for callers.
+    """The submersion tensors at one point as coordinate tables.
 
-    `t` and `a` are bilinear maps on coordinate vectors (skew-symmetric as
-    operators in their second slot), `sff` the second fundamental form with
-    values in the target chart, `tension` its trace over the full orthonormal
-    frame, `fiber_mean_curvature` the normalized vertical trace of `t`.
+    `t[:, i, j]` and `a[:, i, j]` are O'Neill's T and A on the coordinate
+    fields d_i, d_j (skew-symmetric as operators in their second slot),
+    `sff[:, i, j]` the second fundamental form with values in the target
+    chart, `tension` its trace over the full orthonormal frame,
+    `fiber_mean_curvature` the normalized vertical trace of `t`.  On vectors
+    the tables contract bilinearly (`on_pairs`).
     """
 
     point: tuple[float, ...]
-    t: object  # (vector, vector) -> vector
-    a: object
-    sff: object  # (vector, vector) -> target vector
+    t: np.ndarray
+    a: np.ndarray
+    sff: np.ndarray
     tension: np.ndarray
     fiber_mean_curvature: np.ndarray
 
@@ -138,7 +127,6 @@ class FundamentalTensorsAtPoint:
 class GradLnLambda:
     vector: np.ndarray  # riemannian gradient of ln(dilation)
     horizontal_part: np.ndarray
-    vertical_part: np.ndarray
     horizontal_norm: float  # g-norm of the horizontal part of grad(dilation)
     horizontally_homothetic: bool
 
@@ -252,8 +240,8 @@ def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
     return B.T @ (B @ G)
 
 
-def _row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Metric norms of the rows of W."""
+def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Metric norms of the vectors W[..., :]."""
     return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
 
 
@@ -331,8 +319,8 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
                 f"complement of J(d2) has odd dimension {len(mu.v)} at {point}"
             )
         Jd1 = d1.v @ J.v.T
-        r_d1 = float(np.max(_row_norms(Jd1 - Jd1 @ PD1.v.T, G.v), initial=0.0))
-        r_d2 = float(np.max(_row_norms(d2.v @ J.v.T @ PV.v.T, G.v), initial=0.0))
+        r_d1 = float(np.max(row_norms(Jd1 - Jd1 @ PD1.v.T, G.v), initial=0.0))
+        r_d2 = float(np.max(row_norms(d2.v @ J.v.T @ PV.v.T, G.v), initial=0.0))
         if r_d1 > tol.structural or r_d2 > tol.structural:
             raise StructureError(
                 f"vertical space is not semi-invariant at {point}: "
@@ -345,7 +333,7 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
     if off.any():
         i, j = np.argwhere(off)[0]
         raise StructureError(f"frame not orthonormal at {point}: gram[{i},{j}] = {gram[i, j]}")
-    pushed = _row_norms(vertical.v @ DF.v.T, gN.v)
+    pushed = row_norms(vertical.v @ DF.v.T, gN.v)
     if pushed.max() > tol.structural:
         r = pushed[np.argmax(pushed > tol.structural)]
         raise StructureError(f"pushforward of vertical vector has norm {r:.3e} at {point}")
@@ -382,6 +370,46 @@ def _value_view(name: str):
         return None if jet is None else jet.v
 
     return property(get)
+
+
+# Frame families whose derivatives the checkers read: the frames of the pass
+# and the fields J(d1), J(d2), B(X) = P_D2 J X, C(X) = P_mu J X on the
+# horizontal frame and phi(V) = P_V J V on the vertical frame.
+_FAMILIES = {
+    "vertical": lambda f: f.vertical,
+    "horizontal": lambda f: f.horizontal,
+    "d1": lambda f: f.d1,
+    "d2": lambda f: f.d2,
+    "mu": lambda f: f.mu,
+    "Jd1": lambda f: f.d1 @ f.J.T,
+    "Jd2": lambda f: f.d2 @ f.J.T,
+    "BH": lambda f: f.horizontal @ (f.PD2 @ f.J).T,
+    "CH": lambda f: f.horizontal @ (f.PMU @ f.J).T,
+    "phiV": lambda f: f.vertical @ (f.PV @ f.J).T,
+}
+
+
+def on_pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """A table t[:, i, j] on two vectors, or two stacks of them: out[a, b] = t(X_a, Y_b)."""
+    return np.moveaxis(np.tensordot(np.tensordot(table, X, (1, -1)), Y, (1, -1)), 0, -1)
+
+
+def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Derivatives along a vector, or a stack of vectors, from a table out[l, ...] = d_l(...)."""
+    return np.tensordot(X, table, (-1, 0))
+
+
+def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
+    """(m, n, r) with dim d1 = 2m, dim d2 = n, dim mu = 2r; validated against both charts."""
+    d1, d2, _, mu = dims
+    if d1 % 2 != 0 or mu % 2 != 0:
+        raise BookkeepingError(f"odd distribution dimensions {dims}")
+    m, n, r = d1 // 2, d2, mu // 2
+    if 2 * (m + n + r) != dim_source or n + 2 * r != dim_target:
+        raise BookkeepingError(
+            f"dimension bookkeeping violated: dims {dims} against {dim_source} -> {dim_target}"
+        )
+    return m, n, r
 
 
 class PointContext:
@@ -445,7 +473,6 @@ class PointContext:
     # -- float views: the value parts of the pass ------------------------------
 
     Gf = _value_view("G")
-    Ginvf = _value_view("Ginv")
     GNf = _value_view("gN")
     DFf = _value_view("DF")
     Jf = _value_view("J")
@@ -466,14 +493,10 @@ class PointContext:
             "gamma_tgt", lambda: christoffel_symbols(self._target_metric, self.target_point)
         )
 
-    def frame(self, name: str) -> list[np.ndarray]:
-        """The named frame family as a list of value vectors."""
-
-        def build():
-            jet = getattr(self.data, name)
-            return [] if jet is None else list(jet.v)
-
-        return self._get(("frame", name), build)
+    @property
+    def gamma_pull(self) -> np.ndarray:
+        """Gamma_N^a_cb d_l F^c at [a, l, b]: the target connection pulled back to the source."""
+        return self._get("gamma_pull", lambda: np.einsum("acb,cl->alb", self.gamma_tgt, self.DFf))
 
     @property
     def split(self) -> SplitFrame:
@@ -495,38 +518,69 @@ class PointContext:
         return self._get("split", build)
 
     def kahler_residuals(self) -> tuple[float, float, float]:
-        """(|J^2 + I|, compatibility, |nabla J|) from the point's own metric and J jets.
-
-        Bit-identical to `geometry.complex_structure_residuals` and
-        `geometry.nabla_j_residual`, which evaluate the same jets.
-        """
+        """(|J^2 + I|, compatibility, |nabla J|) from the point's own jets: bit-identical to
+        `geometry.complex_structure_residuals` and `nabla_j_residual`, which re-evaluate them."""
         gamma = self.gamma_src  # rejects a non-SPD metric first
         J = self.data.J
         r_square, r_compat = j_residuals(self.Gf, J.v)
         return r_square, r_compat, nabla_j_norm(self.Gf, J, gamma)
 
     @property
-    def has_j(self) -> bool:
-        return self.fmap.source.complex_structure is not None
-
-    @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.split.dims
 
-    def bookkeeping(self) -> tuple[int, int, int]:
-        """(m, n, r) with dim d1 = 2m, dim d2 = n, dim mu = 2r; validated."""
-        d1, d2, _, mu = self.dims
-        if d1 % 2 != 0 or mu % 2 != 0:
-            raise BookkeepingError(f"odd distribution dimensions {self.dims}")
-        m, n, r = d1 // 2, d2, mu // 2
-        if 2 * (m + n + r) != self.fmap.source.dim or n + 2 * r != self.fmap.target.dim:
-            raise BookkeepingError(
-                f"dimension bookkeeping violated: dims {self.dims} against "
-                f"{self.fmap.source.dim} -> {self.fmap.target.dim}"
-            )
-        return m, n, r
+    # -- per-point tables --------------------------------------------------------
 
-    # -- pointwise calculus on jets -------------------------------------------
+    def family(self, name: str) -> ArrayJet:
+        """A frame family (see `_FAMILIES`) as stacked rows; empty without a complex structure."""
+
+        def build():
+            f = self.data
+            if f.J is None and name not in ("vertical", "horizontal"):
+                dim = len(self.p)
+                return ArrayJet(np.zeros((0, dim)), np.zeros((dim, 0, dim)))
+            return _FAMILIES[name](f)
+
+        return self._get(("family", name), build)
+
+    def nabla(self, name: str) -> np.ndarray:
+        """out[l, r] = nabla_{d_l} of row r of the family."""
+        return self._get(("nabla", name), lambda: nabla(self.gamma_src, self.family(name)))
+
+    def pullback(self, name: str) -> np.ndarray:
+        """out[l, r] = pullback-connection derivative along d_l of the section dF(row r)."""
+        return self._get(
+            ("pullback", name),
+            lambda: nabla(self.gamma_pull, self.family(name) @ self.data.DF.T),
+        )
+
+    @property
+    def tensors(self) -> FundamentalTensorsAtPoint:
+        def build():
+            f, gamma = self.data, self.gamma_src
+            PV, PH, DF = f.PV.v, f.PH.v, f.DF.v
+            # the projector columns P e_j as fields: nV[l, j] = nabla_{d_l}(P_V e_j)
+            nV, nH = nabla(gamma, f.PV.T), nabla(gamma, f.PH.T)
+
+            def oneill(P, Q, nP, nQ):  # Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j)
+                return np.moveaxis(along(P.T, nP) @ Q.T + along(P.T, nQ) @ P.T, -1, 0)
+
+            # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
+            sff = np.moveaxis(nabla(self.gamma_pull, f.DF.T), -1, 0) - np.tensordot(DF, gamma, 1)
+            t = oneill(PV, PH, nV, nH)
+            V, frame = f.vertical.v, np.vstack((f.vertical.v, f.horizontal.v))
+            return FundamentalTensorsAtPoint(
+                point=tuple(float(x) for x in self.p),
+                t=t,
+                a=oneill(PH, PV, nH, nV),
+                sff=sff,
+                tension=np.einsum("aij,ri,rj->a", sff, frame, frame),
+                fiber_mean_curvature=np.einsum("kij,ri,rj->k", t, V, V) / len(V),
+            )
+
+        return self._get("tensors", build)
+
+    # -- pointwise helpers -------------------------------------------------------
 
     def gnorm(self, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -539,168 +593,28 @@ class PointContext:
     def push(self, v) -> np.ndarray:
         return self.DFf @ np.asarray(v, dtype=float)
 
-    def cov(self, Xv, Y: ArrayJet) -> np.ndarray:
-        """nabla_X of a field given by its jet at the point (X a float vector)."""
-        Xv = np.asarray(Xv, dtype=float)
-        return Xv @ Y.d + (self.gamma_src @ Y.v) @ Xv
-
-    def bracket(self, X: ArrayJet, Y: ArrayJet) -> np.ndarray:
-        return X.v @ Y.d - Y.v @ X.d
-
-    def section_push(self, X: ArrayJet) -> ArrayJet:
-        """Jet of the pushforward section q -> dF_q(X_q)."""
-        return self.data.DF @ X
-
-    def pullback_deriv(self, Zv, section: ArrayJet) -> np.ndarray:
-        """Pullback-connection derivative of a target-vector section along Z."""
-        Zv = np.asarray(Zv, dtype=float)
-        return Zv @ section.d + (self.gamma_tgt @ section.v) @ self.push(Zv)
-
-    def sff_jets(self, X: ArrayJet, Y: ArrayJet) -> np.ndarray:
-        """Second fundamental form on two fields given by jets at the point."""
-        DF = self.DFf
-        t1 = X.v @ self.section_push(Y).d
-        t2 = (self.gamma_tgt @ (DF @ Y.v)) @ (DF @ X.v)
-        t3 = DF @ self.cov(X.v, Y)
-        return t1 + t2 - t3
-
-    # -- extensions ------------------------------------------------------------
-
-    def subframe_jets(self, name: str) -> list[ArrayJet]:
-        """The named frame family as a list of vector jets."""
-
-        def build():
-            jet = getattr(self.data, name)
-            return [] if jet is None else jet.rows()
-
-        return self._get(("subframe_jets", name), build)
-
-    def jsubframe_jets(self, name: str) -> list[ArrayJet]:
-        """Jets of the complex structure applied to the named frame fields."""
-
-        def build():
-            jet = getattr(self.data, name)
-            return [] if jet is None else (jet @ self.data.J.T).rows()
-
-        return self._get(("jsubframe_jets", name), build)
-
-    def extend(self, v, name: str) -> ArrayJet:
-        """Constant-coefficient extension of a vector in the named frame family."""
-        frame = getattr(self.data, name)
-        if frame is None:
-            return ArrayJet.constant(np.zeros(self.fmap.source.dim), self.fmap.source.dim)
-        return (frame.v @ (self.Gf @ np.asarray(v, dtype=float))) @ frame
-
-    def extend_full(self, v) -> ArrayJet:
-        """Extension over the full vertical + horizontal frame."""
-        v = np.asarray(v, dtype=float)
-        return self.extend(self.PVf @ v, "vertical") + self.extend(self.PHf @ v, "horizontal")
-
-    # -- J operators on fields (jets) and vectors (floats) ---------------------
-
-    def jmul_jets(self, U: ArrayJet) -> ArrayJet:
-        return self.data.J @ U
-
-    def phi_jets(self, U: ArrayJet) -> ArrayJet:
-        return self.data.PV @ self.jmul_jets(U)
-
-    def omega_jets(self, U: ArrayJet) -> ArrayJet:
-        return self.data.PJD2 @ self.jmul_jets(U)
-
-    def b_jets(self, X: ArrayJet) -> ArrayJet:
-        return self.data.PD2 @ self.jmul_jets(X)
-
-    def c_jets(self, X: ArrayJet) -> ArrayJet:
-        return self.data.PMU @ self.jmul_jets(X)
-
-    def phi_vec(self, v):
-        return self.PVf @ (self.Jf @ np.asarray(v, dtype=float))
-
-    def omega_vec(self, v):
-        return self.PJD2f @ (self.Jf @ np.asarray(v, dtype=float))
-
-    def b_vec(self, x):
-        return self.PD2f @ (self.Jf @ np.asarray(x, dtype=float))
-
-    def c_vec(self, x):
-        return self.PMUf @ (self.Jf @ np.asarray(x, dtype=float))
-
-    # -- tensors ----------------------------------------------------------------
-
-    def t_tensor(self, E, Gv) -> np.ndarray:
-        """O'Neill T: horizontal part of nabla_{VE} (VG) plus vertical part of nabla_{VE} (HG)."""
-        E = np.asarray(E, dtype=float)
-        Gv = np.asarray(Gv, dtype=float)
-        vE = self.PVf @ E
-        VGj = self.extend(self.PVf @ Gv, "vertical")
-        HGj = self.extend(self.PHf @ Gv, "horizontal")
-        return self.PHf @ self.cov(vE, VGj) + self.PVf @ self.cov(vE, HGj)
-
-    def a_tensor(self, E, Gv) -> np.ndarray:
-        """O'Neill A: vertical part of nabla_{HE} (HG) plus horizontal part of nabla_{HE} (VG)."""
-        E = np.asarray(E, dtype=float)
-        Gv = np.asarray(Gv, dtype=float)
-        hE = self.PHf @ E
-        VGj = self.extend(self.PVf @ Gv, "vertical")
-        HGj = self.extend(self.PHf @ Gv, "horizontal")
-        return self.PVf @ self.cov(hE, HGj) + self.PHf @ self.cov(hE, VGj)
-
-    def tension_direct(self) -> np.ndarray:
-        """Trace of the second fundamental form over the full orthonormal frame."""
-        out = np.zeros(self.fmap.target.dim)
-        for name in ("vertical", "horizontal"):
-            for jet in self.subframe_jets(name):
-                out = out + self.sff_jets(jet, jet)
-        return out
-
-    def fiber_mean_curvature_vec(self) -> np.ndarray:
-        vert = self.frame("vertical")
-        if not vert:
-            return np.zeros(self.fmap.source.dim)
-        acc = np.zeros(self.fmap.source.dim)
-        for v in vert:
-            acc = acc + self.t_tensor(v, v)
-        return acc / len(vert)
+    # x -> P J x as matrices: phi and omega split J on the vertical space,
+    # B and C on the horizontal space
+    phi, omega, B, C = (
+        property(lambda self, P=P: getattr(self, P) @ self.Jf)
+        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
+    )
 
     @property
     def grad_ln_lambda(self) -> GradLnLambda:
         def build():
             lsq = self.data.lambda_sq
-            vec = self.Ginvf @ (0.5 * lsq.d / lsq.v)
+            vec = self.data.Ginv.v @ (0.5 * lsq.d / lsq.v)
             h = self.PHf @ vec
-            v = self.PVf @ vec
             h_norm = self.split.lam * self.gnorm(h)
             return GradLnLambda(
                 vector=vec,
                 horizontal_part=h,
-                vertical_part=v,
                 horizontal_norm=h_norm,
                 horizontally_homothetic=bool(h_norm < self.tol.homothety),
             )
 
         return self._get("grad_ln_lambda", build)
-
-    def dln_lambda(self, v) -> float:
-        """Directional derivative of ln(dilation) along a vector at the point."""
-        return float(np.asarray(v, dtype=float) @ self.Gf @ self.grad_ln_lambda.vector)
-
-
-class FrameField(VectorField):
-    """A constructed frame vector as a smooth field (re-runs the pipeline per point)."""
-
-    def __init__(self, fmap: SmoothMap, name: str, index: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.fmap = fmap
-        self.name = name
-        self.index = index
-        self.tol = tol
-        self.dim = fmap.source.dim
-
-    def values_at(self, p) -> np.ndarray:
-        return self.fmap.context(p, self.tol).frame(self.name)[self.index]
-
-    def jets_at(self, p) -> ArrayJet:
-        ctx = self.fmap.context(p, self.tol)
-        return ctx.subframe_jets(self.name)[self.index]
 
 
 # ---------------------------------------------------------------------------
@@ -708,145 +622,54 @@ class FrameField(VectorField):
 
 
 def jacobian(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Rows are the component gradients; raises CriticalPointError if rank-deficient."""
+    """Rows are the component gradients; the frame pass raises CriticalPointError at rank < n."""
+    return fmap.context(p, tol).DFf
+
+
+def _split_j(fmap: SmoothMap, p, v, tol: Tolerances, space: str, parts: str):
+    """J(v) for v in the vertical or horizontal space, as the pair of its two parts."""
     ctx = fmap.context(p, tol)
-    DF = ctx.DFf
-    svals = np.linalg.svd(DF, compute_uv=False)
-    if svals[-1] <= 1e-10 * max(svals[0], 1.0):
-        raise CriticalPointError(f"rank-deficient differential at {tuple(p)}")
-    return DF
-
-
-def split_frame(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> SplitFrame:
-    return fmap.context(p, tol).split
-
-
-def _check_in_span(ctx: PointContext, v, proj, what: str):
+    if ctx.Jf is None:
+        raise StructureError("source manifold has no complex structure")
     v = np.asarray(v, dtype=float)
+    proj = ctx.PVf if space == "vertical" else ctx.PHf
     res = ctx.gnorm(v - proj @ v)
-    scale = max(ctx.gnorm(v), 1.0)
-    if res > 1e-8 * scale:
-        raise StructureError(f"vector is not {what} (residual {res:.3e})")
+    if res > 1e-8 * max(ctx.gnorm(v), 1.0):
+        raise StructureError(f"vector is not {space} (residual {res:.3e})")
+    first, second = (getattr(ctx, op) @ v for op in parts.split("/"))
+    recon = ctx.gnorm(ctx.Jf @ v - first - second)
+    if recon > tol.reconstruction * max(1.0, ctx.gnorm(v)):
+        raise StructureError(f"{parts} reconstruction residual {recon:.3e} at {tuple(p)}")
+    return first, second
 
 
 def phi_omega(fmap: SmoothMap, p, v, tol: Tolerances = DEFAULT_TOLERANCES):
     """Split J(v), v vertical, into its vertical part and its J(d2) part."""
-    ctx = fmap.context(p, tol)
-    if ctx.Jf is None:
-        raise StructureError("source manifold has no complex structure")
-    _check_in_span(ctx, v, ctx.PVf, "vertical")
-    phi = ctx.phi_vec(v)
-    omega = ctx.omega_vec(v)
-    recon = ctx.gnorm(ctx.Jf @ np.asarray(v, dtype=float) - phi - omega)
-    if recon > tol.reconstruction * max(1.0, ctx.gnorm(v)):
-        raise StructureError(f"phi/omega reconstruction residual {recon:.3e} at {tuple(p)}")
-    return phi, omega
+    return _split_j(fmap, p, v, tol, "vertical", "phi/omega")
 
 
 def bc_decompose(fmap: SmoothMap, p, x, tol: Tolerances = DEFAULT_TOLERANCES):
     """Split J(x), x horizontal, into its d2 part and its mu part."""
-    ctx = fmap.context(p, tol)
-    if ctx.Jf is None:
-        raise StructureError("source manifold has no complex structure")
-    _check_in_span(ctx, x, ctx.PHf, "horizontal")
-    b = ctx.b_vec(x)
-    c = ctx.c_vec(x)
-    recon = ctx.gnorm(ctx.Jf @ np.asarray(x, dtype=float) - b - c)
-    if recon > tol.reconstruction * max(1.0, ctx.gnorm(x)):
-        raise StructureError(f"B/C reconstruction residual {recon:.3e} at {tuple(p)}")
-    return b, c
+    return _split_j(fmap, p, x, tol, "horizontal", "B/C")
 
 
-def oneill_t(fmap: SmoothMap, p, E, G, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    return fmap.context(p, tol).t_tensor(E, G)
-
-
-def oneill_a(fmap: SmoothMap, p, E, G, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    return fmap.context(p, tol).a_tensor(E, G)
-
-
-def _field_jets(ctx: PointContext, X):
-    if isinstance(X, VectorField):
-        return X.jets_at(ctx.p)
-    return ctx.extend_full(np.asarray(X, dtype=float))
-
-
-def second_fundamental_form(
-    fmap: SmoothMap, p, X, Y, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """(nabla dF)(X, Y); vectors are extended by constant frame coefficients."""
-    ctx = fmap.context(p, tol)
-    return ctx.sff_jets(_field_jets(ctx, X), _field_jets(ctx, Y))
-
-
-def tension(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    return fmap.context(p, tol).tension_direct()
-
-
-def fiber_mean_curvature(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    return fmap.context(p, tol).fiber_mean_curvature_vec()
-
-
-def grad_ln_lambda(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> GradLnLambda:
-    return fmap.context(p, tol).grad_ln_lambda
-
-
-def fundamental_tensors(
-    fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FundamentalTensorsAtPoint:
-    ctx = fmap.context(p, tol)
-    return FundamentalTensorsAtPoint(
-        point=tuple(float(x) for x in ctx.p),
-        t=ctx.t_tensor,
-        a=ctx.a_tensor,
-        sff=lambda X, Y: ctx.sff_jets(_field_jets(ctx, X), _field_jets(ctx, Y)),
-        tension=ctx.tension_direct(),
-        fiber_mean_curvature=ctx.fiber_mean_curvature_vec(),
-    )
-
-
-def sff_identity_residuals(
-    fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, float, float]:
+def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
     """Residuals of the conformal second-fundamental-form identities.
 
     Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
     vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
-    Each residual is the max g_N-norm gap over the respective frame pairs.
+    Each residual is the max g_N-norm gap over the respective frame pairs
+    (unordered pairs where both slots range over the same frame).
     """
-    ctx = fmap.context(p, tol)
-    grad = ctx.grad_ln_lambda
-    horiz = ctx.frame("horizontal")
-    vert = ctx.frame("vertical")
-    horiz_j = ctx.subframe_jets("horizontal")
-    vert_j = ctx.subframe_jets("vertical")
-    push_grad = ctx.push(grad.vector)
-
-    r_h = 0.0
-    for a, X in enumerate(horiz):
-        for b in range(a, len(horiz)):
-            Y = horiz[b]
-            lhs = ctx.sff_jets(horiz_j[a], horiz_j[b])
-            rhs = (
-                ctx.dln_lambda(X) * ctx.push(Y)
-                + ctx.dln_lambda(Y) * ctx.push(X)
-                - float(X @ ctx.Gf @ Y) * push_grad
-            )
-            r_h = max(r_h, ctx.gn_norm(lhs - rhs))
-
-    r_v = 0.0
-    for i, V in enumerate(vert):
-        for j in range(i, len(vert)):
-            W = vert[j]
-            lhs = ctx.sff_jets(vert_j[i], vert_j[j])
-            rhs = -ctx.push(ctx.t_tensor(V, W))
-            r_v = max(r_v, ctx.gn_norm(lhs - rhs))
-
-    r_m = 0.0
-    for a, X in enumerate(horiz):
-        for i, V in enumerate(vert):
-            lhs = ctx.sff_jets(horiz_j[a], vert_j[i])
-            rhs = -ctx.push(ctx.a_tensor(X, V))
-            r_m = max(r_m, ctx.gn_norm(lhs - rhs))
-
-    return r_h, r_v, r_m
+    tt, G, DF = ctx.tensors, ctx.Gf, ctx.DFf
+    H, V = ctx.family("horizontal").v, ctx.family("vertical").v
+    grad = ctx.grad_ln_lambda.vector
+    pushed, dln = H @ DF.T, H @ G @ grad
+    rhs = (dln[:, None, None] * pushed[None] + dln[None, :, None] * pushed[:, None]
+           - (H @ G @ H.T)[:, :, None] * (DF @ grad))
+    gaps = (
+        (on_pairs(tt.sff, H, H) - rhs)[np.triu_indices(len(H))],
+        (on_pairs(tt.sff, V, V) + on_pairs(tt.t, V, V) @ DF.T)[np.triu_indices(len(V))],
+        on_pairs(tt.sff, H, V) + on_pairs(tt.a, H, V) @ DF.T,
+    )
+    return tuple(float(np.max(row_norms(g, ctx.GNf), initial=0.0)) for g in gaps)

@@ -14,27 +14,39 @@ range are reported as vacuous; equivalences whose content degenerates (the
 dilation characterizations need both the anti-invariant part and its
 horizontal complement to be nonzero) are vacuous as well.
 
-Checkers run in three modes.  With a verified Kaehler structure both sides are
-produced.  Without a complex structure (or with an unverified one) only the
-definition-level side is reported, labelled accordingly, and no agreement
-claim is made.
+Both sides read the per-point tables of `PointContext` (the second
+fundamental form, O'Neill's T and A, the covariant and pullback derivatives of
+the frame families), built once on first use: a checker is a set of slices and
+contractions of them and a maximum over the resulting array.
+
+Whether J takes part is decided once, at scene load (a machinery-only scene
+carries none).  With J both sides are produced; the runner withholds side b
+when the Kaehler test fails.  Without J only the definition-level side is
+reported, labelled accordingly, and no agreement claim is made.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import Tolerances
-from .errors import BookkeepingError
-from .submersion import PointContext
+from .geometry import brackets
+from .jets import ArrayJet
+from .submersion import (
+    PointContext,
+    _gram_schmidt,
+    along,
+    bookkeeping,
+    on_pairs,
+    row_norms,
+    sff_identity_residuals,
+)
 
 __all__ = [
     "ConditionReport",
-    "DimensionBookkeeping",
     "CheckerSpec",
     "CHECKERS",
     "verdict_of",
@@ -56,6 +68,7 @@ __all__ = [
 ]
 
 HOLDS, FAILS, INCONCLUSIVE = "holds", "fails", "inconclusive"
+DIRECT_ONLY = "direct test only (no complex structure)"
 
 
 @dataclass(frozen=True)
@@ -78,31 +91,6 @@ class ConditionReport:
         return self.agree or self.vacuous
 
 
-@dataclass(frozen=True)
-class DimensionBookkeeping:
-    """dim d1 = 2m, dim d2 = n, dim mu = 2r; consistent with both chart dimensions."""
-
-    m: int
-    n: int
-    r: int
-
-    @classmethod
-    def from_context(cls, ctx: PointContext) -> "DimensionBookkeeping":
-        m, n, r = ctx.bookkeeping()
-        return cls(m, n, r)
-
-    def validate(self, dim_source: int, dim_target: int):
-        if 2 * (self.m + self.n + self.r) != dim_source or self.n + 2 * self.r != dim_target:
-            raise BookkeepingError(
-                f"dimension bookkeeping violated: (m, n, r) = "
-                f"({self.m}, {self.n}, {self.r}) against {dim_source} -> {dim_target}"
-            )
-
-    @property
-    def fiber_dim(self) -> int:
-        return 2 * self.m + self.n
-
-
 def verdict_of(residual: float, tol: float) -> str:
     if residual < tol:
         return HOLDS
@@ -113,10 +101,7 @@ def verdict_of(residual: float, tol: float) -> str:
 
 def _report(name, ctx, ra, rb, tol, vacuous=False, label="", identity=False):
     va = verdict_of(ra, tol)
-    if rb is None:
-        vb = INCONCLUSIVE
-    else:
-        vb = verdict_of(rb, tol)
+    vb = INCONCLUSIVE if rb is None else verdict_of(rb, tol)
     agree = not ((va == HOLDS and vb == FAILS) or (va == FAILS and vb == HOLDS))
     if identity and not label:
         label = "identity"
@@ -135,21 +120,49 @@ def _report(name, ctx, ra, rb, tol, vacuous=False, label="", identity=False):
     )
 
 
-def _orth_residual_target(ctx: PointContext, v: np.ndarray, basis_vectors) -> float:
-    """g_N-norm of the component of a target vector orthogonal to a pushed family."""
+def _amax(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    """x[a, b] -> x[b, a] on the two leading axes."""
+    return x.swapaxes(0, 1)
+
+
+def _upper(x: np.ndarray, strict: bool = True) -> np.ndarray:
+    """The entries x[a, b] with a < b (a <= b when not strict)."""
+    return x[np.triu_indices(len(x), 1 if strict else 0)]
+
+
+def _rows(ctx: PointContext, *names: str) -> np.ndarray:
+    return np.vstack([ctx.family(name).v for name in names])
+
+
+def _bracket_residual(ctx: PointContext, name: str, Z: np.ndarray) -> float:
+    """max |g([F_a, F_b], Z_c)| over the pairs a < b of a family and the rows of Z."""
+    F = ctx.family(name)
+    return _amax(_upper(brackets(F, F)) @ ctx.Gf @ Z.T)
+
+
+def _geodesic_residual(ctx: PointContext, name: str, Z: np.ndarray) -> float:
+    """max |g(nabla_{F_a} F_b, Z_c)| over the rows of a family and of Z."""
+    return _amax(along(ctx.family(name).v, ctx.nabla(name)) @ ctx.Gf @ Z.T)
+
+
+def _off_pushed_mu(ctx: PointContext, W: np.ndarray) -> np.ndarray:
+    """g_N-norms of the parts of the target vectors W[..., :] orthogonal to dF(mu)."""
     GN = ctx.GNf
-    basis = []
-    for b in basis_vectors:
-        w = np.asarray(b, dtype=float)
-        for q in basis:
-            w = w - float(w @ GN @ q) * q
-        n = math.sqrt(max(float(w @ GN @ w), 0.0))
-        if n > 1e-12:
-            basis.append(w / n)
-    res = np.asarray(v, dtype=float)
-    for q in basis:
-        res = res - float(res @ GN @ q) * q
-    return math.sqrt(max(float(res @ GN @ res), 0.0))
+    Q = ctx._get("pushed_mu_basis", lambda: _gram_schmidt(
+        ArrayJet.constant(GN, 1), ArrayJet.constant(_rows(ctx, "mu") @ ctx.DFf.T, 1), 1e-12).v)
+    return row_norms(W - (W @ GN @ Q.T) @ Q, GN)
+
+
+def _pullback_terms(ctx: PointContext, W: np.ndarray, X: np.ndarray, name: str, Y: np.ndarray):
+    """g(W[a, b], F_k) - g_N(nabla^F_{X_a} dF(F_k), dF(Y_b)) / lambda^2 for the family F named."""
+    F = ctx.family(name).v
+    dval = along(X, ctx.pullback(name))  # [a, k]
+    return W @ ctx.Gf @ F.T - np.einsum(
+        "akn,nm,bm->abk", dval, ctx.GNf, Y @ ctx.DFf.T) / ctx.split.lam ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,142 +171,78 @@ def _orth_residual_target(ctx: PointContext, v: np.ndarray, basis_vectors) -> fl
 
 def check_d2_integrable(ctx: PointContext, tol: Tolerances):
     """The anti-invariant vertical distribution is integrable unconditionally."""
-    d2 = ctx.frame("d2")
-    d2j = ctx.subframe_jets("d2")
-    others = ctx.frame("d1") + ctx.frame("horizontal")
-    if len(d2) < 2:
+    if len(ctx.family("d2").v) < 2:
         return [_report("d2_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: fewer than two anti-invariant directions")]
-    ra = 0.0
-    for i in range(len(d2)):
-        for j in range(i + 1, len(d2)):
-            br = ctx.bracket(d2j[i], d2j[j])
-            for Z in others:
-                ra = max(ra, abs(float(br @ ctx.Gf @ Z)))
+    ra = _bracket_residual(ctx, "d2", _rows(ctx, "d1", "horizontal"))
     return [_report("d2_integrability", ctx, ra, 0.0, tol.theorem)]
 
 
 def check_d1_integrability(ctx: PointContext, tol: Tolerances):
     """Invariant part integrable iff the antisymmetrized sff of J-twisted pairs pushes into F(mu)."""
-    d1 = ctx.frame("d1")
-    d1j = ctx.subframe_jets("d1")
-    d2 = ctx.frame("d2")
-    mu = ctx.frame("mu")
-    if len(d1) < 2:
+    D1 = ctx.family("d1").v
+    if len(D1) < 2:
         return [_report("d1_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: fewer than two invariant directions")]
-    pushed_mu = [ctx.push(x) for x in mu]
-    ra = rb = 0.0
-    for i in range(len(d1)):
-        for j in range(i + 1, len(d1)):
-            br = ctx.bracket(d1j[i], d1j[j])
-            for Z in d2:
-                ra = max(ra, abs(float(br @ ctx.Gf @ Z)))
-            jd1 = ctx.jsubframe_jets("d1")
-            sxy = ctx.sff_jets(d1j[j], jd1[i])
-            syx = ctx.sff_jets(d1j[i], jd1[j])
-            rb = max(rb, _orth_residual_target(ctx, sxy - syx, pushed_mu))
+    ra = _bracket_residual(ctx, "d1", _rows(ctx, "d2"))
+    S = on_pairs(ctx.tensors.sff, D1, _rows(ctx, "Jd1"))  # S[i, j] = sff(d1_i, J d1_j)
+    rb = _amax(_off_pushed_mu(ctx, _upper(_swap(S) - S)))
     return [_report("d1_integrability", ctx, ra, rb, tol.theorem)]
 
 
-def _horizontal_bracket_residual(ctx: PointContext) -> float:
-    horiz = ctx.frame("horizontal")
-    hj = ctx.subframe_jets("horizontal")
-    vert = ctx.frame("vertical")
-    worst = 0.0
-    for a in range(len(horiz)):
-        for b in range(a + 1, len(horiz)):
-            br = ctx.bracket(hj[a], hj[b])
-            for u in vert:
-                worst = max(worst, abs(float(br @ ctx.Gf @ u)))
-    return worst
+def _horizontal_pair_residual(ctx: PointContext, extra=0.0) -> float:
+    """max |g(W, J W_k) - g_N(nabla^F_Y dF(CX) - nabla^F_X dF(CY), dF(J W_k)) / lambda^2|
+    with W = A(Y, BX) - A(X, BY) + extra[a, b] over horizontal pairs X = X_a, Y = X_b,
+    a < b, and the anti-invariant frame W_k."""
+    H, JD2 = ctx.family("horizontal").v, _rows(ctx, "Jd2")
+    A_B = on_pairs(ctx.tensors.a, H, _rows(ctx, "BH"))
+    D = along(H, ctx.pullback("CH"))  # D[b, a] = nabla^F_{X_b} dF(C X_a)
+    W, dmix = _upper(_swap(A_B) - A_B + extra), _upper(_swap(D) - D)
+    return _amax(W @ ctx.Gf @ JD2.T
+                 - dmix @ ctx.GNf @ (JD2 @ ctx.DFf.T).T / ctx.split.lam ** 2)
 
 
 def check_horizontal_integrability(ctx: PointContext, tol: Tolerances):
-    horiz = ctx.frame("horizontal")
-    hj = ctx.subframe_jets("horizontal")
-    if len(horiz) < 2:
+    H = ctx.family("horizontal").v
+    if len(H) < 2:
         return [_report("horizontal_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: fewer than two horizontal directions")]
-    ra = _horizontal_bracket_residual(ctx)
+    ra = _bracket_residual(ctx, "horizontal", _rows(ctx, "vertical"))
     if ctx.Jf is None:
-        return [_report("horizontal_integrability", ctx, ra, None, tol.theorem,
-                        label="direct test only (no complex structure)")]
-    d1 = ctx.frame("d1")
-    d2 = ctx.frame("d2")
-    grad = ctx.grad_ln_lambda.vector
-    lsq = ctx.split.lam ** 2
-    rb = 0.0
-    for a in range(len(horiz)):
-        X, Xj = horiz[a], hj[a]
-        for b in range(a + 1, len(horiz)):
-            Y, Yj = horiz[b], hj[b]
-            BX, BY = ctx.b_vec(X), ctx.b_vec(Y)
-            CX, CY = ctx.c_vec(X), ctx.c_vec(Y)
-            # invariant-part component of the bracket through the A tensor
-            w1 = (
-                ctx.a_tensor(Y, ctx.omega_vec(BX))
-                - ctx.a_tensor(X, ctx.omega_vec(BY))
-                - ctx.Jf @ ctx.a_tensor(X, CY)
-                + ctx.Jf @ ctx.a_tensor(Y, CX)
-            )
-            for V in d1:
-                rb = max(rb, abs(float(w1 @ ctx.Gf @ V)))
-            # anti-invariant component through the pullback connection
-            if d2:
-                secX = ctx.section_push(ctx.c_jets(Xj))
-                secY = ctx.section_push(ctx.c_jets(Yj))
-                dmix = ctx.pullback_deriv(Y, secX) - ctx.pullback_deriv(X, secY)
-                w2 = (
-                    ctx.a_tensor(Y, BX)
-                    - ctx.a_tensor(X, BY)
-                    - ctx.dln_lambda(CY) * X
-                    + ctx.dln_lambda(CX) * Y
-                    + 2.0 * float(X @ ctx.Gf @ CY) * grad
-                )
-                for W in d2:
-                    JW = ctx.Jf @ W
-                    val = float(w2 @ ctx.Gf @ JW) - float(dmix @ ctx.GNf @ ctx.push(JW)) / lsq
-                    rb = max(rb, abs(val))
+        return [_report("horizontal_integrability", ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    G, A, J = ctx.Gf, ctx.tensors.a, ctx.Jf
+    BH, CH = _rows(ctx, "BH"), _rows(ctx, "CH")
+    # invariant-part component of the bracket through the A tensor
+    A_omB = on_pairs(A, H, BH @ ctx.omega.T)
+    JA_C = on_pairs(A, H, CH) @ J.T
+    w1 = _swap(A_omB) - A_omB - JA_C + _swap(JA_C)
+    rb = _amax(_upper(w1) @ G @ _rows(ctx, "d1").T)
+    # anti-invariant component through the pullback connection
+    if len(ctx.family("d2").v):
+        grad = ctx.grad_ln_lambda.vector
+        dln = CH @ G @ grad
+        extra = (-dln[None, :, None] * H[:, None] + dln[:, None, None] * H[None]
+                 + 2.0 * (H @ G @ CH.T)[:, :, None] * grad)
+        rb = max(rb, _horizontal_pair_residual(ctx, extra))
     return [_report("horizontal_integrability", ctx, ra, rb, tol.theorem)]
 
 
 def check_homothetic_characterization(ctx: PointContext, tol: Tolerances):
     """Horizontal homothety against the pullback-connection identity on horizontal pairs."""
     name = "homothety_characterization"
-    d2 = ctx.frame("d2")
-    mu = ctx.frame("mu")
     ra = ctx.grad_ln_lambda.horizontal_norm
     if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem,
-                        label="direct test only (no complex structure)")]
-    if not d2 or not mu:
+        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    if not len(ctx.family("d2").v) or not len(ctx.family("mu").v):
         # with either part empty the identity holds identically and carries
         # no information about the dilation
         return [_report(name, ctx, ra, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: needs nonzero d2 and mu")]
-    hyp = _horizontal_bracket_residual(ctx)
+    hyp = _bracket_residual(ctx, "horizontal", _rows(ctx, "vertical"))
     if hyp > tol.theorem:
         return [_report(name, ctx, ra, None, tol.theorem,
                         label="hypothesis unmet: horizontal distribution not integrable")]
-    horiz = ctx.frame("horizontal")
-    hj = ctx.subframe_jets("horizontal")
-    lsq = ctx.split.lam ** 2
-    rb = 0.0
-    for a in range(len(horiz)):
-        X, Xj = horiz[a], hj[a]
-        for b in range(a + 1, len(horiz)):
-            Y, Yj = horiz[b], hj[b]
-            BX, BY = ctx.b_vec(X), ctx.b_vec(Y)
-            secX = ctx.section_push(ctx.c_jets(Xj))
-            secY = ctx.section_push(ctx.c_jets(Yj))
-            dmix = ctx.pullback_deriv(Y, secX) - ctx.pullback_deriv(X, secY)
-            lhs_vec = ctx.a_tensor(Y, BX) - ctx.a_tensor(X, BY)
-            for W in d2:
-                JW = ctx.Jf @ W
-                val = float(lhs_vec @ ctx.Gf @ JW) - float(dmix @ ctx.GNf @ ctx.push(JW)) / lsq
-                rb = max(rb, abs(val))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    return [_report(name, ctx, ra, _horizontal_pair_residual(ctx), tol.theorem)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,158 +250,80 @@ def check_homothetic_characterization(ctx: PointContext, tol: Tolerances):
 
 
 def check_horizontal_totally_geodesic(ctx: PointContext, tol: Tolerances):
-    horiz = ctx.frame("horizontal")
-    hj = ctx.subframe_jets("horizontal")
-    vert = ctx.frame("vertical")
-    ra = 0.0
-    for a in range(len(horiz)):
-        for b in range(len(horiz)):
-            nab = ctx.cov(horiz[a], hj[b])
-            for u in vert:
-                ra = max(ra, abs(float(nab @ ctx.Gf @ u)))
     name = "horizontal_totally_geodesic"
+    ra = _geodesic_residual(ctx, "horizontal", _rows(ctx, "vertical"))
     if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem,
-                        label="direct test only (no complex structure)")]
-    d1 = ctx.frame("d1")
-    d2 = ctx.frame("d2")
-    grad = ctx.grad_ln_lambda.vector
-    lsq = ctx.split.lam ** 2
-    rb = 0.0
-    for a in range(len(horiz)):
-        X, Xj = horiz[a], hj[a]
-        for b in range(len(horiz)):
-            Y, Yj = horiz[b], hj[b]
-            BY, CY = ctx.b_vec(Y), ctx.c_vec(Y)
-            w1 = ctx.a_tensor(X, CY) + ctx.PVf @ ctx.cov(X, ctx.b_jets(Yj))
-            for V in d1:
-                rb = max(rb, abs(float(w1 @ ctx.Gf @ V)))
-            if d2:
-                vec = ctx.a_tensor(X, BY) - ctx.dln_lambda(CY) * X + float(X @ ctx.Gf @ CY) * grad
-                for k, W in enumerate(d2):
-                    sec = ctx.section_push(ctx.jsubframe_jets("d2")[k])
-                    dval = ctx.pullback_deriv(X, sec)
-                    val = float(vec @ ctx.Gf @ (ctx.Jf @ W)) - float(dval @ ctx.GNf @ ctx.push(CY)) / lsq
-                    rb = max(rb, abs(val))
+        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    G, A = ctx.Gf, ctx.tensors.a
+    H, BH, CH = _rows(ctx, "horizontal"), _rows(ctx, "BH"), _rows(ctx, "CH")
+    w1 = on_pairs(A, H, CH) + along(H, ctx.nabla("BH")) @ ctx.PVf.T
+    rb = _amax(w1 @ G @ _rows(ctx, "d1").T)
+    if len(ctx.family("d2").v):
+        grad = ctx.grad_ln_lambda.vector
+        vec = (on_pairs(A, H, BH) - (CH @ G @ grad)[None, :, None] * H[:, None]
+               + (H @ G @ CH.T)[:, :, None] * grad)
+        rb = max(rb, _amax(_pullback_terms(ctx, vec, H, "Jd2", CH)))
     return [_report(name, ctx, ra, rb, tol.theorem)]
 
 
+def _vertical_mu_terms(ctx: PointContext, with_gradient: bool) -> np.ndarray:
+    """C T(V_j, phi V_i) + A(omega V_i, phi V_j) [+ g(omega V_i, omega V_j) grad ln lambda]
+    against mu, minus the pullback derivative of dF(mu) along omega V_i against dF(omega V_j)."""
+    tt, G = ctx.tensors, ctx.Gf
+    V, phiV = _rows(ctx, "vertical"), _rows(ctx, "phiV")
+    omV = V @ ctx.omega.T
+    vec = _swap(on_pairs(tt.t, V, phiV)) @ ctx.C.T + on_pairs(tt.a, omV, phiV)
+    if with_gradient:
+        vec = vec + (omV @ G @ omV.T)[:, :, None] * ctx.grad_ln_lambda.vector
+    return _pullback_terms(ctx, vec, omV, "mu", omV)
+
+
 def check_vertical_totally_geodesic(ctx: PointContext, tol: Tolerances):
-    vert = ctx.frame("vertical")
-    vj = ctx.subframe_jets("vertical")
-    horiz = ctx.frame("horizontal")
-    ra = 0.0
-    for i in range(len(vert)):
-        for j in range(len(vert)):
-            nab = ctx.cov(vert[i], vj[j])
-            for X in horiz:
-                ra = max(ra, abs(float(nab @ ctx.Gf @ X)))
     name = "vertical_totally_geodesic"
+    ra = _geodesic_residual(ctx, "vertical", _rows(ctx, "horizontal"))
     if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem,
-                        label="direct test only (no complex structure)")]
-    d2 = ctx.frame("d2")
-    mu = ctx.frame("mu")
-    muj = ctx.subframe_jets("mu")
-    grad = ctx.grad_ln_lambda.vector
-    lsq = ctx.split.lam ** 2
-    rb = 0.0
-    for i in range(len(vert)):
-        V, Vj = vert[i], vj[i]
-        for j in range(len(vert)):
-            U, Uj = vert[j], vj[j]
-            w1 = ctx.t_tensor(V, ctx.omega_vec(U)) + ctx.PVf @ ctx.cov(V, ctx.phi_jets(Uj))
-            for W in d2:
-                rb = max(rb, abs(float(w1 @ ctx.Gf @ W)))
-            if mu:
-                omV = ctx.omega_vec(V)
-                omU = ctx.omega_vec(U)
-                phU = ctx.phi_vec(U)
-                phV = ctx.phi_vec(V)
-                vec = (
-                    ctx.c_vec(ctx.t_tensor(U, phV))
-                    + ctx.a_tensor(omV, phU)
-                    + float(omV @ ctx.Gf @ omU) * grad
-                )
-                for k, X in enumerate(mu):
-                    sec = ctx.section_push(muj[k])
-                    dval = ctx.pullback_deriv(omV, sec)
-                    val = float(vec @ ctx.Gf @ X) - float(dval @ ctx.GNf @ ctx.push(omU)) / lsq
-                    rb = max(rb, abs(val))
+        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    V = _rows(ctx, "vertical")
+    w1 = (on_pairs(ctx.tensors.t, V, V @ ctx.omega.T)
+          + along(V, ctx.nabla("phiV")) @ ctx.PVf.T)
+    rb = _amax(w1 @ ctx.Gf @ _rows(ctx, "d2").T)
+    if len(ctx.family("mu").v):
+        rb = max(rb, _amax(_vertical_mu_terms(ctx, with_gradient=True)))
     return [_report(name, ctx, ra, rb, tol.theorem)]
 
 
 def check_d1_totally_geodesic(ctx: PointContext, tol: Tolerances):
     name = "d1_totally_geodesic"
-    d1 = ctx.frame("d1")
-    d1j = ctx.subframe_jets("d1")
-    if not d1:
+    D1 = ctx.family("d1").v
+    if not len(D1):
         return [_report(name, ctx, 0.0, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: invariant part is zero")]
-    others = ctx.frame("d2") + ctx.frame("horizontal")
-    ra = 0.0
-    for i in range(len(d1)):
-        for j in range(len(d1)):
-            nab = ctx.cov(d1[i], d1j[j])
-            for Z in others:
-                ra = max(ra, abs(float(nab @ ctx.Gf @ Z)))
-    horiz = ctx.frame("horizontal")
-    mu = ctx.frame("mu")
-    pushed_mu = [ctx.push(x) for x in mu]
-    rb = 0.0
-    for i in range(len(d1)):
-        for j in range(len(d1)):
-            sff = ctx.sff_jets(d1j[i], ctx.jsubframe_jets("d1")[j])
-            rb = max(rb, _orth_residual_target(ctx, sff, pushed_mu))
-            for X in horiz:
-                CX = ctx.c_vec(X)
-                omBX = ctx.omega_vec(ctx.b_vec(X))
-                lhs = float(ctx.push(CX) @ ctx.GNf @ sff) / (ctx.split.lam ** 2)
-                rhs = float(d1[j] @ ctx.Gf @ ctx.t_tensor(d1[i], omBX))
-                rb = max(rb, abs(lhs - rhs))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    ra = _geodesic_residual(ctx, "d1", _rows(ctx, "d2", "horizontal"))
+    S = on_pairs(ctx.tensors.sff, D1, _rows(ctx, "Jd1"))  # S[i, j] = sff(d1_i, J d1_j)
+    rb = _amax(_off_pushed_mu(ctx, S))
+    omBH = _rows(ctx, "BH") @ ctx.omega.T
+    lhs = np.einsum("xn,nm,ijm->ijx", _rows(ctx, "CH") @ ctx.DFf.T, ctx.GNf, S) / ctx.split.lam ** 2
+    rhs = np.einsum("jk,kl,ixl->ijx", D1, ctx.Gf, on_pairs(ctx.tensors.t, D1, omBH))
+    return [_report(name, ctx, ra, max(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
 def check_d2_totally_geodesic(ctx: PointContext, tol: Tolerances):
     name = "d2_totally_geodesic"
-    d2 = ctx.frame("d2")
-    d2j = ctx.subframe_jets("d2")
-    if not d2:
+    D2 = ctx.family("d2").v
+    if not len(D2):
         return [_report(name, ctx, 0.0, 0.0, tol.theorem, vacuous=True,
                         label="vacuous: anti-invariant part is zero")]
-    others = ctx.frame("d1") + ctx.frame("horizontal")
-    ra = 0.0
-    for i in range(len(d2)):
-        for j in range(len(d2)):
-            nab = ctx.cov(d2[i], d2j[j])
-            for Z in others:
-                ra = max(ra, abs(float(nab @ ctx.Gf @ Z)))
-    d1 = ctx.frame("d1")
-    d1j = ctx.subframe_jets("d1")
-    mu = ctx.frame("mu")
-    horiz = ctx.frame("horizontal")
-    pushed_mu = [ctx.push(x) for x in mu]
-    grad_h = ctx.grad_ln_lambda.horizontal_part
-    lam = ctx.split.lam
-    rb = 0.0
-    for i in range(len(d2)):
-        for k in range(len(d1)):
-            sff = ctx.sff_jets(d2j[i], ctx.jsubframe_jets("d1")[k])
-            rb = max(rb, _orth_residual_target(ctx, sff, pushed_mu))
-    for i in range(len(d2)):
-        X2, X2j = d2[i], d2j[i]
-        secJX2 = ctx.section_push(ctx.jsubframe_jets("d2")[i])
-        for j in range(len(d2)):
-            Y2 = d2[j]
-            JY2 = ctx.Jf @ Y2
-            for X in horiz:
-                BX, CX = ctx.b_vec(X), ctx.c_vec(X)
-                JCX = ctx.Jf @ CX
-                lhs = -float(ctx.pullback_deriv(JY2, secJX2) @ ctx.GNf @ ctx.push(JCX)) / (lam ** 2)
-                rhs = float(Y2 @ ctx.Gf @ ctx.b_vec(ctx.t_tensor(X2, BX)))
-                rhs += float(X2 @ ctx.Gf @ Y2) * float(grad_h @ ctx.Gf @ JCX)
-                rb = max(rb, abs(lhs - rhs))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    G = ctx.Gf
+    ra = _geodesic_residual(ctx, "d2", _rows(ctx, "d1", "horizontal"))
+    rb = _amax(_off_pushed_mu(ctx, on_pairs(ctx.tensors.sff, D2, _rows(ctx, "Jd1"))))
+    JCH = _rows(ctx, "CH") @ ctx.Jf.T
+    # -g_N(nabla^F_{J d2_j} dF(J d2_i), dF(J C X)) / lambda^2 at [i, j, x]
+    dv = along(_rows(ctx, "Jd2"), ctx.pullback("Jd2"))
+    lhs = -np.einsum("jin,nm,xm->ijx", dv, ctx.GNf, JCH @ ctx.DFf.T) / ctx.split.lam ** 2
+    BT = on_pairs(ctx.tensors.t, D2, _rows(ctx, "BH")) @ ctx.B.T
+    rhs = (np.einsum("jk,kl,ixl->ijx", D2, G, BT)
+           + (D2 @ G @ D2.T)[:, :, None] * (JCH @ G @ ctx.grad_ln_lambda.horizontal_part))
+    return [_report(name, ctx, ra, max(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
 def _combine(name, ctx, tol, parts):
@@ -484,89 +355,55 @@ def check_product_structures(ctx: PointContext, tol: Tolerances):
 # Tension, harmonicity, total geodesicity
 
 
-def _tension_formula_rhs(ctx: PointContext, bk: DimensionBookkeeping) -> np.ndarray:
-    mean = ctx.fiber_mean_curvature_vec()
-    grad = ctx.grad_ln_lambda.vector
-    coeff = 2.0 - bk.n - 2.0 * bk.r
-    return -float(bk.fiber_dim) * ctx.push(mean) + coeff * ctx.push(grad)
+def _tension_formula_rhs(ctx: PointContext) -> np.ndarray:
+    m, n, r = bookkeeping(ctx.dims, ctx.fmap.source.dim, ctx.fmap.target.dim)
+    mean, grad = ctx.tensors.fiber_mean_curvature, ctx.grad_ln_lambda.vector
+    return -float(2 * m + n) * ctx.push(mean) + (2.0 - n - 2.0 * r) * ctx.push(grad)
 
 
 def check_tension_formula(ctx: PointContext, tol: Tolerances):
-    bk = DimensionBookkeeping.from_context(ctx)
-    bk.validate(ctx.fmap.source.dim, ctx.fmap.target.dim)
-    tau = ctx.tension_direct()
-    rhs = _tension_formula_rhs(ctx, bk)
-    res = ctx.gn_norm(tau - rhs)
+    res = ctx.gn_norm(ctx.tensors.tension - _tension_formula_rhs(ctx))
     return [_report("tension_formula", ctx, res, res, tol.identity, identity=True)]
 
 
 def check_harmonicity(ctx: PointContext, tol: Tolerances):
     """Harmonicity against the mean-curvature / dilation decomposition of the tension."""
-    bk = DimensionBookkeeping.from_context(ctx)
-    bk.validate(ctx.fmap.source.dim, ctx.fmap.target.dim)
-    tau = ctx.tension_direct()
-    ra = ctx.gn_norm(tau)
-    rb = ctx.gn_norm(_tension_formula_rhs(ctx, bk))
-    minimal = ctx.gn_norm(ctx.push(ctx.fiber_mean_curvature_vec())) < tol.theorem
+    rb = ctx.gn_norm(_tension_formula_rhs(ctx))  # validates n + 2r = dim of the target
+    minimal = ctx.gn_norm(ctx.push(ctx.tensors.fiber_mean_curvature)) < tol.theorem
     homothetic = ctx.grad_ln_lambda.horizontal_norm < tol.theorem
-    branch = "minimal-fibers-iff-harmonic" if bk.n + 2 * bk.r == 2 else "paired-implications"
+    branch = "minimal-fibers-iff-harmonic" if ctx.fmap.target.dim == 2 else "paired-implications"
     label = f"{branch}; minimal={minimal}; homothetic={homothetic}"
-    return [_report("harmonicity", ctx, ra, rb, tol.theorem, label=label)]
+    return [_report("harmonicity", ctx, ctx.gn_norm(ctx.tensors.tension), rb, tol.theorem,
+                    label=label)]
 
 
 def check_jd2_mu_totally_geodesic(ctx: PointContext, tol: Tolerances):
     """Vanishing sff on (J d2) x horizontal pairs iff horizontally homothetic."""
     name = "jd2_mu_totally_geodesic"
-    d2j = ctx.subframe_jets("d2")
-    horizj = ctx.subframe_jets("horizontal")
     rb = ctx.grad_ln_lambda.horizontal_norm
-    if not d2j:
+    JD2 = _rows(ctx, "Jd2")
+    if not len(JD2):
         return [_report(name, ctx, 0.0, rb, tol.theorem, vacuous=True,
                         label="vacuous: anti-invariant part is zero")]
-    ra = 0.0
-    for i in range(len(d2j)):
-        JUj = ctx.jsubframe_jets("d2")[i]
-        for Xj in horizj:
-            ra = max(ra, ctx.gn_norm(ctx.sff_jets(JUj, Xj)))
+    ra = _amax(row_norms(on_pairs(ctx.tensors.sff, JD2, _rows(ctx, "horizontal")), ctx.GNf))
     return [_report(name, ctx, ra, rb, tol.theorem)]
 
 
 def check_totally_geodesic_characterization(ctx: PointContext, tol: Tolerances):
     name = "totally_geodesic_characterization"
-    vj = ctx.subframe_jets("vertical")
-    hj = ctx.subframe_jets("horizontal")
-    basis = vj + hj
-    ra = 0.0
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            ra = max(ra, ctx.gn_norm(ctx.sff_jets(basis[i], basis[j])))
+    tt, G = ctx.tensors, ctx.Gf
+    E = _rows(ctx, "vertical", "horizontal")
+    ra = _amax(row_norms(_upper(on_pairs(tt.sff, E, E), strict=False), ctx.GNf))
     if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem,
-                        label="direct test only (no complex structure)")]
-    d1 = ctx.frame("d1")
-    d1j = ctx.subframe_jets("d1")
-    d2j = ctx.subframe_jets("d2")
-    vert = ctx.frame("vertical")
-    cond_a = 0.0
-    for i in range(len(d1)):
-        for j in range(len(d1)):
-            JVj = ctx.jsubframe_jets("d1")[j]
-            JV = ctx.Jf @ d1[j]
-            w = ctx.c_vec(ctx.t_tensor(d1[i], JV)) + ctx.omega_vec(
-                ctx.PVf @ ctx.cov(d1[i], JVj)
-            )
-            cond_a = max(cond_a, ctx.gnorm(w))
-    cond_b = 0.0
-    for i in range(len(vert)):
-        for j in range(len(d2j)):
-            JWj = ctx.jsubframe_jets("d2")[j]
-            JW = ctx.Jf @ ctx.frame("d2")[j]
-            w = ctx.c_vec(ctx.PHf @ ctx.cov(vert[i], JWj)) + ctx.omega_vec(
-                ctx.t_tensor(vert[i], JW)
-            )
-            cond_b = max(cond_b, ctx.gnorm(w))
-    cond_c = ctx.grad_ln_lambda.horizontal_norm
-    rb = max(cond_a, cond_b, cond_c)
+        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    C, omega = ctx.C, ctx.omega
+    D1, V, JD2 = _rows(ctx, "d1"), _rows(ctx, "vertical"), _rows(ctx, "Jd2")
+    # C T(d1_i, J d1_j) + omega(V nabla_{d1_i} J d1_j)
+    wa = (on_pairs(tt.t, D1, _rows(ctx, "Jd1")) @ C.T
+          + along(D1, ctx.nabla("Jd1")) @ ctx.PVf.T @ omega.T)
+    # C(H nabla_{V_i} J d2_j) + omega T(V_i, J d2_j)
+    wb = along(V, ctx.nabla("Jd2")) @ ctx.PHf.T @ C.T + on_pairs(tt.t, V, JD2) @ omega.T
+    rb = max(_amax(row_norms(wa, G)), _amax(row_norms(wb, G)), ctx.grad_ln_lambda.horizontal_norm)
     return [_report(name, ctx, ra, rb, tol.theorem)]
 
 
@@ -576,16 +413,10 @@ def check_totally_geodesic_characterization(ctx: PointContext, tol: Tolerances):
 
 def check_corollaries(ctx: PointContext, tol: Tolerances):
     reports = []
-    d2 = ctx.frame("d2")
-    d2j = ctx.subframe_jets("d2")
-    mu = ctx.frame("mu")
-    muj = ctx.subframe_jets("mu")
-    vert = ctx.frame("vertical")
-    vj = ctx.subframe_jets("vertical")
-    horiz = ctx.frame("horizontal")
-    hj = ctx.subframe_jets("horizontal")
-    anti_holo = ctx.has_j and len(mu) == 0 and len(d2) > 0
+    D2, MU, V, H = (_rows(ctx, n) for n in ("d2", "mu", "vertical", "horizontal"))
+    anti_holo = ctx.Jf is not None and len(MU) == 0 and len(D2) > 0
     lam = ctx.split.lam
+    h_norm = ctx.grad_ln_lambda.horizontal_norm
 
     # anti-holomorphic case: J(d2) spans the whole horizontal space
     name1, name2 = "antiholomorphic_integrability", "antiholomorphic_horizontal_geodesic"
@@ -594,108 +425,33 @@ def check_corollaries(ctx: PointContext, tol: Tolerances):
             reports.append(_report(nm, ctx, 0.0, None, tol.theorem,
                                    label="skipped: hypothesis unmet (not anti-holomorphic)"))
     else:
-        ra = _horizontal_bracket_residual(ctx)
-        rb = 0.0
-        for i in range(len(d2)):
-            JW1 = ctx.push(ctx.Jf @ d2[i])
-            JW1j = ctx.jsubframe_jets("d2")[i]
-            for j in range(i + 1, len(d2)):
-                JW2 = ctx.push(ctx.Jf @ d2[j])
-                JW2j = ctx.jsubframe_jets("d2")[j]
-                for k in range(len(vert)):
-                    s2 = ctx.sff_jets(vj[k], JW2j)
-                    s1 = ctx.sff_jets(vj[k], JW1j)
-                    val = float(JW1 @ ctx.GNf @ s2) - float(JW2 @ ctx.GNf @ s1)
-                    rb = max(rb, abs(val) / (lam ** 2))
+        JD2 = _rows(ctx, "Jd2")
+        S = on_pairs(ctx.tensors.sff, V, JD2)  # S[k, i] = sff(V_k, J d2_i)
+        M = np.einsum("in,nm,kjm->ijk", JD2 @ ctx.DFf.T, ctx.GNf, S)
+        ra, rb = _bracket_residual(ctx, "horizontal", V), _amax(_upper(M - _swap(M))) / (lam ** 2)
         reports.append(_report(name1, ctx, ra, rb, tol.theorem))
-
-        ra2 = 0.0
-        for a in range(len(horiz)):
-            for b in range(len(horiz)):
-                nab = ctx.cov(horiz[a], hj[b])
-                for u in vert:
-                    ra2 = max(ra2, abs(float(nab @ ctx.Gf @ u)))
-        pushed_mu = [ctx.push(x) for x in mu]
-        rb2 = 0.0
-        for k in range(len(vert)):
-            for i in range(len(d2)):
-                s = ctx.sff_jets(vj[k], ctx.jsubframe_jets("d2")[i])
-                rb2 = max(rb2, _orth_residual_target(ctx, s, pushed_mu) / (lam ** 2))
+        ra2 = _geodesic_residual(ctx, "horizontal", V)
+        rb2 = _amax(_off_pushed_mu(ctx, S)) / (lam ** 2)
         reports.append(_report(name2, ctx, ra2, rb2, tol.theorem))
 
     # dilation constant characterizations under parallelism hypotheses
-    name3 = "d2_parallel_homothety"
-    if not d2 or not mu:
-        reports.append(_report(name3, ctx, ctx.grad_ln_lambda.horizontal_norm, 0.0,
-                               tol.theorem, vacuous=True,
-                               label="vacuous: needs nonzero d2 and mu"))
-    else:
-        hyp = 0.0
-        for a in range(len(horiz)):
-            for j in range(len(d2)):
-                nab = ctx.cov(horiz[a], d2j[j])
-                hyp = max(hyp, ctx.gnorm(nab - ctx.PD2f @ nab))
-        if hyp > tol.theorem:
-            reports.append(_report(name3, ctx, ctx.grad_ln_lambda.horizontal_norm, None,
-                                   tol.theorem,
-                                   label="hypothesis unmet: d2 not parallel along horizontal"))
-        else:
-            rb3 = 0.0
-            for a in range(len(horiz)):
-                X = horiz[a]
-                for b in range(len(horiz)):
-                    Y, Yj = horiz[b], hj[b]
-                    BY = ctx.b_vec(Y)
-                    CY = ctx.c_vec(Y)
-                    lhs_vec = ctx.a_tensor(X, BY)
-                    for k in range(len(d2)):
-                        JWj = ctx.jsubframe_jets("d2")[k]
-                        sec = ctx.section_push(JWj)
-                        dval = ctx.pullback_deriv(X, sec)
-                        val = float(lhs_vec @ ctx.Gf @ (ctx.Jf @ d2[k])) - float(
-                            dval @ ctx.GNf @ ctx.push(CY)
-                        ) / (lam ** 2)
-                        rb3 = max(rb3, abs(val))
-            reports.append(_report(name3, ctx, ctx.grad_ln_lambda.horizontal_norm, rb3, tol.theorem))
+    def parallel_report(name, ra, X, family, proj, what, side_b):
+        if not len(D2) or not len(MU):
+            return _report(name, ctx, ra, 0.0, tol.theorem, vacuous=True,
+                           label="vacuous: needs nonzero d2 and mu")
+        nab = along(X, ctx.nabla(family))  # the family stays in its span along X
+        if _amax(row_norms(nab - nab @ proj.T, ctx.Gf)) > tol.theorem:
+            return _report(name, ctx, ra, None, tol.theorem, label=f"hypothesis unmet: {what}")
+        return _report(name, ctx, ra, side_b(), tol.theorem)
 
-    name4 = "mu_parallel_dilation"
-    if not d2 or not mu:
-        ra4 = 0.0
-        if mu:
-            PMU = ctx.PMUf
-            gvec = ctx.grad_ln_lambda.vector
-            ra4 = lam * ctx.gnorm(PMU @ gvec)
-        reports.append(_report(name4, ctx, ra4, 0.0, tol.theorem, vacuous=True,
-                               label="vacuous: needs nonzero d2 and mu"))
-    else:
-        hyp = 0.0
-        for i in range(len(vert)):
-            for k in range(len(mu)):
-                nab = ctx.cov(vert[i], muj[k])
-                hyp = max(hyp, ctx.gnorm(nab - ctx.PMUf @ nab))
-        ra4 = lam * ctx.gnorm(ctx.PMUf @ ctx.grad_ln_lambda.vector)
-        if hyp > tol.theorem:
-            reports.append(_report(name4, ctx, ra4, None, tol.theorem,
-                                   label="hypothesis unmet: mu not parallel along the fibers"))
-        else:
-            rb4 = 0.0
-            for i in range(len(vert)):
-                U, Uj = vert[i], vj[i]
-                phU = ctx.phi_vec(U)
-                for j in range(len(vert)):
-                    V = vert[j]
-                    omV = ctx.omega_vec(V)
-                    phV = ctx.phi_vec(V)
-                    omU = ctx.omega_vec(U)
-                    vec = ctx.c_vec(ctx.t_tensor(U, phV)) + ctx.a_tensor(omV, phU)
-                    for k in range(len(mu)):
-                        sec = ctx.section_push(muj[k])
-                        dval = ctx.pullback_deriv(omV, sec)
-                        val = float(vec @ ctx.Gf @ mu[k]) - float(
-                            dval @ ctx.GNf @ ctx.push(omU)
-                        ) / (lam ** 2)
-                        rb4 = max(rb4, abs(val))
-            reports.append(_report(name4, ctx, ra4, rb4, tol.theorem))
+    reports.append(parallel_report(
+        "d2_parallel_homothety", h_norm, H, "d2", ctx.PD2f, "d2 not parallel along horizontal",
+        lambda: _amax(_pullback_terms(ctx, on_pairs(ctx.tensors.a, H, _rows(ctx, "BH")), H,
+                                      "Jd2", _rows(ctx, "CH")))))
+    ra4 = lam * ctx.gnorm(ctx.PMUf @ ctx.grad_ln_lambda.vector) if len(MU) else 0.0
+    reports.append(parallel_report(
+        "mu_parallel_dilation", ra4, V, "mu", ctx.PMUf, "mu not parallel along the fibers",
+        lambda: _amax(_vertical_mu_terms(ctx, with_gradient=False))))
     return reports
 
 
@@ -704,9 +460,7 @@ def check_corollaries(ctx: PointContext, tol: Tolerances):
 
 
 def check_sff_identities(ctx: PointContext, tol: Tolerances):
-    from .submersion import sff_identity_residuals
-
-    rh, rv, rm = sff_identity_residuals(ctx.fmap, ctx.p, ctx.tol)
+    rh, rv, rm = sff_identity_residuals(ctx)
     return [
         _report("sff_identity_horizontal", ctx, rh, rh, tol.identity, identity=True),
         _report("sff_identity_vertical", ctx, rv, rv, tol.identity, identity=True),

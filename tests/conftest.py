@@ -13,7 +13,7 @@ ALL_SCENE_NAMES = tuple(preset_names()) + tuple(f.stem for f in BENCH_SCENES)
 
 
 def fresh_scene(name):
-    """A newly parsed preset or bench scene, with an empty point cache."""
+    """A newly parsed preset or bench scene."""
     for f in BENCH_SCENES:
         if f.stem == name:
             return load_scene_text(f.read_text(encoding="utf-8"), name_hint=name)
@@ -30,9 +30,15 @@ def points(name, count=8, seed=7):
     return tuple(tuple(p) for p in sample_points(scene(name), count=count, seed=seed))
 
 
-def contexts(name, count=8, seed=7):
+@functools.lru_cache(maxsize=None)
+def _contexts(name, count, seed):
     sc = scene(name)
-    return [sc.fmap.context(np.array(p), sc.tolerances) for p in points(name, count, seed)]
+    return tuple(sc.fmap.context(np.array(p), sc.tolerances) for p in points(name, count, seed))
+
+
+def contexts(name, count=8, seed=7):
+    """Point contexts of a preset, shared across tests like the scenes themselves."""
+    return list(_contexts(name, count, seed))
 
 
 @pytest.fixture(scope="session")

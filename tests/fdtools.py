@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from confsub.config import DEFAULT_TOLERANCES
 from confsub.expr import evaluate, value_of
 
 H = 1e-5
@@ -76,25 +77,45 @@ def fd_map_jacobian(fmap, p, h=H):
     return fd_jacobian(lambda q: map_values(fmap, q), p, h)
 
 
-def fd_sff(fmap, p, Xfield, Yfield, h=H):
-    """Second fundamental form via finite differences of map and field values."""
+class FrameField:
+    """Row `index` of a frame family as a field; each value re-runs the frame pass."""
+
+    def __init__(self, fmap, name, index, tol=DEFAULT_TOLERANCES):
+        self.fmap, self.name, self.index, self.tol = fmap, name, index, tol
+
+    def values_at(self, q):
+        return getattr(self.fmap.context(q, self.tol).data, self.name).v[self.index]
+
+
+def fd_sff_table(fmap, p, h=H):
+    """(nabla dF)(d_i, d_j) at [a, i, j] from finite differences of map and metric values.
+
+    The Hessians are Richardson-extrapolated second differences at 1e-3 and
+    2e-3 (error of order h^4), so they carry ~1e-9 of rounding error instead
+    of ~1e-7 at h = 1e-4.
+    """
     p = np.asarray(p, dtype=float)
-    Xv = Xfield.values_at(p)
-    Yv = Yfield.values_at(p)
-    DF = fd_map_jacobian(fmap, p)
-
-    # d_i (dF(Y))^a = sum_j (d_i d_j F^a) Y^j + (d_j F^a)(d_i Y^j)
-    d2F = np.stack([fd_second(lambda q, c=c: eval_expr(c, q), p) for c in fmap.components])
-    dY = fd_jacobian(lambda q: Yfield.values_at(q), p, h)
-    term1 = np.einsum("aij,j,i->a", d2F, Yv, Xv) + np.einsum("aj,ji,i->a", DF, dY, Xv)
-
+    DF = fd_map_jacobian(fmap, p, h)
+    d2F = np.stack([
+        (4.0 * fd_second(f, p, 1e-3) - fd_second(f, p, 2e-3)) / 3.0
+        for f in (lambda q, c=c: eval_expr(c, q) for c in fmap.components)
+    ])
     gamma_n = fd_christoffel(fmap.target, map_values(fmap, p), h)
-    term2 = np.einsum("abc,b,c->a", gamma_n, DF @ Xv, DF @ Yv)
-
     gamma_m = fd_christoffel(fmap.source, p, h)
-    nab = dY @ Xv + np.einsum("kij,i,j->k", gamma_m, Xv, Yv)
-    term3 = DF @ nab
-    return term1 + term2 - term3
+    pulled = np.einsum("abc,bi,cj->aij", gamma_n, DF, DF)
+    return d2F + pulled - np.einsum("ak,kij->aij", DF, gamma_m)
+
+
+def fd_sff(fmap, p, Xfield, Yfield, h=H):
+    """Second fundamental form via finite differences of map, metric and field values.
+
+    (nabla dF)(X, Y) = X(dF(Y)) + Gamma_N(dF X, dF Y) - dF(nabla_X Y); the
+    derivative of Y enters both the first and the last term and cancels, so
+    the result is the finite-difference table on the values of X and Y.
+    """
+    p = np.asarray(p, dtype=float)
+    X, Y = Xfield.values_at(p), Yfield.values_at(p)
+    return np.einsum("aij,i,j->a", fd_sff_table(fmap, p, h), X, Y)
 
 
 PASS_FIELDS = (
@@ -127,4 +148,59 @@ def pass_derivative_margins(fmap, p, tol, h=H):
         fd = fd_jacobian(lambda q: getattr(fmap.context(q, tol).data, name).v, p, h)
         out[name] = _rel_gap(jet.d, np.moveaxis(fd, -1, 0))
     out["gamma_src"] = _rel_gap(ctx.gamma_src, fd_christoffel(fmap.source, p, h))
+    return out
+
+
+# the frame families whose covariant derivatives, and the pushed families whose
+# pullback derivatives, the point context tabulates for the checkers
+NABLA_FAMILIES = ("vertical", "horizontal", "d1", "d2", "mu", "Jd1", "Jd2", "BH", "phiV")
+PULLBACK_FAMILIES = ("CH", "Jd2", "mu")
+
+
+def table_margins(fmap, p, tol, h=H):
+    """Gap between each per-point table of the context and a finite-difference oracle.
+
+    The oracles use only values of the frame pass at p +- h e_l and
+    `fd_christoffel`: the sff table against `fd_sff_table`; O'Neill's T and A
+    against difference quotients of q -> P_V(q) e_j and q -> P_H(q) e_j; each
+    family's covariant derivatives against `fd_jacobian` of its values plus
+    the source connection; each pushed family's pullback derivatives against
+    `fd_jacobian` of dF_q(F_q) plus the target connection.  Gaps are relative
+    to max(1, largest reference entry); families a scene lacks are left out.
+    """
+    p = np.asarray(p, dtype=float)
+    ctx = fmap.context(p, tol)
+    seen = {}
+
+    def at(q):
+        key = tuple(q)
+        if key not in seen:
+            seen[key] = fmap.context(q, tol)
+        return seen[key]
+
+    gamma = fd_christoffel(fmap.source, p, h)
+    gamma_n = fd_christoffel(fmap.target, map_values(fmap, p), h)
+    DF = fd_map_jacobian(fmap, p, h)
+
+    def cov(rows):  # nabla_{d_l} of each row of rows(q), at [l, r, k]
+        d = np.moveaxis(fd_jacobian(rows, p, h), -1, 0)
+        return d + np.einsum("kli,ri->lrk", gamma, rows(p))
+
+    tt = ctx.tensors
+    out = {"sff": _rel_gap(tt.sff, fd_sff_table(fmap, p, h))}
+    PV, PH = ctx.PVf, ctx.PHf
+    nV, nH = cov(lambda q: at(q).PVf.T), cov(lambda q: at(q).PHf.T)
+    # T(e_i, e_j) = P_H nabla_{P_V e_i}(P_V e_j) + P_V nabla_{P_V e_i}(P_H e_j); A swaps V and H
+    want_t = np.einsum("mk,li,ljk->mij", PH, PV, nV) + np.einsum("mk,li,ljk->mij", PV, PV, nH)
+    want_a = np.einsum("mk,li,ljk->mij", PV, PH, nH) + np.einsum("mk,li,ljk->mij", PH, PH, nV)
+    out["T"], out["A"] = _rel_gap(tt.t, want_t), _rel_gap(tt.a, want_a)
+    for name in NABLA_FAMILIES:
+        if len(ctx.family(name).v):
+            out[f"nabla {name}"] = _rel_gap(ctx.nabla(name), cov(lambda q: at(q).family(name).v))
+    for name in PULLBACK_FAMILIES:
+        if len(ctx.family(name).v):
+            pushed = lambda q: at(q).family(name).v @ at(q).DFf.T
+            d = np.moveaxis(fd_jacobian(pushed, p, h), -1, 0)
+            want = d + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
+            out[f"pullback {name}"] = _rel_gap(ctx.pullback(name), want)
     return out

@@ -11,14 +11,15 @@ import numpy as np
 from confsub.expr import ExprParseError, parse, to_string
 from confsub.runner import run
 from confsub.scenes import load_preset, preset_names, sample_points
-from confsub.submersion import FrameField, second_fundamental_form, sff_identity_residuals
+from confsub.submersion import on_pairs, sff_identity_residuals
 from confsub.theorems import CHECKERS
-from confsub.geometry import christoffel
+from confsub.geometry import christoffel_symbols, metric_jet
 
 from .conftest import REPO, SRC, contexts, points, scene
 from .corpus import MALFORMED
-from .fdtools import fd_christoffel, fd_sff
+from .fdtools import FrameField, fd_christoffel, fd_sff
 from .test_expr import random_expr
+from .test_submersion import coordinate_sff
 
 
 def _verdict(n, ok, desc):
@@ -70,9 +71,10 @@ def test_criterion_3_conformal_sff_identities():
     worst = 0.0
     for name in ("example33", "linproj42", "linproj63", "holo4", "exp1"):
         for p in points(name, count=6):
-            worst = max(worst, *sff_identity_residuals(scene(name).fmap, np.asarray(p)))
+            worst = max(worst, *sff_identity_residuals(scene(name).fmap.context(np.asarray(p))))
     F = scene("exp1").fmap
-    hand = second_fundamental_form(F, np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    e1 = np.array([1.0, 0.0])
+    hand = on_pairs(F.context(np.zeros(2)).tensors.sff, e1, e1)
     hand_ok = abs(hand[0] - 1.0) < 1e-9
     _verdict(
         3,
@@ -110,20 +112,18 @@ def test_criterion_5_tensor_properties(rng):
         for k in range(per_preset):
             ctx = ctxs[k % len(ctxs)]
             E, W, Z = rng.normal(size=(3, dim))
-            G = ctx.Gf
+            G, T, A, S = ctx.Gf, ctx.tensors.t, ctx.tensors.a, ctx.tensors.sff
             V = ctx.PVf @ E
             X = ctx.PHf @ E
             worst = max(
                 worst,
-                abs(float(ctx.t_tensor(V, W) @ G @ Z + W @ G @ ctx.t_tensor(V, Z))),
-                abs(float(ctx.a_tensor(X, W) @ G @ Z + W @ G @ ctx.a_tensor(X, Z))),
+                abs(float(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z))),
+                abs(float(on_pairs(A, X, W) @ G @ Z + W @ G @ on_pairs(A, X, Z))),
             )
-            s1 = ctx.sff_jets(ctx.extend_full(W), ctx.extend_full(Z))
-            s2 = ctx.sff_jets(ctx.extend_full(Z), ctx.extend_full(W))
+            s1 = on_pairs(S, W, Z)
+            s2 = on_pairs(S, Z, W)
             worst = max(worst, float(np.max(np.abs(s1 - s2))))
-            from confsub.geometry import ConstantField
-
-            coord = second_fundamental_form(ctx.fmap, ctx.p, ConstantField(W), ConstantField(Z))
+            coord = coordinate_sff(ctx.fmap, ctx.p, W, Z)
             worst = max(worst, float(np.max(np.abs(s1 - coord))))
     _verdict(
         5,
@@ -156,15 +156,16 @@ def test_criterion_7_derivatives_vs_finite_differences(rng):
         name = names[k % len(names)]
         sc = scene(name)
         p = np.asarray(points(name, count=10)[k % 10])
-        got = christoffel(sc.source, p).gamma
+        got = christoffel_symbols(metric_jet(sc.source, p), p)
         want = fd_christoffel(sc.source, p)
         scale = max(1.0, float(np.max(np.abs(want))))
         worst_gamma = max(worst_gamma, float(np.max(np.abs(got - want))) / scale)
         if k % 5 == 0:
             X = FrameField(sc.fmap, "horizontal", 0)
             V = FrameField(sc.fmap, "vertical", 0)
+            S = sc.fmap.context(p).tensors.sff
             for pair in ((X, V), (X, X)):
-                a = second_fundamental_form(sc.fmap, p, pair[0], pair[1])
+                a = on_pairs(S, pair[0].values_at(p), pair[1].values_at(p))
                 b = fd_sff(sc.fmap, p, pair[0], pair[1])
                 sscale = max(1.0, float(np.max(np.abs(b))))
                 worst_sff = max(worst_sff, float(np.max(np.abs(a - b))) / sscale)

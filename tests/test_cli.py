@@ -6,7 +6,7 @@ import pytest
 from confsub.cli import main
 from confsub.report import CheckerAggregate, from_canonical, to_canonical
 from confsub.runner import run
-from confsub.scenes import load_preset
+from confsub.scenes import PRESETS, load_preset, load_scene_text
 
 from .conftest import REPO, SRC
 
@@ -145,6 +145,21 @@ def test_machinery_report_round_trip():
     assert from_canonical(to_canonical(rep)) == rep
 
 
+def test_machinery_only_scene_ignores_its_j():
+    # a machinery-only scene with a declared J reports exactly what the same
+    # scene without the J line reports: no side b, no product_fibers row
+    text = PRESETS["example33"].replace("[source]", "machinery_only = true\n[source]", 1)
+    without_j = text.replace("J = canonical\n", "")
+    assert without_j != text and "machinery_only = true" in text
+    rep = run(load_scene_text(text), points=4)
+    assert to_canonical(rep) == to_canonical(run(load_scene_text(without_j), points=4))
+    assert rep.machinery_only and rep.kahler_verified is None and rep.exit_code == 0
+    assert "product_fibers" not in rep.reports
+    for name, reps in rep.reports.items():
+        if not name.startswith("sff_identity"):
+            assert all(r.residual_b is None and r.verdict_b == "inconclusive" for r in reps), name
+
+
 def test_env_tolerance_override(monkeypatch, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "confsub", "check", "linproj42", "--points", "3",
@@ -197,8 +212,8 @@ def test_runner_only_filter():
 # input contract: every bad input ends in a documented exit code
 
 
-LOG_SCENE = """
-name = log-domain
+DOMAIN_SCENE = """
+name = domain
 [source]
 dim = 2
 metric = euclidean
@@ -206,22 +221,31 @@ metric = euclidean
 dim = 1
 metric = euclidean
 [map]
-F 1 = log(x1)
+F 1 = {map}
 [sampling]
-box = -1 1, -1 1
+box = {box}
 count = 4
 seed = 1
 """
 
 
-def test_domain_error_exit_code(tmp_path):
-    f = tmp_path / "log.scene"
-    f.write_text(LOG_SCENE)
+@pytest.mark.parametrize(
+    "map_text, box, subexpr",
+    [
+        ("log(x1)", "-1 1, -1 1", "'log(x1)'"),
+        ("exp(2000*x1)", "0.5 1, -1 1", "'exp(2000.0 * x1)'"),  # OverflowError in exp
+        ("x1^1000", "3 4, -1 1", "'x1^1000.0'"),  # OverflowError in a power
+    ],
+    ids=["log", "exp-overflow", "pow-overflow"],
+)
+def test_domain_error_exit_code(tmp_path, map_text, box, subexpr):
+    f = tmp_path / "domain.scene"
+    f.write_text(DOMAIN_SCENE.format(map=map_text, box=box))
     code, _, err = run_cli("check", str(f))
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("scene error:")
-    assert "'log(x1)'" in err and "at point (" in err
+    assert subexpr in err and "at point (" in err
     assert "Traceback" not in err
 
 
@@ -248,7 +272,8 @@ def test_env_tolerance_rejected():
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_scene_tolerance_rejected(tmp_path, value):
     f = tmp_path / "tol.scene"
-    f.write_text(LOG_SCENE.replace("log(x1)", "x1") + f"[tolerances]\ntheorem = {value}\n")
+    scene = DOMAIN_SCENE.format(map="x1", box="-1 1, -1 1")
+    f.write_text(scene + f"[tolerances]\ntheorem = {value}\n")
     code, _, err = run_cli("check", str(f))
     assert code == 2
     assert "bad tolerance" in err and "finite number > 0" in err

@@ -1,34 +1,85 @@
-"""The derivative parts of the frame pass against central finite differences.
+"""The derivative parts of the frame pass and the per-point tables against finite differences.
 
 The verdict gate cannot see a transposed derivative axis when it leaves a
 residual at rounding level, so every frame family, projector, the square
 dilation and the source connection are compared directly with difference
-quotients of their values, on every preset and bench scene.
+quotients of their values, on every preset and bench scene.  The tables the
+checkers contract (second fundamental form, O'Neill's T and A, covariant and
+pullback derivatives of the frame families) are compared the same way: both
+sides of a checker read the same tables, so this oracle is what checks them
+independently.
 """
 
 import numpy as np
 import pytest
 
 from confsub.jets import ArrayJet
-from confsub.scenes import sample_points
+from confsub.scenes import load_scene_text, sample_points
 from confsub.submersion import _gram_schmidt
 
 from .conftest import ALL_SCENE_NAMES, fresh_scene
-from .fdtools import fd_jacobian, pass_derivative_margins
+from .fdtools import (
+    NABLA_FAMILIES,
+    PULLBACK_FAMILIES,
+    fd_jacobian,
+    pass_derivative_margins,
+    table_margins,
+)
 
 # difference quotients at h = 1e-5 carry ~1e-10 of truncation and rounding
 # error here; an axis mix-up is of order one
 MARGIN = 1e-7
 
+# a curved, non-diagonal source metric and a curved target: the projectors are
+# not symmetric matrices and every connection term is nonzero, which the
+# presets (conformally flat sources, flat targets) never show
+GENERIC_METRIC = """
+name = generic-metric
+[source]
+dim = 3
+g 1 1 = 1 + 0.3*x2^2
+g 1 2 = 0.2*x3
+g 2 2 = 2 + sin(x1)
+g 2 3 = 0.1*x1
+g 3 3 = 1.5
+[target]
+dim = 1
+g 1 1 = exp(x1)
+[map]
+F 1 = x1 + 0.5*x2*x3
+[sampling]
+box = -1 1, -1 1, -1 1
+"""
+SCENES = ALL_SCENE_NAMES + ("generic-metric",)
 
-@pytest.mark.parametrize("name", ALL_SCENE_NAMES)
+
+def _scene(name):
+    return load_scene_text(GENERIC_METRIC) if name == "generic-metric" else fresh_scene(name)
+
+
+@pytest.mark.parametrize("name", SCENES)
 def test_pass_derivatives_match_finite_differences(name):
-    sc = fresh_scene(name)
+    sc = _scene(name)
     for p in sample_points(sc, count=3, seed=5):
         margins = pass_derivative_margins(sc.fmap, p, sc.tolerances)
         assert {"vertical", "horizontal", "PV", "PH", "lambda_sq", "gamma_src"} <= set(margins)
         if sc.source.complex_structure is not None:
             assert {"d1", "d2", "jd2", "mu", "PD1", "PD2", "PJD2", "PMU"} <= set(margins)
+        bad = {k: v for k, v in margins.items() if v > MARGIN}
+        assert not bad, f"{name} at {tuple(p)}: {bad}"
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_tables_match_finite_differences(name):
+    sc = _scene(name)
+    for p in sample_points(sc, count=3, seed=5):
+        margins = table_margins(sc.fmap, p, sc.tolerances)
+        assert {"sff", "T", "A", "nabla vertical", "nabla horizontal"} <= set(margins)
+        if sc.source.complex_structure is not None:
+            ctx = sc.fmap.context(p, sc.tolerances)
+            present = {f"nabla {n}" for n in NABLA_FAMILIES if len(ctx.family(n).v)}
+            present |= {f"pullback {n}" for n in PULLBACK_FAMILIES if len(ctx.family(n).v)}
+            assert present <= set(margins) and "pullback CH" in margins
         bad = {k: v for k, v in margins.items() if v > MARGIN}
         assert not bad, f"{name} at {tuple(p)}: {bad}"
 

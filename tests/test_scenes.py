@@ -93,9 +93,9 @@ F 1 = x1
 box = 0.5 2, -1 1
 """
     )
-    from confsub.geometry import metric_at
+    from confsub.geometry import metric_jet
 
-    assert metric_at(sc.source, (2.0, 0.0)) == pytest.approx(np.diag([1.0, 4.0]))
+    assert metric_jet(sc.source, (2.0, 0.0)).v == pytest.approx(np.diag([1.0, 4.0]))
 
 
 def test_lower_triangle_rejected():

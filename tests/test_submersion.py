@@ -9,26 +9,29 @@ from confsub.errors import (
     SingularMetricError,
     StructureError,
 )
-from confsub.expr import Const, parse
-from confsub.geometry import ChartedManifold, ConstantField, euclidean
+from confsub.expr import Const, eval_jet2, parse
+from confsub.geometry import (
+    ChartedManifold,
+    ConstantField,
+    brackets,
+    christoffel_symbols,
+    covariant_derivative,
+    euclidean,
+    metric_jet,
+    nabla,
+)
 from confsub.submersion import (
-    FrameField,
     SmoothMap,
+    along,
     bc_decompose,
-    fiber_mean_curvature,
-    grad_ln_lambda,
     jacobian,
-    oneill_a,
-    oneill_t,
+    on_pairs,
     phi_omega,
-    second_fundamental_form,
     sff_identity_residuals,
-    split_frame,
-    tension,
 )
 
 from .conftest import contexts, points, scene
-from .fdtools import fd_gradient, fd_sff
+from .fdtools import FrameField, fd_gradient, fd_sff
 
 E33 = "example33"
 
@@ -39,6 +42,25 @@ def e33_point(x3=0.2):
 
 def fmap(name):
     return scene(name).fmap
+
+
+def tensors(F, p):
+    return F.context(p).tensors
+
+
+def coordinate_sff(F, p, X, Y):
+    """(nabla dF)(X, Y) on the constant coordinate fields X, Y, assembled apart from the tables.
+
+    Component Hessians and gradients come from `eval_jet2`, the target
+    connection from the target metric jet, nabla_X Y from
+    `geometry.covariant_derivative`.
+    """
+    jets = [eval_jet2(c, p) for c in F.components]
+    hess, DF = np.array([j.hessian for j in jets]), np.array([j.gradient for j in jets])
+    q = F.context(p).target_point
+    gamma_n = christoffel_symbols(metric_jet(F.target, q), q)
+    nab = covariant_derivative(F.source, ConstantField(Y), X, p)
+    return (hess @ Y) @ X + (gamma_n @ (DF @ Y)) @ (DF @ X) - DF @ nab
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +88,7 @@ def test_jacobian_critical_point():
 
 
 def test_split_frame_dilation_and_dims():
-    sf = split_frame(fmap(E33), e33_point(x3=math.log(2.0)))
+    sf = fmap(E33).context(e33_point(x3=math.log(2.0))).split
     assert sf.lam == pytest.approx(2.0, rel=1e-12)
     assert sf.dims == (2, 2, 2, 0)
     # d1 spans the first coordinate pair, d2 the (4, 6) pair
@@ -100,7 +122,7 @@ def test_split_frame_invariant_projection():
 
 
 def test_split_frame_trivial_projection():
-    sf = split_frame(fmap("linproj42"), np.array([0.2, 0.1, -0.3, 0.8]))
+    sf = fmap("linproj42").context(np.array([0.2, 0.1, -0.3, 0.8])).split
     assert sf.lam == pytest.approx(1.0)
     assert sf.dims == (2, 0, 0, 2)
 
@@ -113,7 +135,7 @@ def test_split_frame_holomorphic_like():
     assert np.linalg.norm(jac[0]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert np.linalg.norm(jac[1]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert abs(jac[0] @ jac[1]) < 1e-12
-    sf = split_frame(F, p)
+    sf = F.context(p).split
     assert sf.lam == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert sf.dims == (2, 0, 0, 2)
     kernel = np.stack(sf.vertical)
@@ -121,7 +143,7 @@ def test_split_frame_holomorphic_like():
 
 
 def test_split_frame_proper_semi_invariant():
-    sf = split_frame(fmap("linproj63"), np.full(6, 0.1))
+    sf = fmap("linproj63").context(np.full(6, 0.1)).split
     assert sf.dims == (2, 1, 1, 2)
 
 
@@ -132,7 +154,7 @@ def test_split_frame_ambiguous():
         (parse("x1", 4), parse("(x2 + x3)*0.7071067811865476", 4)),
     )
     with pytest.raises(AmbiguousSplittingError):
-        split_frame(F, np.zeros(4))
+        F.context(np.zeros(4)).split
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +222,7 @@ def test_j_coherence():
     # phi(phi v) + B(omega v) = -v on the vertical space
     for ctx in contexts(E33, count=3) + contexts("linproj63", count=3):
         for v in ctx.split.vertical:
-            res = ctx.phi_vec(ctx.phi_vec(v)) + ctx.b_vec(ctx.omega_vec(v)) + v
+            res = ctx.phi @ (ctx.phi @ v) + ctx.B @ (ctx.omega @ v) + v
             assert ctx.gnorm(res) < 1e-9
 
 
@@ -221,13 +243,13 @@ def test_t_vanishes_on_affine_fibers():
     ctx = fmap(E33).context(e33_point())
     for v in ctx.split.vertical:
         for w in ctx.split.vertical:
-            assert np.linalg.norm(oneill_t(ctx.fmap, ctx.p, v, w)) < 1e-12
+            assert np.linalg.norm(on_pairs(ctx.tensors.t, v, w)) < 1e-12
 
 
 def test_t_ignores_horizontal_first_slot():
     ctx = fmap(E33).context(e33_point())
     for x in ctx.split.horizontal:
-        out = oneill_t(ctx.fmap, ctx.p, x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
+        out = on_pairs(ctx.tensors.t, x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
         assert np.linalg.norm(out) < 1e-12
 
 
@@ -236,7 +258,7 @@ def test_a_vanishes_for_linear_projection():
     p = np.array([0.2, -0.1, 0.7, 0.4])
     for _ in range(5):
         e, g = np.random.default_rng(1).normal(size=(2, 4))
-        assert np.linalg.norm(oneill_a(F, p, e, g)) < 1e-12
+        assert np.linalg.norm(on_pairs(tensors(F, p).a, e, g)) < 1e-12
 
 
 def test_a_alternation_against_bracket():
@@ -245,8 +267,8 @@ def test_a_alternation_against_bracket():
     p = e33_point()
     ctx = F.context(p)
     X1, X2 = ctx.split.horizontal
-    br = ctx.bracket(ctx.subframe_jets("horizontal")[0], ctx.subframe_jets("horizontal")[1])
-    a12 = ctx.PVf @ oneill_a(F, p, X1, X2)
+    br = brackets(ctx.family("horizontal"), ctx.family("horizontal"))[0, 1]
+    a12 = ctx.PVf @ on_pairs(ctx.tensors.a, X1, X2)
     assert a12 == pytest.approx(0.5 * (ctx.PVf @ br), abs=1e-9)
 
 
@@ -258,8 +280,9 @@ def test_tensor_skew_symmetry(rng):
             E, W, Z = rng.normal(size=(3, ctx.fmap.source.dim))
             V = ctx.PVf @ E
             X = ctx.PHf @ E
-            assert abs(oneill_t(ctx.fmap, ctx.p, V, W) @ G @ Z + W @ G @ oneill_t(ctx.fmap, ctx.p, V, Z)) < 1e-8
-            assert abs(oneill_a(ctx.fmap, ctx.p, X, W) @ G @ Z + W @ G @ oneill_a(ctx.fmap, ctx.p, X, Z)) < 1e-8
+            T, A = ctx.tensors.t, ctx.tensors.a
+            assert abs(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z)) < 1e-8
+            assert abs(on_pairs(A, X, W) @ G @ Z + W @ G @ on_pairs(A, X, Z)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +293,7 @@ def test_sff_exponential_example():
     F = fmap("exp1")
     p = np.zeros(2)
     e1 = np.array([1.0, 0.0])
-    assert second_fundamental_form(F, p, e1, e1) == pytest.approx([1.0], abs=1e-12)
+    assert on_pairs(tensors(F, p).sff, e1, e1) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_sff_linear_projection_zero(rng):
@@ -278,7 +301,7 @@ def test_sff_linear_projection_zero(rng):
     p = np.array([0.5, 0.5, -0.5, 0.25])
     for _ in range(5):
         X, Y = rng.normal(size=(2, 4))
-        assert np.linalg.norm(second_fundamental_form(F, p, X, Y)) < 1e-12
+        assert np.linalg.norm(on_pairs(tensors(F, p).sff, X, Y)) < 1e-12
 
 
 def test_sff_symmetric(rng):
@@ -287,8 +310,8 @@ def test_sff_symmetric(rng):
         p = np.asarray(points(name, count=1)[0])
         for _ in range(10):
             X, Y = rng.normal(size=(2, F.source.dim))
-            s1 = second_fundamental_form(F, p, X, Y)
-            s2 = second_fundamental_form(F, p, Y, X)
+            s1 = on_pairs(tensors(F, p).sff, X, Y)
+            s2 = on_pairs(tensors(F, p).sff, Y, X)
             assert np.max(np.abs(s1 - s2)) < 1e-8
 
 
@@ -298,8 +321,8 @@ def test_sff_tensorial_under_extension_change(rng):
         p = np.asarray(points(name, count=1)[0])
         for _ in range(10):
             X, Y = rng.normal(size=(2, F.source.dim))
-            frame_ext = second_fundamental_form(F, p, X, Y)
-            coord_ext = second_fundamental_form(F, p, ConstantField(X), ConstantField(Y))
+            frame_ext = on_pairs(tensors(F, p).sff, X, Y)
+            coord_ext = coordinate_sff(F, p, X, Y)
             assert np.max(np.abs(frame_ext - coord_ext)) < 1e-8
 
 
@@ -308,32 +331,35 @@ def test_sff_matches_finite_differences():
     p = e33_point(0.15)
     X = FrameField(F, "horizontal", 0)
     V = FrameField(F, "vertical", 0)
-    got = second_fundamental_form(F, p, X, V)
+    S = tensors(F, p).sff
+    got = on_pairs(S, X.values_at(p), V.values_at(p))
     want = fd_sff(F, p, X, V)
     assert np.max(np.abs(got - want)) < 1e-6
-    got2 = second_fundamental_form(F, p, X, X)
+    got2 = on_pairs(S, X.values_at(p), X.values_at(p))
     want2 = fd_sff(F, p, X, X)
     assert np.max(np.abs(got2 - want2)) < 1e-6
 
 
 def test_tension_values():
-    assert np.linalg.norm(tension(fmap(E33), e33_point())) < 1e-7
-    assert np.linalg.norm(tension(fmap("linproj42"), np.array([0.1, 0.2, 0.3, 0.4]))) < 1e-12
-    assert tension(fmap("exp1"), np.zeros(2)) == pytest.approx([1.0], abs=1e-12)
+    assert np.linalg.norm(tensors(fmap(E33), e33_point()).tension) < 1e-7
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.linalg.norm(tensors(fmap("linproj42"), p).tension) < 1e-12
+    assert tensors(fmap("exp1"), np.zeros(2)).tension == pytest.approx([1.0], abs=1e-12)
 
 
 def test_fiber_mean_curvature_values():
-    assert np.linalg.norm(fiber_mean_curvature(fmap(E33), e33_point())) < 1e-12
-    assert np.linalg.norm(fiber_mean_curvature(fmap("linproj42"), np.array([0.1, 0.2, 0.3, 0.4]))) < 1e-12
+    assert np.linalg.norm(tensors(fmap(E33), e33_point()).fiber_mean_curvature) < 1e-12
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.linalg.norm(tensors(fmap("linproj42"), p).fiber_mean_curvature) < 1e-12
 
 
 def test_fiber_mean_curvature_curved_fibers():
     # oracle: T_V V for the unit vertical field V = (1/x1) d2 via the connection
     F = fmap("diag-x1sq")
     p = np.array([2.0, 0.0])
-    got = fiber_mean_curvature(F, p)
+    got = tensors(F, p).fiber_mean_curvature
     V = np.array([0.0, 0.5])  # unit at x1 = 2
-    oracle = oneill_t(F, p, V, V)
+    oracle = on_pairs(tensors(F, p).t, V, V)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx([-0.5, 0.0], abs=1e-12)
 
@@ -345,23 +371,23 @@ def test_fiber_mean_curvature_curved_fibers():
 def test_grad_ln_lambda_exponential_example():
     F = fmap(E33)
     p = e33_point(0.25)
-    g = grad_ln_lambda(F, p)
+    g = F.context(p).grad_ln_lambda
     assert g.vector == pytest.approx(np.eye(6)[2], abs=1e-10)
     assert not g.horizontally_homothetic  # x3 is a horizontal direction here
     assert g.horizontal_norm == pytest.approx(math.exp(0.25), rel=1e-9)
     # cross-check against finite differences of the detected dilation
-    fd = fd_gradient(lambda q: math.log(split_frame(F, q).lam), p)
+    fd = fd_gradient(lambda q: math.log(F.context(q).split.lam), p)
     assert g.vector == pytest.approx(fd, abs=1e-6)
 
 
 def test_grad_ln_lambda_flat_cases():
-    g = grad_ln_lambda(fmap("linproj42"), np.array([0.3, 0.1, -0.5, 0.2]))
+    g = fmap("linproj42").context(np.array([0.3, 0.1, -0.5, 0.2])).grad_ln_lambda
     assert np.linalg.norm(g.vector) < 1e-12
     assert g.horizontally_homothetic
 
 
 def test_grad_ln_lambda_horizontal_case():
-    g = grad_ln_lambda(fmap("exp1"), np.zeros(2))
+    g = fmap("exp1").context(np.zeros(2)).grad_ln_lambda
     assert g.vector == pytest.approx([1.0, 0.0], abs=1e-12)
     assert not g.horizontally_homothetic
 
@@ -373,7 +399,7 @@ def test_grad_ln_lambda_horizontal_case():
 def test_sff_identities_on_conformal_presets():
     for name in (E33, "linproj42", "linproj63", "holo4", "exp1"):
         for p in points(name, count=4):
-            rh, rv, rm = sff_identity_residuals(fmap(name), np.asarray(p))
+            rh, rv, rm = sff_identity_residuals(fmap(name).context(np.asarray(p)))
             assert max(rh, rv, rm) < 1e-7, name
 
 
@@ -383,9 +409,10 @@ def test_sff_identity_horizontal_hand_value():
     p = np.zeros(2)
     ctx = F.context(p)
     e1 = np.array([1.0, 0.0])
-    lhs = second_fundamental_form(F, p, e1, e1)
-    g = grad_ln_lambda(F, p)
-    rhs = 2.0 * ctx.dln_lambda(e1) * ctx.push(e1) - float(e1 @ ctx.Gf @ e1) * ctx.push(g.vector)
+    lhs = on_pairs(ctx.tensors.sff, e1, e1)
+    g = ctx.grad_ln_lambda
+    dln = float(e1 @ ctx.Gf @ g.vector)  # d ln(lambda) along e1
+    rhs = 2.0 * dln * ctx.push(e1) - float(e1 @ ctx.Gf @ e1) * ctx.push(g.vector)
     assert lhs == pytest.approx([1.0], abs=1e-9)
     assert rhs == pytest.approx([1.0], abs=1e-9)
 
@@ -394,22 +421,37 @@ def test_covariant_phi_omega_structure_identities():
     # the covariant derivatives of phi and omega close through B, C and T
     for name in (E33, "linproj63"):
         for ctx in contexts(name, count=3):
-            vert = ctx.frame("vertical")
-            vjets = ctx.subframe_jets("vertical")
-            for i, V in enumerate(vert):
-                for j, W in enumerate(vert):
-                    TVW = ctx.t_tensor(V, W)
-                    phi_W = ctx.phi_vec(W)
-                    om_W = ctx.omega_vec(W)
-                    hat_V_W = ctx.PVf @ ctx.cov(V, vjets[j])
-                    hat_V_phiW = ctx.PVf @ ctx.cov(V, ctx.phi_jets(vjets[j]))
-                    lhs1 = hat_V_phiW - ctx.phi_vec(hat_V_W)
-                    rhs1 = ctx.b_vec(TVW) - ctx.t_tensor(V, om_W)
+            f, T = ctx.data, ctx.tensors.t
+            # nabla of the fields omega(V_j) = P_JD2 J V_j
+            nabla_omega = nabla(ctx.gamma_src, f.vertical @ (f.PJD2 @ f.J).T)
+            for V in f.vertical.v:
+                for j, W in enumerate(f.vertical.v):
+                    TVW = on_pairs(T, V, W)
+                    phi_W = ctx.phi @ W
+                    om_W = ctx.omega @ W
+                    hat_V_W = ctx.PVf @ along(V, ctx.nabla("vertical"))[j]
+                    hat_V_phiW = ctx.PVf @ along(V, ctx.nabla("phiV"))[j]
+                    lhs1 = hat_V_phiW - ctx.phi @ hat_V_W
+                    rhs1 = ctx.B @ TVW - on_pairs(T, V, om_W)
                     assert ctx.gnorm(lhs1 - rhs1) < 1e-6
-                    h_V_omW = ctx.PHf @ ctx.cov(V, ctx.omega_jets(vjets[j]))
-                    lhs2 = h_V_omW - ctx.omega_vec(hat_V_W)
-                    rhs2 = ctx.c_vec(TVW) - ctx.t_tensor(V, phi_W)
+                    h_V_omW = ctx.PHf @ along(V, nabla_omega)[j]
+                    lhs2 = h_V_omW - ctx.omega @ hat_V_W
+                    rhs2 = ctx.C @ TVW - on_pairs(T, V, phi_W)
                     assert ctx.gnorm(lhs2 - rhs2) < 1e-6
+
+
+def test_families_are_the_operators_on_their_frames():
+    # the tabulated families are J, B, C and phi applied to the frames
+    for name in (E33, "linproj63", "holo4"):
+        for ctx in contexts(name, count=2):
+            rows = lambda n: ctx.family(n).v
+            J = ctx.Jf
+            assert np.allclose(rows("Jd1"), rows("d1") @ J.T, atol=1e-12)
+            assert np.allclose(rows("Jd2"), rows("d2") @ J.T, atol=1e-12)
+            assert np.allclose(rows("BH"), rows("horizontal") @ ctx.B.T, atol=1e-12)
+            assert np.allclose(rows("CH"), rows("horizontal") @ ctx.C.T, atol=1e-12)
+            assert np.allclose(rows("phiV"), rows("vertical") @ ctx.phi.T, atol=1e-12)
+            assert np.allclose(ctx.B, ctx.PD2f @ J) and np.allclose(ctx.C, ctx.PMUf @ J)
 
 
 def test_splitting_completeness():
@@ -444,30 +486,30 @@ seed = 5
     for p in ((0.0, 0.0), (0.4, -0.3)):
         p = np.array(p)
         e1 = np.array([1.0, 0.0])
-        got = second_fundamental_form(F, p, e1, e1)
+        ctx = F.context(p)
+        got = on_pairs(ctx.tensors.sff, e1, e1)
         want = fd_sff(F, p, ConstantField(e1), ConstantField(e1))
         assert got == pytest.approx([1.0], abs=1e-12)  # Gamma_N = 1 everywhere
         assert got == pytest.approx(want, abs=1e-6)
         # dilation tracks the composed target metric: lambda = e^{x1}
-        g = grad_ln_lambda(F, p)
-        assert split_frame(F, p).lam == pytest.approx(math.exp(p[0]), rel=1e-12)
+        g = ctx.grad_ln_lambda
+        assert ctx.split.lam == pytest.approx(math.exp(p[0]), rel=1e-12)
         assert g.vector == pytest.approx([1.0, 0.0], abs=1e-10)
-        rh, rv, rm = sff_identity_residuals(F, p)
+        rh, rv, rm = sff_identity_residuals(ctx)
         assert max(rh, rv, rm) < 1e-9
 
 
 def test_fundamental_tensors_bundle():
-    from confsub.submersion import fundamental_tensors
-
     F = fmap(E33)
     p = e33_point()
-    ft = fundamental_tensors(F, p)
+    ft = tensors(F, p)
     assert ft.point == tuple(p)
     assert np.linalg.norm(ft.tension) < 1e-7
     assert np.linalg.norm(ft.fiber_mean_curvature) < 1e-12
     v = np.eye(6)[0]
-    assert np.linalg.norm(ft.t(v, v)) < 1e-12
-    assert ft.sff(v, v) == pytest.approx(-F.context(p).push(ft.t(v, v)), abs=1e-9)
+    assert np.linalg.norm(on_pairs(ft.t, v, v)) < 1e-12
+    pushed_t = F.context(p).push(on_pairs(ft.t, v, v))
+    assert on_pairs(ft.sff, v, v) == pytest.approx(-pushed_t, abs=1e-9)
 
 
 def test_decompositions_need_complex_structure():
@@ -485,7 +527,7 @@ def test_non_conformal_map_rejected():
     # anisotropic scaling: horizontal inner products are not a single multiple
     F = SmoothMap(euclidean(3), euclidean(2), (parse("x1", 3), parse("2*x2", 3)))
     with pytest.raises(NotConformalError, match="not horizontally conformal"):
-        split_frame(F, np.array([0.1, 0.2, 0.3]))
+        F.context(np.array([0.1, 0.2, 0.3])).split
 
 
 def test_singular_metric_rejected():
@@ -499,5 +541,5 @@ def test_singular_metric_rejected():
     p = np.array([0.1, 0.2])
     for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15")):
         with pytest.raises(SingularMetricError):
-            split_frame(diag_map(g11, g22), p)
-    assert split_frame(diag_map("1", "2e-14"), p).lam == pytest.approx(1.0)
+            diag_map(g11, g22).context(p).split
+    assert diag_map("1", "2e-14").context(p).split.lam == pytest.approx(1.0)

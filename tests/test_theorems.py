@@ -6,10 +6,10 @@ from confsub.config import DEFAULT_TOLERANCES as TOL
 from confsub.errors import BookkeepingError
 from confsub.runner import run
 from confsub.scenes import load_scene_text
+from confsub.submersion import bookkeeping
 from confsub.theorems import (
     CHECKERS,
     ConditionReport,
-    DimensionBookkeeping,
     check_d2_integrable,
     check_harmonicity,
     check_jd2_mu_totally_geodesic,
@@ -212,13 +212,13 @@ def test_report_agreement_rule():
 
 
 def test_dimension_bookkeeping_validation():
-    bk = DimensionBookkeeping(m=1, n=2, r=0)
-    bk.validate(6, 2)
-    assert bk.fiber_dim == 4
+    m, n, r = bookkeeping((2, 2, 2, 0), 6, 2)  # (m, n, r) = (1, 2, 0)
+    assert (m, n, r) == (1, 2, 0)
+    assert 2 * m + n == 4  # fiber dimension
     with pytest.raises(BookkeepingError):
-        bk.validate(6, 3)
+        bookkeeping((2, 2, 2, 0), 6, 3)
     with pytest.raises(BookkeepingError):
-        DimensionBookkeeping(m=1, n=0, r=1).validate(6, 2)
+        bookkeeping((2, 0, 0, 2), 6, 2)  # (m, n, r) = (1, 0, 1)
 
 
 CONFORMAL_SURFACE = """
