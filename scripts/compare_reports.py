@@ -5,11 +5,14 @@ Usage: python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC
 
 Runs `python -m confsub check <scene> --seed S --format canonical` as a
 subprocess with PYTHONPATH set to each tree in turn, for the six presets and
-the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12.  Each report
-is parsed with `confsub.report.from_canonical` (from CHANGE_SRC).  Prints the
-number of verdict changes (verdict_a, verdict_b, agreement, vacuity, labels,
-skipped checkers, Kaehler flag and structure dims) and exit-code changes, and
-the largest residual change per row name in units of the theorem tolerance.
+the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, once with
+the scene's own point count and once with `--structure-only --points 128`.
+Each report is parsed with `confsub.report.from_canonical` (from CHANGE_SRC).
+Prints the number of verdict changes (verdict_a, verdict_b, agreement,
+vacuity, labels, skipped checkers, Kaehler flag and structure dims) and
+exit-code changes, the largest residual change per row name in units of the
+theorem tolerance, and the largest change of the dilation (relative), the
+conformality residual and the Kaehler residual over the structure rows.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -22,6 +25,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 11, 12)
+MODES = ((), ("--structure-only", "--points", "128"))
+STRUCTURE = ("lambda", "conformality", "kahler")
 BENCH_SCENES = sorted(str(f) for f in (REPO / "bench" / "scenes").glob("*.txt"))
 
 
@@ -42,6 +47,18 @@ def verdict_key(r) -> tuple:
     return (r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
 
 
+def structure_changes(a, b) -> dict[str, float]:
+    """Largest change of the dilation (relative), conformality and Kaehler residuals."""
+    out = dict.fromkeys(STRUCTURE, 0.0)
+    for x, y in zip(a.structure, b.structure, strict=True):
+        out["lambda"] = max(out["lambda"], abs(x.lam - y.lam) / abs(x.lam))
+        out["conformality"] = max(out["conformality"],
+                                  abs(x.conformality_residual - y.conformality_residual))
+        if x.kahler_residual is not None:
+            out["kahler"] = max(out["kahler"], abs(x.kahler_residual - y.kahler_residual))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -52,13 +69,14 @@ def main(argv: list[str]) -> int:
 
     _, listing = check(change, "--list-presets")
     scenes = listing.split() + BENCH_SCENES
-    rows = verdict_changes = exit_changes = 0
+    rows = structure_rows = verdict_changes = exit_changes = 0
     worst: dict[str, float] = {}
+    moved = dict.fromkeys(STRUCTURE, 0.0)
     for scene in scenes:
-        for seed in SEEDS:
-            args = (scene, "--seed", str(seed), "--format", "canonical")
+        for seed, mode in ((seed, mode) for mode in MODES for seed in SEEDS):
+            args = (scene, "--seed", str(seed), "--format", "canonical", *mode)
             (code_p, out_p), (code_c, out_c) = check(parent, *args), check(change, *args)
-            label = f"{Path(scene).stem} seed {seed}"
+            label = " ".join((Path(scene).stem, "seed", str(seed), *mode))
             if code_p != code_c:
                 exit_changes += 1
                 print(f"exit code {code_p} -> {code_c}: {label}")
@@ -69,6 +87,9 @@ def main(argv: list[str]) -> int:
                 verdict_changes += 1
                 print(f"structure, skipped checkers or row names changed: {label}")
                 continue
+            structure_rows += len(rp.structure)
+            for key, gap in structure_changes(rp, rc).items():
+                moved[key] = max(moved[key], gap)
             tol = rp.theorem_tolerance
             for name, reps in rp.reports.items():
                 for a, b in zip(reps, rc.reports[name], strict=True):
@@ -81,12 +102,16 @@ def main(argv: list[str]) -> int:
                     if a.residual_b is not None and b.residual_b is not None:
                         gap = max(gap, abs(a.residual_b - b.residual_b))
                     worst[name] = max(worst.get(name, 0.0), gap / tol)
-    print(f"{len(scenes)} scenes x {len(SEEDS)} seeds, {rows} rows compared")
+    print(f"{len(scenes)} scenes x {len(SEEDS)} seeds x {len(MODES)} modes: "
+          f"{rows} rows and {structure_rows} structure rows compared")
     print(f"verdict changes: {verdict_changes}")
     print(f"exit-code changes: {exit_changes}")
     print("largest residual change per row (units of the theorem tolerance):")
     for name in sorted(worst, key=worst.get, reverse=True):
         print(f"  {name:<38} {worst[name]:.3e}")
+    print("largest structure-row change:")
+    print(f"  lambda (relative) {moved['lambda']:.3e}, conformality residual "
+          f"{moved['conformality']:.3e}, kaehler residual {moved['kahler']:.3e}")
     return 1 if verdict_changes or exit_changes else 0
 
 

@@ -29,6 +29,10 @@ class StructureError(EngineError):
     """A frame or distribution invariant failed at a sampled point."""
 
 
+class NumericalOverflowError(EngineError):
+    """A value of the frame pass at a sampled point is not finite."""
+
+
 class BookkeepingError(EngineError):
     """Detected distribution dimensions are mutually inconsistent."""
 

@@ -526,6 +526,8 @@ def evaluate(e: ScalarExpr, xs) -> Scalar:
     if isinstance(e, Pow):
         try:
             return s_pow(evaluate(e.base, xs), e.exponent)
+        except ExprDomainError:
+            raise  # raised by a subexpression, which it already names
         except ValueError as err:
             raise ExprDomainError(str(err), to_string(e)) from None
         except OverflowError:
@@ -533,6 +535,8 @@ def evaluate(e: ScalarExpr, xs) -> Scalar:
     if isinstance(e, Call):
         try:
             return _FUNC_IMPL[e.func](evaluate(e.arg, xs))
+        except ExprDomainError:
+            raise  # raised by a subexpression, which it already names
         except ValueError as err:
             raise ExprDomainError(str(err), to_string(e)) from None
         except OverflowError:

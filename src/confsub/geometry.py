@@ -10,7 +10,6 @@ here (`nabla`, `brackets`) and shared with the per-point tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,7 @@ __all__ = [
     "canonical_complex_structure",
     "euclidean",
     "metric_entries",
+    "spd_errors",
     "metric_jet",
     "complex_structure_jet",
     "christoffel_symbols",
@@ -128,10 +128,21 @@ def metric_entries(M: ChartedManifold, xs) -> list[list]:
     return out
 
 
-def _check_spd(G: np.ndarray, p):
-    eigs = np.linalg.eigvalsh((G + G.T) / 2.0)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
-        raise NonSPDMetricError(f"metric not positive definite at {tuple(p)}: eigs {eigs}")
+def spd_errors(G: np.ndarray, points) -> list:
+    """Per metric of a stack `G[q]`: a NonSPDMetricError if it is not positive definite, else None."""
+    eigs = np.linalg.eigvalsh((G + G.swapaxes(-1, -2)) / 2.0)
+    bad = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1e-300)
+    return [
+        NonSPDMetricError(f"metric not positive definite at {tuple(p)}: eigs {e}") if b else None
+        for b, e, p in zip(bad, eigs, points)
+    ]
+
+
+def _check_spd(G: np.ndarray, points):
+    """Raise the error of the first point of the stack whose metric is not positive definite."""
+    for err in spd_errors(G, points):
+        if err is not None:
+            raise err
 
 
 def metric_jet(M: ChartedManifold, p) -> ArrayJet:
@@ -139,15 +150,27 @@ def metric_jet(M: ChartedManifold, p) -> ArrayJet:
     return ArrayJet.from_scalars(metric_entries(M, jet_seeds(p, second_order=False)), M.dim)
 
 
-def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
-    """gamma[k, i, j] = Gamma^k_ij from a metric jet; raises NonSPDMetricError."""
+def _levi_civita(g: ArrayJet) -> np.ndarray:
+    """gamma[q, k, i, j] = Gamma^k_ij from a batched metric jet, without the definiteness test."""
     G, dG = g.v, g.d
-    _check_spd(G, p)
-    Ginv = np.linalg.inv(G)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    sym = dG + dG.transpose(1, 0, 2) - np.einsum("lij->ijl", dG)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", Ginv, sym)
-    return (gamma + gamma.transpose(0, 2, 1)) / 2.0  # exact lower-index symmetry
+    n = G.shape[-1]
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), a matrix product per point
+    sym = dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)
+    prod = sym.reshape(-1, n * n, n) @ np.linalg.inv(G).swapaxes(1, 2)
+    gamma = 0.5 * prod.reshape(-1, n, n, n).transpose(0, 3, 1, 2)
+    return (gamma + gamma.swapaxes(2, 3)) / 2.0  # exact lower-index symmetry
+
+
+def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
+    """gamma[..., k, i, j] = Gamma^k_ij from a metric jet; raises NonSPDMetricError.
+
+    A batched jet (`p` the points) gives one table per point; a per-point jet
+    (`p` the point) is the batch of one.
+    """
+    if not g.batched:
+        return christoffel_symbols(ArrayJet.stack([g]), [p])[0]
+    _check_spd(g.v, p)
+    return _levi_civita(g)
 
 
 def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
@@ -248,31 +271,37 @@ def complex_structure_jet(M: ChartedManifold, p) -> ArrayJet:
     )
 
 
-def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[float, float]:
-    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
-    r_square = float(np.max(np.abs(J @ J + np.eye(J.shape[0]))))
-    r_compat = float(np.max(np.abs(J.T @ G @ J - G)))
+def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of stacks G[q], J[q]: (max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
+    r_square = np.max(np.abs(J @ J + np.eye(J.shape[-1])), axis=(1, 2))
+    r_compat = np.max(np.abs(J.swapaxes(1, 2) @ G @ J - G), axis=(1, 2))
     return r_square, r_compat
 
 
-def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> float:
-    """Max g-norm over coordinate pairs (i, j) of (nabla_{d_i} J) d_j; zero iff Kaehler."""
-    gam = gamma.transpose(1, 0, 2)  # gam[i][k, j] = Gamma^k_ij
+def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> np.ndarray:
+    """Per point of a batch: max g-norm over coordinate pairs (i, j) of (nabla_{d_i} J) d_j.
+
+    Zero iff Kaehler; `G`, `J` and `gamma` carry the point axis first.
+    """
+    gam = gamma.swapaxes(1, 2)  # gam[q, i][k, j] = Gamma^k_ij
     # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - J^k_m Gamma^m_ij, stacked over i
-    nab = J.d + gam @ J.v - J.v @ gam
-    cols = nab.transpose(0, 2, 1)  # cols[i, j] = (nabla_i J) d_j
-    return math.sqrt(max(float(np.max(np.sum((cols @ G) * cols, axis=-1))), 0.0))
+    Jv = J.v[:, None]
+    nab = J.d + gam @ Jv - Jv @ gam
+    cols = nab.swapaxes(2, 3)  # cols[q, i, j] = (nabla_i J) d_j
+    sq = np.max(np.sum((cols @ G[:, None]) * cols, axis=-1), axis=(1, 2))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def complex_structure_residuals(M: ChartedManifold, p) -> tuple[float, float]:
-    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
-    g = metric_jet(M, p)
-    _check_spd(g.v, p)
-    return j_residuals(g.v, complex_structure_jet(M, p).v)
+    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs): the batch of one."""
+    G = metric_jet(M, p).v[None]
+    _check_spd(G, [p])
+    r_square, r_compat = j_residuals(G, complex_structure_jet(M, p).v[None])
+    return float(r_square[0]), float(r_compat[0])
 
 
 def nabla_j_residual(M: ChartedManifold, p) -> float:
     """Max g-norm over coordinate pairs of (nabla_{d_i} J) d_j; zero iff Kaehler at p."""
-    J = complex_structure_jet(M, p)
-    g = metric_jet(M, p)
-    return nabla_j_norm(g.v, J, christoffel_symbols(g, p))
+    J = ArrayJet.stack([complex_structure_jet(M, p)])
+    g = ArrayJet.stack([metric_jet(M, p)])
+    return float(nabla_j_norm(g.v, J, christoffel_symbols(g, [p]))[0])

@@ -6,6 +6,14 @@ derivative axis first.  With that layout the product rule of a matrix product
 is plain batched ``@``: ``(A @ B).d = A.d @ B.v + A.v @ B.d`` broadcasts over
 the leading axis.  Only a vector right factor needs its own form,
 ``B.d @ A.v.T``, because the derivative of a vector is the matrix ``d[l, k]``.
+
+The frame pass runs on stacks of matrices over many sample points at once: a
+batched jet puts a point axis in front of both parts, ``v[q, ...]`` and
+``d[q, l, ...]``, so that ``points()[q]`` is the ordinary jet at point q.  Its
+products insert the derivative axis into the values (``v[:, None]``).  Every
+operation acts on each point on its own, and the point axis stays outermost
+in memory, so that a point's view has the layout of a batch of one: its
+numbers do not depend on the other points of its batch.
 This is vector forward mode (Griewank & Walther, *Evaluating Derivatives*,
 SIAM 2008); scalar expressions still evaluate on ``expr.Jet2``, and
 ``from_scalars`` gathers their results.
@@ -21,20 +29,26 @@ __all__ = ["ArrayJet"]
 
 
 class ArrayJet:
-    """Value ``v`` and derivative ``d`` with ``d[l, ...] = d_l v[...]``."""
+    """Value ``v`` and derivative ``d`` with ``d[l, ...] = d_l v[...]``.
 
-    __slots__ = ("v", "d")
+    With ``batched`` set, both carry a leading point axis: ``v[q, ...]`` and
+    ``d[q, l, ...]``; batched jets are stacks of matrices.
+    """
+
+    __slots__ = ("v", "d", "batched")
     # makes `ndarray @ jet` return NotImplemented, so `__rmatmul__` runs
     __array_ufunc__ = None
 
-    def __init__(self, v, d):
+    def __init__(self, v, d, batched: bool = False):
         self.v = v
         self.d = d
+        self.batched = batched
 
     @classmethod
-    def constant(cls, v, dim: int) -> "ArrayJet":
+    def constant(cls, v, dim: int, batched: bool = False) -> "ArrayJet":
         v = np.asarray(v, dtype=float)
-        return cls(v, np.zeros((dim,) + v.shape))
+        lead = v.shape[:1] if batched else ()
+        return cls(v, np.zeros(lead + (dim,) + v.shape[len(lead):]), batched)
 
     @classmethod
     def from_scalars(cls, scalars, dim: int) -> "ArrayJet":
@@ -48,31 +62,53 @@ class ArrayJet:
                 d[:, k] = s.gradient
         return cls(v, d.reshape((dim,) + grid.shape))
 
+    @classmethod
+    def stack(cls, jets) -> "ArrayJet":
+        """The batched jet of per-point jets, in order."""
+        return cls(np.stack([j.v for j in jets]), np.stack([j.d for j in jets]), True)
+
+    def points(self) -> list["ArrayJet"]:
+        """The jets at the points of a batched jet, in order (views)."""
+        return list(map(ArrayJet, self.v, self.d))
+
+    def take(self, idx) -> "ArrayJet":
+        """The batched jet of the points `idx`."""
+        return ArrayJet(self.v[idx], self.d[idx], True)
+
+    def rows(self, idx) -> "ArrayJet":
+        """The rows `idx` of every matrix of a batched jet (copies, point axis outermost)."""
+        return ArrayJet(np.take(self.v, idx, axis=1), np.take(self.d, idx, axis=2), True)
+
+    @property
+    def _vd(self):
+        """The values, broadcastable against the derivatives."""
+        return self.v[:, None] if self.batched else self.v
+
     @property
     def T(self) -> "ArrayJet":
-        """Transpose of a matrix jet."""
-        return ArrayJet(self.v.T, self.d.transpose(0, 2, 1))
+        """Transpose of a matrix jet (of each matrix of a batched jet)."""
+        return ArrayJet(self.v.swapaxes(-1, -2), self.d.swapaxes(-1, -2), self.batched)
 
     def __matmul__(self, other):
         if not isinstance(other, ArrayJet):  # constant right factor
-            return ArrayJet(self.v @ other, self.d @ other)
+            return ArrayJet(self.v @ other, self.d @ other, self.batched)
         if other.v.ndim == 1:
             return ArrayJet(self.v @ other.v, self.d @ other.v + other.d @ self.v.T)
-        return ArrayJet(self.v @ other.v, self.d @ other.v + self.v @ other.d)
+        return ArrayJet(self.v @ other.v, self.d @ other._vd + self._vd @ other.d, self.batched)
 
     def __rmatmul__(self, other):  # constant left factor
         if self.v.ndim == 1:
             return ArrayJet(other @ self.v, self.d @ other.T)
-        return ArrayJet(other @ self.v, other @ self.d)
+        return ArrayJet(other @ self.v, other @ self.d, self.batched)
 
     def __add__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v + other.v, self.d + other.d)
+        return ArrayJet(self.v + other.v, self.d + other.d, self.batched)
 
     def __sub__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v - other.v, self.d - other.d)
+        return ArrayJet(self.v - other.v, self.d - other.d, self.batched)
 
     def __neg__(self) -> "ArrayJet":
-        return ArrayJet(-self.v, -self.d)
+        return ArrayJet(-self.v, -self.d, self.batched)
 
     def __repr__(self):
-        return f"ArrayJet(v={self.v!r}, d={self.d!r})"
+        return f"ArrayJet(v={self.v!r}, d={self.d!r}, batched={self.batched})"

@@ -1,10 +1,15 @@
 """Suite runner: structure validation, Kaehler gate, checker dispatch, report assembly.
 
+The frame pass and the Kaehler test run once over all sample points
+(`SmoothMap.contexts`); the runner then reads the points in sample order, so
+the first failing point is reported, with the error a single-point run
+gives.
+
 Exit code contract: 0 success, 2 scene error (raised before a report exists:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
-or a map, metric or complex structure that leaves its domain or overflows at
-a sample point), 3 structural failure, 4 theorem disagreement, 5 hypothesis
-violations only.
+or a map, metric or complex structure that leaves its domain, or a value of
+the frame pass that overflows, at a sample point), 3 structural failure,
+4 theorem disagreement, 5 hypothesis violations only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
 """
@@ -15,7 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import Tolerances
-from .errors import EngineError, SceneError, StructureError
+from .errors import EngineError, NumericalOverflowError, SceneError, StructureError
 from .expr import ExprDomainError
 from .report import RunReport, StructureRow
 from .scenes import Scene, sample_points
@@ -68,13 +73,12 @@ def run(
     )
 
     # structure pass
-    contexts = []
+    contexts = fmap.contexts(sampled, tol)  # one frame pass and Kaehler test for all points
     dims_seen = set()
-    for idx, p in enumerate(sampled):
-        ctx = fmap.context(p, tol)
+    for idx, (p, ctx) in enumerate(zip(sampled, contexts)):
         try:
-            split = ctx.split  # evaluates every expression; validates frames and splitting
-        except ExprDomainError as err:
+            split = ctx.split  # the point's own first error, if it has one
+        except (ExprDomainError, NumericalOverflowError) as err:
             raise SceneError(f"{err} at point {tuple(float(x) for x in p)}") from None
         kah = None
         if use_j:
@@ -97,7 +101,6 @@ def run(
                 kahler_residual=kah,
             )
         )
-        contexts.append(ctx)
     if use_j and len(dims_seen) > 1:
         raise StructureError(f"distribution dimensions vary across points: {sorted(dims_seen)}")
 

@@ -1,16 +1,25 @@
 """Everything attached to a smooth map between charted manifolds.
 
-Per point the engine builds a `PointContext`.  One frame pass on first-order
-array jets (`jets.ArrayJet`: values `v[...]`, derivatives `d[l, ...] =
-d_l v[...]`) builds the metric, Jacobian, orthonormal vertical/horizontal
-frames, the invariant/anti-invariant refinement of the vertical space, the
-dilation and all projectors; every pivot, drop and validation decision reads
-the values only.  From those jets the context builds per-point tables, each
-once and on first use: the second fundamental form `S[a, i, j]` from the
-component Hessians, O'Neill's `T[:, i, j]` and `A[:, i, j]` from the projector
-jets, and for each frame family the checkers differentiate the covariant
-derivatives `nabla_{d_l}` of its rows and the pullback-connection derivatives
-of their images under dF.  A structure-only run builds none of them.
+Per point the engine builds a `PointContext`; `SmoothMap.contexts(points)`
+builds the contexts of all sample points as one batch.  One frame pass on
+first-order array jets (`jets.ArrayJet`: values `v[...]`, derivatives
+`d[l, ...] = d_l v[...]`) builds the metric, Jacobian, orthonormal
+vertical/horizontal frames, the invariant/anti-invariant refinement of the
+vertical space, the dilation and all projectors; every pivot, drop and
+validation decision reads the values only.  The pass, the source connection
+and the Kaehler test run once per batch, on jets with a leading point axis;
+expressions are still evaluated point by point.  A point that fails keeps
+its own first error, which reading it raises again, and points whose
+Gram-Schmidt drops differ run as separate groups.  A point's numbers are the
+same bit for bit in any batch, so `SmoothMap.context(p)`, the batch of one,
+is the single-point case of the same code.
+
+From those jets each context builds per-point tables, each once and on first
+use: the second fundamental form `S[a, i, j]` from the component Hessians,
+O'Neill's `T[:, i, j]` and `A[:, i, j]` from the projector jets, and for each
+frame family the checkers differentiate the covariant derivatives
+`nabla_{d_l}` of its rows and the pullback-connection derivatives of their
+images under dF.  A structure-only run builds none of them.
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
@@ -24,8 +33,9 @@ ambiguous points.  A scene declared machinery-only has no J from the start.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,18 +45,21 @@ from .errors import (
     BookkeepingError,
     CriticalPointError,
     NotConformalError,
+    NumericalOverflowError,
     SingularMetricError,
     StructureError,
 )
-from .expr import Jet2, ScalarExpr, as_jet, evaluate, jet_seeds
+from .expr import ExprDomainError, Jet2, ScalarExpr, as_jet, evaluate, jet_seeds
 from .geometry import (
     ChartedManifold,
+    _levi_civita,
     christoffel_symbols,
     complex_structure_jet,
     j_residuals,
     metric_jet,
     nabla,
     nabla_j_norm,
+    spd_errors,
 )
 from .jets import ArrayJet
 
@@ -79,9 +92,18 @@ class SmoothMap:
         if self.target.dim >= self.source.dim:
             raise ValueError("a submersion needs source dimension > target dimension")
 
+    def contexts(self, points, tol: Tolerances = DEFAULT_TOLERANCES) -> list["PointContext"]:
+        """One new context per point, sharing one batch.
+
+        The frame pass and the Kaehler test run once for the whole batch, on
+        first use; each context builds its tables on first use, and the caller
+        keeps them.
+        """
+        return _PointBatch(self, points, tol).contexts
+
     def context(self, p, tol: Tolerances = DEFAULT_TOLERANCES) -> "PointContext":
-        """A new point context; its tables are built on first use and kept by the caller."""
-        return PointContext(self, np.asarray(p, dtype=float), tol)
+        """A new context of one point: the batch of one."""
+        return self.contexts([p], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -133,7 +155,11 @@ class GradLnLambda:
 
 @dataclass
 class _PipelineResult:
-    """The frame pass at one point; frames are `(k, dim)` jets, matrices `(dim, dim)`."""
+    """The frame pass: frames are `(k, dim)` jets, matrices `(dim, dim)`.
+
+    Batched, every jet carries the point axis first and `lam` and
+    `conf_residual` are arrays over the points; `points()` splits it.
+    """
 
     G: ArrayJet
     Ginv: ArrayJet
@@ -156,30 +182,54 @@ class _PipelineResult:
     lam: float
     conf_residual: float
 
+    def points(self) -> list["_PipelineResult"]:
+        """The pass at each point of a batched result: per-point jets and floats."""
+        def split(x):
+            if x is None:
+                return itertools.repeat(None)
+            return x.points() if isinstance(x, ArrayJet) else x.tolist()
 
-def _inverse(G: ArrayJet) -> ArrayJet:
-    """Inverse with d(G^-1) = -G^-1 dG G^-1.
+        names = [f.name for f in fields(self)]
+        columns = [split(getattr(self, name)) for name in names]
+        return [_PipelineResult(**dict(zip(names, row))) for row in zip(*columns)]
 
-    Partial-pivot elimination on the values rejects a zero matrix and any pivot
-    below 1e-14 of the largest entry.
+
+class _Regroup(Exception):
+    """Inside the batched pass: go on with these groups of the batch's points (positions)."""
+
+    def __init__(self, groups):
+        super().__init__()
+        self.groups = groups
+
+
+def _raise_first(bad, error):
+    """`fail` outside the batched pass: raise the error of the first bad point."""
+    bad = np.flatnonzero(bad)
+    if len(bad):
+        raise error(int(bad[0]))
+
+
+def _inverse(G: ArrayJet, fail) -> ArrayJet:
+    """Inverse of every matrix, with d(G^-1) = -G^-1 dG G^-1.
+
+    Partial-pivot elimination on the values of all points at once rejects a
+    zero matrix and any pivot below 1e-14 of the largest entry.
     """
-    U = G.v.tolist()  # plain floats: cheaper than numpy calls on a few rows
-    n = len(U)
-    scale = max(abs(x) for row in U for x in row)
-    if scale == 0.0:
-        raise SingularMetricError("zero matrix")
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(U[r][col]))
-        if abs(U[pivot][col]) < 1e-14 * scale:
-            raise SingularMetricError("singular matrix")
-        U[col], U[pivot] = U[pivot], U[col]
-        top = U[col]
-        for r in range(col + 1, n):
-            f = U[r][col] / top[col]
-            if f != 0.0:
-                U[r] = [x - f * y for x, y in zip(U[r], top)]
+    U = G.v.copy()
+    rows = np.arange(len(U))
+    scale = np.max(np.abs(U), axis=(1, 2))
+    fail(scale == 0.0, lambda q: SingularMetricError("zero matrix"))
+    singular = np.zeros(len(U), dtype=bool)
+    for col in range(U.shape[-1]):
+        pivot = col + np.argmax(np.abs(U[:, col:, col]), axis=1)
+        top = U[rows, pivot]
+        singular |= np.abs(top[:, col]) < 1e-14 * scale
+        U[rows, pivot] = U[:, col]
+        U[:, col] = top
+        U[:, col + 1:] -= (U[:, col + 1:, col] / top[:, col, None])[..., None] * top[:, None]
+    fail(singular, lambda q: SingularMetricError("singular matrix"))
     inv = np.linalg.inv(G.v)
-    return ArrayJet(inv, -(inv @ G.d @ inv))
+    return ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,49 +240,60 @@ def _half_lower(m: int) -> np.ndarray:
     return mask
 
 
-def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None):
-    """Metric Gram-Schmidt of the seed rows in order, dropping near-dependent seeds.
+def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None,
+                  fail=_raise_first) -> ArrayJet:
+    """Metric Gram-Schmidt of the seed rows in order at every point, dropping near-dependent seeds.
 
     Seeds are first projected off the span of `against` (orthonormal rows, not
     returned).  Each seed is then projected against all earlier kept rows in
     one matrix-vector product and dropped when the value of its squared norm
-    falls below drop**2.  The kept rows are B = L^-1 P, where P holds the kept
+    falls below drop**2; a dropped seed leaves a zero row, so every point runs
+    the same loop.  A squared norm that is not finite fails its point
+    (`fail`), and points that keep different seeds go on in separate groups
+    (`_Regroup`).  The kept rows are B = L^-1 P, where P holds the kept
     projected seeds and P G P^T = L L^T with L lower triangular, so all their
     derivatives follow at once from the derivative of a Cholesky factor:
     dB = L^-1 dP - Phi(L^-1 dM L^-T) B with M = P G P^T, where Phi keeps the
     lower triangle and halves the diagonal.
     """
-    if against is not None and not len(against.v):
+    if against is not None and not against.v.shape[1]:
         against = None
     Gv = G.v
-    Pv = seeds.v if against is None else seeds.v - (seeds.v @ Gv @ against.v.T) @ against.v
+    Pv = seeds.v
+    if against is not None:
+        Pv = Pv - (Pv @ Gv @ against.v.swapaxes(1, 2)) @ against.v
     PG = Pv @ Gv
-    k, dim = Pv.shape
-    B = np.empty((k, dim))
-    Linv = np.zeros((k, k))  # row j: B[j] as a combination of the kept seeds
-    kept = []
+    N, k, dim = Pv.shape
+    B = np.zeros((N, k, dim))
+    Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
+    keep = np.zeros((N, k), dtype=bool)
+    finite = np.ones(N, dtype=bool)
     for i in range(k):
-        m = len(kept)
-        c = B[:m] @ PG[i]
-        w = Pv[i] - c @ B[:m]
-        n2 = float(w @ Gv @ w)
-        if n2 >= drop * drop:
-            r = 1.0 / math.sqrt(n2)
-            B[m] = w * r
-            Linv[m, :m] = -r * (c @ Linv[:m, :m])
-            Linv[m, m] = r
-            kept.append(i)
+        c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
+        w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
+        n2 = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
+        finite &= np.isfinite(n2)
+        ok = keep[:, i] = n2 >= drop * drop
+        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, n2, 1.0)), 0.0)
+        B[:, i] = w * r[:, None]
+        Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
+        Linv[:, i, i] = r
+    fail(~finite, lambda q: NumericalOverflowError("numerical overflow in a Gram-Schmidt squared norm"))
+    if (keep != keep[:1]).any():
+        _, group = np.unique(keep, axis=0, return_inverse=True)
+        group = group.ravel()
+        raise _Regroup([np.flatnonzero(group == g) for g in range(group.max() + 1)])
+    kept = np.flatnonzero(keep[0])
     m = len(kept)
     if m == 0:
-        return ArrayJet(B[:0], np.zeros((dim, 0, dim)))
-    B, Linv = B[:m], Linv[:m, :m]
-    P = seeds if m == k else ArrayJet(seeds.v[kept], seeds.d[:, kept])
+        return ArrayJet(B[:, :0], np.zeros((N, dim, 0, dim)), True)
+    B, Linv = np.take(B, kept, axis=1), np.take(np.take(Linv, kept, axis=1), kept, axis=2)
+    P = seeds if m == k else seeds.rows(kept)
     if against is not None:
         P = P - (P @ G @ against.T) @ against
-    PG = P @ G
-    dM = PG.d @ P.v.T + PG.v @ P.T.d
-    X = (Linv @ dM @ Linv.T) * _half_lower(m)
-    return ArrayJet(B, Linv @ P.d - X @ B)
+    dM = (P @ G @ P.T).d
+    X = (Linv[:, None] @ dM @ Linv.swapaxes(1, 2)[:, None]) * _half_lower(m)
+    return ArrayJet(B, Linv[:, None] @ P.d - X @ B[:, None], True)
 
 
 def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
@@ -246,33 +307,39 @@ def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
-                  tol: Tolerances, point) -> _PipelineResult:
-    """The frame pass on array jets; every decision reads values only."""
-    point = tuple(float(x) for x in point)
-    dim, n = DF.v.shape[1], DF.v.shape[0]
-    Ginv = _inverse(G)
+                  tol: Tolerances, points: np.ndarray, fail) -> _PipelineResult:
+    """The frame pass on batched array jets; every decision reads values only.
 
-    horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop)  # seeds: G^-1 grad F^a
-    if len(horizontal.v) < n:
-        raise CriticalPointError(
-            f"differential has rank {len(horizontal.v)} < {n} at {point}"
-        )
-    vertical = _gram_schmidt(G, ArrayJet.constant(np.eye(dim), dim), tol.drop, against=horizontal)
-    if len(vertical.v) != dim - n:
-        raise StructureError(
-            f"vertical frame has {len(vertical.v)} vectors, expected {dim - n} at {point}"
-        )
+    Each validation calls `fail(bad, error)` with a mask over the points and
+    the error `error(q)` of a failing point q, in pipeline order.
+    """
+    at = lambda q: tuple(float(x) for x in points[q])
+    N, n, dim = DF.v.shape
+    for what, jet in (("source metric", G), ("map derivatives", DF),
+                      ("target metric", gN), ("complex structure", J)):
+        if jet is not None:
+            finite = np.isfinite(jet.v.reshape(N, -1)).all(1) & np.isfinite(jet.d.reshape(N, -1)).all(1)
+            fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
+    Ginv = _inverse(G, fail)
+
+    horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
+    h = horizontal.v.shape[1]
+    fail(h < n, lambda q: CriticalPointError(f"differential has rank {h} < {n} at {at(q)}"))
+    eye = ArrayJet.constant(np.broadcast_to(np.eye(dim), G.v.shape), dim, batched=True)
+    vertical = _gram_schmidt(G, eye, tol.drop, against=horizontal, fail=fail)
+    v = vertical.v.shape[1]
+    fail(v != dim - n, lambda q: StructureError(
+        f"vertical frame has {v} vectors, expected {dim - n} at {at(q)}"))
 
     FX = horizontal @ DF.T  # rows dF(X_a)
     gram = FX @ gN @ FX.T
-    lambda_sq = ArrayJet(np.trace(gram.v) / n, np.trace(gram.d, axis1=1, axis2=2) / n)
-    lsq = float(lambda_sq.v)
-    conf_residual = float(np.max(np.abs(gram.v - lsq * np.eye(n))))
-    if conf_residual > tol.conformality * lsq:
-        raise NotConformalError(
-            f"not horizontally conformal at {point}: residual {conf_residual:.3e} "
-            f"against square dilation {lsq:.3e}"
-        )
+    lsq = np.trace(gram.v, axis1=1, axis2=2) / n
+    lambda_sq = ArrayJet(lsq, np.trace(gram.d, axis1=2, axis2=3) / n, True)
+    fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
+    conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
+    fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
+        f"not horizontally conformal at {at(q)}: residual {conf_residual[q]:.3e} "
+        f"against square dilation {lsq[q]:.3e}"))
 
     PV = _projector(G, vertical)
     PH = _projector(G, horizontal)
@@ -281,62 +348,55 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
     PD1 = PD2 = PJD2 = PMU = None
     if J is not None:
         Qm = PV @ (J @ PV)
-        Qv = vertical.v @ G.v @ Qm.v @ vertical.v.T
-        svals = np.linalg.svd(Qv, compute_uv=False) if len(Qv) else np.array([])
+        Qv = vertical.v @ G.v @ Qm.v @ vertical.v.swapaxes(1, 2)
+        svals = np.linalg.svd(Qv, compute_uv=False)
         thr = 1.0 - tol.split_threshold
-        n_d1 = int(np.sum(svals > thr))
+        n_d1 = np.sum(svals > thr, axis=1)
         # genuine structures give singular values at 1 or 0; anything in
         # between means the invariant subspace is not well separated
-        for s in svals:
-            if tol.split_margin <= s <= thr:
-                raise AmbiguousSplittingError(
-                    f"splitting ambiguous at {point}: singular value {s:.6f} "
-                    f"between {tol.split_margin} and {thr:.7f}"
-                )
-        if n_d1 % 2 != 0:
-            raise StructureError(
-                f"invariant vertical subspace has odd dimension {n_d1} at {point}"
-            )
+        between = (tol.split_margin <= svals) & (svals <= thr)
+        fail(between.any(axis=1), lambda q: AmbiguousSplittingError(
+            f"splitting ambiguous at {at(q)}: singular value {svals[q][between[q]][0]:.6f} "
+            f"between {tol.split_margin} and {thr:.7f}"))
+        fail(n_d1 % 2 != 0, lambda q: StructureError(
+            f"invariant vertical subspace has odd dimension {n_d1[q]} at {at(q)}"))
         # -(P_V J P_V)^2 projects onto the J-invariant part of the vertical space
-        d1 = _gram_schmidt(G, -(vertical @ (Qm @ Qm).T), tol.drop)
-        d2 = _gram_schmidt(G, vertical, tol.drop, against=d1)
-        jd2 = _gram_schmidt(G, d2 @ J.T, tol.drop)
-        mu = _gram_schmidt(G, horizontal, tol.drop, against=jd2)
-        PD1 = _projector(G, d1)
-        PD2 = _projector(G, d2)
-        PJD2 = _projector(G, jd2)
-        PMU = _projector(G, mu)
+        d1 = _gram_schmidt(G, -(vertical @ (Qm @ Qm).T), tol.drop, fail=fail)
+        m1 = d1.v.shape[1]
+        fail(n_d1 != m1, lambda q: StructureError(
+            f"invariant frame has {m1} vectors but {n_d1[q]} singular values "
+            f"above threshold at {at(q)}"))
+        d2 = _gram_schmidt(G, vertical, tol.drop, against=d1, fail=fail)
+        jd2 = _gram_schmidt(G, d2 @ J.T, tol.drop, fail=fail)
+        fail(jd2.v.shape[1] != d2.v.shape[1],
+             lambda q: StructureError(f"J(d2) frame degenerate at {at(q)}"))
+        mu = _gram_schmidt(G, horizontal, tol.drop, against=jd2, fail=fail)
+        r = mu.v.shape[1]
+        fail(r % 2 != 0, lambda q: StructureError(
+            f"complement of J(d2) has odd dimension {r} at {at(q)}"))
+        PD1, PD2, PJD2, PMU = (_projector(G, f) for f in (d1, d2, jd2, mu))
 
-        if len(d1.v) != n_d1:
-            raise StructureError(
-                f"invariant frame has {len(d1.v)} vectors but {n_d1} singular values "
-                f"above threshold at {point}"
-            )
-        if len(jd2.v) != len(d2.v):
-            raise StructureError(f"J(d2) frame degenerate at {point}")
-        if len(mu.v) % 2 != 0:
-            raise StructureError(
-                f"complement of J(d2) has odd dimension {len(mu.v)} at {point}"
-            )
-        Jd1 = d1.v @ J.v.T
-        r_d1 = float(np.max(row_norms(Jd1 - Jd1 @ PD1.v.T, G.v), initial=0.0))
-        r_d2 = float(np.max(row_norms(d2.v @ J.v.T @ PV.v.T, G.v), initial=0.0))
-        if r_d1 > tol.structural or r_d2 > tol.structural:
-            raise StructureError(
-                f"vertical space is not semi-invariant at {point}: "
-                f"J(d1) residual {r_d1:.3e}, J(d2) horizontality residual {r_d2:.3e}"
-            )
+        JT = J.v.swapaxes(1, 2)
+        Jd1 = d1.v @ JT
+        r_d1 = np.max(row_norms(Jd1 - Jd1 @ PD1.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
+        r_d2 = np.max(row_norms(d2.v @ JT @ PV.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
+        fail((r_d1 > tol.structural) | (r_d2 > tol.structural), lambda q: StructureError(
+            f"vertical space is not semi-invariant at {at(q)}: "
+            f"J(d1) residual {r_d1[q]:.3e}, J(d2) horizontality residual {r_d2[q]:.3e}"))
 
-    frame = np.vstack((vertical.v, horizontal.v))
-    gram = frame @ G.v @ frame.T
+    frame = np.concatenate((vertical.v, horizontal.v), axis=1)
+    gram = frame @ G.v @ frame.swapaxes(1, 2)
     off = np.abs(gram - np.eye(dim)) > tol.structural
-    if off.any():
-        i, j = np.argwhere(off)[0]
-        raise StructureError(f"frame not orthonormal at {point}: gram[{i},{j}] = {gram[i, j]}")
-    pushed = row_norms(vertical.v @ DF.v.T, gN.v)
-    if pushed.max() > tol.structural:
-        r = pushed[np.argmax(pushed > tol.structural)]
-        raise StructureError(f"pushforward of vertical vector has norm {r:.3e} at {point}")
+
+    def not_orthonormal(q):
+        i, j = np.argwhere(off[q])[0]
+        return StructureError(f"frame not orthonormal at {at(q)}: gram[{i},{j}] = {gram[q, i, j]}")
+
+    fail(off.any(axis=(1, 2)), not_orthonormal)
+    pushed = row_norms(vertical.v @ DF.v.swapaxes(1, 2), gN.v)
+    big = pushed > tol.structural
+    fail(big.any(axis=1), lambda q: StructureError(
+        f"pushforward of vertical vector has norm {pushed[q][big[q]][0]:.3e} at {at(q)}"))
 
     return _PipelineResult(
         G=G,
@@ -357,9 +417,118 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
         PJD2=PJD2,
         PMU=PMU,
         lambda_sq=lambda_sq,
-        lam=math.sqrt(lsq),
+        lam=np.sqrt(lsq),
         conf_residual=conf_residual,
     )
+
+
+def _frame_pass(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
+                tol: Tolerances, points: np.ndarray):
+    """The frame pass over stacked points: ([(positions, batched result)], {position: error}).
+
+    A point that fails records its first error and leaves the batch; points
+    whose Gram-Schmidt drops differ go on in separate groups.  Either way the
+    pass restarts on the remaining points, which repeats their numbers bit for
+    bit: every operation acts on each point on its own.
+    """
+    done, errors, pending = [], {}, [np.arange(len(points))]
+    with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
+        while pending:
+            idx = pending.pop()
+
+            def fail(bad, error, idx=idx):
+                if not np.any(bad):
+                    return
+                bad = np.flatnonzero(np.broadcast_to(bad, idx.shape))
+                errors.update((int(idx[q]), error(q)) for q in bad)
+                raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
+
+            part = lambda jet: None if jet is None else jet.take(idx)
+            try:
+                res = _run_pipeline(part(G), part(DF), part(J), part(gN), tol, points[idx], fail)
+            except _Regroup as split:
+                pending += [idx[g] for g in split.groups if len(g)]
+            else:
+                done.append((idx, res))
+    return done, errors
+
+
+def _entry(e):
+    """A point's entry in a batch stage: its result, or the error it raised, raised again."""
+    if isinstance(e, Exception):
+        raise e
+    return e
+
+
+class _PointBatch:
+    """The frame pass and the Kaehler test shared by the contexts of one `SmoothMap.contexts` call.
+
+    Each stage runs once, on first use, over all the points at once.  Per
+    point it keeps a result, or the first error the point raised, in pipeline
+    order; reading the point raises that error again.  Expression evaluation
+    still runs point by point, in sample order, before the jets are stacked.
+    """
+
+    def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
+        self.tol = tol
+        self.contexts = [
+            PointContext(fmap, np.asarray(p, dtype=float), tol, self, q) for q, p in enumerate(points)
+        ]
+
+    def data(self, q: int) -> _PipelineResult:
+        return _entry(self._pass[0][q])
+
+    def connection(self, q: int):
+        """(source Christoffel symbols, Kaehler residuals or None) at point q."""
+        return _entry(self._connection[q])
+
+    @functools.cached_property
+    def _pass(self) -> tuple[list, list]:
+        """Per point its pass or its error; (point indices, batched result) of each group run."""
+        entries, inputs, alive = [None] * len(self.contexts), [], []
+        with np.errstate(all="ignore"):  # the pass fails non-finite inputs explicitly
+            for q, ctx in enumerate(self.contexts):
+                try:
+                    inputs.append(ctx._pass_inputs())
+                except ExprDomainError as err:  # kept for the point, raised when it is read
+                    entries[q] = err
+                else:
+                    alive.append(q)
+        if not alive:
+            return entries, []
+        alive = np.array(alive)
+        G, DF, J, gN = (None if col[0] is None else ArrayJet.stack(col) for col in zip(*inputs))
+        done, errors = _frame_pass(G, DF, J, gN, self.tol, np.array([c.p for c in self.contexts])[alive])
+        for pos, err in errors.items():
+            entries[alive[pos]] = err
+        groups = [(alive[idx], res) for idx, res in done]
+        for members, res in groups:
+            for q, at_q in zip(members, res.points()):
+                entries[q] = at_q
+        return entries, groups
+
+    @functools.cached_property
+    def _connection(self) -> list:
+        """Per point (gamma, Kaehler residuals or None), or the point's error."""
+        entries, groups = self._pass
+        out = [e if isinstance(e, Exception) else None for e in entries]
+        for members, res in groups:
+            errs = spd_errors(res.G.v, [self.contexts[q].p for q in members])
+            for q, err in zip(members, errs):
+                out[q] = err
+            good = np.array([k for k, err in enumerate(errs) if err is None], dtype=int)
+            if not len(good):
+                continue
+            G = res.G.take(good)
+            gamma = _levi_civita(G)
+            kahler = [None] * len(good)
+            if res.J is not None:
+                J = res.J.take(good)
+                r_square, r_compat = j_residuals(G.v, J.v)
+                kahler = zip(r_square.tolist(), r_compat.tolist(), nabla_j_norm(G.v, J, gamma).tolist())
+            for q, g, kah in zip(members[good], gamma, kahler):
+                out[q] = (g, kah)
+        return out
 
 
 def _value_view(name: str):
@@ -413,12 +582,19 @@ def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
 
 
 class PointContext:
-    """All pointwise data for a map at one sample point, computed lazily."""
+    """All pointwise data for a map at one sample point, computed lazily.
 
-    def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances):
+    The frame pass, the source connection and the Kaehler test come from the
+    point's batch (`SmoothMap.contexts`); the tables are built per point.
+    """
+
+    def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances, batch: "_PointBatch",
+                 index: int):
         self.fmap = fmap
         self.p = p
         self.tol = tol
+        self._batch = batch
+        self._index = index
         self._cache: dict = {}
 
     def _get(self, name, builder):
@@ -448,24 +624,26 @@ class PointContext:
 
     # -- the frame pass ---------------------------------------------------------
 
+    def _pass_inputs(self) -> tuple[ArrayJet, ArrayJet, ArrayJet | None, ArrayJet]:
+        """(G, DF, J, gN) at this point, evaluated in the order map, target metric, J, metric."""
+        src = self.fmap.source
+        dim, n = src.dim, self.fmap.target.dim
+        comps = self.comp_jets
+        # d_l DF[a, i] is the Hessian entry [a, l, i]
+        DF = ArrayJet(
+            np.array([c.gradient for c in comps]),
+            np.array([c.hessian for c in comps]).transpose(1, 0, 2),
+        )
+        tgt = self._target_metric
+        # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
+        gN = ArrayJet(tgt.v, (DF.v.T @ tgt.d.reshape(n, n * n)).reshape(dim, n, n))
+        J = complex_structure_jet(src, self.p) if src.complex_structure is not None else None
+        return metric_jet(src, self.p), DF, J, gN
+
     @property
     def data(self) -> _PipelineResult:
-        def build():
-            src = self.fmap.source
-            dim, n = src.dim, self.fmap.target.dim
-            comps = self.comp_jets
-            # d_l DF[a, i] is the Hessian entry [a, l, i]
-            DF = ArrayJet(
-                np.array([c.gradient for c in comps]),
-                np.array([c.hessian for c in comps]).transpose(1, 0, 2),
-            )
-            tgt = self._target_metric
-            # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
-            gN = ArrayJet(tgt.v, (DF.v.T @ tgt.d.reshape(n, n * n)).reshape(dim, n, n))
-            J = complex_structure_jet(src, self.p) if src.complex_structure is not None else None
-            return _run_pipeline(metric_jet(src, self.p), DF, J, gN, self.tol, self.p)
-
-        return self._get("data", build)
+        """This point's view of the batch's frame pass; raises the point's error."""
+        return self._get("data", lambda: self._batch.data(self._index))
 
     # the stage names the layer timings of the benchmark read
     fdata = jdata = data
@@ -485,7 +663,7 @@ class PointContext:
 
     @property
     def gamma_src(self) -> np.ndarray:
-        return self._get("gamma_src", lambda: christoffel_symbols(self.data.G, self.p))
+        return self._get("gamma_src", lambda: self._batch.connection(self._index)[0])
 
     @property
     def gamma_tgt(self) -> np.ndarray:
@@ -518,12 +696,16 @@ class PointContext:
         return self._get("split", build)
 
     def kahler_residuals(self) -> tuple[float, float, float]:
-        """(|J^2 + I|, compatibility, |nabla J|) from the point's own jets: bit-identical to
-        `geometry.complex_structure_residuals` and `nabla_j_residual`, which re-evaluate them."""
-        gamma = self.gamma_src  # rejects a non-SPD metric first
-        J = self.data.J
-        r_square, r_compat = j_residuals(self.Gf, J.v)
-        return r_square, r_compat, nabla_j_norm(self.Gf, J, gamma)
+        """(|J^2 + I|, compatibility, |nabla J|) from the batch's test over all its points.
+
+        Bit-identical to `geometry.complex_structure_residuals` and
+        `nabla_j_residual`, which re-evaluate the jets as a batch of one.  The
+        source connection comes first, so a non-SPD metric raises first.
+        """
+        kahler = self._batch.connection(self._index)[1]
+        if kahler is None:
+            raise StructureError("source manifold has no complex structure")
+        return kahler
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

@@ -152,8 +152,9 @@ def _geodesic_residual(ctx: PointContext, name: str, Z: np.ndarray) -> float:
 def _off_pushed_mu(ctx: PointContext, W: np.ndarray) -> np.ndarray:
     """g_N-norms of the parts of the target vectors W[..., :] orthogonal to dF(mu)."""
     GN = ctx.GNf
-    Q = ctx._get("pushed_mu_basis", lambda: _gram_schmidt(
-        ArrayJet.constant(GN, 1), ArrayJet.constant(_rows(ctx, "mu") @ ctx.DFf.T, 1), 1e-12).v)
+    Q = ctx._get("pushed_mu_basis", lambda: _gram_schmidt(*(
+        ArrayJet.constant(x[None], 1, batched=True) for x in (GN, _rows(ctx, "mu") @ ctx.DFf.T)
+    ), 1e-12).v[0])
     return row_norms(W - (W @ GN @ Q.T) @ Q, GN)
 
 

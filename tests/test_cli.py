@@ -235,8 +235,9 @@ seed = 1
         ("log(x1)", "-1 1, -1 1", "'log(x1)'"),
         ("exp(2000*x1)", "0.5 1, -1 1", "'exp(2000.0 * x1)'"),  # OverflowError in exp
         ("x1^1000", "3 4, -1 1", "'x1^1000.0'"),  # OverflowError in a power
+        ("sqrt(log(x1))", "-1 1, -1 1", "'log(x1)'"),  # only the innermost failing subexpression
     ],
-    ids=["log", "exp-overflow", "pow-overflow"],
+    ids=["log", "exp-overflow", "pow-overflow", "nested"],
 )
 def test_domain_error_exit_code(tmp_path, map_text, box, subexpr):
     f = tmp_path / "domain.scene"
@@ -246,7 +247,20 @@ def test_domain_error_exit_code(tmp_path, map_text, box, subexpr):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("scene error:")
     assert subexpr in err and "at point (" in err
+    assert err.count("in subexpression") == 1
     assert "Traceback" not in err
+
+
+def test_frame_pass_overflow_exit_code(tmp_path):
+    # the squared gradient norms overflow: a scene error, not a dropped Gram-Schmidt seed
+    f = tmp_path / "overflow.scene"
+    f.write_text((REPO / "bench" / "scenes" / "anti-toy.txt").read_text().replace(
+        "F 1 = x1\n", "F 1 = (x1) * 1e200\n"))
+    code, _, err = run_cli("check", str(f))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("scene error: numerical overflow") and "at point (" in lines[0]
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

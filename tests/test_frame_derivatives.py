@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from confsub.jets import ArrayJet
-from confsub.scenes import load_scene_text, sample_points
+from confsub.scenes import sample_points
 from confsub.submersion import _gram_schmidt
 
-from .conftest import ALL_SCENE_NAMES, fresh_scene
+from .conftest import SCENES_WITH_GENERIC as SCENES, fresh_scene
 from .fdtools import (
     NABLA_FAMILIES,
     PULLBACK_FAMILIES,
@@ -30,36 +30,10 @@ from .fdtools import (
 # error here; an axis mix-up is of order one
 MARGIN = 1e-7
 
-# a curved, non-diagonal source metric and a curved target: the projectors are
-# not symmetric matrices and every connection term is nonzero, which the
-# presets (conformally flat sources, flat targets) never show
-GENERIC_METRIC = """
-name = generic-metric
-[source]
-dim = 3
-g 1 1 = 1 + 0.3*x2^2
-g 1 2 = 0.2*x3
-g 2 2 = 2 + sin(x1)
-g 2 3 = 0.1*x1
-g 3 3 = 1.5
-[target]
-dim = 1
-g 1 1 = exp(x1)
-[map]
-F 1 = x1 + 0.5*x2*x3
-[sampling]
-box = -1 1, -1 1, -1 1
-"""
-SCENES = ALL_SCENE_NAMES + ("generic-metric",)
-
-
-def _scene(name):
-    return load_scene_text(GENERIC_METRIC) if name == "generic-metric" else fresh_scene(name)
-
 
 @pytest.mark.parametrize("name", SCENES)
 def test_pass_derivatives_match_finite_differences(name):
-    sc = _scene(name)
+    sc = fresh_scene(name)
     for p in sample_points(sc, count=3, seed=5):
         margins = pass_derivative_margins(sc.fmap, p, sc.tolerances)
         assert {"vertical", "horizontal", "PV", "PH", "lambda_sq", "gamma_src"} <= set(margins)
@@ -71,7 +45,7 @@ def test_pass_derivatives_match_finite_differences(name):
 
 @pytest.mark.parametrize("name", SCENES)
 def test_tables_match_finite_differences(name):
-    sc = _scene(name)
+    sc = fresh_scene(name)
     for p in sample_points(sc, count=3, seed=5):
         margins = table_margins(sc.fmap, p, sc.tolerances)
         assert {"sff", "T", "A", "nabla vertical", "nabla horizontal"} <= set(margins)
@@ -117,27 +91,31 @@ def test_array_jet_products_match_finite_differences(rng):
 
 def test_gram_schmidt_derivatives_on_generic_input(rng):
     # a varying metric and seeds whose Gram matrix has varying off-diagonal
-    # entries: the scenes' frames do not exercise every term of the formula
+    # entries: the scenes' frames do not exercise every term of the formula;
+    # three independent inputs run as one batch
     dim, p = 5, np.zeros(5)
-    R, fR = _affine_jet(rng, (dim, dim), dim)
-    S, fS = _affine_jet(rng, (3, dim), dim)
-    A0, fA0 = _affine_jet(rng, (2, dim), dim)
+    batched = lambda *jets: ArrayJet.stack(jets)
+    cases = []
+    for _ in range(3):
+        R, fR = _affine_jet(rng, (dim, dim), dim)
+        S, fS = _affine_jet(rng, (3, dim), dim)
+        A0, fA0 = _affine_jet(rng, (2, dim), dim)
 
-    def metric(q):
-        r = fR(q, p)
-        return r @ r.T + dim * np.eye(dim)
+        def gs(q, fR=fR, fS=fS, fA0=fA0):
+            r = fR(q, p)
+            G = batched(ArrayJet.constant(r @ r.T + dim * np.eye(dim), dim))
+            against = _gram_schmidt(G, batched(ArrayJet.constant(fA0(q, p), dim)), 1e-10)
+            seeds = batched(ArrayJet.constant(fS(q, p), dim))
+            return _gram_schmidt(G, seeds, 1e-10, against=against).v[0]
 
-    def gs(q):
-        G = ArrayJet.constant(metric(q), dim)
-        against = _gram_schmidt(G, ArrayJet.constant(fA0(q, p), dim), 1e-10)
-        return _gram_schmidt(G, ArrayJet.constant(fS(q, p), dim), 1e-10, against=against).v
-
-    G = R @ R.T + ArrayJet.constant(dim * np.eye(dim), dim)
-    against = _gram_schmidt(G, A0, 1e-10)
-    # the middle seed repeats the first: it must be dropped at every nearby point
-    seeds = ArrayJet(S.v[[0, 0, 1, 2]], S.d[:, [0, 0, 1, 2]])
-    got = _gram_schmidt(G, seeds, 1e-10, against=against)
-    assert got.v.shape == (3, dim)
-    assert np.allclose(got.v @ G.v @ got.v.T, np.eye(3)) and np.allclose(got.v @ G.v @ against.v.T, 0.0)
-    want = np.moveaxis(fd_jacobian(gs, p), -1, 0)
-    assert np.max(np.abs(got.d - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
+        # the middle seed repeats the first: it must be dropped at every nearby point
+        seeds = ArrayJet(S.v[[0, 0, 1, 2]], S.d[:, [0, 0, 1, 2]])
+        cases.append((R @ R.T + ArrayJet.constant(dim * np.eye(dim), dim), A0, seeds, gs))
+    G = batched(*(c[0] for c in cases))
+    against = _gram_schmidt(G, batched(*(c[1] for c in cases)), 1e-10)
+    out = _gram_schmidt(G, batched(*(c[2] for c in cases)), 1e-10, against=against)
+    for (_, _, _, gs), got, Gq, against_q in zip(cases, out.points(), G.points(), against.points()):
+        assert got.v.shape == (3, dim)
+        assert np.allclose(got.v @ Gq.v @ got.v.T, np.eye(3)) and np.allclose(got.v @ Gq.v @ against_q.v.T, 0.0)
+        want = np.moveaxis(fd_jacobian(gs, p), -1, 0)
+        assert np.max(np.abs(got.d - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
