@@ -13,6 +13,11 @@ vacuity, labels, skipped checkers, Kaehler flag and structure dims) and
 exit-code changes, the largest residual change per row name in units of the
 theorem tolerance, and the largest change of the dilation (relative), the
 conformality residual and the Kaehler residual over the structure rows.
+
+It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
+domain or overflow at a sample point), written to a temporary directory,
+through both trees, and prints the number of stderr changes and each
+differing pair of lines; their exit-code changes count with the others.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -28,13 +34,59 @@ SEEDS = (1, 2, 3, 11, 12)
 MODES = ((), ("--structure-only", "--points", "128"))
 STRUCTURE = ("lambda", "conformality", "kahler")
 BENCH_SCENES = sorted(str(f) for f in (REPO / "bench" / "scenes").glob("*.txt"))
+FAILING_SCENE = """name = {name}
+[source]
+dim = 2
+metric = euclidean
+[target]
+dim = 1
+metric = euclidean
+[map]
+F 1 = {map}
+[sampling]
+box = {box}
+count = 4
+seed = 1
+"""
+# name: (map, box); each fails at a sample point, in evaluation or in the frame pass
+FAILING = {
+    "log-negative": ("log(x1)", "-1 1, -1 1"),
+    "division-by-zero": ("x2/(x1 - x1)", "-1 1, -1 1"),
+    "fractional-power": ("x1^1.5 + x2", "-1 1, -1 1"),
+    "nested": ("sqrt(log(x1))", "-1 1, -1 1"),
+    "constant-division": ("x1/0", "-1 1, -1 1"),
+    "constant-log": ("log(0 - 1)*x1", "-1 1, -1 1"),
+    "exp-overflow": ("exp(2000*x1)", "0.5 1, -1 1"),
+    "pow-overflow": ("x1^1000", "3 4, -1 1"),
+    "gram-schmidt-overflow": ("(x1) * 1e200", "-1 1, -1 1"),
+    "sin-overflow": ("sin(x1*1e200*1e200)", "0.5 1, -1 1"),
+}
 
 
-def check(src: str, *args: str) -> tuple[int, str]:
+def check(src: str, *args: str) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     proc = subprocess.run([sys.executable, "-m", "confsub", "check", *args],
                           capture_output=True, text=True, env=env, cwd=REPO)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def failing_changes(parent: str, change: str) -> int:
+    """Run the failing scenes through both trees; print the stderr changes, return the exit-code changes."""
+    exit_changes, stderr_changes = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (map_text, box) in FAILING.items():
+            path = Path(tmp) / f"{name}.scene"
+            path.write_text(FAILING_SCENE.format(name=name, map=map_text, box=box))
+            (code_p, _, err_p), (code_c, _, err_c) = check(parent, str(path)), check(change, str(path))
+            if code_p != code_c:
+                exit_changes += 1
+                print(f"exit code {code_p} -> {code_c}: failing scene {name}")
+            if err_p != err_c:
+                stderr_changes.append((name, err_p.strip(), err_c.strip()))
+    print(f"{len(FAILING)} failing scenes: stderr changes: {len(stderr_changes)}")
+    for name, err_p, err_c in stderr_changes:
+        print(f"  {name}:\n    - {err_p}\n    + {err_c}")
+    return exit_changes
 
 
 def head(report) -> tuple:
@@ -67,7 +119,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path(change).resolve()))
     from confsub.report import from_canonical
 
-    _, listing = check(change, "--list-presets")
+    _, listing, _ = check(change, "--list-presets")
     scenes = listing.split() + BENCH_SCENES
     rows = structure_rows = verdict_changes = exit_changes = 0
     worst: dict[str, float] = {}
@@ -75,7 +127,7 @@ def main(argv: list[str]) -> int:
     for scene in scenes:
         for seed, mode in ((seed, mode) for mode in MODES for seed in SEEDS):
             args = (scene, "--seed", str(seed), "--format", "canonical", *mode)
-            (code_p, out_p), (code_c, out_c) = check(parent, *args), check(change, *args)
+            (code_p, out_p, _), (code_c, out_c, _) = check(parent, *args), check(change, *args)
             label = " ".join((Path(scene).stem, "seed", str(seed), *mode))
             if code_p != code_c:
                 exit_changes += 1
@@ -104,6 +156,7 @@ def main(argv: list[str]) -> int:
                     worst[name] = max(worst.get(name, 0.0), gap / tol)
     print(f"{len(scenes)} scenes x {len(SEEDS)} seeds x {len(MODES)} modes: "
           f"{rows} rows and {structure_rows} structure rows compared")
+    exit_changes += failing_changes(parent, change)
     print(f"verdict changes: {verdict_changes}")
     print(f"exit-code changes: {exit_changes}")
     print("largest residual change per row (units of the theorem tolerance):")

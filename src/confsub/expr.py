@@ -1,10 +1,13 @@
 """Scalar expressions over chart coordinates, evaluated in forward-mode jet arithmetic.
 
 Every derivative in the engine comes out of this module: an expression tree is
-evaluated on ``Jet2`` seeds and the product/chain rules propagate exact values,
-gradients and (optionally) Hessians, so all downstream geometry is exact up to
-floating-point rounding.  The same evaluator runs on plain floats, which is the
-fast path used by samplers and finite-difference cross-checks.
+evaluated once on the coordinate jets of a whole stack of points (``Jet2``:
+values, gradients and Hessians with a leading point axis), and the product and
+chain rules propagate exact values and derivatives, so all downstream geometry
+is exact up to floating-point rounding.  Every operation acts on each point on
+its own, so a point's numbers do not depend on the other points of its stack,
+and a point that leaves the domain of a subexpression is reported through the
+``fail(bad, error)`` contract of the frame pass while the others go on.
 
 Grammar (whitespace insignificant)::
 
@@ -34,7 +37,6 @@ __all__ = [
     "Pow",
     "Call",
     "ScalarExpr",
-    "Scalar",
     "ExprError",
     "ExprParseError",
     "ExprDomainError",
@@ -44,8 +46,8 @@ __all__ = [
     "evaluate",
     "eval_jet2",
     "jet_seeds",
-    "value_of",
-    "as_jet",
+    "raise_first",
+    "keep_first",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "neg")
@@ -73,209 +75,55 @@ class ExprDomainError(ExprError):
 
 
 class Jet2:
-    """Second-order jet: value, gradient and optional Hessian.
+    """A stack of second-order jets: ``value[q]``, ``gradient[q, l]``, ``hessian[q, l, m]``.
 
-    The Hessian is ``None`` when only first-order information is being
-    propagated (the frame pipeline runs in that mode); it is a dense symmetric
-    ndarray otherwise.  All arithmetic keeps the Hessian exactly symmetric:
-    every update is a sum of symmetric terms, and ``a*b + b*a`` style outer
-    products are elementwise-commutative in IEEE arithmetic.
+    All arithmetic keeps each Hessian exactly symmetric: every update is a sum
+    of symmetric terms, and ``a*b + b*a`` style outer products are
+    elementwise-commutative in IEEE arithmetic.
     """
 
     __slots__ = ("value", "gradient", "hessian")
 
-    def __init__(self, value, gradient, hessian=None):
-        self.value = float(value)
-        self.gradient = np.asarray(gradient, dtype=float)
-        self.hessian = None if hessian is None else np.asarray(hessian, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.gradient.shape[0]
+    def __init__(self, value, gradient, hessian):
+        self.value = value
+        self.gradient = gradient
+        self.hessian = hessian
 
     def constant_like(self, value: float) -> "Jet2":
-        h = None if self.hessian is None else np.zeros_like(self.hessian)
-        return Jet2(value, np.zeros_like(self.gradient), h)
+        return Jet2(np.full_like(self.value, value), np.zeros_like(self.gradient),
+                    np.zeros_like(self.hessian))
 
-    # -- ring operations ----------------------------------------------------
+    def __add__(self, other: "Jet2") -> "Jet2":
+        return Jet2(self.value + other.value, self.gradient + other.gradient, self.hessian + other.hessian)
 
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            h = None
-            if self.hessian is not None and other.hessian is not None:
-                h = self.hessian + other.hessian
-            return Jet2(self.value + other.value, self.gradient + other.gradient, h)
-        if isinstance(other, (int, float, np.floating)):
-            return Jet2(self.value + float(other), self.gradient, self.hessian)
-        return NotImplemented
+    def __sub__(self, other: "Jet2") -> "Jet2":
+        return Jet2(self.value - other.value, self.gradient - other.gradient, self.hessian - other.hessian)
 
-    __radd__ = __add__
+    def __neg__(self) -> "Jet2":
+        return Jet2(-self.value, -self.gradient, -self.hessian)
 
-    def __neg__(self):
-        h = None if self.hessian is None else -self.hessian
-        return Jet2(-self.value, -self.gradient, h)
+    def __mul__(self, other: "Jet2") -> "Jet2":
+        a, b = self.value[:, None], other.value[:, None]
+        outer = self.gradient[:, :, None] * other.gradient[:, None, :]
+        h = a[..., None] * other.hessian + b[..., None] * self.hessian + outer + outer.swapaxes(1, 2)
+        return Jet2(self.value * other.value, a * other.gradient + b * self.gradient, h)
 
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            h = None
-            if self.hessian is not None and other.hessian is not None:
-                h = self.hessian - other.hessian
-            return Jet2(self.value - other.value, self.gradient - other.gradient, h)
-        if isinstance(other, (int, float, np.floating)):
-            return Jet2(self.value - float(other), self.gradient, self.hessian)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return (-self) + float(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            g = self.value * other.gradient + other.value * self.gradient
-            h = None
-            if self.hessian is not None and other.hessian is not None:
-                h = (
-                    self.value * other.hessian
-                    + other.value * self.hessian
-                    + np.outer(self.gradient, other.gradient)
-                    + np.outer(other.gradient, self.gradient)
-                )
-            return Jet2(self.value * other.value, g, h)
-        if isinstance(other, (int, float, np.floating)):
-            c = float(other)
-            h = None if self.hessian is None else c * self.hessian
-            return Jet2(c * self.value, c * self.gradient, h)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other._reciprocal()
-        if isinstance(other, (int, float, np.floating)):
-            return self * (1.0 / float(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return self._reciprocal() * float(other)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, float, np.floating)):
-            return s_pow(self, float(exponent))
-        return NotImplemented
-
-    def _reciprocal(self) -> "Jet2":
-        v = self.value
-        if v == 0.0:
-            raise ZeroDivisionError("division by a jet with zero value")
-        return self.compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def compose(self, f0: float, f1: float, f2: float) -> "Jet2":
-        """Chain rule through a scalar function with derivatives f0, f1, f2 at self.value."""
-        g = f1 * self.gradient
-        h = None
-        if self.hessian is not None:
-            h = f1 * self.hessian + f2 * np.outer(self.gradient, self.gradient)
-        return Jet2(f0, g, h)
+    def compose(self, f0, f1, f2) -> "Jet2":
+        """Chain rule through a function with value f0 and derivatives f1, f2 at each point's value."""
+        g = self.gradient
+        h = f1[:, None, None] * self.hessian + f2[:, None, None] * (g[:, :, None] * g[:, None, :])
+        return Jet2(f0, f1[:, None] * g, h)
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.gradient!r})"
 
 
-Scalar = Union[float, Jet2]
-
-
-def value_of(s: Scalar) -> float:
-    return s.value if isinstance(s, Jet2) else float(s)
-
-
-def as_jet(s: Scalar, dim: int, second_order: bool = False) -> Jet2:
-    if isinstance(s, Jet2):
-        return s
-    h = np.zeros((dim, dim)) if second_order else None
-    return Jet2(float(s), np.zeros(dim), h)
-
-
-def jet_seeds(p, second_order: bool = True) -> list[Jet2]:
-    """Coordinate jets at a point: unit gradients, zero Hessians."""
-    n = len(p)
-    seeds = []
-    for i in range(n):
-        g = np.zeros(n)
-        g[i] = 1.0
-        h = np.zeros((n, n)) if second_order else None
-        seeds.append(Jet2(float(p[i]), g, h))
-    return seeds
-
-
-# -- scalar helpers usable on both floats and jets --------------------------
-
-
-def s_sin(x: Scalar) -> Scalar:
-    if isinstance(x, Jet2):
-        return x.compose(math.sin(x.value), math.cos(x.value), -math.sin(x.value))
-    return math.sin(x)
-
-
-def s_cos(x: Scalar) -> Scalar:
-    if isinstance(x, Jet2):
-        return x.compose(math.cos(x.value), -math.sin(x.value), -math.cos(x.value))
-    return math.cos(x)
-
-
-def s_exp(x: Scalar) -> Scalar:
-    if isinstance(x, Jet2):
-        e = math.exp(x.value)
-        return x.compose(e, e, e)
-    return math.exp(x)
-
-
-def s_log(x: Scalar) -> Scalar:
-    v = value_of(x)
-    if v <= 0.0:
-        raise ValueError("log of non-positive value")
-    if isinstance(x, Jet2):
-        return x.compose(math.log(v), 1.0 / v, -1.0 / (v * v))
-    return math.log(v)
-
-
-def s_sqrt(x: Scalar) -> Scalar:
-    v = value_of(x)
-    if v < 0.0:
-        raise ValueError("sqrt of negative value")
-    if isinstance(x, Jet2):
-        if v == 0.0:
-            raise ValueError("sqrt not differentiable at zero")
-        r = math.sqrt(v)
-        return x.compose(r, 0.5 / r, -0.25 / (r * v))
-    return math.sqrt(v)
-
-
-def s_pow(x: Scalar, c: float) -> Scalar:
-    v = value_of(x)
-    if v < 0.0 and not float(c).is_integer():
-        raise ValueError("fractional power of a negative value")
-    if v == 0.0 and c not in (0.0, 1.0) and c < 2.0:
-        raise ValueError("power not differentiable at zero")
-    f0 = v**c
-    if isinstance(x, Jet2):
-        f1 = c * v ** (c - 1.0) if c != 0.0 else 0.0
-        f2 = c * (c - 1.0) * v ** (c - 2.0) if c not in (0.0, 1.0) else 0.0
-        return x.compose(f0, f1, f2)
-    return f0
-
-
-_FUNC_IMPL = {
-    "sin": s_sin,
-    "cos": s_cos,
-    "exp": s_exp,
-    "log": s_log,
-    "sqrt": s_sqrt,
-    "neg": lambda x: -x,
-}
+def jet_seeds(points) -> list[Jet2]:
+    """Coordinate jets at a stack of points ``points[q, i]``: unit gradients, zero Hessians."""
+    points = np.asarray(points, dtype=float)
+    count, n = points.shape
+    unit, zero = np.repeat(np.eye(n)[None], count, axis=0), np.zeros((count, n, n))
+    return [Jet2(points[:, i].copy(), unit[:, i], zero) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,47 +353,110 @@ def to_string(e: ScalarExpr) -> str:
 # Evaluation
 
 
-def evaluate(e: ScalarExpr, xs) -> Scalar:
-    """Evaluate on a point whose entries are floats or jets (mixing allowed)."""
-    if isinstance(e, Const):
-        return e.value
+def raise_first(bad, error):
+    """The `fail` that stops at the first failure: raise the error of its first bad point."""
+    bad = np.flatnonzero(bad)
+    if len(bad):
+        raise error(int(bad[0]))
+
+
+def keep_first(errors: dict):
+    """The `fail` that goes on: each bad point q keeps its first error in `errors[q]`."""
+    def fail(bad, error):
+        for q in np.flatnonzero(bad).tolist():
+            if q not in errors:
+                errors[q] = error(q)
+    return fail
+
+
+def _chain(func: str, v: np.ndarray):
+    """((f0, f1, f2), domain) of a function at the values v.
+
+    f0, f1 and f2 are its value and first two derivatives, `domain` its
+    domain errors as (mask, message) in the order they are checked.
+    """
+    if func == "sin":
+        s, c = np.sin(v), np.cos(v)
+        return (s, c, -s), ()
+    if func == "cos":
+        c, s = np.cos(v), np.sin(v)
+        return (c, -s, -c), ()
+    if func == "exp":
+        e = np.exp(v)
+        return (e, e, e), ()
+    if func == "log":
+        return (np.log(v), 1.0 / v, -1.0 / (v * v)), ((v <= 0.0, "log of non-positive value"),)
+    if func == "sqrt":
+        r = np.sqrt(v)
+        return (r, 0.5 / r, -0.25 / (r * v)), (
+            (v < 0.0, "sqrt of negative value"), (v == 0.0, "sqrt not differentiable at zero"))
+    return (-v, np.full_like(v, -1.0), np.zeros_like(v)), ()  # neg
+
+
+def _pow_chain(v: np.ndarray, c: float):
+    """The `_chain` of x -> x^c."""
+    zero = np.zeros_like(v)
+    f1 = c * np.power(v, c - 1.0) if c != 0.0 else zero
+    f2 = c * (c - 1.0) * np.power(v, c - 2.0) if c not in (0.0, 1.0) else zero
+    return (np.power(v, c), f1, f2), (
+        ((v < 0.0) & (not float(c).is_integer()), "fractional power of a negative value"),
+        ((v == 0.0) & (c not in (0.0, 1.0) and c < 2.0), "power not differentiable at zero"),
+    )
+
+
+def _node(e: ScalarExpr, x: Jet2, chain, fail) -> Jet2:
+    """x through the function or power at node e; bad points fail with errors naming e.
+
+    A point fails outside the function's domain, and with a numerical overflow
+    when its argument, value or a derivative is not finite.
+    """
+    (f0, f1, f2), domain = chain
+    finite = np.isfinite(x.value) & np.isfinite(f0) & np.isfinite(f1) & np.isfinite(f2)
+    for bad, message in (*domain, (~finite, "numerical overflow")):
+        fail(bad, lambda q, message=message: ExprDomainError(message, to_string(e)))
+    return x.compose(f0, f1, f2)
+
+
+def evaluate(e: ScalarExpr, xs: list[Jet2], fail=raise_first) -> Jet2:
+    """The jets of an expression at every point of the coordinate jets `xs` (see `jet_seeds`).
+
+    A point outside the domain of a subexpression is reported as
+    `fail(bad, error)`: `bad` masks the points and `error(q)` is the
+    `ExprDomainError` of point q, which names the innermost failing
+    subexpression.  Subexpressions are visited in evaluation order, children
+    first, so a point's first failure is the one a single-point evaluation
+    meets.  The default `fail` raises it; a `fail` that returns lets the other
+    points go on, and the numbers of a failed point mean nothing.
+    """
+    with np.errstate(all="ignore"):  # points outside a domain fail explicitly
+        return _walk(e, xs, fail)
+
+
+def _walk(e: ScalarExpr, xs: list[Jet2], fail) -> Jet2:
     if isinstance(e, Var):
         return xs[e.index]
+    if isinstance(e, Const):
+        return xs[0].constant_like(e.value)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, xs)
-        b = evaluate(e.right, xs)
+        a, b = _walk(e.left, xs, fail), _walk(e.right, xs, fail)
         if e.op == "+":
             return a + b
         if e.op == "-":
             return a - b
         if e.op == "*":
             return a * b
-        if value_of(b) == 0.0:
-            raise ExprDomainError("division by zero", to_string(e))
-        return a / b
+        v = b.value
+        fail(v == 0.0, lambda q: ExprDomainError("division by zero", to_string(e)))
+        return a * b.compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
     if isinstance(e, Pow):
-        try:
-            return s_pow(evaluate(e.base, xs), e.exponent)
-        except ExprDomainError:
-            raise  # raised by a subexpression, which it already names
-        except ValueError as err:
-            raise ExprDomainError(str(err), to_string(e)) from None
-        except OverflowError:
-            raise ExprDomainError("numerical overflow", to_string(e)) from None
+        x = _walk(e.base, xs, fail)
+        return _node(e, x, _pow_chain(x.value, e.exponent), fail)
     if isinstance(e, Call):
-        try:
-            return _FUNC_IMPL[e.func](evaluate(e.arg, xs))
-        except ExprDomainError:
-            raise  # raised by a subexpression, which it already names
-        except ValueError as err:
-            raise ExprDomainError(str(err), to_string(e)) from None
-        except OverflowError:
-            raise ExprDomainError("numerical overflow", to_string(e)) from None
+        x = _walk(e.arg, xs, fail)
+        return _node(e, x, _chain(e.func, x.value), fail)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_jet2(e: ScalarExpr, p) -> Jet2:
-    """Value, gradient and Hessian of the expression at a chart point."""
-    n = len(p)
-    result = evaluate(e, jet_seeds(p, second_order=True))
-    return as_jet(result, n, second_order=True)
+def eval_jet2(e: ScalarExpr, points) -> Jet2:
+    """Values, gradients and Hessians of the expression at a stack of chart points `points[q]`."""
+    return evaluate(e, jet_seeds(points))

@@ -4,19 +4,22 @@ A manifold is a single global chart: a dimension, a symmetric grid of metric
 component expressions, an optional almost complex structure given the same
 way, and a sampling box with excluded hypersurfaces.  All operations are pure
 and pointwise; derivatives come from jet evaluation of the component
-expressions.  The covariant-derivative and bracket formulas are written once
-here (`nabla`, `brackets`) and shared with the per-point tables.
+expressions, which `grid_jet` runs on a whole stack of points at once (the
+single-point helpers are its batch of one).  The covariant-derivative and
+bracket formulas are written once here (`nabla`, `brackets`) and shared with
+the per-point tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonSPDMetricError, StructureError
-from .expr import Const, ScalarExpr, evaluate, jet_seeds, parse, value_of
+from .expr import Const, ScalarExpr, evaluate, jet_seeds, parse, raise_first
 from .jets import ArrayJet
 
 __all__ = [
@@ -28,7 +31,7 @@ __all__ = [
     "euclidean_metric",
     "canonical_complex_structure",
     "euclidean",
-    "metric_entries",
+    "grid_jet",
     "spd_errors",
     "metric_jet",
     "complex_structure_jet",
@@ -117,15 +120,28 @@ def euclidean(dim: int, box=None, with_j: bool = False, excluded=()) -> ChartedM
 # Metric and connection
 
 
-def metric_entries(M: ChartedManifold, xs) -> list[list]:
-    """Evaluate the metric grid on generic scalars (floats or jets)."""
-    out = [[None] * M.dim for _ in range(M.dim)]
-    for i in range(M.dim):
-        for j in range(i, M.dim):
-            v = evaluate(M.metric[i][j], xs)
-            out[i][j] = v
-            out[j][i] = v
-    return out
+def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
+    """Batched first-order jet of a vector or grid of expressions at a stack of points.
+
+    Values v[q, ...] at points[q] and derivatives d[q, l, ...].  Entries are
+    evaluated in row order, equal ones (a symmetric metric's mirror entries)
+    once, so a failing point reports the first entry that fails it
+    (`expr.evaluate` explains `fail`).
+    """
+    cells = np.array(grid, dtype=object)
+    seeds = jet_seeds(points)
+    jets = [*map(functools.cache(lambda e: evaluate(e, seeds, fail)), cells.ravel())]
+    lead = (len(seeds[0].value),)
+    return ArrayJet(
+        np.stack([j.value for j in jets], -1).reshape(lead + cells.shape),
+        np.stack([j.gradient for j in jets], -1).reshape(lead + (len(seeds),) + cells.shape),
+        True,
+    )
+
+
+def _at(grid, p) -> ArrayJet:
+    """`grid_jet` at one point: the batch of one."""
+    return grid_jet(grid, [p]).points()[0]
 
 
 def spd_errors(G: np.ndarray, points) -> list:
@@ -147,7 +163,7 @@ def _check_spd(G: np.ndarray, points):
 
 def metric_jet(M: ChartedManifold, p) -> ArrayJet:
     """Metric values g_ij and derivatives d[l, i, j] = d_l g_ij at a point."""
-    return ArrayJet.from_scalars(metric_entries(M, jet_seeds(p, second_order=False)), M.dim)
+    return _at(M.metric, p)
 
 
 def _levi_civita(g: ArrayJet) -> np.ndarray:
@@ -218,11 +234,10 @@ class ExprField(VectorField):
         return cls([parse(t, dim) for t in texts], dim)
 
     def values_at(self, p) -> np.ndarray:
-        return np.array([value_of(evaluate(c, p)) for c in self.components])
+        return self.jets_at(p).v
 
     def jets_at(self, p) -> ArrayJet:
-        seeds = jet_seeds(p, second_order=False)
-        return ArrayJet.from_scalars([evaluate(c, seeds) for c in self.components], self.dim)
+        return _at(self.components, p)
 
 
 class ConstantField(VectorField):
@@ -265,10 +280,7 @@ def complex_structure_jet(M: ChartedManifold, p) -> ArrayJet:
     """Values J^i_j and derivatives d[l, i, j] = d_l J^i_j at a point."""
     if M.complex_structure is None:
         raise StructureError("manifold has no complex structure")
-    seeds = jet_seeds(p, second_order=False)
-    return ArrayJet.from_scalars(
-        [[evaluate(e, seeds) for e in row] for row in M.complex_structure], M.dim
-    )
+    return _at(M.complex_structure, p)
 
 
 def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,15 +15,13 @@ operation acts on each point on its own, and the point axis stays outermost
 in memory, so that a point's view has the layout of a batch of one: its
 numbers do not depend on the other points of its batch.
 This is vector forward mode (Griewank & Walther, *Evaluating Derivatives*,
-SIAM 2008); scalar expressions still evaluate on ``expr.Jet2``, and
-``from_scalars`` gathers their results.
+SIAM 2008).  The jets of the pass's inputs come from evaluating the scene's
+expressions on ``expr.Jet2`` stacks, which carry the same point axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .expr import Jet2, value_of
 
 __all__ = ["ArrayJet"]
 
@@ -49,18 +47,6 @@ class ArrayJet:
         v = np.asarray(v, dtype=float)
         lead = v.shape[:1] if batched else ()
         return cls(v, np.zeros(lead + (dim,) + v.shape[len(lead):]), batched)
-
-    @classmethod
-    def from_scalars(cls, scalars, dim: int) -> "ArrayJet":
-        """Gather a vector or grid of first-order `Jet2`s and floats (constants)."""
-        grid = np.array(scalars, dtype=object)
-        flat = grid.ravel()
-        v = np.array([value_of(s) for s in flat], dtype=float).reshape(grid.shape)
-        d = np.zeros((dim, flat.size))
-        for k, s in enumerate(flat):
-            if isinstance(s, Jet2):
-                d[:, k] = s.gradient
-        return cls(v, d.reshape((dim,) + grid.shape))
 
     @classmethod
     def stack(cls, jets) -> "ArrayJet":

@@ -1,16 +1,17 @@
 """Everything attached to a smooth map between charted manifolds.
 
 Per point the engine builds a `PointContext`; `SmoothMap.contexts(points)`
-builds the contexts of all sample points as one batch.  One frame pass on
-first-order array jets (`jets.ArrayJet`: values `v[...]`, derivatives
-`d[l, ...] = d_l v[...]`) builds the metric, Jacobian, orthonormal
-vertical/horizontal frames, the invariant/anti-invariant refinement of the
-vertical space, the dilation and all projectors; every pivot, drop and
-validation decision reads the values only.  The pass, the source connection
-and the Kaehler test run once per batch, on jets with a leading point axis;
-expressions are still evaluated point by point.  A point that fails keeps
-its own first error, which reading it raises again, and points whose
-Gram-Schmidt drops differ run as separate groups.  A point's numbers are the
+builds the contexts of all sample points as one batch.  The map, both metrics
+and J are evaluated once on jets of all the points (`expr.Jet2`), and one
+frame pass on first-order array jets (`jets.ArrayJet`: values `v[...]`,
+derivatives `d[l, ...] = d_l v[...]`) builds the metric, Jacobian,
+orthonormal vertical/horizontal frames, the invariant/anti-invariant
+refinement of the vertical space, the dilation and all projectors; every
+pivot, drop and validation decision reads the values only.  The evaluation,
+the pass, the source connection and the Kaehler test run once per batch, on
+jets with a leading point axis.  A point that fails keeps its own first
+error, which reading it raises again, and points whose Gram-Schmidt drops
+differ run as separate groups.  A point's numbers are the
 same bit for bit in any batch, so `SmoothMap.context(p)`, the batch of one,
 is the single-point case of the same code.
 
@@ -49,14 +50,13 @@ from .errors import (
     SingularMetricError,
     StructureError,
 )
-from .expr import ExprDomainError, Jet2, ScalarExpr, as_jet, evaluate, jet_seeds
+from .expr import ScalarExpr, evaluate, jet_seeds, keep_first, raise_first
 from .geometry import (
     ChartedManifold,
     _levi_civita,
     christoffel_symbols,
-    complex_structure_jet,
+    grid_jet,
     j_residuals,
-    metric_jet,
     nabla,
     nabla_j_norm,
     spd_errors,
@@ -166,6 +166,8 @@ class _PipelineResult:
     DF: ArrayJet  # DF.v[a, i] = d_i F^a
     J: ArrayJet | None
     gN: ArrayJet  # target metric at the image point, as a function on the source
+    gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
+    image: np.ndarray  # the image point F(p)
     vertical: ArrayJet
     horizontal: ArrayJet
     d1: ArrayJet | None
@@ -202,13 +204,6 @@ class _Regroup(Exception):
         self.groups = groups
 
 
-def _raise_first(bad, error):
-    """`fail` outside the batched pass: raise the error of the first bad point."""
-    bad = np.flatnonzero(bad)
-    if len(bad):
-        raise error(int(bad[0]))
-
-
 def _inverse(G: ArrayJet, fail) -> ArrayJet:
     """Inverse of every matrix, with d(G^-1) = -G^-1 dG G^-1.
 
@@ -241,7 +236,7 @@ def _half_lower(m: int) -> np.ndarray:
 
 
 def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None,
-                  fail=_raise_first) -> ArrayJet:
+                  fail=raise_first) -> ArrayJet:
     """Metric Gram-Schmidt of the seed rows in order at every point, dropping near-dependent seeds.
 
     Seeds are first projected off the span of `against` (orthonormal rows, not
@@ -306,7 +301,24 @@ def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
 
 
-def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
+def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
+    """(G, DF, J, gT, image) at stacked points.
+
+    Evaluated in the order map, target metric, J, source metric, which is the
+    order in which a point's first error is found.
+    """
+    src, seeds = fmap.source, jet_seeds(points)
+    comps = [evaluate(c, seeds, fail) for c in fmap.components]
+    image = np.stack([c.value for c in comps], axis=1)
+    # d_l DF[a, i] is the Hessian entry [a, l, i]
+    DF = ArrayJet(np.stack([c.gradient for c in comps], 1), np.stack([c.hessian for c in comps], 2), True)
+    gT = grid_jet(fmap.target.metric, image, fail)
+    J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
+    G = grid_jet(src.metric, points, fail)
+    return G, DF, J, gT, image
+
+
+def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, image: np.ndarray,
                   tol: Tolerances, points: np.ndarray, fail) -> _PipelineResult:
     """The frame pass on batched array jets; every decision reads values only.
 
@@ -315,6 +327,8 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
     """
     at = lambda q: tuple(float(x) for x in points[q])
     N, n, dim = DF.v.shape
+    # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
+    gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n), True)
     for what, jet in (("source metric", G), ("map derivatives", DF),
                       ("target metric", gN), ("complex structure", J)):
         if jet is not None:
@@ -404,6 +418,8 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
         DF=DF,
         J=J,
         gN=gN,
+        gT=gT,
+        image=image,
         vertical=vertical,
         horizontal=horizontal,
         d1=d1,
@@ -422,16 +438,17 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
     )
 
 
-def _frame_pass(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
-                tol: Tolerances, points: np.ndarray):
-    """The frame pass over stacked points: ([(positions, batched result)], {position: error}).
+def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict) -> list:
+    """The frame pass over the stacked points without an error: [(positions, batched result)].
 
-    A point that fails records its first error and leaves the batch; points
-    whose Gram-Schmidt drops differ go on in separate groups.  Either way the
-    pass restarts on the remaining points, which repeats their numbers bit for
-    bit: every operation acts on each point on its own.
+    `inputs` are those of `_run_pipeline`, stacked over all the points.  A
+    point that fails records its first error in `errors` and leaves the
+    batch; points whose Gram-Schmidt drops differ go on in separate groups.
+    Either way the pass restarts on the remaining points, which repeats their
+    numbers bit for bit: every operation acts on each point on its own.
     """
-    done, errors, pending = [], {}, [np.arange(len(points))]
+    alive = np.array([q for q in range(len(points)) if q not in errors], dtype=int)
+    done, pending = [], [alive] if len(alive) else []
     with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
         while pending:
             idx = pending.pop()
@@ -443,14 +460,14 @@ def _frame_pass(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gN: ArrayJet,
                 errors.update((int(idx[q]), error(q)) for q in bad)
                 raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
-            part = lambda jet: None if jet is None else jet.take(idx)
+            part = lambda x: None if x is None else x.take(idx) if isinstance(x, ArrayJet) else x[idx]
             try:
-                res = _run_pipeline(part(G), part(DF), part(J), part(gN), tol, points[idx], fail)
+                res = _run_pipeline(*map(part, inputs), tol, points[idx], fail)
             except _Regroup as split:
                 pending += [idx[g] for g in split.groups if len(g)]
             else:
                 done.append((idx, res))
-    return done, errors
+    return done
 
 
 def _entry(e):
@@ -463,13 +480,15 @@ def _entry(e):
 class _PointBatch:
     """The frame pass and the Kaehler test shared by the contexts of one `SmoothMap.contexts` call.
 
-    Each stage runs once, on first use, over all the points at once.  Per
-    point it keeps a result, or the first error the point raised, in pipeline
-    order; reading the point raises that error again.  Expression evaluation
-    still runs point by point, in sample order, before the jets are stacked.
+    Each stage runs once, on first use, over all the points at once: the
+    expressions are evaluated on jets of every point, and the frame pass runs
+    on the points that evaluated.  Per point it keeps a result, or the first
+    error the point raised, in pipeline order; reading the point raises that
+    error again.
     """
 
     def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
+        self.fmap = fmap
         self.tol = tol
         self.contexts = [
             PointContext(fmap, np.asarray(p, dtype=float), tol, self, q) for q, p in enumerate(points)
@@ -485,23 +504,12 @@ class _PointBatch:
     @functools.cached_property
     def _pass(self) -> tuple[list, list]:
         """Per point its pass or its error; (point indices, batched result) of each group run."""
-        entries, inputs, alive = [None] * len(self.contexts), [], []
-        with np.errstate(all="ignore"):  # the pass fails non-finite inputs explicitly
-            for q, ctx in enumerate(self.contexts):
-                try:
-                    inputs.append(ctx._pass_inputs())
-                except ExprDomainError as err:  # kept for the point, raised when it is read
-                    entries[q] = err
-                else:
-                    alive.append(q)
-        if not alive:
-            return entries, []
-        alive = np.array(alive)
-        G, DF, J, gN = (None if col[0] is None else ArrayJet.stack(col) for col in zip(*inputs))
-        done, errors = _frame_pass(G, DF, J, gN, self.tol, np.array([c.p for c in self.contexts])[alive])
-        for pos, err in errors.items():
-            entries[alive[pos]] = err
-        groups = [(alive[idx], res) for idx, res in done]
+        if not self.contexts:
+            return [], []
+        points, errors = np.array([c.p for c in self.contexts]), {}
+        inputs = _input_jets(self.fmap, points, keep_first(errors))
+        groups = _frame_pass(inputs, self.tol, points, errors)
+        entries = [errors.get(q) for q in range(len(points))]
         for members, res in groups:
             for q, at_q in zip(members, res.points()):
                 entries[q] = at_q
@@ -602,43 +610,7 @@ class PointContext:
             self._cache[name] = builder()
         return self._cache[name]
 
-    # -- raw jets ------------------------------------------------------------
-
-    @property
-    def comp_jets(self) -> list[Jet2]:
-        def build():
-            seeds = jet_seeds(self.p, second_order=True)
-            n = self.fmap.source.dim
-            return [as_jet(evaluate(c, seeds), n, second_order=True) for c in self.fmap.components]
-
-        return self._get("comp_jets", build)
-
-    @property
-    def target_point(self) -> np.ndarray:
-        return self._get("target_point", lambda: np.array([j.value for j in self.comp_jets]))
-
-    @property
-    def _target_metric(self) -> ArrayJet:
-        """Target metric at the image point, derivatives in target coordinates."""
-        return self._get("target_metric", lambda: metric_jet(self.fmap.target, self.target_point))
-
     # -- the frame pass ---------------------------------------------------------
-
-    def _pass_inputs(self) -> tuple[ArrayJet, ArrayJet, ArrayJet | None, ArrayJet]:
-        """(G, DF, J, gN) at this point, evaluated in the order map, target metric, J, metric."""
-        src = self.fmap.source
-        dim, n = src.dim, self.fmap.target.dim
-        comps = self.comp_jets
-        # d_l DF[a, i] is the Hessian entry [a, l, i]
-        DF = ArrayJet(
-            np.array([c.gradient for c in comps]),
-            np.array([c.hessian for c in comps]).transpose(1, 0, 2),
-        )
-        tgt = self._target_metric
-        # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
-        gN = ArrayJet(tgt.v, (DF.v.T @ tgt.d.reshape(n, n * n)).reshape(dim, n, n))
-        J = complex_structure_jet(src, self.p) if src.complex_structure is not None else None
-        return metric_jet(src, self.p), DF, J, gN
 
     @property
     def data(self) -> _PipelineResult:
@@ -667,9 +639,7 @@ class PointContext:
 
     @property
     def gamma_tgt(self) -> np.ndarray:
-        return self._get(
-            "gamma_tgt", lambda: christoffel_symbols(self._target_metric, self.target_point)
-        )
+        return self._get("gamma_tgt", lambda: christoffel_symbols(self.data.gT, self.data.image))
 
     @property
     def gamma_pull(self) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from confsub.config import DEFAULT_TOLERANCES
-from confsub.expr import evaluate, value_of
+from confsub.expr import eval_jet2
 
 H = 1e-5
 
@@ -47,7 +47,8 @@ def fd_second(f, p, h=1e-4):
 
 
 def eval_expr(expr, p):
-    return value_of(evaluate(expr, [float(x) for x in p]))
+    """The value of an expression at a point: the value part of its batch of one."""
+    return float(eval_jet2(expr, [p]).value[0])
 
 
 def metric_values(manifold, p):

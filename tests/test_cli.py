@@ -236,8 +236,11 @@ seed = 1
         ("exp(2000*x1)", "0.5 1, -1 1", "'exp(2000.0 * x1)'"),  # OverflowError in exp
         ("x1^1000", "3 4, -1 1", "'x1^1000.0'"),  # OverflowError in a power
         ("sqrt(log(x1))", "-1 1, -1 1", "'log(x1)'"),  # only the innermost failing subexpression
+        # a non-finite argument is an overflow too, not Python's "math domain error"
+        ("sin(x1*1e200*1e200)", "0.5 1, -1 1",
+         "numerical overflow in subexpression 'sin(x1 * 1e+200 * 1e+200)'"),
     ],
-    ids=["log", "exp-overflow", "pow-overflow", "nested"],
+    ids=["log", "exp-overflow", "pow-overflow", "nested", "sin-overflow"],
 )
 def test_domain_error_exit_code(tmp_path, map_text, box, subexpr):
     f = tmp_path / "domain.scene"

@@ -17,12 +17,14 @@ from confsub.expr import (
     eval_jet2,
     evaluate,
     jet_seeds,
+    keep_first,
     parse,
     to_string,
 )
+from confsub.scenes import load_scene_text
 
 from .corpus import MALFORMED
-from .fdtools import fd_gradient, fd_jacobian
+from .fdtools import eval_expr, fd_gradient, fd_jacobian
 
 
 def test_parse_example_components():
@@ -53,37 +55,97 @@ def test_malformed_corpus_rejected_with_position(text, dim, pos):
 
 def test_eval_jet_exponential():
     e = parse("exp(x3)", 6)
-    j = eval_jet2(e, (0, 0, math.log(2.0), 0, 0, 0))
-    assert j.value == pytest.approx(2.0, rel=1e-15)
-    assert j.gradient == pytest.approx([0, 0, 2.0, 0, 0, 0], rel=1e-15)
+    j = eval_jet2(e, [(0, 0, math.log(2.0), 0, 0, 0), (0, 0, 0, 0, 0, 0)])
+    assert j.value[0] == pytest.approx(2.0, rel=1e-15)
+    assert j.gradient[0] == pytest.approx([0, 0, 2.0, 0, 0, 0], rel=1e-15)
+    assert j.value[1] == 1.0
 
 
 def test_eval_jet_linear():
-    j = eval_jet2(parse("x1", 1), (5.0,))
-    assert j.value == 5.0
-    assert j.gradient == pytest.approx([1.0])
-    assert np.array_equal(j.hessian, np.zeros((1, 1)))
+    j = eval_jet2(parse("x1", 1), [(5.0,), (-2.0,)])
+    assert j.value.tolist() == [5.0, -2.0]
+    for q in range(2):
+        assert j.gradient[q] == pytest.approx([1.0])
+        assert np.array_equal(j.hessian[q], np.zeros((1, 1)))
 
 
 def test_eval_jet_product():
     # frozen against the central-difference oracle below
     e = parse("x1*x2", 2)
     p = (2.0, 3.0)
-    j = eval_jet2(e, p)
-    assert j.value == 6.0
-    assert j.gradient == pytest.approx([3.0, 2.0])
-    assert j.hessian[0, 1] == pytest.approx(1.0)
-    fd = fd_gradient(lambda q: evaluate(e, list(q)), np.array(p))
-    assert j.gradient == pytest.approx(fd, abs=1e-9)
+    j = eval_jet2(e, [p])
+    assert j.value[0] == 6.0
+    assert j.gradient[0] == pytest.approx([3.0, 2.0])
+    assert j.hessian[0, 0, 1] == pytest.approx(1.0)
+    fd = fd_gradient(lambda q: eval_expr(e, q), np.array(p))
+    assert j.gradient[0] == pytest.approx(fd, abs=1e-9)
 
 
 def test_domain_errors_carry_subexpression():
     with pytest.raises(ExprDomainError, match=r"log"):
-        eval_jet2(parse("log(x1)", 1), (-1.0,))
+        eval_jet2(parse("log(x1)", 1), [(-1.0,)])
     with pytest.raises(ExprDomainError, match=r"division by zero"):
-        eval_jet2(parse("x1/(x2 - x2)", 2), (1.0, 3.0))
+        eval_jet2(parse("x1/(x2 - x2)", 2), [(1.0, 3.0)])
     with pytest.raises(ExprDomainError, match=r"sqrt"):
-        eval_jet2(parse("sqrt(x1)", 1), (-4.0,))
+        eval_jet2(parse("sqrt(x1)", 1), [(-4.0,)])
+
+
+# good points mixed with points outside the domain of some subexpression
+MIXED_POINTS = [(2.0, 0.5), (-1.0, 0.3), (0.5, 0.7), (1.0, 2.0), (0.0, 1.0), (3.0, -1.0), (0.25, 0.9)]
+
+
+@pytest.mark.parametrize("text", [
+    "log(x1) * x2",  # log of a negative value, and of zero
+    "x2 / (x1 - x1)",  # division by zero at every point
+    "x1^1.5 + x2",  # fractional power of a negative value; not differentiable at zero
+    "sqrt(log(x1))",  # the innermost failing subexpression, then sqrt of a negative value
+    "x2 + x1/0",  # constant subexpressions fail every point
+    "log(0 - 1) * x1",
+    "exp(2000*x1) + x2",  # overflow at the larger x1
+    "sin(x1*1e200*1e200)",  # a non-finite argument
+])
+def test_batched_failures_match_the_batch_of_one(text):
+    e = parse(text, 2)
+    errors = {}
+    batch = evaluate(e, jet_seeds(MIXED_POINTS), keep_first(errors))
+    for q, p in enumerate(MIXED_POINTS):
+        try:
+            single = eval_jet2(e, [p])
+        except ExprDomainError as want:
+            got = errors[q]
+            assert (str(got), got.subexpr) == (str(want), want.subexpr)
+            continue
+        assert q not in errors
+        for part in ("value", "gradient", "hessian"):
+            got, want = getattr(batch, part)[q], getattr(single, part)[0]
+            assert np.array_equal(got, want, equal_nan=True), (q, part)
+    assert errors or text == "log(0 - 1) * x1"  # not vacuous
+
+
+def test_map_error_precedes_metric_error():
+    scene = load_scene_text("""
+[source]
+dim = 2
+g 1 1 = sqrt(x2)
+g 2 2 = 1
+[target]
+dim = 1
+metric = euclidean
+[map]
+F 1 = log(x1)
+[sampling]
+box = -1 1, -1 1
+""")
+    points = [np.array(p) for p in ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5))]
+    batch = scene.fmap.contexts(points, scene.tolerances)
+    batch[0].split  # in both domains
+    for ctx, subexpr in zip(batch[1:], ("log(x1)", "sqrt(x2)", "log(x1)")):
+        with pytest.raises(ExprDomainError) as got:
+            ctx.split
+        assert got.value.subexpr == subexpr
+        with pytest.raises(ExprDomainError) as want:
+            scene.fmap.context(ctx.p, scene.tolerances).split
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +169,12 @@ def random_expr(rng, dim, depth):
 
 
 def _safe_jet(e, p):
+    """The jet at p (value, gradient and Hessian of the batch of one), or None."""
     try:
-        j = eval_jet2(e, p)
-    except (ExprDomainError, ZeroDivisionError, OverflowError):
+        j = eval_jet2(e, [p])
+    except ExprDomainError:
         return None
+    j = Jet2(float(j.value[0]), j.gradient[0], j.hessian[0])
     vals = [j.value, *j.gradient.tolist(), *j.hessian.ravel().tolist()]
     if not all(math.isfinite(v) for v in vals):
         return None
@@ -129,15 +193,15 @@ def test_gradients_and_hessians_match_finite_differences():
         j = _safe_jet(e, p)
         if j is None:
             continue
-        f = lambda q: evaluate(e, list(q))
+        f = lambda q: eval_expr(e, q)
         try:
             fd_g = fd_gradient(f, p)
-        except (ExprDomainError, ZeroDivisionError):
+        except ExprDomainError:
             continue
         scale = max(1.0, float(np.max(np.abs(fd_g))))
         assert np.max(np.abs(j.gradient - fd_g)) / scale < 1e-5
         # Hessian against a finite difference of the exact gradient
-        grad_fn = lambda q: eval_jet2(e, q).gradient
+        grad_fn = lambda q: eval_jet2(e, [q]).gradient[0]
         fd_h = fd_jacobian(grad_fn, p)
         hscale = max(1.0, float(np.max(np.abs(fd_h))))
         assert np.max(np.abs(j.hessian - fd_h)) / hscale < 1e-4
@@ -147,10 +211,10 @@ def test_gradients_and_hessians_match_finite_differences():
 def test_log_sqrt_derivatives():
     e = parse("log(x1) + sqrt(x2)", 2)
     p = np.array([1.7, 2.3])
-    j = eval_jet2(e, p)
-    fd = fd_gradient(lambda q: evaluate(e, list(q)), p)
-    assert j.gradient == pytest.approx(fd, abs=1e-8)
-    assert j.hessian[0, 0] == pytest.approx(-1 / 1.7**2, rel=1e-12)
+    j = eval_jet2(e, [p])
+    fd = fd_gradient(lambda q: eval_expr(e, q), p)
+    assert j.gradient[0] == pytest.approx(fd, abs=1e-8)
+    assert j.hessian[0, 0, 0] == pytest.approx(-1 / 1.7**2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +275,17 @@ def test_jet_hessian_exactly_symmetric():
 
 def test_jet_ring_laws_statistically():
     rng = np.random.default_rng(42)
-    worst_assoc = worst_comm = 0.0
-    for _ in range(200):
-        a, b, c = (
-            Jet2(rng.normal(), rng.normal(size=3), _sym(rng)) for _ in range(3)
-        )
-        m1 = ((a * b) * c).value
-        m2 = (a * (b * c)).value
-        scale = max(1.0, abs(m1))
-        worst_assoc = max(worst_assoc, abs(m1 - m2) / scale)
-        worst_comm = max(worst_comm, abs((a * b).value - (b * a).value) / scale)
-        s1 = ((a + b) + c).value
-        s2 = (a + (b + c)).value
-        worst_assoc = max(worst_assoc, abs(s1 - s2) / max(1.0, abs(s1)))
+    # 200 triples of random jets, drawn triple by triple and stacked: a[q], b[q], c[q]
+    draws = [[(rng.normal(), rng.normal(size=3), _sym(rng)) for _ in range(3)] for _ in range(200)]
+    a, b, c = (Jet2(*map(np.array, zip(*column))) for column in zip(*draws))
+    m1 = ((a * b) * c).value
+    m2 = (a * (b * c)).value
+    scale = np.maximum(1.0, np.abs(m1))
+    worst_assoc = np.max(np.abs(m1 - m2) / scale)
+    worst_comm = np.max(np.abs((a * b).value - (b * a).value) / scale)
+    s1 = ((a + b) + c).value
+    s2 = (a + (b + c)).value
+    worst_assoc = max(worst_assoc, np.max(np.abs(s1 - s2) / np.maximum(1.0, np.abs(s1))))
     assert worst_comm == 0.0
     assert worst_assoc < 1e-14
 
@@ -234,7 +296,8 @@ def _sym(rng):
 
 
 def test_jet_seeds_shape():
-    seeds = jet_seeds((1.0, 2.0), second_order=False)
-    assert [s.value for s in seeds] == [1.0, 2.0]
-    assert seeds[0].hessian is None
-    assert seeds[0].gradient == pytest.approx([1.0, 0.0])
+    seeds = jet_seeds([(1.0, 2.0), (3.0, 4.0)])
+    assert [s.value.tolist() for s in seeds] == [[1.0, 3.0], [2.0, 4.0]]
+    for q in range(2):
+        assert np.array_equal(seeds[0].hessian[q], np.zeros((2, 2)))
+        assert seeds[0].gradient[q] == pytest.approx([1.0, 0.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsub.errors import NonSPDMetricError, StructureError
-from confsub.expr import Const, parse
+from confsub.expr import Const, ExprDomainError, parse
 from confsub.geometry import (
     ChartedManifold,
     ConstantField,
@@ -17,6 +18,7 @@ from confsub.geometry import (
     complex_structure_residuals,
     covariant_derivative,
     euclidean,
+    grid_jet,
     lie_bracket,
     metric_jet,
     nabla_j_residual,
@@ -70,6 +72,17 @@ def test_metric_rejects_degenerate():
     M = ChartedManifold(2, diag_metric("x1", "1"), None, None)
     with pytest.raises(NonSPDMetricError):
         gamma_at(M, (-1.0, 0.0))
+
+
+def test_grid_jet_outside_the_domain_raises_without_numpy_warnings():
+    grid = [[parse("log(x1)", 2), parse("x2 / (x1 - x1)", 2)], [parse("1", 2), parse("exp(2000*x1)", 2)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape as an error
+        for p, message in [((-1.0, 0.0), "log"), ((0.0, 1.0), "log"), ((2.0, 1.0), "division by zero")]:
+            with pytest.raises(ExprDomainError, match=message):
+                grid_jet(grid, [(0.5, 0.5), p])
+        with pytest.raises(ExprDomainError, match="overflow"):
+            grid_jet([[parse("exp(2000*x1)", 2)]], [(1.0, 0.0)])
 
 
 def test_christoffel_flat_zero():

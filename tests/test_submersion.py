@@ -51,13 +51,13 @@ def tensors(F, p):
 def coordinate_sff(F, p, X, Y):
     """(nabla dF)(X, Y) on the constant coordinate fields X, Y, assembled apart from the tables.
 
-    Component Hessians and gradients come from `eval_jet2`, the target
-    connection from the target metric jet, nabla_X Y from
-    `geometry.covariant_derivative`.
+    Component values, Hessians and gradients come from `eval_jet2` on the
+    batch of one, the target connection from the target metric jet at the
+    image point, nabla_X Y from `geometry.covariant_derivative`.
     """
-    jets = [eval_jet2(c, p) for c in F.components]
-    hess, DF = np.array([j.hessian for j in jets]), np.array([j.gradient for j in jets])
-    q = F.context(p).target_point
+    jets = [eval_jet2(c, [p]) for c in F.components]
+    hess, DF = np.array([j.hessian[0] for j in jets]), np.array([j.gradient[0] for j in jets])
+    q = np.array([j.value[0] for j in jets])
     gamma_n = christoffel_symbols(metric_jet(F.target, q), q)
     nab = covariant_derivative(F.source, ConstantField(Y), X, p)
     return (hess @ Y) @ X + (gamma_n @ (DF @ Y)) @ (DF @ X) - DF @ nab
