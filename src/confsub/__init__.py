@@ -18,12 +18,9 @@ from .submersion import (
     PointContext,
     SmoothMap,
     SplitFrame,
-    bc_decompose,
-    jacobian,
     on_pairs,
-    phi_omega,
-    sff_identity_residuals,
 )
+from .theorems import sff_identity_residuals
 
 __all__ = [
     "__version__",
@@ -44,9 +41,6 @@ __all__ = [
     "SplitFrame",
     "PointContext",
     "FundamentalTensorsAtPoint",
-    "jacobian",
-    "phi_omega",
-    "bc_decompose",
     "on_pairs",
     "sff_identity_residuals",
 ]

@@ -20,8 +20,6 @@ class Tolerances:
     structural: float = 1e-9  # frame orthonormality, kernel and J-invariance residuals
     conformality: float = 1e-8  # relative to the square dilation
     kahler: float = 1e-9
-    reconstruction: float = 1e-10
-    homothety: float = 1e-8
     drop: float = 1e-10  # Gram-Schmidt drop threshold
     split_threshold: float = 1e-7  # invariant part: singular value > 1 - split_threshold
     split_margin: float = 1e-3  # anything closer below the threshold is ambiguous

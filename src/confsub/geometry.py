@@ -6,8 +6,10 @@ way, and a sampling box with excluded hypersurfaces.  All operations are pure
 and pointwise; derivatives come from jet evaluation of the component
 expressions, which `grid_jet` runs on a whole stack of points at once (the
 single-point helpers are its batch of one).  The covariant-derivative and
-bracket formulas are written once here (`nabla`, `brackets`) and shared with
-the per-point tables.
+bracket formulas of the tables of `submersion` are written once here
+(`nabla`, `brackets`, `along`), on stacks with a leading point axis; the
+single-field `covariant_derivative` and `lie_bracket` are test oracles with
+formulas of their own.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "metric_jet",
     "complex_structure_jet",
     "christoffel_symbols",
+    "along",
     "nabla",
     "brackets",
     "covariant_derivative",
@@ -141,7 +144,7 @@ def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
 
 def _at(grid, p) -> ArrayJet:
     """`grid_jet` at one point: the batch of one."""
-    return grid_jet(grid, [p]).points()[0]
+    return grid_jet(grid, [p])[0]
 
 
 def spd_errors(G: np.ndarray, points) -> list:
@@ -189,21 +192,27 @@ def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
     return _levi_civita(g)
 
 
-def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
-    """Covariant derivatives along every coordinate field: out[l, ...] = nabla_{d_l} Y.
+def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Derivatives along stacks of vectors X[q, r] from tables t[q, l, ...] = d_l(...): out[q, r, ...]."""
+    N, dim = table.shape[:2]
+    return (X @ table.reshape(N, dim, -1)).reshape(X.shape[:2] + table.shape[2:])
 
-    `Y` is a field (values `(dim,)`) or a stack of fields (`(k, dim)`);
-    (nabla_{d_l} Y)^k = d_l Y^k + Gamma^k_li Y^i.  Along a vector X the
-    derivative is X @ out (a contraction over the first axis).  With the
-    pullback coefficients Gamma_N^a_cb d_l F^c in place of `gamma` the same
-    formula is the pullback connection on target-vector sections.
+
+def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
+    """Covariant derivatives of stacks of fields along every coordinate field, at every point.
+
+    `Y` is a batched jet of rows (values `v[q, r, k]`) and `gamma[q, k, l, i]`
+    the connection at the points; out[q, l, r] = nabla_{d_l} Y_r, with
+    (nabla_{d_l} Y)^k = d_l Y^k + Gamma^k_li Y^i.  With the pullback
+    coefficients Gamma_N^a_cb d_l F^c at [q, a, l, b] in place of `gamma` the
+    same formula is the pullback connection on target-vector sections.
     """
-    return Y.d + np.einsum("kli,...i->l...k", gamma, Y.v)
+    return Y.d + Y.v[:, None] @ gamma.transpose(0, 2, 3, 1)
 
 
 def brackets(X: ArrayJet, Y: ArrayJet) -> np.ndarray:
-    """Lie brackets of two stacks of fields: out[a, b] = X_a^i d_i Y_b - Y_b^i d_i X_a."""
-    return np.einsum("ai,ibk->abk", X.v, Y.d) - np.einsum("bi,iak->abk", Y.v, X.d)
+    """Lie brackets of two batched stacks of fields: out[q, a, b] = X_a^i d_i Y_b - Y_b^i d_i X_a."""
+    return along(X.v, Y.d) - along(Y.v, X.d).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +269,8 @@ def _as_field(Y, dim: int) -> VectorField:
 
 def covariant_derivative(M: ChartedManifold, Y, X, p) -> np.ndarray:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (X a vector at p)."""
-    gamma = christoffel_symbols(metric_jet(M, p), p)
-    return np.asarray(X, dtype=float) @ nabla(gamma, _as_field(Y, M.dim).jets_at(p))
+    gamma, Yj = christoffel_symbols(metric_jet(M, p), p), _as_field(Y, M.dim).jets_at(p)
+    return np.asarray(X, dtype=float) @ (Yj.d + np.einsum("kli,i->lk", gamma, Yj.v))
 
 
 def lie_bracket(X, Y, p, dim: int | None = None) -> np.ndarray:
@@ -269,7 +278,7 @@ def lie_bracket(X, Y, p, dim: int | None = None) -> np.ndarray:
     if dim is None:
         dim = X.dim if isinstance(X, VectorField) else len(np.asarray(X))
     Xj, Yj = (_as_field(F, dim).jets_at(p) for F in (X, Y))
-    return brackets(ArrayJet(Xj.v[None], Xj.d[:, None]), ArrayJet(Yj.v[None], Yj.d[:, None]))[0, 0]
+    return Xj.v @ Yj.d - Yj.v @ Xj.d
 
 
 # ---------------------------------------------------------------------------

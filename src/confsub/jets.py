@@ -9,7 +9,7 @@ the leading axis.  Only a vector right factor needs its own form,
 
 The frame pass runs on stacks of matrices over many sample points at once: a
 batched jet puts a point axis in front of both parts, ``v[q, ...]`` and
-``d[q, l, ...]``, so that ``points()[q]`` is the ordinary jet at point q.  Its
+``d[q, l, ...]``, so that ``jet[q]`` is the ordinary jet at point q.  Its
 products insert the derivative axis into the values (``v[:, None]``).  Every
 operation acts on each point on its own, and the point axis stays outermost
 in memory, so that a point's view has the layout of a batch of one: its
@@ -53,13 +53,9 @@ class ArrayJet:
         """The batched jet of per-point jets, in order."""
         return cls(np.stack([j.v for j in jets]), np.stack([j.d for j in jets]), True)
 
-    def points(self) -> list["ArrayJet"]:
-        """The jets at the points of a batched jet, in order (views)."""
-        return list(map(ArrayJet, self.v, self.d))
-
-    def take(self, idx) -> "ArrayJet":
-        """The batched jet of the points `idx`."""
-        return ArrayJet(self.v[idx], self.d[idx], True)
+    def __getitem__(self, idx) -> "ArrayJet":
+        """The jet at point `idx` of a batched jet, or the batched jet of the points `idx`."""
+        return ArrayJet(self.v[idx], self.d[idx], np.ndim(idx) > 0)
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix of a batched jet (copies, point axis outermost)."""

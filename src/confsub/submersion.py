@@ -8,19 +8,23 @@ derivatives `d[l, ...] = d_l v[...]`) builds the metric, Jacobian,
 orthonormal vertical/horizontal frames, the invariant/anti-invariant
 refinement of the vertical space, the dilation and all projectors; every
 pivot, drop and validation decision reads the values only.  The evaluation,
-the pass, the source connection and the Kaehler test run once per batch, on
-jets with a leading point axis.  A point that fails keeps its own first
-error, which reading it raises again, and points whose Gram-Schmidt drops
-differ run as separate groups.  A point's numbers are the
+the pass, the connections, the Kaehler test and the tables below run once
+per batch, on arrays with a leading point axis.  A point that fails keeps
+its own first error, which reading it raises again, and points whose
+Gram-Schmidt drops differ run as separate groups.  A point's numbers are the
 same bit for bit in any batch, so `SmoothMap.context(p)`, the batch of one,
 is the single-point case of the same code.
 
-From those jets each context builds per-point tables, each once and on first
-use: the second fundamental form `S[a, i, j]` from the component Hessians,
-O'Neill's `T[:, i, j]` and `A[:, i, j]` from the projector jets, and for each
-frame family the checkers differentiate the covariant derivatives
-`nabla_{d_l}` of its rows and the pullback-connection derivatives of their
-images under dF.  A structure-only run builds none of them.
+From those jets each group of points that share a pass run (`_Group`)
+builds its tables, once and on first use, with the point axis leading: the
+connections, the second fundamental form `S[q, a, i, j]` from the component
+Hessians, O'Neill's `T[q, :, i, j]` and `A[q, :, i, j]` from the projector
+jets, and for each frame family the checkers differentiate the covariant
+derivatives `nabla_{d_l}` of its rows and the pullback-connection
+derivatives of their images under dF.  Every contraction is a `matmul` with
+the point axis as its batch axis.  A context's tables (`ctx.tensors`,
+`ctx.nabla(name)`, ...) are its slices of its group's, as `ctx.data` is its
+slice of the pass.  A structure-only run builds none of them.
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
@@ -34,9 +38,7 @@ ambiguous points.  A scene declared machinery-only has no J from the start.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .expr import ScalarExpr, evaluate, jet_seeds, keep_first, raise_first
 from .geometry import (
     ChartedManifold,
     _levi_civita,
-    christoffel_symbols,
+    along,
     grid_jet,
     j_residuals,
     nabla,
@@ -69,14 +71,10 @@ __all__ = [
     "GradLnLambda",
     "FundamentalTensorsAtPoint",
     "PointContext",
-    "jacobian",
-    "phi_omega",
-    "bc_decompose",
+    "pairs",
     "on_pairs",
-    "along",
     "row_norms",
     "bookkeeping",
-    "sff_identity_residuals",
 ]
 
 
@@ -95,9 +93,8 @@ class SmoothMap:
     def contexts(self, points, tol: Tolerances = DEFAULT_TOLERANCES) -> list["PointContext"]:
         """One new context per point, sharing one batch.
 
-        The frame pass and the Kaehler test run once for the whole batch, on
-        first use; each context builds its tables on first use, and the caller
-        keeps them.
+        The frame pass, the Kaehler test and the tables run once for the
+        whole batch, on first use, and the caller keeps them.
         """
         return _PointBatch(self, points, tol).contexts
 
@@ -127,7 +124,7 @@ class SplitFrame:
 
 @dataclass(frozen=True)
 class FundamentalTensorsAtPoint:
-    """The submersion tensors at one point as coordinate tables.
+    """The submersion tensors at one point as coordinate tables (at a group: point axis leading).
 
     `t[:, i, j]` and `a[:, i, j]` are O'Neill's T and A on the coordinate
     fields d_i, d_j (skew-symmetric as operators in their second slot),
@@ -150,7 +147,6 @@ class GradLnLambda:
     vector: np.ndarray  # riemannian gradient of ln(dilation)
     horizontal_part: np.ndarray
     horizontal_norm: float  # g-norm of the horizontal part of grad(dilation)
-    horizontally_homothetic: bool
 
 
 @dataclass
@@ -158,7 +154,7 @@ class _PipelineResult:
     """The frame pass: frames are `(k, dim)` jets, matrices `(dim, dim)`.
 
     Batched, every jet carries the point axis first and `lam` and
-    `conf_residual` are arrays over the points; `points()` splits it.
+    `conf_residual` are arrays over the points; `_take` takes points of it.
     """
 
     G: ArrayJet
@@ -183,17 +179,6 @@ class _PipelineResult:
     lambda_sq: ArrayJet  # scalar jet: v a float, d the coordinate gradient
     lam: float
     conf_residual: float
-
-    def points(self) -> list["_PipelineResult"]:
-        """The pass at each point of a batched result: per-point jets and floats."""
-        def split(x):
-            if x is None:
-                return itertools.repeat(None)
-            return x.points() if isinstance(x, ArrayJet) else x.tolist()
-
-        names = [f.name for f in fields(self)]
-        columns = [split(getattr(self, name)) for name in names]
-        return [_PipelineResult(**dict(zip(names, row))) for row in zip(*columns)]
 
 
 class _Regroup(Exception):
@@ -235,6 +220,28 @@ def _half_lower(m: int) -> np.ndarray:
     return mask
 
 
+def _orthonormal_rows(Gv: np.ndarray, Pv: np.ndarray, drop: float):
+    """The value loop of `_gram_schmidt`: (B = Linv Pv with a zero row per dropped seed,
+    Linv, kept seeds, points whose squared norms are all finite)."""
+    PG = Pv @ Gv
+    N, k, dim = Pv.shape
+    B = np.zeros((N, k, dim))
+    Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
+    keep = np.zeros((N, k), dtype=bool)
+    finite = np.ones(N, dtype=bool)
+    for i in range(k):
+        c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
+        w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
+        n2 = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
+        finite &= np.isfinite(n2)
+        ok = keep[:, i] = n2 >= drop * drop
+        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, n2, 1.0)), 0.0)
+        B[:, i] = w * r[:, None]
+        Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
+        Linv[:, i, i] = r
+    return B, Linv, keep, finite
+
+
 def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None,
                   fail=raise_first) -> ArrayJet:
     """Metric Gram-Schmidt of the seed rows in order at every point, dropping near-dependent seeds.
@@ -257,22 +264,8 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     Pv = seeds.v
     if against is not None:
         Pv = Pv - (Pv @ Gv @ against.v.swapaxes(1, 2)) @ against.v
-    PG = Pv @ Gv
+    B, Linv, keep, finite = _orthonormal_rows(Gv, Pv, drop)
     N, k, dim = Pv.shape
-    B = np.zeros((N, k, dim))
-    Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
-    keep = np.zeros((N, k), dtype=bool)
-    finite = np.ones(N, dtype=bool)
-    for i in range(k):
-        c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
-        w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
-        n2 = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
-        finite &= np.isfinite(n2)
-        ok = keep[:, i] = n2 >= drop * drop
-        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, n2, 1.0)), 0.0)
-        B[:, i] = w * r[:, None]
-        Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
-        Linv[:, i, i] = r
     fail(~finite, lambda q: NumericalOverflowError("numerical overflow in a Gram-Schmidt squared norm"))
     if (keep != keep[:1]).any():
         _, group = np.unique(keep, axis=0, return_inverse=True)
@@ -460,9 +453,8 @@ def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict
                 errors.update((int(idx[q]), error(q)) for q in bad)
                 raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
-            part = lambda x: None if x is None else x.take(idx) if isinstance(x, ArrayJet) else x[idx]
             try:
-                res = _run_pipeline(*map(part, inputs), tol, points[idx], fail)
+                res = _run_pipeline(*(_take(x, idx) for x in inputs), tol, points[idx], fail)
             except _Regroup as split:
                 pending += [idx[g] for g in split.groups if len(g)]
             else:
@@ -471,20 +463,22 @@ def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict
 
 
 def _entry(e):
-    """A point's entry in a batch stage: its result, or the error it raised, raised again."""
+    """A point's entry in a batch stage: its (group, position), or the error it raised, raised again."""
     if isinstance(e, Exception):
         raise e
     return e
 
 
 class _PointBatch:
-    """The frame pass and the Kaehler test shared by the contexts of one `SmoothMap.contexts` call.
+    """The stages shared by the contexts of one `SmoothMap.contexts` call.
 
-    Each stage runs once, on first use, over all the points at once: the
-    expressions are evaluated on jets of every point, and the frame pass runs
-    on the points that evaluated.  Per point it keeps a result, or the first
+    Each stage runs once, on first use, over all the points at once, and
+    keeps per point its group (`_Group`) and position there, or the first
     error the point raised, in pipeline order; reading the point raises that
-    error again.
+    error again.  The expressions are evaluated on jets of every point and
+    the frame pass runs on the points that evaluated (`_pass`); of its
+    groups, the points whose source metric (`_connection`), then target
+    metric at the image point (`_tables`), is positive definite go on.
     """
 
     def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
@@ -494,16 +488,18 @@ class _PointBatch:
             PointContext(fmap, np.asarray(p, dtype=float), tol, self, q) for q, p in enumerate(points)
         ]
 
-    def data(self, q: int) -> _PipelineResult:
+    def passed(self, q: int) -> tuple["_Group", int]:
         return _entry(self._pass[0][q])
 
-    def connection(self, q: int):
-        """(source Christoffel symbols, Kaehler residuals or None) at point q."""
+    def connection(self, q: int) -> tuple["_Group", int]:
         return _entry(self._connection[q])
+
+    def tables(self, q: int) -> tuple["_Group", int]:
+        return _entry(self._tables[q])
 
     @functools.cached_property
     def _pass(self) -> tuple[list, list]:
-        """Per point its pass or its error; (point indices, batched result) of each group run."""
+        """Per point its entry; (point indices, batched result) of each group run."""
         if not self.contexts:
             return [], []
         points, errors = np.array([c.p for c in self.contexts]), {}
@@ -511,32 +507,47 @@ class _PointBatch:
         groups = _frame_pass(inputs, self.tol, points, errors)
         entries = [errors.get(q) for q in range(len(points))]
         for members, res in groups:
-            for q, at_q in zip(members, res.points()):
-                entries[q] = at_q
+            _Group(members, res, points[members]).enter(entries)
         return entries, groups
 
     @functools.cached_property
     def _connection(self) -> list:
-        """Per point (gamma, Kaehler residuals or None), or the point's error."""
-        entries, groups = self._pass
-        out = [e if isinstance(e, Exception) else None for e in entries]
-        for members, res in groups:
-            errs = spd_errors(res.G.v, [self.contexts[q].p for q in members])
-            for q, err in zip(members, errs):
-                out[q] = err
-            good = np.array([k for k, err in enumerate(errs) if err is None], dtype=int)
-            if not len(good):
-                continue
-            G = res.G.take(good)
-            gamma = _levi_civita(G)
-            kahler = [None] * len(good)
-            if res.J is not None:
-                J = res.J.take(good)
-                r_square, r_compat = j_residuals(G.v, J.v)
-                kahler = zip(r_square.tolist(), r_compat.tolist(), nabla_j_norm(G.v, J, gamma).tolist())
-            for q, g, kah in zip(members[good], gamma, kahler):
-                out[q] = (g, kah)
-        return out
+        return _admit(self._pass[0], lambda group: (group.Gf, group.points))
+
+    @functools.cached_property
+    def _tables(self) -> list:
+        return _admit(self._connection, lambda group: (group.data.gT.v, group.data.image))
+
+
+def _admit(entries: list, metric) -> list:
+    """The entries of the next stage: a point whose `metric(group)` is not positive definite fails."""
+    out = list(entries)
+    for group in dict.fromkeys(e[0] for e in entries if isinstance(e, tuple)):
+        errs = spd_errors(*metric(group))
+        for q, err in zip(group.members.tolist(), errs):
+            out[q] = err
+        good = np.array([k for k, err in enumerate(errs) if err is None], dtype=int)
+        if len(good) < len(errs):
+            group = _Group(group.members[good], _take(group.data, good), group.points[good])
+        group.enter(out)
+    return out
+
+
+def _take(x, idx):
+    """A batched array, jet, or dataclass of them, at point `idx` or at the points `idx`."""
+    if is_dataclass(x):
+        return type(x)(*(_take(getattr(x, f.name), idx) for f in fields(x)))
+    return None if x is None else x[idx]
+
+
+def _slice(table):
+    """A `PointContext` view: the point's slice of the table `table(group, *args)` of its group."""
+
+    def view(self, *args):
+        group, k = self.group
+        return _take(table(group, *args), k)
+
+    return view
 
 
 def _value_view(name: str):
@@ -547,6 +558,66 @@ def _value_view(name: str):
         return None if jet is None else jet.v
 
     return property(get)
+
+
+class _PassViews:
+    """The value parts of a frame pass `self.data`: at one point, or at a group, point axis leading."""
+
+    Gf = _value_view("G")
+    GNf = _value_view("gN")
+    DFf = _value_view("DF")
+    Jf = _value_view("J")
+    PVf = _value_view("PV")
+    PHf = _value_view("PH")
+    PD1f = _value_view("PD1")
+    PD2f = _value_view("PD2")
+    PJD2f = _value_view("PJD2")
+    PMUf = _value_view("PMU")
+
+    # x -> P J x as matrices: phi and omega split J on the vertical space,
+    # B and C on the horizontal space
+    phi, omega, B, C = (
+        property(lambda self, P=P: getattr(self, P) @ self.Jf)
+        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
+    )
+
+
+# ---------------------------------------------------------------------------
+# Contractions at every point of a group: `matmul` with the point axis as its
+# batch axis, so that a point's numbers do not depend on the other points
+
+
+def _T(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+def _flat(W: np.ndarray) -> np.ndarray:
+    """The vectors W[q, ..., k] as one stack W[q, m, k] per point."""
+    return W.reshape(len(W), -1, W.shape[-1])
+
+
+def _mapped(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M[q] applied to the vectors W[q, ..., :]."""
+    return (_flat(W) @ _T(M)).reshape(W.shape[:-1] + M.shape[1:2])
+
+
+def _norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Metric norms of one vector w[q] per point."""
+    return row_norms(w[:, None], G)[:, 0]
+
+
+def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Tables t[q, :, i, j] on stacks of vectors X[q, r], Y[q, s]: out[q, r, s] = t_q(X_r, Y_s)."""
+    return np.moveaxis(X[:, None] @ table @ _T(Y)[:, None], 1, -1)
+
+
+def on_pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """A table t[:, i, j] on two vectors, or two stacks of them: out[r, s] = t(X_r, Y_s).
+
+    `pairs` on the batch of one; a vector in place of a stack drops its axis.
+    """
+    out = pairs(table[None], np.atleast_2d(X)[None], np.atleast_2d(Y)[None])[0]
+    return out[tuple(0 if np.ndim(Z) == 1 else slice(None) for Z in (X, Y))]
 
 
 # Frame families whose derivatives the checkers read: the frames of the pass
@@ -566,14 +637,97 @@ _FAMILIES = {
 }
 
 
-def on_pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """A table t[:, i, j] on two vectors, or two stacks of them: out[a, b] = t(X_a, Y_b)."""
-    return np.moveaxis(np.tensordot(np.tensordot(table, X, (1, -1)), Y, (1, -1)), 0, -1)
+class _Group(_PassViews):
+    """Points of a batch that share a frame-pass run and every table at them, point axis leading.
 
+    `data` is their batched pass, `members` their positions in the batch.
+    Each table is built once, on first use.
+    """
 
-def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Derivatives along a vector, or a stack of vectors, from a table out[l, ...] = d_l(...)."""
-    return np.tensordot(X, table, (-1, 0))
+    def __init__(self, members: np.ndarray, data: _PipelineResult, points: np.ndarray):
+        self.members = members
+        self.data = data
+        self.points = points
+        self._memo: dict = {}
+
+    def enter(self, entries: list) -> None:
+        for k, q in enumerate(self.members.tolist()):
+            entries[q] = (self, k)
+
+    def memo(self, key, build):
+        """build(), once per group and key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        f = self.data
+        return tuple(0 if x is None else x.v.shape[1] for x in (f.d1, f.d2, f.jd2, f.mu))
+
+    @functools.cached_property
+    def gamma_src(self) -> np.ndarray:
+        return _levi_civita(self.data.G)
+
+    @functools.cached_property
+    def kahler(self) -> tuple | None:
+        """(|J^2 + I|, compatibility, |nabla J|) at every point; None without J."""
+        f = self.data
+        if f.J is None:
+            return None
+        return (*j_residuals(f.G.v, f.J.v), nabla_j_norm(f.G.v, f.J, self.gamma_src))
+
+    @functools.cached_property
+    def gamma_pull(self) -> np.ndarray:
+        """Gamma_N^a_cb d_l F^c at [q, a, l, b]: the target connection pulled back to the source."""
+        return _T(self.DFf)[:, None] @ _levi_civita(self.data.gT)
+
+    def family(self, name: str) -> ArrayJet:
+        """A frame family (see `_FAMILIES`) as stacked rows; empty without a complex structure."""
+        f = self.data
+        if f.J is None and name not in ("vertical", "horizontal"):
+            N, dim = f.G.v.shape[:2]
+            return ArrayJet(np.zeros((N, 0, dim)), np.zeros((N, dim, 0, dim)), True)
+        return self.memo(("family", name), lambda: _FAMILIES[name](f))
+
+    def nabla(self, name: str) -> np.ndarray:
+        """out[q, l, r] = nabla_{d_l} of row r of the family."""
+        return self.memo(("nabla", name), lambda: nabla(self.gamma_src, self.family(name)))
+
+    def pullback(self, name: str) -> np.ndarray:
+        """out[q, l, r] = pullback-connection derivative along d_l of the section dF(row r)."""
+        return self.memo(("pullback", name),
+                         lambda: nabla(self.gamma_pull, self.family(name) @ self.data.DF.T))
+
+    @functools.cached_property
+    def tensors(self) -> FundamentalTensorsAtPoint:
+        f, gamma = self.data, self.gamma_src
+        # the projector columns P e_j as fields: nV[q, l, j] = nabla_{d_l}(P_V e_j)
+        nV, nH = nabla(gamma, f.PV.T), nabla(gamma, f.PH.T)
+
+        def oneill(P, Q, nP, nQ):  # Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j)
+            return np.moveaxis(_mapped(along(_T(P), nP), Q) + _mapped(along(_T(P), nQ), P), -1, 1)
+
+        # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
+        sff = np.moveaxis(nabla(self.gamma_pull, f.DF.T), -1, 1) - along(self.DFf, gamma)
+        t = oneill(self.PVf, self.PHf, nV, nH)
+        V, frame = f.vertical.v, np.concatenate((f.vertical.v, f.horizontal.v), axis=1)
+        return FundamentalTensorsAtPoint(
+            point=tuple(map(tuple, self.points.tolist())),
+            t=t,
+            a=oneill(self.PHf, self.PVf, nH, nV),
+            sff=sff,
+            tension=np.trace(pairs(sff, frame, frame), axis1=1, axis2=2),
+            fiber_mean_curvature=np.trace(pairs(t, V, V), axis1=1, axis2=2) / V.shape[1],
+        )
+
+    @functools.cached_property
+    def grad_ln_lambda(self) -> GradLnLambda:
+        lsq = self.data.lambda_sq
+        vec = _mapped(0.5 * lsq.d / lsq.v[:, None], self.data.Ginv.v)
+        h = _mapped(vec, self.PHf)
+        return GradLnLambda(vector=vec, horizontal_part=h,
+                            horizontal_norm=self.data.lam * _norms(h, self.Gf))
 
 
 def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
@@ -589,11 +743,12 @@ def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
     return m, n, r
 
 
-class PointContext:
-    """All pointwise data for a map at one sample point, computed lazily.
+class PointContext(_PassViews):
+    """One sample point of a batch (`SmoothMap.contexts`): views of its entries in the batch.
 
-    The frame pass, the source connection and the Kaehler test come from the
-    point's batch (`SmoothMap.contexts`); the tables are built per point.
+    The frame pass, the connections, the Kaehler test and the tables are
+    built once per group of the batch, point axis leading; each view is this
+    point's slice of them, and reading it raises the point's error.
     """
 
     def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances, batch: "_PointBatch",
@@ -603,225 +758,58 @@ class PointContext:
         self.tol = tol
         self._batch = batch
         self._index = index
-        self._cache: dict = {}
-
-    def _get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
-
-    # -- the frame pass ---------------------------------------------------------
 
     @property
     def data(self) -> _PipelineResult:
         """This point's view of the batch's frame pass; raises the point's error."""
-        return self._get("data", lambda: self._batch.data(self._index))
+        group, k = self._batch.passed(self._index)
+        return _take(group.data, k)
 
     # the stage names the layer timings of the benchmark read
     fdata = jdata = data
 
-    # -- float views: the value parts of the pass ------------------------------
-
-    Gf = _value_view("G")
-    GNf = _value_view("gN")
-    DFf = _value_view("DF")
-    Jf = _value_view("J")
-    PVf = _value_view("PV")
-    PHf = _value_view("PH")
-    PD1f = _value_view("PD1")
-    PD2f = _value_view("PD2")
-    PJD2f = _value_view("PJD2")
-    PMUf = _value_view("PMU")
+    @property
+    def group(self) -> tuple[_Group, int]:
+        """The group that holds this point's tables, and the point's position in it."""
+        return self._batch.tables(self._index)
 
     @property
     def gamma_src(self) -> np.ndarray:
-        return self._get("gamma_src", lambda: self._batch.connection(self._index)[0])
-
-    @property
-    def gamma_tgt(self) -> np.ndarray:
-        return self._get("gamma_tgt", lambda: christoffel_symbols(self.data.gT, self.data.image))
-
-    @property
-    def gamma_pull(self) -> np.ndarray:
-        """Gamma_N^a_cb d_l F^c at [a, l, b]: the target connection pulled back to the source."""
-        return self._get("gamma_pull", lambda: np.einsum("acb,cl->alb", self.gamma_tgt, self.DFf))
+        group, k = self._batch.connection(self._index)
+        return group.gamma_src[k]
 
     @property
     def split(self) -> SplitFrame:
-        def build():
-            f = self.data
-            as_np = lambda jet: () if jet is None else tuple(jet.v)
-            return SplitFrame(
-                point=tuple(float(x) for x in self.p),
-                vertical=as_np(f.vertical),
-                horizontal=as_np(f.horizontal),
-                d1=as_np(f.d1),
-                d2=as_np(f.d2),
-                jd2=as_np(f.jd2),
-                mu=as_np(f.mu),
-                lam=f.lam,
-                lambda_sq_residual=f.conf_residual,
-            )
-
-        return self._get("split", build)
+        group, k = self._batch.passed(self._index)
+        f = group.data
+        as_np = lambda jet: () if jet is None else tuple(jet.v[k])
+        return SplitFrame(
+            point=tuple(float(x) for x in self.p),
+            vertical=as_np(f.vertical),
+            horizontal=as_np(f.horizontal),
+            d1=as_np(f.d1),
+            d2=as_np(f.d2),
+            jd2=as_np(f.jd2),
+            mu=as_np(f.mu),
+            lam=float(f.lam[k]),
+            lambda_sq_residual=float(f.conf_residual[k]),
+        )
 
     def kahler_residuals(self) -> tuple[float, float, float]:
-        """(|J^2 + I|, compatibility, |nabla J|) from the batch's test over all its points.
+        """(|J^2 + I|, compatibility, |nabla J|) from the test of the point's group.
 
         Bit-identical to `geometry.complex_structure_residuals` and
         `nabla_j_residual`, which re-evaluate the jets as a batch of one.  The
         source connection comes first, so a non-SPD metric raises first.
         """
-        kahler = self._batch.connection(self._index)[1]
-        if kahler is None:
+        group, k = self._batch.connection(self._index)
+        if group.kahler is None:
             raise StructureError("source manifold has no complex structure")
-        return kahler
+        return tuple(float(r[k]) for r in group.kahler)
 
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.split.dims
-
-    # -- per-point tables --------------------------------------------------------
-
-    def family(self, name: str) -> ArrayJet:
-        """A frame family (see `_FAMILIES`) as stacked rows; empty without a complex structure."""
-
-        def build():
-            f = self.data
-            if f.J is None and name not in ("vertical", "horizontal"):
-                dim = len(self.p)
-                return ArrayJet(np.zeros((0, dim)), np.zeros((dim, 0, dim)))
-            return _FAMILIES[name](f)
-
-        return self._get(("family", name), build)
-
-    def nabla(self, name: str) -> np.ndarray:
-        """out[l, r] = nabla_{d_l} of row r of the family."""
-        return self._get(("nabla", name), lambda: nabla(self.gamma_src, self.family(name)))
-
-    def pullback(self, name: str) -> np.ndarray:
-        """out[l, r] = pullback-connection derivative along d_l of the section dF(row r)."""
-        return self._get(
-            ("pullback", name),
-            lambda: nabla(self.gamma_pull, self.family(name) @ self.data.DF.T),
-        )
-
-    @property
-    def tensors(self) -> FundamentalTensorsAtPoint:
-        def build():
-            f, gamma = self.data, self.gamma_src
-            PV, PH, DF = f.PV.v, f.PH.v, f.DF.v
-            # the projector columns P e_j as fields: nV[l, j] = nabla_{d_l}(P_V e_j)
-            nV, nH = nabla(gamma, f.PV.T), nabla(gamma, f.PH.T)
-
-            def oneill(P, Q, nP, nQ):  # Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j)
-                return np.moveaxis(along(P.T, nP) @ Q.T + along(P.T, nQ) @ P.T, -1, 0)
-
-            # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
-            sff = np.moveaxis(nabla(self.gamma_pull, f.DF.T), -1, 0) - np.tensordot(DF, gamma, 1)
-            t = oneill(PV, PH, nV, nH)
-            V, frame = f.vertical.v, np.vstack((f.vertical.v, f.horizontal.v))
-            return FundamentalTensorsAtPoint(
-                point=tuple(float(x) for x in self.p),
-                t=t,
-                a=oneill(PH, PV, nH, nV),
-                sff=sff,
-                tension=np.einsum("aij,ri,rj->a", sff, frame, frame),
-                fiber_mean_curvature=np.einsum("kij,ri,rj->k", t, V, V) / len(V),
-            )
-
-        return self._get("tensors", build)
-
-    # -- pointwise helpers -------------------------------------------------------
-
-    def gnorm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return math.sqrt(max(float(v @ self.Gf @ v), 0.0))
-
-    def gn_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return math.sqrt(max(float(w @ self.GNf @ w), 0.0))
-
-    def push(self, v) -> np.ndarray:
-        return self.DFf @ np.asarray(v, dtype=float)
-
-    # x -> P J x as matrices: phi and omega split J on the vertical space,
-    # B and C on the horizontal space
-    phi, omega, B, C = (
-        property(lambda self, P=P: getattr(self, P) @ self.Jf)
-        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
-    )
-
-    @property
-    def grad_ln_lambda(self) -> GradLnLambda:
-        def build():
-            lsq = self.data.lambda_sq
-            vec = self.data.Ginv.v @ (0.5 * lsq.d / lsq.v)
-            h = self.PHf @ vec
-            h_norm = self.split.lam * self.gnorm(h)
-            return GradLnLambda(
-                vector=vec,
-                horizontal_part=h,
-                horizontal_norm=h_norm,
-                horizontally_homothetic=bool(h_norm < self.tol.homothety),
-            )
-
-        return self._get("grad_ln_lambda", build)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def jacobian(fmap: SmoothMap, p, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Rows are the component gradients; the frame pass raises CriticalPointError at rank < n."""
-    return fmap.context(p, tol).DFf
-
-
-def _split_j(fmap: SmoothMap, p, v, tol: Tolerances, space: str, parts: str):
-    """J(v) for v in the vertical or horizontal space, as the pair of its two parts."""
-    ctx = fmap.context(p, tol)
-    if ctx.Jf is None:
-        raise StructureError("source manifold has no complex structure")
-    v = np.asarray(v, dtype=float)
-    proj = ctx.PVf if space == "vertical" else ctx.PHf
-    res = ctx.gnorm(v - proj @ v)
-    if res > 1e-8 * max(ctx.gnorm(v), 1.0):
-        raise StructureError(f"vector is not {space} (residual {res:.3e})")
-    first, second = (getattr(ctx, op) @ v for op in parts.split("/"))
-    recon = ctx.gnorm(ctx.Jf @ v - first - second)
-    if recon > tol.reconstruction * max(1.0, ctx.gnorm(v)):
-        raise StructureError(f"{parts} reconstruction residual {recon:.3e} at {tuple(p)}")
-    return first, second
-
-
-def phi_omega(fmap: SmoothMap, p, v, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Split J(v), v vertical, into its vertical part and its J(d2) part."""
-    return _split_j(fmap, p, v, tol, "vertical", "phi/omega")
-
-
-def bc_decompose(fmap: SmoothMap, p, x, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Split J(x), x horizontal, into its d2 part and its mu part."""
-    return _split_j(fmap, p, x, tol, "horizontal", "B/C")
-
-
-def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
-    """Residuals of the conformal second-fundamental-form identities.
-
-    Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
-    vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
-    Each residual is the max g_N-norm gap over the respective frame pairs
-    (unordered pairs where both slots range over the same frame).
-    """
-    tt, G, DF = ctx.tensors, ctx.Gf, ctx.DFf
-    H, V = ctx.family("horizontal").v, ctx.family("vertical").v
-    grad = ctx.grad_ln_lambda.vector
-    pushed, dln = H @ DF.T, H @ G @ grad
-    rhs = (dln[:, None, None] * pushed[None] + dln[None, :, None] * pushed[:, None]
-           - (H @ G @ H.T)[:, :, None] * (DF @ grad))
-    gaps = (
-        (on_pairs(tt.sff, H, H) - rhs)[np.triu_indices(len(H))],
-        (on_pairs(tt.sff, V, V) + on_pairs(tt.t, V, V) @ DF.T)[np.triu_indices(len(V))],
-        on_pairs(tt.sff, H, V) + on_pairs(tt.a, H, V) @ DF.T,
-    )
-    return tuple(float(np.max(row_norms(g, ctx.GNf), initial=0.0)) for g in gaps)
+    # the tables: the point's slices of its group's (see `_Group`)
+    family = _slice(_Group.family)
+    nabla = _slice(_Group.nabla)
+    pullback = _slice(_Group.pullback)
+    tensors = property(_slice(lambda group: group.tensors))
+    grad_ln_lambda = property(_slice(lambda group: group.grad_ln_lambda))

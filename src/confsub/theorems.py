@@ -14,10 +14,12 @@ range are reported as vacuous; equivalences whose content degenerates (the
 dilation characterizations need both the anti-invariant part and its
 horizontal complement to be nonzero) are vacuous as well.
 
-Both sides read the per-point tables of `PointContext` (the second
-fundamental form, O'Neill's T and A, the covariant and pullback derivatives of
-the frame families), built once on first use: a checker is a set of slices and
-contractions of them and a maximum over the resulting array.
+Both sides read the tables of a group of sample points (`submersion._Group`:
+the second fundamental form, O'Neill's T and A, the covariant and pullback
+derivatives of the frame families), built once per group with the point axis
+leading: a checker is a set of slices and batched contractions of them and a
+maximum per point, run once per group; a hypothesis met at some points only
+is a mask over the points.  `check_x(ctx, tol)` returns ctx's reports.
 
 Whether J takes part is decided once, at scene load (a machinery-only scene
 carries none).  With J both sides are produced; the runner withholds side b
@@ -27,22 +29,27 @@ reported, labelled accordingly, and no agreement claim is made.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import Tolerances
-from .geometry import brackets
-from .jets import ArrayJet
+from .errors import NumericalOverflowError
+from .expr import raise_first
+from .geometry import along, brackets
 from .submersion import (
     PointContext,
-    _gram_schmidt,
-    along,
+    _flat,
+    _Group,
+    _mapped,
+    _norms,
+    _orthonormal_rows,
+    _T,
     bookkeeping,
-    on_pairs,
+    pairs,
     row_norms,
-    sff_identity_residuals,
 )
 
 __all__ = [
@@ -65,6 +72,7 @@ __all__ = [
     "check_totally_geodesic_characterization",
     "check_corollaries",
     "check_sff_identities",
+    "sff_identity_residuals",
 ]
 
 HOLDS, FAILS, INCONCLUSIVE = "holds", "fails", "inconclusive"
@@ -99,256 +107,290 @@ def verdict_of(residual: float, tol: float) -> str:
     return INCONCLUSIVE
 
 
-def _report(name, ctx, ra, rb, tol, vacuous=False, label="", identity=False):
-    va = verdict_of(ra, tol)
-    vb = INCONCLUSIVE if rb is None else verdict_of(rb, tol)
-    agree = not ((va == HOLDS and vb == FAILS) or (va == FAILS and vb == HOLDS))
-    if identity and not label:
-        label = "identity"
-    return ConditionReport(
-        name=name,
-        point=tuple(float(x) for x in ctx.p),
-        residual_a=float(ra),
-        residual_b=None if rb is None else float(rb),
-        verdict_a=va,
-        verdict_b=vb,
-        agree=agree,
-        tolerance=tol,
-        inconclusive_band=(tol, 10.0 * tol),
-        vacuous=vacuous,
-        label=label,
-    )
+def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
+    """One report per point of the group from residuals ra[q] and rb[q] (a scalar: at every point).
+
+    `rb` may be None, or a list with None where side b is withheld; `label`
+    is one label, or a list of one per point.  Where the mask `unmet` is set
+    side b is withheld and labelled with `label`, elsewhere unlabelled.
+    """
+    n = len(g.points)
+    if not isinstance(rb, list):
+        rb = [None] * n if rb is None else np.broadcast_to(rb, n).tolist()
+    labels = [label] * n if isinstance(label, str) else label
+    if unmet is not None:
+        rb = [None if u else b for u, b in zip(unmet.tolist(), rb)]
+        labels = [label if u else "" for u in unmet.tolist()]
+    out = []
+    for p, a, b, lab in zip(g.points.tolist(), np.broadcast_to(ra, n).tolist(), rb, labels):
+        va, vb = verdict_of(a, tol), INCONCLUSIVE if b is None else verdict_of(b, tol)
+        out.append(ConditionReport(name, tuple(p), a, b, va, vb, {va, vb} != {HOLDS, FAILS}, tol,
+                                   (tol, 10.0 * tol), vacuous, lab))
+    return out
 
 
-def _amax(x) -> float:
-    return float(np.max(np.abs(x), initial=0.0))
+def _batched(body):
+    """The checker `check(ctx, tol)` of a body `body(group, tol)` that returns, per report row,
+    the reports at the points of the group: the body runs once per group and tolerances."""
+
+    @functools.wraps(body)
+    def check(ctx: PointContext, tol: Tolerances) -> list[ConditionReport]:
+        group, k = ctx.group
+        return [row[k] for row in _group_rows(check, group, tol)]
+
+    return check
+
+
+def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:
+    """The report rows of a checker over a group; its body (`check.__wrapped__`) runs once."""
+    return group.memo(("checker", check.__name__, tol), lambda: check.__wrapped__(group, tol))
+
+
+def _memo_check(func, ctx: PointContext, tol: Tolerances):
+    """The reports of a checker at one point (checkers run once per group)."""
+    return func(ctx, tol)
+
+
+def _amax(x) -> np.ndarray:
+    """The largest absolute entry per point; 0 where a point has none."""
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1, initial=0.0)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
-    """x[a, b] -> x[b, a] on the two leading axes."""
-    return x.swapaxes(0, 1)
+    """x[q, a, b] -> x[q, b, a]."""
+    return x.swapaxes(1, 2)
 
 
 def _upper(x: np.ndarray, strict: bool = True) -> np.ndarray:
-    """The entries x[a, b] with a < b (a <= b when not strict)."""
-    return x[np.triu_indices(len(x), 1 if strict else 0)]
+    """The entries x[q, a, b] with a < b (a <= b when not strict)."""
+    return x[(slice(None), *np.triu_indices(x.shape[1], 1 if strict else 0))]
 
 
-def _rows(ctx: PointContext, *names: str) -> np.ndarray:
-    return np.vstack([ctx.family(name).v for name in names])
+def _stack(g: _Group, *names: str) -> np.ndarray:
+    return np.concatenate([g.family(name).v for name in names], axis=1)
 
 
-def _bracket_residual(ctx: PointContext, name: str, Z: np.ndarray) -> float:
+def _bracket_residual(g: _Group, name: str, Z: np.ndarray) -> np.ndarray:
     """max |g([F_a, F_b], Z_c)| over the pairs a < b of a family and the rows of Z."""
-    F = ctx.family(name)
-    return _amax(_upper(brackets(F, F)) @ ctx.Gf @ Z.T)
+    F = g.family(name)
+    return _amax(_upper(brackets(F, F)) @ g.Gf @ _T(Z))
 
 
-def _geodesic_residual(ctx: PointContext, name: str, Z: np.ndarray) -> float:
+def _geodesic_residual(g: _Group, name: str, Z: np.ndarray) -> np.ndarray:
     """max |g(nabla_{F_a} F_b, Z_c)| over the rows of a family and of Z."""
-    return _amax(along(ctx.family(name).v, ctx.nabla(name)) @ ctx.Gf @ Z.T)
+    return _amax(_flat(along(g.family(name).v, g.nabla(name))) @ g.Gf @ _T(Z))
 
 
-def _off_pushed_mu(ctx: PointContext, W: np.ndarray) -> np.ndarray:
-    """g_N-norms of the parts of the target vectors W[..., :] orthogonal to dF(mu)."""
-    GN = ctx.GNf
-    Q = ctx._get("pushed_mu_basis", lambda: _gram_schmidt(*(
-        ArrayJet.constant(x[None], 1, batched=True) for x in (GN, _rows(ctx, "mu") @ ctx.DFf.T)
-    ), 1e-12).v[0])
-    return row_norms(W - (W @ GN @ Q.T) @ Q, GN)
+def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
+    """g_N-norms of the parts of the target vectors W[q, ..., :] orthogonal to dF(mu)."""
+    GN = g.GNf
+
+    def basis():  # a zero row for a dropped seed leaves the projection as it is
+        Q, _, _, finite = _orthonormal_rows(GN, _mapped(_stack(g, "mu"), g.DFf), 1e-12)
+        raise_first(~finite, lambda q: NumericalOverflowError(
+            "numerical overflow in a Gram-Schmidt squared norm"))
+        return Q
+
+    Q, W = g.memo("pushed_mu_basis", basis), _flat(W)
+    return row_norms(W - (W @ GN @ _T(Q)) @ Q, GN)
 
 
-def _pullback_terms(ctx: PointContext, W: np.ndarray, X: np.ndarray, name: str, Y: np.ndarray):
+def _over_lam2(x: np.ndarray, g: _Group) -> np.ndarray:
+    """x[q, ...] / lambda^2 at every point."""
+    return x / (g.data.lam ** 2).reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _pullback_terms(g: _Group, W: np.ndarray, X: np.ndarray, name: str, Y: np.ndarray):
     """g(W[a, b], F_k) - g_N(nabla^F_{X_a} dF(F_k), dF(Y_b)) / lambda^2 for the family F named."""
-    F = ctx.family(name).v
-    dval = along(X, ctx.pullback(name))  # [a, k]
-    return W @ ctx.Gf @ F.T - np.einsum(
-        "akn,nm,bm->abk", dval, ctx.GNf, Y @ ctx.DFf.T) / ctx.split.lam ** 2
+    dval = along(X, g.pullback(name))  # [q, a, k, n]
+    pulled = dval @ g.GNf[:, None] @ _T(_mapped(Y, g.DFf))[:, None]  # [q, a, k, b]
+    return _mapped(_mapped(W, _T(g.Gf)), _stack(g, name)) - _over_lam2(_T(pulled), g)
 
 
 # ---------------------------------------------------------------------------
 # Integrability
 
 
-def check_d2_integrable(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_d2_integrable(g: _Group, tol: Tolerances):
     """The anti-invariant vertical distribution is integrable unconditionally."""
-    if len(ctx.family("d2").v) < 2:
-        return [_report("d2_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: fewer than two anti-invariant directions")]
-    ra = _bracket_residual(ctx, "d2", _rows(ctx, "d1", "horizontal"))
-    return [_report("d2_integrability", ctx, ra, 0.0, tol.theorem)]
+    if g.family("d2").v.shape[1] < 2:
+        return [_reports("d2_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: fewer than two anti-invariant directions")]
+    ra = _bracket_residual(g, "d2", _stack(g, "d1", "horizontal"))
+    return [_reports("d2_integrability", g, ra, 0.0, tol.theorem)]
 
 
-def check_d1_integrability(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_d1_integrability(g: _Group, tol: Tolerances):
     """Invariant part integrable iff the antisymmetrized sff of J-twisted pairs pushes into F(mu)."""
-    D1 = ctx.family("d1").v
-    if len(D1) < 2:
-        return [_report("d1_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: fewer than two invariant directions")]
-    ra = _bracket_residual(ctx, "d1", _rows(ctx, "d2"))
-    S = on_pairs(ctx.tensors.sff, D1, _rows(ctx, "Jd1"))  # S[i, j] = sff(d1_i, J d1_j)
-    rb = _amax(_off_pushed_mu(ctx, _upper(_swap(S) - S)))
-    return [_report("d1_integrability", ctx, ra, rb, tol.theorem)]
+    D1 = g.family("d1").v
+    if D1.shape[1] < 2:
+        return [_reports("d1_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: fewer than two invariant directions")]
+    ra = _bracket_residual(g, "d1", _stack(g, "d2"))
+    S = pairs(g.tensors.sff, D1, _stack(g, "Jd1"))  # S[q, i, j] = sff(d1_i, J d1_j)
+    rb = _amax(_off_pushed_mu(g, _upper(_swap(S) - S)))
+    return [_reports("d1_integrability", g, ra, rb, tol.theorem)]
 
 
-def _horizontal_pair_residual(ctx: PointContext, extra=0.0) -> float:
+def _horizontal_pair_residual(g: _Group, extra=0.0) -> np.ndarray:
     """max |g(W, J W_k) - g_N(nabla^F_Y dF(CX) - nabla^F_X dF(CY), dF(J W_k)) / lambda^2|
     with W = A(Y, BX) - A(X, BY) + extra[a, b] over horizontal pairs X = X_a, Y = X_b,
     a < b, and the anti-invariant frame W_k."""
-    H, JD2 = ctx.family("horizontal").v, _rows(ctx, "Jd2")
-    A_B = on_pairs(ctx.tensors.a, H, _rows(ctx, "BH"))
-    D = along(H, ctx.pullback("CH"))  # D[b, a] = nabla^F_{X_b} dF(C X_a)
+    H, JD2 = g.family("horizontal").v, _stack(g, "Jd2")
+    A_B = pairs(g.tensors.a, H, _stack(g, "BH"))
+    D = along(H, g.pullback("CH"))  # D[q, b, a] = nabla^F_{X_b} dF(C X_a)
     W, dmix = _upper(_swap(A_B) - A_B + extra), _upper(_swap(D) - D)
-    return _amax(W @ ctx.Gf @ JD2.T
-                 - dmix @ ctx.GNf @ (JD2 @ ctx.DFf.T).T / ctx.split.lam ** 2)
+    return _amax(W @ g.Gf @ _T(JD2) - _over_lam2(dmix @ g.GNf @ _T(_mapped(JD2, g.DFf)), g))
 
 
-def check_horizontal_integrability(ctx: PointContext, tol: Tolerances):
-    H = ctx.family("horizontal").v
-    if len(H) < 2:
-        return [_report("horizontal_integrability", ctx, 0.0, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: fewer than two horizontal directions")]
-    ra = _bracket_residual(ctx, "horizontal", _rows(ctx, "vertical"))
-    if ctx.Jf is None:
-        return [_report("horizontal_integrability", ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    G, A, J = ctx.Gf, ctx.tensors.a, ctx.Jf
-    BH, CH = _rows(ctx, "BH"), _rows(ctx, "CH")
+@_batched
+def check_horizontal_integrability(g: _Group, tol: Tolerances):
+    H = g.family("horizontal").v
+    if H.shape[1] < 2:
+        return [_reports("horizontal_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: fewer than two horizontal directions")]
+    ra = _bracket_residual(g, "horizontal", _stack(g, "vertical"))
+    if g.Jf is None:
+        return [_reports("horizontal_integrability", g, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    G, A = g.Gf, g.tensors.a
+    BH, CH = _stack(g, "BH"), _stack(g, "CH")
     # invariant-part component of the bracket through the A tensor
-    A_omB = on_pairs(A, H, BH @ ctx.omega.T)
-    JA_C = on_pairs(A, H, CH) @ J.T
+    A_omB = pairs(A, H, _mapped(BH, g.omega))
+    JA_C = _mapped(pairs(A, H, CH), g.Jf)
     w1 = _swap(A_omB) - A_omB - JA_C + _swap(JA_C)
-    rb = _amax(_upper(w1) @ G @ _rows(ctx, "d1").T)
+    rb = _amax(_upper(w1) @ G @ _T(_stack(g, "d1")))
     # anti-invariant component through the pullback connection
-    if len(ctx.family("d2").v):
-        grad = ctx.grad_ln_lambda.vector
-        dln = CH @ G @ grad
-        extra = (-dln[None, :, None] * H[:, None] + dln[:, None, None] * H[None]
-                 + 2.0 * (H @ G @ CH.T)[:, :, None] * grad)
-        rb = max(rb, _horizontal_pair_residual(ctx, extra))
-    return [_report("horizontal_integrability", ctx, ra, rb, tol.theorem)]
+    if g.family("d2").v.shape[1]:
+        grad = g.grad_ln_lambda.vector
+        dln = _mapped(grad, CH @ G)
+        extra = (-dln[:, None, :, None] * H[:, :, None] + dln[:, :, None, None] * H[:, None]
+                 + 2.0 * (H @ G @ _T(CH))[..., None] * grad[:, None, None])
+        rb = np.maximum(rb, _horizontal_pair_residual(g, extra))
+    return [_reports("horizontal_integrability", g, ra, rb, tol.theorem)]
 
 
-def check_homothetic_characterization(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_homothetic_characterization(g: _Group, tol: Tolerances):
     """Horizontal homothety against the pullback-connection identity on horizontal pairs."""
     name = "homothety_characterization"
-    ra = ctx.grad_ln_lambda.horizontal_norm
-    if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    if not len(ctx.family("d2").v) or not len(ctx.family("mu").v):
+    ra = g.grad_ln_lambda.horizontal_norm
+    if g.Jf is None:
+        return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    if not g.family("d2").v.shape[1] or not g.family("mu").v.shape[1]:
         # with either part empty the identity holds identically and carries
         # no information about the dilation
-        return [_report(name, ctx, ra, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: needs nonzero d2 and mu")]
-    hyp = _bracket_residual(ctx, "horizontal", _rows(ctx, "vertical"))
-    if hyp > tol.theorem:
-        return [_report(name, ctx, ra, None, tol.theorem,
-                        label="hypothesis unmet: horizontal distribution not integrable")]
-    return [_report(name, ctx, ra, _horizontal_pair_residual(ctx), tol.theorem)]
+        return [_reports(name, g, ra, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: needs nonzero d2 and mu")]
+    unmet = _bracket_residual(g, "horizontal", _stack(g, "vertical")) > tol.theorem
+    return [_reports(name, g, ra, _horizontal_pair_residual(g), tol.theorem, unmet=unmet,
+                     label="hypothesis unmet: horizontal distribution not integrable")]
 
 
 # ---------------------------------------------------------------------------
 # Totally geodesic foliations
 
 
-def check_horizontal_totally_geodesic(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_horizontal_totally_geodesic(g: _Group, tol: Tolerances):
     name = "horizontal_totally_geodesic"
-    ra = _geodesic_residual(ctx, "horizontal", _rows(ctx, "vertical"))
-    if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    G, A = ctx.Gf, ctx.tensors.a
-    H, BH, CH = _rows(ctx, "horizontal"), _rows(ctx, "BH"), _rows(ctx, "CH")
-    w1 = on_pairs(A, H, CH) + along(H, ctx.nabla("BH")) @ ctx.PVf.T
-    rb = _amax(w1 @ G @ _rows(ctx, "d1").T)
-    if len(ctx.family("d2").v):
-        grad = ctx.grad_ln_lambda.vector
-        vec = (on_pairs(A, H, BH) - (CH @ G @ grad)[None, :, None] * H[:, None]
-               + (H @ G @ CH.T)[:, :, None] * grad)
-        rb = max(rb, _amax(_pullback_terms(ctx, vec, H, "Jd2", CH)))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    ra = _geodesic_residual(g, "horizontal", _stack(g, "vertical"))
+    if g.Jf is None:
+        return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    G, A = g.Gf, g.tensors.a
+    H, BH, CH = _stack(g, "horizontal"), _stack(g, "BH"), _stack(g, "CH")
+    w1 = pairs(A, H, CH) + _mapped(along(H, g.nabla("BH")), g.PVf)
+    rb = _amax(_flat(w1) @ G @ _T(_stack(g, "d1")))
+    if g.family("d2").v.shape[1]:
+        grad = g.grad_ln_lambda.vector
+        vec = (pairs(A, H, BH) - _mapped(grad, CH @ G)[:, None, :, None] * H[:, :, None]
+               + (H @ G @ _T(CH))[..., None] * grad[:, None, None])
+        rb = np.maximum(rb, _amax(_pullback_terms(g, vec, H, "Jd2", CH)))
+    return [_reports(name, g, ra, rb, tol.theorem)]
 
 
-def _vertical_mu_terms(ctx: PointContext, with_gradient: bool) -> np.ndarray:
+def _vertical_mu_terms(g: _Group, with_gradient: bool) -> np.ndarray:
     """C T(V_j, phi V_i) + A(omega V_i, phi V_j) [+ g(omega V_i, omega V_j) grad ln lambda]
     against mu, minus the pullback derivative of dF(mu) along omega V_i against dF(omega V_j)."""
-    tt, G = ctx.tensors, ctx.Gf
-    V, phiV = _rows(ctx, "vertical"), _rows(ctx, "phiV")
-    omV = V @ ctx.omega.T
-    vec = _swap(on_pairs(tt.t, V, phiV)) @ ctx.C.T + on_pairs(tt.a, omV, phiV)
+    tt, G = g.tensors, g.Gf
+    V, phiV = _stack(g, "vertical"), _stack(g, "phiV")
+    omV = _mapped(V, g.omega)
+    vec = _mapped(_swap(pairs(tt.t, V, phiV)), g.C) + pairs(tt.a, omV, phiV)
     if with_gradient:
-        vec = vec + (omV @ G @ omV.T)[:, :, None] * ctx.grad_ln_lambda.vector
-    return _pullback_terms(ctx, vec, omV, "mu", omV)
+        vec = vec + (omV @ G @ _T(omV))[..., None] * g.grad_ln_lambda.vector[:, None, None]
+    return _pullback_terms(g, vec, omV, "mu", omV)
 
 
-def check_vertical_totally_geodesic(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_vertical_totally_geodesic(g: _Group, tol: Tolerances):
     name = "vertical_totally_geodesic"
-    ra = _geodesic_residual(ctx, "vertical", _rows(ctx, "horizontal"))
-    if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    V = _rows(ctx, "vertical")
-    w1 = (on_pairs(ctx.tensors.t, V, V @ ctx.omega.T)
-          + along(V, ctx.nabla("phiV")) @ ctx.PVf.T)
-    rb = _amax(w1 @ ctx.Gf @ _rows(ctx, "d2").T)
-    if len(ctx.family("mu").v):
-        rb = max(rb, _amax(_vertical_mu_terms(ctx, with_gradient=True)))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    ra = _geodesic_residual(g, "vertical", _stack(g, "horizontal"))
+    if g.Jf is None:
+        return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    V = _stack(g, "vertical")
+    w1 = pairs(g.tensors.t, V, _mapped(V, g.omega)) + _mapped(along(V, g.nabla("phiV")), g.PVf)
+    rb = _amax(_flat(w1) @ g.Gf @ _T(_stack(g, "d2")))
+    if g.family("mu").v.shape[1]:
+        rb = np.maximum(rb, _amax(_vertical_mu_terms(g, with_gradient=True)))
+    return [_reports(name, g, ra, rb, tol.theorem)]
 
 
-def check_d1_totally_geodesic(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_d1_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d1_totally_geodesic"
-    D1 = ctx.family("d1").v
-    if not len(D1):
-        return [_report(name, ctx, 0.0, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: invariant part is zero")]
-    ra = _geodesic_residual(ctx, "d1", _rows(ctx, "d2", "horizontal"))
-    S = on_pairs(ctx.tensors.sff, D1, _rows(ctx, "Jd1"))  # S[i, j] = sff(d1_i, J d1_j)
-    rb = _amax(_off_pushed_mu(ctx, S))
-    omBH = _rows(ctx, "BH") @ ctx.omega.T
-    lhs = np.einsum("xn,nm,ijm->ijx", _rows(ctx, "CH") @ ctx.DFf.T, ctx.GNf, S) / ctx.split.lam ** 2
-    rhs = np.einsum("jk,kl,ixl->ijx", D1, ctx.Gf, on_pairs(ctx.tensors.t, D1, omBH))
-    return [_report(name, ctx, ra, max(rb, _amax(lhs - rhs)), tol.theorem)]
+    D1 = g.family("d1").v
+    if not D1.shape[1]:
+        return [_reports(name, g, 0.0, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: invariant part is zero")]
+    ra = _geodesic_residual(g, "d1", _stack(g, "d2", "horizontal"))
+    S = pairs(g.tensors.sff, D1, _stack(g, "Jd1"))  # S[q, i, j] = sff(d1_i, J d1_j)
+    rb = _amax(_off_pushed_mu(g, S))
+    omBH = _mapped(_stack(g, "BH"), g.omega)
+    lhs = _over_lam2(_mapped(S, _mapped(_stack(g, "CH"), g.DFf) @ g.GNf), g)
+    rhs = _T(_mapped(pairs(g.tensors.t, D1, omBH), D1 @ g.Gf))
+    return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
-def check_d2_totally_geodesic(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_d2_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d2_totally_geodesic"
-    D2 = ctx.family("d2").v
-    if not len(D2):
-        return [_report(name, ctx, 0.0, 0.0, tol.theorem, vacuous=True,
-                        label="vacuous: anti-invariant part is zero")]
-    G = ctx.Gf
-    ra = _geodesic_residual(ctx, "d2", _rows(ctx, "d1", "horizontal"))
-    rb = _amax(_off_pushed_mu(ctx, on_pairs(ctx.tensors.sff, D2, _rows(ctx, "Jd1"))))
-    JCH = _rows(ctx, "CH") @ ctx.Jf.T
-    # -g_N(nabla^F_{J d2_j} dF(J d2_i), dF(J C X)) / lambda^2 at [i, j, x]
-    dv = along(_rows(ctx, "Jd2"), ctx.pullback("Jd2"))
-    lhs = -np.einsum("jin,nm,xm->ijx", dv, ctx.GNf, JCH @ ctx.DFf.T) / ctx.split.lam ** 2
-    BT = on_pairs(ctx.tensors.t, D2, _rows(ctx, "BH")) @ ctx.B.T
-    rhs = (np.einsum("jk,kl,ixl->ijx", D2, G, BT)
-           + (D2 @ G @ D2.T)[:, :, None] * (JCH @ G @ ctx.grad_ln_lambda.horizontal_part))
-    return [_report(name, ctx, ra, max(rb, _amax(lhs - rhs)), tol.theorem)]
+    D2 = g.family("d2").v
+    if not D2.shape[1]:
+        return [_reports(name, g, 0.0, 0.0, tol.theorem, vacuous=True,
+                         label="vacuous: anti-invariant part is zero")]
+    G = g.Gf
+    ra = _geodesic_residual(g, "d2", _stack(g, "d1", "horizontal"))
+    rb = _amax(_off_pushed_mu(g, pairs(g.tensors.sff, D2, _stack(g, "Jd1"))))
+    JCH = _mapped(_stack(g, "CH"), g.Jf)
+    # -g_N(nabla^F_{J d2_j} dF(J d2_i), dF(J C X)) / lambda^2 at [q, i, j, x]
+    dv = along(_stack(g, "Jd2"), g.pullback("Jd2"))
+    lhs = -_over_lam2(_swap(_mapped(dv, _mapped(JCH, g.DFf) @ _T(g.GNf))), g)
+    BT = _mapped(pairs(g.tensors.t, D2, _stack(g, "BH")), g.B)
+    h_part = g.grad_ln_lambda.horizontal_part
+    rhs = _T(_mapped(BT, D2 @ G)) + (D2 @ G @ _T(D2))[..., None] * _mapped(h_part, JCH @ G)[:, None, None]
+    return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
-def _combine(name, ctx, tol, parts):
-    ra = max(p.residual_a for p in parts)
-    rbs = [p.residual_b for p in parts if p.residual_b is not None]
-    rb = max(rbs) if rbs else None
-    vac = all(p.vacuous for p in parts)
-    label = "conjunction: " + ", ".join(p.name for p in parts)
-    return _report(name, ctx, ra, rb, tol.theorem, vacuous=vac, label=label)
+def _combine(name, g: _Group, tol, *rows):
+    """The conjunction of report rows, point by point (vacuity is decided per group)."""
+    parts = list(zip(*rows))
+    rbs = [[p.residual_b for p in at if p.residual_b is not None] for at in parts]
+    return _reports(name, g, [max(p.residual_a for p in at) for at in parts],
+                    [max(r) if r else None for r in rbs], tol.theorem,
+                    vacuous=all(p.vacuous for p in parts[0]),
+                    label="conjunction: " + ", ".join(p.name for p in parts[0]))
 
 
-def _memo_check(func, ctx: PointContext, tol: Tolerances):
-    return ctx._get(("checker", func.__name__, tol), lambda: func(ctx, tol))
-
-
-def check_product_structures(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_product_structures(g: _Group, tol: Tolerances):
     """Local product structures: total space (horizontal x fibers) and within fibers."""
-    teo_h = _memo_check(check_horizontal_totally_geodesic, ctx, tol)[0]
-    teo_v = _memo_check(check_vertical_totally_geodesic, ctx, tol)[0]
-    out = [_combine("product_total_space", ctx, tol, [teo_h, teo_v])]
-    if ctx.Jf is not None:
-        teo_1 = _memo_check(check_d1_totally_geodesic, ctx, tol)[0]
-        teo_2 = _memo_check(check_d2_totally_geodesic, ctx, tol)[0]
-        out.append(_combine("product_fibers", ctx, tol, [teo_1, teo_2]))
+    first = lambda check: _group_rows(check, g, tol)[0]
+    out = [_combine("product_total_space", g, tol, first(check_horizontal_totally_geodesic),
+                    first(check_vertical_totally_geodesic))]
+    if g.Jf is not None:
+        out.append(_combine("product_fibers", g, tol, first(check_d1_totally_geodesic),
+                            first(check_d2_totally_geodesic)))
     return out
 
 
@@ -356,117 +398,147 @@ def check_product_structures(ctx: PointContext, tol: Tolerances):
 # Tension, harmonicity, total geodesicity
 
 
-def _tension_formula_rhs(ctx: PointContext) -> np.ndarray:
-    m, n, r = bookkeeping(ctx.dims, ctx.fmap.source.dim, ctx.fmap.target.dim)
-    mean, grad = ctx.tensors.fiber_mean_curvature, ctx.grad_ln_lambda.vector
-    return -float(2 * m + n) * ctx.push(mean) + (2.0 - n - 2.0 * r) * ctx.push(grad)
+def _tension_formula_rhs(g: _Group) -> np.ndarray:
+    _, n_target, dim = g.DFf.shape
+    m, n, r = bookkeeping(g.dims, dim, n_target)
+    mean, grad = g.tensors.fiber_mean_curvature, g.grad_ln_lambda.vector
+    return -float(2 * m + n) * _mapped(mean, g.DFf) + (2.0 - n - 2.0 * r) * _mapped(grad, g.DFf)
 
 
-def check_tension_formula(ctx: PointContext, tol: Tolerances):
-    res = ctx.gn_norm(ctx.tensors.tension - _tension_formula_rhs(ctx))
-    return [_report("tension_formula", ctx, res, res, tol.identity, identity=True)]
+@_batched
+def check_tension_formula(g: _Group, tol: Tolerances):
+    res = _norms(g.tensors.tension - _tension_formula_rhs(g), g.GNf)
+    return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
 
 
-def check_harmonicity(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_harmonicity(g: _Group, tol: Tolerances):
     """Harmonicity against the mean-curvature / dilation decomposition of the tension."""
-    rb = ctx.gn_norm(_tension_formula_rhs(ctx))  # validates n + 2r = dim of the target
-    minimal = ctx.gn_norm(ctx.push(ctx.tensors.fiber_mean_curvature)) < tol.theorem
-    homothetic = ctx.grad_ln_lambda.horizontal_norm < tol.theorem
-    branch = "minimal-fibers-iff-harmonic" if ctx.fmap.target.dim == 2 else "paired-implications"
-    label = f"{branch}; minimal={minimal}; homothetic={homothetic}"
-    return [_report("harmonicity", ctx, ctx.gn_norm(ctx.tensors.tension), rb, tol.theorem,
-                    label=label)]
+    rb = _norms(_tension_formula_rhs(g), g.GNf)  # validates n + 2r = dim of the target
+    minimal = _norms(_mapped(g.tensors.fiber_mean_curvature, g.DFf), g.GNf) < tol.theorem
+    homothetic = g.grad_ln_lambda.horizontal_norm < tol.theorem
+    branch = "minimal-fibers-iff-harmonic" if g.DFf.shape[1] == 2 else "paired-implications"
+    labels = [f"{branch}; minimal={a}; homothetic={b}"
+              for a, b in zip(minimal.tolist(), homothetic.tolist())]
+    return [_reports("harmonicity", g, _norms(g.tensors.tension, g.GNf), rb, tol.theorem,
+                     label=labels)]
 
 
-def check_jd2_mu_totally_geodesic(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_jd2_mu_totally_geodesic(g: _Group, tol: Tolerances):
     """Vanishing sff on (J d2) x horizontal pairs iff horizontally homothetic."""
     name = "jd2_mu_totally_geodesic"
-    rb = ctx.grad_ln_lambda.horizontal_norm
-    JD2 = _rows(ctx, "Jd2")
-    if not len(JD2):
-        return [_report(name, ctx, 0.0, rb, tol.theorem, vacuous=True,
-                        label="vacuous: anti-invariant part is zero")]
-    ra = _amax(row_norms(on_pairs(ctx.tensors.sff, JD2, _rows(ctx, "horizontal")), ctx.GNf))
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    rb = g.grad_ln_lambda.horizontal_norm
+    JD2 = _stack(g, "Jd2")
+    if not JD2.shape[1]:
+        return [_reports(name, g, 0.0, rb, tol.theorem, vacuous=True,
+                         label="vacuous: anti-invariant part is zero")]
+    ra = _amax(row_norms(_flat(pairs(g.tensors.sff, JD2, _stack(g, "horizontal"))), g.GNf))
+    return [_reports(name, g, ra, rb, tol.theorem)]
 
 
-def check_totally_geodesic_characterization(ctx: PointContext, tol: Tolerances):
+@_batched
+def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
     name = "totally_geodesic_characterization"
-    tt, G = ctx.tensors, ctx.Gf
-    E = _rows(ctx, "vertical", "horizontal")
-    ra = _amax(row_norms(_upper(on_pairs(tt.sff, E, E), strict=False), ctx.GNf))
-    if ctx.Jf is None:
-        return [_report(name, ctx, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    C, omega = ctx.C, ctx.omega
-    D1, V, JD2 = _rows(ctx, "d1"), _rows(ctx, "vertical"), _rows(ctx, "Jd2")
+    tt, G = g.tensors, g.Gf
+    E = _stack(g, "vertical", "horizontal")
+    ra = _amax(row_norms(_upper(pairs(tt.sff, E, E), strict=False), g.GNf))
+    if g.Jf is None:
+        return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
+    C, omega = g.C, g.omega
+    D1, V, JD2 = _stack(g, "d1"), _stack(g, "vertical"), _stack(g, "Jd2")
     # C T(d1_i, J d1_j) + omega(V nabla_{d1_i} J d1_j)
-    wa = (on_pairs(tt.t, D1, _rows(ctx, "Jd1")) @ C.T
-          + along(D1, ctx.nabla("Jd1")) @ ctx.PVf.T @ omega.T)
+    wa = (_mapped(pairs(tt.t, D1, _stack(g, "Jd1")), C)
+          + _mapped(_mapped(along(D1, g.nabla("Jd1")), g.PVf), omega))
     # C(H nabla_{V_i} J d2_j) + omega T(V_i, J d2_j)
-    wb = along(V, ctx.nabla("Jd2")) @ ctx.PHf.T @ C.T + on_pairs(tt.t, V, JD2) @ omega.T
-    rb = max(_amax(row_norms(wa, G)), _amax(row_norms(wb, G)), ctx.grad_ln_lambda.horizontal_norm)
-    return [_report(name, ctx, ra, rb, tol.theorem)]
+    wb = _mapped(_mapped(along(V, g.nabla("Jd2")), g.PHf), C) + _mapped(pairs(tt.t, V, JD2), omega)
+    rb = np.maximum(np.maximum(_amax(row_norms(_flat(wa), G)), _amax(row_norms(_flat(wb), G))),
+                    g.grad_ln_lambda.horizontal_norm)
+    return [_reports(name, g, ra, rb, tol.theorem)]
 
 
 # ---------------------------------------------------------------------------
 # Corollaries
 
 
-def check_corollaries(ctx: PointContext, tol: Tolerances):
-    reports = []
-    D2, MU, V, H = (_rows(ctx, n) for n in ("d2", "mu", "vertical", "horizontal"))
-    anti_holo = ctx.Jf is not None and len(MU) == 0 and len(D2) > 0
-    lam = ctx.split.lam
-    h_norm = ctx.grad_ln_lambda.horizontal_norm
+@_batched
+def check_corollaries(g: _Group, tol: Tolerances):
+    rows = []
+    D2, MU, V, H = (_stack(g, n) for n in ("d2", "mu", "vertical", "horizontal"))
+    anti_holo = g.Jf is not None and MU.shape[1] == 0 and D2.shape[1] > 0
+    h_norm = g.grad_ln_lambda.horizontal_norm
 
     # anti-holomorphic case: J(d2) spans the whole horizontal space
     name1, name2 = "antiholomorphic_integrability", "antiholomorphic_horizontal_geodesic"
     if not anti_holo:
         for nm in (name1, name2):
-            reports.append(_report(nm, ctx, 0.0, None, tol.theorem,
-                                   label="skipped: hypothesis unmet (not anti-holomorphic)"))
+            rows.append(_reports(nm, g, 0.0, None, tol.theorem,
+                                 label="skipped: hypothesis unmet (not anti-holomorphic)"))
     else:
-        JD2 = _rows(ctx, "Jd2")
-        S = on_pairs(ctx.tensors.sff, V, JD2)  # S[k, i] = sff(V_k, J d2_i)
-        M = np.einsum("in,nm,kjm->ijk", JD2 @ ctx.DFf.T, ctx.GNf, S)
-        ra, rb = _bracket_residual(ctx, "horizontal", V), _amax(_upper(M - _swap(M))) / (lam ** 2)
-        reports.append(_report(name1, ctx, ra, rb, tol.theorem))
-        ra2 = _geodesic_residual(ctx, "horizontal", V)
-        rb2 = _amax(_off_pushed_mu(ctx, S)) / (lam ** 2)
-        reports.append(_report(name2, ctx, ra2, rb2, tol.theorem))
+        JD2 = _stack(g, "Jd2")
+        S = pairs(g.tensors.sff, V, JD2)  # S[q, k, i] = sff(V_k, J d2_i)
+        # M[q, i, j, k] = g_N(dF(J d2_i), S[q, k, j])
+        M = _mapped(S, _mapped(JD2, g.DFf) @ g.GNf).transpose(0, 3, 2, 1)
+        ra, rb = _bracket_residual(g, "horizontal", V), _over_lam2(_amax(_upper(M - _swap(M))), g)
+        rows.append(_reports(name1, g, ra, rb, tol.theorem))
+        ra2 = _geodesic_residual(g, "horizontal", V)
+        rb2 = _over_lam2(_amax(_off_pushed_mu(g, S)), g)
+        rows.append(_reports(name2, g, ra2, rb2, tol.theorem))
 
     # dilation constant characterizations under parallelism hypotheses
-    def parallel_report(name, ra, X, family, proj, what, side_b):
-        if not len(D2) or not len(MU):
-            return _report(name, ctx, ra, 0.0, tol.theorem, vacuous=True,
-                           label="vacuous: needs nonzero d2 and mu")
-        nab = along(X, ctx.nabla(family))  # the family stays in its span along X
-        if _amax(row_norms(nab - nab @ proj.T, ctx.Gf)) > tol.theorem:
-            return _report(name, ctx, ra, None, tol.theorem, label=f"hypothesis unmet: {what}")
-        return _report(name, ctx, ra, side_b(), tol.theorem)
+    def parallel_reports(name, ra, X, family, proj, what, side_b):
+        if not D2.shape[1] or not MU.shape[1]:
+            return _reports(name, g, ra, 0.0, tol.theorem, vacuous=True,
+                            label="vacuous: needs nonzero d2 and mu")
+        nab = along(X, g.nabla(family))  # the family stays in its span along X
+        unmet = _amax(row_norms(_flat(nab - _mapped(nab, proj)), g.Gf)) > tol.theorem
+        return _reports(name, g, ra, side_b(), tol.theorem, unmet=unmet, label=f"hypothesis unmet: {what}")
 
-    reports.append(parallel_report(
-        "d2_parallel_homothety", h_norm, H, "d2", ctx.PD2f, "d2 not parallel along horizontal",
-        lambda: _amax(_pullback_terms(ctx, on_pairs(ctx.tensors.a, H, _rows(ctx, "BH")), H,
-                                      "Jd2", _rows(ctx, "CH")))))
-    ra4 = lam * ctx.gnorm(ctx.PMUf @ ctx.grad_ln_lambda.vector) if len(MU) else 0.0
-    reports.append(parallel_report(
-        "mu_parallel_dilation", ra4, V, "mu", ctx.PMUf, "mu not parallel along the fibers",
-        lambda: _amax(_vertical_mu_terms(ctx, with_gradient=False))))
-    return reports
+    rows.append(parallel_reports(
+        "d2_parallel_homothety", h_norm, H, "d2", g.PD2f, "d2 not parallel along horizontal",
+        lambda: _amax(_pullback_terms(g, pairs(g.tensors.a, H, _stack(g, "BH")), H,
+                                      "Jd2", _stack(g, "CH")))))
+    ra4 = g.data.lam * _norms(_mapped(g.grad_ln_lambda.vector, g.PMUf), g.Gf) if MU.shape[1] else 0.0
+    rows.append(parallel_reports(
+        "mu_parallel_dilation", ra4, V, "mu", g.PMUf, "mu not parallel along the fibers",
+        lambda: _amax(_vertical_mu_terms(g, with_gradient=False))))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Identity diagnostics (run on any conformal scene)
 
 
-def check_sff_identities(ctx: PointContext, tol: Tolerances):
-    rh, rv, rm = sff_identity_residuals(ctx)
+@_batched
+def check_sff_identities(g: _Group, tol: Tolerances):
+    tt, G, DF = g.tensors, g.Gf, g.DFf
+    H, V = g.family("horizontal").v, g.family("vertical").v
+    grad = g.grad_ln_lambda.vector
+    pushed, dln = _mapped(H, DF), _mapped(grad, H @ G)
+    rhs = (dln[:, :, None, None] * pushed[:, None] + dln[:, None, :, None] * pushed[:, :, None]
+           - (H @ G @ _T(H))[..., None] * _mapped(grad, DF)[:, None, None])
+    gaps = (
+        _upper(pairs(tt.sff, H, H) - rhs, strict=False),
+        _upper(pairs(tt.sff, V, V) + _mapped(pairs(tt.t, V, V), DF), strict=False),
+        pairs(tt.sff, H, V) + _mapped(pairs(tt.a, H, V), DF),
+    )
+    rh, rv, rm = (_amax(row_norms(_flat(x), g.GNf)) for x in gaps)
     return [
-        _report("sff_identity_horizontal", ctx, rh, rh, tol.identity, identity=True),
-        _report("sff_identity_vertical", ctx, rv, rv, tol.identity, identity=True),
-        _report("sff_identity_mixed", ctx, rm, rm, tol.identity, identity=True),
+        _reports("sff_identity_horizontal", g, rh, rh, tol.identity, label="identity"),
+        _reports("sff_identity_vertical", g, rv, rv, tol.identity, label="identity"),
+        _reports("sff_identity_mixed", g, rm, rm, tol.identity, label="identity"),
     ]
+
+
+def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
+    """Residuals of the conformal second-fundamental-form identities at the point of ctx.
+
+    Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
+    vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
+    Each residual is the max g_N-norm gap over the respective frame pairs
+    (unordered pairs where both slots range over the same frame).
+    """
+    return tuple(r.residual_a for r in check_sff_identities(ctx, ctx.tol))
 
 
 # ---------------------------------------------------------------------------

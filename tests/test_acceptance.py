@@ -11,8 +11,8 @@ import numpy as np
 from confsub.expr import ExprParseError, parse, to_string
 from confsub.runner import run
 from confsub.scenes import load_preset, preset_names, sample_points
-from confsub.submersion import on_pairs, sff_identity_residuals
-from confsub.theorems import CHECKERS
+from confsub.submersion import on_pairs, row_norms
+from confsub.theorems import CHECKERS, sff_identity_residuals
 from confsub.geometry import christoffel_symbols, metric_jet
 
 from .conftest import REPO, SRC, contexts, points, scene
@@ -39,7 +39,7 @@ def test_criterion_1_example_reproduction():
         worst_lam = max(worst_lam, abs(sf.lam - math.exp(p[2])) / math.exp(p[2]))
         dims_ok = dims_ok and sf.dims == (2, 2, 2, 0)
         for w in sf.d2:
-            worst_inv = max(worst_inv, ctx.gnorm(ctx.PVf @ (ctx.Jf @ w)))
+            worst_inv = max(worst_inv, float(row_norms(ctx.PVf @ (ctx.Jf @ w), ctx.Gf)))
     elapsed = time.perf_counter() - start
     ok = worst_lam < 1e-9 and dims_ok and worst_inv < 1e-9 and elapsed < 5.0
     _verdict(

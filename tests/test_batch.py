@@ -82,15 +82,39 @@ box = -1 1, -1 1
 """
 
 
+PARABOLA_POINTS = ((0.3, 0.5), (0.2, 0.0), (-0.4, -0.7), (0.6, 0.0))
+
+
 def test_drop_pattern_groups():
     sc = load_scene_text(PARABOLA)
-    points = [np.array(p) for p in ((0.3, 0.5), (0.2, 0.0), (-0.4, -0.7), (0.6, 0.0))]
+    points = [np.array(p) for p in PARABOLA_POINTS]
     batch = sc.fmap.contexts(points, sc.tolerances)
     for p, ctx in zip(points, batch):
         assert_contexts_equal(ctx, sc.fmap.context(p, sc.tolerances))
     # the two patterns ran as separate groups
     assert sorted(sorted(members.tolist()) for members, _ in batch[0]._batch._pass[1]) == [[0, 2], [1, 3]]
     assert np.array_equal(np.abs(batch[1].split.vertical[0]), [0.0, 1.0])
+
+
+def test_checkers_run_once_per_group(monkeypatch):
+    """A full check runs each checker's batched body once per group of the frame pass."""
+    runs = dict.fromkeys(CHECKERS, 0)
+    for name, spec in CHECKERS.items():
+        def counted(group, tol, body=spec.func.__wrapped__, name=name):
+            runs[name] += 1
+            return body(group, tol)
+
+        monkeypatch.setattr(spec.func, "__wrapped__", counted)
+
+    # the parabola's four points run as two groups; it has no J
+    with monkeypatch.context() as m:
+        m.setattr(runner, "sample_points", lambda scene, count, seed: [np.array(p) for p in PARABOLA_POINTS])
+        runner.run(load_scene_text(PARABOLA))
+    assert runs == {name: 0 if spec.needs_j else 2 for name, spec in CHECKERS.items()}
+
+    runs.update(dict.fromkeys(runs, 0))
+    assert runner.run(fresh_scene("example33"), points=8).exit_code == 0
+    assert runs == dict.fromkeys(CHECKERS, 1)
 
 
 # x1^2 + x2^2 is critical at the origin; the logarithm leaves its domain below x2 = -1

@@ -114,7 +114,8 @@ def test_gram_schmidt_derivatives_on_generic_input(rng):
     G = batched(*(c[0] for c in cases))
     against = _gram_schmidt(G, batched(*(c[1] for c in cases)), 1e-10)
     out = _gram_schmidt(G, batched(*(c[2] for c in cases)), 1e-10, against=against)
-    for (_, _, _, gs), got, Gq, against_q in zip(cases, out.points(), G.points(), against.points()):
+    for k, (_, _, _, gs) in enumerate(cases):
+        got, Gq, against_q = out[k], G[k], against[k]
         assert got.v.shape == (3, dim)
         assert np.allclose(got.v @ Gq.v @ got.v.T, np.eye(3)) and np.allclose(got.v @ Gq.v @ against_q.v.T, 0.0)
         want = np.moveaxis(fd_jacobian(gs, p), -1, 0)

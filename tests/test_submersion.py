@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from confsub.config import DEFAULT_TOLERANCES
 from confsub.errors import (
     AmbiguousSplittingError,
     CriticalPointError,
     SingularMetricError,
-    StructureError,
 )
 from confsub.expr import Const, eval_jet2, parse
 from confsub.geometry import (
@@ -20,15 +20,9 @@ from confsub.geometry import (
     metric_jet,
     nabla,
 )
-from confsub.submersion import (
-    SmoothMap,
-    along,
-    bc_decompose,
-    jacobian,
-    on_pairs,
-    phi_omega,
-    sff_identity_residuals,
-)
+from confsub.jets import ArrayJet
+from confsub.submersion import SmoothMap, on_pairs, row_norms
+from confsub.theorems import sff_identity_residuals
 
 from .conftest import contexts, points, scene
 from .fdtools import FrameField, fd_gradient, fd_sff
@@ -46,6 +40,10 @@ def fmap(name):
 
 def tensors(F, p):
     return F.context(p).tensors
+
+
+def gnorm(ctx, v):
+    return float(row_norms(np.asarray(v, dtype=float), ctx.Gf))
 
 
 def coordinate_sff(F, p, X, Y):
@@ -69,7 +67,7 @@ def coordinate_sff(F, p, X, Y):
 
 def test_jacobian_matches_component_gradients():
     p = np.array([0.0, 0.0, 0.0, 0.0, math.pi / 6, 0.0])
-    jac = jacobian(fmap(E33), p)
+    jac = fmap(E33).context(p).DFf
     c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
     assert jac == pytest.approx(
         np.array([[0, 0, c, 0, -s, 0], [0, 0, s, 0, c, 0]]), abs=1e-15
@@ -77,14 +75,14 @@ def test_jacobian_matches_component_gradients():
 
 
 def test_jacobian_linear_projection_constant():
-    jac = jacobian(fmap("linproj42"), np.array([0.3, -0.4, 0.5, 0.9]))
+    jac = fmap("linproj42").context(np.array([0.3, -0.4, 0.5, 0.9])).DFf
     assert np.array_equal(jac, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 
 
 def test_jacobian_critical_point():
     F = SmoothMap(euclidean(2), euclidean(1), (parse("x1*x2", 2),))
     with pytest.raises(CriticalPointError):
-        jacobian(F, np.zeros(2))
+        F.context(np.zeros(2)).DFf
 
 
 def test_split_frame_dilation_and_dims():
@@ -116,9 +114,9 @@ def test_split_frame_invariant_projection():
         J = ctx.Jf
         for u in sf.d1:
             w = J @ u - ctx.PD1f @ (J @ u)
-            assert ctx.gnorm(w) < 1e-9
+            assert gnorm(ctx, w) < 1e-9
         for w0 in sf.d2:
-            assert ctx.gnorm(ctx.PVf @ (J @ w0)) < 1e-9
+            assert gnorm(ctx, ctx.PVf @ (J @ w0)) < 1e-9
 
 
 def test_split_frame_trivial_projection():
@@ -131,7 +129,7 @@ def test_split_frame_holomorphic_like():
     # both Jacobian rows have norm e^{x3} and are orthogonal; kernel is J-invariant
     F = fmap("holo4")
     p = np.array([0.4, -0.2, 0.35, 0.7])
-    jac = jacobian(F, p)
+    jac = F.context(p).DFf
     assert np.linalg.norm(jac[0]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert np.linalg.norm(jac[1]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert abs(jac[0] @ jac[1]) < 1e-12
@@ -162,60 +160,43 @@ def test_split_frame_ambiguous():
 
 
 def test_phi_omega_invariant_direction():
-    F = fmap(E33)
-    p = e33_point()
+    ctx = fmap(E33).context(e33_point())
     e1 = np.eye(6)[0]
-    phi, omega = phi_omega(F, p, e1)
-    assert phi == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
-    assert np.linalg.norm(omega) < 1e-12
+    assert ctx.phi @ e1 == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
+    assert np.linalg.norm(ctx.omega @ e1) < 1e-12
 
 
 def test_phi_omega_anti_invariant_direction():
-    F = fmap(E33)
-    p = e33_point()
-    ctx = F.context(p)
+    ctx = fmap(E33).context(e33_point())
     e4 = np.eye(6)[3]
-    phi, omega = phi_omega(F, p, e4)
-    assert np.linalg.norm(phi) < 1e-12
-    assert omega == pytest.approx(ctx.Jf @ e4, abs=1e-12)  # fully horizontal image
-
-
-def test_phi_omega_rejects_horizontal():
-    F = fmap(E33)
-    with pytest.raises(StructureError, match="not vertical"):
-        phi_omega(F, e33_point(), np.eye(6)[2])
+    assert np.linalg.norm(ctx.phi @ e4) < 1e-12
+    assert ctx.omega @ e4 == pytest.approx(ctx.Jf @ e4, abs=1e-12)  # fully horizontal image
 
 
 def test_omega_vanishes_on_d1():
     for ctx in contexts(E33, count=3):
         for u in ctx.split.d1:
-            _, omega = phi_omega(ctx.fmap, ctx.p, u)
-            assert np.linalg.norm(omega) < 1e-12
+            assert np.linalg.norm(ctx.omega @ u) < 1e-12
 
 
 def test_bc_decompose_on_jd2():
     for ctx in contexts(E33, count=3):
         for x in ctx.split.jd2:
-            b, c = bc_decompose(ctx.fmap, ctx.p, x)
-            assert np.linalg.norm(c) < 1e-10
-            assert ctx.gnorm(b) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(ctx.C @ x) < 1e-10
+            assert gnorm(ctx, ctx.B @ x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bc_b_of_jw_is_minus_w():
     for ctx in contexts(E33, count=3):
         for w in ctx.split.d2:
-            b, _ = bc_decompose(ctx.fmap, ctx.p, ctx.Jf @ w)
-            assert b == pytest.approx(-w, abs=1e-10)
+            assert ctx.B @ (ctx.Jf @ w) == pytest.approx(-w, abs=1e-10)
 
 
 def test_bc_trivial_when_d2_empty():
-    F = fmap("holo4")
-    p = np.array([0.1, 0.2, 0.0, 0.5])
-    ctx = F.context(p)
+    ctx = fmap("holo4").context(np.array([0.1, 0.2, 0.0, 0.5]))
     for x in ctx.split.horizontal:
-        b, c = bc_decompose(F, p, x)
-        assert np.linalg.norm(b) < 1e-12
-        assert c == pytest.approx(ctx.Jf @ x, abs=1e-12)
+        assert np.linalg.norm(ctx.B @ x) < 1e-12
+        assert ctx.C @ x == pytest.approx(ctx.Jf @ x, abs=1e-12)
 
 
 def test_j_coherence():
@@ -223,7 +204,7 @@ def test_j_coherence():
     for ctx in contexts(E33, count=3) + contexts("linproj63", count=3):
         for v in ctx.split.vertical:
             res = ctx.phi @ (ctx.phi @ v) + ctx.B @ (ctx.omega @ v) + v
-            assert ctx.gnorm(res) < 1e-9
+            assert gnorm(ctx, res) < 1e-9
 
 
 def test_pushed_distributions_orthogonal():
@@ -231,7 +212,7 @@ def test_pushed_distributions_orthogonal():
     for ctx in contexts("linproj63", count=3):
         for w in ctx.split.d2:
             for x in ctx.split.mu:
-                val = ctx.push(ctx.Jf @ w) @ ctx.GNf @ ctx.push(x)
+                val = (ctx.DFf @ ctx.Jf @ w) @ ctx.GNf @ (ctx.DFf @ x)
                 assert abs(val) < 1e-8
 
 
@@ -267,7 +248,8 @@ def test_a_alternation_against_bracket():
     p = e33_point()
     ctx = F.context(p)
     X1, X2 = ctx.split.horizontal
-    br = brackets(ctx.family("horizontal"), ctx.family("horizontal"))[0, 1]
+    H = ArrayJet.stack([ctx.family("horizontal")])
+    br = brackets(H, H)[0, 0, 1]
     a12 = ctx.PVf @ on_pairs(ctx.tensors.a, X1, X2)
     assert a12 == pytest.approx(0.5 * (ctx.PVf @ br), abs=1e-9)
 
@@ -373,7 +355,7 @@ def test_grad_ln_lambda_exponential_example():
     p = e33_point(0.25)
     g = F.context(p).grad_ln_lambda
     assert g.vector == pytest.approx(np.eye(6)[2], abs=1e-10)
-    assert not g.horizontally_homothetic  # x3 is a horizontal direction here
+    assert g.horizontal_norm > DEFAULT_TOLERANCES.theorem  # x3 is a horizontal direction here
     assert g.horizontal_norm == pytest.approx(math.exp(0.25), rel=1e-9)
     # cross-check against finite differences of the detected dilation
     fd = fd_gradient(lambda q: math.log(F.context(q).split.lam), p)
@@ -383,13 +365,13 @@ def test_grad_ln_lambda_exponential_example():
 def test_grad_ln_lambda_flat_cases():
     g = fmap("linproj42").context(np.array([0.3, 0.1, -0.5, 0.2])).grad_ln_lambda
     assert np.linalg.norm(g.vector) < 1e-12
-    assert g.horizontally_homothetic
+    assert g.horizontal_norm < 1e-12
 
 
 def test_grad_ln_lambda_horizontal_case():
     g = fmap("exp1").context(np.zeros(2)).grad_ln_lambda
     assert g.vector == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert not g.horizontally_homothetic
+    assert g.horizontal_norm == pytest.approx(1.0, abs=1e-12)  # lambda = 1, grad ln lambda = e1
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +394,7 @@ def test_sff_identity_horizontal_hand_value():
     lhs = on_pairs(ctx.tensors.sff, e1, e1)
     g = ctx.grad_ln_lambda
     dln = float(e1 @ ctx.Gf @ g.vector)  # d ln(lambda) along e1
-    rhs = 2.0 * dln * ctx.push(e1) - float(e1 @ ctx.Gf @ e1) * ctx.push(g.vector)
+    rhs = 2.0 * dln * (ctx.DFf @ e1) - float(e1 @ ctx.Gf @ e1) * (ctx.DFf @ g.vector)
     assert lhs == pytest.approx([1.0], abs=1e-9)
     assert rhs == pytest.approx([1.0], abs=1e-9)
 
@@ -423,21 +405,22 @@ def test_covariant_phi_omega_structure_identities():
         for ctx in contexts(name, count=3):
             f, T = ctx.data, ctx.tensors.t
             # nabla of the fields omega(V_j) = P_JD2 J V_j
-            nabla_omega = nabla(ctx.gamma_src, f.vertical @ (f.PJD2 @ f.J).T)
+            omega_v = ArrayJet.stack([f.vertical @ (f.PJD2 @ f.J).T])
+            nabla_omega = nabla(ctx.gamma_src[None], omega_v)[0]
             for V in f.vertical.v:
                 for j, W in enumerate(f.vertical.v):
                     TVW = on_pairs(T, V, W)
                     phi_W = ctx.phi @ W
                     om_W = ctx.omega @ W
-                    hat_V_W = ctx.PVf @ along(V, ctx.nabla("vertical"))[j]
-                    hat_V_phiW = ctx.PVf @ along(V, ctx.nabla("phiV"))[j]
+                    hat_V_W = ctx.PVf @ np.tensordot(V, ctx.nabla("vertical"), 1)[j]
+                    hat_V_phiW = ctx.PVf @ np.tensordot(V, ctx.nabla("phiV"), 1)[j]
                     lhs1 = hat_V_phiW - ctx.phi @ hat_V_W
                     rhs1 = ctx.B @ TVW - on_pairs(T, V, om_W)
-                    assert ctx.gnorm(lhs1 - rhs1) < 1e-6
-                    h_V_omW = ctx.PHf @ along(V, nabla_omega)[j]
+                    assert gnorm(ctx, lhs1 - rhs1) < 1e-6
+                    h_V_omW = ctx.PHf @ np.tensordot(V, nabla_omega, 1)[j]
                     lhs2 = h_V_omW - ctx.omega @ hat_V_W
                     rhs2 = ctx.C @ TVW - on_pairs(T, V, phi_W)
-                    assert ctx.gnorm(lhs2 - rhs2) < 1e-6
+                    assert gnorm(ctx, lhs2 - rhs2) < 1e-6
 
 
 def test_families_are_the_operators_on_their_frames():
@@ -508,17 +491,8 @@ def test_fundamental_tensors_bundle():
     assert np.linalg.norm(ft.fiber_mean_curvature) < 1e-12
     v = np.eye(6)[0]
     assert np.linalg.norm(on_pairs(ft.t, v, v)) < 1e-12
-    pushed_t = F.context(p).push(on_pairs(ft.t, v, v))
+    pushed_t = F.context(p).DFf @ on_pairs(ft.t, v, v)
     assert on_pairs(ft.sff, v, v) == pytest.approx(-pushed_t, abs=1e-9)
-
-
-def test_decompositions_need_complex_structure():
-    F = fmap("exp1")
-    p = np.zeros(2)
-    with pytest.raises(StructureError, match="complex structure"):
-        phi_omega(F, p, np.array([0.0, 1.0]))
-    with pytest.raises(StructureError, match="complex structure"):
-        bc_decompose(F, p, np.array([1.0, 0.0]))
 
 
 def test_non_conformal_map_rejected():
