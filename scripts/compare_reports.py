@@ -15,9 +15,10 @@ theorem tolerance, and the largest change of the dilation (relative), the
 conformality residual and the Kaehler residual over the structure rows.
 
 It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
-domain or overflow at a sample point), written to a temporary directory,
-through both trees, and prints the number of stderr changes and each
-differing pair of lines; their exit-code changes count with the others.
+domain or overflow at a sample point, and source or target metrics that are
+not positive definite there), written to a temporary directory, through both
+trees, and prints the number of stderr changes and each differing pair of
+lines; their exit-code changes count with the others.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -36,30 +37,35 @@ STRUCTURE = ("lambda", "conformality", "kahler")
 BENCH_SCENES = sorted(str(f) for f in (REPO / "bench" / "scenes").glob("*.txt"))
 FAILING_SCENE = """name = {name}
 [source]
-dim = 2
-metric = euclidean
+{source}
 [target]
-dim = 1
-metric = euclidean
+{target}
 [map]
-F 1 = {map}
+{map}
 [sampling]
 box = {box}
 count = 4
 seed = 1
 """
-# name: (map, box); each fails at a sample point, in evaluation or in the frame pass
+PLANE, LINE = "dim = 2\nmetric = euclidean", "dim = 1\nmetric = euclidean"
+# name: (map components, box, source and target sections); each fails at a
+# sample point, in evaluation or in the frame pass
 FAILING = {
-    "log-negative": ("log(x1)", "-1 1, -1 1"),
-    "division-by-zero": ("x2/(x1 - x1)", "-1 1, -1 1"),
-    "fractional-power": ("x1^1.5 + x2", "-1 1, -1 1"),
-    "nested": ("sqrt(log(x1))", "-1 1, -1 1"),
-    "constant-division": ("x1/0", "-1 1, -1 1"),
-    "constant-log": ("log(0 - 1)*x1", "-1 1, -1 1"),
-    "exp-overflow": ("exp(2000*x1)", "0.5 1, -1 1"),
-    "pow-overflow": ("x1^1000", "3 4, -1 1"),
-    "gram-schmidt-overflow": ("(x1) * 1e200", "-1 1, -1 1"),
-    "sin-overflow": ("sin(x1*1e200*1e200)", "0.5 1, -1 1"),
+    "log-negative": (("log(x1)",), "-1 1, -1 1", PLANE, LINE),
+    "division-by-zero": (("x2/(x1 - x1)",), "-1 1, -1 1", PLANE, LINE),
+    "fractional-power": (("x1^1.5 + x2",), "-1 1, -1 1", PLANE, LINE),
+    "nested": (("sqrt(log(x1))",), "-1 1, -1 1", PLANE, LINE),
+    "constant-division": (("x1/0",), "-1 1, -1 1", PLANE, LINE),
+    "constant-log": (("log(0 - 1)*x1",), "-1 1, -1 1", PLANE, LINE),
+    "exp-overflow": (("exp(2000*x1)",), "0.5 1, -1 1", PLANE, LINE),
+    "pow-overflow": (("x1^1000",), "3 4, -1 1", PLANE, LINE),
+    "gram-schmidt-overflow": (("(x1) * 1e200",), "-1 1, -1 1", PLANE, LINE),
+    "sin-overflow": (("sin(x1*1e200*1e200)",), "0.5 1, -1 1", PLANE, LINE),
+    # an indefinite source metric
+    "indefinite-source": (("x1",), "-1 1, -1 1", "dim = 2\ng 1 1 = 1\ng 2 2 = 0 - 1", LINE),
+    # a target metric with eigenvalue ratio 1e-13, under a map that is conformal for it
+    "thin-target": (("x1", "3162277.6601683795*x2"), "-1 1, -1 1, -1 1",
+                    "dim = 3\nmetric = euclidean", "dim = 2\ng 1 1 = 1\ng 2 2 = 1e-13"),
 }
 
 
@@ -74,9 +80,10 @@ def failing_changes(parent: str, change: str) -> int:
     """Run the failing scenes through both trees; print the stderr changes, return the exit-code changes."""
     exit_changes, stderr_changes = 0, []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (map_text, box) in FAILING.items():
+        for name, (comps, box, source, target) in FAILING.items():
             path = Path(tmp) / f"{name}.scene"
-            path.write_text(FAILING_SCENE.format(name=name, map=map_text, box=box))
+            map_text = "\n".join(f"F {a} = {c}" for a, c in enumerate(comps, 1))
+            path.write_text(FAILING_SCENE.format(name=name, map=map_text, box=box, source=source, target=target))
             (code_p, _, err_p), (code_c, _, err_c) = check(parent, str(path)), check(change, str(path))
             if code_p != code_c:
                 exit_changes += 1

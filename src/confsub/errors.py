@@ -9,10 +9,6 @@ class NonSPDMetricError(EngineError):
     """Metric matrix at a sampled point is not symmetric positive definite."""
 
 
-class SingularMetricError(EngineError):
-    """Metric (or another structural matrix) could not be inverted."""
-
-
 class CriticalPointError(EngineError):
     """Map differential is rank deficient at the requested point."""
 

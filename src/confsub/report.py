@@ -98,24 +98,6 @@ class RunReport:
             if not (r.agree or r.vacuous)
         ]
 
-    def __eq__(self, other):
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return (
-            self.scene == other.scene
-            and self.engine_version == other.engine_version
-            and self.seed == other.seed
-            and self.count == other.count
-            and self.theorem_tolerance == other.theorem_tolerance
-            and self.machinery_only == other.machinery_only
-            and self.kahler_verified == other.kahler_verified
-            and self.structure == other.structure
-            and self.reports == other.reports
-            and self.skipped == other.skipped
-            and self.warnings == other.warnings
-            and self.exit_code == other.exit_code
-        )
-
 
 # ---------------------------------------------------------------------------
 # Canonical text

@@ -26,7 +26,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
@@ -63,13 +63,6 @@ class Scene:
     @property
     def target(self) -> ChartedManifold:
         return self.fmap.target
-
-    def with_sampling(self, count: int | None = None, seed: int | None = None) -> "Scene":
-        return replace(
-            self,
-            count=self.count if count is None else int(count),
-            seed=self.seed if seed is None else int(seed),
-        )
 
 
 # ---------------------------------------------------------------------------

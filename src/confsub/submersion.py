@@ -7,13 +7,16 @@ frame pass on first-order array jets (`jets.ArrayJet`: values `v[...]`,
 derivatives `d[l, ...] = d_l v[...]`) builds the metric, Jacobian,
 orthonormal vertical/horizontal frames, the invariant/anti-invariant
 refinement of the vertical space, the dilation and all projectors; every
-pivot, drop and validation decision reads the values only.  The evaluation,
-the pass, the connections, the Kaehler test and the tables below run once
-per batch, on arrays with a leading point axis.  A point that fails keeps
-its own first error, which reading it raises again, and points whose
-Gram-Schmidt drops differ run as separate groups.  A point's numbers are the
-same bit for bit in any batch, so `SmoothMap.context(p)`, the batch of one,
-is the single-point case of the same code.
+drop and validation decision reads the values only.  Its first validations
+are finiteness and the positive definiteness of the source metric at the
+point and of the target metric at the image point, so nothing after it meets
+a metric that is not Riemannian.  The evaluation, the pass, the connections,
+the Kaehler test and the tables below run once per batch, on arrays with a
+leading point axis.  A point that fails keeps its own first error, which
+reading any of its views raises again, and points whose Gram-Schmidt drops
+differ run as separate groups.  A point's numbers are the same bit for bit
+in any batch, so `SmoothMap.context(p)`, the batch of one, is the
+single-point case of the same code.
 
 From those jets each group of points that share a pass run (`_Group`)
 builds its tables, once and on first use, with the point axis leading: the
@@ -49,7 +52,6 @@ from .errors import (
     CriticalPointError,
     NotConformalError,
     NumericalOverflowError,
-    SingularMetricError,
     StructureError,
 )
 from .expr import ScalarExpr, evaluate, jet_seeds, keep_first, raise_first
@@ -57,11 +59,11 @@ from .geometry import (
     ChartedManifold,
     _levi_civita,
     along,
+    check_spd,
     grid_jet,
     j_residuals,
     nabla,
     nabla_j_norm,
-    spd_errors,
 )
 from .jets import ArrayJet
 
@@ -189,29 +191,6 @@ class _Regroup(Exception):
         self.groups = groups
 
 
-def _inverse(G: ArrayJet, fail) -> ArrayJet:
-    """Inverse of every matrix, with d(G^-1) = -G^-1 dG G^-1.
-
-    Partial-pivot elimination on the values of all points at once rejects a
-    zero matrix and any pivot below 1e-14 of the largest entry.
-    """
-    U = G.v.copy()
-    rows = np.arange(len(U))
-    scale = np.max(np.abs(U), axis=(1, 2))
-    fail(scale == 0.0, lambda q: SingularMetricError("zero matrix"))
-    singular = np.zeros(len(U), dtype=bool)
-    for col in range(U.shape[-1]):
-        pivot = col + np.argmax(np.abs(U[:, col:, col]), axis=1)
-        top = U[rows, pivot]
-        singular |= np.abs(top[:, col]) < 1e-14 * scale
-        U[rows, pivot] = U[:, col]
-        U[:, col] = top
-        U[:, col + 1:] -= (U[:, col + 1:, col] / top[:, col, None])[..., None] * top[:, None]
-    fail(singular, lambda q: SingularMetricError("singular matrix"))
-    inv = np.linalg.inv(G.v)
-    return ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)
-
-
 @functools.lru_cache(maxsize=None)
 def _half_lower(m: int) -> np.ndarray:
     """Mask that keeps the lower triangle and halves the diagonal (shared, read-only)."""
@@ -316,7 +295,9 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     """The frame pass on batched array jets; every decision reads values only.
 
     Each validation calls `fail(bad, error)` with a mask over the points and
-    the error `error(q)` of a failing point q, in pipeline order.
+    the error `error(q)` of a failing point q, in pipeline order.  The first
+    ones reject non-finite inputs, then a source metric (at the point) or a
+    target metric (at the image point) that is not positive definite.
     """
     at = lambda q: tuple(float(x) for x in points[q])
     N, n, dim = DF.v.shape
@@ -327,7 +308,10 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
         if jet is not None:
             finite = np.isfinite(jet.v.reshape(N, -1)).all(1) & np.isfinite(jet.d.reshape(N, -1)).all(1)
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
-    Ginv = _inverse(G, fail)
+    check_spd(G.v, points, fail)
+    check_spd(gT.v, image, fail)
+    inv = np.linalg.inv(G.v)
+    Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)  # d(G^-1) = -G^-1 dG G^-1
 
     horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
     h = horizontal.v.shape[1]
@@ -462,23 +446,14 @@ def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict
     return done
 
 
-def _entry(e):
-    """A point's entry in a batch stage: its (group, position), or the error it raised, raised again."""
-    if isinstance(e, Exception):
-        raise e
-    return e
-
-
 class _PointBatch:
-    """The stages shared by the contexts of one `SmoothMap.contexts` call.
+    """The frame pass shared by the contexts of one `SmoothMap.contexts` call.
 
-    Each stage runs once, on first use, over all the points at once, and
-    keeps per point its group (`_Group`) and position there, or the first
-    error the point raised, in pipeline order; reading the point raises that
-    error again.  The expressions are evaluated on jets of every point and
-    the frame pass runs on the points that evaluated (`_pass`); of its
-    groups, the points whose source metric (`_connection`), then target
-    metric at the image point (`_tables`), is positive definite go on.
+    It runs once, on first use, over all the points at once (`_pass`): the
+    expressions are evaluated on jets of every point and the frame pass runs
+    on the points that evaluated.  Each point has one entry: its group
+    (`_Group`) and position there, or the first error the point raised, in
+    pipeline order; reading the entry raises that error again.
     """
 
     def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
@@ -488,14 +463,11 @@ class _PointBatch:
             PointContext(fmap, np.asarray(p, dtype=float), tol, self, q) for q, p in enumerate(points)
         ]
 
-    def passed(self, q: int) -> tuple["_Group", int]:
-        return _entry(self._pass[0][q])
-
-    def connection(self, q: int) -> tuple["_Group", int]:
-        return _entry(self._connection[q])
-
-    def tables(self, q: int) -> tuple["_Group", int]:
-        return _entry(self._tables[q])
+    def entry(self, q: int) -> tuple["_Group", int]:
+        e = self._pass[0][q]
+        if isinstance(e, Exception):
+            raise e
+        return e
 
     @functools.cached_property
     def _pass(self) -> tuple[list, list]:
@@ -507,30 +479,10 @@ class _PointBatch:
         groups = _frame_pass(inputs, self.tol, points, errors)
         entries = [errors.get(q) for q in range(len(points))]
         for members, res in groups:
-            _Group(members, res, points[members]).enter(entries)
+            group = _Group(res, points[members])
+            for k, q in enumerate(members.tolist()):
+                entries[q] = (group, k)
         return entries, groups
-
-    @functools.cached_property
-    def _connection(self) -> list:
-        return _admit(self._pass[0], lambda group: (group.Gf, group.points))
-
-    @functools.cached_property
-    def _tables(self) -> list:
-        return _admit(self._connection, lambda group: (group.data.gT.v, group.data.image))
-
-
-def _admit(entries: list, metric) -> list:
-    """The entries of the next stage: a point whose `metric(group)` is not positive definite fails."""
-    out = list(entries)
-    for group in dict.fromkeys(e[0] for e in entries if isinstance(e, tuple)):
-        errs = spd_errors(*metric(group))
-        for q, err in zip(group.members.tolist(), errs):
-            out[q] = err
-        good = np.array([k for k, err in enumerate(errs) if err is None], dtype=int)
-        if len(good) < len(errs):
-            group = _Group(group.members[good], _take(group.data, good), group.points[good])
-        group.enter(out)
-    return out
 
 
 def _take(x, idx):
@@ -640,19 +592,14 @@ _FAMILIES = {
 class _Group(_PassViews):
     """Points of a batch that share a frame-pass run and every table at them, point axis leading.
 
-    `data` is their batched pass, `members` their positions in the batch.
-    Each table is built once, on first use.
+    `data` is their batched pass at `points`; each table is built once, on
+    first use.
     """
 
-    def __init__(self, members: np.ndarray, data: _PipelineResult, points: np.ndarray):
-        self.members = members
+    def __init__(self, data: _PipelineResult, points: np.ndarray):
         self.data = data
         self.points = points
         self._memo: dict = {}
-
-    def enter(self, entries: list) -> None:
-        for k, q in enumerate(self.members.tolist()):
-            entries[q] = (self, k)
 
     def memo(self, key, build):
         """build(), once per group and key."""
@@ -744,7 +691,7 @@ def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
 
 
 class PointContext(_PassViews):
-    """One sample point of a batch (`SmoothMap.contexts`): views of its entries in the batch.
+    """One sample point of a batch (`SmoothMap.contexts`): views of its entry in the batch.
 
     The frame pass, the connections, the Kaehler test and the tables are
     built once per group of the batch, point axis leading; each view is this
@@ -760,27 +707,17 @@ class PointContext(_PassViews):
         self._index = index
 
     @property
-    def data(self) -> _PipelineResult:
-        """This point's view of the batch's frame pass; raises the point's error."""
-        group, k = self._batch.passed(self._index)
-        return _take(group.data, k)
+    def group(self) -> tuple[_Group, int]:
+        """The group of the frame pass that holds this point, and its position there."""
+        return self._batch.entry(self._index)
 
+    data = property(_slice(lambda group: group.data), doc="This point's view of the batch's frame pass.")
     # the stage names the layer timings of the benchmark read
     fdata = jdata = data
 
     @property
-    def group(self) -> tuple[_Group, int]:
-        """The group that holds this point's tables, and the point's position in it."""
-        return self._batch.tables(self._index)
-
-    @property
-    def gamma_src(self) -> np.ndarray:
-        group, k = self._batch.connection(self._index)
-        return group.gamma_src[k]
-
-    @property
     def split(self) -> SplitFrame:
-        group, k = self._batch.passed(self._index)
+        group, k = self.group
         f = group.data
         as_np = lambda jet: () if jet is None else tuple(jet.v[k])
         return SplitFrame(
@@ -800,14 +737,16 @@ class PointContext(_PassViews):
 
         Bit-identical to `geometry.complex_structure_residuals` and
         `nabla_j_residual`, which re-evaluate the jets as a batch of one.  The
-        source connection comes first, so a non-SPD metric raises first.
+        pass validated the metrics first, so a point whose metric is not
+        positive definite raises that error here, as it does at `split`.
         """
-        group, k = self._batch.connection(self._index)
+        group, k = self.group
         if group.kahler is None:
             raise StructureError("source manifold has no complex structure")
         return tuple(float(r[k]) for r in group.kahler)
 
     # the tables: the point's slices of its group's (see `_Group`)
+    gamma_src = property(_slice(lambda group: group.gamma_src))
     family = _slice(_Group.family)
     nabla = _slice(_Group.nabla)
     pullback = _slice(_Group.pullback)

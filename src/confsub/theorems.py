@@ -93,11 +93,6 @@ class ConditionReport:
     vacuous: bool = False
     label: str = ""
 
-    @property
-    def effective_agree(self) -> bool:
-        """Agreement for gating purposes; vacuous reports carry no claim."""
-        return self.agree or self.vacuous
-
 
 def verdict_of(residual: float, tol: float) -> str:
     if residual < tol:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from confsub import runner
-from confsub.errors import CriticalPointError, NumericalOverflowError, SceneError
+from confsub.errors import CriticalPointError, NonSPDMetricError, NumericalOverflowError, SceneError
 from confsub.expr import ExprDomainError
 from confsub.jets import ArrayJet
 from confsub.scenes import load_scene_text, sample_points
@@ -117,26 +117,29 @@ def test_checkers_run_once_per_group(monkeypatch):
     assert runs == dict.fromkeys(CHECKERS, 1)
 
 
-# x1^2 + x2^2 is critical at the origin; the logarithm leaves its domain below x2 = -1
-TWO_FAILURES = PARABOLA.replace("F 1 = x1 + x2^2", "F 1 = x1^2 + x2^2 + 0*log(x2 + 1)")
-CRITICAL, OUTSIDE = (0.0, 0.0), (0.3, -2.0)
+# x1^2 + x2^2 is critical at the origin; the logarithm leaves its domain below
+# x2 = -1; the source metric diag(1, 2 + x1) is not positive definite below x1 = -2
+THREE_FAILURES = PARABOLA.replace("F 1 = x1 + x2^2", "F 1 = x1^2 + x2^2 + 0*log(x2 + 1)").replace(
+    "dim = 2\nmetric = euclidean", "dim = 2\ng 1 1 = 1\ng 2 2 = 2 + x1")
+CRITICAL, OUTSIDE, INDEFINITE = (0.0, 0.0), (0.3, -2.0), (-3.0, 0.5)
+KINDS = {CRITICAL: CriticalPointError, OUTSIDE: ExprDomainError, INDEFINITE: NonSPDMetricError}
 
 
 @pytest.mark.parametrize("order", [(CRITICAL, OUTSIDE), (OUTSIDE, CRITICAL)], ids=["critical-first", "domain-first"])
 def test_failing_points_keep_their_errors(monkeypatch, order):
-    sc = load_scene_text(TWO_FAILURES)
-    points = [np.array(p) for p in ((0.5, 0.5), *order, (0.2, 0.1))]
+    sc = load_scene_text(THREE_FAILURES)
+    points = [np.array(p) for p in ((0.5, 0.5), *order, INDEFINITE, (0.2, 0.1))]
     batch = sc.fmap.contexts(points, sc.tolerances)
     for p, ctx in zip(points, batch):
         single = sc.fmap.context(p, sc.tolerances)
-        if tuple(p) in (CRITICAL, OUTSIDE):
-            kind = CriticalPointError if tuple(p) == CRITICAL else ExprDomainError
+        if tuple(p) in KINDS:
+            kind = KINDS[tuple(p)]
             with pytest.raises(kind) as got:
                 ctx.split
             with pytest.raises(kind) as want:
                 single.split
             assert str(got.value) == str(want.value)
-            with pytest.raises(kind):  # the table stages raise the pass error too
+            with pytest.raises(kind):  # the table views raise the pass error too
                 ctx.gamma_src
         else:
             assert_contexts_equal(ctx, single)

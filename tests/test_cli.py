@@ -266,6 +266,39 @@ def test_frame_pass_overflow_exit_code(tmp_path):
     assert lines[0].startswith("scene error: numerical overflow") and "at point (" in lines[0]
 
 
+# the target metric's eigenvalue ratio is 1e-13, and the second component is
+# scaled by 1e13^(1/2) so that the map is still conformal with dilation 1
+THIN_TARGET = """
+name = thin-target
+[source]
+dim = 3
+metric = euclidean
+[target]
+dim = 2
+g 1 1 = 1
+g 2 2 = 1e-13
+[map]
+F 1 = x1
+F 2 = 3162277.6601683795*x2
+[sampling]
+box = -1 1, -1 1, -1 1
+count = 4
+seed = 1
+"""
+
+
+def test_degenerate_target_metric_fails_both_modes(tmp_path):
+    # the metrics are validated in the frame pass, so a structure-only run rejects them too
+    f = tmp_path / "thin.scene"
+    f.write_text(THIN_TARGET)
+    runs = [run_cli("check", str(f), *mode) for mode in ((), ("--structure-only",))]
+    for code, _, err in runs:
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("structural failure: metric not positive definite at (")
+    assert runs[0][2] == runs[1][2]
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_cli_tolerance_rejected(value):
     code, _, err = run_cli("check", "linproj42", "--points", "2", f"--tol={value}")

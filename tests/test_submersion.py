@@ -7,7 +7,7 @@ from confsub.config import DEFAULT_TOLERANCES
 from confsub.errors import (
     AmbiguousSplittingError,
     CriticalPointError,
-    SingularMetricError,
+    NonSPDMetricError,
 )
 from confsub.expr import Const, eval_jet2, parse
 from confsub.geometry import (
@@ -505,15 +505,16 @@ def test_non_conformal_map_rejected():
 
 
 def test_singular_metric_rejected():
-    # zero, singular and near-singular metrics: a pivot below 1e-14 of the
-    # largest entry is singular; just above it the frame pass proceeds
+    # zero, singular, near-singular and indefinite metrics: the pass rejects a
+    # smallest eigenvalue at most 1e-12 of the largest; just above it, it proceeds
     def diag_map(g11, g22):
         zero = Const(0.0)
         metric = ((parse(g11, 2), zero), (zero, parse(g22, 2)))
         return SmoothMap(ChartedManifold(2, metric), euclidean(1), (parse("x1", 2),))
 
     p = np.array([0.1, 0.2])
-    for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15")):
-        with pytest.raises(SingularMetricError):
+    for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15"), ("1", "2e-14"), ("1", "1e-12"), ("1", "0 - 1")):
+        with pytest.raises(NonSPDMetricError) as err:
             diag_map(g11, g22).context(p).split
-    assert diag_map("1", "2e-14").context(p).split.lam == pytest.approx(1.0)
+        assert str(err.value).startswith("metric not positive definite at (0.1, 0.2): eigs [")
+    assert diag_map("1", "2e-12").context(p).split.lam == 1.0

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from confsub.config import DEFAULT_TOLERANCES as TOL
 from confsub.errors import BookkeepingError
+from confsub.report import RunReport
 from confsub.runner import run
 from confsub.scenes import load_scene_text
 from confsub.submersion import bookkeeping
@@ -198,7 +199,7 @@ def test_report_agreement_rule():
     r = ConditionReport(
         residual_a=0.0, residual_b=1.0, verdict_a="holds", verdict_b="fails", agree=False, **base
     )
-    assert not r.agree and not r.effective_agree
+    assert not r.agree
     r2 = ConditionReport(
         residual_a=0.0,
         residual_b=1.0,
@@ -208,7 +209,9 @@ def test_report_agreement_rule():
         vacuous=True,
         **base,
     )
-    assert r2.effective_agree
+    # a vacuous report carries no claim: only the disagreeing one gates the run
+    report = RunReport("x", "0", 1, 1, 1e-6, False, None, reports={"x": [r, r2]})
+    assert report.disagreements() == [r]
 
 
 def test_dimension_bookkeeping_validation():
