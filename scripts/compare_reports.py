@@ -7,12 +7,14 @@ Runs `python -m confsub check <scene> --seed S --format canonical` as a
 subprocess with PYTHONPATH set to each tree in turn, for the six presets and
 the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, once with
 the scene's own point count and once with `--structure-only --points 128`.
-Each report is parsed with `confsub.report.from_canonical` (from CHANGE_SRC).
-Prints the number of verdict changes (verdict_a, verdict_b, agreement,
-vacuity, labels, skipped checkers, Kaehler flag and structure dims) and
-exit-code changes, the largest residual change per row name in units of the
-theorem tolerance, and the largest change of the dilation (relative), the
-conformality residual and the Kaehler residual over the structure rows.
+Prints how many canonical reports are byte-identical.  Each report is parsed
+with `confsub.report.from_canonical` (from CHANGE_SRC), and rows are compared
+by position.  Prints the number of verdict changes (the point of a row,
+verdict_a, verdict_b, agreement, vacuity, labels, skipped checkers, Kaehler
+flag, and the points and dims of the structure rows) and exit-code changes,
+the largest residual change per row name in units of the theorem tolerance,
+and the largest change of the dilation (relative), the conformality residual
+and the Kaehler residual over the structure rows.
 
 It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
 domain or overflow at a sample point, and source or target metrics that are
@@ -97,13 +99,13 @@ def failing_changes(parent: str, change: str) -> int:
 
 
 def head(report) -> tuple:
-    """Kaehler flag, skipped checkers, per-point dims and row names."""
-    dims = [s.dims for s in report.structure]
-    return report.kahler_verified, report.skipped, dims, list(report.reports)
+    """Kaehler flag, skipped checkers, per-point points and dims, and row names."""
+    points = [(s.point, s.dims) for s in report.structure]
+    return report.kahler_verified, report.skipped, points, list(report.reports)
 
 
 def verdict_key(r) -> tuple:
-    return (r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
+    return (r.point, r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
 
 
 def structure_changes(a, b) -> dict[str, float]:
@@ -128,7 +130,7 @@ def main(argv: list[str]) -> int:
 
     _, listing, _ = check(change, "--list-presets")
     scenes = listing.split() + BENCH_SCENES
-    rows = structure_rows = verdict_changes = exit_changes = 0
+    rows = structure_rows = verdict_changes = exit_changes = reports = identical = 0
     worst: dict[str, float] = {}
     moved = dict.fromkeys(STRUCTURE, 0.0)
     for scene in scenes:
@@ -141,10 +143,12 @@ def main(argv: list[str]) -> int:
                 print(f"exit code {code_p} -> {code_c}: {label}")
             if not (out_p and out_c):
                 continue
+            reports += 1
+            identical += out_p == out_c
             rp, rc = from_canonical(out_p), from_canonical(out_c)
             if head(rp) != head(rc):
                 verdict_changes += 1
-                print(f"structure, skipped checkers or row names changed: {label}")
+                print(f"structure points or dims, skipped checkers or row names changed: {label}")
                 continue
             structure_rows += len(rp.structure)
             for key, gap in structure_changes(rp, rc).items():
@@ -163,6 +167,7 @@ def main(argv: list[str]) -> int:
                     worst[name] = max(worst.get(name, 0.0), gap / tol)
     print(f"{len(scenes)} scenes x {len(SEEDS)} seeds x {len(MODES)} modes: "
           f"{rows} rows and {structure_rows} structure rows compared")
+    print(f"identical canonical reports: {identical} of {reports}")
     exit_changes += failing_changes(parent, change)
     print(f"verdict changes: {verdict_changes}")
     print(f"exit-code changes: {exit_changes}")

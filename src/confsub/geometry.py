@@ -147,16 +147,16 @@ def _at(grid, p) -> ArrayJet:
     return grid_jet(grid, [p])[0]
 
 
-def check_spd(G: np.ndarray, points, fail=raise_first) -> None:
+def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
     """Fail each point q of a stack whose metric G[q] is not positive definite.
 
     A metric fails when its smallest eigenvalue is at most 1e-12 of its
-    largest; `points[q]` names the point in the error (`expr.evaluate`
-    explains `fail`).
+    largest; the error reads "`what` not positive definite at `at(q)`"
+    (`expr.evaluate` explains `fail`).
     """
     eigs = np.linalg.eigvalsh((G + G.swapaxes(-1, -2)) / 2.0)
     fail(eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1e-300), lambda q: NonSPDMetricError(
-        f"metric not positive definite at {tuple(float(x) for x in points[q])}: eigs {eigs[q]}"))
+        f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
 
 
 def metric_jet(M: ChartedManifold, p) -> ArrayJet:
@@ -183,7 +183,7 @@ def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
     """
     if not g.batched:
         return christoffel_symbols(ArrayJet.stack([g]), [p])[0]
-    check_spd(g.v, p)
+    check_spd(g.v, "metric", lambda q: tuple(float(x) for x in p[q]))
     return _levi_civita(g)
 
 
@@ -311,7 +311,7 @@ def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> np.ndarray:
 def complex_structure_residuals(M: ChartedManifold, p) -> tuple[float, float]:
     """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs): the batch of one."""
     G = metric_jet(M, p).v[None]
-    check_spd(G, [p])
+    check_spd(G, "source metric", lambda q: tuple(float(x) for x in p))
     r_square, r_compat = j_residuals(G, complex_structure_jet(M, p).v[None])
     return float(r_square[0]), float(r_compat[0])
 

@@ -4,8 +4,7 @@ An array jet holds a value array ``v[...]`` and its derivative array
 ``d[l, ...] = d_l v[...]`` with respect to the source chart coordinates, the
 derivative axis first.  With that layout the product rule of a matrix product
 is plain batched ``@``: ``(A @ B).d = A.d @ B.v + A.v @ B.d`` broadcasts over
-the leading axis.  Only a vector right factor needs its own form,
-``B.d @ A.v.T``, because the derivative of a vector is the matrix ``d[l, k]``.
+the leading axis.
 
 The frame pass runs on stacks of matrices over many sample points at once: a
 batched jet puts a point axis in front of both parts, ``v[q, ...]`` and
@@ -74,13 +73,9 @@ class ArrayJet:
     def __matmul__(self, other):
         if not isinstance(other, ArrayJet):  # constant right factor
             return ArrayJet(self.v @ other, self.d @ other, self.batched)
-        if other.v.ndim == 1:
-            return ArrayJet(self.v @ other.v, self.d @ other.v + other.d @ self.v.T)
         return ArrayJet(self.v @ other.v, self.d @ other._vd + self._vd @ other.d, self.batched)
 
     def __rmatmul__(self, other):  # constant left factor
-        if self.v.ndim == 1:
-            return ArrayJet(other @ self.v, self.d @ other.T)
         return ArrayJet(other @ self.v, other @ self.d, self.batched)
 
     def __add__(self, other: "ArrayJet") -> "ArrayJet":

@@ -42,19 +42,10 @@ class CheckerAggregate:
     max_residual_b: float | None
     agree_count: int
     vacuous_count: int
-    holds_a: int
-    fails_a: int
-    inconclusive_a: int
-    holds_b: int
-    fails_b: int
-    inconclusive_b: int
 
     @classmethod
     def from_reports(cls, name: str, reports: list[ConditionReport]) -> "CheckerAggregate":
         rbs = [r.residual_b for r in reports if r.residual_b is not None]
-        count = lambda side, verdict: sum(
-            1 for r in reports if getattr(r, f"verdict_{side}") == verdict
-        )
         return cls(
             name=name,
             total=len(reports),
@@ -62,12 +53,6 @@ class CheckerAggregate:
             max_residual_b=max(rbs) if rbs else None,
             agree_count=sum(1 for r in reports if r.agree),
             vacuous_count=sum(1 for r in reports if r.vacuous),
-            holds_a=count("a", "holds"),
-            fails_a=count("a", "fails"),
-            inconclusive_a=count("a", "inconclusive"),
-            holds_b=count("b", "holds"),
-            fails_b=count("b", "fails"),
-            inconclusive_b=count("b", "inconclusive"),
         )
 
 @dataclass
@@ -246,7 +231,6 @@ def from_canonical(text: str) -> RunReport:
             )
         elif section == "checker":
             fields = line.split(_SEP)
-            tol = float(_take(fields[8], "tol"))
             report.reports[checker].append(
                 ConditionReport(
                     name=checker,
@@ -257,8 +241,7 @@ def from_canonical(text: str) -> RunReport:
                     verdict_b=_take(fields[5], "vb"),
                     agree=bool(int(_take(fields[6], "agree"))),
                     vacuous=bool(int(_take(fields[7], "vacuous"))),
-                    tolerance=tol,
-                    inconclusive_band=(tol, 10.0 * tol),
+                    tolerance=float(_take(fields[8], "tol")),
                     label=_take(fields[9], "label"),
                 )
             )

@@ -1,9 +1,11 @@
 """Suite runner: structure validation, Kaehler gate, checker dispatch, report assembly.
 
-The frame pass and the Kaehler test run once over all sample points
-(`SmoothMap.contexts`); the runner then reads the points in sample order, so
+The frame pass and the Kaehler test run once over all sample points, in
+groups of points that share a pass run (`submersion._frame_groups`).  The
+structure rows are read off the groups, point by point in sample order, so
 the first failing point is reported, with the error a single-point run
-gives.
+gives.  Each checker then runs once per group (`theorems._group_rows`), and
+its rows are put back in sample order.
 
 Exit code contract: 0 success, 2 scene error (raised before a report exists:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
@@ -24,7 +26,8 @@ from .errors import EngineError, NumericalOverflowError, SceneError, StructureEr
 from .expr import ExprDomainError
 from .report import RunReport, StructureRow
 from .scenes import Scene, sample_points
-from .theorems import CHECKERS, ConditionReport, _memo_check
+from .submersion import _frame_groups
+from .theorems import CHECKERS, ConditionReport, _group_rows
 
 __all__ = ["run", "EXIT_OK", "EXIT_SCENE", "EXIT_STRUCTURAL", "EXIT_DISAGREE", "EXIT_HYPOTHESIS"]
 
@@ -46,6 +49,21 @@ def _strip_verdict_b(r: ConditionReport, label: str) -> ConditionReport:
     )
 
 
+def _in_sample_order(check, groups, count: int, tol: Tolerances) -> list[list[ConditionReport]]:
+    """The report rows of a checker at the `count` sample points, in sample order.
+
+    The checker runs once per group (`members`: the indices of its points).
+    """
+    rows = []
+    for members, group in groups:
+        group_rows = _group_rows(check, group, tol)
+        rows = rows or [[None] * count for _ in group_rows]
+        for row, group_row in zip(rows, group_rows):
+            for q, r in zip(members.tolist(), group_row):
+                row[q] = r
+    return rows
+
+
 def run(
     scene: Scene,
     points: int | None = None,
@@ -59,8 +77,7 @@ def run(
     count = scene.count if points is None else int(points)
     the_seed = scene.seed if seed is None else int(seed)
     sampled = sample_points(scene, count=count, seed=the_seed)
-    fmap = scene.fmap
-    use_j = fmap.source.complex_structure is not None  # None on machinery-only scenes
+    use_j = not scene.machinery_only
 
     report = RunReport(
         scene=scene.name,
@@ -68,36 +85,37 @@ def run(
         seed=the_seed,
         count=count,
         theorem_tolerance=tol.theorem,
-        machinery_only=not use_j,
+        machinery_only=scene.machinery_only,
         kahler_verified=None,
     )
 
-    # structure pass
-    contexts = fmap.contexts(sampled, tol)  # one frame pass and Kaehler test for all points
+    # structure pass: one frame pass and Kaehler test for all points
+    entries, groups = _frame_groups(scene.fmap, sampled, tol)
     dims_seen = set()
-    for idx, (p, ctx) in enumerate(zip(sampled, contexts)):
-        try:
-            split = ctx.split  # the point's own first error, if it has one
-        except (ExprDomainError, NumericalOverflowError) as err:
-            raise SceneError(f"{err} at point {tuple(float(x) for x in p)}") from None
-        kah = None
+    for idx, (p, entry) in enumerate(zip(sampled, entries)):
+        point = tuple(float(x) for x in p)
+        if isinstance(entry, (ExprDomainError, NumericalOverflowError)):
+            raise SceneError(f"{entry} at point {point}") from None
+        if isinstance(entry, Exception):  # the point's own first error
+            raise entry
+        group, k = entry
+        dims = kah = None
         if use_j:
-            r_sq, r_compat, kah = ctx.kahler_residuals()
+            r_sq, r_compat, kah = (float(r[k]) for r in group.kahler)
             if r_sq > tol.structural or r_compat > tol.structural:
                 raise StructureError(
-                    f"complex structure invalid at {tuple(float(x) for x in p)}: "
+                    f"complex structure invalid at {point}: "
                     f"J^2 residual {r_sq:.3e}, compatibility residual {r_compat:.3e}"
                 )
-        dims = split.dims if use_j else None
-        if use_j:
+            dims = group.dims
             dims_seen.add(dims)
         report.structure.append(
             StructureRow(
                 index=idx,
-                point=tuple(float(x) for x in p),
-                lam=split.lam,
+                point=point,
+                lam=float(group.data.lam[k]),
                 dims=dims,
-                conformality_residual=split.lambda_sq_residual,
+                conformality_residual=float(group.data.conf_residual[k]),
                 kahler_residual=kah,
             )
         )
@@ -132,11 +150,10 @@ def run(
             gate_label = None
             if use_j and spec.kahler_gated and not kahler_ok:
                 gate_label = "hypothesis unmet: Kaehler parallelism residual above tolerance"
-            for ctx in contexts:
-                for r in _memo_check(spec.func, ctx, tol):
-                    if gate_label is not None:
-                        r = _strip_verdict_b(r, gate_label)
-                    report.reports.setdefault(r.name, []).append(r)
+            for row in _in_sample_order(spec.func, groups, len(entries), tol):
+                if gate_label is not None:
+                    row = [_strip_verdict_b(r, gate_label) for r in row]
+                report.reports[row[0].name] = row
 
     if report.disagreements():
         report.exit_code = EXIT_DISAGREE

@@ -54,7 +54,11 @@ class Scene:
     seed: int
     tolerances: Tolerances
     kahler_expected: bool
-    machinery_only: bool
+
+    @property
+    def machinery_only(self) -> bool:
+        """No complex structure takes part: none is declared, or a declared one was dropped at load."""
+        return self.source.complex_structure is None
 
     @property
     def source(self) -> ChartedManifold:
@@ -305,7 +309,6 @@ def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
         seed=seed,
         tolerances=tol,
         kahler_expected=kahler_expected,
-        machinery_only=machinery or src_j is None,
     )
 
 

@@ -1,7 +1,8 @@
 """Everything attached to a smooth map between charted manifolds.
 
-Per point the engine builds a `PointContext`; `SmoothMap.contexts(points)`
-builds the contexts of all sample points as one batch.  The map, both metrics
+`_frame_groups` runs the frame pass over all sample points as one batch; the
+runner reads its groups, and `SmoothMap.contexts(points)` gives one
+`PointContext` per point, a view of its entry.  The map, both metrics
 and J are evaluated once on jets of all the points (`expr.Jet2`), and one
 frame pass on first-order array jets (`jets.ArrayJet`: values `v[...]`,
 derivatives `d[l, ...] = d_l v[...]`) builds the metric, Jacobian,
@@ -308,8 +309,8 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
         if jet is not None:
             finite = np.isfinite(jet.v.reshape(N, -1)).all(1) & np.isfinite(jet.d.reshape(N, -1)).all(1)
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
-    check_spd(G.v, points, fail)
-    check_spd(gT.v, image, fail)
+    check_spd(G.v, "source metric", at, fail)
+    check_spd(gT.v, "target metric", lambda q: f"{at(q)}, image point {tuple(map(float, image[q]))}", fail)
     inv = np.linalg.inv(G.v)
     Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)  # d(G^-1) = -G^-1 dG G^-1
 
@@ -446,14 +447,32 @@ def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict
     return done
 
 
+def _frame_groups(fmap: SmoothMap, points, tol: Tolerances) -> tuple[list, list]:
+    """The frame pass over all the points at once: (per point its entry, (members, group) per group).
+
+    The expressions are evaluated on jets of every point and the frame pass
+    runs on the points that evaluated.  A point's entry is its group
+    (`_Group`) and position there, or the first error the point raised, in
+    pipeline order; `members` are the indices of a group's points, in order.
+    """
+    if not len(points):
+        return [], []
+    points, errors = np.array(points, dtype=float), {}
+    inputs = _input_jets(fmap, points, keep_first(errors))
+    groups = [(members, _Group(res, points[members]))
+              for members, res in _frame_pass(inputs, tol, points, errors)]
+    entries = [errors.get(q) for q in range(len(points))]
+    for members, group in groups:
+        for k, q in enumerate(members.tolist()):
+            entries[q] = (group, k)
+    return entries, groups
+
+
 class _PointBatch:
     """The frame pass shared by the contexts of one `SmoothMap.contexts` call.
 
-    It runs once, on first use, over all the points at once (`_pass`): the
-    expressions are evaluated on jets of every point and the frame pass runs
-    on the points that evaluated.  Each point has one entry: its group
-    (`_Group`) and position there, or the first error the point raised, in
-    pipeline order; reading the entry raises that error again.
+    It runs once, on first use (`_frame_groups`); reading a point's entry
+    raises the point's error again.
     """
 
     def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
@@ -471,18 +490,7 @@ class _PointBatch:
 
     @functools.cached_property
     def _pass(self) -> tuple[list, list]:
-        """Per point its entry; (point indices, batched result) of each group run."""
-        if not self.contexts:
-            return [], []
-        points, errors = np.array([c.p for c in self.contexts]), {}
-        inputs = _input_jets(self.fmap, points, keep_first(errors))
-        groups = _frame_pass(inputs, self.tol, points, errors)
-        entries = [errors.get(q) for q in range(len(points))]
-        for members, res in groups:
-            group = _Group(res, points[members])
-            for k, q in enumerate(members.tolist()):
-                entries[q] = (group, k)
-        return entries, groups
+        return _frame_groups(self.fmap, [c.p for c in self.contexts], self.tol)
 
 
 def _take(x, idx):

@@ -18,8 +18,10 @@ Both sides read the tables of a group of sample points (`submersion._Group`:
 the second fundamental form, O'Neill's T and A, the covariant and pullback
 derivatives of the frame families), built once per group with the point axis
 leading: a checker is a set of slices and batched contractions of them and a
-maximum per point, run once per group; a hypothesis met at some points only
-is a mask over the points.  `check_x(ctx, tol)` returns ctx's reports.
+maximum per point; a hypothesis met at some points only is a mask over the
+points.  `check_x(g, tol)` returns one list per report row, with one report per
+point of the group `g`; the runner runs each checker once per group
+(`_group_rows`), and `_memo_check` gives one point's slice of those rows.
 
 Whether J takes part is decided once, at scene load (a machinery-only scene
 carries none).  With J both sides are produced; the runner withholds side b
@@ -29,7 +31,6 @@ reported, labelled accordingly, and no agreement claim is made.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,9 +90,12 @@ class ConditionReport:
     verdict_b: str
     agree: bool
     tolerance: float
-    inconclusive_band: tuple[float, float]
     vacuous: bool = False
     label: str = ""
+
+    @property
+    def inconclusive_band(self) -> tuple[float, float]:
+        return (self.tolerance, 10.0 * self.tolerance)
 
 
 def verdict_of(residual: float, tol: float) -> str:
@@ -120,30 +124,19 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     for p, a, b, lab in zip(g.points.tolist(), np.broadcast_to(ra, n).tolist(), rb, labels):
         va, vb = verdict_of(a, tol), INCONCLUSIVE if b is None else verdict_of(b, tol)
         out.append(ConditionReport(name, tuple(p), a, b, va, vb, {va, vb} != {HOLDS, FAILS}, tol,
-                                   (tol, 10.0 * tol), vacuous, lab))
+                                   vacuous, lab))
     return out
 
 
-def _batched(body):
-    """The checker `check(ctx, tol)` of a body `body(group, tol)` that returns, per report row,
-    the reports at the points of the group: the body runs once per group and tolerances."""
-
-    @functools.wraps(body)
-    def check(ctx: PointContext, tol: Tolerances) -> list[ConditionReport]:
-        group, k = ctx.group
-        return [row[k] for row in _group_rows(check, group, tol)]
-
-    return check
-
-
 def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:
-    """The report rows of a checker over a group; its body (`check.__wrapped__`) runs once."""
-    return group.memo(("checker", check.__name__, tol), lambda: check.__wrapped__(group, tol))
+    """The report rows of a checker over a group; `check(group, tol)` runs once per group and tolerances."""
+    return group.memo(("checker", check, tol), lambda: check(group, tol))
 
 
-def _memo_check(func, ctx: PointContext, tol: Tolerances):
-    """The reports of a checker at one point (checkers run once per group)."""
-    return func(ctx, tol)
+def _memo_check(check, ctx: PointContext, tol: Tolerances) -> list[ConditionReport]:
+    """The reports of a checker at the point of ctx: its slice of the rows of the point's group."""
+    group, k = ctx.group
+    return [row[k] for row in _group_rows(check, group, tol)]
 
 
 def _amax(x) -> np.ndarray:
@@ -206,7 +199,6 @@ def _pullback_terms(g: _Group, W: np.ndarray, X: np.ndarray, name: str, Y: np.nd
 # Integrability
 
 
-@_batched
 def check_d2_integrable(g: _Group, tol: Tolerances):
     """The anti-invariant vertical distribution is integrable unconditionally."""
     if g.family("d2").v.shape[1] < 2:
@@ -216,7 +208,6 @@ def check_d2_integrable(g: _Group, tol: Tolerances):
     return [_reports("d2_integrability", g, ra, 0.0, tol.theorem)]
 
 
-@_batched
 def check_d1_integrability(g: _Group, tol: Tolerances):
     """Invariant part integrable iff the antisymmetrized sff of J-twisted pairs pushes into F(mu)."""
     D1 = g.family("d1").v
@@ -240,7 +231,6 @@ def _horizontal_pair_residual(g: _Group, extra=0.0) -> np.ndarray:
     return _amax(W @ g.Gf @ _T(JD2) - _over_lam2(dmix @ g.GNf @ _T(_mapped(JD2, g.DFf)), g))
 
 
-@_batched
 def check_horizontal_integrability(g: _Group, tol: Tolerances):
     H = g.family("horizontal").v
     if H.shape[1] < 2:
@@ -266,7 +256,6 @@ def check_horizontal_integrability(g: _Group, tol: Tolerances):
     return [_reports("horizontal_integrability", g, ra, rb, tol.theorem)]
 
 
-@_batched
 def check_homothetic_characterization(g: _Group, tol: Tolerances):
     """Horizontal homothety against the pullback-connection identity on horizontal pairs."""
     name = "homothety_characterization"
@@ -287,7 +276,6 @@ def check_homothetic_characterization(g: _Group, tol: Tolerances):
 # Totally geodesic foliations
 
 
-@_batched
 def check_horizontal_totally_geodesic(g: _Group, tol: Tolerances):
     name = "horizontal_totally_geodesic"
     ra = _geodesic_residual(g, "horizontal", _stack(g, "vertical"))
@@ -317,7 +305,6 @@ def _vertical_mu_terms(g: _Group, with_gradient: bool) -> np.ndarray:
     return _pullback_terms(g, vec, omV, "mu", omV)
 
 
-@_batched
 def check_vertical_totally_geodesic(g: _Group, tol: Tolerances):
     name = "vertical_totally_geodesic"
     ra = _geodesic_residual(g, "vertical", _stack(g, "horizontal"))
@@ -331,7 +318,6 @@ def check_vertical_totally_geodesic(g: _Group, tol: Tolerances):
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
-@_batched
 def check_d1_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d1_totally_geodesic"
     D1 = g.family("d1").v
@@ -347,7 +333,6 @@ def check_d1_totally_geodesic(g: _Group, tol: Tolerances):
     return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
-@_batched
 def check_d2_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d2_totally_geodesic"
     D2 = g.family("d2").v
@@ -377,7 +362,6 @@ def _combine(name, g: _Group, tol, *rows):
                     label="conjunction: " + ", ".join(p.name for p in parts[0]))
 
 
-@_batched
 def check_product_structures(g: _Group, tol: Tolerances):
     """Local product structures: total space (horizontal x fibers) and within fibers."""
     first = lambda check: _group_rows(check, g, tol)[0]
@@ -400,13 +384,11 @@ def _tension_formula_rhs(g: _Group) -> np.ndarray:
     return -float(2 * m + n) * _mapped(mean, g.DFf) + (2.0 - n - 2.0 * r) * _mapped(grad, g.DFf)
 
 
-@_batched
 def check_tension_formula(g: _Group, tol: Tolerances):
     res = _norms(g.tensors.tension - _tension_formula_rhs(g), g.GNf)
     return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
 
 
-@_batched
 def check_harmonicity(g: _Group, tol: Tolerances):
     """Harmonicity against the mean-curvature / dilation decomposition of the tension."""
     rb = _norms(_tension_formula_rhs(g), g.GNf)  # validates n + 2r = dim of the target
@@ -419,7 +401,6 @@ def check_harmonicity(g: _Group, tol: Tolerances):
                      label=labels)]
 
 
-@_batched
 def check_jd2_mu_totally_geodesic(g: _Group, tol: Tolerances):
     """Vanishing sff on (J d2) x horizontal pairs iff horizontally homothetic."""
     name = "jd2_mu_totally_geodesic"
@@ -432,7 +413,6 @@ def check_jd2_mu_totally_geodesic(g: _Group, tol: Tolerances):
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
-@_batched
 def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
     name = "totally_geodesic_characterization"
     tt, G = g.tensors, g.Gf
@@ -456,7 +436,6 @@ def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
 # Corollaries
 
 
-@_batched
 def check_corollaries(g: _Group, tol: Tolerances):
     rows = []
     D2, MU, V, H = (_stack(g, n) for n in ("d2", "mu", "vertical", "horizontal"))
@@ -504,7 +483,6 @@ def check_corollaries(g: _Group, tol: Tolerances):
 # Identity diagnostics (run on any conformal scene)
 
 
-@_batched
 def check_sff_identities(g: _Group, tol: Tolerances):
     tt, G, DF = g.tensors, g.Gf, g.DFf
     H, V = g.family("horizontal").v, g.family("vertical").v
@@ -533,7 +511,7 @@ def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
     Each residual is the max g_N-norm gap over the respective frame pairs
     (unordered pairs where both slots range over the same frame).
     """
-    return tuple(r.residual_a for r in check_sff_identities(ctx, ctx.tol))
+    return tuple(r.residual_a for r in _memo_check(check_sff_identities, ctx, ctx.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +521,7 @@ def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class CheckerSpec:
     name: str
-    func: Callable
+    func: Callable  # func(g, tol): one list per report row, one report per point of the group g
     needs_j: bool  # no definition-level side without a complex structure
     kahler_gated: bool  # equivalence side requires a verified Kaehler structure
 

@@ -12,7 +12,7 @@ from confsub.expr import ExprParseError, parse, to_string
 from confsub.runner import run
 from confsub.scenes import load_preset, preset_names, sample_points
 from confsub.submersion import on_pairs, row_norms
-from confsub.theorems import CHECKERS, sff_identity_residuals
+from confsub.theorems import CHECKERS, _memo_check, sff_identity_residuals
 from confsub.geometry import christoffel_symbols, metric_jet
 
 from .conftest import REPO, SRC, contexts, points, scene
@@ -88,11 +88,11 @@ def test_criterion_4_tension_formula():
     worst_gap = 0.0
     for name in ("example33", "holo4"):
         for ctx in contexts(name, count=8):
-            (r,) = CHECKERS["tension_formula"].func(ctx, scene(name).tolerances)
+            (r,) = _memo_check(CHECKERS["tension_formula"].func, ctx, scene(name).tolerances)
             worst_gap = max(worst_gap, r.residual_a)
     worst_both = 0.0
     for ctx in contexts("example33", count=8):
-        (h,) = CHECKERS["harmonicity"].func(ctx, scene("example33").tolerances)
+        (h,) = _memo_check(CHECKERS["harmonicity"].func, ctx, scene("example33").tolerances)
         worst_both = max(worst_both, h.residual_a, h.residual_b)
     ok = worst_gap < 1e-7 and worst_both < 1e-7
     _verdict(
@@ -138,7 +138,7 @@ def test_criterion_6_d2_unconditional_integrability():
     sampled = 0
     for name in ("example33", "linproj63"):  # Kaehler presets with nonzero d2
         for ctx in contexts(name, count=12):
-            (r,) = CHECKERS["d2_integrability"].func(ctx, scene(name).tolerances)
+            (r,) = _memo_check(CHECKERS["d2_integrability"].func, ctx, scene(name).tolerances)
             if not r.vacuous:
                 sampled += 1
                 worst = max(worst, r.residual_a)

@@ -8,13 +8,19 @@ must run in separate groups with the same results.
 """
 
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from confsub import runner
-from confsub.errors import CriticalPointError, NonSPDMetricError, NumericalOverflowError, SceneError
+from confsub import runner, theorems
+from confsub.errors import (
+    CriticalPointError,
+    NonSPDMetricError,
+    NumericalOverflowError,
+    SceneError,
+    StructureError,
+)
 from confsub.expr import ExprDomainError
 from confsub.jets import ArrayJet
 from confsub.scenes import load_scene_text, sample_points
@@ -96,19 +102,43 @@ def test_drop_pattern_groups():
     assert np.array_equal(np.abs(batch[1].split.vertical[0]), [0.0, 1.0])
 
 
+def _sample_interleaved_groups(monkeypatch):
+    """Make the runner sample the parabola's points: two groups, interleaved in sample order."""
+    points = [np.array(p) for p in PARABOLA_POINTS]
+    monkeypatch.setattr(runner, "sample_points", lambda scene, count, seed: points)
+    return points
+
+
+def test_runner_rows_come_in_sample_order(monkeypatch):
+    sc = load_scene_text(PARABOLA)
+    points = _sample_interleaved_groups(monkeypatch)
+    report = runner.run(sc)
+    assert [row.point for row in report.structure] == list(PARABOLA_POINTS)
+    for q, p in enumerate(points):
+        single = sc.fmap.context(p, sc.tolerances)
+        row = report.structure[q]
+        assert (row.lam, row.conformality_residual) == (single.split.lam, single.split.lambda_sq_residual)
+        want = [r for spec in CHECKERS.values() if not spec.needs_j
+                for r in _memo_check(spec.func, single, sc.tolerances)]
+        assert [r.name for r in want] == list(report.reports)
+        assert _same([report.reports[r.name][q] for r in want], want)
+
+
 def test_checkers_run_once_per_group(monkeypatch):
-    """A full check runs each checker's batched body once per group of the frame pass."""
+    """A full check runs each registered checker body once per group of the frame pass."""
     runs = dict.fromkeys(CHECKERS, 0)
-    for name, spec in CHECKERS.items():
-        def counted(group, tol, body=spec.func.__wrapped__, name=name):
+    for name, spec in list(CHECKERS.items()):
+        def counted(group, tol, body=spec.func, name=name):
             runs[name] += 1
             return body(group, tol)
 
-        monkeypatch.setattr(spec.func, "__wrapped__", counted)
+        monkeypatch.setitem(CHECKERS, name, replace(spec, func=counted))
+        # product_structures reads the rows of other checkers through their module names
+        monkeypatch.setattr(theorems, spec.func.__name__, counted)
 
     # the parabola's four points run as two groups; it has no J
     with monkeypatch.context() as m:
-        m.setattr(runner, "sample_points", lambda scene, count, seed: [np.array(p) for p in PARABOLA_POINTS])
+        _sample_interleaved_groups(m)
         runner.run(load_scene_text(PARABOLA))
     assert runs == {name: 0 if spec.needs_j else 2 for name, spec in CHECKERS.items()}
 
@@ -151,6 +181,28 @@ def test_failing_points_keep_their_errors(monkeypatch, order):
         runner.run(sc)
     message = str(err.value)
     assert f"at {first}" in message or f"at point {first}" in message
+
+
+# J = (1 + x1^2) times the canonical J is a complex structure on x1 = 0 only, and the
+# frame pass does not see it; F is critical at the origin
+INVALID_J = PARABOLA.replace("metric = euclidean\n[target]", (
+    "metric = euclidean\nJ 1 2 = 0 - (1 + x1^2)\nJ 2 1 = 1 + x1^2\n[target]")).replace(
+    "F 1 = x1 + x2^2", "F 1 = x1^2 + x2^2")
+
+
+@pytest.mark.parametrize("first", ["invalid-j", "critical"])
+def test_runner_reports_the_first_failing_point(monkeypatch, first):
+    # an invalid J and a failed frame pass are both point errors: the earlier point's is raised
+    invalid_j, critical = (0.5, 0.3), (0.0, 0.0)
+    order = (invalid_j, critical) if first == "invalid-j" else (critical, invalid_j)
+    points = [np.array(p) for p in ((0.0, 0.5), *order)]
+    monkeypatch.setattr(runner, "sample_points", lambda scene, count, seed: points)
+    kind, at = (StructureError, invalid_j) if first == "invalid-j" else (CriticalPointError, critical)
+    with pytest.raises(kind) as err:
+        runner.run(load_scene_text(INVALID_J))
+    assert type(err.value) is kind and f"at {at}" in str(err.value)
+    if first == "invalid-j":
+        assert str(err.value).startswith("complex structure invalid")
 
 
 # |grad F|^2 ~ (700 exp(700 x2))^2 overflows near x2 = 1; with J the pass runs

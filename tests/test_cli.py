@@ -6,7 +6,7 @@ import pytest
 from confsub.cli import main
 from confsub.report import CheckerAggregate, from_canonical, to_canonical
 from confsub.runner import run
-from confsub.scenes import PRESETS, load_preset, load_scene_text
+from confsub.scenes import PRESETS, load_preset, load_scene_text, sample_points
 
 from .conftest import REPO, SRC
 
@@ -179,20 +179,20 @@ def test_disagreement_exit_code(monkeypatch, capsys):
     # offending point on stderr
     import confsub.theorems as theorems
 
-    def broken(ctx, tol):
-        return [
+    def broken(group, tol):
+        return [[
             theorems.ConditionReport(
                 name="broken",
-                point=tuple(float(x) for x in ctx.p),
+                point=tuple(p),
                 residual_a=0.0,
                 residual_b=1.0,
                 verdict_a="holds",
                 verdict_b="fails",
                 agree=False,
                 tolerance=tol.theorem,
-                inconclusive_band=(tol.theorem, 10 * tol.theorem),
             )
-        ]
+            for p in group.points.tolist()
+        ]]
 
     spec = theorems.CheckerSpec("broken", broken, needs_j=False, kahler_gated=False)
     monkeypatch.setitem(theorems.CHECKERS, "broken", spec)
@@ -287,16 +287,54 @@ seed = 1
 """
 
 
-def test_degenerate_target_metric_fails_both_modes(tmp_path):
+INDEFINITE_SOURCE = """
+name = indefinite-source
+[source]
+dim = 2
+g 1 1 = 1
+g 2 2 = 0 - 1
+[target]
+dim = 1
+metric = euclidean
+[map]
+F 1 = x1
+[sampling]
+box = -1 1, -1 1
+count = 4
+seed = 1
+"""
+
+
+def _metric_failure(tmp_path, text) -> str:
+    """The one stderr line of a check of the scene, the same in both modes, which exit 3."""
     # the metrics are validated in the frame pass, so a structure-only run rejects them too
-    f = tmp_path / "thin.scene"
-    f.write_text(THIN_TARGET)
+    f = tmp_path / "metric.scene"
+    f.write_text(text)
     runs = [run_cli("check", str(f), *mode) for mode in ((), ("--structure-only",))]
     for code, _, err in runs:
         assert code == 3
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("structural failure: metric not positive definite at (")
+        assert len(err.strip().splitlines()) == 1
     assert runs[0][2] == runs[1][2]
+    return runs[0][2].strip()
+
+
+def _first_point(text) -> tuple[float, ...]:
+    return tuple(float(x) for x in sample_points(load_scene_text(text))[0])
+
+
+def test_degenerate_target_metric_fails_both_modes(tmp_path):
+    # the error names the metric, the sample point and its image
+    err = _metric_failure(tmp_path, THIN_TARGET)
+    x1, x2, _ = p = _first_point(THIN_TARGET)
+    image = (x1, 3162277.6601683795 * x2)
+    assert err == (f"structural failure: target metric not positive definite at {p}, "
+                   f"image point {image}: eigs [1.e-13 1.e+00]")
+
+
+def test_indefinite_source_metric_fails_both_modes(tmp_path):
+    err = _metric_failure(tmp_path, INDEFINITE_SOURCE)
+    p = _first_point(INDEFINITE_SOURCE)
+    assert err == f"structural failure: source metric not positive definite at {p}: eigs [-1.  1.]"
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

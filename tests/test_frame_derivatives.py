@@ -69,17 +69,10 @@ def test_array_jet_products_match_finite_differences(rng):
     dim, p = 3, np.zeros(3)
     A, fA = _affine_jet(rng, (4, 3), dim)
     B, fB = _affine_jet(rng, (3, 5), dim)
-    x, fx = _affine_jet(rng, (3,), dim)
-    y, fy = _affine_jet(rng, (4,), dim)
     C = rng.normal(size=(2, 4))
     cases = [
         (A @ B, lambda q: fA(q, p) @ fB(q, p)),
-        (A @ x, lambda q: fA(q, p) @ fx(q, p)),
-        (y @ A, lambda q: fy(q, p) @ fA(q, p)),
-        (x @ x, lambda q: fx(q, p) @ fx(q, p)),
-        (A.T @ y, lambda q: fA(q, p).T @ fy(q, p)),
         (C @ A, lambda q: C @ fA(q, p)),
-        (C @ y, lambda q: C @ fy(q, p)),
         (A @ C.T[:3], lambda q: fA(q, p) @ C.T[:3]),
         (A - A @ B @ B.T, lambda q: fA(q, p) - fA(q, p) @ fB(q, p) @ fB(q, p).T),
     ]

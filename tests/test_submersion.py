@@ -516,5 +516,5 @@ def test_singular_metric_rejected():
     for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15"), ("1", "2e-14"), ("1", "1e-12"), ("1", "0 - 1")):
         with pytest.raises(NonSPDMetricError) as err:
             diag_map(g11, g22).context(p).split
-        assert str(err.value).startswith("metric not positive definite at (0.1, 0.2): eigs [")
+        assert str(err.value).startswith("source metric not positive definite at (0.1, 0.2): eigs [")
     assert diag_map("1", "2e-12").context(p).split.lam == 1.0

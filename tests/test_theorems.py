@@ -11,6 +11,7 @@ from confsub.submersion import bookkeeping
 from confsub.theorems import (
     CHECKERS,
     ConditionReport,
+    _memo_check,
     check_d2_integrable,
     check_harmonicity,
     check_jd2_mu_totally_geodesic,
@@ -29,7 +30,7 @@ def all_reports(name, count=6):
     out = []
     for ctx in contexts(name, count=count):
         for spec in CHECKERS.values():
-            out.extend(spec.func(ctx, TOL))
+            out.extend(_memo_check(spec.func, ctx, TOL))
     return out
 
 
@@ -46,14 +47,14 @@ def test_d2_integrability_residuals():
     # unconditional integrability: bracket residual stays at rounding level
     for preset in ("example33", "linproj63"):
         for ctx in contexts(preset, count=6):
-            for r in check_d2_integrable(ctx, TOL):
+            for r in _memo_check(check_d2_integrable, ctx, TOL):
                 assert r.residual_a < 1e-8
                 assert r.residual_b == 0.0
 
 
 def test_d2_integrability_vacuous_when_small():
     for ctx in contexts("holo4", count=2):
-        (r,) = check_d2_integrable(ctx, TOL)
+        (r,) = _memo_check(check_d2_integrable, ctx, TOL)
         assert r.vacuous and r.verdict_a == "holds"
 
 
@@ -61,15 +62,15 @@ def test_example_fails_homothety_on_both_sides():
     # the exponential-dilation scene is conformal but not horizontally homothetic,
     # and both sides of the geodesic characterizations detect it together
     for ctx in contexts("example33", count=4):
-        (r,) = check_jd2_mu_totally_geodesic(ctx, TOL)
+        (r,) = _memo_check(check_jd2_mu_totally_geodesic, ctx, TOL)
         assert r.verdict_a == "fails" and r.verdict_b == "fails" and r.agree
-        (r2,) = check_totally_geodesic_characterization(ctx, TOL)
+        (r2,) = _memo_check(check_totally_geodesic_characterization, ctx, TOL)
         assert r2.verdict_a == "fails" and r2.verdict_b == "fails" and r2.agree
 
 
 def test_linear_projection_totally_geodesic():
     for ctx in contexts("linproj42", count=3):
-        (r,) = check_totally_geodesic_characterization(ctx, TOL)
+        (r,) = _memo_check(check_totally_geodesic_characterization, ctx, TOL)
         assert r.verdict_a == "holds" and r.verdict_b == "holds"
         assert r.residual_a < 1e-12
 
@@ -77,24 +78,24 @@ def test_linear_projection_totally_geodesic():
 def test_tension_formula_residuals():
     for preset in ("example33", "holo4", "linproj42", "linproj63"):
         for ctx in contexts(preset, count=4):
-            (r,) = check_tension_formula(ctx, TOL)
+            (r,) = _memo_check(check_tension_formula, ctx, TOL)
             assert r.residual_a < 1e-7, preset
 
 
 def test_harmonicity_branches():
     for ctx in contexts("example33", count=2):
-        (r,) = check_harmonicity(ctx, TOL)
+        (r,) = _memo_check(check_harmonicity, ctx, TOL)
         assert "minimal-fibers-iff-harmonic" in r.label
         assert r.verdict_a == "holds" and r.verdict_b == "holds"
     for ctx in contexts("linproj63", count=2):
-        (r,) = check_harmonicity(ctx, TOL)
+        (r,) = _memo_check(check_harmonicity, ctx, TOL)
         assert "paired-implications" in r.label
         assert r.verdict_a == "holds"
 
 
 def test_vertical_geodesic_direct_fails_on_curved_fibers():
     for ctx in contexts("diag-x1sq", count=4):
-        (r,) = check_vertical_totally_geodesic(ctx, TOL)
+        (r,) = _memo_check(check_vertical_totally_geodesic, ctx, TOL)
         assert r.residual_b is None
         assert r.verdict_a == "fails"  # fibers curve away, residual ~ 1/x1
         assert r.residual_a > 10 * TOL.theorem
@@ -104,14 +105,15 @@ def test_vertical_geodesic_direct_fails_on_curved_fibers():
 
 def test_anti_holomorphic_corollaries_run_only_on_anti_holomorphic():
     for ctx in contexts("example33", count=2):
-        names = {r.name: r for spec in (CHECKERS["corollaries"],) for r in spec.func(ctx, TOL)}
+        names = {r.name: r for spec in (CHECKERS["corollaries"],)
+                 for r in _memo_check(spec.func, ctx, TOL)}
         assert names["antiholomorphic_integrability"].residual_b is not None
         assert names["antiholomorphic_integrability"].agree
     for ctx in contexts("holo4", count=2):
-        names = {r.name: r for r in CHECKERS["corollaries"].func(ctx, TOL)}
+        names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
         assert "not anti-holomorphic" in names["antiholomorphic_integrability"].label
     for ctx in contexts("linproj63", count=2):
-        names = {r.name: r for r in CHECKERS["corollaries"].func(ctx, TOL)}
+        names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
         # proper case: both parallel-hypothesis corollaries run and agree
         assert names["d2_parallel_homothety"].residual_b is not None
         assert names["d2_parallel_homothety"].verdict_a == "holds"
@@ -122,7 +124,7 @@ def test_anti_holomorphic_corollaries_run_only_on_anti_holomorphic():
 def test_vacuity_of_dilation_characterizations():
     for preset in ("example33", "holo4"):
         for ctx in contexts(preset, count=1):
-            names = {r.name: r for r in CHECKERS["corollaries"].func(ctx, TOL)}
+            names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
             assert names["d2_parallel_homothety"].vacuous
             assert names["mu_parallel_dilation"].vacuous
 
@@ -194,7 +196,6 @@ def test_report_agreement_rule():
         name="x",
         point=(0.0,),
         tolerance=1e-6,
-        inconclusive_band=(1e-6, 1e-5),
     )
     r = ConditionReport(
         residual_a=0.0, residual_b=1.0, verdict_a="holds", verdict_b="fails", agree=False, **base
