@@ -17,10 +17,11 @@ and the largest change of the dilation (relative), the conformality residual
 and the Kaehler residual over the structure rows.
 
 It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
-domain or overflow at a sample point, and source or target metrics that are
-not positive definite there), written to a temporary directory, through both
-trees, and prints the number of stderr changes and each differing pair of
-lines; their exit-code changes count with the others.
+domain or overflow at a sample point, source or target metrics that are not
+positive definite there, and a J that is not almost Hermitian), written to a
+temporary directory, through both trees, and prints the number of stderr
+changes and each differing pair of lines; their exit-code changes count with
+the others.  Last it prints the line totals of `confsub/*.py` in both trees.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -68,6 +69,9 @@ FAILING = {
     # a target metric with eigenvalue ratio 1e-13, under a map that is conformal for it
     "thin-target": (("x1", "3162277.6601683795*x2"), "-1 1, -1 1, -1 1",
                     "dim = 3\nmetric = euclidean", "dim = 2\ng 1 1 = 1\ng 2 2 = 1e-13"),
+    # the canonical J scaled by 1/2, so J^2 = -I/4
+    "half-j": (("x1", "x2"), "-1 1, -1 1, -1 1, -1 1",
+               "dim = 4\nmetric = euclidean\nJ 1 2 = 0 - 0.5\nJ 2 1 = 0.5\nJ 3 4 = 0 - 0.5\nJ 4 3 = 0.5", PLANE),
 }
 
 
@@ -96,6 +100,11 @@ def failing_changes(parent: str, change: str) -> int:
     for name, err_p, err_c in stderr_changes:
         print(f"  {name}:\n    - {err_p}\n    + {err_c}")
     return exit_changes
+
+
+def line_total(src: str) -> int:
+    """The number of lines of the modules `confsub/*.py` under a source tree, as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (Path(src) / "confsub").glob("*.py"))
 
 
 def head(report) -> tuple:
@@ -177,6 +186,7 @@ def main(argv: list[str]) -> int:
     print("largest structure-row change:")
     print(f"  lambda (relative) {moved['lambda']:.3e}, conformality residual "
           f"{moved['conformality']:.3e}, kaehler residual {moved['kahler']:.3e}")
+    print(f"lines of confsub/*.py: {line_total(parent)} -> {line_total(change)}")
     return 1 if verdict_changes or exit_changes else 0
 
 

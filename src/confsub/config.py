@@ -1,7 +1,9 @@
 """Tolerance settings shared across the engine.
 
-Structural tolerances guard frame construction; the theorem tolerance drives
-checker verdicts (holds below tol, fails above 10*tol, inconclusive between).
+The theorem tolerance drives checker verdicts (holds below tol, fails above
+10*tol, inconclusive between); it is the only setting a scene, `--tol` or
+CONFSUB_TOL can change.  The thresholds of the frame pass, the Kaehler test
+and the identity checkers are fixed constants of the class.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 __all__ = ["Tolerances", "DEFAULT_TOLERANCES", "env_default_theorem_tol"]
 
@@ -16,14 +19,14 @@ __all__ = ["Tolerances", "DEFAULT_TOLERANCES", "env_default_theorem_tol"]
 @dataclass(frozen=True)
 class Tolerances:
     theorem: float = 1e-6
-    identity: float = 1e-7  # second-fundamental-form identity residuals
-    structural: float = 1e-9  # frame orthonormality, kernel and J-invariance residuals
-    conformality: float = 1e-8  # relative to the square dilation
-    kahler: float = 1e-9
-    drop: float = 1e-10  # Gram-Schmidt drop threshold
-    split_threshold: float = 1e-7  # invariant part: singular value > 1 - split_threshold
-    split_margin: float = 1e-3  # anything closer below the threshold is ambiguous
-    exclusion_distance: float = 1e-3
+    identity: ClassVar[float] = 1e-7  # second-fundamental-form identity residuals
+    structural: ClassVar[float] = 1e-9  # frame orthonormality, kernel, J and J-invariance residuals
+    conformality: ClassVar[float] = 1e-8  # relative to the square dilation
+    kahler: ClassVar[float] = 1e-9
+    drop: ClassVar[float] = 1e-10  # Gram-Schmidt drop threshold
+    split_threshold: ClassVar[float] = 1e-7  # invariant part: singular value > 1 - split_threshold
+    split_margin: ClassVar[float] = 1e-3  # anything closer below the threshold is ambiguous
+    exclusion_distance: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         # nan or a non-positive tolerance would make every verdict inconclusive

@@ -3,7 +3,8 @@
 Two output formats: a human-readable table and a canonical structured text
 with stable key order.  The canonical form contains no timestamps and uses
 shortest round-trip float repr, so identical runs serialize byte-identically
-and `from_canonical(to_canonical(r))` reproduces the report exactly.
+and `from_canonical(to_canonical(r))` reproduces the report exactly; it
+rejects a checker row whose verdicts do not follow from its residuals.
 """
 
 from __future__ import annotations
@@ -231,20 +232,19 @@ def from_canonical(text: str) -> RunReport:
             )
         elif section == "checker":
             fields = line.split(_SEP)
-            report.reports[checker].append(
-                ConditionReport(
-                    name=checker,
-                    point=_ppoint(_take(fields[1], "point")),
-                    residual_a=float(_take(fields[2], "ra")),
-                    residual_b=_pnum(_take(fields[3], "rb")),
-                    verdict_a=_take(fields[4], "va"),
-                    verdict_b=_take(fields[5], "vb"),
-                    agree=bool(int(_take(fields[6], "agree"))),
-                    vacuous=bool(int(_take(fields[7], "vacuous"))),
-                    tolerance=float(_take(fields[8], "tol")),
-                    label=_take(fields[9], "label"),
-                )
+            r = ConditionReport(
+                name=checker,
+                point=_ppoint(_take(fields[1], "point")),
+                residual_a=float(_take(fields[2], "ra")),
+                residual_b=_pnum(_take(fields[3], "rb")),
+                vacuous=bool(int(_take(fields[7], "vacuous"))),
+                tolerance=float(_take(fields[8], "tol")),
+                label=_take(fields[9], "label"),
             )
+            stored = (_take(fields[4], "va"), _take(fields[5], "vb"), bool(int(_take(fields[6], "agree"))))
+            if stored != (r.verdict_a, r.verdict_b, r.agree):
+                raise ValueError(f"verdicts in {line!r} do not follow from its residuals and tolerance")
+            report.reports[checker].append(r)
         elif section == "skipped":
             name, _, reason = line.partition(_SEP)
             report.skipped.append((name, reason))

@@ -1,7 +1,8 @@
 """Suite runner: structure validation, Kaehler gate, checker dispatch, report assembly.
 
 The frame pass and the Kaehler test run once over all sample points, in
-groups of points that share a pass run (`submersion._frame_groups`).  The
+groups of points that share a pass run (`submersion._frame_groups`); the
+pass validates J along with the frames, at its fixed thresholds.  The
 structure rows are read off the groups, point by point in sample order, so
 the first failing point is reported, with the error a single-point run
 gives.  Each checker then runs once per group (`theorems._group_rows`), and
@@ -39,14 +40,7 @@ EXIT_HYPOTHESIS = 5
 
 
 def _strip_verdict_b(r: ConditionReport, label: str) -> ConditionReport:
-    return replace(
-        r,
-        residual_b=None,
-        verdict_b="inconclusive",
-        agree=True,
-        vacuous=False,
-        label=label,
-    )
+    return replace(r, residual_b=None, vacuous=False, label=label)
 
 
 def _in_sample_order(check, groups, count: int, tol: Tolerances) -> list[list[ConditionReport]]:
@@ -90,7 +84,7 @@ def run(
     )
 
     # structure pass: one frame pass and Kaehler test for all points
-    entries, groups = _frame_groups(scene.fmap, sampled, tol)
+    entries, groups = _frame_groups(scene.fmap, sampled)
     dims_seen = set()
     for idx, (p, entry) in enumerate(zip(sampled, entries)):
         point = tuple(float(x) for x in p)
@@ -101,12 +95,7 @@ def run(
         group, k = entry
         dims = kah = None
         if use_j:
-            r_sq, r_compat, kah = (float(r[k]) for r in group.kahler)
-            if r_sq > tol.structural or r_compat > tol.structural:
-                raise StructureError(
-                    f"complex structure invalid at {point}: "
-                    f"J^2 residual {r_sq:.3e}, compatibility residual {r_compat:.3e}"
-                )
+            kah = float(group.kahler[2][k])
             dims = group.dims
             dims_seen.add(dims)
         report.structure.append(

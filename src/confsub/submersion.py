@@ -1,19 +1,21 @@
 """Everything attached to a smooth map between charted manifolds.
 
 `_frame_groups` runs the frame pass over all sample points as one batch; the
-runner reads its groups, and `SmoothMap.contexts(points)` gives one
-`PointContext` per point, a view of its entry.  The map, both metrics
-and J are evaluated once on jets of all the points (`expr.Jet2`), and one
-frame pass on first-order array jets (`jets.ArrayJet`: values `v[...]`,
-derivatives `d[l, ...] = d_l v[...]`) builds the metric, Jacobian,
-orthonormal vertical/horizontal frames, the invariant/anti-invariant
+runner reads its groups, and `SmoothMap.contexts(points)` runs it when it is
+called and gives one `PointContext` per point, a view of its entry.  The
+map, both metrics and J are evaluated once on jets of all the points
+(`expr.Jet2`), and one frame pass on first-order array jets (`jets.ArrayJet`:
+values `v[...]`, derivatives `d[l, ...] = d_l v[...]`) builds the metric,
+Jacobian, orthonormal vertical/horizontal frames, the invariant/anti-invariant
 refinement of the vertical space, the dilation and all projectors; every
-drop and validation decision reads the values only.  Its first validations
-are finiteness and the positive definiteness of the source metric at the
-point and of the target metric at the image point, so nothing after it meets
-a metric that is not Riemannian.  The evaluation, the pass, the connections,
-the Kaehler test and the tables below run once per batch, on arrays with a
-leading point axis.  A point that fails keeps its own first error, which
+drop and validation decision reads the values only, against the fixed
+thresholds of `config.Tolerances`.  Its first validations are finiteness,
+the positive definiteness of the source metric at the point and of the
+target metric at the image point, and that J is almost Hermitian
+(J^2 = -I, g(JX, JY) = g(X, Y)), so nothing after them meets a metric that
+is not Riemannian or a J that is not almost Hermitian.  The evaluation, the
+pass, the connections, the Kaehler test and the tables below run once per
+batch, on arrays with a leading point axis.  A point that fails keeps its own first error, which
 reading any of its views raises again, and points whose Gram-Schmidt drops
 differ run as separate groups.  A point's numbers are the same bit for bit
 in any batch, so `SmoothMap.context(p)`, the batch of one, is the
@@ -94,12 +96,15 @@ class SmoothMap:
             raise ValueError("a submersion needs source dimension > target dimension")
 
     def contexts(self, points, tol: Tolerances = DEFAULT_TOLERANCES) -> list["PointContext"]:
-        """One new context per point, sharing one batch.
+        """One new context per point; the frame pass runs now, once for all of them.
 
-        The frame pass, the Kaehler test and the tables run once for the
-        whole batch, on first use, and the caller keeps them.
+        The Kaehler test and the tables run once per group of the pass, on
+        first use, and the caller keeps them; `tol` is the contexts' checker
+        tolerance.
         """
-        return _PointBatch(self, points, tol).contexts
+        points = [np.asarray(p, dtype=float) for p in points]
+        entries, _ = _frame_groups(self, points)
+        return [PointContext(self, p, tol, entry) for p, entry in zip(points, entries)]
 
     def context(self, p, tol: Tolerances = DEFAULT_TOLERANCES) -> "PointContext":
         """A new context of one point: the batch of one."""
@@ -164,6 +169,7 @@ class _PipelineResult:
     Ginv: ArrayJet
     DF: ArrayJet  # DF.v[a, i] = d_i F^a
     J: ArrayJet | None
+    j_residuals: np.ndarray | None  # [q] = (|J^2 + I|, compatibility), validated by the pass
     gN: ArrayJet  # target metric at the image point, as a function on the source
     gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
     image: np.ndarray  # the image point F(p)
@@ -292,14 +298,16 @@ def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
 
 
 def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, image: np.ndarray,
-                  tol: Tolerances, points: np.ndarray, fail) -> _PipelineResult:
+                  points: np.ndarray, fail) -> _PipelineResult:
     """The frame pass on batched array jets; every decision reads values only.
 
     Each validation calls `fail(bad, error)` with a mask over the points and
     the error `error(q)` of a failing point q, in pipeline order.  The first
     ones reject non-finite inputs, then a source metric (at the point) or a
-    target metric (at the image point) that is not positive definite.
+    target metric (at the image point) that is not positive definite, then
+    a J that is not almost Hermitian.
     """
+    tol = Tolerances  # the fixed thresholds
     at = lambda q: tuple(float(x) for x in points[q])
     N, n, dim = DF.v.shape
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
@@ -311,6 +319,12 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
     check_spd(G.v, "source metric", at, fail)
     check_spd(gT.v, "target metric", lambda q: f"{at(q)}, image point {tuple(map(float, image[q]))}", fail)
+    jres = None
+    if J is not None:
+        jres = np.stack(j_residuals(G.v, J.v), axis=1)
+        fail((jres > tol.structural).any(axis=1), lambda q: StructureError(
+            f"complex structure invalid at {at(q)}: "
+            f"J^2 residual {jres[q, 0]:.3e}, compatibility residual {jres[q, 1]:.3e}"))
     inv = np.linalg.inv(G.v)
     Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)  # d(G^-1) = -G^-1 dG G^-1
 
@@ -395,6 +409,7 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
         Ginv=Ginv,
         DF=DF,
         J=J,
+        j_residuals=jres,
         gN=gN,
         gT=gT,
         image=image,
@@ -416,17 +431,24 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     )
 
 
-def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict) -> list:
-    """The frame pass over the stacked points without an error: [(positions, batched result)].
+def _frame_groups(fmap: SmoothMap, points) -> tuple[list, list]:
+    """The frame pass over all the points at once: (per point its entry, (members, group) per group).
 
-    `inputs` are those of `_run_pipeline`, stacked over all the points.  A
-    point that fails records its first error in `errors` and leaves the
-    batch; points whose Gram-Schmidt drops differ go on in separate groups.
-    Either way the pass restarts on the remaining points, which repeats their
-    numbers bit for bit: every operation acts on each point on its own.
+    The expressions are evaluated on jets of every point and the frame pass
+    runs on the points that evaluated.  A point that fails records its first
+    error, in pipeline order, and leaves the batch; points whose Gram-Schmidt
+    drops differ go on in separate groups.  Either way the pass restarts on
+    the remaining points, which repeats their numbers bit for bit: every
+    operation acts on each point on its own.  A point's entry is its group
+    (`_Group`) and position there, or its error; `members` are the indices
+    of a group's points, in order.
     """
+    if not len(points):
+        return [], []
+    points, errors = np.array(points, dtype=float), {}
+    inputs = _input_jets(fmap, points, keep_first(errors))
     alive = np.array([q for q in range(len(points)) if q not in errors], dtype=int)
-    done, pending = [], [alive] if len(alive) else []
+    groups, pending = [], [alive] if len(alive) else []
     with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
         while pending:
             idx = pending.pop()
@@ -439,58 +461,16 @@ def _frame_pass(inputs: tuple, tol: Tolerances, points: np.ndarray, errors: dict
                 raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
             try:
-                res = _run_pipeline(*(_take(x, idx) for x in inputs), tol, points[idx], fail)
+                res = _run_pipeline(*(_take(x, idx) for x in inputs), points[idx], fail)
             except _Regroup as split:
                 pending += [idx[g] for g in split.groups if len(g)]
             else:
-                done.append((idx, res))
-    return done
-
-
-def _frame_groups(fmap: SmoothMap, points, tol: Tolerances) -> tuple[list, list]:
-    """The frame pass over all the points at once: (per point its entry, (members, group) per group).
-
-    The expressions are evaluated on jets of every point and the frame pass
-    runs on the points that evaluated.  A point's entry is its group
-    (`_Group`) and position there, or the first error the point raised, in
-    pipeline order; `members` are the indices of a group's points, in order.
-    """
-    if not len(points):
-        return [], []
-    points, errors = np.array(points, dtype=float), {}
-    inputs = _input_jets(fmap, points, keep_first(errors))
-    groups = [(members, _Group(res, points[members]))
-              for members, res in _frame_pass(inputs, tol, points, errors)]
+                groups.append((idx, _Group(res, points[idx])))
     entries = [errors.get(q) for q in range(len(points))]
     for members, group in groups:
         for k, q in enumerate(members.tolist()):
             entries[q] = (group, k)
     return entries, groups
-
-
-class _PointBatch:
-    """The frame pass shared by the contexts of one `SmoothMap.contexts` call.
-
-    It runs once, on first use (`_frame_groups`); reading a point's entry
-    raises the point's error again.
-    """
-
-    def __init__(self, fmap: SmoothMap, points, tol: Tolerances):
-        self.fmap = fmap
-        self.tol = tol
-        self.contexts = [
-            PointContext(fmap, np.asarray(p, dtype=float), tol, self, q) for q, p in enumerate(points)
-        ]
-
-    def entry(self, q: int) -> tuple["_Group", int]:
-        e = self._pass[0][q]
-        if isinstance(e, Exception):
-            raise e
-        return e
-
-    @functools.cached_property
-    def _pass(self) -> tuple[list, list]:
-        return _frame_groups(self.fmap, [c.p for c in self.contexts], self.tol)
 
 
 def _take(x, idx):
@@ -630,7 +610,7 @@ class _Group(_PassViews):
         f = self.data
         if f.J is None:
             return None
-        return (*j_residuals(f.G.v, f.J.v), nabla_j_norm(f.G.v, f.J, self.gamma_src))
+        return (*f.j_residuals.T, nabla_j_norm(f.G.v, f.J, self.gamma_src))
 
     @functools.cached_property
     def gamma_pull(self) -> np.ndarray:
@@ -706,22 +686,20 @@ class PointContext(_PassViews):
     point's slice of them, and reading it raises the point's error.
     """
 
-    def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances, batch: "_PointBatch",
-                 index: int):
+    def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances, entry: tuple | Exception):
         self.fmap = fmap
         self.p = p
         self.tol = tol
-        self._batch = batch
-        self._index = index
+        self._entry = entry
 
     @property
     def group(self) -> tuple[_Group, int]:
         """The group of the frame pass that holds this point, and its position there."""
-        return self._batch.entry(self._index)
+        if isinstance(self._entry, Exception):
+            raise self._entry
+        return self._entry
 
     data = property(_slice(lambda group: group.data), doc="This point's view of the batch's frame pass.")
-    # the stage names the layer timings of the benchmark read
-    fdata = jdata = data
 
     @property
     def split(self) -> SplitFrame:
@@ -745,8 +723,9 @@ class PointContext(_PassViews):
 
         Bit-identical to `geometry.complex_structure_residuals` and
         `nabla_j_residual`, which re-evaluate the jets as a batch of one.  The
-        pass validated the metrics first, so a point whose metric is not
-        positive definite raises that error here, as it does at `split`.
+        pass validated the metrics and J first, so a point whose metric is not
+        positive definite or whose J is not almost Hermitian raises that error
+        here, as it does at `split`.
         """
         group, k = self.group
         if group.kahler is None:

@@ -31,7 +31,7 @@ reported, labelled accordingly, and no agreement claim is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -82,20 +82,29 @@ DIRECT_ONLY = "direct test only (no complex structure)"
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The two residuals of a checker row at one point; the verdicts follow from them and `tolerance`.
+
+    Side b withheld (`residual_b` None) reads inconclusive, and the sides
+    agree unless one holds and the other fails.
+    """
+
     name: str
     point: tuple[float, ...]
     residual_a: float
     residual_b: float | None
-    verdict_a: str
-    verdict_b: str
-    agree: bool
     tolerance: float
     vacuous: bool = False
     label: str = ""
+    verdict_a: str = field(init=False)
+    verdict_b: str = field(init=False)
+    agree: bool = field(init=False)
 
-    @property
-    def inconclusive_band(self) -> tuple[float, float]:
-        return (self.tolerance, 10.0 * self.tolerance)
+    def __post_init__(self):
+        va = verdict_of(self.residual_a, self.tolerance)
+        vb = INCONCLUSIVE if self.residual_b is None else verdict_of(self.residual_b, self.tolerance)
+        object.__setattr__(self, "verdict_a", va)
+        object.__setattr__(self, "verdict_b", vb)
+        object.__setattr__(self, "agree", {va, vb} != {HOLDS, FAILS})
 
 
 def verdict_of(residual: float, tol: float) -> str:
@@ -120,12 +129,8 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     if unmet is not None:
         rb = [None if u else b for u, b in zip(unmet.tolist(), rb)]
         labels = [label if u else "" for u in unmet.tolist()]
-    out = []
-    for p, a, b, lab in zip(g.points.tolist(), np.broadcast_to(ra, n).tolist(), rb, labels):
-        va, vb = verdict_of(a, tol), INCONCLUSIVE if b is None else verdict_of(b, tol)
-        out.append(ConditionReport(name, tuple(p), a, b, va, vb, {va, vb} != {HOLDS, FAILS}, tol,
-                                   vacuous, lab))
-    return out
+    return [ConditionReport(name, tuple(p), a, b, tol, vacuous, lab)
+            for p, a, b, lab in zip(g.points.tolist(), np.broadcast_to(ra, n).tolist(), rb, labels)]
 
 
 def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:

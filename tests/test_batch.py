@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from confsub import runner, theorems
+from confsub import runner, submersion, theorems
 from confsub.errors import (
     CriticalPointError,
     NonSPDMetricError,
@@ -24,6 +24,7 @@ from confsub.errors import (
 from confsub.expr import ExprDomainError
 from confsub.jets import ArrayJet
 from confsub.scenes import load_scene_text, sample_points
+from confsub.submersion import _frame_groups
 from confsub.theorems import CHECKERS, _memo_check
 
 from .conftest import SCENES_WITH_GENERIC, fresh_scene
@@ -98,8 +99,28 @@ def test_drop_pattern_groups():
     for p, ctx in zip(points, batch):
         assert_contexts_equal(ctx, sc.fmap.context(p, sc.tolerances))
     # the two patterns ran as separate groups
-    assert sorted(sorted(members.tolist()) for members, _ in batch[0]._batch._pass[1]) == [[0, 2], [1, 3]]
+    _, groups = _frame_groups(sc.fmap, points)
+    assert sorted(sorted(members.tolist()) for members, _ in groups) == [[0, 2], [1, 3]]
     assert np.array_equal(np.abs(batch[1].split.vertical[0]), [0.0, 1.0])
+
+
+def test_contexts_run_the_frame_pass_once_when_called(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _frame_groups(*args)
+
+    monkeypatch.setattr(submersion, "_frame_groups", counted)
+    sc = load_scene_text(PARABOLA)
+    batch = sc.fmap.contexts([np.array(p) for p in PARABOLA_POINTS], sc.tolerances)
+    assert len(calls) == 1
+    for ctx in batch:  # reading the views runs no further pass
+        ctx.split, ctx.data, ctx.tensors, ctx.nabla("vertical")
+        for spec in CHECKERS.values():
+            if not spec.needs_j:
+                _memo_check(spec.func, ctx, sc.tolerances)
+    assert len(calls) == 1
 
 
 def _sample_interleaved_groups(monkeypatch):
@@ -183,8 +204,8 @@ def test_failing_points_keep_their_errors(monkeypatch, order):
     assert f"at {first}" in message or f"at point {first}" in message
 
 
-# J = (1 + x1^2) times the canonical J is a complex structure on x1 = 0 only, and the
-# frame pass does not see it; F is critical at the origin
+# J = (1 + x1^2) times the canonical J is a complex structure on x1 = 0 only, which
+# the frame pass checks right after the metrics; F is critical at the origin
 INVALID_J = PARABOLA.replace("metric = euclidean\n[target]", (
     "metric = euclidean\nJ 1 2 = 0 - (1 + x1^2)\nJ 2 1 = 1 + x1^2\n[target]")).replace(
     "F 1 = x1 + x2^2", "F 1 = x1^2 + x2^2")
@@ -203,6 +224,14 @@ def test_runner_reports_the_first_failing_point(monkeypatch, first):
     assert type(err.value) is kind and f"at {at}" in str(err.value)
     if first == "invalid-j":
         assert str(err.value).startswith("complex structure invalid")
+
+
+def test_invalid_j_fails_its_point_in_the_pass():
+    sc = load_scene_text(INVALID_J)
+    ctx = sc.fmap.context(np.array([0.5, 0.3]), sc.tolerances)
+    for view in (lambda: ctx.split, ctx.kahler_residuals):
+        with pytest.raises(StructureError, match=r"^complex structure invalid at \(0\.5, 0\.3\): J\^2 residual"):
+            view()
 
 
 # |grad F|^2 ~ (700 exp(700 x2))^2 overflows near x2 = 1; with J the pass runs

@@ -1,9 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
 from confsub.cli import main
+from confsub.config import DEFAULT_TOLERANCES, Tolerances
 from confsub.report import CheckerAggregate, from_canonical, to_canonical
 from confsub.runner import run
 from confsub.scenes import PRESETS, load_preset, load_scene_text, sample_points
@@ -132,6 +134,15 @@ def test_canonical_round_trip_lossless(sample_report):
     assert to_canonical(parsed) == text
 
 
+def test_canonical_verdicts_must_follow_from_the_residuals(sample_report):
+    text = to_canonical(sample_report)
+    row = next(line for line in text.splitlines() if "| va=holds | vb=holds | agree=1 |" in line)
+    for bad in (row.replace("va=holds", "va=fails"), row.replace("vb=holds", "vb=inconclusive"),
+                row.replace("agree=1", "agree=0")):
+        with pytest.raises(ValueError, match="do not follow from its residuals"):
+            from_canonical(text.replace(row, bad))
+
+
 def test_aggregates_match_recomputation(sample_report):
     text = to_canonical(sample_report)
     parsed = from_canonical(text)
@@ -186,9 +197,6 @@ def test_disagreement_exit_code(monkeypatch, capsys):
                 point=tuple(p),
                 residual_a=0.0,
                 residual_b=1.0,
-                verdict_a="holds",
-                verdict_b="fails",
-                agree=False,
                 tolerance=tol.theorem,
             )
             for p in group.points.tolist()
@@ -305,10 +313,10 @@ seed = 1
 """
 
 
-def _metric_failure(tmp_path, text) -> str:
+def _structural_failure(tmp_path, text) -> str:
     """The one stderr line of a check of the scene, the same in both modes, which exit 3."""
-    # the metrics are validated in the frame pass, so a structure-only run rejects them too
-    f = tmp_path / "metric.scene"
+    # the metrics and J are validated in the frame pass, so a structure-only run rejects them too
+    f = tmp_path / "structure.scene"
     f.write_text(text)
     runs = [run_cli("check", str(f), *mode) for mode in ((), ("--structure-only",))]
     for code, _, err in runs:
@@ -324,7 +332,7 @@ def _first_point(text) -> tuple[float, ...]:
 
 def test_degenerate_target_metric_fails_both_modes(tmp_path):
     # the error names the metric, the sample point and its image
-    err = _metric_failure(tmp_path, THIN_TARGET)
+    err = _structural_failure(tmp_path, THIN_TARGET)
     x1, x2, _ = p = _first_point(THIN_TARGET)
     image = (x1, 3162277.6601683795 * x2)
     assert err == (f"structural failure: target metric not positive definite at {p}, "
@@ -332,9 +340,40 @@ def test_degenerate_target_metric_fails_both_modes(tmp_path):
 
 
 def test_indefinite_source_metric_fails_both_modes(tmp_path):
-    err = _metric_failure(tmp_path, INDEFINITE_SOURCE)
+    err = _structural_failure(tmp_path, INDEFINITE_SOURCE)
     p = _first_point(INDEFINITE_SOURCE)
     assert err == f"structural failure: source metric not positive definite at {p}: eigs [-1.  1.]"
+
+
+# the canonical J scaled by 1/2: J^2 = -I/4, so J is not almost Hermitian
+HALF_J = """
+name = half-j
+[source]
+dim = 4
+metric = euclidean
+J 1 2 = 0 - 0.5
+J 2 1 = 0.5
+J 3 4 = 0 - 0.5
+J 4 3 = 0.5
+[target]
+dim = 2
+metric = euclidean
+[map]
+F 1 = x1
+F 2 = x2
+[sampling]
+box = -1 1, -1 1, -1 1, -1 1
+count = 4
+seed = 1
+"""
+
+
+def test_invalid_complex_structure_fails_both_modes(tmp_path):
+    # J is validated before the splitting reads it, which would call the split ambiguous
+    err = _structural_failure(tmp_path, HALF_J)
+    p = _first_point(HALF_J)
+    assert err == (f"structural failure: complex structure invalid at {p}: "
+                   "J^2 residual 7.500e-01, compatibility residual 7.500e-01")
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
@@ -355,6 +394,13 @@ def test_env_tolerance_rejected():
     assert proc.returncode == 2
     assert "CONFSUB_TOL must be a finite number > 0" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_only_the_theorem_tolerance_is_settable():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["theorem"]
+    with pytest.raises(TypeError):
+        Tolerances(drop=1e-3)
+    assert DEFAULT_TOLERANCES.structural == 1e-9 and DEFAULT_TOLERANCES.kahler == 1e-9
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])

@@ -197,16 +197,11 @@ def test_report_agreement_rule():
         point=(0.0,),
         tolerance=1e-6,
     )
-    r = ConditionReport(
-        residual_a=0.0, residual_b=1.0, verdict_a="holds", verdict_b="fails", agree=False, **base
-    )
+    r = ConditionReport(residual_a=0.0, residual_b=1.0, **base)
     assert not r.agree
     r2 = ConditionReport(
         residual_a=0.0,
         residual_b=1.0,
-        verdict_a="holds",
-        verdict_b="fails",
-        agree=False,
         vacuous=True,
         **base,
     )
@@ -304,6 +299,53 @@ def test_twisted_holomorphic_scene():
         assert r.residual_a < 1e-12 and r.residual_b < 1e-12
     for r in rep.reports["vertical_totally_geodesic"]:
         assert r.verdict_a == "fails" and r.agree
+
+
+# linproj63 composed with the Moebius inversion y -> y/|y|^2 of the target,
+# y = (x1 + 3, x2 + 3, x3 + 3): horizontally conformal with the same kernel and
+# dilation 1/|y|^2, so the dilation is not constant along the horizontal space
+MOEBIUS63 = """
+name = moebius63
+[source]
+dim = 6
+metric = euclidean
+J = canonical
+[target]
+dim = 3
+metric = euclidean
+[map]
+F 1 = (x1 + 3)/((x1 + 3)^2 + (x2 + 3)^2 + (x3 + 3)^2)
+F 2 = (x2 + 3)/((x1 + 3)^2 + (x2 + 3)^2 + (x3 + 3)^2)
+F 3 = (x3 + 3)/((x1 + 3)^2 + (x2 + 3)^2 + (x3 + 3)^2)
+[sampling]
+box = -1 1, -1 1, -1 1, -1 1, -1 1, -1 1
+count = 8
+seed = 7
+"""
+
+# the equivalences whose two sides the witness must see fail together
+MOEBIUS_FAILS = (
+    "homothety_characterization",
+    "harmonicity",
+    "jd2_mu_totally_geodesic",
+    "totally_geodesic_characterization",
+    "d2_parallel_homothety",
+    "mu_parallel_dilation",
+)
+
+
+def test_moebius_witness_fails_on_both_sides():
+    rep = run(load_scene_text(MOEBIUS63))
+    assert rep.exit_code == 0
+    assert len(rep.structure) == 8
+    for row in rep.structure:
+        assert row.dims == (2, 1, 1, 2)
+        y_sq = sum((x + 3.0) ** 2 for x in row.point[:3])
+        assert row.lam * y_sq == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    for name in MOEBIUS_FAILS:
+        assert len(rep.reports[name]) == 8, name
+        for r in rep.reports[name]:
+            assert (r.verdict_a, r.verdict_b) == ("fails", "fails"), (name, r.point)
 
 
 ANTI_INVARIANT_TOY = """
