@@ -18,10 +18,13 @@ and the Kaehler residual over the structure rows.
 
 It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
 domain or overflow at a sample point, source or target metrics that are not
-positive definite there, and a J that is not almost Hermitian), written to a
-temporary directory, through both trees, and prints the number of stderr
-changes and each differing pair of lines; their exit-code changes count with
-the others.  Last it prints the line totals of `confsub/*.py` in both trees.
+positive definite there, and a J that is not almost Hermitian) and a fixed set
+of malformed scenes (`MALFORMED`: edits of the linproj42 preset with an
+unknown key, a repeated key, or a `J =` shorthand mixed with entries), written
+to a temporary directory, through both trees, and prints the number of stderr
+changes and each differing pair of lines; their exit-code changes are printed
+and count with the others.  Last it prints the line totals of `confsub/*.py`
+in both trees.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -73,6 +76,26 @@ FAILING = {
     "half-j": (("x1", "x2"), "-1 1, -1 1, -1 1, -1 1",
                "dim = 4\nmetric = euclidean\nJ 1 2 = 0 - 0.5\nJ 2 1 = 0.5\nJ 3 4 = 0 - 0.5\nJ 4 3 = 0.5", PLANE),
 }
+# name: (old, new), one edit of the linproj42 preset each; the scene reader
+# rejects every one: an unknown key, a key given twice in its section, or a
+# `J =` shorthand together with `J i j` entries
+MALFORMED = {
+    "unknown-top-level-key": ("name = linproj42", "name = linproj42\nfoo = 1"),
+    "unknown-sampling-key": ("seed = 7", "seed = 7\nfoo = 3"),
+    "unknown-tolerances-keys": ("seed = 7", "seed = 7\n[tolerances]\ndrop = 0.5\nstructural = oops"),
+    "repeated-name": ("name = linproj42", "name = linproj42\nname = other"),
+    "repeated-machinery-only": ("name = linproj42",
+                                "name = linproj42\nmachinery_only = false\nmachinery_only = true"),
+    "repeated-kahler-expected": ("name = linproj42",
+                                 "name = linproj42\nkahler_expected = false\nkahler_expected = true"),
+    "repeated-theorem": ("seed = 7", "seed = 7\n[tolerances]\ntheorem = 1e-3\ntheorem = 1e-6"),
+    "repeated-g-entry": ("[target]\ndim = 2\nmetric = euclidean",
+                         "[target]\ndim = 2\ng 1 1 = 5\ng 1 1 = 1\ng 2 2 = 1"),
+    "repeated-metric": ("metric = euclidean", "metric = euclidean\nmetric = euclidean"),
+    "j-canonical-then-none": ("J = canonical", "J = canonical\nJ = none"),
+    "j-canonical-with-entries": ("J = canonical", "J = canonical\nJ 1 2 = 5"),
+    "j-none-with-entries": ("J = canonical", "J = none\nJ 1 2 = 0 - 1\nJ 2 1 = 1\nJ 3 4 = 0 - 1\nJ 4 3 = 1"),
+}
 
 
 def check(src: str, *args: str) -> tuple[int, str, str]:
@@ -82,21 +105,32 @@ def check(src: str, *args: str) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def failing_changes(parent: str, change: str) -> int:
-    """Run the failing scenes through both trees; print the stderr changes, return the exit-code changes."""
+def failing_scenes() -> dict[str, str]:
+    scenes = {}
+    for name, (comps, box, source, target) in FAILING.items():
+        map_text = "\n".join(f"F {a} = {c}" for a, c in enumerate(comps, 1))
+        scenes[name] = FAILING_SCENE.format(name=name, map=map_text, box=box, source=source, target=target)
+    return scenes
+
+
+def malformed_scenes(base: str) -> dict[str, str]:
+    return {name: base.replace(old, new, 1) for name, (old, new) in MALFORMED.items()}
+
+
+def scene_changes(parent: str, change: str, kind: str, scenes: dict[str, str]) -> int:
+    """Run scene texts through both trees; print the stderr changes, return the exit-code changes."""
     exit_changes, stderr_changes = 0, []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (comps, box, source, target) in FAILING.items():
+        for name, text in scenes.items():
             path = Path(tmp) / f"{name}.scene"
-            map_text = "\n".join(f"F {a} = {c}" for a, c in enumerate(comps, 1))
-            path.write_text(FAILING_SCENE.format(name=name, map=map_text, box=box, source=source, target=target))
+            path.write_text(text)
             (code_p, _, err_p), (code_c, _, err_c) = check(parent, str(path)), check(change, str(path))
             if code_p != code_c:
                 exit_changes += 1
-                print(f"exit code {code_p} -> {code_c}: failing scene {name}")
+                print(f"exit code {code_p} -> {code_c}: {kind} scene {name}")
             if err_p != err_c:
                 stderr_changes.append((name, err_p.strip(), err_c.strip()))
-    print(f"{len(FAILING)} failing scenes: stderr changes: {len(stderr_changes)}")
+    print(f"{len(scenes)} {kind} scenes: stderr changes: {len(stderr_changes)}")
     for name, err_p, err_c in stderr_changes:
         print(f"  {name}:\n    - {err_p}\n    + {err_c}")
     return exit_changes
@@ -136,6 +170,7 @@ def main(argv: list[str]) -> int:
     parent, change = argv
     sys.path.insert(0, str(Path(change).resolve()))
     from confsub.report import from_canonical
+    from confsub.scenes import PRESETS
 
     _, listing, _ = check(change, "--list-presets")
     scenes = listing.split() + BENCH_SCENES
@@ -177,7 +212,8 @@ def main(argv: list[str]) -> int:
     print(f"{len(scenes)} scenes x {len(SEEDS)} seeds x {len(MODES)} modes: "
           f"{rows} rows and {structure_rows} structure rows compared")
     print(f"identical canonical reports: {identical} of {reports}")
-    exit_changes += failing_changes(parent, change)
+    exit_changes += scene_changes(parent, change, "failing", failing_scenes())
+    exit_changes += scene_changes(parent, change, "malformed", malformed_scenes(PRESETS["linproj42"]))
     print(f"verdict changes: {verdict_changes}")
     print(f"exit-code changes: {exit_changes}")
     print("largest residual change per row (units of the theorem tolerance):")

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, parse, raise_first
 from .jets import ArrayJet
@@ -93,7 +94,7 @@ class ChartedManifold:
             for x, (lo, hi) in zip(p, self.box):
                 if not (lo <= x <= hi):
                     return False
-        return all(loc.distance(p) >= 1e-3 for loc in self.excluded)
+        return all(loc.distance(p) >= Tolerances.exclusion_distance for loc in self.excluded)
 
 
 def euclidean_metric(dim: int) -> tuple[tuple[ScalarExpr, ...], ...]:

@@ -4,12 +4,15 @@ Two output formats: a human-readable table and a canonical structured text
 with stable key order.  The canonical form contains no timestamps and uses
 shortest round-trip float repr, so identical runs serialize byte-identically
 and `from_canonical(to_canonical(r))` reproduces the report exactly; it
-rejects a checker row whose verdicts do not follow from its residuals.
+accepts only text that `to_canonical` writes, so a checker row whose verdicts
+do not follow from its residuals, or an aggregate that does not follow from
+the rows, is an error at its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .theorems import ConditionReport
 
@@ -184,74 +187,81 @@ def _take(line: str, key: str) -> str:
 
 
 def from_canonical(text: str) -> RunReport:
+    """The report that `to_canonical` wrote as `text`; other text is a ValueError naming its line."""
     lines = text.splitlines()
     if not lines or lines[0] != "confsub-report = 1":
-        raise ValueError("not a canonical report")
+        raise ValueError("line 1: not a canonical report")
     head = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("["):
         key, _, value = lines[i].partition(" = ")
         head[key] = value
         i += 1
-    report = RunReport(
-        scene=head["scene"],
-        engine_version=head["engine"],
-        seed=int(head["seed"]),
-        count=int(head["count"]),
-        theorem_tolerance=float(head["tol.theorem"]),
-        machinery_only=bool(int(head["machinery_only"])),
-        kahler_verified=None if head["kahler_verified"] == "-" else bool(int(head["kahler_verified"])),
-        exit_code=int(head["exit"]),
-    )
-    section = None
-    checker = None
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if line.startswith("["):
-            tag = line[1:-1]
-            if tag.startswith("checker "):
-                section = "checker"
-                checker = tag[len("checker "):]
-                report.reports[checker] = []
-            else:
-                section = tag
-            continue
-        if section == "structure":
-            fields = line.split(_SEP)
-            dims_raw = _take(fields[3], "dims")
-            report.structure.append(
-                StructureRow(
-                    index=int(fields[0]),
-                    point=_ppoint(_take(fields[1], "point")),
-                    lam=float(_take(fields[2], "lambda")),
-                    dims=None if dims_raw == "-" else tuple(int(x) for x in dims_raw.split(",")),
-                    conformality_residual=float(_take(fields[4], "conformality")),
-                    kahler_residual=_pnum(_take(fields[5], "kahler")),
+    try:
+        report = RunReport(
+            scene=head["scene"],
+            engine_version=head["engine"],
+            seed=int(head["seed"]),
+            count=int(head["count"]),
+            theorem_tolerance=float(head["tol.theorem"]),
+            machinery_only=bool(int(head["machinery_only"])),
+            kahler_verified=None if head["kahler_verified"] == "-" else bool(int(head["kahler_verified"])),
+            exit_code=int(head["exit"]),
+        )
+        section = checker = None
+        for i in range(i, len(lines)):
+            line = lines[i]
+            if line.startswith("["):
+                tag = line[1:-1]
+                if tag.startswith("checker "):
+                    section = "checker"
+                    checker = tag[len("checker "):]
+                    report.reports[checker] = []
+                else:
+                    section = tag
+            elif section == "structure":
+                fields = line.split(_SEP)
+                dims_raw = _take(fields[3], "dims")
+                report.structure.append(
+                    StructureRow(
+                        index=int(fields[0]),
+                        point=_ppoint(_take(fields[1], "point")),
+                        lam=float(_take(fields[2], "lambda")),
+                        dims=None if dims_raw == "-" else tuple(int(x) for x in dims_raw.split(",")),
+                        conformality_residual=float(_take(fields[4], "conformality")),
+                        kahler_residual=_pnum(_take(fields[5], "kahler")),
+                    )
                 )
-            )
-        elif section == "checker":
-            fields = line.split(_SEP)
-            r = ConditionReport(
-                name=checker,
-                point=_ppoint(_take(fields[1], "point")),
-                residual_a=float(_take(fields[2], "ra")),
-                residual_b=_pnum(_take(fields[3], "rb")),
-                vacuous=bool(int(_take(fields[7], "vacuous"))),
-                tolerance=float(_take(fields[8], "tol")),
-                label=_take(fields[9], "label"),
-            )
-            stored = (_take(fields[4], "va"), _take(fields[5], "vb"), bool(int(_take(fields[6], "agree"))))
-            if stored != (r.verdict_a, r.verdict_b, r.agree):
-                raise ValueError(f"verdicts in {line!r} do not follow from its residuals and tolerance")
-            report.reports[checker].append(r)
-        elif section == "skipped":
-            name, _, reason = line.partition(_SEP)
-            report.skipped.append((name, reason))
-        elif section == "warnings":
-            report.warnings.append(line)
-        elif section in ("aggregates", "end"):
-            continue
+            elif section == "checker":
+                fields = line.split(_SEP)
+                r = ConditionReport(
+                    name=checker,
+                    point=_ppoint(_take(fields[1], "point")),
+                    residual_a=float(_take(fields[2], "ra")),
+                    residual_b=_pnum(_take(fields[3], "rb")),
+                    vacuous=bool(int(_take(fields[7], "vacuous"))),
+                    tolerance=float(_take(fields[8], "tol")),
+                    label=_take(fields[9], "label"),
+                )
+                stored = (_take(fields[4], "va"), _take(fields[5], "vb"), bool(int(_take(fields[6], "agree"))))
+                if stored != (r.verdict_a, r.verdict_b, r.agree):
+                    raise ValueError(f"verdicts in {line!r} do not follow from its residuals and tolerance")
+                report.reports[checker].append(r)
+            elif section == "skipped":
+                name, _, reason = line.partition(_SEP)
+                report.skipped.append((name, reason))
+            elif section == "warnings":
+                report.warnings.append(line)
+    except KeyError as err:
+        raise ValueError(f"line {i + 1}: missing header field {err}") from None
+    except IndexError:
+        raise ValueError(f"line {i + 1}: too few fields in {lines[i]!r}") from None
+    except ValueError as err:
+        raise ValueError(f"line {i + 1}: {err}") from None
+    written = to_canonical(report).splitlines()
+    for n, (got, want) in enumerate(zip_longest(lines, written), start=1):
+        if got != want:
+            raise ValueError(f"line {n}: expected {want!r}, got {got!r}")
     return report
 
 

@@ -1,11 +1,14 @@
 """Scene files, builtin presets and the deterministic sampler.
 
-A scene is a line-oriented key/value file with sections.  Metric entries are
-given upper-triangle only (`g 1 2 = <expr>`), the almost complex structure the
-same way (`J 1 2 = <expr>`), with `metric = euclidean` and `J = canonical`
-shorthands.  Sampling is a per-coordinate box with optional excluded
-hypersurfaces; points come from a scrambled Halton sequence seeded by the
-scene, so reports are reproducible run to run.
+A scene is a line-oriented key/value file with sections.  Each section admits
+the keys listed in `_KEYS`, each at most once (only `exclude` repeats); an
+unknown or repeated key is an error at its line.  Metric entries are given
+upper-triangle only (`g 1 2 = <expr>`), the almost complex structure as a full
+grid (`J 1 2 = <expr>`, `[source]` only); the shorthands `metric = euclidean`
+and `J = canonical|none` cannot be mixed with entries.  Sampling is a
+per-coordinate box with optional excluded hypersurfaces; points come from a
+scrambled Halton sequence seeded by the scene, so reports are reproducible run
+to run.
 
 Example::
 
@@ -72,236 +75,215 @@ class Scene:
 # ---------------------------------------------------------------------------
 # Parsing
 
-
-def _parse_bool(raw: str, lineno: int) -> bool:
-    v = raw.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise SceneError(f"expected a boolean, got {raw!r}", lineno)
-
-
-def _parse_box(raw: str, dim: int, lineno: int):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != dim:
-        raise SceneError(f"box needs {dim} intervals, got {len(parts)}", lineno)
-    box = []
-    for part in parts:
-        nums = part.split()
-        if len(nums) != 2:
-            raise SceneError(f"interval must be 'lo hi', got {part!r}", lineno)
-        try:
-            lo, hi = float(nums[0]), float(nums[1])
-        except ValueError:
-            raise SceneError(f"interval bounds must be numbers, got {part!r}", lineno) from None
-        if not lo < hi:
-            raise SceneError(f"empty interval {part!r}", lineno)
-        box.append((lo, hi))
-    return tuple(box)
+# The keys each section admits, as (name, number of indices): ("g", 2) admits
+# `g 1 2 = <expr>`, ("J", 0) the shorthand `J = canonical`.  The top level is "".
+# A key may appear once per section; only `exclude` repeats.
+_KEYS = {
+    "": {("name", 0), ("machinery_only", 0), ("kahler_expected", 0)},
+    "source": {("dim", 0), ("metric", 0), ("g", 2), ("J", 0), ("J", 2)},
+    "target": {("dim", 0), ("metric", 0), ("g", 2)},
+    "map": {("F", 1)},
+    "sampling": {("box", 0), ("count", 0), ("seed", 0), ("exclude", 0)},
+    "tolerances": {("theorem", 0)},
+}
 
 
-def _parse_exclusion(raw: str, dim: int, lineno: int) -> ExcludedLocus:
-    parts = raw.split()
-    if len(parts) != 3 or parts[1] not in ("mod", "eq"):
-        raise SceneError(f"exclusion must be 'x<i> mod|eq <value>', got {raw!r}", lineno)
-    name = parts[0]
-    if not (name.startswith("x") and name[1:].isdigit()):
-        raise SceneError(f"bad coordinate {name!r} in exclusion", lineno)
-    coord = int(name[1:])
-    if coord < 1 or coord > dim:
-        raise SceneError(f"exclusion coordinate {name} out of range", lineno)
-    try:
-        value = float(parts[2])
-    except ValueError:
-        raise SceneError(f"exclusion value must be a number, got {parts[2]!r}", lineno) from None
-    if parts[1] == "mod" and value <= 0:
-        raise SceneError("modulus must be positive", lineno)
-    return ExcludedLocus(parts[1], coord - 1, value)
-
-
-def _grid_from_entries(dim, entries):
-    """Full symmetric grid from upper-triangle entries; unspecified entries are zero."""
-    grid = [[Const(0.0)] * dim for _ in range(dim)]
-    for (i, j), (expr, lineno) in entries.items():
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise SceneError(f"entry index ({i},{j}) out of range for dim {dim}", lineno)
-        if i > j:
-            raise SceneError(f"give upper-triangle entries only, got ({i},{j})", lineno)
-        grid[i - 1][j - 1] = expr
-        grid[j - 1][i - 1] = expr
-    return tuple(tuple(row) for row in grid)
-
-
-def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
-    sections: dict[str, list[tuple[int, str]]] = {"": []}
-    current = ""
+def _read(text: str) -> dict[str, dict]:
+    """Each section's keys, `(name, indices) -> [(value, line), ...]`, checked against `_KEYS`."""
+    sections: dict[str, dict] = {section: {} for section in _KEYS}
+    current, where = "", "the top level"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in ("source", "target", "map", "sampling", "tolerances"):
-                raise SceneError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, [])
+            where = f"[{current}]"
+            if not current or current not in _KEYS:
+                raise SceneError(f"unknown section {where}", lineno)
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise SceneError(f"expected 'key = value', got {line!r}", lineno)
-        sections.setdefault(current, []).append((lineno, line))
-
-    def kv(section):
-        out = {}
-        for lineno, line in sections.get(section, []):
-            key, _, value = line.partition("=")
-            out.setdefault(key.strip(), []).append((value.strip(), lineno))
-        return out
-
-    top = kv("")
-    name = top.get("name", [(name_hint, 0)])[0][0]
-    machinery = False
-    if "machinery_only" in top:
-        machinery = _parse_bool(*top["machinery_only"][0])
-
-    def single(d, key, section, required=True, default=None):
-        if key not in d:
-            if required:
-                raise SceneError(f"missing '{key}' in [{section}]")
-            return default, 0
-        vals = d[key]
-        if len(vals) > 1:
-            raise SceneError(f"duplicate '{key}' in [{section}]", vals[1][1])
-        return vals[0]
-
-    def build_manifold(section, allow_j):
-        d = kv(section)
-        raw_dim, ln = single(d, "dim", section)
+        name, *indices = key.split() or [""]
+        if (name, len(indices)) not in _KEYS[current]:
+            raise SceneError(f"unknown key {key.strip()!r} in {where}", lineno)
         try:
-            dim = int(raw_dim)
+            indices = tuple(map(int, indices))
         except ValueError:
-            raise SceneError(f"bad dimension {raw_dim!r}", ln) from None
-        if dim < 1 or dim > 16:
-            raise SceneError(f"dimension must be in 1..16, got {dim}", ln)
+            raise SceneError(f"bad index in key {key.strip()!r}", lineno) from None
+        seen = sections[current].setdefault((name, indices), [])
+        if seen and name != "exclude":
+            raise SceneError(f"duplicate {key.strip()!r} in {where}, first given on line {seen[0][1]}", lineno)
+        seen.append((value.strip(), lineno))
+    return sections
 
-        entries = {}
-        shorthand = None
-        j_entries = {}
-        j_shorthand = None
-        for lineno, line in sections.get(section, []):
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            parts = key.split() or [""]
-            if parts[0] == "g" and len(parts) == 3:
-                try:
-                    i, j = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise SceneError(f"bad metric entry key {key!r}", lineno) from None
-                entries[(i, j)] = (_parse_expr(value, dim, lineno), lineno)
-            elif key == "metric":
-                if value != "euclidean":
-                    raise SceneError(f"unknown metric shorthand {value!r}", lineno)
-                shorthand = "euclidean"
-            elif parts[0] == "J" and len(parts) == 3:
-                try:
-                    i, j = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise SceneError(f"bad J entry key {key!r}", lineno) from None
-                j_entries[(i, j)] = (_parse_expr(value, dim, lineno), lineno)
-            elif key == "J":
-                if value not in ("canonical", "none"):
-                    raise SceneError(f"unknown J shorthand {value!r}", lineno)
-                j_shorthand = value
-            elif key == "dim":
-                pass
-            else:
-                raise SceneError(f"unknown key {key!r} in [{section}]", lineno)
 
-        if shorthand == "euclidean":
-            if entries:
-                raise SceneError(f"[{section}] mixes 'metric = euclidean' with explicit entries")
-            metric = euclidean_metric(dim)
-        elif entries:
-            metric = _grid_from_entries(dim, entries)
-        else:
-            raise SceneError(f"[{section}] needs a metric ('metric = euclidean' or 'g i j =' entries)")
+def _at(lineno: int | None, fn, *args):
+    """`fn(*args)`, with a ValueError reported as a scene error at `lineno`."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        raise SceneError(str(err), lineno) from None
 
-        J = None
-        if allow_j:
-            if j_shorthand == "canonical":
-                if dim % 2 != 0:
-                    raise SceneError(f"canonical J needs even dimension, [{section}] has {dim}")
-                J = canonical_complex_structure(dim)
-            elif j_entries:
-                jgrid = [[Const(0.0)] * dim for _ in range(dim)]
-                for (i, j), (expr, lineno) in j_entries.items():
-                    if not (1 <= i <= dim and 1 <= j <= dim):
-                        raise SceneError(f"J entry ({i},{j}) out of range", lineno)
-                    jgrid[i - 1][j - 1] = expr
-                J = tuple(tuple(row) for row in jgrid)
-        elif j_entries or j_shorthand not in (None, "none"):
-            raise SceneError(f"[{section}] does not admit a complex structure")
-        return dim, metric, J
 
-    src_dim, src_metric, src_j = build_manifold("source", allow_j=True)
-    tgt_dim, tgt_metric, _ = build_manifold("target", allow_j=False)
+def _single(sections, section: str, name: str, parse, default=None):
+    """`parse` of the value of `name` in `section`; `default` when it is absent, required if None."""
+    given = sections[section].get((name, ()))
+    if given is None:
+        if default is None:
+            raise SceneError(f"missing '{name}' in [{section}]")
+        return default
+    [(value, lineno)] = given
+    return _at(lineno, parse, value)
 
-    # map components
-    comp_entries = {}
-    for lineno, line in sections.get("map", []):
-        key, _, value = line.partition("=")
-        parts = key.strip().split()
-        if len(parts) != 2 or parts[0] != "F":
-            raise SceneError(f"map entries look like 'F <i> = <expr>', got {key.strip()!r}", lineno)
+
+def _bool(raw: str) -> bool:
+    v = raw.lower()
+    if v in ("true", "yes", "1"):
+        return True
+    if v in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _integer(what: str, low: int, high: float, expected: str):
+    """A parser of the integers in [low, high]; `expected` names them in its error."""
+
+    def parse(raw: str) -> int:
         try:
-            idx = int(parts[1])
+            value = int(raw)
         except ValueError:
-            raise SceneError(f"bad component index {parts[1]!r}", lineno) from None
+            value = None
+        if value is None or not low <= value <= high:
+            raise ValueError(f"bad {what} {raw!r}: expected {expected}")
+        return value
+
+    return parse
+
+
+def _theorem_tolerance(raw: str) -> Tolerances:
+    try:
+        return DEFAULT_TOLERANCES.with_theorem(float(raw))
+    except ValueError:
+        raise ValueError(f"bad tolerance {raw!r}: must be a finite number > 0") from None
+
+
+def _parse_box(raw: str, dim: int):
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != dim:
+        raise ValueError(f"box needs {dim} intervals, got {len(parts)}")
+    box = []
+    for part in parts:
+        nums = part.split()
+        if len(nums) != 2:
+            raise ValueError(f"interval must be 'lo hi', got {part!r}")
+        try:
+            lo, hi = float(nums[0]), float(nums[1])
+        except ValueError:
+            raise ValueError(f"interval bounds must be numbers, got {part!r}") from None
+        if not lo < hi:
+            raise ValueError(f"empty interval {part!r}")
+        box.append((lo, hi))
+    return tuple(box)
+
+
+def _parse_exclusion(raw: str, dim: int) -> ExcludedLocus:
+    parts = raw.split()
+    if len(parts) != 3 or parts[1] not in ("mod", "eq"):
+        raise ValueError(f"exclusion must be 'x<i> mod|eq <value>', got {raw!r}")
+    name = parts[0]
+    if not (name.startswith("x") and name[1:].isdigit()):
+        raise ValueError(f"bad coordinate {name!r} in exclusion")
+    coord = int(name[1:])
+    if coord < 1 or coord > dim:
+        raise ValueError(f"exclusion coordinate {name} out of range")
+    try:
+        value = float(parts[2])
+    except ValueError:
+        raise ValueError(f"exclusion value must be a number, got {parts[2]!r}") from None
+    if parts[1] == "mod" and value <= 0:
+        raise ValueError("modulus must be positive")
+    return ExcludedLocus(parts[1], coord - 1, value)
+
+
+def _grid(sections, section: str, shorthand: str, entry: str, dim: int, shorthands, symmetric: bool):
+    """A dim x dim grid from `shorthand = <value>` or from `entry i j = <expr>` lines; None if neither.
+
+    Entries not given are zero.  A symmetric grid takes the upper triangle and mirrors it.
+    """
+    fields = sections[section]
+    entries = [(idx, given) for (name, idx), given in fields.items() if name == entry and idx]
+    if (shorthand, ()) in fields:
+        [(value, lineno)] = fields[(shorthand, ())]
+        if entries:
+            raise SceneError(f"[{section}] mixes '{shorthand} = {value}' with explicit entries", lineno)
+        if value not in shorthands:
+            raise SceneError(f"unknown {shorthand} shorthand {value!r}", lineno)
+        return _at(lineno, shorthands[value], dim)
+    if not entries:
+        return None
+    grid = [[Const(0.0)] * dim for _ in range(dim)]
+    for (i, j), [(value, lineno)] in entries:
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise SceneError(f"entry index ({i},{j}) out of range for dim {dim}", lineno)
+        if symmetric and i > j:
+            raise SceneError(f"give upper-triangle entries only, got ({i},{j})", lineno)
+        grid[i - 1][j - 1] = _parse_expr(value, dim, lineno)
+        if symmetric:
+            grid[j - 1][i - 1] = grid[i - 1][j - 1]
+    return tuple(tuple(row) for row in grid)
+
+
+_DIM = _integer("dimension", 1, 16, "an integer in 1..16")
+_COUNT = _integer("count", 1, float("inf"), "a positive integer")
+_SEED = _integer("seed", 0, float("inf"), "a non-negative integer")
+_METRICS = {"euclidean": euclidean_metric}
+_COMPLEX_STRUCTURES = {"canonical": canonical_complex_structure, "none": lambda dim: None}
+
+
+def _manifold(sections, section: str):
+    """Dimension, metric and complex structure (None when not given) of [source] or [target]."""
+    dim = _single(sections, section, "dim", _DIM)
+    metric = _grid(sections, section, "metric", "g", dim, _METRICS, symmetric=True)
+    if metric is None:
+        raise SceneError(f"[{section}] needs a metric ('metric = euclidean' or 'g i j =' entries)")
+    J = _grid(sections, section, "J", "J", dim, _COMPLEX_STRUCTURES, symmetric=False)
+    return dim, metric, J
+
+
+def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
+    sections = _read(text)
+    name = _single(sections, "", "name", str, name_hint)
+    machinery = _single(sections, "", "machinery_only", _bool, False)
+    src_dim, src_metric, src_j = _manifold(sections, "source")
+    tgt_dim, tgt_metric, _ = _manifold(sections, "target")
+
+    components = {}
+    for (_, (idx,)), [(value, lineno)] in sections["map"].items():
         if not 1 <= idx <= tgt_dim:
             raise SceneError(f"component index {idx} out of range for target dim {tgt_dim}", lineno)
-        if idx in comp_entries:
-            raise SceneError(f"duplicate component F {idx}", lineno)
-        comp_entries[idx] = _parse_expr(value.strip(), src_dim, lineno)
-    if len(comp_entries) != tgt_dim:
-        raise SceneError(f"[map] needs {tgt_dim} components, got {len(comp_entries)}")
-    components = tuple(comp_entries[i] for i in range(1, tgt_dim + 1))
+        components[idx] = _parse_expr(value, src_dim, lineno)
+    if len(components) != tgt_dim:
+        raise SceneError(f"[map] needs {tgt_dim} components, got {len(components)}")
 
-    # sampling
-    d = kv("sampling")
-    raw_box, ln = single(d, "box", "sampling")
-    box = _parse_box(raw_box, src_dim, ln)
-    raw_count, ln = single(d, "count", "sampling", required=False, default="24")
-    raw_seed, ln2 = single(d, "seed", "sampling", required=False, default="7")
-    try:
-        count, seed = int(raw_count), int(raw_seed)
-    except ValueError:
-        raise SceneError("count and seed must be integers", max(ln, ln2)) from None
-    if count < 1 or seed < 0:
-        raise SceneError("count must be positive and seed non-negative", max(ln, ln2))
+    box = _single(sections, "sampling", "box", lambda raw: _parse_box(raw, src_dim))
+    count = _single(sections, "sampling", "count", _COUNT, 24)
+    seed = _single(sections, "sampling", "seed", _SEED, 7)
     excluded = tuple(
-        _parse_exclusion(value, src_dim, lineno)
-        for value, lineno in d.get("exclude", [])
+        _at(lineno, _parse_exclusion, value, src_dim)
+        for value, lineno in sections["sampling"].get(("exclude", ()), [])
     )
+    tol = _single(sections, "tolerances", "theorem", _theorem_tolerance, DEFAULT_TOLERANCES)
 
-    tol = DEFAULT_TOLERANCES
-    for value, lineno in kv("tolerances").get("theorem", []):
-        try:
-            tol = tol.with_theorem(float(value))
-        except ValueError:
-            raise SceneError(
-                f"bad tolerance {value!r}: must be a finite number > 0", lineno
-            ) from None
-
-    # a machinery-only scene ignores a declared J everywhere: drop it here, once
-    source = ChartedManifold(src_dim, src_metric, None if machinery else src_j, box, excluded)
-    target = ChartedManifold(tgt_dim, tgt_metric, None, None, ())
     try:
-        fmap = SmoothMap(source, target, components)
+        # a machinery-only scene ignores a declared J everywhere: drop it here, once
+        source = ChartedManifold(src_dim, src_metric, None if machinery else src_j, box, excluded)
+        target = ChartedManifold(tgt_dim, tgt_metric, None, None, ())
+        fmap = SmoothMap(source, target, tuple(components[i] for i in range(1, tgt_dim + 1)))
     except ValueError as err:
         raise SceneError(str(err)) from None
-    kahler_expected = src_j is not None and not machinery
-    for value, lineno in top.get("kahler_expected", []):
-        kahler_expected = _parse_bool(value, lineno)
+    kahler_expected = _single(sections, "", "kahler_expected", _bool, src_j is not None and not machinery)
     return Scene(
         name=name,
         fmap=fmap,

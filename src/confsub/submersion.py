@@ -185,9 +185,9 @@ class _PipelineResult:
     PD2: ArrayJet | None
     PJD2: ArrayJet | None
     PMU: ArrayJet | None
-    lambda_sq: ArrayJet  # scalar jet: v a float, d the coordinate gradient
-    lam: float
-    conf_residual: float
+    lambda_sq: ArrayJet  # scalar jet: v[q] the square dilation, d[q] its coordinate gradient
+    lam: np.ndarray
+    conf_residual: np.ndarray
 
 
 class _Regroup(Exception):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import subprocess
 import sys
 
@@ -48,6 +50,16 @@ def test_malformed_scene_file_exit_code(tmp_path):
     code, _, err = run_cli("check", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def test_repeated_key_is_one_scene_error_line(tmp_path):
+    bad = tmp_path / "twice.scene"
+    bad.write_text(PRESETS["linproj42"].replace("J = canonical", "J = canonical\nJ = none", 1))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(bad)])
+    assert code == 2
+    assert err.getvalue().splitlines() == ["scene error: line 7: duplicate 'J' in [source], first given on line 6"]
 
 
 def test_structural_failure_exit_code(tmp_path):
@@ -141,6 +153,30 @@ def test_canonical_verdicts_must_follow_from_the_residuals(sample_report):
                 row.replace("agree=1", "agree=0")):
         with pytest.raises(ValueError, match="do not follow from its residuals"):
             from_canonical(text.replace(row, bad))
+
+
+def test_canonical_missing_header_field_names_its_line(sample_report):
+    text = to_canonical(sample_report).replace(f"scene = {sample_report.scene}\n", "", 1)
+    with pytest.raises(ValueError, match=r"^line 9: missing header field 'scene'$"):
+        from_canonical(text)
+
+
+def test_canonical_short_row_names_its_line(sample_report):
+    lines = to_canonical(sample_report).splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("[checker "))
+    lines[n + 1] = lines[n + 1].split(" | vb=")[0]
+    with pytest.raises(ValueError, match=rf"^line {n + 2}: too few fields"):
+        from_canonical("\n".join(lines) + "\n")
+
+
+def test_canonical_aggregates_must_follow_from_the_rows(sample_report):
+    lines = to_canonical(sample_report).splitlines()
+    n = lines.index("[aggregates]") + 1
+    total = sample_report.aggregates()[0].total
+    assert f"| agree={total}/{total} |" in lines[n]
+    lines[n] = lines[n].replace(f"| agree={total}/{total} |", f"| agree=0/{total} |")
+    with pytest.raises(ValueError, match=rf"^line {n + 1}: expected .*agree={total}/{total}"):
+        from_canonical("\n".join(lines) + "\n")
 
 
 def test_aggregates_match_recomputation(sample_report):

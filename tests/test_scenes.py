@@ -1,3 +1,5 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from confsub.scenes import (
     preset_names,
     sample_points,
 )
+
+from .conftest import REPO
 
 GOOD = """
 name = toy
@@ -67,6 +71,49 @@ def test_malformed_scenes(mutation, message):
     old, new = mutation
     text = GOOD.replace(old, new, 1)
     with pytest.raises(SceneError, match=message):
+        load_scene_text(text)
+
+
+def _malformed():
+    """The malformed linproj42 edits that `scripts/compare_reports.py` runs through both trees."""
+    spec = importlib.util.spec_from_file_location("compare_reports", REPO / "scripts" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MALFORMED
+
+
+MALFORMED = _malformed()
+# name: (line, message) of each edit's scene error
+MALFORMED_ERRORS = {
+    "unknown-top-level-key": (3, "unknown key 'foo' in the top level"),
+    "unknown-sampling-key": (17, r"unknown key 'foo' in \[sampling\]"),
+    "unknown-tolerances-keys": (18, r"unknown key 'drop' in \[tolerances\]"),
+    "repeated-name": (3, "duplicate 'name' in the top level, first given on line 2"),
+    "repeated-machinery-only": (4, "duplicate 'machinery_only' in the top level, first given on line 3"),
+    "repeated-kahler-expected": (4, "duplicate 'kahler_expected' in the top level, first given on line 3"),
+    "repeated-theorem": (19, r"duplicate 'theorem' in \[tolerances\], first given on line 18"),
+    "repeated-g-entry": (10, r"duplicate 'g 1 1' in \[target\], first given on line 9"),
+    "repeated-metric": (6, r"duplicate 'metric' in \[source\], first given on line 5"),
+    "j-canonical-then-none": (7, r"duplicate 'J' in \[source\], first given on line 6"),
+    "j-canonical-with-entries": (6, r"\[source\] mixes 'J = canonical' with explicit entries"),
+    "j-none-with-entries": (6, r"\[source\] mixes 'J = none' with explicit entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_unknown_repeated_or_mixed_keys_rejected_at_their_line(name):
+    old, new = MALFORMED[name]
+    text = PRESETS["linproj42"].replace(old, new, 1)
+    assert text != PRESETS["linproj42"]
+    line, message = MALFORMED_ERRORS[name]
+    with pytest.raises(SceneError, match=rf"^line {line}: {message}$"):
+        load_scene_text(text)
+
+
+def test_complex_structure_entries_need_even_dimension():
+    text = GOOD.replace("dim = 2\nmetric = euclidean", "dim = 3\nmetric = euclidean\nJ 1 2 = 1", 1)
+    text = text.replace("box = -1 1, -1 1", "box = -1 1, -1 1, -1 1")
+    with pytest.raises(SceneError, match="complex structure requires even dimension"):
         load_scene_text(text)
 
 
