@@ -100,15 +100,19 @@ def _pnum(raw: str) -> float | None:
     return None if raw == "-" else float(raw)
 
 
-def _fpoint(point: tuple[float, ...]) -> str:
-    return ",".join(repr(float(x)) for x in point)
-
-
 def _ppoint(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(",")) if raw else ()
 
 
 def to_canonical(report: RunReport) -> str:
+    texts: dict[tuple[float, ...], str] = {}  # each point is formatted once per call
+
+    def fpoint(point: tuple[float, ...]) -> str:
+        text = texts.get(point)
+        if text is None:
+            text = texts[point] = ",".join(repr(float(x)) for x in point)
+        return text
+
     lines = [
         "confsub-report = 1",
         f"scene = {report.scene}",
@@ -127,7 +131,7 @@ def to_canonical(report: RunReport) -> str:
             _SEP.join(
                 [
                     str(row.index),
-                    f"point={_fpoint(row.point)}",
+                    f"point={fpoint(row.point)}",
                     f"lambda={_fnum(row.lam)}",
                     f"dims={dims}",
                     f"conformality={_fnum(row.conformality_residual)}",
@@ -143,7 +147,7 @@ def to_canonical(report: RunReport) -> str:
                 _SEP.join(
                     [
                         str(i),
-                        f"point={_fpoint(r.point)}",
+                        f"point={fpoint(r.point)}",
                         f"ra={_fnum(r.residual_a)}",
                         f"rb={_fnum(r.residual_b)}",
                         f"va={r.verdict_a}",

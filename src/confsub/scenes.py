@@ -8,7 +8,10 @@ grid (`J 1 2 = <expr>`, `[source]` only); the shorthands `metric = euclidean`
 and `J = canonical|none` cannot be mixed with entries.  Sampling is a
 per-coordinate box with optional excluded hypersurfaces; points come from a
 scrambled Halton sequence seeded by the scene, so reports are reproducible run
-to run.
+to run.  The sequence is Owen's randomized Halton (A. B. Owen, "A randomized
+Halton algorithm in R", arXiv:1706.02808, 2017); `ScrambledHalton(d, seed)`
+draws the same stream, bit for bit, as
+`scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`.
 
 Example::
 
@@ -29,10 +32,10 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SceneError
@@ -46,7 +49,7 @@ from .geometry import (
 from .submersion import SmoothMap
 
 __all__ = ["Scene", "load_scene", "load_scene_text", "load_preset", "resolve_scene",
-           "preset_names", "sample_points", "PRESETS"]
+           "preset_names", "sample_points", "ScrambledHalton", "PRESETS"]
 
 
 @dataclass(frozen=True)
@@ -442,6 +445,52 @@ def resolve_scene(arg: str) -> Scene:
 # Sampling
 
 
+class ScrambledHalton:
+    """Owen's randomized Halton sequence in `d` dimensions, drawn in order.
+
+    Coordinate k has the k-th prime b as its base and one random permutation
+    of the digits 0..b-1 per digit position, for as many positions as a double
+    resolves (b**-j > 2**-54).  The point at index i is
+    sum_j perm[j, digit_j(i)] * b**-(j+1), with the terms added in digit
+    order: the order of the reference implementation named in the module
+    docstring, which fixes every last bit.
+    """
+
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)  # a scene has <= 16 dimensions
+
+    def __init__(self, d: int, seed: int):
+        bases = self.PRIMES[:d]
+        if len(bases) < d:
+            raise ValueError(f"at most {len(self.PRIMES)} dimensions")
+        self._bases, self._cols = np.array(bases), np.arange(d)
+        rng = np.random.default_rng(seed)
+        counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+        # base 2 has the most positions; a zero past a base's own count adds +0.0
+        self._perm = np.zeros((counts[0], d, bases[-1]), dtype=np.int64)
+        for k, (b, count) in enumerate(zip(bases, counts)):
+            self._perm[:count, k, :b] = rng.permuted(np.repeat(np.arange(b)[None], count, axis=0), axis=1)
+        # 1/b, 1/b/b, ...: repeated division, not powers, as the reference does
+        self._weights = np.divide.accumulate(np.vstack([np.ones(d), np.tile(self._bases, (counts[0], 1))]))[1:]
+        self._zero_terms = self._perm[:, :, 0] * self._weights
+        self._index = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next `n` points of the sequence, shape (n, d), in [0, 1)."""
+        rem = np.arange(self._index, self._index + n)[:, None]
+        self._index += n
+        ndigits = (self._index - 1).bit_length()
+        out = np.zeros((n, self._cols.size))
+        # in digit order (a sum over a trailing axis would be pairwise and could
+        # move the last bit); past `ndigits` every index has digit 0
+        for j, zero_term in enumerate(self._zero_terms):
+            if j < ndigits:
+                rem, digit = np.divmod(rem, self._bases)
+                out += self._perm[j, self._cols, digit] * self._weights[j]
+            else:
+                out += zero_term
+        return out
+
+
 def sample_points(scene: Scene, count: int | None = None, seed: int | None = None) -> list[np.ndarray]:
     """Scrambled Halton points in the box, away from excluded loci."""
     count = scene.count if count is None else int(count)
@@ -455,7 +504,7 @@ def sample_points(scene: Scene, count: int | None = None, seed: int | None = Non
         raise SceneError(f"scene {scene.name!r} has no sampling box")
     lo = np.array([b[0] for b in src.box])
     hi = np.array([b[1] for b in src.box])
-    sampler = qmc.Halton(d=src.dim, scramble=True, seed=seed)
+    sampler = ScrambledHalton(src.dim, seed)
     margin = scene.tolerances.exclusion_distance
     points: list[np.ndarray] = []
     attempts = 0

@@ -125,9 +125,12 @@ def test_canonical_determinism():
 
 
 def test_main_callable_in_process(capsys):
+    # one parser serves every call: the options of one call must not reach the next
+    assert main(["check", "linproj42", "--points", "3", "--format", "canonical", "--structure-only"]) == 0
+    assert capsys.readouterr().out.startswith("confsub-report = 1")
     assert main(["check", "linproj42", "--points", "3"]) == 0
     out = capsys.readouterr().out
-    assert "exit 0 (ok)" in out
+    assert "exit 0 (ok)" in out and "d1_integrability" in out
 
 
 # ---------------------------------------------------------------------------

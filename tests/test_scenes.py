@@ -1,4 +1,8 @@
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +10,14 @@ import pytest
 from confsub.errors import SceneError
 from confsub.scenes import (
     PRESETS,
+    ScrambledHalton,
     load_preset,
     load_scene_text,
     preset_names,
     sample_points,
 )
 
-from .conftest import REPO
+from .conftest import REPO, SRC
 
 GOOD = """
 name = toy
@@ -159,6 +164,76 @@ def test_duplicate_component_rejected():
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+# Rows 0 and 15 of a first draw of 16 points and row 0 of a second draw of 1,
+# in 6 dimensions, per seed; written out from scipy 1.17.1's
+# `qmc.Halton(6, scramble=True, seed=seed)`.  Fewer dimensions draw the
+# leading columns, since the permutations are drawn base by base.
+HALTON_PINS = {
+    0: [
+        (0.0991217798843752, 0.05391376185363979, 0.30077622909743845,
+         0.7557337970515801, 0.4658102659117047, 0.6415954465447364),
+        (0.9116217798843752, 0.23909894703882495, 0.34077622909743843,
+         0.49042767460260056, 0.7881243154984815, 0.9907078725802394),
+        (0.0678717798843752, 0.9057656137054916, 0.7407762290974385,
+         0.061856246031172006, 0.9699424973166634, 0.0676309495033164),
+    ],
+    7: [
+        (0.10224233015287731, 0.9346983862017634, 0.8943413349392959,
+         0.7363974341982583, 0.2960292130992189, 0.9525421431132073),
+        (0.9147423301528773, 0.8606243121276893, 0.854341334939296,
+         0.1853770260349931, 0.2216490478099627, 0.6862699537640948),
+        (0.07099233015287731, 0.1939576454610226, 0.054341334939295896,
+         0.8996627403207074, 0.03983086599178093, 0.7631930306871717),
+    ],
+    2**31 - 1: [
+        (0.5263171407412407, 0.17969798888156205, 0.24885902136305257,
+         0.08923300121486497, 0.6149203867805939, 0.5001096012121582),
+        (0.4638171407412407, 0.2537720629556359, 0.20885902136305257,
+         0.7422942257046609, 0.09425922975580053, 0.3699320864192587),
+        (0.5575671407412407, 0.9204387296223029, 0.8088590213630525,
+         0.8851513685618038, 0.4578955933921642, 0.9083936248807973),
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("seed", sorted(HALTON_PINS))
+def test_scrambled_halton_draws_the_pinned_points(d, seed):
+    sampler = ScrambledHalton(d, seed)
+    first, second = sampler.random(16), sampler.random(1)
+    assert first.shape == (16, d) and second.shape == (1, d)
+    got = [tuple(first[0]), tuple(first[15]), tuple(second[0])]
+    assert got == [row[:d] for row in HALTON_PINS[seed]]  # exact: bit for bit
+
+
+# SHA-256 of the little-endian bytes of a third draw, of 300 points, after
+# the two above; from the same scipy run.  Summing each point's terms pairwise
+# instead of in digit order moves the last bit of about half of these values.
+HALTON_SHA256 = {
+    0: "752b27d2d82ac6fd297ddfa1323aa0a771862d6897d08185b2589392a325ee7c",
+    7: "bc16a746cfb77df037386ee5172ad97d489d8aeb9887b917243d6bd18dd5dec7",
+    2**31 - 1: "7d71f7408cee693e0e44a5bf31cb418fe4b6a6d25b830f15a43c501c4846c7f9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HALTON_SHA256))
+def test_scrambled_halton_long_draw_is_pinned_bit_for_bit(seed):
+    sampler = ScrambledHalton(6, seed)
+    sampler.random(16)
+    sampler.random(1)
+    third = sampler.random(300).astype("<f8")
+    assert hashlib.sha256(third.tobytes()).hexdigest() == HALTON_SHA256[seed]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, confsub.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_sample_points_deterministic():
