@@ -4,25 +4,25 @@
 Prints the worst relative deviation per preset for the connection
 coefficients and for second-fundamental-form components, then per preset and
 bench scene the worst relative deviation of the frame pass's derivative parts
-(frame families, projectors, square dilation, source connection).  The same
-comparisons run (with assertions) in the test suite; this script is for
-eyeballing the margins.  Run it from the repository root with `src` on
-PYTHONPATH.
+(frame families, projectors, square dilation, source connection).  Each scene's
+sample points run as one frame-pass batch, and each point is read at its
+`(group, k)`.  The same comparisons run (with assertions) in the test suite;
+this script is for eyeballing the margins.  Run it with `src` on PYTHONPATH,
+from any directory.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, ".")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root, for `tests`
 
-import numpy as np
+import numpy as np  # noqa: E402
 
-from confsub.geometry import christoffel_symbols, metric_jet
-from confsub.scenes import load_preset, preset_names, sample_points
-from confsub.submersion import on_pairs
+from confsub.scenes import load_preset, preset_names, sample_points  # noqa: E402
 
 from tests.conftest import ALL_SCENE_NAMES, fresh_scene  # noqa: E402
 from tests.fdtools import (  # noqa: E402
-    PASS_FIELDS, FrameField, fd_christoffel, fd_sff, pass_derivative_margins,
+    PASS_FIELDS, FrameField, fd_christoffel, fd_sff, on_pairs, pass_derivative_margins,
 )
 
 
@@ -31,16 +31,16 @@ def main() -> int:
     for name in preset_names():
         sc = load_preset(name)
         worst_g = worst_s = 0.0
-        for p in sample_points(sc, count=5, seed=11):
-            got = christoffel_symbols(metric_jet(sc.source, p), p)
+        entries, _ = sc.fmap.frame_pass(sample_points(sc, count=5, seed=11))
+        X = FrameField(sc.fmap, "horizontal", 0)
+        V = FrameField(sc.fmap, "vertical", 0)
+        for g, k in entries:
+            p = g.points[k]
             want = fd_christoffel(sc.source, p)
             scale = max(1.0, float(np.max(np.abs(want))))
-            worst_g = max(worst_g, float(np.max(np.abs(got - want))) / scale)
-            X = FrameField(sc.fmap, "horizontal", 0)
-            V = FrameField(sc.fmap, "vertical", 0)
-            S = sc.fmap.context(p).tensors.sff
+            worst_g = max(worst_g, float(np.max(np.abs(g.gamma_src[k] - want))) / scale)
             for pair in ((X, X), (X, V)):
-                a = on_pairs(S, *(F.values_at(p) for F in pair))
+                a = on_pairs(g.tensors.sff[k], *(F.values_at(p) for F in pair))
                 b = fd_sff(sc.fmap, p, *pair)
                 s = max(1.0, float(np.max(np.abs(b))))
                 worst_s = max(worst_s, float(np.max(np.abs(a - b))) / s)
@@ -53,9 +53,10 @@ def main() -> int:
     for name in ALL_SCENE_NAMES:
         sc = fresh_scene(name)
         worst: dict[str, float] = {}
-        for p in sample_points(sc, count=3, seed=5):
-            for k, v in pass_derivative_margins(sc.fmap, p, sc.tolerances).items():
-                worst[k] = max(worst.get(k, 0.0), v)
+        entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
+        for g, k in entries:
+            for key, v in pass_derivative_margins(sc.fmap, g, k).items():
+                worst[key] = max(worst.get(key, 0.0), v)
         cells = "".join(f"{worst[c]:>11.1e}" if c in worst else f"{'-':>11}" for c in columns)
         print(f"{name:<18}{cells}")
     return 0

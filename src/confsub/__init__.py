@@ -1,26 +1,16 @@
-"""Numerical verification of conformal semi-invariant submersions on charted manifolds."""
+"""Numerical verification of conformal semi-invariant submersions on charted manifolds.
+
+`SmoothMap.frame_pass(points)` runs the frame pass over a batch of points; a
+point is addressed as `(group, k)`, its group of the pass and its position
+there, and every table of a group carries the point axis first.
+"""
 
 __version__ = "0.1.0"
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import Jet2, eval_jet2, parse, to_string
-from .geometry import (
-    ChartedManifold,
-    ConstantField,
-    ExprField,
-    covariant_derivative,
-    euclidean,
-    lie_bracket,
-    nabla_j_residual,
-)
-from .submersion import (
-    FundamentalTensorsAtPoint,
-    PointContext,
-    SmoothMap,
-    SplitFrame,
-    on_pairs,
-)
-from .theorems import sff_identity_residuals
+from .geometry import ChartedManifold, euclidean, nabla_j_residual
+from .submersion import FundamentalTensorsAtPoint, SmoothMap, SplitFrame
 
 __all__ = [
     "__version__",
@@ -31,16 +21,9 @@ __all__ = [
     "to_string",
     "eval_jet2",
     "ChartedManifold",
-    "ExprField",
-    "ConstantField",
     "euclidean",
-    "covariant_derivative",
-    "lie_bracket",
     "nabla_j_residual",
     "SmoothMap",
     "SplitFrame",
-    "PointContext",
     "FundamentalTensorsAtPoint",
-    "on_pairs",
-    "sff_identity_residuals",
 ]

@@ -4,46 +4,35 @@ A manifold is a single global chart: a dimension, a symmetric grid of metric
 component expressions, an optional almost complex structure given the same
 way, and a sampling box with excluded hypersurfaces.  All operations are pure
 and pointwise; derivatives come from jet evaluation of the component
-expressions, which `grid_jet` runs on a whole stack of points at once (the
-single-point helpers are its batch of one).  The covariant-derivative and
-bracket formulas of the tables of `submersion` are written once here
-(`nabla`, `brackets`, `along`), on stacks with a leading point axis; the
-single-field `covariant_derivative` and `lie_bracket` are test oracles with
-formulas of their own.
+expressions, which `grid_jet` runs on a whole stack of points at once.  The
+connection, covariant-derivative and bracket formulas of the tables of
+`submersion` are written once here (`nabla`, `brackets`, `along`), on stacks
+with a leading point axis.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
-from .expr import Const, ScalarExpr, evaluate, jet_seeds, parse, raise_first
+from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
 from .jets import ArrayJet
 
 __all__ = [
     "ExcludedLocus",
     "ChartedManifold",
-    "VectorField",
-    "ExprField",
-    "ConstantField",
     "euclidean_metric",
     "canonical_complex_structure",
     "euclidean",
     "grid_jet",
     "check_spd",
-    "metric_jet",
-    "complex_structure_jet",
-    "christoffel_symbols",
     "along",
     "nabla",
     "brackets",
-    "covariant_derivative",
-    "lie_bracket",
     "j_residuals",
     "nabla_j_norm",
     "complex_structure_residuals",
@@ -139,13 +128,7 @@ def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
     return ArrayJet(
         np.stack([j.value for j in jets], -1).reshape(lead + cells.shape),
         np.stack([j.gradient for j in jets], -1).reshape(lead + (len(seeds),) + cells.shape),
-        True,
     )
-
-
-def _at(grid, p) -> ArrayJet:
-    """`grid_jet` at one point: the batch of one."""
-    return grid_jet(grid, [p])[0]
 
 
 def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
@@ -160,13 +143,8 @@ def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
         f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
 
 
-def metric_jet(M: ChartedManifold, p) -> ArrayJet:
-    """Metric values g_ij and derivatives d[l, i, j] = d_l g_ij at a point."""
-    return _at(M.metric, p)
-
-
 def _levi_civita(g: ArrayJet) -> np.ndarray:
-    """gamma[q, k, i, j] = Gamma^k_ij from a batched metric jet, without the definiteness test."""
+    """gamma[q, k, i, j] = Gamma^k_ij from a metric jet, without the definiteness test."""
     G, dG = g.v, g.d
     n = G.shape[-1]
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), a matrix product per point
@@ -174,18 +152,6 @@ def _levi_civita(g: ArrayJet) -> np.ndarray:
     prod = sym.reshape(-1, n * n, n) @ np.linalg.inv(G).swapaxes(1, 2)
     gamma = 0.5 * prod.reshape(-1, n, n, n).transpose(0, 3, 1, 2)
     return (gamma + gamma.swapaxes(2, 3)) / 2.0  # exact lower-index symmetry
-
-
-def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
-    """gamma[..., k, i, j] = Gamma^k_ij from a metric jet; raises NonSPDMetricError.
-
-    A batched jet (`p` the points) gives one table per point; a per-point jet
-    (`p` the point) is the batch of one.
-    """
-    if not g.batched:
-        return christoffel_symbols(ArrayJet.stack([g]), [p])[0]
-    check_spd(g.v, "metric", lambda q: tuple(float(x) for x in p[q]))
-    return _levi_civita(g)
 
 
 def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -197,7 +163,7 @@ def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
 def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
     """Covariant derivatives of stacks of fields along every coordinate field, at every point.
 
-    `Y` is a batched jet of rows (values `v[q, r, k]`) and `gamma[q, k, l, i]`
+    `Y` is a jet of rows (values `v[q, r, k]`) and `gamma[q, k, l, i]`
     the connection at the points; out[q, l, r] = nabla_{d_l} Y_r, with
     (nabla_{d_l} Y)^k = d_l Y^k + Gamma^k_li Y^i.  With the pullback
     coefficients Gamma_N^a_cb d_l F^c at [q, a, l, b] in place of `gamma` the
@@ -207,85 +173,12 @@ def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:
 
 
 def brackets(X: ArrayJet, Y: ArrayJet) -> np.ndarray:
-    """Lie brackets of two batched stacks of fields: out[q, a, b] = X_a^i d_i Y_b - Y_b^i d_i X_a."""
+    """Lie brackets of two stacks of fields: out[q, a, b] = X_a^i d_i Y_b - Y_b^i d_i X_a."""
     return along(X.v, Y.d) - along(Y.v, X.d).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# Vector fields
-
-
-class VectorField:
-    """A tangent vector field whose first-order jet is available near a point."""
-
-    dim: int
-
-    def values_at(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def jets_at(self, p) -> ArrayJet:
-        raise NotImplementedError
-
-
-class ExprField(VectorField):
-    def __init__(self, components: Sequence[ScalarExpr], dim: int):
-        if len(components) != dim:
-            raise ValueError("component count must equal dimension")
-        self.components = tuple(components)
-        self.dim = dim
-
-    @classmethod
-    def from_strings(cls, texts: Sequence[str], dim: int) -> "ExprField":
-        return cls([parse(t, dim) for t in texts], dim)
-
-    def values_at(self, p) -> np.ndarray:
-        return self.jets_at(p).v
-
-    def jets_at(self, p) -> ArrayJet:
-        return _at(self.components, p)
-
-
-class ConstantField(VectorField):
-    def __init__(self, vec):
-        self.vec = np.asarray(vec, dtype=float)
-        self.dim = self.vec.shape[0]
-
-    def values_at(self, p) -> np.ndarray:
-        return self.vec.copy()
-
-    def jets_at(self, p) -> ArrayJet:
-        return ArrayJet.constant(self.vec, self.dim)
-
-
-def _as_field(Y, dim: int) -> VectorField:
-    if isinstance(Y, VectorField):
-        return Y
-    return ConstantField(np.asarray(Y, dtype=float).reshape(dim))
-
-
-def covariant_derivative(M: ChartedManifold, Y, X, p) -> np.ndarray:
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (X a vector at p)."""
-    gamma, Yj = christoffel_symbols(metric_jet(M, p), p), _as_field(Y, M.dim).jets_at(p)
-    return np.asarray(X, dtype=float) @ (Yj.d + np.einsum("kli,i->lk", gamma, Yj.v))
-
-
-def lie_bracket(X, Y, p, dim: int | None = None) -> np.ndarray:
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at p."""
-    if dim is None:
-        dim = X.dim if isinstance(X, VectorField) else len(np.asarray(X))
-    Xj, Yj = (_as_field(F, dim).jets_at(p) for F in (X, Y))
-    return Xj.v @ Yj.d - Yj.v @ Xj.d
-
-
-# ---------------------------------------------------------------------------
 # Almost complex structure
-
-
-def complex_structure_jet(M: ChartedManifold, p) -> ArrayJet:
-    """Values J^i_j and derivatives d[l, i, j] = d_l J^i_j at a point."""
-    if M.complex_structure is None:
-        raise StructureError("manifold has no complex structure")
-    return _at(M.complex_structure, p)
 
 
 def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,16 +202,27 @@ def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def _kahler_jets(M: ChartedManifold, p) -> tuple[ArrayJet, ArrayJet]:
+    """(metric jet, J jet) of the batch of one at p; the metric is checked positive definite."""
+    if M.complex_structure is None:
+        raise StructureError("manifold has no complex structure")
+    J = grid_jet(M.complex_structure, [p])
+    g = grid_jet(M.metric, [p])
+    check_spd(g.v, "source metric", lambda q: tuple(float(x) for x in p))
+    return g, J
+
+
 def complex_structure_residuals(M: ChartedManifold, p) -> tuple[float, float]:
-    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs): the batch of one."""
-    G = metric_jet(M, p).v[None]
-    check_spd(G, "source metric", lambda q: tuple(float(x) for x in p))
-    r_square, r_compat = j_residuals(G, complex_structure_jet(M, p).v[None])
+    """(max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs) at p."""
+    g, J = _kahler_jets(M, p)
+    r_square, r_compat = j_residuals(g.v, J.v)
     return float(r_square[0]), float(r_compat[0])
 
 
 def nabla_j_residual(M: ChartedManifold, p) -> float:
-    """Max g-norm over coordinate pairs of (nabla_{d_i} J) d_j; zero iff Kaehler at p."""
-    J = ArrayJet.stack([complex_structure_jet(M, p)])
-    g = ArrayJet.stack([metric_jet(M, p)])
-    return float(nabla_j_norm(g.v, J, christoffel_symbols(g, [p]))[0])
+    """Max g-norm over coordinate pairs of (nabla_{d_i} J) d_j; zero iff Kaehler at p.
+
+    The batch of one of the frame pass's Kaehler test, bit for bit.
+    """
+    g, J = _kahler_jets(M, p)
+    return float(nabla_j_norm(g.v, J, _levi_civita(g))[0])

@@ -1,7 +1,7 @@
 """Suite runner: structure validation, Kaehler gate, checker dispatch, report assembly.
 
 The frame pass and the Kaehler test run once over all sample points, in
-groups of points that share a pass run (`submersion._frame_groups`); the
+groups of points that share a pass run (`SmoothMap.frame_pass`); the
 pass validates J along with the frames, at its fixed thresholds.  The
 structure rows are read off the groups, point by point in sample order, so
 the first failing point is reported, with the error a single-point run
@@ -27,7 +27,6 @@ from .errors import EngineError, NumericalOverflowError, SceneError, StructureEr
 from .expr import ExprDomainError
 from .report import RunReport, StructureRow
 from .scenes import Scene, sample_points
-from .submersion import _frame_groups
 from .theorems import CHECKERS, ConditionReport, _group_rows
 
 __all__ = ["run", "EXIT_OK", "EXIT_SCENE", "EXIT_STRUCTURAL", "EXIT_DISAGREE", "EXIT_HYPOTHESIS"]
@@ -84,7 +83,7 @@ def run(
     )
 
     # structure pass: one frame pass and Kaehler test for all points
-    entries, groups = _frame_groups(scene.fmap, sampled)
+    entries, groups = scene.fmap.frame_pass(sampled)
     dims_seen = set()
     for idx, (p, entry) in enumerate(zip(sampled, entries)):
         point = tuple(float(x) for x in p)

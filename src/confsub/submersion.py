@@ -1,36 +1,31 @@
 """Everything attached to a smooth map between charted manifolds.
 
-`_frame_groups` runs the frame pass over all sample points as one batch; the
-runner reads its groups, and `SmoothMap.contexts(points)` runs it when it is
-called and gives one `PointContext` per point, a view of its entry.  The
-map, both metrics and J are evaluated once on jets of all the points
-(`expr.Jet2`), and one frame pass on first-order array jets (`jets.ArrayJet`:
-values `v[...]`, derivatives `d[l, ...] = d_l v[...]`) builds the metric,
-Jacobian, orthonormal vertical/horizontal frames, the invariant/anti-invariant
+`SmoothMap.frame_pass(points)` runs the frame pass over all sample points as
+one batch and returns, per point, its entry: the group of points that share
+a pass run (`_Group`) and its position k there, or its own first error.  A
+point is addressed as `(group, k)`: every value and table of a group carries
+the point axis first, and index k is the point's.  The map, both metrics and
+J are evaluated once on jets of all the points (`expr.Jet2`), and one frame
+pass on first-order array jets (`jets.ArrayJet`: values `v[q, ...]`,
+derivatives `d[q, l, ...] = d_l v[q, ...]`) builds the metric, Jacobian,
+orthonormal vertical/horizontal frames, the invariant/anti-invariant
 refinement of the vertical space, the dilation and all projectors; every
 drop and validation decision reads the values only, against the fixed
 thresholds of `config.Tolerances`.  Its first validations are finiteness,
 the positive definiteness of the source metric at the point and of the
 target metric at the image point, and that J is almost Hermitian
 (J^2 = -I, g(JX, JY) = g(X, Y)), so nothing after them meets a metric that
-is not Riemannian or a J that is not almost Hermitian.  The evaluation, the
-pass, the connections, the Kaehler test and the tables below run once per
-batch, on arrays with a leading point axis.  A point that fails keeps its own first error, which
-reading any of its views raises again, and points whose Gram-Schmidt drops
-differ run as separate groups.  A point's numbers are the same bit for bit
-in any batch, so `SmoothMap.context(p)`, the batch of one, is the
-single-point case of the same code.
+is not Riemannian or a J that is not almost Hermitian.  Points whose
+Gram-Schmidt drops differ run as separate groups, and a point's numbers are
+the same bit for bit in any batch.
 
-From those jets each group of points that share a pass run (`_Group`)
-builds its tables, once and on first use, with the point axis leading: the
-connections, the second fundamental form `S[q, a, i, j]` from the component
-Hessians, O'Neill's `T[q, :, i, j]` and `A[q, :, i, j]` from the projector
-jets, and for each frame family the checkers differentiate the covariant
-derivatives `nabla_{d_l}` of its rows and the pullback-connection
+Each group builds its tables once and on first use, with the point axis
+leading: the connections, the Kaehler test, the second fundamental form
+`S[q, a, i, j]` from the component Hessians, O'Neill's `T[q, :, i, j]` and
+`A[q, :, i, j]` from the projector jets, and for each frame family the
+covariant derivatives `nabla_{d_l}` of its rows and the pullback-connection
 derivatives of their images under dF.  Every contraction is a `matmul` with
-the point axis as its batch axis.  A context's tables (`ctx.tensors`,
-`ctx.nabla(name)`, ...) are its slices of its group's, as `ctx.data` is its
-slice of the pass.  A structure-only run builds none of them.
+the point axis as its batch axis.  A structure-only run builds none of them.
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
@@ -44,11 +39,11 @@ ambiguous points.  A scene declared machinery-only has no J from the start.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import Tolerances
 from .errors import (
     AmbiguousSplittingError,
     BookkeepingError,
@@ -77,7 +72,6 @@ __all__ = [
     "FundamentalTensorsAtPoint",
     "PointContext",
     "pairs",
-    "on_pairs",
     "row_norms",
     "bookkeeping",
 ]
@@ -95,20 +89,51 @@ class SmoothMap:
         if self.target.dim >= self.source.dim:
             raise ValueError("a submersion needs source dimension > target dimension")
 
-    def contexts(self, points, tol: Tolerances = DEFAULT_TOLERANCES) -> list["PointContext"]:
-        """One new context per point; the frame pass runs now, once for all of them.
+    def frame_pass(self, points) -> tuple[list, list]:
+        """The frame pass over all the points at once: (per point its entry, (members, group) per group).
 
-        The Kaehler test and the tables run once per group of the pass, on
-        first use, and the caller keeps them; `tol` is the contexts' checker
-        tolerance.
+        The expressions are evaluated on jets of every point and the frame
+        pass runs on the points that evaluated.  A point that fails records
+        its first error, in pipeline order, and leaves the batch; points whose
+        Gram-Schmidt drops differ go on in separate groups.  Either way the
+        pass restarts on the remaining points, which repeats their numbers bit
+        for bit: every operation acts on each point on its own.  A point's
+        entry is its group (`_Group`) and position k there, or its error;
+        `members` are the indices of a group's points, in order.
         """
-        points = [np.asarray(p, dtype=float) for p in points]
-        entries, _ = _frame_groups(self, points)
-        return [PointContext(self, p, tol, entry) for p, entry in zip(points, entries)]
+        if not len(points):
+            return [], []
+        points, errors = np.array(points, dtype=float), {}
+        inputs = _input_jets(self, points, keep_first(errors))
+        alive = np.array([q for q in range(len(points)) if q not in errors], dtype=int)
+        groups, pending = [], [alive] if len(alive) else []
+        with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
+            while pending:
+                idx = pending.pop()
 
-    def context(self, p, tol: Tolerances = DEFAULT_TOLERANCES) -> "PointContext":
-        """A new context of one point: the batch of one."""
-        return self.contexts([p], tol)[0]
+                def fail(bad, error, idx=idx):
+                    if not np.any(bad):
+                        return
+                    bad = np.flatnonzero(np.broadcast_to(bad, idx.shape))
+                    errors.update((int(idx[q]), error(q)) for q in bad)
+                    raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
+
+                try:
+                    res = _run_pipeline(*(None if x is None else x[idx] for x in inputs), points[idx], fail)
+                except _Regroup as split:
+                    pending += [idx[g] for g in split.groups if len(g)]
+                else:
+                    groups.append((idx, _Group(res, points[idx])))
+        entries = [errors.get(q) for q in range(len(points))]
+        for members, group in groups:
+            for k, q in enumerate(members.tolist()):
+                entries[q] = (group, k)
+        return entries, groups
+
+    def context(self, p, tol: Tolerances | None = None) -> "PointContext":
+        """The entry of p in `frame_pass([p])`, the batch of one; `tol` is not read."""
+        (entry,), _ = self.frame_pass([p])
+        return PointContext(entry)
 
 
 @dataclass(frozen=True)
@@ -132,17 +157,16 @@ class SplitFrame:
 
 @dataclass(frozen=True)
 class FundamentalTensorsAtPoint:
-    """The submersion tensors at one point as coordinate tables (at a group: point axis leading).
+    """The submersion tensors of a group as coordinate tables, point axis leading.
 
-    `t[:, i, j]` and `a[:, i, j]` are O'Neill's T and A on the coordinate
-    fields d_i, d_j (skew-symmetric as operators in their second slot),
-    `sff[:, i, j]` the second fundamental form with values in the target
-    chart, `tension` its trace over the full orthonormal frame,
-    `fiber_mean_curvature` the normalized vertical trace of `t`.  On vectors
-    the tables contract bilinearly (`on_pairs`).
+    `t[q, :, i, j]` and `a[q, :, i, j]` are O'Neill's T and A on the
+    coordinate fields d_i, d_j (skew-symmetric as operators in their second
+    slot), `sff[q, :, i, j]` the second fundamental form with values in the
+    target chart, `tension[q]` its trace over the full orthonormal frame,
+    `fiber_mean_curvature[q]` the normalized vertical trace of `t`.  On
+    vectors the tables contract bilinearly (`pairs`).
     """
 
-    point: tuple[float, ...]
     t: np.ndarray
     a: np.ndarray
     sff: np.ndarray
@@ -159,20 +183,19 @@ class GradLnLambda:
 
 @dataclass
 class _PipelineResult:
-    """The frame pass: frames are `(k, dim)` jets, matrices `(dim, dim)`.
+    """The frame pass at a group's points: frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`.
 
-    Batched, every jet carries the point axis first and `lam` and
-    `conf_residual` are arrays over the points; `_take` takes points of it.
+    Every jet and array carries the point axis first.
     """
 
     G: ArrayJet
     Ginv: ArrayJet
-    DF: ArrayJet  # DF.v[a, i] = d_i F^a
+    DF: ArrayJet  # DF.v[q, a, i] = d_i F^a
     J: ArrayJet | None
     j_residuals: np.ndarray | None  # [q] = (|J^2 + I|, compatibility), validated by the pass
     gN: ArrayJet  # target metric at the image point, as a function on the source
     gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
-    image: np.ndarray  # the image point F(p)
+    image: np.ndarray  # the image points F(p)
     vertical: ArrayJet
     horizontal: ArrayJet
     d1: ArrayJet | None
@@ -260,14 +283,14 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     kept = np.flatnonzero(keep[0])
     m = len(kept)
     if m == 0:
-        return ArrayJet(B[:, :0], np.zeros((N, dim, 0, dim)), True)
+        return ArrayJet(B[:, :0], np.zeros((N, dim, 0, dim)))
     B, Linv = np.take(B, kept, axis=1), np.take(np.take(Linv, kept, axis=1), kept, axis=2)
     P = seeds if m == k else seeds.rows(kept)
     if against is not None:
         P = P - (P @ G @ against.T) @ against
     dM = (P @ G @ P.T).d
     X = (Linv[:, None] @ dM @ Linv.swapaxes(1, 2)[:, None]) * _half_lower(m)
-    return ArrayJet(B, Linv[:, None] @ P.d - X @ B[:, None], True)
+    return ArrayJet(B, Linv[:, None] @ P.d - X @ B[:, None])
 
 
 def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
@@ -290,7 +313,7 @@ def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
     comps = [evaluate(c, seeds, fail) for c in fmap.components]
     image = np.stack([c.value for c in comps], axis=1)
     # d_l DF[a, i] is the Hessian entry [a, l, i]
-    DF = ArrayJet(np.stack([c.gradient for c in comps], 1), np.stack([c.hessian for c in comps], 2), True)
+    DF = ArrayJet(np.stack([c.gradient for c in comps], 1), np.stack([c.hessian for c in comps], 2))
     gT = grid_jet(fmap.target.metric, image, fail)
     J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
     G = grid_jet(src.metric, points, fail)
@@ -299,7 +322,7 @@ def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
 
 def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, image: np.ndarray,
                   points: np.ndarray, fail) -> _PipelineResult:
-    """The frame pass on batched array jets; every decision reads values only.
+    """The frame pass on array jets; every decision reads values only.
 
     Each validation calls `fail(bad, error)` with a mask over the points and
     the error `error(q)` of a failing point q, in pipeline order.  The first
@@ -311,7 +334,7 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     at = lambda q: tuple(float(x) for x in points[q])
     N, n, dim = DF.v.shape
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
-    gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n), True)
+    gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n))
     for what, jet in (("source metric", G), ("map derivatives", DF),
                       ("target metric", gN), ("complex structure", J)):
         if jet is not None:
@@ -326,12 +349,12 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
             f"complex structure invalid at {at(q)}: "
             f"J^2 residual {jres[q, 0]:.3e}, compatibility residual {jres[q, 1]:.3e}"))
     inv = np.linalg.inv(G.v)
-    Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]), True)  # d(G^-1) = -G^-1 dG G^-1
+    Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]))  # d(G^-1) = -G^-1 dG G^-1
 
     horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
     h = horizontal.v.shape[1]
     fail(h < n, lambda q: CriticalPointError(f"differential has rank {h} < {n} at {at(q)}"))
-    eye = ArrayJet.constant(np.broadcast_to(np.eye(dim), G.v.shape), dim, batched=True)
+    eye = ArrayJet.constant(np.broadcast_to(np.eye(dim), G.v.shape), dim)
     vertical = _gram_schmidt(G, eye, tol.drop, against=horizontal, fail=fail)
     v = vertical.v.shape[1]
     fail(v != dim - n, lambda q: StructureError(
@@ -340,7 +363,7 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     FX = horizontal @ DF.T  # rows dF(X_a)
     gram = FX @ gN @ FX.T
     lsq = np.trace(gram.v, axis1=1, axis2=2) / n
-    lambda_sq = ArrayJet(lsq, np.trace(gram.d, axis1=2, axis2=3) / n, True)
+    lambda_sq = ArrayJet(lsq, np.trace(gram.d, axis1=2, axis2=3) / n)
     fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
     conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
     fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
@@ -431,97 +454,6 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     )
 
 
-def _frame_groups(fmap: SmoothMap, points) -> tuple[list, list]:
-    """The frame pass over all the points at once: (per point its entry, (members, group) per group).
-
-    The expressions are evaluated on jets of every point and the frame pass
-    runs on the points that evaluated.  A point that fails records its first
-    error, in pipeline order, and leaves the batch; points whose Gram-Schmidt
-    drops differ go on in separate groups.  Either way the pass restarts on
-    the remaining points, which repeats their numbers bit for bit: every
-    operation acts on each point on its own.  A point's entry is its group
-    (`_Group`) and position there, or its error; `members` are the indices
-    of a group's points, in order.
-    """
-    if not len(points):
-        return [], []
-    points, errors = np.array(points, dtype=float), {}
-    inputs = _input_jets(fmap, points, keep_first(errors))
-    alive = np.array([q for q in range(len(points)) if q not in errors], dtype=int)
-    groups, pending = [], [alive] if len(alive) else []
-    with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
-        while pending:
-            idx = pending.pop()
-
-            def fail(bad, error, idx=idx):
-                if not np.any(bad):
-                    return
-                bad = np.flatnonzero(np.broadcast_to(bad, idx.shape))
-                errors.update((int(idx[q]), error(q)) for q in bad)
-                raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
-
-            try:
-                res = _run_pipeline(*(_take(x, idx) for x in inputs), points[idx], fail)
-            except _Regroup as split:
-                pending += [idx[g] for g in split.groups if len(g)]
-            else:
-                groups.append((idx, _Group(res, points[idx])))
-    entries = [errors.get(q) for q in range(len(points))]
-    for members, group in groups:
-        for k, q in enumerate(members.tolist()):
-            entries[q] = (group, k)
-    return entries, groups
-
-
-def _take(x, idx):
-    """A batched array, jet, or dataclass of them, at point `idx` or at the points `idx`."""
-    if is_dataclass(x):
-        return type(x)(*(_take(getattr(x, f.name), idx) for f in fields(x)))
-    return None if x is None else x[idx]
-
-
-def _slice(table):
-    """A `PointContext` view: the point's slice of the table `table(group, *args)` of its group."""
-
-    def view(self, *args):
-        group, k = self.group
-        return _take(table(group, *args), k)
-
-    return view
-
-
-def _value_view(name: str):
-    """Read-only property: the value part of a pass field (None stays None)."""
-
-    def get(self):
-        jet = getattr(self.data, name)
-        return None if jet is None else jet.v
-
-    return property(get)
-
-
-class _PassViews:
-    """The value parts of a frame pass `self.data`: at one point, or at a group, point axis leading."""
-
-    Gf = _value_view("G")
-    GNf = _value_view("gN")
-    DFf = _value_view("DF")
-    Jf = _value_view("J")
-    PVf = _value_view("PV")
-    PHf = _value_view("PH")
-    PD1f = _value_view("PD1")
-    PD2f = _value_view("PD2")
-    PJD2f = _value_view("PJD2")
-    PMUf = _value_view("PMU")
-
-    # x -> P J x as matrices: phi and omega split J on the vertical space,
-    # B and C on the horizontal space
-    phi, omega, B, C = (
-        property(lambda self, P=P: getattr(self, P) @ self.Jf)
-        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
-    )
-
-
 # ---------------------------------------------------------------------------
 # Contractions at every point of a group: `matmul` with the point axis as its
 # batch axis, so that a point's numbers do not depend on the other points
@@ -551,15 +483,6 @@ def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.moveaxis(X[:, None] @ table @ _T(Y)[:, None], 1, -1)
 
 
-def on_pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """A table t[:, i, j] on two vectors, or two stacks of them: out[r, s] = t(X_r, Y_s).
-
-    `pairs` on the batch of one; a vector in place of a stack drops its axis.
-    """
-    out = pairs(table[None], np.atleast_2d(X)[None], np.atleast_2d(Y)[None])[0]
-    return out[tuple(0 if np.ndim(Z) == 1 else slice(None) for Z in (X, Y))]
-
-
 # Frame families whose derivatives the checkers read: the frames of the pass
 # and the fields J(d1), J(d2), B(X) = P_D2 J X, C(X) = P_mu J X on the
 # horizontal frame and phi(V) = P_V J V on the vertical frame.
@@ -577,17 +500,44 @@ _FAMILIES = {
 }
 
 
-class _Group(_PassViews):
+def _value_view(name: str):
+    """Read-only property: the values of a pass field (None stays None)."""
+
+    def get(self):
+        jet = getattr(self.data, name)
+        return None if jet is None else jet.v
+
+    return property(get)
+
+
+class _Group:
     """Points of a batch that share a frame-pass run and every table at them, point axis leading.
 
-    `data` is their batched pass at `points`; each table is built once, on
-    first use.
+    `data` is their pass at `points`; each table is built once, on first use.
     """
 
     def __init__(self, data: _PipelineResult, points: np.ndarray):
         self.data = data
         self.points = points
         self._memo: dict = {}
+
+    Gf = _value_view("G")
+    GNf = _value_view("gN")
+    DFf = _value_view("DF")
+    Jf = _value_view("J")
+    PVf = _value_view("PV")
+    PHf = _value_view("PH")
+    PD1f = _value_view("PD1")
+    PD2f = _value_view("PD2")
+    PJD2f = _value_view("PJD2")
+    PMUf = _value_view("PMU")
+
+    # x -> P J x as matrices: phi and omega split J on the vertical space,
+    # B and C on the horizontal space
+    phi, omega, B, C = (
+        property(lambda self, P=P: getattr(self, P) @ self.Jf)
+        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
+    )
 
     def memo(self, key, build):
         """build(), once per group and key."""
@@ -599,6 +549,22 @@ class _Group(_PassViews):
     def dims(self) -> tuple[int, int, int, int]:
         f = self.data
         return tuple(0 if x is None else x.v.shape[1] for x in (f.d1, f.d2, f.jd2, f.mu))
+
+    def split(self, k: int) -> SplitFrame:
+        """The frames and the dilation at point k."""
+        f = self.data
+        as_np = lambda jet: () if jet is None else tuple(jet.v[k])
+        return SplitFrame(
+            point=tuple(float(x) for x in self.points[k]),
+            vertical=as_np(f.vertical),
+            horizontal=as_np(f.horizontal),
+            d1=as_np(f.d1),
+            d2=as_np(f.d2),
+            jd2=as_np(f.jd2),
+            mu=as_np(f.mu),
+            lam=float(f.lam[k]),
+            lambda_sq_residual=float(f.conf_residual[k]),
+        )
 
     @functools.cached_property
     def gamma_src(self) -> np.ndarray:
@@ -622,7 +588,7 @@ class _Group(_PassViews):
         f = self.data
         if f.J is None and name not in ("vertical", "horizontal"):
             N, dim = f.G.v.shape[:2]
-            return ArrayJet(np.zeros((N, 0, dim)), np.zeros((N, dim, 0, dim)), True)
+            return ArrayJet(np.zeros((N, 0, dim)), np.zeros((N, dim, 0, dim)))
         return self.memo(("family", name), lambda: _FAMILIES[name](f))
 
     def nabla(self, name: str) -> np.ndarray:
@@ -648,7 +614,6 @@ class _Group(_PassViews):
         t = oneill(self.PVf, self.PHf, nV, nH)
         V, frame = f.vertical.v, np.concatenate((f.vertical.v, f.horizontal.v), axis=1)
         return FundamentalTensorsAtPoint(
-            point=tuple(map(tuple, self.points.tolist())),
             t=t,
             a=oneill(self.PHf, self.PVf, nH, nV),
             sff=sff,
@@ -678,18 +643,10 @@ def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
     return m, n, r
 
 
-class PointContext(_PassViews):
-    """One sample point of a batch (`SmoothMap.contexts`): views of its entry in the batch.
+class PointContext:
+    """The entry of one point in its batch of one (`SmoothMap.context`)."""
 
-    The frame pass, the connections, the Kaehler test and the tables are
-    built once per group of the batch, point axis leading; each view is this
-    point's slice of them, and reading it raises the point's error.
-    """
-
-    def __init__(self, fmap: SmoothMap, p: np.ndarray, tol: Tolerances, entry: tuple | Exception):
-        self.fmap = fmap
-        self.p = p
-        self.tol = tol
+    def __init__(self, entry: tuple | Exception):
         self._entry = entry
 
     @property
@@ -699,43 +656,7 @@ class PointContext(_PassViews):
             raise self._entry
         return self._entry
 
-    data = property(_slice(lambda group: group.data), doc="This point's view of the batch's frame pass.")
-
     @property
     def split(self) -> SplitFrame:
         group, k = self.group
-        f = group.data
-        as_np = lambda jet: () if jet is None else tuple(jet.v[k])
-        return SplitFrame(
-            point=tuple(float(x) for x in self.p),
-            vertical=as_np(f.vertical),
-            horizontal=as_np(f.horizontal),
-            d1=as_np(f.d1),
-            d2=as_np(f.d2),
-            jd2=as_np(f.jd2),
-            mu=as_np(f.mu),
-            lam=float(f.lam[k]),
-            lambda_sq_residual=float(f.conf_residual[k]),
-        )
-
-    def kahler_residuals(self) -> tuple[float, float, float]:
-        """(|J^2 + I|, compatibility, |nabla J|) from the test of the point's group.
-
-        Bit-identical to `geometry.complex_structure_residuals` and
-        `nabla_j_residual`, which re-evaluate the jets as a batch of one.  The
-        pass validated the metrics and J first, so a point whose metric is not
-        positive definite or whose J is not almost Hermitian raises that error
-        here, as it does at `split`.
-        """
-        group, k = self.group
-        if group.kahler is None:
-            raise StructureError("source manifold has no complex structure")
-        return tuple(float(r[k]) for r in group.kahler)
-
-    # the tables: the point's slices of its group's (see `_Group`)
-    gamma_src = property(_slice(lambda group: group.gamma_src))
-    family = _slice(_Group.family)
-    nabla = _slice(_Group.nabla)
-    pullback = _slice(_Group.pullback)
-    tensors = property(_slice(lambda group: group.tensors))
-    grad_ln_lambda = property(_slice(lambda group: group.grad_ln_lambda))
+        return group.split(k)

@@ -20,8 +20,8 @@ derivatives of the frame families), built once per group with the point axis
 leading: a checker is a set of slices and batched contractions of them and a
 maximum per point; a hypothesis met at some points only is a mask over the
 points.  `check_x(g, tol)` returns one list per report row, with one report per
-point of the group `g`; the runner runs each checker once per group
-(`_group_rows`), and `_memo_check` gives one point's slice of those rows.
+point of the group `g`, and the runner runs each checker once per group
+(`_group_rows`); the report of the point `(g, k)` is entry k of each row.
 
 Whether J takes part is decided once, at scene load (a machinery-only scene
 carries none).  With J both sides are produced; the runner withholds side b
@@ -73,7 +73,6 @@ __all__ = [
     "check_totally_geodesic_characterization",
     "check_corollaries",
     "check_sff_identities",
-    "sff_identity_residuals",
 ]
 
 HOLDS, FAILS, INCONCLUSIVE = "holds", "fails", "inconclusive"
@@ -139,7 +138,7 @@ def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionRep
 
 
 def _memo_check(check, ctx: PointContext, tol: Tolerances) -> list[ConditionReport]:
-    """The reports of a checker at the point of ctx: its slice of the rows of the point's group."""
+    """The reports of a checker at the point of `SmoothMap.context`: entry k of each row of its group."""
     group, k = ctx.group
     return [row[k] for row in _group_rows(check, group, tol)]
 
@@ -489,6 +488,13 @@ def check_corollaries(g: _Group, tol: Tolerances):
 
 
 def check_sff_identities(g: _Group, tol: Tolerances):
+    """Residuals of the conformal second-fundamental-form identities.
+
+    Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
+    vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
+    Each residual is the max g_N-norm gap over the respective frame pairs
+    (unordered pairs where both slots range over the same frame).
+    """
     tt, G, DF = g.tensors, g.Gf, g.DFf
     H, V = g.family("horizontal").v, g.family("vertical").v
     grad = g.grad_ln_lambda.vector
@@ -506,17 +512,6 @@ def check_sff_identities(g: _Group, tol: Tolerances):
         _reports("sff_identity_vertical", g, rv, rv, tol.identity, label="identity"),
         _reports("sff_identity_mixed", g, rm, rm, tol.identity, label="identity"),
     ]
-
-
-def sff_identity_residuals(ctx: PointContext) -> tuple[float, float, float]:
-    """Residuals of the conformal second-fundamental-form identities at the point of ctx.
-
-    Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
-    vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
-    Each residual is the max g_N-norm gap over the respective frame pairs
-    (unordered pairs where both slots range over the same frame).
-    """
-    return tuple(r.residual_a for r in _memo_check(check_sff_identities, ctx, ctx.tol))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from confsub.scenes import load_preset, load_scene_text, preset_names, sample_points
+from confsub.theorems import _group_rows
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -54,15 +55,28 @@ def points(name, count=8, seed=7):
     return tuple(tuple(p) for p in sample_points(scene(name), count=count, seed=seed))
 
 
+def entry(fmap, p):
+    """The `(group, k)` of p in its batch of one, `fmap.frame_pass([p])`; raises the point's error."""
+    (e,), _ = fmap.frame_pass([p])
+    if isinstance(e, Exception):
+        raise e
+    return e
+
+
 @functools.lru_cache(maxsize=None)
-def _contexts(name, count, seed):
-    sc = scene(name)
-    return tuple(sc.fmap.contexts([np.array(p) for p in points(name, count, seed)], sc.tolerances))
+def _entries(name, count, seed):
+    return tuple(scene(name).fmap.frame_pass(points(name, count, seed))[0])
 
 
-def contexts(name, count=8, seed=7):
-    """Point contexts of a preset, shared across tests like the scenes themselves."""
-    return list(_contexts(name, count, seed))
+def entries(name, count=8, seed=7):
+    """The `(group, k)` of each sample point of a preset in one frame pass, shared across tests."""
+    return list(_entries(name, count, seed))
+
+
+def reports_at(check, e, tol):
+    """The reports of a checker at the point `e = (group, k)`: entry k of each row of its group."""
+    g, k = e
+    return [row[k] for row in _group_rows(check, g, tol)]
 
 
 @pytest.fixture(scope="session")

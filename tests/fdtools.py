@@ -1,9 +1,18 @@
-"""Central finite-difference oracles, independent of the jet machinery."""
+"""Test oracles: central finite differences, independent of the jet machinery, and
+single-point formulas for fields, connections and brackets on the batch of one.
+
+The single-point oracles (`covariant_derivative`, `lie_bracket`) keep formulas of
+their own: they do not call the stacked `nabla`, `brackets` or `along` of the
+frame pass.
+"""
 
 import numpy as np
 
-from confsub.config import DEFAULT_TOLERANCES
-from confsub.expr import eval_jet2
+from confsub.expr import eval_jet2, parse
+from confsub.geometry import _levi_civita, check_spd, grid_jet
+from confsub.jets import ArrayJet
+
+from .conftest import entry
 
 H = 1e-5
 
@@ -70,6 +79,26 @@ def fd_christoffel(manifold, p, h=H):
     return 0.5 * np.einsum("kl,ijl->kij", Ginv, sym)
 
 
+def j_values(manifold, p):
+    d = manifold.dim
+    J = manifold.complex_structure
+    return np.array([[eval_expr(J[i][j], p) for j in range(d)] for i in range(d)])
+
+
+def fd_nabla_j(manifold, p, h=H):
+    """Max g-norm over coordinate pairs (i, j) of (nabla_{d_i} J) d_j: zero iff Kaehler at p.
+
+    Built from central differences of J's values and `fd_christoffel`.
+    """
+    J, G = j_values(manifold, p), metric_values(manifold, p)
+    gamma = fd_christoffel(manifold, p, h)
+    dJ = fd_jacobian(lambda q: j_values(manifold, q), p, h)  # dJ[k, j, i] = d_i J^k_j
+    # component k of (nabla_{d_i} J) d_j = d_i J^k_j + Gamma^k_im J^m_j - J^k_m Gamma^m_ij
+    nab = dJ + np.einsum("kim,mj->kji", gamma, J) - np.einsum("km,mij->kji", J, gamma)
+    sq = np.einsum("kji,kl,lji->ji", nab, G, nab)
+    return float(np.sqrt(max(float(np.max(sq)), 0.0)))
+
+
 def map_values(fmap, p):
     return np.array([eval_expr(c, p) for c in fmap.components])
 
@@ -78,14 +107,85 @@ def fd_map_jacobian(fmap, p, h=H):
     return fd_jacobian(lambda q: map_values(fmap, q), p, h)
 
 
-class FrameField:
-    """Row `index` of a frame family as a field; each value re-runs the frame pass."""
+# ---------------------------------------------------------------------------
+# Single-point oracles on the batch of one
 
-    def __init__(self, fmap, name, index, tol=DEFAULT_TOLERANCES):
-        self.fmap, self.name, self.index, self.tol = fmap, name, index, tol
+
+def metric_jet(manifold, p) -> ArrayJet:
+    """The metric jet at p, the batch of one: values v[0, i, j], derivatives d[0, l, i, j]."""
+    return grid_jet(manifold.metric, [p])
+
+
+def christoffel_symbols(g: ArrayJet, p) -> np.ndarray:
+    """Gamma^k_ij at [k, i, j] from the metric jet of the batch of one at p; raises NonSPDMetricError."""
+    check_spd(g.v, "metric", lambda q: tuple(float(x) for x in p))
+    return _levi_civita(g)[0]
+
+
+class ExprField:
+    """A vector field of component expressions."""
+
+    def __init__(self, components, dim: int):
+        if len(components) != dim:
+            raise ValueError("component count must equal dimension")
+        self.components = tuple(components)
+        self.dim = dim
+
+    @classmethod
+    def from_strings(cls, texts, dim: int) -> "ExprField":
+        return cls([parse(t, dim) for t in texts], dim)
+
+    def values_at(self, p) -> np.ndarray:
+        return self.jets_at(p).v[0]
+
+    def jets_at(self, p) -> ArrayJet:
+        return grid_jet(self.components, [p])
+
+
+class ConstantField:
+    """A vector field with the same components everywhere."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=float)
+        self.dim = self.vec.shape[0]
+
+    def values_at(self, p) -> np.ndarray:
+        return self.vec.copy()
+
+    def jets_at(self, p) -> ArrayJet:
+        return ArrayJet.constant(self.vec[None], self.dim)
+
+
+def covariant_derivative(M, Y, X, p) -> np.ndarray:
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (X a vector at p, Y a field)."""
+    gamma, Yj = christoffel_symbols(metric_jet(M, p), p), Y.jets_at(p)
+    return np.asarray(X, dtype=float) @ (Yj.d[0] + np.einsum("kli,i->lk", gamma, Yj.v[0]))
+
+
+def lie_bracket(X, Y, p) -> np.ndarray:
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at p, for two fields."""
+    Xj, Yj = X.jets_at(p), Y.jets_at(p)
+    return Xj.v[0] @ Yj.d[0] - Yj.v[0] @ Xj.d[0]
+
+
+def on_pairs(table, X, Y) -> np.ndarray:
+    """A table t[:, i, j] of one point on two vectors: t(X, Y)."""
+    return np.einsum("aij,i,j->a", table, X, Y)
+
+
+class FrameField:
+    """Row `index` of a frame family as a field; each value re-runs the frame pass on the batch of one."""
+
+    def __init__(self, fmap, name, index):
+        self.fmap, self.name, self.index = fmap, name, index
 
     def values_at(self, q):
-        return getattr(self.fmap.context(q, self.tol).data, self.name).v[self.index]
+        g, k = entry(self.fmap, q)
+        return getattr(g.data, self.name).v[k, self.index]
+
+
+# ---------------------------------------------------------------------------
+# The frame pass against finite differences
 
 
 def fd_sff_table(fmap, p, h=H):
@@ -130,36 +230,36 @@ def _rel_gap(got, want):
     return float(np.max(np.abs(got - want), initial=0.0)) / scale
 
 
-def pass_derivative_margins(fmap, p, tol, h=H):
-    """Gap between each array jet's derivative part and central differences of its values.
+def pass_derivative_margins(fmap, g, k, h=H):
+    """Gap between each array jet's derivative part at the point `(g, k)` and central differences.
 
     Every frame family, projector and the square dilation of the frame pass is
-    compared with `fd_jacobian` of its values at p +- h e_l (derivative axis
-    moved first, as in the jet), and the connection coefficients built from
-    the metric jet with `fd_christoffel`.  Gaps are relative to
-    max(1, largest reference entry); families a scene lacks are left out.
+    compared with `fd_jacobian` of its values at p +- h e_l, each a batch of
+    one (derivative axis moved first, as in the jet), and the connection
+    coefficients built from the metric jet with `fd_christoffel`.  Gaps are
+    relative to max(1, largest reference entry); families a scene lacks are
+    left out.
     """
-    p = np.asarray(p, dtype=float)
-    ctx = fmap.context(p, tol)
+    p = g.points[k]
     out = {}
     for name in PASS_FIELDS:
-        jet = getattr(ctx.data, name)
+        jet = getattr(g.data, name)
         if jet is None:
             continue
-        fd = fd_jacobian(lambda q: getattr(fmap.context(q, tol).data, name).v, p, h)
-        out[name] = _rel_gap(jet.d, np.moveaxis(fd, -1, 0))
-    out["gamma_src"] = _rel_gap(ctx.gamma_src, fd_christoffel(fmap.source, p, h))
+        fd = fd_jacobian(lambda q: getattr(entry(fmap, q)[0].data, name).v[0], p, h)
+        out[name] = _rel_gap(jet.d[k], np.moveaxis(fd, -1, 0))
+    out["gamma_src"] = _rel_gap(g.gamma_src[k], fd_christoffel(fmap.source, p, h))
     return out
 
 
 # the frame families whose covariant derivatives, and the pushed families whose
-# pullback derivatives, the point context tabulates for the checkers
+# pullback derivatives, a group tabulates for the checkers
 NABLA_FAMILIES = ("vertical", "horizontal", "d1", "d2", "mu", "Jd1", "Jd2", "BH", "phiV")
 PULLBACK_FAMILIES = ("CH", "Jd2", "mu")
 
 
-def table_margins(fmap, p, tol, h=H):
-    """Gap between each per-point table of the context and a finite-difference oracle.
+def table_margins(fmap, g, k, h=H):
+    """Gap between each table of the group `g` at point k and a finite-difference oracle.
 
     The oracles use only values of the frame pass at p +- h e_l and
     `fd_christoffel`: the sff table against `fd_sff_table`; O'Neill's T and A
@@ -169,14 +269,13 @@ def table_margins(fmap, p, tol, h=H):
     `fd_jacobian` of dF_q(F_q) plus the target connection.  Gaps are relative
     to max(1, largest reference entry); families a scene lacks are left out.
     """
-    p = np.asarray(p, dtype=float)
-    ctx = fmap.context(p, tol)
+    p = g.points[k]
     seen = {}
 
-    def at(q):
+    def at(q):  # the group of the batch of one at q
         key = tuple(q)
         if key not in seen:
-            seen[key] = fmap.context(q, tol)
+            seen[key] = entry(fmap, q)[0]
         return seen[key]
 
     gamma = fd_christoffel(fmap.source, p, h)
@@ -187,21 +286,21 @@ def table_margins(fmap, p, tol, h=H):
         d = np.moveaxis(fd_jacobian(rows, p, h), -1, 0)
         return d + np.einsum("kli,ri->lrk", gamma, rows(p))
 
-    tt = ctx.tensors
-    out = {"sff": _rel_gap(tt.sff, fd_sff_table(fmap, p, h))}
-    PV, PH = ctx.PVf, ctx.PHf
-    nV, nH = cov(lambda q: at(q).PVf.T), cov(lambda q: at(q).PHf.T)
+    tt = g.tensors
+    out = {"sff": _rel_gap(tt.sff[k], fd_sff_table(fmap, p, h))}
+    PV, PH = g.PVf[k], g.PHf[k]
+    nV, nH = cov(lambda q: at(q).PVf[0].T), cov(lambda q: at(q).PHf[0].T)
     # T(e_i, e_j) = P_H nabla_{P_V e_i}(P_V e_j) + P_V nabla_{P_V e_i}(P_H e_j); A swaps V and H
     want_t = np.einsum("mk,li,ljk->mij", PH, PV, nV) + np.einsum("mk,li,ljk->mij", PV, PV, nH)
     want_a = np.einsum("mk,li,ljk->mij", PV, PH, nH) + np.einsum("mk,li,ljk->mij", PH, PH, nV)
-    out["T"], out["A"] = _rel_gap(tt.t, want_t), _rel_gap(tt.a, want_a)
+    out["T"], out["A"] = _rel_gap(tt.t[k], want_t), _rel_gap(tt.a[k], want_a)
     for name in NABLA_FAMILIES:
-        if len(ctx.family(name).v):
-            out[f"nabla {name}"] = _rel_gap(ctx.nabla(name), cov(lambda q: at(q).family(name).v))
+        if g.family(name).v.shape[1]:
+            out[f"nabla {name}"] = _rel_gap(g.nabla(name)[k], cov(lambda q: at(q).family(name).v[0]))
     for name in PULLBACK_FAMILIES:
-        if len(ctx.family(name).v):
-            pushed = lambda q: at(q).family(name).v @ at(q).DFf.T
+        if g.family(name).v.shape[1]:
+            pushed = lambda q: at(q).family(name).v[0] @ at(q).DFf[0].T
             d = np.moveaxis(fd_jacobian(pushed, p, h), -1, 0)
             want = d + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
-            out[f"pullback {name}"] = _rel_gap(ctx.pullback(name), want)
+            out[f"pullback {name}"] = _rel_gap(g.pullback(name)[k], want)
     return out

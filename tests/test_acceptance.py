@@ -11,13 +11,12 @@ import numpy as np
 from confsub.expr import ExprParseError, parse, to_string
 from confsub.runner import run
 from confsub.scenes import load_preset, preset_names, sample_points
-from confsub.submersion import on_pairs, row_norms
-from confsub.theorems import CHECKERS, _memo_check, sff_identity_residuals
-from confsub.geometry import christoffel_symbols, metric_jet
+from confsub.submersion import row_norms
+from confsub.theorems import CHECKERS, check_sff_identities
 
-from .conftest import REPO, SRC, contexts, points, scene
+from .conftest import REPO, SRC, entries, entry, points, reports_at, scene
 from .corpus import MALFORMED
-from .fdtools import FrameField, fd_christoffel, fd_sff
+from .fdtools import FrameField, christoffel_symbols, fd_christoffel, fd_sff, metric_jet, on_pairs
 from .test_expr import random_expr
 from .test_submersion import coordinate_sff
 
@@ -28,18 +27,18 @@ def _verdict(n, ok, desc):
 
 
 def test_criterion_1_example_reproduction():
-    sc = load_preset("example33")  # fresh map: no cached contexts
+    sc = load_preset("example33")  # fresh map: no cached groups
     start = time.perf_counter()
     pts = sample_points(sc, count=200, seed=7)
     worst_lam = worst_inv = 0.0
     dims_ok = True
     for p in pts:
-        ctx = sc.fmap.context(p, sc.tolerances)
-        sf = ctx.split
+        g, k = entry(sc.fmap, p)
+        sf = g.split(k)
         worst_lam = max(worst_lam, abs(sf.lam - math.exp(p[2])) / math.exp(p[2]))
         dims_ok = dims_ok and sf.dims == (2, 2, 2, 0)
         for w in sf.d2:
-            worst_inv = max(worst_inv, float(row_norms(ctx.PVf @ (ctx.Jf @ w), ctx.Gf)))
+            worst_inv = max(worst_inv, float(row_norms(g.PVf[k] @ (g.Jf[k] @ w), g.Gf[k])))
     elapsed = time.perf_counter() - start
     ok = worst_lam < 1e-9 and dims_ok and worst_inv < 1e-9 and elapsed < 5.0
     _verdict(
@@ -71,10 +70,12 @@ def test_criterion_3_conformal_sff_identities():
     worst = 0.0
     for name in ("example33", "linproj42", "linproj63", "holo4", "exp1"):
         for p in points(name, count=6):
-            worst = max(worst, *sff_identity_residuals(scene(name).fmap.context(np.asarray(p))))
+            e = entry(scene(name).fmap, np.asarray(p))
+            worst = max(worst, *(r.residual_a for r in reports_at(check_sff_identities, e, scene(name).tolerances)))
     F = scene("exp1").fmap
     e1 = np.array([1.0, 0.0])
-    hand = on_pairs(F.context(np.zeros(2)).tensors.sff, e1, e1)
+    g, k = entry(F, np.zeros(2))
+    hand = on_pairs(g.tensors.sff[k], e1, e1)
     hand_ok = abs(hand[0] - 1.0) < 1e-9
     _verdict(
         3,
@@ -87,12 +88,12 @@ def test_criterion_3_conformal_sff_identities():
 def test_criterion_4_tension_formula():
     worst_gap = 0.0
     for name in ("example33", "holo4"):
-        for ctx in contexts(name, count=8):
-            (r,) = _memo_check(CHECKERS["tension_formula"].func, ctx, scene(name).tolerances)
+        for e in entries(name, count=8):
+            (r,) = reports_at(CHECKERS["tension_formula"].func, e, scene(name).tolerances)
             worst_gap = max(worst_gap, r.residual_a)
     worst_both = 0.0
-    for ctx in contexts("example33", count=8):
-        (h,) = _memo_check(CHECKERS["harmonicity"].func, ctx, scene("example33").tolerances)
+    for e in entries("example33", count=8):
+        (h,) = reports_at(CHECKERS["harmonicity"].func, e, scene("example33").tolerances)
         worst_both = max(worst_both, h.residual_a, h.residual_b)
     ok = worst_gap < 1e-7 and worst_both < 1e-7
     _verdict(
@@ -107,14 +108,14 @@ def test_criterion_5_tensor_properties(rng):
     worst = 0.0
     per_preset = 500
     for name in preset_names():
-        ctxs = contexts(name, count=5)
-        dim = ctxs[0].fmap.source.dim
-        for k in range(per_preset):
-            ctx = ctxs[k % len(ctxs)]
+        es = entries(name, count=5)
+        dim = scene(name).fmap.source.dim
+        for n in range(per_preset):
+            g, k = es[n % len(es)]
             E, W, Z = rng.normal(size=(3, dim))
-            G, T, A, S = ctx.Gf, ctx.tensors.t, ctx.tensors.a, ctx.tensors.sff
-            V = ctx.PVf @ E
-            X = ctx.PHf @ E
+            G, T, A, S = g.Gf[k], g.tensors.t[k], g.tensors.a[k], g.tensors.sff[k]
+            V = g.PVf[k] @ E
+            X = g.PHf[k] @ E
             worst = max(
                 worst,
                 abs(float(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z))),
@@ -123,7 +124,7 @@ def test_criterion_5_tensor_properties(rng):
             s1 = on_pairs(S, W, Z)
             s2 = on_pairs(S, Z, W)
             worst = max(worst, float(np.max(np.abs(s1 - s2))))
-            coord = coordinate_sff(ctx.fmap, ctx.p, W, Z)
+            coord = coordinate_sff(scene(name).fmap, g.points[k], W, Z)
             worst = max(worst, float(np.max(np.abs(s1 - coord))))
     _verdict(
         5,
@@ -137,8 +138,8 @@ def test_criterion_6_d2_unconditional_integrability():
     worst = 0.0
     sampled = 0
     for name in ("example33", "linproj63"):  # Kaehler presets with nonzero d2
-        for ctx in contexts(name, count=12):
-            (r,) = _memo_check(CHECKERS["d2_integrability"].func, ctx, scene(name).tolerances)
+        for e in entries(name, count=12):
+            (r,) = reports_at(CHECKERS["d2_integrability"].func, e, scene(name).tolerances)
             if not r.vacuous:
                 sampled += 1
                 worst = max(worst, r.residual_a)
@@ -163,7 +164,8 @@ def test_criterion_7_derivatives_vs_finite_differences(rng):
         if k % 5 == 0:
             X = FrameField(sc.fmap, "horizontal", 0)
             V = FrameField(sc.fmap, "vertical", 0)
-            S = sc.fmap.context(p).tensors.sff
+            g, j = entry(sc.fmap, p)
+            S = g.tensors.sff[j]
             for pair in ((X, V), (X, X)):
                 a = on_pairs(S, pair[0].values_at(p), pair[1].values_at(p))
                 b = fd_sff(sc.fmap, p, pair[0], pair[1])

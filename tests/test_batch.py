@@ -1,14 +1,15 @@
-"""One frame pass over all sample points: batched contexts against single-point ones.
+"""One frame pass over all sample points: each point of a batch against its batch of one.
 
-`SmoothMap.contexts(points)` runs the frame pass and the Kaehler test once
-over every point; `SmoothMap.context(p)` is the batch of one.  Every number a
-point context exposes must be the same bit for bit either way, failing points
-must keep their own first error, and points whose Gram-Schmidt drops differ
-must run in separate groups with the same results.
+`SmoothMap.frame_pass(points)` runs the frame pass over every point, and the
+Kaehler test and the tables run once per group of the pass; a point is its
+entry `(group, k)`.  Every number of a point's entry must be the same bit for
+bit in a batch and in `frame_pass([p])`, failing points must keep their own
+first error, and points whose Gram-Schmidt drops differ must run in separate
+groups with the same results.
 """
 
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,9 @@ from confsub.errors import (
 from confsub.expr import ExprDomainError
 from confsub.jets import ArrayJet
 from confsub.scenes import load_scene_text, sample_points
-from confsub.submersion import _frame_groups
 from confsub.theorems import CHECKERS, _memo_check
 
-from .conftest import SCENES_WITH_GENERIC, fresh_scene
+from .conftest import SCENES_WITH_GENERIC, entry, fresh_scene, reports_at
 from .fdtools import NABLA_FAMILIES, PULLBACK_FAMILIES
 
 
@@ -44,32 +44,41 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def assert_contexts_equal(batched, single):
-    """Pass, split, Kaehler residuals, tables and checker reports agree bit for bit."""
-    tol, use_j = single.tol, single.fmap.source.complex_structure is not None
-    assert _same(batched.data, single.data)
-    assert _same(batched.split, single.split)
+def _at(x, k):
+    """Point k of a group's array, jet, or dataclass of them, keeping the point axis (None stays None)."""
+    if is_dataclass(x):
+        return [_at(getattr(x, f.name), k) for f in fields(x)]
+    return None if x is None else x[[k]]
+
+
+def assert_entries_equal(batched, single, fmap, tol):
+    """Pass, split, Kaehler residuals, tables and checker reports of two entries agree bit for bit."""
+    (g, k), (s, j) = batched, single
+    use_j = fmap.source.complex_structure is not None
+    assert _same(_at(g.data, k), _at(s.data, j))
+    assert _same(g.split(k), s.split(j))
     if use_j:
-        assert batched.kahler_residuals() == single.kahler_residuals()
-    assert _same(batched.gamma_src, single.gamma_src)
-    assert _same(batched.tensors, single.tensors)
+        assert [r[k] for r in g.kahler] == [r[j] for r in s.kahler]
+    assert _same(_at(g.gamma_src, k), _at(s.gamma_src, j))
+    assert _same(_at(g.tensors, k), _at(s.tensors, j))
+    assert _same(_at(g.grad_ln_lambda, k), _at(s.grad_ln_lambda, j))
     for name in NABLA_FAMILIES:
-        assert _same(batched.nabla(name), single.nabla(name)), name
+        assert _same(_at(g.nabla(name), k), _at(s.nabla(name), j)), name
     for name in PULLBACK_FAMILIES:
-        assert _same(batched.pullback(name), single.pullback(name)), name
+        assert _same(_at(g.pullback(name), k), _at(s.pullback(name), j)), name
     for spec in CHECKERS.values():
         if use_j or not spec.needs_j:
-            assert _same(_memo_check(spec.func, batched, tol), _memo_check(spec.func, single, tol))
+            assert _same(reports_at(spec.func, batched, tol), reports_at(spec.func, single, tol))
 
 
 @pytest.mark.parametrize("name", SCENES_WITH_GENERIC)
 def test_batch_equals_single(name):
     sc = fresh_scene(name)
     points = sample_points(sc, count=8, seed=3)
-    batch = sc.fmap.contexts(points, sc.tolerances)
-    assert len(batch) == len(points)
-    for p, ctx in zip(points, batch):
-        assert_contexts_equal(ctx, sc.fmap.context(p, sc.tolerances))
+    entries, _ = sc.fmap.frame_pass(points)
+    assert len(entries) == len(points)
+    for p, e in zip(points, entries):
+        assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances)
 
 
 # F = x1 + x2^2: on x2 = 0 the gradient is parallel to e1, so the vertical
@@ -95,32 +104,46 @@ PARABOLA_POINTS = ((0.3, 0.5), (0.2, 0.0), (-0.4, -0.7), (0.6, 0.0))
 def test_drop_pattern_groups():
     sc = load_scene_text(PARABOLA)
     points = [np.array(p) for p in PARABOLA_POINTS]
-    batch = sc.fmap.contexts(points, sc.tolerances)
-    for p, ctx in zip(points, batch):
-        assert_contexts_equal(ctx, sc.fmap.context(p, sc.tolerances))
+    entries, groups = sc.fmap.frame_pass(points)
+    for p, e in zip(points, entries):
+        assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances)
     # the two patterns ran as separate groups
-    _, groups = _frame_groups(sc.fmap, points)
     assert sorted(sorted(members.tolist()) for members, _ in groups) == [[0, 2], [1, 3]]
-    assert np.array_equal(np.abs(batch[1].split.vertical[0]), [0.0, 1.0])
+    g, k = entries[1]
+    assert np.array_equal(np.abs(g.split(k).vertical[0]), [0.0, 1.0])
 
 
-def test_contexts_run_the_frame_pass_once_when_called(monkeypatch):
+def test_frame_pass_runs_the_pipeline_once_per_group(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _frame_groups(*args)
+        return run_pipeline(*args)
 
-    monkeypatch.setattr(submersion, "_frame_groups", counted)
+    run_pipeline = submersion._run_pipeline
+    monkeypatch.setattr(submersion, "_run_pipeline", counted)
     sc = load_scene_text(PARABOLA)
-    batch = sc.fmap.contexts([np.array(p) for p in PARABOLA_POINTS], sc.tolerances)
-    assert len(calls) == 1
-    for ctx in batch:  # reading the views runs no further pass
-        ctx.split, ctx.data, ctx.tensors, ctx.nabla("vertical")
+    # the first run meets the two drop patterns and restarts on each group
+    entries, groups = sc.fmap.frame_pass([np.array(p) for p in PARABOLA_POINTS])
+    assert len(groups) == 2 and len(calls) == 3
+    for g, k in entries:  # reading the tables and the reports runs no further pass
+        g.split(k), g.data, g.tensors, g.nabla("vertical")
         for spec in CHECKERS.values():
             if not spec.needs_j:
-                _memo_check(spec.func, ctx, sc.tolerances)
-    assert len(calls) == 1
+                reports_at(spec.func, (g, k), sc.tolerances)
+    assert len(calls) == 3
+
+
+def test_context_is_the_entry_of_the_batch_of_one():
+    sc = load_scene_text(PARABOLA)
+    for p in PARABOLA_POINTS:
+        ctx = sc.fmap.context(np.array(p), sc.tolerances)
+        assert_entries_equal(ctx.group, entry(sc.fmap, np.array(p)), sc.fmap, sc.tolerances)
+        g, k = ctx.group
+        assert _same(ctx.split, g.split(k))
+        for spec in CHECKERS.values():
+            if not spec.needs_j:
+                assert _same(_memo_check(spec.func, ctx, sc.tolerances), reports_at(spec.func, ctx.group, sc.tolerances))
 
 
 def _sample_interleaved_groups(monkeypatch):
@@ -136,11 +159,12 @@ def test_runner_rows_come_in_sample_order(monkeypatch):
     report = runner.run(sc)
     assert [row.point for row in report.structure] == list(PARABOLA_POINTS)
     for q, p in enumerate(points):
-        single = sc.fmap.context(p, sc.tolerances)
+        single = entry(sc.fmap, p)
+        split = single[0].split(single[1])
         row = report.structure[q]
-        assert (row.lam, row.conformality_residual) == (single.split.lam, single.split.lambda_sq_residual)
+        assert (row.lam, row.conformality_residual) == (split.lam, split.lambda_sq_residual)
         want = [r for spec in CHECKERS.values() if not spec.needs_j
-                for r in _memo_check(spec.func, single, sc.tolerances)]
+                for r in reports_at(spec.func, single, sc.tolerances)]
         assert [r.name for r in want] == list(report.reports)
         assert _same([report.reports[r.name][q] for r in want], want)
 
@@ -180,20 +204,19 @@ KINDS = {CRITICAL: CriticalPointError, OUTSIDE: ExprDomainError, INDEFINITE: Non
 def test_failing_points_keep_their_errors(monkeypatch, order):
     sc = load_scene_text(THREE_FAILURES)
     points = [np.array(p) for p in ((0.5, 0.5), *order, INDEFINITE, (0.2, 0.1))]
-    batch = sc.fmap.contexts(points, sc.tolerances)
-    for p, ctx in zip(points, batch):
-        single = sc.fmap.context(p, sc.tolerances)
+    entries, groups = sc.fmap.frame_pass(points)
+    for p, e in zip(points, entries):
         if tuple(p) in KINDS:
             kind = KINDS[tuple(p)]
-            with pytest.raises(kind) as got:
-                ctx.split
+            assert type(e) is kind  # the entry is the point's error, and it has no group
             with pytest.raises(kind) as want:
-                single.split
-            assert str(got.value) == str(want.value)
-            with pytest.raises(kind):  # the table views raise the pass error too
-                ctx.gamma_src
+                entry(sc.fmap, p)
+            assert str(e) == str(want.value)
+            with pytest.raises(kind):  # its batch of one has no tables either
+                sc.fmap.context(p, sc.tolerances).group
         else:
-            assert_contexts_equal(ctx, single)
+            assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances)
+    assert sorted(q for members, _ in groups for q in members.tolist()) == [0, 4]
 
     # the runner reports the earlier failing point, as a single-point run would
     monkeypatch.setattr(runner, "sample_points", lambda scene, count, seed: points)
@@ -229,7 +252,7 @@ def test_runner_reports_the_first_failing_point(monkeypatch, first):
 def test_invalid_j_fails_its_point_in_the_pass():
     sc = load_scene_text(INVALID_J)
     ctx = sc.fmap.context(np.array([0.5, 0.3]), sc.tolerances)
-    for view in (lambda: ctx.split, ctx.kahler_residuals):
+    for view in (lambda: ctx.split, lambda: ctx.group):  # the point has no group: no Kaehler test
         with pytest.raises(StructureError, match=r"^complex structure invalid at \(0\.5, 0\.3\): J\^2 residual"):
             view()
 
@@ -245,8 +268,9 @@ def test_overflowing_point_leaves_the_batch():
     points = [np.array(p) for p in ((0.1, -0.5), (0.2, 0.95), (0.3, -0.8))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # non-finite values fail their point; numpy stays quiet
-        batch = sc.fmap.contexts(points, sc.tolerances)
+        entries, _ = sc.fmap.frame_pass(points)
         with pytest.raises(NumericalOverflowError, match="Gram-Schmidt squared norm"):
-            batch[1].split
+            sc.fmap.context(points[1], sc.tolerances).split
+        assert type(entries[1]) is NumericalOverflowError and "Gram-Schmidt squared norm" in str(entries[1])
         for q in (0, 2):
-            assert_contexts_equal(batch[q], sc.fmap.context(points[q], sc.tolerances))
+            assert_entries_equal(entries[q], entry(sc.fmap, points[q]), sc.fmap, sc.tolerances)

@@ -137,15 +137,15 @@ F 1 = log(x1)
 box = -1 1, -1 1
 """)
     points = [np.array(p) for p in ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5))]
-    batch = scene.fmap.contexts(points, scene.tolerances)
-    batch[0].split  # in both domains
-    for ctx, subexpr in zip(batch[1:], ("log(x1)", "sqrt(x2)", "log(x1)")):
-        with pytest.raises(ExprDomainError) as got:
-            ctx.split
-        assert got.value.subexpr == subexpr
+    entries, _ = scene.fmap.frame_pass(points)
+    g, k = entries[0]
+    g.split(k)  # in both domains
+    for p, got, subexpr in zip(points[1:], entries[1:], ("log(x1)", "sqrt(x2)", "log(x1)")):
+        assert isinstance(got, ExprDomainError)
+        assert got.subexpr == subexpr
         with pytest.raises(ExprDomainError) as want:
-            scene.fmap.context(ctx.p, scene.tolerances).split
-        assert str(got.value) == str(want.value)
+            scene.fmap.context(p, scene.tolerances).split
+        assert str(got) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,27 @@ from confsub.errors import NonSPDMetricError, StructureError
 from confsub.expr import Const, ExprDomainError, parse
 from confsub.geometry import (
     ChartedManifold,
-    ConstantField,
     ExcludedLocus,
-    ExprField,
     canonical_complex_structure,
-    christoffel_symbols,
     complex_structure_residuals,
-    covariant_derivative,
     euclidean,
     grid_jet,
-    lie_bracket,
-    metric_jet,
     nabla_j_residual,
 )
 from confsub.runner import run
+from confsub.scenes import load_scene_text
 
 from .conftest import ALL_SCENE_NAMES, fresh_scene
-from .fdtools import fd_christoffel
+from .fdtools import (
+    ConstantField,
+    ExprField,
+    christoffel_symbols,
+    covariant_derivative,
+    fd_christoffel,
+    fd_nabla_j,
+    lie_bracket,
+    metric_jet,
+)
 
 
 def gamma_at(M, p):
@@ -60,11 +64,11 @@ def conformal2():
 
 def test_metric_euclidean_identity():
     M = euclidean(6)
-    assert np.array_equal(metric_jet(M, np.zeros(6)).v, np.eye(6))
+    assert np.array_equal(metric_jet(M, np.zeros(6)).v[0], np.eye(6))
 
 
 def test_metric_diag_evaluation(polar_like):
-    G = metric_jet(polar_like, (2.0, 0.0)).v
+    G = metric_jet(polar_like, (2.0, 0.0)).v[0]
     assert G == pytest.approx(np.diag([1.0, 4.0]))
 
 
@@ -192,11 +196,11 @@ def test_metric_compatibility(polar_like, rng):
         Xv = rng.uniform(-1, 1, size=2)
 
         def gyz(q):
-            G = metric_jet(polar_like, q).v
+            G = metric_jet(polar_like, q).v[0]
             return float(Y.values_at(q) @ G @ Z.values_at(q))
 
         lhs = (gyz(p + h * Xv) - gyz(p - h * Xv)) / (2 * h)
-        G = metric_jet(polar_like, p).v
+        G = metric_jet(polar_like, p).v[0]
         rhs = float(covariant_derivative(polar_like, Y, Xv, p) @ G @ Z.values_at(p)) + float(
             Y.values_at(p) @ G @ covariant_derivative(polar_like, Z, Xv, p)
         )
@@ -265,3 +269,33 @@ def test_runner_kahler_residual_matches_geometry():
             assert row.kahler_residual == nabla_j_residual(sc.source, row.point), name
             checked += 1
     assert checked >= 20
+
+
+# Kaehler-test scenes for the finite-difference oracle: the conformal plane and
+# the flat canonical J are Kaehler, the conformal factor in four dimensions is not
+KAHLER_SCENES = {
+    "conformal2": ("dim = 2\ng 1 1 = exp(2*x1)\ng 2 2 = exp(2*x1)\nJ = canonical", "x2", 2),
+    "flat4": ("dim = 4\nmetric = euclidean\nJ = canonical", "x3", 4),
+    "flat6": ("dim = 6\nmetric = euclidean\nJ = canonical", "x3", 6),
+    "non-kahler4": ("dim = 4\n" + "\n".join(f"g {i} {i} = exp(2*x1)" for i in range(1, 5))
+                    + "\nJ = canonical", "x3", 4),
+}
+
+
+@pytest.mark.parametrize("name", KAHLER_SCENES)
+def test_runner_kahler_residual_matches_finite_differences(name):
+    # an oracle apart from `nabla_j_norm`, which the runner and `nabla_j_residual` share
+    source, component, dim = KAHLER_SCENES[name]
+    sc = load_scene_text(
+        f"name = {name}\n[source]\n{source}\n[target]\ndim = 1\nmetric = euclidean\n"
+        f"[map]\nF 1 = {component}\n[sampling]\nbox = " + ", ".join(["-0.9 0.9"] * dim) + "\n"
+    )
+    rows = run(sc, points=4, structure_only=True).structure
+    assert len(rows) == 4
+    for row in rows:
+        want = fd_nabla_j(sc.source, row.point)
+        assert row.kahler_residual == pytest.approx(want, rel=1e-6, abs=1e-8), (name, row.point)
+        if name == "non-kahler4":
+            assert row.kahler_residual > 1e-2
+        else:
+            assert row.kahler_residual < 1e-12

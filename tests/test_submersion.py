@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,22 +11,21 @@ from confsub.errors import (
     NonSPDMetricError,
 )
 from confsub.expr import Const, eval_jet2, parse
-from confsub.geometry import (
-    ChartedManifold,
+from confsub.geometry import ChartedManifold, brackets, euclidean, nabla
+from confsub.submersion import SmoothMap, row_norms
+from confsub.theorems import check_sff_identities
+
+from .conftest import entries, entry, points, reports_at, scene
+from .fdtools import (
     ConstantField,
-    brackets,
+    FrameField,
     christoffel_symbols,
     covariant_derivative,
-    euclidean,
+    fd_gradient,
+    fd_sff,
     metric_jet,
-    nabla,
+    on_pairs,
 )
-from confsub.jets import ArrayJet
-from confsub.submersion import SmoothMap, on_pairs, row_norms
-from confsub.theorems import sff_identity_residuals
-
-from .conftest import contexts, points, scene
-from .fdtools import FrameField, fd_gradient, fd_sff
 
 E33 = "example33"
 
@@ -39,11 +39,32 @@ def fmap(name):
 
 
 def tensors(F, p):
-    return F.context(p).tensors
+    """The tables of the batch of one at p, at its point."""
+    g, k = entry(F, p)
+    t = g.tensors
+    return type(t)(*(getattr(t, f.name)[k] for f in fields(t)))
 
 
-def gnorm(ctx, v):
-    return float(row_norms(np.asarray(v, dtype=float), ctx.Gf))
+def split(F, p):
+    """The frames and dilation of the batch of one at p; raises the point's error."""
+    g, k = entry(F, p)
+    return g.split(k)
+
+
+def grad_ln_lambda(F, p):
+    """(grad ln lambda, horizontal norm of grad lambda) of the batch of one at p."""
+    g, k = entry(F, p)
+    return g.grad_ln_lambda.vector[k], g.grad_ln_lambda.horizontal_norm[k]
+
+
+def sff_identity_residuals(e, tol=DEFAULT_TOLERANCES):
+    """(horizontal, vertical, mixed) residuals of the sff identities at the point `e = (group, k)`."""
+    return tuple(r.residual_a for r in reports_at(check_sff_identities, e, tol))
+
+
+def gnorm(e, v):
+    g, k = e
+    return float(row_norms(np.asarray(v, dtype=float), g.Gf[k]))
 
 
 def coordinate_sff(F, p, X, Y):
@@ -51,7 +72,7 @@ def coordinate_sff(F, p, X, Y):
 
     Component values, Hessians and gradients come from `eval_jet2` on the
     batch of one, the target connection from the target metric jet at the
-    image point, nabla_X Y from `geometry.covariant_derivative`.
+    image point, nabla_X Y from `fdtools.covariant_derivative`.
     """
     jets = [eval_jet2(c, [p]) for c in F.components]
     hess, DF = np.array([j.hessian[0] for j in jets]), np.array([j.gradient[0] for j in jets])
@@ -67,7 +88,8 @@ def coordinate_sff(F, p, X, Y):
 
 def test_jacobian_matches_component_gradients():
     p = np.array([0.0, 0.0, 0.0, 0.0, math.pi / 6, 0.0])
-    jac = fmap(E33).context(p).DFf
+    g, k = entry(fmap(E33), p)
+    jac = g.DFf[k]
     c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
     assert jac == pytest.approx(
         np.array([[0, 0, c, 0, -s, 0], [0, 0, s, 0, c, 0]]), abs=1e-15
@@ -75,18 +97,19 @@ def test_jacobian_matches_component_gradients():
 
 
 def test_jacobian_linear_projection_constant():
-    jac = fmap("linproj42").context(np.array([0.3, -0.4, 0.5, 0.9])).DFf
+    g, k = entry(fmap("linproj42"), np.array([0.3, -0.4, 0.5, 0.9]))
+    jac = g.DFf[k]
     assert np.array_equal(jac, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 
 
 def test_jacobian_critical_point():
     F = SmoothMap(euclidean(2), euclidean(1), (parse("x1*x2", 2),))
     with pytest.raises(CriticalPointError):
-        F.context(np.zeros(2)).DFf
+        entry(F, np.zeros(2))
 
 
 def test_split_frame_dilation_and_dims():
-    sf = fmap(E33).context(e33_point(x3=math.log(2.0))).split
+    sf = split(fmap(E33), e33_point(x3=math.log(2.0)))
     assert sf.lam == pytest.approx(2.0, rel=1e-12)
     assert sf.dims == (2, 2, 2, 0)
     # d1 spans the first coordinate pair, d2 the (4, 6) pair
@@ -97,30 +120,31 @@ def test_split_frame_dilation_and_dims():
 
 
 def test_split_frame_orthonormal_and_kernel():
-    for ctx in contexts(E33, count=4):
-        sf = ctx.split
+    for g, k in entries(E33, count=4):
+        sf = g.split(k)
         frame = np.stack(sf.vertical + sf.horizontal)
-        gram = frame @ ctx.Gf @ frame.T
+        gram = frame @ g.Gf[k] @ frame.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-9
         for v in sf.vertical:
-            assert np.linalg.norm(ctx.DFf @ v) < 1e-9
+            assert np.linalg.norm(g.DFf[k] @ v) < 1e-9
         assert sf.lambda_sq_residual < 1e-8 * sf.lam**2
-        assert sf.lam == pytest.approx(math.exp(ctx.p[2]), rel=1e-12)
+        assert sf.lam == pytest.approx(math.exp(g.points[k, 2]), rel=1e-12)
 
 
 def test_split_frame_invariant_projection():
-    for ctx in contexts(E33, count=4):
-        sf = ctx.split
-        J = ctx.Jf
+    for e in entries(E33, count=4):
+        g, k = e
+        sf = g.split(k)
+        J = g.Jf[k]
         for u in sf.d1:
-            w = J @ u - ctx.PD1f @ (J @ u)
-            assert gnorm(ctx, w) < 1e-9
+            w = J @ u - g.PD1f[k] @ (J @ u)
+            assert gnorm(e, w) < 1e-9
         for w0 in sf.d2:
-            assert gnorm(ctx, ctx.PVf @ (J @ w0)) < 1e-9
+            assert gnorm(e, g.PVf[k] @ (J @ w0)) < 1e-9
 
 
 def test_split_frame_trivial_projection():
-    sf = fmap("linproj42").context(np.array([0.2, 0.1, -0.3, 0.8])).split
+    sf = split(fmap("linproj42"), np.array([0.2, 0.1, -0.3, 0.8]))
     assert sf.lam == pytest.approx(1.0)
     assert sf.dims == (2, 0, 0, 2)
 
@@ -129,11 +153,12 @@ def test_split_frame_holomorphic_like():
     # both Jacobian rows have norm e^{x3} and are orthogonal; kernel is J-invariant
     F = fmap("holo4")
     p = np.array([0.4, -0.2, 0.35, 0.7])
-    jac = F.context(p).DFf
+    g, k = entry(F, p)
+    jac = g.DFf[k]
     assert np.linalg.norm(jac[0]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert np.linalg.norm(jac[1]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert abs(jac[0] @ jac[1]) < 1e-12
-    sf = F.context(p).split
+    sf = g.split(k)
     assert sf.lam == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert sf.dims == (2, 0, 0, 2)
     kernel = np.stack(sf.vertical)
@@ -141,7 +166,7 @@ def test_split_frame_holomorphic_like():
 
 
 def test_split_frame_proper_semi_invariant():
-    sf = fmap("linproj63").context(np.full(6, 0.1)).split
+    sf = split(fmap("linproj63"), np.full(6, 0.1))
     assert sf.dims == (2, 1, 1, 2)
 
 
@@ -152,7 +177,7 @@ def test_split_frame_ambiguous():
         (parse("x1", 4), parse("(x2 + x3)*0.7071067811865476", 4)),
     )
     with pytest.raises(AmbiguousSplittingError):
-        F.context(np.zeros(4)).split
+        split(F, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -160,59 +185,61 @@ def test_split_frame_ambiguous():
 
 
 def test_phi_omega_invariant_direction():
-    ctx = fmap(E33).context(e33_point())
+    g, k = entry(fmap(E33), e33_point())
     e1 = np.eye(6)[0]
-    assert ctx.phi @ e1 == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
-    assert np.linalg.norm(ctx.omega @ e1) < 1e-12
+    assert g.phi[k] @ e1 == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
+    assert np.linalg.norm(g.omega[k] @ e1) < 1e-12
 
 
 def test_phi_omega_anti_invariant_direction():
-    ctx = fmap(E33).context(e33_point())
+    g, k = entry(fmap(E33), e33_point())
     e4 = np.eye(6)[3]
-    assert np.linalg.norm(ctx.phi @ e4) < 1e-12
-    assert ctx.omega @ e4 == pytest.approx(ctx.Jf @ e4, abs=1e-12)  # fully horizontal image
+    assert np.linalg.norm(g.phi[k] @ e4) < 1e-12
+    assert g.omega[k] @ e4 == pytest.approx(g.Jf[k] @ e4, abs=1e-12)  # fully horizontal image
 
 
 def test_omega_vanishes_on_d1():
-    for ctx in contexts(E33, count=3):
-        for u in ctx.split.d1:
-            assert np.linalg.norm(ctx.omega @ u) < 1e-12
+    for g, k in entries(E33, count=3):
+        for u in g.split(k).d1:
+            assert np.linalg.norm(g.omega[k] @ u) < 1e-12
 
 
 def test_bc_decompose_on_jd2():
-    for ctx in contexts(E33, count=3):
-        for x in ctx.split.jd2:
-            assert np.linalg.norm(ctx.C @ x) < 1e-10
-            assert gnorm(ctx, ctx.B @ x) == pytest.approx(1.0, abs=1e-10)
+    for e in entries(E33, count=3):
+        g, k = e
+        for x in g.split(k).jd2:
+            assert np.linalg.norm(g.C[k] @ x) < 1e-10
+            assert gnorm(e, g.B[k] @ x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bc_b_of_jw_is_minus_w():
-    for ctx in contexts(E33, count=3):
-        for w in ctx.split.d2:
-            assert ctx.B @ (ctx.Jf @ w) == pytest.approx(-w, abs=1e-10)
+    for g, k in entries(E33, count=3):
+        for w in g.split(k).d2:
+            assert g.B[k] @ (g.Jf[k] @ w) == pytest.approx(-w, abs=1e-10)
 
 
 def test_bc_trivial_when_d2_empty():
-    ctx = fmap("holo4").context(np.array([0.1, 0.2, 0.0, 0.5]))
-    for x in ctx.split.horizontal:
-        assert np.linalg.norm(ctx.B @ x) < 1e-12
-        assert ctx.C @ x == pytest.approx(ctx.Jf @ x, abs=1e-12)
+    g, k = entry(fmap("holo4"), np.array([0.1, 0.2, 0.0, 0.5]))
+    for x in g.split(k).horizontal:
+        assert np.linalg.norm(g.B[k] @ x) < 1e-12
+        assert g.C[k] @ x == pytest.approx(g.Jf[k] @ x, abs=1e-12)
 
 
 def test_j_coherence():
     # phi(phi v) + B(omega v) = -v on the vertical space
-    for ctx in contexts(E33, count=3) + contexts("linproj63", count=3):
-        for v in ctx.split.vertical:
-            res = ctx.phi @ (ctx.phi @ v) + ctx.B @ (ctx.omega @ v) + v
-            assert gnorm(ctx, res) < 1e-9
+    for e in entries(E33, count=3) + entries("linproj63", count=3):
+        g, k = e
+        for v in g.split(k).vertical:
+            res = g.phi[k] @ (g.phi[k] @ v) + g.B[k] @ (g.omega[k] @ v) + v
+            assert gnorm(e, res) < 1e-9
 
 
 def test_pushed_distributions_orthogonal():
     # dF(J d2) is g_N-orthogonal to dF(mu)
-    for ctx in contexts("linproj63", count=3):
-        for w in ctx.split.d2:
-            for x in ctx.split.mu:
-                val = (ctx.DFf @ ctx.Jf @ w) @ ctx.GNf @ (ctx.DFf @ x)
+    for g, k in entries("linproj63", count=3):
+        for w in g.split(k).d2:
+            for x in g.split(k).mu:
+                val = (g.DFf[k] @ g.Jf[k] @ w) @ g.GNf[k] @ (g.DFf[k] @ x)
                 assert abs(val) < 1e-8
 
 
@@ -221,16 +248,16 @@ def test_pushed_distributions_orthogonal():
 
 
 def test_t_vanishes_on_affine_fibers():
-    ctx = fmap(E33).context(e33_point())
-    for v in ctx.split.vertical:
-        for w in ctx.split.vertical:
-            assert np.linalg.norm(on_pairs(ctx.tensors.t, v, w)) < 1e-12
+    g, k = entry(fmap(E33), e33_point())
+    for v in g.split(k).vertical:
+        for w in g.split(k).vertical:
+            assert np.linalg.norm(on_pairs(g.tensors.t[k], v, w)) < 1e-12
 
 
 def test_t_ignores_horizontal_first_slot():
-    ctx = fmap(E33).context(e33_point())
-    for x in ctx.split.horizontal:
-        out = on_pairs(ctx.tensors.t, x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
+    g, k = entry(fmap(E33), e33_point())
+    for x in g.split(k).horizontal:
+        out = on_pairs(g.tensors.t[k], x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
         assert np.linalg.norm(out) < 1e-12
 
 
@@ -238,31 +265,31 @@ def test_a_vanishes_for_linear_projection():
     F = fmap("linproj42")
     p = np.array([0.2, -0.1, 0.7, 0.4])
     for _ in range(5):
-        e, g = np.random.default_rng(1).normal(size=(2, 4))
-        assert np.linalg.norm(on_pairs(tensors(F, p).a, e, g)) < 1e-12
+        e, f = np.random.default_rng(1).normal(size=(2, 4))
+        assert np.linalg.norm(on_pairs(tensors(F, p).a, e, f)) < 1e-12
 
 
 def test_a_alternation_against_bracket():
     # vertical part of A on horizontal frame pairs equals half the bracket here
     F = fmap(E33)
     p = e33_point()
-    ctx = F.context(p)
-    X1, X2 = ctx.split.horizontal
-    H = ArrayJet.stack([ctx.family("horizontal")])
-    br = brackets(H, H)[0, 0, 1]
-    a12 = ctx.PVf @ on_pairs(ctx.tensors.a, X1, X2)
-    assert a12 == pytest.approx(0.5 * (ctx.PVf @ br), abs=1e-9)
+    g, k = entry(F, p)
+    X1, X2 = g.split(k).horizontal
+    H = g.family("horizontal")
+    br = brackets(H, H)[k, 0, 1]
+    a12 = g.PVf[k] @ on_pairs(g.tensors.a[k], X1, X2)
+    assert a12 == pytest.approx(0.5 * (g.PVf[k] @ br), abs=1e-9)
 
 
 def test_tensor_skew_symmetry(rng):
     for name in (E33, "linproj63", "holo4"):
-        ctx = fmap(name).context(np.asarray(points(name, count=1)[0]))
-        G = ctx.Gf
+        g, k = entry(fmap(name), np.asarray(points(name, count=1)[0]))
+        G = g.Gf[k]
         for _ in range(25):
-            E, W, Z = rng.normal(size=(3, ctx.fmap.source.dim))
-            V = ctx.PVf @ E
-            X = ctx.PHf @ E
-            T, A = ctx.tensors.t, ctx.tensors.a
+            E, W, Z = rng.normal(size=(3, fmap(name).source.dim))
+            V = g.PVf[k] @ E
+            X = g.PHf[k] @ E
+            T, A = g.tensors.t[k], g.tensors.a[k]
             assert abs(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z)) < 1e-8
             assert abs(on_pairs(A, X, W) @ G @ Z + W @ G @ on_pairs(A, X, Z)) < 1e-8
 
@@ -353,25 +380,25 @@ def test_fiber_mean_curvature_curved_fibers():
 def test_grad_ln_lambda_exponential_example():
     F = fmap(E33)
     p = e33_point(0.25)
-    g = F.context(p).grad_ln_lambda
-    assert g.vector == pytest.approx(np.eye(6)[2], abs=1e-10)
-    assert g.horizontal_norm > DEFAULT_TOLERANCES.theorem  # x3 is a horizontal direction here
-    assert g.horizontal_norm == pytest.approx(math.exp(0.25), rel=1e-9)
+    vector, horizontal_norm = grad_ln_lambda(F, p)
+    assert vector == pytest.approx(np.eye(6)[2], abs=1e-10)
+    assert horizontal_norm > DEFAULT_TOLERANCES.theorem  # x3 is a horizontal direction here
+    assert horizontal_norm == pytest.approx(math.exp(0.25), rel=1e-9)
     # cross-check against finite differences of the detected dilation
-    fd = fd_gradient(lambda q: math.log(F.context(q).split.lam), p)
-    assert g.vector == pytest.approx(fd, abs=1e-6)
+    fd = fd_gradient(lambda q: math.log(split(F, q).lam), p)
+    assert vector == pytest.approx(fd, abs=1e-6)
 
 
 def test_grad_ln_lambda_flat_cases():
-    g = fmap("linproj42").context(np.array([0.3, 0.1, -0.5, 0.2])).grad_ln_lambda
-    assert np.linalg.norm(g.vector) < 1e-12
-    assert g.horizontal_norm < 1e-12
+    vector, horizontal_norm = grad_ln_lambda(fmap("linproj42"), np.array([0.3, 0.1, -0.5, 0.2]))
+    assert np.linalg.norm(vector) < 1e-12
+    assert horizontal_norm < 1e-12
 
 
 def test_grad_ln_lambda_horizontal_case():
-    g = fmap("exp1").context(np.zeros(2)).grad_ln_lambda
-    assert g.vector == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert g.horizontal_norm == pytest.approx(1.0, abs=1e-12)  # lambda = 1, grad ln lambda = e1
+    vector, horizontal_norm = grad_ln_lambda(fmap("exp1"), np.zeros(2))
+    assert vector == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert horizontal_norm == pytest.approx(1.0, abs=1e-12)  # lambda = 1, grad ln lambda = e1
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +408,7 @@ def test_grad_ln_lambda_horizontal_case():
 def test_sff_identities_on_conformal_presets():
     for name in (E33, "linproj42", "linproj63", "holo4", "exp1"):
         for p in points(name, count=4):
-            rh, rv, rm = sff_identity_residuals(fmap(name).context(np.asarray(p)))
+            rh, rv, rm = sff_identity_residuals(entry(fmap(name), np.asarray(p)))
             assert max(rh, rv, rm) < 1e-7, name
 
 
@@ -389,12 +416,12 @@ def test_sff_identity_horizontal_hand_value():
     # at the origin of the exponential machinery preset both sides equal one
     F = fmap("exp1")
     p = np.zeros(2)
-    ctx = F.context(p)
+    g, k = entry(F, p)
     e1 = np.array([1.0, 0.0])
-    lhs = on_pairs(ctx.tensors.sff, e1, e1)
-    g = ctx.grad_ln_lambda
-    dln = float(e1 @ ctx.Gf @ g.vector)  # d ln(lambda) along e1
-    rhs = 2.0 * dln * (ctx.DFf @ e1) - float(e1 @ ctx.Gf @ e1) * (ctx.DFf @ g.vector)
+    lhs = on_pairs(g.tensors.sff[k], e1, e1)
+    vector, G, DF = g.grad_ln_lambda.vector[k], g.Gf[k], g.DFf[k]
+    dln = float(e1 @ G @ vector)  # d ln(lambda) along e1
+    rhs = 2.0 * dln * (DF @ e1) - float(e1 @ G @ e1) * (DF @ vector)
     assert lhs == pytest.approx([1.0], abs=1e-9)
     assert rhs == pytest.approx([1.0], abs=1e-9)
 
@@ -402,45 +429,46 @@ def test_sff_identity_horizontal_hand_value():
 def test_covariant_phi_omega_structure_identities():
     # the covariant derivatives of phi and omega close through B, C and T
     for name in (E33, "linproj63"):
-        for ctx in contexts(name, count=3):
-            f, T = ctx.data, ctx.tensors.t
+        for e in entries(name, count=3):
+            g, k = e
+            f, T = g.data, g.tensors.t[k]
+            phi, omega, B, C, PV, PH = (x[k] for x in (g.phi, g.omega, g.B, g.C, g.PVf, g.PHf))
             # nabla of the fields omega(V_j) = P_JD2 J V_j
-            omega_v = ArrayJet.stack([f.vertical @ (f.PJD2 @ f.J).T])
-            nabla_omega = nabla(ctx.gamma_src[None], omega_v)[0]
-            for V in f.vertical.v:
-                for j, W in enumerate(f.vertical.v):
+            nabla_omega = nabla(g.gamma_src, f.vertical @ (f.PJD2 @ f.J).T)[k]
+            for V in f.vertical.v[k]:
+                for j, W in enumerate(f.vertical.v[k]):
                     TVW = on_pairs(T, V, W)
-                    phi_W = ctx.phi @ W
-                    om_W = ctx.omega @ W
-                    hat_V_W = ctx.PVf @ np.tensordot(V, ctx.nabla("vertical"), 1)[j]
-                    hat_V_phiW = ctx.PVf @ np.tensordot(V, ctx.nabla("phiV"), 1)[j]
-                    lhs1 = hat_V_phiW - ctx.phi @ hat_V_W
-                    rhs1 = ctx.B @ TVW - on_pairs(T, V, om_W)
-                    assert gnorm(ctx, lhs1 - rhs1) < 1e-6
-                    h_V_omW = ctx.PHf @ np.tensordot(V, nabla_omega, 1)[j]
-                    lhs2 = h_V_omW - ctx.omega @ hat_V_W
-                    rhs2 = ctx.C @ TVW - on_pairs(T, V, phi_W)
-                    assert gnorm(ctx, lhs2 - rhs2) < 1e-6
+                    phi_W = phi @ W
+                    om_W = omega @ W
+                    hat_V_W = PV @ np.tensordot(V, g.nabla("vertical")[k], 1)[j]
+                    hat_V_phiW = PV @ np.tensordot(V, g.nabla("phiV")[k], 1)[j]
+                    lhs1 = hat_V_phiW - phi @ hat_V_W
+                    rhs1 = B @ TVW - on_pairs(T, V, om_W)
+                    assert gnorm(e, lhs1 - rhs1) < 1e-6
+                    h_V_omW = PH @ np.tensordot(V, nabla_omega, 1)[j]
+                    lhs2 = h_V_omW - omega @ hat_V_W
+                    rhs2 = C @ TVW - on_pairs(T, V, phi_W)
+                    assert gnorm(e, lhs2 - rhs2) < 1e-6
 
 
 def test_families_are_the_operators_on_their_frames():
     # the tabulated families are J, B, C and phi applied to the frames
     for name in (E33, "linproj63", "holo4"):
-        for ctx in contexts(name, count=2):
-            rows = lambda n: ctx.family(n).v
-            J = ctx.Jf
+        for g, k in entries(name, count=2):
+            rows = lambda n: g.family(n).v[k]
+            J, B, C = g.Jf[k], g.B[k], g.C[k]
             assert np.allclose(rows("Jd1"), rows("d1") @ J.T, atol=1e-12)
             assert np.allclose(rows("Jd2"), rows("d2") @ J.T, atol=1e-12)
-            assert np.allclose(rows("BH"), rows("horizontal") @ ctx.B.T, atol=1e-12)
-            assert np.allclose(rows("CH"), rows("horizontal") @ ctx.C.T, atol=1e-12)
-            assert np.allclose(rows("phiV"), rows("vertical") @ ctx.phi.T, atol=1e-12)
-            assert np.allclose(ctx.B, ctx.PD2f @ J) and np.allclose(ctx.C, ctx.PMUf @ J)
+            assert np.allclose(rows("BH"), rows("horizontal") @ B.T, atol=1e-12)
+            assert np.allclose(rows("CH"), rows("horizontal") @ C.T, atol=1e-12)
+            assert np.allclose(rows("phiV"), rows("vertical") @ g.phi[k].T, atol=1e-12)
+            assert np.allclose(B, g.PD2f[k] @ J) and np.allclose(C, g.PMUf[k] @ J)
 
 
 def test_splitting_completeness():
     for name in (E33, "linproj63", "holo4"):
-        for ctx in contexts(name, count=2):
-            assert np.max(np.abs(ctx.PVf + ctx.PHf - np.eye(ctx.fmap.source.dim))) < 1e-10
+        for g, k in entries(name, count=2):
+            assert np.max(np.abs(g.PVf[k] + g.PHf[k] - np.eye(fmap(name).source.dim))) < 1e-10
 
 
 def test_curved_target_connection_enters_sff():
@@ -469,30 +497,30 @@ seed = 5
     for p in ((0.0, 0.0), (0.4, -0.3)):
         p = np.array(p)
         e1 = np.array([1.0, 0.0])
-        ctx = F.context(p)
-        got = on_pairs(ctx.tensors.sff, e1, e1)
+        g, k = entry(F, p)
+        got = on_pairs(g.tensors.sff[k], e1, e1)
         want = fd_sff(F, p, ConstantField(e1), ConstantField(e1))
         assert got == pytest.approx([1.0], abs=1e-12)  # Gamma_N = 1 everywhere
         assert got == pytest.approx(want, abs=1e-6)
         # dilation tracks the composed target metric: lambda = e^{x1}
-        g = ctx.grad_ln_lambda
-        assert ctx.split.lam == pytest.approx(math.exp(p[0]), rel=1e-12)
-        assert g.vector == pytest.approx([1.0, 0.0], abs=1e-10)
-        rh, rv, rm = sff_identity_residuals(ctx)
+        assert g.split(k).lam == pytest.approx(math.exp(p[0]), rel=1e-12)
+        assert g.grad_ln_lambda.vector[k] == pytest.approx([1.0, 0.0], abs=1e-10)
+        rh, rv, rm = sff_identity_residuals((g, k), sc.tolerances)
         assert max(rh, rv, rm) < 1e-9
 
 
 def test_fundamental_tensors_bundle():
     F = fmap(E33)
     p = e33_point()
-    ft = tensors(F, p)
-    assert ft.point == tuple(p)
-    assert np.linalg.norm(ft.tension) < 1e-7
-    assert np.linalg.norm(ft.fiber_mean_curvature) < 1e-12
+    g, k = entry(F, p)
+    ft = g.tensors
+    assert tuple(g.points[k]) == tuple(p)
+    assert np.linalg.norm(ft.tension[k]) < 1e-7
+    assert np.linalg.norm(ft.fiber_mean_curvature[k]) < 1e-12
     v = np.eye(6)[0]
-    assert np.linalg.norm(on_pairs(ft.t, v, v)) < 1e-12
-    pushed_t = F.context(p).DFf @ on_pairs(ft.t, v, v)
-    assert on_pairs(ft.sff, v, v) == pytest.approx(-pushed_t, abs=1e-9)
+    assert np.linalg.norm(on_pairs(ft.t[k], v, v)) < 1e-12
+    pushed_t = g.DFf[k] @ on_pairs(ft.t[k], v, v)
+    assert on_pairs(ft.sff[k], v, v) == pytest.approx(-pushed_t, abs=1e-9)
 
 
 def test_non_conformal_map_rejected():
@@ -501,7 +529,7 @@ def test_non_conformal_map_rejected():
     # anisotropic scaling: horizontal inner products are not a single multiple
     F = SmoothMap(euclidean(3), euclidean(2), (parse("x1", 3), parse("2*x2", 3)))
     with pytest.raises(NotConformalError, match="not horizontally conformal"):
-        F.context(np.array([0.1, 0.2, 0.3])).split
+        split(F, np.array([0.1, 0.2, 0.3]))
 
 
 def test_singular_metric_rejected():
@@ -515,6 +543,6 @@ def test_singular_metric_rejected():
     p = np.array([0.1, 0.2])
     for g11, g22 in (("0", "0"), ("1", "0"), ("1", "5e-15"), ("1", "2e-14"), ("1", "1e-12"), ("1", "0 - 1")):
         with pytest.raises(NonSPDMetricError) as err:
-            diag_map(g11, g22).context(p).split
+            split(diag_map(g11, g22), p)
         assert str(err.value).startswith("source metric not positive definite at (0.1, 0.2): eigs [")
-    assert diag_map("1", "2e-12").context(p).split.lam == 1.0
+    assert split(diag_map("1", "2e-12"), p).lam == 1.0

@@ -11,7 +11,6 @@ from confsub.submersion import bookkeeping
 from confsub.theorems import (
     CHECKERS,
     ConditionReport,
-    _memo_check,
     check_d2_integrable,
     check_harmonicity,
     check_jd2_mu_totally_geodesic,
@@ -21,16 +20,16 @@ from confsub.theorems import (
     verdict_of,
 )
 
-from .conftest import contexts
+from .conftest import entries, reports_at
 
 J_PRESETS = ("example33", "linproj42", "holo4", "linproj63")
 
 
 def all_reports(name, count=6):
     out = []
-    for ctx in contexts(name, count=count):
+    for e in entries(name, count=count):
         for spec in CHECKERS.values():
-            out.extend(_memo_check(spec.func, ctx, TOL))
+            out.extend(reports_at(spec.func, e, TOL))
     return out
 
 
@@ -46,56 +45,56 @@ def test_soundness_all_checkers_agree(preset):
 def test_d2_integrability_residuals():
     # unconditional integrability: bracket residual stays at rounding level
     for preset in ("example33", "linproj63"):
-        for ctx in contexts(preset, count=6):
-            for r in _memo_check(check_d2_integrable, ctx, TOL):
+        for e in entries(preset, count=6):
+            for r in reports_at(check_d2_integrable, e, TOL):
                 assert r.residual_a < 1e-8
                 assert r.residual_b == 0.0
 
 
 def test_d2_integrability_vacuous_when_small():
-    for ctx in contexts("holo4", count=2):
-        (r,) = _memo_check(check_d2_integrable, ctx, TOL)
+    for e in entries("holo4", count=2):
+        (r,) = reports_at(check_d2_integrable, e, TOL)
         assert r.vacuous and r.verdict_a == "holds"
 
 
 def test_example_fails_homothety_on_both_sides():
     # the exponential-dilation scene is conformal but not horizontally homothetic,
     # and both sides of the geodesic characterizations detect it together
-    for ctx in contexts("example33", count=4):
-        (r,) = _memo_check(check_jd2_mu_totally_geodesic, ctx, TOL)
+    for e in entries("example33", count=4):
+        (r,) = reports_at(check_jd2_mu_totally_geodesic, e, TOL)
         assert r.verdict_a == "fails" and r.verdict_b == "fails" and r.agree
-        (r2,) = _memo_check(check_totally_geodesic_characterization, ctx, TOL)
+        (r2,) = reports_at(check_totally_geodesic_characterization, e, TOL)
         assert r2.verdict_a == "fails" and r2.verdict_b == "fails" and r2.agree
 
 
 def test_linear_projection_totally_geodesic():
-    for ctx in contexts("linproj42", count=3):
-        (r,) = _memo_check(check_totally_geodesic_characterization, ctx, TOL)
+    for e in entries("linproj42", count=3):
+        (r,) = reports_at(check_totally_geodesic_characterization, e, TOL)
         assert r.verdict_a == "holds" and r.verdict_b == "holds"
         assert r.residual_a < 1e-12
 
 
 def test_tension_formula_residuals():
     for preset in ("example33", "holo4", "linproj42", "linproj63"):
-        for ctx in contexts(preset, count=4):
-            (r,) = _memo_check(check_tension_formula, ctx, TOL)
+        for e in entries(preset, count=4):
+            (r,) = reports_at(check_tension_formula, e, TOL)
             assert r.residual_a < 1e-7, preset
 
 
 def test_harmonicity_branches():
-    for ctx in contexts("example33", count=2):
-        (r,) = _memo_check(check_harmonicity, ctx, TOL)
+    for e in entries("example33", count=2):
+        (r,) = reports_at(check_harmonicity, e, TOL)
         assert "minimal-fibers-iff-harmonic" in r.label
         assert r.verdict_a == "holds" and r.verdict_b == "holds"
-    for ctx in contexts("linproj63", count=2):
-        (r,) = _memo_check(check_harmonicity, ctx, TOL)
+    for e in entries("linproj63", count=2):
+        (r,) = reports_at(check_harmonicity, e, TOL)
         assert "paired-implications" in r.label
         assert r.verdict_a == "holds"
 
 
 def test_vertical_geodesic_direct_fails_on_curved_fibers():
-    for ctx in contexts("diag-x1sq", count=4):
-        (r,) = _memo_check(check_vertical_totally_geodesic, ctx, TOL)
+    for e in entries("diag-x1sq", count=4):
+        (r,) = reports_at(check_vertical_totally_geodesic, e, TOL)
         assert r.residual_b is None
         assert r.verdict_a == "fails"  # fibers curve away, residual ~ 1/x1
         assert r.residual_a > 10 * TOL.theorem
@@ -104,16 +103,16 @@ def test_vertical_geodesic_direct_fails_on_curved_fibers():
 
 
 def test_anti_holomorphic_corollaries_run_only_on_anti_holomorphic():
-    for ctx in contexts("example33", count=2):
+    for e in entries("example33", count=2):
         names = {r.name: r for spec in (CHECKERS["corollaries"],)
-                 for r in _memo_check(spec.func, ctx, TOL)}
+                 for r in reports_at(spec.func, e, TOL)}
         assert names["antiholomorphic_integrability"].residual_b is not None
         assert names["antiholomorphic_integrability"].agree
-    for ctx in contexts("holo4", count=2):
-        names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
+    for e in entries("holo4", count=2):
+        names = {r.name: r for r in reports_at(CHECKERS["corollaries"].func, e, TOL)}
         assert "not anti-holomorphic" in names["antiholomorphic_integrability"].label
-    for ctx in contexts("linproj63", count=2):
-        names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
+    for e in entries("linproj63", count=2):
+        names = {r.name: r for r in reports_at(CHECKERS["corollaries"].func, e, TOL)}
         # proper case: both parallel-hypothesis corollaries run and agree
         assert names["d2_parallel_homothety"].residual_b is not None
         assert names["d2_parallel_homothety"].verdict_a == "holds"
@@ -123,8 +122,8 @@ def test_anti_holomorphic_corollaries_run_only_on_anti_holomorphic():
 
 def test_vacuity_of_dilation_characterizations():
     for preset in ("example33", "holo4"):
-        for ctx in contexts(preset, count=1):
-            names = {r.name: r for r in _memo_check(CHECKERS["corollaries"].func, ctx, TOL)}
+        for e in entries(preset, count=1):
+            names = {r.name: r for r in reports_at(CHECKERS["corollaries"].func, e, TOL)}
             assert names["d2_parallel_homothety"].vacuous
             assert names["mu_parallel_dilation"].vacuous
 
