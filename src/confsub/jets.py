@@ -10,6 +10,14 @@ point's numbers do not depend on the other points of its batch.
 This is vector forward mode (Griewank & Walther, *Evaluating Derivatives*,
 SIAM 2008).  The jets of the pass's inputs come from evaluating the scene's
 expressions on ``expr.Jet2`` stacks, which carry the same point axis.
+
+Values are computed when a jet is built; derivatives when they are first
+read.  A product, sum, transpose or row selection keeps the function that
+builds its derivative from its operands, which it holds, and the first read
+of ``.d`` calls it and keeps the array.  Each ``d`` is ``dim`` times the size
+of its ``v``, so a caller that reads values only (the structure data of the
+frame pass) builds no derivative at all, and one that reads them builds each
+once, with the same operations as an eager product rule.
 """
 
 from __future__ import annotations
@@ -22,15 +30,25 @@ __all__ = ["ArrayJet"]
 
 
 class ArrayJet:
-    """Values ``v[q, ...]`` and derivatives ``d[q, l, ...] = d_l v[q, ...]`` at points q."""
+    """Values ``v[q, ...]`` and derivatives ``d[q, l, ...] = d_l v[q, ...]`` at points q.
 
-    __slots__ = ("v", "d")
+    `d` is given as an array, or as a function of no arguments that builds it
+    on first read.
+    """
+
+    __slots__ = ("v", "_d")
     # makes `ndarray @ jet` return NotImplemented, so `__rmatmul__` runs
     __array_ufunc__ = None
 
     def __init__(self, v, d):
         self.v = v
-        self.d = d
+        self._d = d
+
+    @property
+    def d(self) -> np.ndarray:
+        if callable(self._d):
+            self._d = self._d()
+        return self._d
 
     @classmethod
     def constant(cls, v, dim: int) -> "ArrayJet":
@@ -46,29 +64,43 @@ class ArrayJet:
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""
-        return ArrayJet(np.take(self.v, idx, axis=1), np.take(self.d, idx, axis=2))
+        return ArrayJet(np.take(self.v, idx, axis=1), lambda: np.take(self.d, idx, axis=2))
 
     @property
     def T(self) -> "ArrayJet":
         """Transpose of each matrix."""
-        return ArrayJet(self.v.swapaxes(-1, -2), self.d.swapaxes(-1, -2))
+        return ArrayJet(self.v.swapaxes(-1, -2), lambda: self.d.swapaxes(-1, -2))
 
     def __matmul__(self, other):
         if not isinstance(other, ArrayJet):  # constant right factor
-            return ArrayJet(self.v @ other, self.d @ other)
-        return ArrayJet(self.v @ other.v, self.d @ other.v[:, None] + self.v[:, None] @ other.d)
+            other = _constant_factor(other)
+            return ArrayJet(self.v @ other, lambda: self.d @ other)
+        return ArrayJet(self.v @ other.v, lambda: self.d @ other.v[:, None] + self.v[:, None] @ other.d)
 
     def __rmatmul__(self, other):  # constant left factor
-        return ArrayJet(other @ self.v, other @ self.d)
+        other = _constant_factor(other)
+        return ArrayJet(other @ self.v, lambda: other @ self.d)
 
     def __add__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v + other.v, self.d + other.d)
+        return ArrayJet(self.v + other.v, lambda: self.d + other.d)
 
     def __sub__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v - other.v, self.d - other.d)
+        return ArrayJet(self.v - other.v, lambda: self.d - other.d)
 
     def __neg__(self) -> "ArrayJet":
-        return ArrayJet(-self.v, -self.d)
+        return ArrayJet(-self.v, lambda: -self.d)
 
     def __repr__(self):
         return f"ArrayJet(v={self.v!r}, d={self.d!r})"
+
+
+def _constant_factor(c) -> np.ndarray:
+    """A plain-array factor of a jet product, the same matrix at every point.
+
+    Only a 2-D matrix is accepted: a stack `c[q]` of per-point matrices would
+    broadcast against `d[q, l, ...]` over the wrong axes without an error.
+    """
+    c = np.asarray(c)
+    if c.ndim != 2:
+        raise ValueError(f"a plain factor of a jet product must be one 2-D matrix, not shape {c.shape}")
+    return c

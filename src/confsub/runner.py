@@ -2,11 +2,11 @@
 
 The frame pass and the Kaehler test run once over all sample points, in
 groups of points that share a pass run (`SmoothMap.frame_pass`); the
-pass validates J along with the frames, at its fixed thresholds.  The
-structure rows are read off the groups, point by point in sample order, so
-the first failing point is reported, with the error a single-point run
-gives.  Each checker then runs once per group (`theorems._group_rows`), and
-its rows are put back in sample order.
+pass validates J along with the frames, at its fixed thresholds.  The first
+failing point in sample order is reported, with the error a single-point run
+gives.  The structure rows are read off the groups, each group's at once, in
+sample order; each checker then runs once per group
+(`theorems._group_rows`), and its rows are put back in sample order.
 
 Exit code contract: 0 success, 2 scene error (raised before a report exists:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
@@ -84,29 +84,22 @@ def run(
 
     # structure pass: one frame pass and Kaehler test for all points
     entries, groups = scene.fmap.frame_pass(sampled)
-    dims_seen = set()
-    for idx, (p, entry) in enumerate(zip(sampled, entries)):
-        point = tuple(float(x) for x in p)
+    for p, entry in zip(sampled, entries):  # the first failing point in sample order
         if isinstance(entry, (ExprDomainError, NumericalOverflowError)):
-            raise SceneError(f"{entry} at point {point}") from None
+            raise SceneError(f"{entry} at point {tuple(float(x) for x in p)}") from None
         if isinstance(entry, Exception):  # the point's own first error
             raise entry
-        group, k = entry
-        dims = kah = None
+    rows, dims_seen = [None] * len(entries), set()
+    for members, group in groups:  # each group's rows read at once
+        f, dims, kah = group.data, None, [None] * len(members)
         if use_j:
-            kah = float(group.kahler[2][k])
-            dims = group.dims
+            dims, kah = group.dims, group.kahler[2].tolist()
             dims_seen.add(dims)
-        report.structure.append(
-            StructureRow(
-                index=idx,
-                point=point,
-                lam=float(group.data.lam[k]),
-                dims=dims,
-                conformality_residual=float(group.data.conf_residual[k]),
-                kahler_residual=kah,
-            )
-        )
+        for q, point, lam, conf, k in zip(members.tolist(), group.points.tolist(), f.lam.tolist(),
+                                          f.conf_residual.tolist(), kah):
+            rows[q] = StructureRow(index=q, point=tuple(point), lam=lam, dims=dims,
+                                   conformality_residual=conf, kahler_residual=k)
+    report.structure = rows
     if use_j and len(dims_seen) > 1:
         raise StructureError(f"distribution dimensions vary across points: {sorted(dims_seen)}")
 

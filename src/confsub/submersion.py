@@ -25,7 +25,10 @@ leading: the connections, the Kaehler test, the second fundamental form
 `A[q, :, i, j]` from the projector jets, and for each frame family the
 covariant derivatives `nabla_{d_l}` of its rows and the pullback-connection
 derivatives of their images under dF.  Every contraction is a `matmul` with
-the point axis as its batch axis.  A structure-only run builds none of them.
+the point axis as its batch axis.  A structure-only run builds none of them,
+and no derivative of the frames, the projectors, G^-1 or the dilation either:
+the pass computes the values of each jet it builds, and a derivative is built
+when a table first reads it (`jets.ArrayJet.d`).
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
@@ -265,7 +268,8 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     projected seeds and P G P^T = L L^T with L lower triangular, so all their
     derivatives follow at once from the derivative of a Cholesky factor:
     dB = L^-1 dP - Phi(L^-1 dM L^-T) B with M = P G P^T, where Phi keeps the
-    lower triangle and halves the diagonal.
+    lower triangle and halves the diagonal.  Like every derivative of the
+    pass, dB is built on first read.
     """
     if against is not None and not against.v.shape[1]:
         against = None
@@ -285,12 +289,16 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     if m == 0:
         return ArrayJet(B[:, :0], np.zeros((N, dim, 0, dim)))
     B, Linv = np.take(B, kept, axis=1), np.take(np.take(Linv, kept, axis=1), kept, axis=2)
-    P = seeds if m == k else seeds.rows(kept)
-    if against is not None:
-        P = P - (P @ G @ against.T) @ against
-    dM = (P @ G @ P.T).d
-    X = (Linv[:, None] @ dM @ Linv.swapaxes(1, 2)[:, None]) * _half_lower(m)
-    return ArrayJet(B, Linv[:, None] @ P.d - X @ B[:, None])
+
+    def dB():
+        P = seeds if m == k else seeds.rows(kept)
+        if against is not None:
+            P = P - (P @ G @ against.T) @ against
+        dM = (P @ G @ P.T).d
+        X = (Linv[:, None] @ dM @ Linv.swapaxes(1, 2)[:, None]) * _half_lower(m)
+        return Linv[:, None] @ P.d - X @ B[:, None]
+
+    return ArrayJet(B, dB)
 
 
 def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
@@ -349,7 +357,8 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
             f"complex structure invalid at {at(q)}: "
             f"J^2 residual {jres[q, 0]:.3e}, compatibility residual {jres[q, 1]:.3e}"))
     inv = np.linalg.inv(G.v)
-    Ginv = ArrayJet(inv, -(inv[:, None] @ G.d @ inv[:, None]))  # d(G^-1) = -G^-1 dG G^-1
+    # the derivatives built here by hand are built on first read, from operands bound now
+    Ginv = ArrayJet(inv, lambda inv=inv, dG=G.d: -(inv[:, None] @ dG @ inv[:, None]))  # -G^-1 dG G^-1
 
     horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
     h = horizontal.v.shape[1]
@@ -363,7 +372,7 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
     FX = horizontal @ DF.T  # rows dF(X_a)
     gram = FX @ gN @ FX.T
     lsq = np.trace(gram.v, axis1=1, axis2=2) / n
-    lambda_sq = ArrayJet(lsq, np.trace(gram.d, axis1=2, axis2=3) / n)
+    lambda_sq = ArrayJet(lsq, lambda gram=gram: np.trace(gram.d, axis1=2, axis2=3) / n)
     fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
     conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
     fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
@@ -414,12 +423,12 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
             f"J(d1) residual {r_d1[q]:.3e}, J(d2) horizontality residual {r_d2[q]:.3e}"))
 
     frame = np.concatenate((vertical.v, horizontal.v), axis=1)
-    gram = frame @ G.v @ frame.swapaxes(1, 2)
-    off = np.abs(gram - np.eye(dim)) > tol.structural
+    ortho = frame @ G.v @ frame.swapaxes(1, 2)
+    off = np.abs(ortho - np.eye(dim)) > tol.structural
 
     def not_orthonormal(q):
         i, j = np.argwhere(off[q])[0]
-        return StructureError(f"frame not orthonormal at {at(q)}: gram[{i},{j}] = {gram[q, i, j]}")
+        return StructureError(f"frame not orthonormal at {at(q)}: gram[{i},{j}] = {ortho[q, i, j]}")
 
     fail(off.any(axis=(1, 2)), not_orthonormal)
     pushed = row_norms(vertical.v @ DF.v.swapaxes(1, 2), gN.v)

@@ -31,6 +31,7 @@ reported, labelled accordingly, and no agreement claim is made.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -153,9 +154,17 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(1, 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_index(m: int, strict: bool) -> tuple:
+    """Index of the entries [q, a, b] of m x m matrices with a < b (a <= b when not strict); shared."""
+    rows, cols = np.triu_indices(m, 1 if strict else 0)
+    rows.flags.writeable = cols.flags.writeable = False
+    return slice(None), rows, cols
+
+
 def _upper(x: np.ndarray, strict: bool = True) -> np.ndarray:
     """The entries x[q, a, b] with a < b (a <= b when not strict)."""
-    return x[(slice(None), *np.triu_indices(x.shape[1], 1 if strict else 0))]
+    return x[_upper_index(x.shape[1], strict)]
 
 
 def _stack(g: _Group, *names: str) -> np.ndarray:

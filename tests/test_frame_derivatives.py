@@ -8,18 +8,23 @@ checkers contract (second fundamental form, O'Neill's T and A, covariant and
 pullback derivatives of the frame families) are compared the same way: both
 sides of a checker read the same tables, so this oracle is what checks them
 independently.
+
+Derivatives are built on first read: a structure-only run must build none
+of the frame pass's, and a full check, which builds them outside the pass,
+must raise no floating-point error.
 """
 
 import numpy as np
 import pytest
 
+from confsub import runner
 from confsub.expr import parse
 from confsub.geometry import grid_jet
 from confsub.jets import ArrayJet
 from confsub.scenes import sample_points
 from confsub.submersion import _gram_schmidt
 
-from .conftest import SCENES_WITH_GENERIC as SCENES, fresh_scene
+from .conftest import ALL_SCENE_NAMES, SCENES_WITH_GENERIC as SCENES, fresh_scene
 from .fdtools import (
     NABLA_FAMILIES,
     PULLBACK_FAMILIES,
@@ -137,3 +142,54 @@ def test_gram_schmidt_derivatives_on_generic_input(rng):
         assert np.allclose(got @ Gq @ got.T, np.eye(3)) and np.allclose(got @ Gq @ against_q.T, 0.0)
         want = np.moveaxis(fd_jacobian(gs, p), -1, 0)
         assert np.max(np.abs(out.d[k] - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+def test_per_point_plain_factors_are_rejected(rng):
+    # 3 points of 3x3 jets: a stack C[q] of plain matrices broadcasts against
+    # d[q, l] over the wrong axes, and its derivative would be wrong without an error
+    j = ArrayJet(rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3, 3, 3)))
+    C = rng.normal(size=(3, 3, 3))
+    for product in (lambda: C @ j, lambda: j @ C):
+        with pytest.raises(ValueError, match="2-D"):
+            product()
+    # one matrix for every point is the constant factor it stands for
+    assert np.array_equal((C[0] @ j).d, C[0] @ j.d) and np.array_equal((j @ C[0]).d, j.d @ C[0])
+
+
+def test_derivatives_are_built_once(rng):
+    A, _ = _affine_jet(rng, (4, 3), 3)
+    B, _ = _affine_jet(rng, (3, 5), 3)
+    for jet in (A @ B, (A @ B).T, A.rows([2, 0]), A + A, A - A, -A, np.eye(2, 4) @ A, A @ np.eye(3)):
+        assert jet.d is jet.d
+    sc = fresh_scene("example33")
+    _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=4, seed=1))
+    for jet in (g.data.PD2, g.data.Ginv, g.data.lambda_sq, g.family("BH")):
+        assert jet.d is jet.d
+
+
+# every jet that the pass derives from its inputs: the frames, the projectors,
+# G^-1 and the square dilation
+DERIVED = ("vertical", "horizontal", "d1", "d2", "jd2", "mu",
+           "PV", "PH", "PD1", "PD2", "PJD2", "PMU", "Ginv", "lambda_sq")
+
+
+def test_structure_data_build_no_frame_derivative():
+    sc = fresh_scene("example33")
+    entries, groups = sc.fmap.frame_pass(sample_points(sc, count=16, seed=1))
+    assert len(entries) == 16 and groups
+    for _, g in groups:  # what a structure-only run reads
+        g.kahler, g.dims, g.data.lam, g.data.conf_residual
+        for name in DERIVED:
+            jet = getattr(g.data, name)
+            assert jet.v.size == 0 or callable(jet._d), f"{name} derivative built"
+        g.tensors  # a checker's table reads them
+        assert not callable(g.data.PV._d) and not callable(g.data.vertical._d)
+
+
+@pytest.mark.parametrize("name", ALL_SCENE_NAMES)
+def test_full_check_raises_no_floating_point_error(name):
+    # the derivatives are built by the checkers, after the pass and outside
+    # its suppressed floating-point errors
+    with np.errstate(all="raise"):
+        report = runner.run(fresh_scene(name))
+    assert report.reports and report.structure
