@@ -17,14 +17,16 @@ and the largest change of the dilation (relative), the conformality residual
 and the Kaehler residual over the structure rows.
 
 It also runs a fixed set of failing scenes (`FAILING`: maps that leave their
-domain or overflow at a sample point, source or target metrics that are not
-positive definite there, and a J that is not almost Hermitian) and a fixed set
-of malformed scenes (`MALFORMED`: edits of the linproj42 preset with an
-unknown key, a repeated key, or a `J =` shorthand mixed with entries), written
-to a temporary directory, through both trees, and prints the number of stderr
-changes and each differing pair of lines; their exit-code changes are printed
-and count with the others.  Last it prints the line totals of `confsub/*.py`
-in both trees.
+domain or overflow at a sample point, or whose checker residuals overflow
+there, or that hold a numeric literal that is not finite; source or target
+metrics that are not positive definite there; and a J that is not almost
+Hermitian) and a fixed set of malformed scenes (`MALFORMED`: edits of the
+linproj42 preset with an unknown key, a repeated key, or a `J =` shorthand
+mixed with entries), written to a temporary directory, through both trees,
+and prints the number of stderr changes and each differing pair of lines;
+every run ignores RuntimeWarnings, whose file and line differ between trees.
+Their exit-code changes are printed and count with the others.  Last it
+prints the line totals of `confsub/*.py` in both trees.
 Exits 1 on any verdict or exit-code change.
 """
 
@@ -75,6 +77,11 @@ FAILING = {
     # the canonical J scaled by 1/2, so J^2 = -I/4
     "half-j": (("x1", "x2"), "-1 1, -1 1, -1 1, -1 1",
                "dim = 4\nmetric = euclidean\nJ 1 2 = 0 - 0.5\nJ 2 1 = 0.5\nJ 3 4 = 0 - 0.5\nJ 4 3 = 0.5", PLANE),
+    # the conformal-surface bench scene scaled up: the pass stays finite, a checker residual does not
+    "report-row-overflow": (("(x1) * 5e153",), "-0.8 0.8, -0.8 0.8",
+                            "dim = 2\ng 1 1 = exp(2*x1)\ng 2 2 = exp(2*x1)\nJ = canonical", LINE),
+    # 1e999 reads as inf
+    "non-finite-literal": (("log(x1 - 1e999)",), "-1 1, -1 1", PLANE, LINE),
 }
 # name: (old, new), one edit of the linproj42 preset each; the scene reader
 # rejects every one: an unknown key, a key given twice in its section, or a
@@ -99,7 +106,8 @@ MALFORMED = {
 
 
 def check(src: str, *args: str) -> tuple[int, str, str]:
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    # numpy's RuntimeWarnings name each tree's file and line, which differ between trees
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONWARNINGS": "ignore::RuntimeWarning"}
     proc = subprocess.run([sys.executable, "-m", "confsub", "check", *args],
                           capture_output=True, text=True, env=env, cwd=REPO)
     return proc.returncode, proc.stdout, proc.stderr

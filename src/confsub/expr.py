@@ -7,7 +7,8 @@ chain rules propagate exact values and derivatives, so all downstream geometry
 is exact up to floating-point rounding.  Every operation acts on each point on
 its own, so a point's numbers do not depend on the other points of its stack,
 and a point that leaves the domain of a subexpression is reported through the
-``fail(bad, error)`` contract of the frame pass while the others go on.
+``fail(bad, error)`` contract of the frame pass, which drops the point and
+restarts on the others.
 
 Grammar (whitespace insignificant)::
 
@@ -17,7 +18,7 @@ Grammar (whitespace insignificant)::
     base   := number | ident | '(' expr ')' | func '(' expr ')'
     func   := sin | cos | exp | log | sqrt | neg
     ident  := 'x' digits          (x1-based; x3 is coordinate index 2)
-    number := decimal with optional exponent, unsigned
+    number := decimal with optional exponent, unsigned, finite as a double
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "eval_jet2",
     "jet_seeds",
     "raise_first",
-    "keep_first",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "neg")
@@ -233,6 +233,14 @@ class _Parser:
         tok = tok or self.peek()
         raise ExprParseError(message, tok.line, tok.col)
 
+    def number(self) -> float:
+        """The value of the numeric literal at the cursor, which must be finite."""
+        tok = self.advance()
+        value = float(tok.text)
+        if not math.isfinite(value):
+            self.fail(f"number {tok.text} out of range", tok)
+        return value
+
     def parse_expr(self) -> ScalarExpr:
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -254,15 +262,13 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "num":
                 self.fail("exponent must be a numeric literal")
-            self.advance()
-            node = Pow(node, float(tok.text))
+            node = Pow(node, self.number())
         return node
 
     def parse_base(self) -> ScalarExpr:
         tok = self.peek()
         if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
+            return Const(self.number())
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             node = self.parse_expr()
@@ -360,15 +366,6 @@ def raise_first(bad, error):
         raise error(int(bad[0]))
 
 
-def keep_first(errors: dict):
-    """The `fail` that goes on: each bad point q keeps its first error in `errors[q]`."""
-    def fail(bad, error):
-        for q in np.flatnonzero(bad).tolist():
-            if q not in errors:
-                errors[q] = error(q)
-    return fail
-
-
 def _chain(func: str, v: np.ndarray):
     """((f0, f1, f2), domain) of a function at the values v.
 
@@ -425,8 +422,10 @@ def evaluate(e: ScalarExpr, xs: list[Jet2], fail=raise_first) -> Jet2:
     `ExprDomainError` of point q, which names the innermost failing
     subexpression.  Subexpressions are visited in evaluation order, children
     first, so a point's first failure is the one a single-point evaluation
-    meets.  The default `fail` raises it; a `fail` that returns lets the other
-    points go on, and the numbers of a failed point mean nothing.
+    meets.  Every `fail` in `src` raises: the default raises the error of the
+    first bad point, and the frame pass's records each bad point's error and
+    restarts without them.  A `fail` that returns lets the other points go
+    on, and the numbers of a failed point mean nothing.
     """
     with np.errstate(all="ignore"):  # points outside a domain fail explicitly
         return _walk(e, xs, fail)

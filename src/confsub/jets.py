@@ -22,8 +22,6 @@ once, with the same operations as an eager product rule.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 __all__ = ["ArrayJet"]
@@ -55,12 +53,6 @@ class ArrayJet:
         """The jet of values `v[q, ...]` that do not vary."""
         v = np.asarray(v, dtype=float)
         return cls(v, np.zeros(v.shape[:1] + (dim,) + v.shape[1:]))
-
-    def __getitem__(self, idx) -> "ArrayJet":
-        """The jet at the points `idx`, a slice or an index array; it keeps the point axis."""
-        if isinstance(idx, numbers.Integral):
-            raise TypeError("an ArrayJet is indexed by a slice or an index array, not a single point")
-        return ArrayJet(self.v[idx], self.d[idx])
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""

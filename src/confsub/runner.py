@@ -8,10 +8,11 @@ gives.  The structure rows are read off the groups, each group's at once, in
 sample order; each checker then runs once per group
 (`theorems._group_rows`), and its rows are put back in sample order.
 
-Exit code contract: 0 success, 2 scene error (raised before a report exists:
+Exit code contract: 0 success, 2 scene error (raised in place of a report:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
 or a map, metric or complex structure that leaves its domain, or a value of
-the frame pass that overflows, at a sample point), 3 structural failure,
+the frame pass or a residual of a report row that is not finite, at a sample
+point), 3 structural failure,
 4 theorem disagreement, 5 hypothesis violations only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
@@ -19,6 +20,7 @@ side carries no claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from . import __version__
@@ -135,6 +137,11 @@ def run(
                 if gate_label is not None:
                     row = [_strip_verdict_b(r, gate_label) for r in row]
                 report.reports[row[0].name] = row
+        overflow = [(q, name) for name, row in report.reports.items() for q, r in enumerate(row)
+                    if not math.isfinite(r.residual_a) or not math.isfinite(r.residual_b or 0.0)]
+        if overflow:  # the first point in sample order, and its first row
+            q, name = min(overflow, key=lambda x: x[0])
+            raise SceneError(f"numerical overflow in {name} at point {report.structure[q].point}")
 
     if report.disagreements():
         report.exit_code = EXIT_DISAGREE

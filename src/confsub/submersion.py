@@ -4,14 +4,15 @@
 one batch and returns, per point, its entry: the group of points that share
 a pass run (`_Group`) and its position k there, or its own first error.  A
 point is addressed as `(group, k)`: every value and table of a group carries
-the point axis first, and index k is the point's.  The map, both metrics and
-J are evaluated once on jets of all the points (`expr.Jet2`), and one frame
-pass on first-order array jets (`jets.ArrayJet`: values `v[q, ...]`,
-derivatives `d[q, l, ...] = d_l v[q, ...]`) builds the metric, Jacobian,
+the point axis first, and index k is the point's.  One run of the frame pass
+evaluates the map, both metrics and J on jets of its points (`expr.Jet2`) and,
+on first-order array jets (`jets.ArrayJet`: values `v[q, ...]`,
+derivatives `d[q, l, ...] = d_l v[q, ...]`), builds the metric, Jacobian,
 orthonormal vertical/horizontal frames, the invariant/anti-invariant
 refinement of the vertical space, the dilation and all projectors; every
 drop and validation decision reads the values only, against the fixed
-thresholds of `config.Tolerances`.  Its first validations are finiteness,
+thresholds of `config.Tolerances`.  Its first validations are the domains
+of the expressions, then finiteness,
 the positive definiteness of the source metric at the point and of the
 target metric at the image point, and that J is almost Hermitian
 (J^2 = -I, g(JX, JY) = g(X, Y)), so nothing after them meets a metric that
@@ -55,7 +56,7 @@ from .errors import (
     NumericalOverflowError,
     StructureError,
 )
-from .expr import ScalarExpr, evaluate, jet_seeds, keep_first, raise_first
+from .expr import ScalarExpr, evaluate, jet_seeds, raise_first
 from .geometry import (
     ChartedManifold,
     _levi_civita,
@@ -95,21 +96,19 @@ class SmoothMap:
     def frame_pass(self, points) -> tuple[list, list]:
         """The frame pass over all the points at once: (per point its entry, (members, group) per group).
 
-        The expressions are evaluated on jets of every point and the frame
-        pass runs on the points that evaluated.  A point that fails records
-        its first error, in pipeline order, and leaves the batch; points whose
-        Gram-Schmidt drops differ go on in separate groups.  Either way the
-        pass restarts on the remaining points, which repeats their numbers bit
-        for bit: every operation acts on each point on its own.  A point's
-        entry is its group (`_Group`) and position k there, or its error;
-        `members` are the indices of a group's points, in order.
+        Each run of the pass evaluates its own inputs, the map, both metrics
+        and J, on jets of its points (`_run_pipeline`).  A point that fails
+        there, from a subexpression outside its domain to a map that is not
+        conformal, records its first error, in pipeline order, and leaves the
+        batch; points whose Gram-Schmidt drops differ go on in separate
+        groups.  Either way the pass restarts on the remaining points, which
+        repeats their numbers bit for bit: every operation acts on each point
+        on its own.  A point's entry is its group (`_Group`) and position k
+        there, or its error; `members` are the indices of a group's points,
+        in order.
         """
-        if not len(points):
-            return [], []
-        points, errors = np.array(points, dtype=float), {}
-        inputs = _input_jets(self, points, keep_first(errors))
-        alive = np.array([q for q in range(len(points)) if q not in errors], dtype=int)
-        groups, pending = [], [alive] if len(alive) else []
+        points, errors, groups = np.array(points, dtype=float), {}, []
+        pending = [np.arange(len(points))] if len(points) else []
         with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
             while pending:
                 idx = pending.pop()
@@ -122,7 +121,7 @@ class SmoothMap:
                     raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
                 try:
-                    res = _run_pipeline(*(None if x is None else x[idx] for x in inputs), points[idx], fail)
+                    res = _run_pipeline(self, points[idx], fail)
                 except _Regroup as split:
                     pending += [idx[g] for g in split.groups if len(g)]
                 else:
@@ -198,7 +197,6 @@ class _PipelineResult:
     j_residuals: np.ndarray | None  # [q] = (|J^2 + I|, compatibility), validated by the pass
     gN: ArrayJet  # target metric at the image point, as a function on the source
     gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
-    image: np.ndarray  # the image points F(p)
     vertical: ArrayJet
     horizontal: ArrayJet
     d1: ArrayJet | None
@@ -311,12 +309,20 @@ def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
 
 
-def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
-    """(G, DF, J, gT, image) at stacked points.
+def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
+    """The frame pass on array jets at stacked points; every decision reads values only.
 
-    Evaluated in the order map, target metric, J, source metric, which is the
-    order in which a point's first error is found.
+    The pass evaluates its own inputs on jets of the points: the map, the
+    target metric at the image points, J and the source metric, in that
+    order.  Each validation, from a subexpression outside its domain on,
+    calls `fail(bad, error)` with a mask over the points and the error
+    `error(q)` of a failing point q, in pipeline order.  After the
+    evaluation, the first ones reject non-finite inputs, then a source metric
+    (at the point) or a target metric (at the image point) that is not
+    positive definite, then a J that is not almost Hermitian.
     """
+    tol = Tolerances  # the fixed thresholds
+    at = lambda q: tuple(float(x) for x in points[q])
     src, seeds = fmap.source, jet_seeds(points)
     comps = [evaluate(c, seeds, fail) for c in fmap.components]
     image = np.stack([c.value for c in comps], axis=1)
@@ -325,21 +331,6 @@ def _input_jets(fmap: SmoothMap, points: np.ndarray, fail):
     gT = grid_jet(fmap.target.metric, image, fail)
     J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
     G = grid_jet(src.metric, points, fail)
-    return G, DF, J, gT, image
-
-
-def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, image: np.ndarray,
-                  points: np.ndarray, fail) -> _PipelineResult:
-    """The frame pass on array jets; every decision reads values only.
-
-    Each validation calls `fail(bad, error)` with a mask over the points and
-    the error `error(q)` of a failing point q, in pipeline order.  The first
-    ones reject non-finite inputs, then a source metric (at the point) or a
-    target metric (at the image point) that is not positive definite, then
-    a J that is not almost Hermitian.
-    """
-    tol = Tolerances  # the fixed thresholds
-    at = lambda q: tuple(float(x) for x in points[q])
     N, n, dim = DF.v.shape
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
     gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n))
@@ -444,7 +435,6 @@ def _run_pipeline(G: ArrayJet, DF: ArrayJet, J: ArrayJet | None, gT: ArrayJet, i
         j_residuals=jres,
         gN=gN,
         gT=gT,
-        image=image,
         vertical=vertical,
         horizontal=horizontal,
         d1=d1,

@@ -48,6 +48,8 @@ def _at(x, k):
     """Point k of a group's array, jet, or dataclass of them, keeping the point axis (None stays None)."""
     if is_dataclass(x):
         return [_at(getattr(x, f.name), k) for f in fields(x)]
+    if isinstance(x, ArrayJet):
+        return ArrayJet(x.v[[k]], x.d[[k]])
     return None if x is None else x[[k]]
 
 
@@ -274,3 +276,42 @@ def test_overflowing_point_leaves_the_batch():
         assert type(entries[1]) is NumericalOverflowError and "Gram-Schmidt squared norm" in str(entries[1])
         for q in (0, 2):
             assert_entries_equal(entries[q], entry(sc.fmap, points[q]), sc.fmap, sc.tolerances)
+
+
+# J = cos(t) I + sin(t) K with t = (pi/2) x1, where I is the canonical J and K
+# anticommutes with it: the kernel of F = (x1, x2) is J-invariant at x1 = 0 and
+# anti-invariant at x1 = 1
+_C, _S = "cos(1.5707963267948966*x1)", "sin(1.5707963267948966*x1)"
+ROTATING_J = f"""
+name = rotating-j
+[source]
+dim = 4
+metric = euclidean
+J 2 1 = {_C}
+J 3 1 = {_S}
+J 1 2 = neg({_C})
+J 4 2 = neg({_S})
+J 4 3 = {_C}
+J 1 3 = neg({_S})
+J 3 4 = neg({_C})
+J 2 4 = {_S}
+[target]
+dim = 2
+metric = euclidean
+[map]
+F 1 = x1
+F 2 = x2
+[sampling]
+box = -1 1, -1 1, -1 1, -1 1
+"""
+
+
+def test_runner_rejects_dimensions_that_vary_across_points(monkeypatch):
+    sc = load_scene_text(ROTATING_J)
+    points = [np.array(p) for p in ((0.0, 0.1, 0.2, 0.3), (1.0, 0.1, 0.2, 0.3))]
+    entries, _ = sc.fmap.frame_pass(points)
+    assert [g.dims for g, _ in entries] == [(2, 0, 0, 2), (0, 2, 2, 0)]
+    monkeypatch.setattr(runner, "sample_points", lambda scene, count, seed: points)
+    with pytest.raises(StructureError, match=r"^distribution dimensions vary across points: "
+                                             r"\[\(0, 2, 2, 0\), \(2, 0, 0, 2\)\]$"):
+        runner.run(sc)

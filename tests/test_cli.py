@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import re
 import subprocess
 import sys
 
@@ -311,6 +312,78 @@ def test_frame_pass_overflow_exit_code(tmp_path):
     lines = err.strip().splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith("scene error: numerical overflow") and "at point (" in lines[0]
+
+
+def test_report_row_overflow_exit_code(tmp_path):
+    # the pass stays finite, but a derivative a checker builds later overflows
+    # and its row reads ra = inf at the first sample point: a scene error
+    text = (REPO / "bench" / "scenes" / "conformal-surface.txt").read_text().replace(
+        "F 1 = x1\n", "F 1 = (x1) * 5e153\n")
+    f = tmp_path / "overflow.scene"
+    f.write_text(text)
+    code, _, err = run_cli("check", str(f), "--points", "4", "--seed", "1")
+    assert code == 2
+    first = tuple(float(x) for x in sample_points(load_scene_text(text), count=4, seed=1)[0])
+    # numpy's RuntimeWarnings from the checkers stay on stderr
+    assert [line for line in err.splitlines() if line.startswith("scene error:")] == [
+        f"scene error: numerical overflow in jd2_mu_totally_geodesic at point {first}"]
+    assert "Traceback" not in err
+
+
+TOY = """name = toy
+[source]
+dim = 2
+metric = euclidean
+[target]
+dim = 1
+metric = euclidean
+[map]
+F 1 = x1 + x2
+[sampling]
+box = -1 1, -1 1
+count = 4
+seed = 1
+"""
+EUCLIDEAN_PLANE = "dim = 2\nmetric = euclidean"
+# (old, new) edit of TOY, None for a file that cannot be read, and the message of its scene error
+SCENE_ERRORS = {
+    "interval-form": (("box = -1 1, -1 1", "box = -1 1, -1"), "line 11: interval must be 'lo hi', got '-1'"),
+    "empty-interval": (("box = -1 1, -1 1", "box = -1 1, 1 1"), "line 11: empty interval '1 1'"),
+    "exclude-form": (("seed = 1", "seed = 1\nexclude = x1 near 0"),
+                     r"line 14: exclusion must be 'x<i> mod\|eq <value>', got 'x1 near 0'"),
+    "exclude-name": (("seed = 1", "seed = 1\nexclude = y1 eq 0"), "line 14: bad coordinate 'y1' in exclusion"),
+    "exclude-range": (("seed = 1", "seed = 1\nexclude = x3 eq 0"), "line 14: exclusion coordinate x3 out of range"),
+    "exclude-value": (("seed = 1", "seed = 1\nexclude = x1 eq zero"),
+                      "line 14: exclusion value must be a number, got 'zero'"),
+    "exclude-modulus": (("seed = 1", "seed = 1\nexclude = x1 mod 0"), "line 14: modulus must be positive"),
+    "metric-shorthand": ((EUCLIDEAN_PLANE, "dim = 2\nmetric = flat"), "line 4: unknown metric shorthand 'flat'"),
+    "j-shorthand": ((EUCLIDEAN_PLANE, EUCLIDEAN_PLANE + "\nJ = holomorphic"),
+                    "line 5: unknown J shorthand 'holomorphic'"),
+    "entry-index": ((EUCLIDEAN_PLANE, "dim = 2\ng 1 1 = 1\ng 3 3 = 1"),
+                    r"line 5: entry index \(3,3\) out of range for dim 2"),
+    "component-index": (("F 1 = x1 + x2", "F 2 = x1 + x2"), "line 9: component index 2 out of range for target dim 1"),
+    "component-count": (("[target]\ndim = 1", "[target]\ndim = 2"), r"\[map\] needs 2 components, got 1"),
+    "missing-dim": ((EUCLIDEAN_PLANE, "metric = euclidean"), r"missing 'dim' in \[source\]"),
+    "boolean": (("name = toy", "name = toy\nmachinery_only = maybe"), "line 2: expected a boolean, got 'maybe'"),
+    "unreadable": (None, r"cannot read scene file: \[Errno 2\] No such file or directory: '.*missing\.scene'"),
+    "sampling-exhausted": (("seed = 1", "seed = 1\nexclude = x1 mod 0.001"),
+                           "sampling exhausted for scene 'toy': excluded loci reject too many points"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_ERRORS))
+def test_scene_errors_exit_2_with_their_message(tmp_path, name):
+    edit, message = SCENE_ERRORS[name]
+    f = tmp_path / "missing.scene"
+    if edit is not None:
+        f.write_text(TOY.replace(*edit, 1))
+        assert f.read_text() != TOY
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(f)])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and re.fullmatch(f"scene error: {message}", lines[0]), lines
 
 
 # the target metric's eigenvalue ratio is 1e-13, and the second component is

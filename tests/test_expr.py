@@ -17,7 +17,6 @@ from confsub.expr import (
     eval_jet2,
     evaluate,
     jet_seeds,
-    keep_first,
     parse,
     to_string,
 )
@@ -43,6 +42,13 @@ def test_parse_precedence():
     assert parse("x1 - x2 - x3", 3) == BinOp("-", BinOp("-", Var(0), Var(1)), Var(2))
     assert parse("x1^2", 1) == Pow(Var(0), 2.0)
     assert parse("2*x1^2", 1) == BinOp("*", Const(2.0), Pow(Var(0), 2.0))
+
+
+@pytest.mark.parametrize("text,col", [("log(x1 - 1e999)", 10), ("exp(x1 * 1e999)", 10), ("x1^1e999", 4)])
+def test_literals_that_are_not_finite_are_rejected_at_their_column(text, col):
+    # 1e999 reads as inf: a constant or an exponent must be a finite double
+    with pytest.raises(ExprParseError, match=rf"^number 1e999 out of range \(line 1, column {col}\)$"):
+        parse(text, 1)
 
 
 @pytest.mark.parametrize("text,dim,pos", MALFORMED)
@@ -107,7 +113,12 @@ MIXED_POINTS = [(2.0, 0.5), (-1.0, 0.3), (0.5, 0.7), (1.0, 2.0), (0.0, 1.0), (3.
 def test_batched_failures_match_the_batch_of_one(text):
     e = parse(text, 2)
     errors = {}
-    batch = evaluate(e, jet_seeds(MIXED_POINTS), keep_first(errors))
+
+    def record(bad, error):  # a fail that goes on: each bad point keeps its first error
+        for q in np.flatnonzero(bad).tolist():
+            errors.setdefault(q, error(q))
+
+    batch = evaluate(e, jet_seeds(MIXED_POINTS), record)
     for q, p in enumerate(MIXED_POINTS):
         try:
             single = eval_jet2(e, [p])

@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from confsub import runner
-from confsub.expr import parse
-from confsub.geometry import grid_jet
 from confsub.jets import ArrayJet
 from confsub.scenes import sample_points
 from confsub.submersion import _gram_schmidt
@@ -95,21 +93,6 @@ def test_array_jet_products_match_finite_differences(rng):
         assert np.allclose(jet.v[0], f(p))
         want = np.moveaxis(fd_jacobian(f, p), -1, 0)
         assert np.max(np.abs(jet.d[0] - want)) < 1e-8 * max(1.0, np.max(np.abs(want)))
-
-
-def test_sliced_jets_keep_the_point_axis(rng):
-    # 3 points of 3x3 matrices: with as many points as rows, a slice that lost
-    # its point axis would broadcast into wrong derivatives without an error
-    c = rng.uniform(0.1, 1.0, size=(3, 3, 3))
-    grid = [[parse(f"{a}*x1*x2 + {b}*x3 + {e}*x1*x3", 3) for a, b, e in row] for row in c]
-    j = grid_jet(grid, rng.uniform(-1.0, 1.0, size=(3, 3)))
-    assert np.array_equal((j[0:3] @ j[0:3]).d, (j @ j).d)
-    for idx in (slice(1, 3), np.array([2, 0])):
-        part = j[idx]
-        assert part.v.shape == (2, 3, 3) and part.d.shape == (2, 3, 3, 3)
-        assert np.array_equal((part @ part).d, (j @ j).d[idx])
-    with pytest.raises(TypeError):
-        j[1]
 
 
 def test_gram_schmidt_derivatives_on_generic_input(rng):

@@ -57,6 +57,7 @@ def mutated_scenes(draw):
 @given(text=mutated_scenes())
 @example(text=_overflow_scene("exp(2000*x1)", "0.5 1, -1 1"))
 @example(text=_overflow_scene("x1^1000", "3 4, -1 1"))
+@example(text=_overflow_scene("log(x1 - 1e999)", "-1 1, -1 1"))
 @settings(max_examples=60, deadline=None)
 def test_mutated_scene_exits_with_documented_code(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "scene.txt"
