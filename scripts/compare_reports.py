@@ -9,9 +9,10 @@ the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, once with
 the scene's own point count and once with `--structure-only --points 128`.
 Prints how many canonical reports are byte-identical.  Each report is parsed
 with `confsub.report.from_canonical` (from CHANGE_SRC), and rows are compared
-by position.  Prints the number of verdict changes (the point of a row,
-verdict_a, verdict_b, agreement, vacuity, labels, skipped checkers, Kaehler
-flag, and the points and dims of the structure rows) and exit-code changes,
+by position; row k of a checker is at the point of structure row k.  Prints
+the number of verdict changes (verdict_a, verdict_b, agreement, vacuity,
+labels, skipped checkers, Kaehler flag, and the points and dims of the
+structure rows) and exit-code changes,
 the largest residual change per row name in units of the theorem tolerance,
 and the largest change of the dilation (relative), the conformality residual
 and the Kaehler residual over the structure rows.
@@ -21,9 +22,11 @@ domain or overflow at a sample point, or whose checker residuals overflow
 there, or that hold a numeric literal that is not finite; source or target
 metrics that are not positive definite there; and a J that is not almost
 Hermitian) and a fixed set of malformed scenes (`MALFORMED`: edits of the
-linproj42 preset with an unknown key, a repeated key, or a `J =` shorthand
-mixed with entries), written to a temporary directory, through both trees,
-and prints the number of stderr changes and each differing pair of lines;
+linproj42 preset with an unknown key, a repeated key, a `J =` shorthand
+mixed with entries, a box interval whose width is not finite, or an
+exclusion value that is not finite), written to a temporary directory,
+through both trees, and prints the number of stderr changes and each
+differing pair of lines;
 every run ignores RuntimeWarnings, whose file and line differ between trees.
 Their exit-code changes are printed and count with the others.  Last it
 prints the line totals of `confsub/*.py` in both trees.
@@ -84,8 +87,9 @@ FAILING = {
     "non-finite-literal": (("log(x1 - 1e999)",), "-1 1, -1 1", PLANE, LINE),
 }
 # name: (old, new), one edit of the linproj42 preset each; the scene reader
-# rejects every one: an unknown key, a key given twice in its section, or a
-# `J =` shorthand together with `J i j` entries
+# rejects every one: an unknown key, a key given twice in its section, a
+# `J =` shorthand together with `J i j` entries, a box interval with an
+# infinite bound or a width that overflows, or an infinite modulus
 MALFORMED = {
     "unknown-top-level-key": ("name = linproj42", "name = linproj42\nfoo = 1"),
     "unknown-sampling-key": ("seed = 7", "seed = 7\nfoo = 3"),
@@ -102,6 +106,9 @@ MALFORMED = {
     "j-canonical-then-none": ("J = canonical", "J = canonical\nJ = none"),
     "j-canonical-with-entries": ("J = canonical", "J = canonical\nJ 1 2 = 5"),
     "j-none-with-entries": ("J = canonical", "J = none\nJ 1 2 = 0 - 1\nJ 2 1 = 1\nJ 3 4 = 0 - 1\nJ 4 3 = 1"),
+    "infinite-box": ("box = -1 1,", "box = -inf inf,"),
+    "overflowing-box": ("box = -1 1,", "box = -1e308 1e308,"),
+    "infinite-modulus": ("seed = 7", "seed = 7\nexclude = x1 mod inf"),
 }
 
 
@@ -156,7 +163,7 @@ def head(report) -> tuple:
 
 
 def verdict_key(r) -> tuple:
-    return (r.point, r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
+    return (r.verdict_a, r.verdict_b, r.agree, r.vacuous, r.label, r.residual_b is None)
 
 
 def structure_changes(a, b) -> dict[str, float]:
@@ -207,11 +214,11 @@ def main(argv: list[str]) -> int:
                 moved[key] = max(moved[key], gap)
             tol = rp.theorem_tolerance
             for name, reps in rp.reports.items():
-                for a, b in zip(reps, rc.reports[name], strict=True):
+                for k, (a, b) in enumerate(zip(reps, rc.reports[name], strict=True)):
                     rows += 1
                     if verdict_key(a) != verdict_key(b):
                         verdict_changes += 1
-                        print(f"verdict change: {name} at {a.point} ({label}): "
+                        print(f"verdict change: {name} at {rp.structure[k].point} ({label}): "
                               f"{verdict_key(a)} -> {verdict_key(b)}")
                     gap = abs(a.residual_a - b.residual_a)
                     if a.residual_b is not None and b.residual_b is not None:

@@ -97,9 +97,9 @@ def main(argv=None) -> int:
         sys.stdout.write(to_canonical(report))
     else:
         sys.stdout.write(render_table(report))
-        for r in report.disagreements():
+        for k, r in report.disagreements():
             print(
-                f"disagreement: {r.name} at {r.point}: "
+                f"disagreement: {r.name} at {report.structure[k].point}: "
                 f"ra={r.residual_a:.3e} ({r.verdict_a}) vs rb={r.residual_b:.3e} ({r.verdict_b})",
                 file=sys.stderr,
             )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
 from .jets import ArrayJet
@@ -48,12 +47,13 @@ class ExcludedLocus:
     coord: int  # 0-based
     value: float
 
-    def distance(self, p) -> float:
-        x = float(p[self.coord])
+    def distance(self, p) -> np.ndarray:
+        """The distance of each point p[..., :] to the locus along its coordinate."""
+        x = np.asarray(p, dtype=float)[..., self.coord]
         if self.kind == "eq":
-            return abs(x - self.value)
+            return np.abs(x - self.value)
         half = self.value / 2.0
-        return abs(((x + half) % self.value) - half)
+        return np.abs(((x + half) % self.value) - half)  # numpy's float % follows Python's sign rule
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,6 @@ class ChartedManifold:
                 raise ValueError("complex structure grid must be dim x dim")
         if self.box is not None and len(self.box) != self.dim:
             raise ValueError("box must have one interval per coordinate")
-
-    def contains(self, p) -> bool:
-        if self.box is not None:
-            for x, (lo, hi) in zip(p, self.box):
-                if not (lo <= x <= hi):
-                    return False
-        return all(loc.distance(p) >= Tolerances.exclusion_distance for loc in self.excluded)
 
 
 def euclidean_metric(dim: int) -> tuple[tuple[ScalarExpr, ...], ...]:

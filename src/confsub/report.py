@@ -6,7 +6,9 @@ shortest round-trip float repr, so identical runs serialize byte-identically
 and `from_canonical(to_canonical(r))` reproduces the report exactly; it
 accepts only text that `to_canonical` writes, so a checker row whose verdicts
 do not follow from its residuals, or an aggregate that does not follow from
-the rows, is an error at its line.
+the rows, is an error at its line.  Row k of every checker section is at the
+point of structure row k, so a section with one row too many or too few is
+an error at its header.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ class RunReport:
             CheckerAggregate.from_reports(name, reps) for name, reps in self.reports.items()
         ]
 
-    def disagreements(self) -> list[ConditionReport]:
+    def disagreements(self) -> list[tuple[int, ConditionReport]]:
+        """(k, report) for each non-vacuous row whose sides disagree; k is its structure row."""
         return [
-            r
+            (k, r)
             for reps in self.reports.values()
-            for r in reps
+            for k, r in enumerate(reps)
             if not (r.agree or r.vacuous)
         ]
 
@@ -105,14 +108,8 @@ def _ppoint(raw: str) -> tuple[float, ...]:
 
 
 def to_canonical(report: RunReport) -> str:
-    texts: dict[tuple[float, ...], str] = {}  # each point is formatted once per call
-
-    def fpoint(point: tuple[float, ...]) -> str:
-        text = texts.get(point)
-        if text is None:
-            text = texts[point] = ",".join(repr(float(x)) for x in point)
-        return text
-
+    """The canonical text of `report`; row k of each checker is written with the point of structure row k."""
+    points = [",".join(repr(float(x)) for x in row.point) for row in report.structure]
     lines = [
         "confsub-report = 1",
         f"scene = {report.scene}",
@@ -125,13 +122,13 @@ def to_canonical(report: RunReport) -> str:
         f"exit = {report.exit_code}",
     ]
     lines.append("[structure]")
-    for row in report.structure:
+    for row, point in zip(report.structure, points):
         dims = "-" if row.dims is None else ",".join(str(d) for d in row.dims)
         lines.append(
             _SEP.join(
                 [
                     str(row.index),
-                    f"point={fpoint(row.point)}",
+                    f"point={point}",
                     f"lambda={_fnum(row.lam)}",
                     f"dims={dims}",
                     f"conformality={_fnum(row.conformality_residual)}",
@@ -141,13 +138,13 @@ def to_canonical(report: RunReport) -> str:
         )
     for name in report.reports:
         lines.append(f"[checker {name}]")
-        for i, r in enumerate(report.reports[name]):
+        for i, (r, point) in enumerate(zip(report.reports[name], points, strict=True)):
             assert _SEP not in r.label, "labels must not contain the field separator"
             lines.append(
                 _SEP.join(
                     [
                         str(i),
-                        f"point={fpoint(r.point)}",
+                        f"point={point}",
                         f"ra={_fnum(r.residual_a)}",
                         f"rb={_fnum(r.residual_b)}",
                         f"va={r.verdict_a}",
@@ -240,7 +237,6 @@ def from_canonical(text: str) -> RunReport:
                 fields = line.split(_SEP)
                 r = ConditionReport(
                     name=checker,
-                    point=_ppoint(_take(fields[1], "point")),
                     residual_a=float(_take(fields[2], "ra")),
                     residual_b=_pnum(_take(fields[3], "rb")),
                     vacuous=bool(int(_take(fields[7], "vacuous"))),
@@ -262,6 +258,11 @@ def from_canonical(text: str) -> RunReport:
         raise ValueError(f"line {i + 1}: too few fields in {lines[i]!r}") from None
     except ValueError as err:
         raise ValueError(f"line {i + 1}: {err}") from None
+    for name, rows in report.reports.items():
+        if len(rows) != len(report.structure):
+            header = f"[checker {name}]"
+            raise ValueError(f"line {lines.index(header) + 1}: {header} has {len(rows)} rows, "
+                             f"one per structure row needs {len(report.structure)}")
     written = to_canonical(report).splitlines()
     for n, (got, want) in enumerate(zip_longest(lines, written), start=1):
         if got != want:

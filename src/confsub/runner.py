@@ -6,13 +6,14 @@ pass validates J along with the frames, at its fixed thresholds.  The first
 failing point in sample order is reported, with the error a single-point run
 gives.  The structure rows are read off the groups, each group's at once, in
 sample order; each checker then runs once per group
-(`theorems._group_rows`), and its rows are put back in sample order.
+(`theorems._group_rows`), and its rows are put back in sample order, so
+report k of every row is at the point of structure row k.
 
 Exit code contract: 0 success, 2 scene error (raised in place of a report:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
-or a map, metric or complex structure that leaves its domain, or a value of
-the frame pass or a residual of a report row that is not finite, at a sample
-point), 3 structural failure,
+an unknown checker name in `only`, or a map, metric or complex structure
+that leaves its domain, or a value of the frame pass or a residual of a
+report row that is not finite, at a sample point), 3 structural failure,
 4 theorem disagreement, 5 hypothesis violations only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
@@ -25,7 +26,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import Tolerances
-from .errors import EngineError, NumericalOverflowError, SceneError, StructureError
+from .errors import NumericalOverflowError, SceneError, StructureError
 from .expr import ExprDomainError
 from .report import RunReport, StructureRow
 from .scenes import Scene, sample_points
@@ -69,6 +70,9 @@ def run(
     hypothesis_ok: bool = False,
 ) -> RunReport:
     tol = tol if tol is not None else scene.tolerances
+    unknown = [n for n in only or () if n not in CHECKERS]
+    if unknown:
+        raise SceneError(f"unknown checkers: {', '.join(unknown)}")
     count = scene.count if points is None else int(points)
     the_seed = scene.seed if seed is None else int(seed)
     sampled = sample_points(scene, count=count, seed=the_seed)
@@ -119,13 +123,7 @@ def run(
             )
 
     if not structure_only:
-        names = list(CHECKERS)
-        if only:
-            unknown = [n for n in only if n not in CHECKERS]
-            if unknown:
-                raise EngineError(f"unknown checkers: {', '.join(unknown)}")
-            names = [n for n in names if n in only]
-        for name in names:
+        for name in [n for n in CHECKERS if not only or n in only]:
             spec = CHECKERS[name]
             if not use_j and spec.needs_j:
                 report.skipped.append((name, "no complex structure"))

@@ -185,6 +185,8 @@ def _parse_box(raw: str, dim: int):
             lo, hi = float(nums[0]), float(nums[1])
         except ValueError:
             raise ValueError(f"interval bounds must be numbers, got {part!r}") from None
+        if not math.isfinite(hi - lo):  # an infinite or NaN bound, or a width that overflows
+            raise ValueError(f"interval width must be finite, got {part!r}")
         if not lo < hi:
             raise ValueError(f"empty interval {part!r}")
         box.append((lo, hi))
@@ -205,6 +207,8 @@ def _parse_exclusion(raw: str, dim: int) -> ExcludedLocus:
         value = float(parts[2])
     except ValueError:
         raise ValueError(f"exclusion value must be a number, got {parts[2]!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"exclusion value must be finite, got {parts[2]!r}")
     if parts[1] == "mod" and value <= 0:
         raise ValueError("modulus must be positive")
     return ExcludedLocus(parts[1], coord - 1, value)
@@ -308,7 +312,7 @@ def load_scene(path: str) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SceneError(f"cannot read scene file: {err}") from None
     name_hint = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return load_scene_text(text, name_hint=name_hint)
@@ -491,8 +495,12 @@ class ScrambledHalton:
         return out
 
 
-def sample_points(scene: Scene, count: int | None = None, seed: int | None = None) -> list[np.ndarray]:
-    """Scrambled Halton points in the box, away from excluded loci."""
+def sample_points(scene: Scene, count: int | None = None, seed: int | None = None) -> np.ndarray:
+    """Scrambled Halton points in the box, away from excluded loci, as one (count, dim) float array.
+
+    The sequence is drawn in batches, and the points of a batch that keep
+    their distance from every excluded locus are kept, in the order drawn.
+    """
     count = scene.count if count is None else int(count)
     seed = scene.seed if seed is None else int(seed)
     if count < 1:
@@ -502,22 +510,16 @@ def sample_points(scene: Scene, count: int | None = None, seed: int | None = Non
     src = scene.source
     if src.box is None:
         raise SceneError(f"scene {scene.name!r} has no sampling box")
-    lo = np.array([b[0] for b in src.box])
-    hi = np.array([b[1] for b in src.box])
+    lo, hi = np.array(src.box).T
     sampler = ScrambledHalton(src.dim, seed)
     margin = scene.tolerances.exclusion_distance
-    points: list[np.ndarray] = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 200:
-            raise SceneError(
-                f"sampling exhausted for scene {scene.name!r}: excluded loci reject too many points"
-            )
-        batch = sampler.random(max(count, 16))
-        for row in lo + batch * (hi - lo):
-            if all(loc.distance(row) >= margin for loc in src.excluded):
-                points.append(np.array(row, dtype=float))
-                if len(points) == count:
-                    break
-    return points
+    points = np.empty((0, src.dim))
+    for _ in range(200):
+        batch = lo + sampler.random(max(count, 16)) * (hi - lo)
+        keep = np.ones(len(batch), dtype=bool)
+        for loc in src.excluded:
+            keep &= loc.distance(batch) >= margin
+        points = np.concatenate([points, batch[keep]])
+        if len(points) >= count:
+            return points[:count]
+    raise SceneError(f"sampling exhausted for scene {scene.name!r}: excluded loci reject too many points")

@@ -107,7 +107,7 @@ class SmoothMap:
         there, or its error; `members` are the indices of a group's points,
         in order.
         """
-        points, errors, groups = np.array(points, dtype=float), {}, []
+        points, errors, groups = np.asarray(points, dtype=float), {}, []
         pending = [np.arange(len(points))] if len(points) else []
         with np.errstate(all="ignore"):  # non-finite values fail their point explicitly
             while pending:

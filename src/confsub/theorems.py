@@ -85,11 +85,12 @@ class ConditionReport:
     """The two residuals of a checker row at one point; the verdicts follow from them and `tolerance`.
 
     Side b withheld (`residual_b` None) reads inconclusive, and the sides
-    agree unless one holds and the other fails.
+    agree unless one holds and the other fails.  The point is named by
+    position: the k-th report of a row belongs to the k-th point of its
+    group, and in a `RunReport` to structure row k.
     """
 
     name: str
-    point: tuple[float, ...]
     residual_a: float
     residual_b: float | None
     tolerance: float
@@ -129,8 +130,8 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     if unmet is not None:
         rb = [None if u else b for u, b in zip(unmet.tolist(), rb)]
         labels = [label if u else "" for u in unmet.tolist()]
-    return [ConditionReport(name, tuple(p), a, b, tol, vacuous, lab)
-            for p, a, b, lab in zip(g.points.tolist(), np.broadcast_to(ra, n).tolist(), rb, labels)]
+    return [ConditionReport(name, a, b, tol, vacuous, lab)
+            for a, b, lab in zip(np.broadcast_to(ra, n).tolist(), rb, labels)]
 
 
 def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:

@@ -105,9 +105,11 @@ def test_only_filter():
 
 
 def test_only_unknown_checker():
-    code, _, err = run_cli("check", "linproj42", "--only", "bogus")
-    assert code == 3
-    assert "unknown checkers" in err
+    # a misspelt name is a usage error, found before any point is sampled, with or without checkers
+    for mode in ((), ("--structure-only",)):
+        code, out, err = run_cli("check", "linproj42", "--only", "bogus,tension_formula,nope", *mode)
+        assert (code, out) == (2, ""), mode
+        assert err.splitlines() == ["scene error: unknown checkers: bogus, nope"], mode
 
 
 def test_structure_only():
@@ -173,6 +175,16 @@ def test_canonical_short_row_names_its_line(sample_report):
         from_canonical("\n".join(lines) + "\n")
 
 
+def test_canonical_checker_rows_must_match_the_structure_rows(sample_report):
+    # row k of a checker is at the point of structure row k: a row too few or too many is an error
+    lines = to_canonical(sample_report).splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("[checker "))
+    for edited, rows in ((lines[:n + 2] + lines[n + 3:], 3), (lines[:n + 2] + lines[n + 1:], 5)):
+        with pytest.raises(ValueError, match=rf"^line {n + 1}: \{lines[n]} has {rows} rows, "
+                                             r"one per structure row needs 4$"):
+            from_canonical("\n".join(edited) + "\n")
+
+
 def test_canonical_aggregates_must_follow_from_the_rows(sample_report):
     lines = to_canonical(sample_report).splitlines()
     n = lines.index("[aggregates]") + 1
@@ -234,12 +246,11 @@ def test_disagreement_exit_code(monkeypatch, capsys):
         return [[
             theorems.ConditionReport(
                 name="broken",
-                point=tuple(p),
                 residual_a=0.0,
                 residual_b=1.0,
                 tolerance=tol.theorem,
             )
-            for p in group.points.tolist()
+            for _ in group.points
         ]]
 
     spec = theorems.CheckerSpec("broken", broken, needs_j=False, kahler_gated=False)
@@ -356,6 +367,17 @@ SCENE_ERRORS = {
     "exclude-value": (("seed = 1", "seed = 1\nexclude = x1 eq zero"),
                       "line 14: exclusion value must be a number, got 'zero'"),
     "exclude-modulus": (("seed = 1", "seed = 1\nexclude = x1 mod 0"), "line 14: modulus must be positive"),
+    "exclude-infinite-modulus": (("seed = 1", "seed = 1\nexclude = x1 mod inf"),
+                                 "line 14: exclusion value must be finite, got 'inf'"),
+    "exclude-infinite-value": (("seed = 1", "seed = 1\nexclude = x1 eq -inf"),
+                               "line 14: exclusion value must be finite, got '-inf'"),
+    "exclude-nan-value": (("seed = 1", "seed = 1\nexclude = x1 eq nan"),
+                          "line 14: exclusion value must be finite, got 'nan'"),
+    "infinite-box": (("box = -1 1, -1 1", "box = -inf inf, -1 1"),
+                     "line 11: interval width must be finite, got '-inf inf'"),
+    "overflowing-box": (("box = -1 1, -1 1", "box = -1 1, -1e308 1e308"),
+                        "line 11: interval width must be finite, got '-1e308 1e308'"),
+    "nan-box": (("box = -1 1, -1 1", "box = nan 1, -1 1"), "line 11: interval width must be finite, got 'nan 1'"),
     "metric-shorthand": ((EUCLIDEAN_PLANE, "dim = 2\nmetric = flat"), "line 4: unknown metric shorthand 'flat'"),
     "j-shorthand": ((EUCLIDEAN_PLANE, EUCLIDEAN_PLANE + "\nJ = holomorphic"),
                     "line 5: unknown J shorthand 'holomorphic'"),
@@ -384,6 +406,18 @@ def test_scene_errors_exit_2_with_their_message(tmp_path, name):
     assert code == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and re.fullmatch(f"scene error: {message}", lines[0]), lines
+
+
+def test_scene_file_not_utf8_is_a_scene_error(tmp_path):
+    f = tmp_path / "latin1.scene"
+    f.write_bytes(TOY.replace("name = toy", "name = toy\xff").encode("latin-1"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(f)])
+    assert code == 2
+    assert err.getvalue().splitlines() == [
+        "scene error: cannot read scene file: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte"]
 
 
 # the target metric's eigenvalue ratio is 1e-13, and the second component is

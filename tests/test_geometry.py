@@ -243,13 +243,21 @@ def test_excluded_locus_distance():
     assert loc.distance(np.array([0, 0, 0, 0, math.pi / 4, 0])) == pytest.approx(math.pi / 4)
     eq = ExcludedLocus("eq", 0, 2.0)
     assert eq.distance(np.array([1.5, 0.0])) == pytest.approx(0.5)
-
-
-def test_manifold_contains():
-    M = euclidean(2, box=[(-1, 1), (-1, 1)], excluded=[ExcludedLocus("eq", 0, 0.0)])
-    assert M.contains((0.5, 0.5))
-    assert not M.contains((1.5, 0.0))
-    assert not M.contains((0.0005, 0.0))
+    # a stack of points gives, bit for bit, each point's own distance and the
+    # distance that Python's float arithmetic gives (numpy's % keeps its sign rule)
+    stack = np.random.default_rng(5).uniform(-7.0, 7.0, size=(3, 5, 6))
+    stack[0, :3, 4] = (-math.pi, 0.0, math.pi / 2)
+    for loc in (ExcludedLocus("mod", 4, math.pi / 2), ExcludedLocus("mod", 4, 0.3),
+                ExcludedLocus("eq", 4, -1.25)):
+        got = loc.distance(stack)
+        assert got.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            x = float(stack[idx][4])
+            if loc.kind == "eq":
+                want = abs(x - loc.value)
+            else:
+                want = abs(((x + loc.value / 2.0) % loc.value) - loc.value / 2.0)
+            assert got[idx] == loc.distance(stack[idx]) == want, (loc, idx)
 
 
 def test_christoffel_exact_lower_symmetry(polar_like):

@@ -102,6 +102,9 @@ MALFORMED_ERRORS = {
     "j-canonical-then-none": (7, r"duplicate 'J' in \[source\], first given on line 6"),
     "j-canonical-with-entries": (6, r"\[source\] mixes 'J = canonical' with explicit entries"),
     "j-none-with-entries": (6, r"\[source\] mixes 'J = none' with explicit entries"),
+    "infinite-box": (14, "interval width must be finite, got '-inf inf'"),
+    "overflowing-box": (14, "interval width must be finite, got '-1e308 1e308'"),
+    "infinite-modulus": (17, "exclusion value must be finite, got 'inf'"),
 }
 
 
@@ -243,6 +246,25 @@ def test_sample_points_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = sample_points(sc, count=10, seed=8)
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def test_sample_points_are_one_array_pinned():
+    # example33 excludes x5 near multiples of pi/2 (`exclude = x5 mod ...`)
+    pts = sample_points(load_preset("example33"), count=8, seed=3)
+    assert isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape == (8, 6)
+    assert pts[:3].tolist() == [
+        [0.08439848511638814, -0.7237283420912115, 0.5926832711818899,
+         0.6913065848162976, -0.8629986500568639, -0.6960914200157833],
+        [-0.9156015148836119, -0.05706167542454488, -0.6073167288181109,
+         0.405592299102012, 0.5915468044885905, -0.388399112323476],
+        [0.5843984851163881, 0.609604991242122, -0.20731672881811103,
+         -0.7372648437551305, 0.7733649863067724, 0.5346778107534473],
+    ]
+
+    # at seed 11 the ninth point drawn lies within 1e-3 of x5 = 0: it alone is skipped
+    drawn = -1.0 + ScrambledHalton(6, 11).random(16) * 2.0
+    kept = sample_points(load_preset("example33"), count=12, seed=11)
+    assert np.array_equal(kept, np.delete(drawn, 8, axis=0)[:12])
 
 
 def test_sample_points_respect_box_and_exclusions():

@@ -26,18 +26,19 @@ J_PRESETS = ("example33", "linproj42", "holo4", "linproj63")
 
 
 def all_reports(name, count=6):
+    """(point, report) for every report row of every checker at the sample points of a preset."""
     out = []
-    for e in entries(name, count=count):
+    for g, k in entries(name, count=count):
         for spec in CHECKERS.values():
-            out.extend(reports_at(spec.func, e, TOL))
+            out.extend((tuple(g.points[k]), r) for r in reports_at(spec.func, (g, k), TOL))
     return out
 
 
 @pytest.mark.parametrize("preset", J_PRESETS)
 def test_soundness_all_checkers_agree(preset):
-    for r in all_reports(preset):
+    for point, r in all_reports(preset):
         assert r.agree or r.vacuous, (
-            f"{r.name} at {r.point}: ra={r.residual_a} ({r.verdict_a}) "
+            f"{r.name} at {point}: ra={r.residual_a} ({r.verdict_a}) "
             f"vs rb={r.residual_b} ({r.verdict_b})"
         )
 
@@ -193,7 +194,6 @@ def test_verdicts_monotone_in_tolerance(residual, tol, factor):
 def test_report_agreement_rule():
     base = dict(
         name="x",
-        point=(0.0,),
         tolerance=1e-6,
     )
     r = ConditionReport(residual_a=0.0, residual_b=1.0, **base)
@@ -206,7 +206,7 @@ def test_report_agreement_rule():
     )
     # a vacuous report carries no claim: only the disagreeing one gates the run
     report = RunReport("x", "0", 1, 1, 1e-6, False, None, reports={"x": [r, r2]})
-    assert report.disagreements() == [r]
+    assert report.disagreements() == [(0, r)]
 
 
 def test_dimension_bookkeeping_validation():
@@ -343,8 +343,8 @@ def test_moebius_witness_fails_on_both_sides():
         assert row.lam * y_sq == pytest.approx(1.0, rel=1e-12, abs=0.0)
     for name in MOEBIUS_FAILS:
         assert len(rep.reports[name]) == 8, name
-        for r in rep.reports[name]:
-            assert (r.verdict_a, r.verdict_b) == ("fails", "fails"), (name, r.point)
+        for row, r in zip(rep.structure, rep.reports[name], strict=True):
+            assert (r.verdict_a, r.verdict_b) == ("fails", "fails"), (name, row.point)
 
 
 ANTI_INVARIANT_TOY = """
