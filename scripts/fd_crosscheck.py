@@ -4,7 +4,9 @@
 Prints the worst relative deviation per preset for the connection
 coefficients and for second-fundamental-form components, then per preset and
 bench scene the worst relative deviation of the frame pass's derivative parts
-(frame families, projectors, square dilation, source connection).  Each scene's
+(frames, projectors, square dilation, source connection), and last, per
+scene with a complex structure, that of the adapted-frame tables side b reads
+(omega, dJ and the pullback table).  Each scene's
 sample points run as one frame-pass batch, and each point is read at its
 `(group, k)`.  The same comparisons run (with assertions) in the test suite;
 this script is for eyeballing the margins.  Run it with `src` on PYTHONPATH,
@@ -20,9 +22,10 @@ import numpy as np  # noqa: E402
 
 from confsub.scenes import load_preset, preset_names, sample_points  # noqa: E402
 
-from tests.conftest import ALL_SCENE_NAMES, fresh_scene  # noqa: E402
+from tests.conftest import SCENES_WITH_GENERIC, fresh_scene  # noqa: E402
 from tests.fdtools import (  # noqa: E402
-    PASS_FIELDS, FrameField, fd_christoffel, fd_sff, on_pairs, pass_derivative_margins,
+    ADAPTED, PASS_FIELDS, FrameField, fd_christoffel, fd_sff, on_pairs, pass_derivative_margins,
+    table_margins,
 )
 
 
@@ -46,19 +49,22 @@ def main() -> int:
                 worst_s = max(worst_s, float(np.max(np.abs(a - b))) / s)
         print(f"{name:<12} {worst_g:>14.3e} {worst_s:>14.3e}")
 
-    columns = PASS_FIELDS + ("gamma_src",)
-    print()
-    print("frame-pass derivatives (worst relative gap over 3 points; - where the scene has none)")
-    print(f"{'scene':<18}" + "".join(f"{c:>11}" for c in columns))
-    for name in ALL_SCENE_NAMES:
-        sc = fresh_scene(name)
-        worst: dict[str, float] = {}
-        entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
-        for g, k in entries:
-            for key, v in pass_derivative_margins(sc.fmap, g, k).items():
-                worst[key] = max(worst.get(key, 0.0), v)
-        cells = "".join(f"{worst[c]:>11.1e}" if c in worst else f"{'-':>11}" for c in columns)
-        print(f"{name:<18}{cells}")
+    for title, margins, columns in (
+        ("frame-pass derivatives", pass_derivative_margins, PASS_FIELDS + ("gamma_src",)),
+        ("adapted-frame tables", table_margins, ADAPTED),
+    ):
+        print()
+        print(f"{title} (worst relative gap over 3 points; - where the scene has none)")
+        print(f"{'scene':<18}" + "".join(f"{c:>11}" for c in columns))
+        for name in SCENES_WITH_GENERIC:
+            sc = fresh_scene(name)
+            worst: dict[str, float] = {}
+            entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
+            for g, k in entries:
+                for key, v in margins(sc.fmap, g, k).items():
+                    worst[key] = max(worst.get(key, 0.0), v)
+            cells = "".join(f"{worst[c]:>11.1e}" if c in worst else f"{'-':>11}" for c in columns)
+            print(f"{name:<18}{cells}")
     return 0
 
 

@@ -13,6 +13,7 @@ with a leading point axis.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,13 +137,16 @@ def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
         f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
 
 
-def _levi_civita(g: ArrayJet) -> np.ndarray:
-    """gamma[q, k, i, j] = Gamma^k_ij from a metric jet, without the definiteness test."""
+def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:
+    """gamma[q, k, i, j] = Gamma^k_ij from a metric jet, without the definiteness test.
+
+    `inv` is the inverse of the metric values when the caller holds it already.
+    """
     G, dG = g.v, g.d
     n = G.shape[-1]
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), a matrix product per point
     sym = dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)
-    prod = sym.reshape(-1, n * n, n) @ np.linalg.inv(G).swapaxes(1, 2)
+    prod = sym.reshape(-1, n * n, n) @ (np.linalg.inv(G) if inv is None else inv).swapaxes(1, 2)
     gamma = 0.5 * prod.reshape(-1, n, n, n).transpose(0, 3, 1, 2)
     return (gamma + gamma.swapaxes(2, 3)) / 2.0  # exact lower-index symmetry
 
@@ -150,7 +154,7 @@ def _levi_civita(g: ArrayJet) -> np.ndarray:
 def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Derivatives along stacks of vectors X[q, r] from tables t[q, l, ...] = d_l(...): out[q, r, ...]."""
     N, dim = table.shape[:2]
-    return (X @ table.reshape(N, dim, -1)).reshape(X.shape[:2] + table.shape[2:])
+    return (X @ table.reshape(N, dim, math.prod(table.shape[2:]))).reshape(X.shape[:2] + table.shape[2:])
 
 
 def nabla(gamma: np.ndarray, Y: ArrayJet) -> np.ndarray:

@@ -474,25 +474,26 @@ class ScrambledHalton:
         for k, (b, count) in enumerate(zip(bases, counts)):
             self._perm[:count, k, :b] = rng.permuted(np.repeat(np.arange(b)[None], count, axis=0), axis=1)
         # 1/b, 1/b/b, ...: repeated division, not powers, as the reference does
-        self._weights = np.divide.accumulate(np.vstack([np.ones(d), np.tile(self._bases, (counts[0], 1))]))[1:]
+        steps = np.vstack([np.ones(d), np.tile(self._bases, (counts[0], 1))])
+        self._weights = np.divide.accumulate(steps)[1:]
         self._zero_terms = self._perm[:, :, 0] * self._weights
+        # b**j as an integer: exact below 2**53, and above every index from there on (digit 0)
+        self._powers = np.minimum(np.multiply.accumulate(steps)[:-1], 2.0 ** 62).astype(np.int64)
         self._index = 0
 
     def random(self, n: int) -> np.ndarray:
         """The next `n` points of the sequence, shape (n, d), in [0, 1)."""
-        rem = np.arange(self._index, self._index + n)[:, None]
+        index = np.arange(self._index, self._index + n)[None, :, None]
         self._index += n
-        ndigits = (self._index - 1).bit_length()
-        out = np.zeros((n, self._cols.size))
-        # in digit order (a sum over a trailing axis would be pairwise and could
-        # move the last bit); past `ndigits` every index has digit 0
-        for j, zero_term in enumerate(self._zero_terms):
-            if j < ndigits:
-                rem, digit = np.divmod(rem, self._bases)
-                out += self._perm[j, self._cols, digit] * self._weights[j]
-            else:
-                out += zero_term
-        return out
+        ndigits = max(1, (self._index - 1).bit_length())  # past it every index has digit 0
+        terms = np.empty((len(self._zero_terms), n, self._cols.size))
+        digits = index // self._powers[:ndigits, None] % self._bases
+        terms[:ndigits] = self._perm[np.arange(ndigits)[:, None, None], self._cols, digits] * self._weights[:ndigits, None]
+        terms[ndigits:] = self._zero_terms[ndigits:, None]
+        # in digit order: numpy adds term by term along an axis that is not the fastest in memory
+        # (pairwise summation, which could move the last bit, runs along the fastest axis only, and
+        # along the digit axis when it is the only one longer than 1)
+        return np.add.reduce(terms, axis=0) if terms[0].size > 1 else np.add.accumulate(terms)[-1]
 
 
 def sample_points(scene: Scene, count: int | None = None, seed: int | None = None) -> np.ndarray:

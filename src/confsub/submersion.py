@@ -23,10 +23,13 @@ the same bit for bit in any batch.
 Each group builds its tables once and on first use, with the point axis
 leading: the connections, the Kaehler test, the second fundamental form
 `S[q, a, i, j]` from the component Hessians, O'Neill's `T[q, :, i, j]` and
-`A[q, :, i, j]` from the projector jets, and for each frame family the
-covariant derivatives `nabla_{d_l}` of its rows and the pullback-connection
-derivatives of their images under dF.  Every contraction is a `matmul` with
-the point axis as its batch axis.  A structure-only run builds none of them,
+`A[q, :, i, j]` from the projector jets and the covariant derivatives
+`nabla_{d_l}` of the pass's frames, which the definition-level side of the
+checkers and the identity rows read; and the tables of the equivalent side,
+in the adapted frame E = [d1, d2, J(d2), mu] (`AdaptedFrame`: connection
+coefficients, J and its derivatives, the second fundamental form, dF and the
+pullback connection, all in E-components).  Every contraction is a `matmul`
+with the point axis as its batch axis.  A structure-only run builds none of them,
 and no derivative of the frames, the projectors, G^-1 or the dilation either:
 the pass computes the values of each jet it builds, and a derivative is built
 when a table first reads it (`jets.ArrayJet.d`).
@@ -75,6 +78,7 @@ __all__ = [
     "GradLnLambda",
     "FundamentalTensorsAtPoint",
     "PointContext",
+    "AdaptedFrame",
     "pairs",
     "row_norms",
     "bookkeeping",
@@ -482,61 +486,18 @@ def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.moveaxis(X[:, None] @ table @ _T(Y)[:, None], 1, -1)
 
 
-# Frame families whose derivatives the checkers read: the frames of the pass
-# and the fields J(d1), J(d2), B(X) = P_D2 J X, C(X) = P_mu J X on the
-# horizontal frame and phi(V) = P_V J V on the vertical frame.
-_FAMILIES = {
-    "vertical": lambda f: f.vertical,
-    "horizontal": lambda f: f.horizontal,
-    "d1": lambda f: f.d1,
-    "d2": lambda f: f.d2,
-    "mu": lambda f: f.mu,
-    "Jd1": lambda f: f.d1 @ f.J.T,
-    "Jd2": lambda f: f.d2 @ f.J.T,
-    "BH": lambda f: f.horizontal @ (f.PD2 @ f.J).T,
-    "CH": lambda f: f.horizontal @ (f.PMU @ f.J).T,
-    "phiV": lambda f: f.vertical @ (f.PV @ f.J).T,
-}
-
-
-def _value_view(name: str):
-    """Read-only property: the values of a pass field (None stays None)."""
-
-    def get(self):
-        jet = getattr(self.data, name)
-        return None if jet is None else jet.v
-
-    return property(get)
-
-
 class _Group:
     """Points of a batch that share a frame-pass run and every table at them, point axis leading.
 
-    `data` is their pass at `points`; each table is built once, on first use.
+    `data` is their pass at `points`, and `Gf`, `GNf`, ... the values of its
+    fields (None without a complex structure); each table is built once, on
+    first use.
     """
 
     def __init__(self, data: _PipelineResult, points: np.ndarray):
-        self.data = data
-        self.points = points
-        self._memo: dict = {}
-
-    Gf = _value_view("G")
-    GNf = _value_view("gN")
-    DFf = _value_view("DF")
-    Jf = _value_view("J")
-    PVf = _value_view("PV")
-    PHf = _value_view("PH")
-    PD1f = _value_view("PD1")
-    PD2f = _value_view("PD2")
-    PJD2f = _value_view("PJD2")
-    PMUf = _value_view("PMU")
-
-    # x -> P J x as matrices: phi and omega split J on the vertical space,
-    # B and C on the horizontal space
-    phi, omega, B, C = (
-        property(lambda self, P=P: getattr(self, P) @ self.Jf)
-        for P in ("PVf", "PJD2f", "PD2f", "PMUf")
-    )
+        self.data, self.points, self._memo, f = data, points, {}, data
+        self.Gf, self.GNf, self.DFf, self.Jf, self.PVf, self.PHf, self.PD1f, self.PD2f, self.PJD2f, self.PMUf = (
+            None if x is None else x.v for x in (f.G, f.gN, f.DF, f.J, f.PV, f.PH, f.PD1, f.PD2, f.PJD2, f.PMU))
 
     def memo(self, key, build):
         """build(), once per group and key."""
@@ -552,52 +513,33 @@ class _Group:
     def split(self, k: int) -> SplitFrame:
         """The frames and the dilation at point k."""
         f = self.data
-        as_np = lambda jet: () if jet is None else tuple(jet.v[k])
-        return SplitFrame(
-            point=tuple(float(x) for x in self.points[k]),
-            vertical=as_np(f.vertical),
-            horizontal=as_np(f.horizontal),
-            d1=as_np(f.d1),
-            d2=as_np(f.d2),
-            jd2=as_np(f.jd2),
-            mu=as_np(f.mu),
-            lam=float(f.lam[k]),
-            lambda_sq_residual=float(f.conf_residual[k]),
-        )
+        frames = (() if x is None else tuple(x.v[k]) for x in (f.vertical, f.horizontal, f.d1, f.d2, f.jd2, f.mu))
+        point = tuple(float(x) for x in self.points[k])
+        return SplitFrame(point, *frames, float(f.lam[k]), float(f.conf_residual[k]))
 
     @functools.cached_property
     def gamma_src(self) -> np.ndarray:
-        return _levi_civita(self.data.G)
+        return _levi_civita(self.data.G, self.data.Ginv.v)
 
     @functools.cached_property
     def kahler(self) -> tuple | None:
         """(|J^2 + I|, compatibility, |nabla J|) at every point; None without J."""
         f = self.data
-        if f.J is None:
-            return None
-        return (*f.j_residuals.T, nabla_j_norm(f.G.v, f.J, self.gamma_src))
+        return None if f.J is None else (*f.j_residuals.T, nabla_j_norm(f.G.v, f.J, self.gamma_src))
 
     @functools.cached_property
     def gamma_pull(self) -> np.ndarray:
         """Gamma_N^a_cb d_l F^c at [q, a, l, b]: the target connection pulled back to the source."""
         return _T(self.DFf)[:, None] @ _levi_civita(self.data.gT)
 
-    def family(self, name: str) -> ArrayJet:
-        """A frame family (see `_FAMILIES`) as stacked rows; empty without a complex structure."""
-        f = self.data
-        if f.J is None and name not in ("vertical", "horizontal"):
-            N, dim = f.G.v.shape[:2]
-            return ArrayJet(np.zeros((N, 0, dim)), np.zeros((N, dim, 0, dim)))
-        return self.memo(("family", name), lambda: _FAMILIES[name](f))
-
     def nabla(self, name: str) -> np.ndarray:
-        """out[q, l, r] = nabla_{d_l} of row r of the family."""
-        return self.memo(("nabla", name), lambda: nabla(self.gamma_src, self.family(name)))
+        """out[q, l, r] = nabla_{d_l} of row r of the pass's frame `name` (vertical, horizontal, d1 or d2)."""
+        return self.memo(("nabla", name), lambda: nabla(self.gamma_src, getattr(self.data, name)))
 
-    def pullback(self, name: str) -> np.ndarray:
-        """out[q, l, r] = pullback-connection derivative along d_l of the section dF(row r)."""
-        return self.memo(("pullback", name),
-                         lambda: nabla(self.gamma_pull, self.family(name) @ self.data.DF.T))
+    @functools.cached_property
+    def adapted(self) -> "AdaptedFrame":
+        """The side-b tables in the adapted frame; a group with a complex structure only."""
+        return AdaptedFrame(self)
 
     @functools.cached_property
     def tensors(self) -> FundamentalTensorsAtPoint:
@@ -620,13 +562,75 @@ class _Group:
             fiber_mean_curvature=np.trace(pairs(t, V, V), axis1=1, axis2=2) / V.shape[1],
         )
 
+    # the differential of ln(lambda) in coordinates
+    dln_lambda = functools.cached_property(lambda self: 0.5 * self.data.lambda_sq.d / self.data.lambda_sq.v[:, None])
+
     @functools.cached_property
     def grad_ln_lambda(self) -> GradLnLambda:
-        lsq = self.data.lambda_sq
-        vec = _mapped(0.5 * lsq.d / lsq.v[:, None], self.data.Ginv.v)
+        vec = _mapped(self.dln_lambda, self.data.Ginv.v)
         h = _mapped(vec, self.PHf)
         return GradLnLambda(vector=vec, horizontal_part=h,
                             horizontal_norm=self.data.lam * _norms(h, self.Gf))
+
+
+class AdaptedFrame:
+    """The tables of side b at a group's points, in the adapted frame E = [d1, d2, Jd2, mu].
+
+    E is G-orthonormal (the pass checks it), so a vector is its row of E-components and g the dot
+    product: Cartan's moving frame (Ivey & Landsberg, *Cartan for Beginners*, ch. 1-2).  Point axis
+    first, each table built on first read: `omega[q, l, r, s] = g(nabla_{E_l} E_r, E_s)`, whose entries
+    with l vertical (horizontal) and r, s on opposite sides are O'Neill's `T` (`A`); `J[q, r, s] =
+    g(J E_r, E_s)`, `dJ[q, l, r, s] = E_l(J[q, r, s])`, and `phi`, `om`, `B`, `C` its parts in the
+    vertical, Jd2, d2 and mu blocks (on rows: J X = X @ J); `S[q, l, r, a] = (nabla dF)(E_l, E_r)`,
+    `push[q, r] = dF(E_r)`, `gram[q, r, s] = g_N(dF E_r, dF E_s)` and `pull[q, l, r, t] = g_N(nabla^F_{E_l}
+    dF(E_r), dF(E_t)) = g_N(S[l, r], dF E_t) + sum_s omega[l, r, s] gram[s, t]`; `grad[q, s] = E_s(ln
+    lambda)`; `V`, `H`, `I`: the pass's frames and E's own rows.  The slices `d1`, `d2`, `jd2`, `mu`,
+    `vert`, `hor` select blocks, which `PV` and `PH` project onto.  Side a never reads these tables.
+    """
+
+    def __init__(self, group: _Group):
+        f, self._group = group.data, group
+        m1, m2, _, _ = group.dims
+        v = m1 + m2
+        self.d1, self.d2, self.jd2, self.mu = slice(0, m1), slice(m1, v), slice(v, v + m2), slice(v + m2, None)
+        self.vert, self.hor = slice(0, v), slice(v, None)
+        frames = (f.d1, f.d2, f.jd2, f.mu)
+        self.E = ArrayJet(np.concatenate([x.v for x in frames], 1), lambda: np.concatenate([x.d for x in frames], 2))
+        N, D, _ = self.E.v.shape
+        self._GE = f.G.v @ _T(self.E.v)  # g(X, E_s) = (X @ GE)[s]
+        self.V, self.H = f.vertical.v @ self._GE, f.horizontal.v @ self._GE
+        self.I = np.broadcast_to(np.eye(D), (N, D, D))
+        is_v = np.arange(D) < v
+        self.PV, self.PH, mixed = np.diag(is_v * 1.0), np.diag(~is_v * 1.0), is_v[:, None] != is_v
+        self._mask_T, self._mask_A = is_v[:, None, None] & mixed, ~is_v[:, None, None] & mixed
+
+    omega = functools.cached_property(
+        lambda self: along(self.E.v, nabla(self._group.gamma_src, self.E)) @ self._GE[:, None])
+    T = functools.cached_property(lambda self: self.omega * self._mask_T)
+    A = functools.cached_property(lambda self: self.omega * self._mask_A)
+    _J = functools.cached_property(lambda self: self.E @ (self._group.data.J.T @ self._group.data.G) @ self.E.T)
+    J = property(lambda self: self._J.v)
+    dJ = functools.cached_property(lambda self: along(self.E.v, self._J.d))
+    phi = functools.cached_property(lambda self: self.J @ self.PV)
+    om = functools.cached_property(lambda self: self.J * self.I[0, self.jd2].sum(0))
+    B = functools.cached_property(lambda self: self.J * self.I[0, self.d2].sum(0))
+    C = functools.cached_property(lambda self: self.J * self.I[0, self.mu].sum(0))
+    S = functools.cached_property(lambda self: pairs(self._group.tensors.sff, self.E.v, self.E.v))
+    push = functools.cached_property(lambda self: self.E.v @ _T(self._group.DFf))
+    gram = functools.cached_property(lambda self: self.push @ self._group.GNf @ _T(self.push))
+    pull = functools.cached_property(
+        lambda self: self.S @ (self._group.GNf @ _T(self.push))[:, None] + self.omega @ self.gram[:, None])
+    grad = functools.cached_property(lambda self: (self.E.v @ self._group.dln_lambda[..., None])[..., 0])
+
+    def nabla(self, c: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
+        """out[q, l, r, s] = g(nabla_{E_l} F_r, E_s) for fields F_r = sum_s c[q, r, s] E_s, dc[q, l, r, s] =
+        E_l(c[q, r, s]); without dc, for components in which c vanishes identically."""
+        return c[:, None] @ self.omega if dc is None else c[:, None] @ self.omega + dc
+
+    def pulled(self, c: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
+        """out[q, l, r, t] = g_N(nabla^F_{E_l} dF(F_r), dF(E_t)) for the fields of `nabla`; without dc, for
+        directions t whose Gram entries with the components of c vanish up to the conformality residual."""
+        return c[:, None] @ self.pull if dc is None else c[:, None] @ self.pull + dc @ self.gram[:, None]
 
 
 def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:

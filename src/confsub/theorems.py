@@ -14,14 +14,14 @@ range are reported as vacuous; equivalences whose content degenerates (the
 dilation characterizations need both the anti-invariant part and its
 horizontal complement to be nonzero) are vacuous as well.
 
-Both sides read the tables of a group of sample points (`submersion._Group`:
-the second fundamental form, O'Neill's T and A, the covariant and pullback
-derivatives of the frame families), built once per group with the point axis
-leading: a checker is a set of slices and batched contractions of them and a
-maximum per point; a hypothesis met at some points only is a mask over the
-points.  `check_x(g, tol)` returns one list per report row, with one report per
-point of the group `g`, and the runner runs each checker once per group
-(`_group_rows`); the report of the point `(g, k)` is entry k of each row.
+Side a reads brackets and covariant derivatives of the pass's frames and the
+second fundamental form (`submersion._Group`), side b only the adapted-frame
+tables (`submersion.AdaptedFrame`), which side a never reads, so their
+connection coefficients cannot move both sides together.  A checker contracts
+the tables of a group of points at once, point axis leading, and returns one
+list per report row, whose entry k is the report of the point `(g, k)`; it
+runs once per group (`_group_rows`), and a hypothesis met at some points only
+is a mask over them.
 
 Whether J takes part is decided once, at scene load (a machinery-only scene
 carries none).  With J both sides are produced; the runner withholds side b
@@ -46,7 +46,7 @@ from .submersion import (
     _flat,
     _Group,
     _mapped,
-    _norms,
+    _norms as _norms_g,
     _orthonormal_rows,
     _T,
     bookkeeping,
@@ -55,24 +55,11 @@ from .submersion import (
 )
 
 __all__ = [
-    "ConditionReport",
-    "CheckerSpec",
-    "CHECKERS",
-    "verdict_of",
-    "check_d2_integrable",
-    "check_d1_integrability",
-    "check_horizontal_integrability",
-    "check_homothetic_characterization",
-    "check_horizontal_totally_geodesic",
-    "check_vertical_totally_geodesic",
-    "check_d1_totally_geodesic",
-    "check_d2_totally_geodesic",
-    "check_product_structures",
-    "check_tension_formula",
-    "check_harmonicity",
-    "check_jd2_mu_totally_geodesic",
-    "check_totally_geodesic_characterization",
-    "check_corollaries",
+    "ConditionReport", "CheckerSpec", "CHECKERS", "verdict_of", "check_d2_integrable",
+    "check_d1_integrability", "check_horizontal_integrability", "check_homothetic_characterization",
+    "check_horizontal_totally_geodesic", "check_vertical_totally_geodesic", "check_d1_totally_geodesic",
+    "check_d2_totally_geodesic", "check_product_structures", "check_tension_formula", "check_harmonicity",
+    "check_jd2_mu_totally_geodesic", "check_totally_geodesic_characterization", "check_corollaries",
     "check_sff_identities",
 ]
 
@@ -80,7 +67,7 @@ HOLDS, FAILS, INCONCLUSIVE = "holds", "fails", "inconclusive"
 DIRECT_ONLY = "direct test only (no complex structure)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionReport:
     """The two residuals of a checker row at one point; the verdicts follow from them and `tolerance`.
 
@@ -100,12 +87,11 @@ class ConditionReport:
     verdict_b: str = field(init=False)
     agree: bool = field(init=False)
 
-    def __post_init__(self):
-        va = verdict_of(self.residual_a, self.tolerance)
-        vb = INCONCLUSIVE if self.residual_b is None else verdict_of(self.residual_b, self.tolerance)
-        object.__setattr__(self, "verdict_a", va)
-        object.__setattr__(self, "verdict_b", vb)
-        object.__setattr__(self, "agree", {va, vb} != {HOLDS, FAILS})
+    def __init__(self, name, residual_a, residual_b, tolerance, vacuous=False, label=""):
+        va = verdict_of(residual_a, tolerance)
+        vb = INCONCLUSIVE if residual_b is None else verdict_of(residual_b, tolerance)
+        self.__dict__.update(name=name, residual_a=residual_a, residual_b=residual_b, tolerance=tolerance,  # frozen
+                             vacuous=vacuous, label=label, verdict_a=va, verdict_b=vb, agree={va, vb} != {HOLDS, FAILS})
 
 
 def verdict_of(residual: float, tol: float) -> str:
@@ -124,14 +110,14 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     side b is withheld and labelled with `label`, elsewhere unlabelled.
     """
     n = len(g.points)
-    if not isinstance(rb, list):
-        rb = [None] * n if rb is None else np.broadcast_to(rb, n).tolist()
+    per_point = lambda x: x if isinstance(x, list) else x.tolist() if getattr(x, "ndim", 0) else [float(x)] * n
+    rb = [None] * n if rb is None else per_point(rb)
     labels = [label] * n if isinstance(label, str) else label
     if unmet is not None:
         rb = [None if u else b for u, b in zip(unmet.tolist(), rb)]
         labels = [label if u else "" for u in unmet.tolist()]
     return [ConditionReport(name, a, b, tol, vacuous, lab)
-            for a, b, lab in zip(np.broadcast_to(ra, n).tolist(), rb, labels)]
+            for a, b, lab in zip(per_point(ra), rb, labels)]
 
 
 def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:
@@ -147,7 +133,7 @@ def _memo_check(check, ctx: PointContext, tol: Tolerances) -> list[ConditionRepo
 
 def _amax(x) -> np.ndarray:
     """The largest absolute entry per point; 0 where a point has none."""
-    return np.max(np.abs(x).reshape(len(x), -1), axis=1, initial=0.0)
+    return np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -169,18 +155,22 @@ def _upper(x: np.ndarray, strict: bool = True) -> np.ndarray:
 
 
 def _stack(g: _Group, *names: str) -> np.ndarray:
-    return np.concatenate([g.family(name).v for name in names], axis=1)
+    """The rows of the pass's frames named, stacked."""
+    return np.concatenate([getattr(g.data, name).v for name in names], axis=1)
 
 
-def _bracket_residual(g: _Group, name: str, Z: np.ndarray) -> np.ndarray:
-    """max |g([F_a, F_b], Z_c)| over the pairs a < b of a family and the rows of Z."""
-    F = g.family(name)
-    return _amax(_upper(brackets(F, F)) @ g.Gf @ _T(Z))
+def _bracket_residual(g: _Group, name: str, *against: str) -> np.ndarray:
+    """max |g([F_a, F_b], Z_c)| over the pairs a < b of the pass's frame F named and the rows Z of `against`."""
+    F = getattr(g.data, name)
+    return g.memo(("bracket", name, against),
+                  lambda: _amax(_upper(brackets(F, F)) @ g.Gf @ _T(_stack(g, *against))))
 
 
-def _geodesic_residual(g: _Group, name: str, Z: np.ndarray) -> np.ndarray:
-    """max |g(nabla_{F_a} F_b, Z_c)| over the rows of a family and of Z."""
-    return _amax(_flat(along(g.family(name).v, g.nabla(name))) @ g.Gf @ _T(Z))
+def _geodesic_residual(g: _Group, name: str, *against: str) -> np.ndarray:
+    """max |g(nabla_{F_a} F_b, Z_c)| over the rows of the pass's frame F named and of `against`."""
+    F = getattr(g.data, name).v
+    return g.memo(("geodesic", name, against),
+                  lambda: _amax(_flat(along(F, g.nabla(name))) @ g.Gf @ _T(_stack(g, *against))))
 
 
 def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
@@ -188,7 +178,8 @@ def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
     GN = g.GNf
 
     def basis():  # a zero row for a dropped seed leaves the projection as it is
-        Q, _, _, finite = _orthonormal_rows(GN, _mapped(_stack(g, "mu"), g.DFf), 1e-12)
+        A = g.adapted
+        Q, _, _, finite = _orthonormal_rows(GN, A.push[:, A.mu], 1e-12)
         raise_first(~finite, lambda q: NumericalOverflowError(
             "numerical overflow in a Gram-Schmidt squared norm"))
         return Q
@@ -202,11 +193,21 @@ def _over_lam2(x: np.ndarray, g: _Group) -> np.ndarray:
     return x / (g.data.lam ** 2).reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def _pullback_terms(g: _Group, W: np.ndarray, X: np.ndarray, name: str, Y: np.ndarray):
-    """g(W[a, b], F_k) - g_N(nabla^F_{X_a} dF(F_k), dF(Y_b)) / lambda^2 for the family F named."""
-    dval = along(X, g.pullback(name))  # [q, a, k, n]
-    pulled = dval @ g.GNf[:, None] @ _T(_mapped(Y, g.DFf))[:, None]  # [q, a, k, b]
-    return _mapped(_mapped(W, _T(g.Gf)), _stack(g, name)) - _over_lam2(_T(pulled), g)
+# Side b reads the adapted-frame tables (`g.adapted`) only: vectors are rows
+# of E-components, g is the dot product, and a family of fields is the matrix
+# of its components, so J d1 is `J[:, d1]` and B X is `H @ B`.
+
+
+def _on(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """E-tables t[q, l, r, :] on stacks of component rows X[q, a], Y[q, b]: out[q, a, b] = t(X_a, Y_b)."""
+    return Y[:, None] @ along(X, table)
+
+
+def _pullback_terms(g: _Group, W: np.ndarray, X: np.ndarray, F: np.ndarray, dF, Y: np.ndarray):
+    """g(W[a, b], F_k) - g_N(nabla^F_{X_a} dF(F_k), dF(Y_b)) / lambda^2 at [q, a, k, b] for fields F with
+    component derivatives dF (`AdaptedFrame.nabla`)."""
+    pulled = along(X, g.adapted.pulled(F, dF)) @ _T(Y)[:, None]
+    return (W @ _T(F)[:, None]).swapaxes(2, 3) - _over_lam2(pulled, g)
 
 
 # ---------------------------------------------------------------------------
@@ -215,57 +216,60 @@ def _pullback_terms(g: _Group, W: np.ndarray, X: np.ndarray, name: str, Y: np.nd
 
 def check_d2_integrable(g: _Group, tol: Tolerances):
     """The anti-invariant vertical distribution is integrable unconditionally."""
-    if g.family("d2").v.shape[1] < 2:
+    if g.dims[1] < 2:
         return [_reports("d2_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: fewer than two anti-invariant directions")]
-    ra = _bracket_residual(g, "d2", _stack(g, "d1", "horizontal"))
+    ra = _bracket_residual(g, "d2", "d1", "horizontal")
     return [_reports("d2_integrability", g, ra, 0.0, tol.theorem)]
 
 
 def check_d1_integrability(g: _Group, tol: Tolerances):
     """Invariant part integrable iff the antisymmetrized sff of J-twisted pairs pushes into F(mu)."""
-    D1 = g.family("d1").v
-    if D1.shape[1] < 2:
+    if g.dims[0] < 2:
         return [_reports("d1_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: fewer than two invariant directions")]
-    ra = _bracket_residual(g, "d1", _stack(g, "d2"))
-    S = pairs(g.tensors.sff, D1, _stack(g, "Jd1"))  # S[q, i, j] = sff(d1_i, J d1_j)
+    ra, A = _bracket_residual(g, "d1", "d2"), g.adapted
+    S = _on(A.S, A.I[:, A.d1], A.J[:, A.d1])  # S[q, i, j] = sff(d1_i, J d1_j)
     rb = _amax(_off_pushed_mu(g, _upper(_swap(S) - S)))
     return [_reports("d1_integrability", g, ra, rb, tol.theorem)]
 
 
-def _horizontal_pair_residual(g: _Group, extra=0.0) -> np.ndarray:
-    """max |g(W, J W_k) - g_N(nabla^F_Y dF(CX) - nabla^F_X dF(CY), dF(J W_k)) / lambda^2|
-    with W = A(Y, BX) - A(X, BY) + extra[a, b] over horizontal pairs X = X_a, Y = X_b,
-    a < b, and the anti-invariant frame W_k."""
-    H, JD2 = g.family("horizontal").v, _stack(g, "Jd2")
-    A_B = pairs(g.tensors.a, H, _stack(g, "BH"))
-    D = along(H, g.pullback("CH"))  # D[q, b, a] = nabla^F_{X_b} dF(C X_a)
-    W, dmix = _upper(_swap(A_B) - A_B + extra), _upper(_swap(D) - D)
-    return _amax(W @ g.Gf @ _T(JD2) - _over_lam2(dmix @ g.GNf @ _T(_mapped(JD2, g.DFf)), g))
+def _horizontal_pair_residual(g: _Group, extra=None) -> np.ndarray:
+    """max |g(W, J W_k) - g_N(nabla^F_Y dF(CX) - nabla^F_X dF(CY), dF(J W_k)) / lambda^2| with W = A(Y, BX)
+    - A(X, BY) + extra[a, b] over horizontal pairs X = X_a, Y = X_b, a < b, and the anti-invariant frame W_k."""
+    A = g.adapted
+    JD2 = _T(A.J[:, A.d2])
+
+    def terms():  # without extra, once per group
+        A_B = _on(A.A, A.H, A.H @ A.B)
+        # dF(C X) lies in dF(mu) and dF(J W_k) in dF(Jd2): their Gram entries vanish
+        D = along(A.H, A.pulled(A.H @ A.C))  # D[q, b, a] = nabla^F_{X_b} dF(C X_a)
+        return _upper(_swap(A_B) - A_B) @ JD2 - _over_lam2(_upper(_swap(D) - D) @ JD2, g)
+
+    out = g.memo("horizontal pair terms", terms)
+    return _amax(out if extra is None else out + _upper(extra) @ JD2)
 
 
 def check_horizontal_integrability(g: _Group, tol: Tolerances):
-    H = g.family("horizontal").v
-    if H.shape[1] < 2:
+    if g.data.horizontal.v.shape[1] < 2:
         return [_reports("horizontal_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: fewer than two horizontal directions")]
-    ra = _bracket_residual(g, "horizontal", _stack(g, "vertical"))
+    ra = _bracket_residual(g, "horizontal", "vertical")
     if g.Jf is None:
         return [_reports("horizontal_integrability", g, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    G, A = g.Gf, g.tensors.a
-    BH, CH = _stack(g, "BH"), _stack(g, "CH")
+    A = g.adapted
+    H, CH = A.H, A.H @ A.C
     # invariant-part component of the bracket through the A tensor
-    A_omB = pairs(A, H, _mapped(BH, g.omega))
-    JA_C = _mapped(pairs(A, H, CH), g.Jf)
+    A_omB = _on(A.A, H, H @ A.B @ A.om)
+    JA_C = _on(A.A, H, CH) @ A.J[:, None]
     w1 = _swap(A_omB) - A_omB - JA_C + _swap(JA_C)
-    rb = _amax(_upper(w1) @ G @ _T(_stack(g, "d1")))
+    rb = _amax(_upper(w1)[..., A.d1])
     # anti-invariant component through the pullback connection
-    if g.family("d2").v.shape[1]:
-        grad = g.grad_ln_lambda.vector
-        dln = _mapped(grad, CH @ G)
-        extra = (-dln[:, None, :, None] * H[:, :, None] + dln[:, :, None, None] * H[:, None]
-                 + 2.0 * (H @ G @ _T(CH))[..., None] * grad[:, None, None])
+    if g.dims[1]:
+        grad = A.grad
+        dln = CH @ grad[..., None]
+        extra = (-dln[:, None] * H[:, :, None] + dln[:, :, None] * H[:, None]
+                 + 2.0 * (H @ _T(CH))[..., None] * grad[:, None, None])
         rb = np.maximum(rb, _horizontal_pair_residual(g, extra))
     return [_reports("horizontal_integrability", g, ra, rb, tol.theorem)]
 
@@ -276,12 +280,12 @@ def check_homothetic_characterization(g: _Group, tol: Tolerances):
     ra = g.grad_ln_lambda.horizontal_norm
     if g.Jf is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    if not g.family("d2").v.shape[1] or not g.family("mu").v.shape[1]:
+    if not g.dims[1] or not g.dims[3]:
         # with either part empty the identity holds identically and carries
         # no information about the dilation
         return [_reports(name, g, ra, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: needs nonzero d2 and mu")]
-    unmet = _bracket_residual(g, "horizontal", _stack(g, "vertical")) > tol.theorem
+    unmet = _bracket_residual(g, "horizontal", "vertical") > tol.theorem
     return [_reports(name, g, ra, _horizontal_pair_residual(g), tol.theorem, unmet=unmet,
                      label="hypothesis unmet: horizontal distribution not integrable")]
 
@@ -290,79 +294,83 @@ def check_homothetic_characterization(g: _Group, tol: Tolerances):
 # Totally geodesic foliations
 
 
+def _jd2_terms(g: _Group) -> np.ndarray:
+    """g(A(X_a, B X_b), J W_k) - g_N(nabla^F_{X_a} dF(J W_k), dF(C X_b)) / lambda^2 at [q, a, k, b]."""
+    A = g.adapted
+    return g.memo("jd2 terms", lambda: _pullback_terms(
+        g, _on(A.A, A.H, A.H @ A.B), A.H, A.J[:, A.d2], A.dJ[:, :, A.d2], A.H @ A.C))
+
+
 def check_horizontal_totally_geodesic(g: _Group, tol: Tolerances):
     name = "horizontal_totally_geodesic"
-    ra = _geodesic_residual(g, "horizontal", _stack(g, "vertical"))
+    ra = _geodesic_residual(g, "horizontal", "vertical")
     if g.Jf is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    G, A = g.Gf, g.tensors.a
-    H, BH, CH = _stack(g, "horizontal"), _stack(g, "BH"), _stack(g, "CH")
-    w1 = pairs(A, H, CH) + _mapped(along(H, g.nabla("BH")), g.PVf)
-    rb = _amax(_flat(w1) @ G @ _T(_stack(g, "d1")))
-    if g.family("d2").v.shape[1]:
-        grad = g.grad_ln_lambda.vector
-        vec = (pairs(A, H, BH) - _mapped(grad, CH @ G)[:, None, :, None] * H[:, :, None]
-               + (H @ G @ _T(CH))[..., None] * grad[:, None, None])
-        rb = np.maximum(rb, _amax(_pullback_terms(g, vec, H, "Jd2", CH)))
+    A = g.adapted
+    H, BH, CH = A.H, A.H @ A.B, A.H @ A.C
+    # B X has no d1 components to differentiate
+    rb = _amax((_on(A.A, H, CH) + along(H, A.nabla(BH)))[..., A.d1])
+    if g.dims[1]:
+        grad, JD2 = A.grad, A.J[:, A.d2]
+        vec = -(CH @ grad[..., None])[:, None] * H[:, :, None] + (H @ _T(CH))[..., None] * grad[:, None, None]
+        rb = np.maximum(rb, _amax(_jd2_terms(g) + (vec @ _T(JD2)[:, None]).swapaxes(2, 3)))
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
 def _vertical_mu_terms(g: _Group, with_gradient: bool) -> np.ndarray:
     """C T(V_j, phi V_i) + A(omega V_i, phi V_j) [+ g(omega V_i, omega V_j) grad ln lambda]
     against mu, minus the pullback derivative of dF(mu) along omega V_i against dF(omega V_j)."""
-    tt, G = g.tensors, g.Gf
-    V, phiV = _stack(g, "vertical"), _stack(g, "phiV")
-    omV = _mapped(V, g.omega)
-    vec = _mapped(_swap(pairs(tt.t, V, phiV)), g.C) + pairs(tt.a, omV, phiV)
-    if with_gradient:
-        vec = vec + (omV @ G @ _T(omV))[..., None] * g.grad_ln_lambda.vector[:, None, None]
-    return _pullback_terms(g, vec, omV, "mu", omV)
+    A = g.adapted
+    V, phiV, omV = A.V, A.V @ A.phi, A.V @ A.om
+
+    def terms():  # without the gradient, once per group
+        vec = _swap(_on(A.T, V, phiV)) @ A.C[:, None] + _on(A.A, omV, phiV)
+        return _pullback_terms(g, vec, omV, A.I[:, A.mu], None, omV)
+
+    out = g.memo("vertical mu terms", terms)
+    return out + ((omV @ _T(omV))[..., None] * A.grad[:, None, None, A.mu]).swapaxes(2, 3) if with_gradient else out
 
 
 def check_vertical_totally_geodesic(g: _Group, tol: Tolerances):
     name = "vertical_totally_geodesic"
-    ra = _geodesic_residual(g, "vertical", _stack(g, "horizontal"))
+    ra = _geodesic_residual(g, "vertical", "horizontal")
     if g.Jf is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    V = _stack(g, "vertical")
-    w1 = pairs(g.tensors.t, V, _mapped(V, g.omega)) + _mapped(along(V, g.nabla("phiV")), g.PVf)
-    rb = _amax(_flat(w1) @ g.Gf @ _T(_stack(g, "d2")))
-    if g.family("mu").v.shape[1]:
+    A, V = g.adapted, g.adapted.V
+    # phi V lies in d1: no d2 components to differentiate
+    rb = _amax((_on(A.T, V, V @ A.om) + along(V, A.nabla(V @ A.phi)))[..., A.d2])
+    if g.dims[3]:
         rb = np.maximum(rb, _amax(_vertical_mu_terms(g, with_gradient=True)))
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
 def check_d1_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d1_totally_geodesic"
-    D1 = g.family("d1").v
-    if not D1.shape[1]:
+    if not g.dims[0]:
         return [_reports(name, g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: invariant part is zero")]
-    ra = _geodesic_residual(g, "d1", _stack(g, "d2", "horizontal"))
-    S = pairs(g.tensors.sff, D1, _stack(g, "Jd1"))  # S[q, i, j] = sff(d1_i, J d1_j)
+    ra, A = _geodesic_residual(g, "d1", "d2", "horizontal"), g.adapted
+    D1, H = A.I[:, A.d1], A.H
+    S = _on(A.S, D1, A.J[:, A.d1])  # S[q, i, j] = sff(d1_i, J d1_j)
     rb = _amax(_off_pushed_mu(g, S))
-    omBH = _mapped(_stack(g, "BH"), g.omega)
-    lhs = _over_lam2(_mapped(S, _mapped(_stack(g, "CH"), g.DFf) @ g.GNf), g)
-    rhs = _T(_mapped(pairs(g.tensors.t, D1, omBH), D1 @ g.Gf))
+    lhs = _over_lam2(_mapped(S, H @ A.C @ A.push @ g.GNf), g)
+    rhs = _T(_on(A.T, D1, H @ A.B @ A.om)[..., A.d1])
     return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
 def check_d2_totally_geodesic(g: _Group, tol: Tolerances):
     name = "d2_totally_geodesic"
-    D2 = g.family("d2").v
-    if not D2.shape[1]:
+    if not g.dims[1]:
         return [_reports(name, g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: anti-invariant part is zero")]
-    G = g.Gf
-    ra = _geodesic_residual(g, "d2", _stack(g, "d1", "horizontal"))
-    rb = _amax(_off_pushed_mu(g, pairs(g.tensors.sff, D2, _stack(g, "Jd1"))))
-    JCH = _mapped(_stack(g, "CH"), g.Jf)
+    ra, A = _geodesic_residual(g, "d2", "d1", "horizontal"), g.adapted
+    D2, JD2, JCH = A.I[:, A.d2], A.J[:, A.d2], A.H @ A.C @ A.J
+    rb = _amax(_off_pushed_mu(g, _on(A.S, D2, A.J[:, A.d1])))
     # -g_N(nabla^F_{J d2_j} dF(J d2_i), dF(J C X)) / lambda^2 at [q, i, j, x]
-    dv = along(_stack(g, "Jd2"), g.pullback("Jd2"))
-    lhs = -_over_lam2(_swap(_mapped(dv, _mapped(JCH, g.DFf) @ _T(g.GNf))), g)
-    BT = _mapped(pairs(g.tensors.t, D2, _stack(g, "BH")), g.B)
-    h_part = g.grad_ln_lambda.horizontal_part
-    rhs = _T(_mapped(BT, D2 @ G)) + (D2 @ G @ _T(D2))[..., None] * _mapped(h_part, JCH @ G)[:, None, None]
+    dv = along(JD2, A.pulled(JD2, A.dJ[:, :, A.d2]))
+    lhs = -_over_lam2(_swap(dv @ _T(JCH)[:, None]), g)
+    BT = _on(A.T, D2, A.H @ A.B) @ A.B[:, None]
+    rhs = _T(BT[..., A.d2]) + (D2 @ _T(D2))[..., None] * (JCH @ (A.grad @ A.PH)[..., None])[:, None, None, :, 0]
     return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
@@ -391,59 +399,59 @@ def check_product_structures(g: _Group, tol: Tolerances):
 # Tension, harmonicity, total geodesicity
 
 
-def _tension_formula_rhs(g: _Group) -> np.ndarray:
+def check_tension_formula(g: _Group, tol: Tolerances):
     _, n_target, dim = g.DFf.shape
     m, n, r = bookkeeping(g.dims, dim, n_target)
     mean, grad = g.tensors.fiber_mean_curvature, g.grad_ln_lambda.vector
-    return -float(2 * m + n) * _mapped(mean, g.DFf) + (2.0 - n - 2.0 * r) * _mapped(grad, g.DFf)
-
-
-def check_tension_formula(g: _Group, tol: Tolerances):
-    res = _norms(g.tensors.tension - _tension_formula_rhs(g), g.GNf)
+    rhs = -float(2 * m + n) * _mapped(mean, g.DFf) + (2.0 - n - 2.0 * r) * _mapped(grad, g.DFf)
+    res = _norms_g(g.tensors.tension - rhs, g.GNf)
     return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
 
 
 def check_harmonicity(g: _Group, tol: Tolerances):
     """Harmonicity against the mean-curvature / dilation decomposition of the tension."""
-    rb = _norms(_tension_formula_rhs(g), g.GNf)  # validates n + 2r = dim of the target
-    minimal = _norms(_mapped(g.tensors.fiber_mean_curvature, g.DFf), g.GNf) < tol.theorem
+    _, n_target, dim = g.DFf.shape
+    m, n, r = bookkeeping(g.dims, dim, n_target)  # validates n + 2r = dim of the target
+    A = g.adapted
+    # -(2m + n) dF(mean curvature of the fibers) + (2 - n - 2r) dF(grad ln lambda); T's vertical trace
+    rhs = (2.0 - n - 2.0 * r) * A.grad - np.trace(A.T[:, A.vert, A.vert], axis1=1, axis2=2)
+    minimal = _norms_g(_mapped(g.tensors.fiber_mean_curvature, g.DFf), g.GNf) < tol.theorem
     homothetic = g.grad_ln_lambda.horizontal_norm < tol.theorem
-    branch = "minimal-fibers-iff-harmonic" if g.DFf.shape[1] == 2 else "paired-implications"
+    branch = "minimal-fibers-iff-harmonic" if n_target == 2 else "paired-implications"
     labels = [f"{branch}; minimal={a}; homothetic={b}"
               for a, b in zip(minimal.tolist(), homothetic.tolist())]
-    return [_reports("harmonicity", g, _norms(g.tensors.tension, g.GNf), rb, tol.theorem,
-                     label=labels)]
+    return [_reports("harmonicity", g, _norms_g(g.tensors.tension, g.GNf), _norms_g(rhs, A.gram),
+                     tol.theorem, label=labels)]
 
 
 def check_jd2_mu_totally_geodesic(g: _Group, tol: Tolerances):
     """Vanishing sff on (J d2) x horizontal pairs iff horizontally homothetic."""
     name = "jd2_mu_totally_geodesic"
-    rb = g.grad_ln_lambda.horizontal_norm
-    JD2 = _stack(g, "Jd2")
-    if not JD2.shape[1]:
+    A = g.adapted
+    rb = g.data.lam * np.linalg.norm(A.grad @ A.PH, axis=-1)
+    if not g.dims[1]:
         return [_reports(name, g, 0.0, rb, tol.theorem, vacuous=True,
                          label="vacuous: anti-invariant part is zero")]
+    JD2 = _mapped(g.data.d2.v, g.Jf)
     ra = _amax(row_norms(_flat(pairs(g.tensors.sff, JD2, _stack(g, "horizontal"))), g.GNf))
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
 def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
     name = "totally_geodesic_characterization"
-    tt, G = g.tensors, g.Gf
     E = _stack(g, "vertical", "horizontal")
-    ra = _amax(row_norms(_upper(pairs(tt.sff, E, E), strict=False), g.GNf))
+    ra = _amax(row_norms(_upper(pairs(g.tensors.sff, E, E), strict=False), g.GNf))
     if g.Jf is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
-    C, omega = g.C, g.omega
-    D1, V, JD2 = _stack(g, "d1"), _stack(g, "vertical"), _stack(g, "Jd2")
+    A = g.adapted
+    D1, V, JD2 = A.I[:, A.d1], A.V, A.J[:, A.d2]
     # C T(d1_i, J d1_j) + omega(V nabla_{d1_i} J d1_j)
-    wa = (_mapped(pairs(tt.t, D1, _stack(g, "Jd1")), C)
-          + _mapped(_mapped(along(D1, g.nabla("Jd1")), g.PVf), omega))
+    wa = (_on(A.T, D1, A.J[:, A.d1]) @ A.C[:, None]
+          + along(D1, A.nabla(A.J[:, A.d1], A.dJ[:, :, A.d1])) @ A.PV @ A.om[:, None])
     # C(H nabla_{V_i} J d2_j) + omega T(V_i, J d2_j)
-    wb = _mapped(_mapped(along(V, g.nabla("Jd2")), g.PHf), C) + _mapped(pairs(tt.t, V, JD2), omega)
-    rb = np.maximum(np.maximum(_amax(row_norms(_flat(wa), G)), _amax(row_norms(_flat(wb), G))),
-                    g.grad_ln_lambda.horizontal_norm)
-    return [_reports(name, g, ra, rb, tol.theorem)]
+    wb = along(V, A.nabla(JD2, A.dJ[:, :, A.d2])) @ A.PH @ A.C[:, None] + _on(A.T, V, JD2) @ A.om[:, None]
+    rb = np.maximum(_amax(np.linalg.norm(wa, axis=-1)), _amax(np.linalg.norm(wb, axis=-1)))
+    return [_reports(name, g, ra, np.maximum(rb, g.data.lam * np.linalg.norm(A.grad @ A.PH, axis=-1)), tol.theorem)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +460,8 @@ def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
 
 def check_corollaries(g: _Group, tol: Tolerances):
     rows = []
-    D2, MU, V, H = (_stack(g, n) for n in ("d2", "mu", "vertical", "horizontal"))
-    anti_holo = g.Jf is not None and MU.shape[1] == 0 and D2.shape[1] > 0
+    _, n, _, r = g.dims
+    anti_holo = g.Jf is not None and r == 0 and n > 0
     h_norm = g.grad_ln_lambda.horizontal_norm
 
     # anti-holomorphic case: J(d2) spans the whole horizontal space
@@ -463,33 +471,35 @@ def check_corollaries(g: _Group, tol: Tolerances):
             rows.append(_reports(nm, g, 0.0, None, tol.theorem,
                                  label="skipped: hypothesis unmet (not anti-holomorphic)"))
     else:
-        JD2 = _stack(g, "Jd2")
-        S = pairs(g.tensors.sff, V, JD2)  # S[q, k, i] = sff(V_k, J d2_i)
+        A = g.adapted
+        JD2 = A.J[:, A.d2]
+        S = _on(A.S, A.V, JD2)  # S[q, k, i] = sff(V_k, J d2_i)
         # M[q, i, j, k] = g_N(dF(J d2_i), S[q, k, j])
-        M = _mapped(S, _mapped(JD2, g.DFf) @ g.GNf).transpose(0, 3, 2, 1)
-        ra, rb = _bracket_residual(g, "horizontal", V), _over_lam2(_amax(_upper(M - _swap(M))), g)
+        M = _mapped(S, JD2 @ A.push @ g.GNf).transpose(0, 3, 2, 1)
+        ra, rb = _bracket_residual(g, "horizontal", "vertical"), _over_lam2(_amax(_upper(M - _swap(M))), g)
         rows.append(_reports(name1, g, ra, rb, tol.theorem))
-        ra2 = _geodesic_residual(g, "horizontal", V)
+        ra2 = _geodesic_residual(g, "horizontal", "vertical")
         rb2 = _over_lam2(_amax(_off_pushed_mu(g, S)), g)
         rows.append(_reports(name2, g, ra2, rb2, tol.theorem))
 
     # dilation constant characterizations under parallelism hypotheses
-    def parallel_reports(name, ra, X, family, proj, what, side_b):
-        if not D2.shape[1] or not MU.shape[1]:
+    def parallel_reports(name, ra, X, block, what, side_b):
+        if not n or not r:
             return _reports(name, g, ra, 0.0, tol.theorem, vacuous=True,
                             label="vacuous: needs nonzero d2 and mu")
-        nab = along(X, g.nabla(family))  # the family stays in its span along X
-        unmet = _amax(row_norms(_flat(nab - _mapped(nab, proj)), g.Gf)) > tol.theorem
-        return _reports(name, g, ra, side_b(), tol.theorem, unmet=unmet, label=f"hypothesis unmet: {what}")
+        A = g.adapted
+        nab = along(X(A), A.nabla(A.I[:, block(A)]))  # the block stays in its span along X
+        unmet = _amax(np.linalg.norm(nab - nab * A.I[0, block(A)].sum(0), axis=-1)) > tol.theorem
+        return _reports(name, g, ra, side_b(g.adapted), tol.theorem, unmet=unmet,
+                        label=f"hypothesis unmet: {what}")
 
     rows.append(parallel_reports(
-        "d2_parallel_homothety", h_norm, H, "d2", g.PD2f, "d2 not parallel along horizontal",
-        lambda: _amax(_pullback_terms(g, pairs(g.tensors.a, H, _stack(g, "BH")), H,
-                                      "Jd2", _stack(g, "CH")))))
-    ra4 = g.data.lam * _norms(_mapped(g.grad_ln_lambda.vector, g.PMUf), g.Gf) if MU.shape[1] else 0.0
+        "d2_parallel_homothety", h_norm, lambda A: A.H, lambda A: A.d2, "d2 not parallel along horizontal",
+        lambda A: _amax(_jd2_terms(g))))
+    ra4 = g.data.lam * _norms_g(_mapped(g.grad_ln_lambda.vector, g.PMUf), g.Gf) if r else 0.0
     rows.append(parallel_reports(
-        "mu_parallel_dilation", ra4, V, "mu", g.PMUf, "mu not parallel along the fibers",
-        lambda: _amax(_vertical_mu_terms(g, with_gradient=False))))
+        "mu_parallel_dilation", ra4, lambda A: A.V, lambda A: A.mu, "mu not parallel along the fibers",
+        lambda A: _amax(_vertical_mu_terms(g, with_gradient=False))))
     return rows
 
 
@@ -506,7 +516,7 @@ def check_sff_identities(g: _Group, tol: Tolerances):
     (unordered pairs where both slots range over the same frame).
     """
     tt, G, DF = g.tensors, g.Gf, g.DFf
-    H, V = g.family("horizontal").v, g.family("vertical").v
+    H, V = g.data.horizontal.v, g.data.vertical.v
     grad = g.grad_ln_lambda.vector
     pushed, dln = _mapped(H, DF), _mapped(grad, H @ G)
     rhs = (dln[:, :, None, None] * pushed[:, None] + dln[:, None, :, None] * pushed[:, :, None]
@@ -516,12 +526,9 @@ def check_sff_identities(g: _Group, tol: Tolerances):
         _upper(pairs(tt.sff, V, V) + _mapped(pairs(tt.t, V, V), DF), strict=False),
         pairs(tt.sff, H, V) + _mapped(pairs(tt.a, H, V), DF),
     )
-    rh, rv, rm = (_amax(row_norms(_flat(x), g.GNf)) for x in gaps)
-    return [
-        _reports("sff_identity_horizontal", g, rh, rh, tol.identity, label="identity"),
-        _reports("sff_identity_vertical", g, rv, rv, tol.identity, label="identity"),
-        _reports("sff_identity_mixed", g, rm, rm, tol.identity, label="identity"),
-    ]
+    residuals = (_amax(row_norms(_flat(x), g.GNf)) for x in gaps)
+    return [_reports(f"sff_identity_{slots}", g, r, r, tol.identity, label="identity")
+            for slots, r in zip(("horizontal", "vertical", "mixed"), residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +543,20 @@ class CheckerSpec:
     kahler_gated: bool  # equivalence side requires a verified Kaehler structure
 
 
-CHECKERS: dict[str, CheckerSpec] = {
-    spec.name: spec
-    for spec in [
-        CheckerSpec("d2_integrability", check_d2_integrable, True, True),
-        CheckerSpec("d1_integrability", check_d1_integrability, True, True),
-        CheckerSpec("horizontal_integrability", check_horizontal_integrability, False, True),
-        CheckerSpec("homothety_characterization", check_homothetic_characterization, False, True),
-        CheckerSpec("horizontal_totally_geodesic", check_horizontal_totally_geodesic, False, True),
-        CheckerSpec("vertical_totally_geodesic", check_vertical_totally_geodesic, False, True),
-        CheckerSpec("d1_totally_geodesic", check_d1_totally_geodesic, True, True),
-        CheckerSpec("d2_totally_geodesic", check_d2_totally_geodesic, True, True),
-        CheckerSpec("product_structures", check_product_structures, False, True),
-        CheckerSpec("tension_formula", check_tension_formula, True, True),
-        CheckerSpec("harmonicity", check_harmonicity, True, True),
-        CheckerSpec("jd2_mu_totally_geodesic", check_jd2_mu_totally_geodesic, True, True),
-        CheckerSpec(
-            "totally_geodesic_characterization",
-            check_totally_geodesic_characterization,
-            False,
-            True,
-        ),
-        CheckerSpec("corollaries", check_corollaries, True, True),
-        CheckerSpec("sff_identities", check_sff_identities, False, False),
-    ]
-}
+CHECKERS: dict[str, CheckerSpec] = {spec.name: spec for spec in [
+    CheckerSpec("d2_integrability", check_d2_integrable, True, True),
+    CheckerSpec("d1_integrability", check_d1_integrability, True, True),
+    CheckerSpec("horizontal_integrability", check_horizontal_integrability, False, True),
+    CheckerSpec("homothety_characterization", check_homothetic_characterization, False, True),
+    CheckerSpec("horizontal_totally_geodesic", check_horizontal_totally_geodesic, False, True),
+    CheckerSpec("vertical_totally_geodesic", check_vertical_totally_geodesic, False, True),
+    CheckerSpec("d1_totally_geodesic", check_d1_totally_geodesic, True, True),
+    CheckerSpec("d2_totally_geodesic", check_d2_totally_geodesic, True, True),
+    CheckerSpec("product_structures", check_product_structures, False, True),
+    CheckerSpec("tension_formula", check_tension_formula, True, True),
+    CheckerSpec("harmonicity", check_harmonicity, True, True),
+    CheckerSpec("jd2_mu_totally_geodesic", check_jd2_mu_totally_geodesic, True, True),
+    CheckerSpec("totally_geodesic_characterization", check_totally_geodesic_characterization, False, True),
+    CheckerSpec("corollaries", check_corollaries, True, True),
+    CheckerSpec("sff_identities", check_sff_identities, False, False),
+]}

@@ -32,13 +32,47 @@ F 1 = x1 + 0.5*x2*x3
 [sampling]
 box = -1 1, -1 1, -1 1
 """
-SCENES_WITH_GENERIC = ALL_SCENE_NAMES + ("generic-metric",)
+# a Hermitian source metric that is not Kaehler, with J pairing the coordinates
+# 1-3, 2-4 and 5-6 and a 4-dimensional invariant part: the frames of the pass
+# turn against J from point to point, so g(J E_r, E_s) in the adapted frame
+# varies (dJ != 0), which no preset or bench scene shows
+GENERIC_HERMITIAN = """
+name = generic-hermitian
+[source]
+dim = 6
+g 1 1 = 1 + 0.3*sin(x1)
+g 1 2 = 0.2*x2
+g 1 4 = 0.15*x5
+g 2 2 = 1.5 + 0.1*x3^2
+g 2 3 = 0 - 0.15*x5
+g 3 3 = 1 + 0.3*sin(x1)
+g 3 4 = 0.2*x2
+g 4 4 = 1.5 + 0.1*x3^2
+g 5 5 = 1
+g 6 6 = 1
+J 3 1 = 1
+J 1 3 = 0 - 1
+J 4 2 = 1
+J 2 4 = 0 - 1
+J 6 5 = 1
+J 5 6 = 0 - 1
+[target]
+dim = 2
+metric = euclidean
+[map]
+F 1 = x5
+F 2 = x6
+[sampling]
+box = -1 1, -1 1, -1 1, -1 1, -1 1, -1 1
+"""
+GENERIC_SCENES = {"generic-metric": GENERIC_METRIC, "generic-hermitian": GENERIC_HERMITIAN}
+SCENES_WITH_GENERIC = ALL_SCENE_NAMES + tuple(GENERIC_SCENES)
 
 
 def fresh_scene(name):
-    """A newly parsed preset, bench scene or the generic-metric scene."""
-    if name == "generic-metric":
-        return load_scene_text(GENERIC_METRIC)
+    """A newly parsed preset, bench scene or generic scene."""
+    if name in GENERIC_SCENES:
+        return load_scene_text(GENERIC_SCENES[name])
     for f in BENCH_SCENES:
         if f.stem == name:
             return load_scene_text(f.read_text(encoding="utf-8"), name_hint=name)

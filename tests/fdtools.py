@@ -174,7 +174,7 @@ def on_pairs(table, X, Y) -> np.ndarray:
 
 
 class FrameField:
-    """Row `index` of a frame family as a field; each value re-runs the frame pass on the batch of one."""
+    """Row `index` of one of the pass's frames as a field; each value re-runs the frame pass on the batch of one."""
 
     def __init__(self, fmap, name, index):
         self.fmap, self.name, self.index = fmap, name, index
@@ -233,11 +233,11 @@ def _rel_gap(got, want):
 def pass_derivative_margins(fmap, g, k, h=H):
     """Gap between each array jet's derivative part at the point `(g, k)` and central differences.
 
-    Every frame family, projector and the square dilation of the frame pass is
+    Every frame, projector and the square dilation of the frame pass is
     compared with `fd_jacobian` of its values at p +- h e_l, each a batch of
     one (derivative axis moved first, as in the jet), and the connection
     coefficients built from the metric jet with `fd_christoffel`.  Gaps are
-    relative to max(1, largest reference entry); families a scene lacks are
+    relative to max(1, largest reference entry); frames a scene lacks are
     left out.
     """
     p = g.points[k]
@@ -252,10 +252,10 @@ def pass_derivative_margins(fmap, g, k, h=H):
     return out
 
 
-# the frame families whose covariant derivatives, and the pushed families whose
-# pullback derivatives, a group tabulates for the checkers
-NABLA_FAMILIES = ("vertical", "horizontal", "d1", "d2", "mu", "Jd1", "Jd2", "BH", "phiV")
-PULLBACK_FAMILIES = ("CH", "Jd2", "mu")
+# the frames of the pass whose covariant derivatives side a reads, and the
+# tables of the adapted frame that side b reads
+FRAMES = ("vertical", "horizontal", "d1", "d2")
+ADAPTED = ("omega", "dJ", "pull")
 
 
 def table_margins(fmap, g, k, h=H):
@@ -263,11 +263,15 @@ def table_margins(fmap, g, k, h=H):
 
     The oracles use only values of the frame pass at p +- h e_l and
     `fd_christoffel`: the sff table against `fd_sff_table`; O'Neill's T and A
-    against difference quotients of q -> P_V(q) e_j and q -> P_H(q) e_j; each
-    family's covariant derivatives against `fd_jacobian` of its values plus
-    the source connection; each pushed family's pullback derivatives against
-    `fd_jacobian` of dF_q(F_q) plus the target connection.  Gaps are relative
-    to max(1, largest reference entry); families a scene lacks are left out.
+    against difference quotients of q -> P_V(q) e_j and q -> P_H(q) e_j; the
+    covariant derivatives of each frame of the pass against `fd_jacobian` of
+    its values plus the source connection.  With a complex structure, the
+    adapted frame's tables (`submersion.AdaptedFrame`) are checked the same
+    way: omega from difference quotients of the rows E(q) plus the source
+    connection, dJ from difference quotients of q -> g(J E_r, E_s)(q), and
+    the pullback table from difference quotients of q -> dF_q(E(q)) plus the
+    target connection, each paired with E, G and g_N at p.  Gaps are relative
+    to max(1, largest reference entry); frames a scene lacks are left out.
     """
     p = g.points[k]
     seen = {}
@@ -282,9 +286,11 @@ def table_margins(fmap, g, k, h=H):
     gamma_n = fd_christoffel(fmap.target, map_values(fmap, p), h)
     DF = fd_map_jacobian(fmap, p, h)
 
+    def deriv(values):  # d_l of values(q), derivative axis first
+        return np.moveaxis(fd_jacobian(values, p, h), -1, 0)
+
     def cov(rows):  # nabla_{d_l} of each row of rows(q), at [l, r, k]
-        d = np.moveaxis(fd_jacobian(rows, p, h), -1, 0)
-        return d + np.einsum("kli,ri->lrk", gamma, rows(p))
+        return deriv(rows) + np.einsum("kli,ri->lrk", gamma, rows(p))
 
     tt = g.tensors
     out = {"sff": _rel_gap(tt.sff[k], fd_sff_table(fmap, p, h))}
@@ -294,13 +300,18 @@ def table_margins(fmap, g, k, h=H):
     want_t = np.einsum("mk,li,ljk->mij", PH, PV, nV) + np.einsum("mk,li,ljk->mij", PV, PV, nH)
     want_a = np.einsum("mk,li,ljk->mij", PV, PH, nH) + np.einsum("mk,li,ljk->mij", PH, PH, nV)
     out["T"], out["A"] = _rel_gap(tt.t[k], want_t), _rel_gap(tt.a[k], want_a)
-    for name in NABLA_FAMILIES:
-        if g.family(name).v.shape[1]:
-            out[f"nabla {name}"] = _rel_gap(g.nabla(name)[k], cov(lambda q: at(q).family(name).v[0]))
-    for name in PULLBACK_FAMILIES:
-        if g.family(name).v.shape[1]:
-            pushed = lambda q: at(q).family(name).v[0] @ at(q).DFf[0].T
-            d = np.moveaxis(fd_jacobian(pushed, p, h), -1, 0)
-            want = d + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
-            out[f"pullback {name}"] = _rel_gap(g.pullback(name)[k], want)
+    for name in FRAMES:
+        frame = getattr(g.data, name)
+        if frame is not None and frame.v.shape[1]:
+            out[f"nabla {name}"] = _rel_gap(g.nabla(name)[k], cov(lambda q: getattr(at(q).data, name).v[0]))
+    if g.Jf is None:
+        return out
+    A = g.adapted
+    E, G, GN = A.E.v[k], g.Gf[k], g.GNf[k]
+    rows = lambda q: at(q).adapted.E.v[0]
+    out["omega"] = _rel_gap(A.omega[k], np.einsum("ml,lrk,kj,sj->mrs", E, cov(rows), G, E))
+    out["dJ"] = _rel_gap(A.dJ[k], np.einsum("ml,lrs->mrs", E, deriv(lambda q: at(q).adapted.J[0])))
+    pushed = lambda q: rows(q) @ at(q).DFf[0].T
+    npushed = deriv(pushed) + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
+    out["pull"] = _rel_gap(A.pull[k], np.einsum("ml,lra,ab,tb->mrt", E, npushed, GN, pushed(p)))
     return out

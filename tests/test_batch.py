@@ -28,7 +28,7 @@ from confsub.scenes import load_scene_text, sample_points
 from confsub.theorems import CHECKERS, _memo_check
 
 from .conftest import SCENES_WITH_GENERIC, entry, fresh_scene, reports_at
-from .fdtools import NABLA_FAMILIES, PULLBACK_FAMILIES
+from .fdtools import FRAMES
 
 
 def _same(a, b) -> bool:
@@ -53,6 +53,10 @@ def _at(x, k):
     return None if x is None else x[[k]]
 
 
+# every table of the adapted frame that side b reads
+ADAPTED_TABLES = ("omega", "T", "A", "J", "dJ", "phi", "om", "B", "C", "S", "push", "gram", "pull", "grad", "V", "H")
+
+
 def assert_entries_equal(batched, single, fmap, tol):
     """Pass, split, Kaehler residuals, tables and checker reports of two entries agree bit for bit."""
     (g, k), (s, j) = batched, single
@@ -64,10 +68,12 @@ def assert_entries_equal(batched, single, fmap, tol):
     assert _same(_at(g.gamma_src, k), _at(s.gamma_src, j))
     assert _same(_at(g.tensors, k), _at(s.tensors, j))
     assert _same(_at(g.grad_ln_lambda, k), _at(s.grad_ln_lambda, j))
-    for name in NABLA_FAMILIES:
-        assert _same(_at(g.nabla(name), k), _at(s.nabla(name), j)), name
-    for name in PULLBACK_FAMILIES:
-        assert _same(_at(g.pullback(name), k), _at(s.pullback(name), j)), name
+    for name in FRAMES:
+        if getattr(g.data, name) is not None:
+            assert _same(_at(g.nabla(name), k), _at(s.nabla(name), j)), name
+    if use_j:
+        for name in ADAPTED_TABLES:
+            assert _same(_at(getattr(g.adapted, name), k), _at(getattr(s.adapted, name), j)), name
     for spec in CHECKERS.values():
         if use_j or not spec.needs_j:
             assert _same(reports_at(spec.func, batched, tol), reports_at(spec.func, single, tol))

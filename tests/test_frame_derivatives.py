@@ -1,13 +1,14 @@
 """The derivative parts of the frame pass and the per-point tables against finite differences.
 
 The verdict gate cannot see a transposed derivative axis when it leaves a
-residual at rounding level, so every frame family, projector, the square
+residual at rounding level, so every frame, projector, the square
 dilation and the source connection are compared directly with difference
 quotients of their values, on every preset and bench scene.  The tables the
-checkers contract (second fundamental form, O'Neill's T and A, covariant and
-pullback derivatives of the frame families) are compared the same way: both
-sides of a checker read the same tables, so this oracle is what checks them
-independently.
+checkers contract (second fundamental form, O'Neill's T and A, the covariant
+derivatives of the pass's frames that side a reads, and the adapted-frame
+tables omega, dJ and the pullback table that side b reads) are compared the
+same way: a table error that moves both sides of a checker together shows
+in no verdict, so this oracle is what checks them independently.
 
 Derivatives are built on first read: a structure-only run must build none
 of the frame pass's, and a full check, which builds them outside the pass,
@@ -24,8 +25,8 @@ from confsub.submersion import _gram_schmidt
 
 from .conftest import ALL_SCENE_NAMES, SCENES_WITH_GENERIC as SCENES, fresh_scene
 from .fdtools import (
-    NABLA_FAMILIES,
-    PULLBACK_FAMILIES,
+    ADAPTED,
+    FRAMES,
     fd_jacobian,
     pass_derivative_margins,
     table_margins,
@@ -59,9 +60,8 @@ def test_tables_match_finite_differences(name):
         margins = table_margins(sc.fmap, g, k)
         assert {"sff", "T", "A", "nabla vertical", "nabla horizontal"} <= set(margins)
         if sc.source.complex_structure is not None:
-            present = {f"nabla {n}" for n in NABLA_FAMILIES if g.family(n).v.shape[1]}
-            present |= {f"pullback {n}" for n in PULLBACK_FAMILIES if g.family(n).v.shape[1]}
-            assert present <= set(margins) and "pullback CH" in margins
+            present = {f"nabla {n}" for n in FRAMES if getattr(g.data, n).v.shape[1]}
+            assert present | set(ADAPTED) <= set(margins)
         bad = {k: v for k, v in margins.items() if v > MARGIN}
         assert not bad, f"{name} at {tuple(p)}: {bad}"
 
@@ -146,7 +146,7 @@ def test_derivatives_are_built_once(rng):
         assert jet.d is jet.d
     sc = fresh_scene("example33")
     _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=4, seed=1))
-    for jet in (g.data.PD2, g.data.Ginv, g.data.lambda_sq, g.family("BH")):
+    for jet in (g.data.PD2, g.data.Ginv, g.data.lambda_sq, g.adapted.E, g.adapted._J):
         assert jet.d is jet.d
 
 

@@ -230,6 +230,27 @@ def test_scrambled_halton_long_draw_is_pinned_bit_for_bit(seed):
     assert hashlib.sha256(third.tobytes()).hexdigest() == HALTON_SHA256[seed]
 
 
+def _halton_by_digit_loop(sampler, start, n):
+    """Points start .. start + n - 1 of the sequence, one digit position at a time, added in digit order."""
+    rem, out = np.arange(start, start + n)[:, None], np.zeros((n, sampler._cols.size))
+    for j in range(len(sampler._zero_terms)):
+        rem, digit = np.divmod(rem, sampler._bases)
+        out += sampler._perm[j, sampler._cols, digit] * sampler._weights[j]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
+def test_scrambled_halton_draws_match_the_digit_loop(d):
+    # the draw stacks all digit terms and sums them over the digit axis; any
+    # summation order but digit order would move last bits
+    sampler, start = ScrambledHalton(d, 5), 0
+    for n in (1, 16, 5, 128, 1000, 1):
+        want = _halton_by_digit_loop(sampler, start, n)
+        got = sampler.random(n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, start, n)
+        start += n
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

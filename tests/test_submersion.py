@@ -62,6 +62,11 @@ def sff_identity_residuals(e, tol=DEFAULT_TOLERANCES):
     return tuple(r.residual_a for r in reports_at(check_sff_identities, e, tol))
 
 
+def op(g, name):
+    """x -> P J x as matrices: phi and omega split J on the vertical space, B and C on the horizontal one."""
+    return {"phi": g.PVf, "omega": g.PJD2f, "B": g.PD2f, "C": g.PMUf}[name] @ g.Jf
+
+
 def gnorm(e, v):
     g, k = e
     return float(row_norms(np.asarray(v, dtype=float), g.Gf[k]))
@@ -187,42 +192,42 @@ def test_split_frame_ambiguous():
 def test_phi_omega_invariant_direction():
     g, k = entry(fmap(E33), e33_point())
     e1 = np.eye(6)[0]
-    assert g.phi[k] @ e1 == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
-    assert np.linalg.norm(g.omega[k] @ e1) < 1e-12
+    assert op(g, "phi")[k] @ e1 == pytest.approx(np.eye(6)[1], abs=1e-12)  # J e1 = e2
+    assert np.linalg.norm(op(g, "omega")[k] @ e1) < 1e-12
 
 
 def test_phi_omega_anti_invariant_direction():
     g, k = entry(fmap(E33), e33_point())
     e4 = np.eye(6)[3]
-    assert np.linalg.norm(g.phi[k] @ e4) < 1e-12
-    assert g.omega[k] @ e4 == pytest.approx(g.Jf[k] @ e4, abs=1e-12)  # fully horizontal image
+    assert np.linalg.norm(op(g, "phi")[k] @ e4) < 1e-12
+    assert op(g, "omega")[k] @ e4 == pytest.approx(g.Jf[k] @ e4, abs=1e-12)  # fully horizontal image
 
 
 def test_omega_vanishes_on_d1():
     for g, k in entries(E33, count=3):
         for u in g.split(k).d1:
-            assert np.linalg.norm(g.omega[k] @ u) < 1e-12
+            assert np.linalg.norm(op(g, "omega")[k] @ u) < 1e-12
 
 
 def test_bc_decompose_on_jd2():
     for e in entries(E33, count=3):
         g, k = e
         for x in g.split(k).jd2:
-            assert np.linalg.norm(g.C[k] @ x) < 1e-10
-            assert gnorm(e, g.B[k] @ x) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(op(g, "C")[k] @ x) < 1e-10
+            assert gnorm(e, op(g, "B")[k] @ x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bc_b_of_jw_is_minus_w():
     for g, k in entries(E33, count=3):
         for w in g.split(k).d2:
-            assert g.B[k] @ (g.Jf[k] @ w) == pytest.approx(-w, abs=1e-10)
+            assert op(g, "B")[k] @ (g.Jf[k] @ w) == pytest.approx(-w, abs=1e-10)
 
 
 def test_bc_trivial_when_d2_empty():
     g, k = entry(fmap("holo4"), np.array([0.1, 0.2, 0.0, 0.5]))
     for x in g.split(k).horizontal:
-        assert np.linalg.norm(g.B[k] @ x) < 1e-12
-        assert g.C[k] @ x == pytest.approx(g.Jf[k] @ x, abs=1e-12)
+        assert np.linalg.norm(op(g, "B")[k] @ x) < 1e-12
+        assert op(g, "C")[k] @ x == pytest.approx(g.Jf[k] @ x, abs=1e-12)
 
 
 def test_j_coherence():
@@ -230,7 +235,7 @@ def test_j_coherence():
     for e in entries(E33, count=3) + entries("linproj63", count=3):
         g, k = e
         for v in g.split(k).vertical:
-            res = g.phi[k] @ (g.phi[k] @ v) + g.B[k] @ (g.omega[k] @ v) + v
+            res = op(g, "phi")[k] @ (op(g, "phi")[k] @ v) + op(g, "B")[k] @ (op(g, "omega")[k] @ v) + v
             assert gnorm(e, res) < 1e-9
 
 
@@ -275,7 +280,7 @@ def test_a_alternation_against_bracket():
     p = e33_point()
     g, k = entry(F, p)
     X1, X2 = g.split(k).horizontal
-    H = g.family("horizontal")
+    H = g.data.horizontal
     br = brackets(H, H)[k, 0, 1]
     a12 = g.PVf[k] @ on_pairs(g.tensors.a[k], X1, X2)
     assert a12 == pytest.approx(0.5 * (g.PVf[k] @ br), abs=1e-9)
@@ -432,8 +437,10 @@ def test_covariant_phi_omega_structure_identities():
         for e in entries(name, count=3):
             g, k = e
             f, T = g.data, g.tensors.t[k]
-            phi, omega, B, C, PV, PH = (x[k] for x in (g.phi, g.omega, g.B, g.C, g.PVf, g.PHf))
-            # nabla of the fields omega(V_j) = P_JD2 J V_j
+            phi, omega, B, C = (op(g, name)[k] for name in ("phi", "omega", "B", "C"))
+            PV, PH = g.PVf[k], g.PHf[k]
+            # nabla of the fields phi(V_j) = P_V J V_j and omega(V_j) = P_JD2 J V_j
+            nabla_phi = nabla(g.gamma_src, f.vertical @ (f.PV @ f.J).T)[k]
             nabla_omega = nabla(g.gamma_src, f.vertical @ (f.PJD2 @ f.J).T)[k]
             for V in f.vertical.v[k]:
                 for j, W in enumerate(f.vertical.v[k]):
@@ -441,7 +448,7 @@ def test_covariant_phi_omega_structure_identities():
                     phi_W = phi @ W
                     om_W = omega @ W
                     hat_V_W = PV @ np.tensordot(V, g.nabla("vertical")[k], 1)[j]
-                    hat_V_phiW = PV @ np.tensordot(V, g.nabla("phiV")[k], 1)[j]
+                    hat_V_phiW = PV @ np.tensordot(V, nabla_phi, 1)[j]
                     lhs1 = hat_V_phiW - phi @ hat_V_W
                     rhs1 = B @ TVW - on_pairs(T, V, om_W)
                     assert gnorm(e, lhs1 - rhs1) < 1e-6
@@ -451,18 +458,34 @@ def test_covariant_phi_omega_structure_identities():
                     assert gnorm(e, lhs2 - rhs2) < 1e-6
 
 
-def test_families_are_the_operators_on_their_frames():
-    # the tabulated families are J, B, C and phi applied to the frames
+def test_adapted_tables_are_the_frames_and_operators_in_components():
+    # E = [d1, d2, Jd2, mu] is G-orthonormal, the pass's frames, the J-split
+    # operators and O'Neill's tensors are its components, and grad, push and
+    # gram are grad ln lambda, dF and g_N on its rows
     for name in (E33, "linproj63", "holo4"):
         for g, k in entries(name, count=2):
-            rows = lambda n: g.family(n).v[k]
-            J, B, C = g.Jf[k], g.B[k], g.C[k]
-            assert np.allclose(rows("Jd1"), rows("d1") @ J.T, atol=1e-12)
-            assert np.allclose(rows("Jd2"), rows("d2") @ J.T, atol=1e-12)
-            assert np.allclose(rows("BH"), rows("horizontal") @ B.T, atol=1e-12)
-            assert np.allclose(rows("CH"), rows("horizontal") @ C.T, atol=1e-12)
-            assert np.allclose(rows("phiV"), rows("vertical") @ g.phi[k].T, atol=1e-12)
-            assert np.allclose(B, g.PD2f[k] @ J) and np.allclose(C, g.PMUf[k] @ J)
+            A, f = g.adapted, g.data
+            E, G = A.E.v[k], g.Gf[k]
+            D = len(E)
+            assert np.allclose(E, np.concatenate([f.d1.v[k], f.d2.v[k], f.jd2.v[k], f.mu.v[k]]), atol=0)
+            assert np.allclose(E @ G @ E.T, np.eye(D), atol=1e-12)
+            assert np.allclose(A.V[k] @ E, f.vertical.v[k], atol=1e-12)
+            assert np.allclose(A.H[k] @ E, f.horizontal.v[k], atol=1e-12)
+            assert np.allclose(A.J[k], E @ g.Jf[k].T @ G @ E.T, atol=1e-12)
+            assert np.allclose(A.J[k][A.d2, A.jd2], np.eye(g.dims[1]), atol=1e-12)  # Jd2 is J(d2)
+            assert np.allclose(A.H[k] @ A.B[k] @ E, f.horizontal.v[k] @ op(g, "B")[k].T, atol=1e-12)
+            assert np.allclose(A.H[k] @ A.C[k] @ E, f.horizontal.v[k] @ op(g, "C")[k].T, atol=1e-12)
+            assert np.allclose(A.V[k] @ A.phi[k] @ E, f.vertical.v[k] @ op(g, "phi")[k].T, atol=1e-12)
+            assert np.allclose(A.V[k] @ A.om[k] @ E, f.vertical.v[k] @ op(g, "omega")[k].T, atol=1e-12)
+            # O'Neill's T and A as blocks of omega, against the projector route of `tensors`
+            for mine, theirs in ((A.T, g.tensors.t), (A.A, g.tensors.a)):
+                want = np.einsum("kij,li,rj->lrk", theirs[k], E, E)
+                assert np.allclose(mine[k] @ E, want, atol=1e-9)
+            assert np.allclose(A.grad[k], g.grad_ln_lambda.vector[k] @ G @ E.T, atol=1e-12)
+            assert np.allclose(A.push[k], E @ g.DFf[k].T, atol=1e-12)
+            gram = np.zeros((D, D))
+            gram[A.hor, A.hor] = f.lam[k] ** 2 * np.eye(len(g.DFf[k]))  # dF kills the vertical block
+            assert np.allclose(A.gram[k], gram, atol=1e-9)
 
 
 def test_splitting_completeness():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +7,12 @@ from confsub.config import DEFAULT_TOLERANCES as TOL
 from confsub.errors import BookkeepingError
 from confsub.report import RunReport
 from confsub.runner import run
-from confsub.scenes import load_scene_text
-from confsub.submersion import bookkeeping
+from confsub.scenes import load_scene_text, sample_points
+from confsub.submersion import AdaptedFrame, bookkeeping
 from confsub.theorems import (
     CHECKERS,
     ConditionReport,
+    _group_rows,
     check_d2_integrable,
     check_harmonicity,
     check_jd2_mu_totally_geodesic,
@@ -20,7 +22,7 @@ from confsub.theorems import (
     verdict_of,
 )
 
-from .conftest import entries, reports_at
+from .conftest import SCENES_WITH_GENERIC, entries, fresh_scene, reports_at
 
 J_PRESETS = ("example33", "linproj42", "holo4", "linproj63")
 
@@ -32,6 +34,37 @@ def all_reports(name, count=6):
         for spec in CHECKERS.values():
             out.extend((tuple(g.points[k]), r) for r in reports_at(spec.func, (g, k), TOL))
     return out
+
+
+def test_side_a_never_reads_the_adapted_frame(monkeypatch):
+    # side a has its own route (brackets of the frame jets, nabla of the pass's
+    # frames, the sff from dF): if omega fed both sides, each equivalence would
+    # be an identity of one table, and a connection bug would move both sides
+    # together; garbage in omega and dJ must leave every ra bit for bit
+    def residuals():
+        out = {}
+        for name in SCENES_WITH_GENERIC:
+            sc = fresh_scene(name)
+            if sc.source.complex_structure is None:
+                continue
+            _, groups = sc.fmap.frame_pass(sample_points(sc, count=4, seed=2))
+            for _, g in groups:
+                for spec in CHECKERS.values():
+                    for row in _group_rows(spec.func, g, TOL):
+                        out.setdefault((name, row[0].name), []).extend((r.residual_a, r.residual_b) for r in row)
+        return out
+
+    before = residuals()
+    shape = lambda E: E.shape[:2] + E.shape[1:2] * 2  # (N, D, D, D)
+    garbage = property(lambda self: np.random.default_rng(11).normal(size=shape(self.E.v)))
+    monkeypatch.setattr(AdaptedFrame, "omega", garbage)
+    monkeypatch.setattr(AdaptedFrame, "dJ", garbage)
+    after = residuals()
+    assert before.keys() == after.keys()
+    for key in before:
+        assert [a for a, _ in before[key]] == [a for a, _ in after[key]], key
+    moved = {key for key in before if [b for _, b in before[key]] != [b for _, b in after[key]]}
+    assert {name for name, _ in moved} >= {"example33", "linproj63", "anti-toy", "generic-hermitian"}
 
 
 @pytest.mark.parametrize("preset", J_PRESETS)
