@@ -29,10 +29,6 @@ class NumericalOverflowError(EngineError):
     """A value of the frame pass at a sampled point is not finite."""
 
 
-class BookkeepingError(EngineError):
-    """Detected distribution dimensions are mutually inconsistent."""
-
-
 class SceneError(EngineError):
     """Scene file could not be parsed or validated."""
 

@@ -6,9 +6,10 @@ shortest round-trip float repr, so identical runs serialize byte-identically
 and `from_canonical(to_canonical(r))` reproduces the report exactly; it
 accepts only text that `to_canonical` writes, so a checker row whose verdicts
 do not follow from its residuals, or an aggregate that does not follow from
-the rows, is an error at its line.  Row k of every checker section is at the
-point of structure row k, so a section with one row too many or too few is
-an error at its header.
+the rows, is an error at its line.  Rows are numbered by position, there is
+one structure row per sample point, and row k of every checker section is at
+the point of structure row k, so a section with one row too many or too few
+for the header's `count` is an error at its header.
 """
 
 from __future__ import annotations
@@ -122,12 +123,12 @@ def to_canonical(report: RunReport) -> str:
         f"exit = {report.exit_code}",
     ]
     lines.append("[structure]")
-    for row, point in zip(report.structure, points):
+    for i, (row, point) in enumerate(zip(report.structure, points)):
         dims = "-" if row.dims is None else ",".join(str(d) for d in row.dims)
         lines.append(
             _SEP.join(
                 [
-                    str(row.index),
+                    str(i),
                     f"point={point}",
                     f"lambda={_fnum(row.lam)}",
                     f"dims={dims}",
@@ -225,7 +226,7 @@ def from_canonical(text: str) -> RunReport:
                 dims_raw = _take(fields[3], "dims")
                 report.structure.append(
                     StructureRow(
-                        index=int(fields[0]),
+                        index=len(report.structure),
                         point=_ppoint(_take(fields[1], "point")),
                         lam=float(_take(fields[2], "lambda")),
                         dims=None if dims_raw == "-" else tuple(int(x) for x in dims_raw.split(",")),
@@ -258,6 +259,9 @@ def from_canonical(text: str) -> RunReport:
         raise ValueError(f"line {i + 1}: too few fields in {lines[i]!r}") from None
     except ValueError as err:
         raise ValueError(f"line {i + 1}: {err}") from None
+    if "[structure]" in lines and report.count != len(report.structure):
+        raise ValueError(f"line {lines.index('[structure]') + 1}: [structure] has {len(report.structure)} rows, "
+                         f"the header's count is {report.count}")
     for name, rows in report.reports.items():
         if len(rows) != len(report.structure):
             header = f"[checker {name}]"
@@ -287,11 +291,11 @@ def render_table(report: RunReport) -> str:
     out.append("")
     out.append("structure per point")
     out.append(f"{'idx':>4} {'lambda':>18} {'d1':>3} {'d2':>3} {'jd2':>4} {'mu':>3} {'conf_resid':>11} {'kahler_resid':>13}")
-    for row in report.structure:
+    for i, row in enumerate(report.structure):
         dims = row.dims or ("-", "-", "-", "-")
         kah = "-" if row.kahler_residual is None else f"{row.kahler_residual:.2e}"
         out.append(
-            f"{row.index:>4} {row.lam:>18.12f} {dims[0]:>3} {dims[1]:>3} {dims[2]:>4} {dims[3]:>3} "
+            f"{i:>4} {row.lam:>18.12f} {dims[0]:>3} {dims[1]:>3} {dims[2]:>4} {dims[3]:>3} "
             f"{row.conformality_residual:>11.2e} {kah:>13}"
         )
     out.append("")

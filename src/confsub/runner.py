@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .config import Tolerances
 from .errors import NumericalOverflowError, SceneError, StructureError
@@ -99,7 +101,7 @@ def run(
     for members, group in groups:  # each group's rows read at once
         f, dims, kah = group.data, None, [None] * len(members)
         if use_j:
-            dims, kah = group.dims, group.kahler[2].tolist()
+            dims, kah = group.dims, group.kahler.tolist()
             dims_seen.add(dims)
         for q, point, lam, conf, k in zip(members.tolist(), group.points.tolist(), f.lam.tolist(),
                                           f.conf_residual.tolist(), kah):
@@ -123,18 +125,19 @@ def run(
             )
 
     if not structure_only:
-        for name in [n for n in CHECKERS if not only or n in only]:
-            spec = CHECKERS[name]
-            if not use_j and spec.needs_j:
-                report.skipped.append((name, "no complex structure"))
-                continue
-            gate_label = None
-            if use_j and spec.kahler_gated and not kahler_ok:
-                gate_label = "hypothesis unmet: Kaehler parallelism residual above tolerance"
-            for row in _in_sample_order(spec.func, groups, len(entries), tol):
-                if gate_label is not None:
-                    row = [_strip_verdict_b(r, gate_label) for r in row]
-                report.reports[row[0].name] = row
+        with np.errstate(all="ignore"):  # a residual that is not finite is the scene error below
+            for name in [n for n in CHECKERS if not only or n in only]:
+                spec = CHECKERS[name]
+                if not use_j and spec.needs_j:
+                    report.skipped.append((name, "no complex structure"))
+                    continue
+                gate_label = None
+                if use_j and spec.kahler_gated and not kahler_ok:
+                    gate_label = "hypothesis unmet: Kaehler parallelism residual above tolerance"
+                for row in _in_sample_order(spec.func, groups, len(entries), tol):
+                    if gate_label is not None:
+                        row = [_strip_verdict_b(r, gate_label) for r in row]
+                    report.reports[row[0].name] = row
         overflow = [(q, name) for name, row in report.reports.items() for q, r in enumerate(row)
                     if not math.isfinite(r.residual_a) or not math.isfinite(r.residual_b or 0.0)]
         if overflow:  # the first point in sample order, and its first row

@@ -9,11 +9,11 @@ evaluates the map, both metrics and J on jets of its points (`expr.Jet2`) and,
 on first-order array jets (`jets.ArrayJet`: values `v[q, ...]`,
 derivatives `d[q, l, ...] = d_l v[q, ...]`), builds the metric, Jacobian,
 orthonormal vertical/horizontal frames, the invariant/anti-invariant
-refinement of the vertical space, the dilation and all projectors; every
-drop and validation decision reads the values only, against the fixed
-thresholds of `config.Tolerances`.  Its first validations are the domains
-of the expressions, then finiteness,
-the positive definiteness of the source metric at the point and of the
+refinement of the vertical space, the dilation and the projectors onto the
+vertical, horizontal and mu spaces; every drop and validation decision reads
+the values only, against the fixed thresholds of `config.Tolerances`.  Its
+first validations are the domains of the expressions, then finiteness, the
+positive definiteness of the source metric at the point and of the
 target metric at the image point, and that J is almost Hermitian
 (J^2 = -I, g(JX, JY) = g(X, Y)), so nothing after them meets a metric that
 is not Riemannian or a J that is not almost Hermitian.  Points whose
@@ -53,7 +53,6 @@ import numpy as np
 from .config import Tolerances
 from .errors import (
     AmbiguousSplittingError,
-    BookkeepingError,
     CriticalPointError,
     NotConformalError,
     NumericalOverflowError,
@@ -75,13 +74,11 @@ from .jets import ArrayJet
 __all__ = [
     "SmoothMap",
     "SplitFrame",
-    "GradLnLambda",
     "FundamentalTensorsAtPoint",
     "PointContext",
     "AdaptedFrame",
     "pairs",
     "row_norms",
-    "bookkeeping",
 ]
 
 
@@ -146,7 +143,6 @@ class SmoothMap:
 class SplitFrame:
     """Point-local orthonormal frames and the dilation."""
 
-    point: tuple[float, ...]
     vertical: tuple[np.ndarray, ...]
     horizontal: tuple[np.ndarray, ...]
     d1: tuple[np.ndarray, ...]
@@ -180,13 +176,6 @@ class FundamentalTensorsAtPoint:
     fiber_mean_curvature: np.ndarray
 
 
-@dataclass(frozen=True)
-class GradLnLambda:
-    vector: np.ndarray  # riemannian gradient of ln(dilation)
-    horizontal_part: np.ndarray
-    horizontal_norm: float  # g-norm of the horizontal part of grad(dilation)
-
-
 @dataclass
 class _PipelineResult:
     """The frame pass at a group's points: frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`.
@@ -198,7 +187,6 @@ class _PipelineResult:
     Ginv: ArrayJet
     DF: ArrayJet  # DF.v[q, a, i] = d_i F^a
     J: ArrayJet | None
-    j_residuals: np.ndarray | None  # [q] = (|J^2 + I|, compatibility), validated by the pass
     gN: ArrayJet  # target metric at the image point, as a function on the source
     gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
     vertical: ArrayJet
@@ -209,9 +197,6 @@ class _PipelineResult:
     mu: ArrayJet | None
     PV: ArrayJet
     PH: ArrayJet
-    PD1: ArrayJet | None
-    PD2: ArrayJet | None
-    PJD2: ArrayJet | None
     PMU: ArrayJet | None
     lambda_sq: ArrayJet  # scalar jet: v[q] the square dilation, d[q] its coordinate gradient
     lam: np.ndarray
@@ -345,7 +330,6 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
     check_spd(G.v, "source metric", at, fail)
     check_spd(gT.v, "target metric", lambda q: f"{at(q)}, image point {tuple(map(float, image[q]))}", fail)
-    jres = None
     if J is not None:
         jres = np.stack(j_residuals(G.v, J.v), axis=1)
         fail((jres > tol.structural).any(axis=1), lambda q: StructureError(
@@ -377,8 +361,7 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
     PV = _projector(G, vertical)
     PH = _projector(G, horizontal)
 
-    d1 = d2 = jd2 = mu = None
-    PD1 = PD2 = PJD2 = PMU = None
+    d1 = d2 = jd2 = mu = PMU = None
     if J is not None:
         Qm = PV @ (J @ PV)
         Qv = vertical.v @ G.v @ Qm.v @ vertical.v.swapaxes(1, 2)
@@ -404,14 +387,17 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
         fail(jd2.v.shape[1] != d2.v.shape[1],
              lambda q: StructureError(f"J(d2) frame degenerate at {at(q)}"))
         mu = _gram_schmidt(G, horizontal, tol.drop, against=jd2, fail=fail)
-        r = mu.v.shape[1]
+        m2, r = d2.v.shape[1], mu.v.shape[1]
+        fail(m1 + m2 != v or m2 + r != h, lambda q: StructureError(
+            f"split dims {(m1, m2, m2, r)} do not add up to {v} vertical and {h} horizontal at {at(q)}"))
         fail(r % 2 != 0, lambda q: StructureError(
             f"complement of J(d2) has odd dimension {r} at {at(q)}"))
-        PD1, PD2, PJD2, PMU = (_projector(G, f) for f in (d1, d2, jd2, mu))
+        PMU = _projector(G, mu)
 
         JT = J.v.swapaxes(1, 2)
         Jd1 = d1.v @ JT
-        r_d1 = np.max(row_norms(Jd1 - Jd1 @ PD1.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
+        PD1 = _projector(G, d1).v
+        r_d1 = np.max(row_norms(Jd1 - Jd1 @ PD1.swapaxes(1, 2), G.v), axis=1, initial=0.0)
         r_d2 = np.max(row_norms(d2.v @ JT @ PV.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
         fail((r_d1 > tol.structural) | (r_d2 > tol.structural), lambda q: StructureError(
             f"vertical space is not semi-invariant at {at(q)}: "
@@ -436,7 +422,6 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
         Ginv=Ginv,
         DF=DF,
         J=J,
-        j_residuals=jres,
         gN=gN,
         gT=gT,
         vertical=vertical,
@@ -447,9 +432,6 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
         mu=mu,
         PV=PV,
         PH=PH,
-        PD1=PD1,
-        PD2=PD2,
-        PJD2=PJD2,
         PMU=PMU,
         lambda_sq=lambda_sq,
         lam=np.sqrt(lsq),
@@ -496,8 +478,8 @@ class _Group:
 
     def __init__(self, data: _PipelineResult, points: np.ndarray):
         self.data, self.points, self._memo, f = data, points, {}, data
-        self.Gf, self.GNf, self.DFf, self.Jf, self.PVf, self.PHf, self.PD1f, self.PD2f, self.PJD2f, self.PMUf = (
-            None if x is None else x.v for x in (f.G, f.gN, f.DF, f.J, f.PV, f.PH, f.PD1, f.PD2, f.PJD2, f.PMU))
+        self.Gf, self.GNf, self.DFf, self.Jf, self.PVf, self.PHf, self.PMUf = (
+            None if x is None else x.v for x in (f.G, f.gN, f.DF, f.J, f.PV, f.PH, f.PMU))
 
     def memo(self, key, build):
         """build(), once per group and key."""
@@ -514,18 +496,17 @@ class _Group:
         """The frames and the dilation at point k."""
         f = self.data
         frames = (() if x is None else tuple(x.v[k]) for x in (f.vertical, f.horizontal, f.d1, f.d2, f.jd2, f.mu))
-        point = tuple(float(x) for x in self.points[k])
-        return SplitFrame(point, *frames, float(f.lam[k]), float(f.conf_residual[k]))
+        return SplitFrame(*frames, float(f.lam[k]), float(f.conf_residual[k]))
 
     @functools.cached_property
     def gamma_src(self) -> np.ndarray:
         return _levi_civita(self.data.G, self.data.Ginv.v)
 
     @functools.cached_property
-    def kahler(self) -> tuple | None:
-        """(|J^2 + I|, compatibility, |nabla J|) at every point; None without J."""
+    def kahler(self) -> np.ndarray | None:
+        """|nabla J| at every point, the Kaehler test; None without J."""
         f = self.data
-        return None if f.J is None else (*f.j_residuals.T, nabla_j_norm(f.G.v, f.J, self.gamma_src))
+        return None if f.J is None else nabla_j_norm(f.G.v, f.J, self.gamma_src)
 
     @functools.cached_property
     def gamma_pull(self) -> np.ndarray:
@@ -565,12 +546,10 @@ class _Group:
     # the differential of ln(lambda) in coordinates
     dln_lambda = functools.cached_property(lambda self: 0.5 * self.data.lambda_sq.d / self.data.lambda_sq.v[:, None])
 
-    @functools.cached_property
-    def grad_ln_lambda(self) -> GradLnLambda:
-        vec = _mapped(self.dln_lambda, self.data.Ginv.v)
-        h = _mapped(vec, self.PHf)
-        return GradLnLambda(vector=vec, horizontal_part=h,
-                            horizontal_norm=self.data.lam * _norms(h, self.Gf))
+    # grad ln(lambda), and lambda |H grad ln lambda| = |H grad lambda|, the g-norm of grad(lambda)'s horizontal part
+    grad_ln_lambda = functools.cached_property(lambda self: _mapped(self.dln_lambda, self.data.Ginv.v))
+    horizontal_dilation = functools.cached_property(
+        lambda self: self.data.lam * _norms(_mapped(self.grad_ln_lambda, self.PHf), self.Gf))
 
 
 class AdaptedFrame:
@@ -631,19 +610,6 @@ class AdaptedFrame:
         """out[q, l, r, t] = g_N(nabla^F_{E_l} dF(F_r), dF(E_t)) for the fields of `nabla`; without dc, for
         directions t whose Gram entries with the components of c vanish up to the conformality residual."""
         return c[:, None] @ self.pull if dc is None else c[:, None] @ self.pull + dc @ self.gram[:, None]
-
-
-def bookkeeping(dims, dim_source: int, dim_target: int) -> tuple[int, int, int]:
-    """(m, n, r) with dim d1 = 2m, dim d2 = n, dim mu = 2r; validated against both charts."""
-    d1, d2, _, mu = dims
-    if d1 % 2 != 0 or mu % 2 != 0:
-        raise BookkeepingError(f"odd distribution dimensions {dims}")
-    m, n, r = d1 // 2, d2, mu // 2
-    if 2 * (m + n + r) != dim_source or n + 2 * r != dim_target:
-        raise BookkeepingError(
-            f"dimension bookkeeping violated: dims {dims} against {dim_source} -> {dim_target}"
-        )
-    return m, n, r
 
 
 class PointContext:

@@ -49,7 +49,6 @@ from .submersion import (
     _norms as _norms_g,
     _orthonormal_rows,
     _T,
-    bookkeeping,
     pairs,
     row_norms,
 )
@@ -277,7 +276,7 @@ def check_horizontal_integrability(g: _Group, tol: Tolerances):
 def check_homothetic_characterization(g: _Group, tol: Tolerances):
     """Horizontal homothety against the pullback-connection identity on horizontal pairs."""
     name = "homothety_characterization"
-    ra = g.grad_ln_lambda.horizontal_norm
+    ra = g.horizontal_dilation
     if g.Jf is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     if not g.dims[1] or not g.dims[3]:
@@ -400,24 +399,22 @@ def check_product_structures(g: _Group, tol: Tolerances):
 
 
 def check_tension_formula(g: _Group, tol: Tolerances):
-    _, n_target, dim = g.DFf.shape
-    m, n, r = bookkeeping(g.dims, dim, n_target)
-    mean, grad = g.tensors.fiber_mean_curvature, g.grad_ln_lambda.vector
-    rhs = -float(2 * m + n) * _mapped(mean, g.DFf) + (2.0 - n - 2.0 * r) * _mapped(grad, g.DFf)
+    m2, n, _, r2 = g.dims  # (2m, n, n, 2r), validated by the pass
+    mean, grad = g.tensors.fiber_mean_curvature, g.grad_ln_lambda
+    rhs = -float(m2 + n) * _mapped(mean, g.DFf) + (2.0 - n - r2) * _mapped(grad, g.DFf)
     res = _norms_g(g.tensors.tension - rhs, g.GNf)
     return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
 
 
 def check_harmonicity(g: _Group, tol: Tolerances):
     """Harmonicity against the mean-curvature / dilation decomposition of the tension."""
-    _, n_target, dim = g.DFf.shape
-    m, n, r = bookkeeping(g.dims, dim, n_target)  # validates n + 2r = dim of the target
+    _, n, _, r2 = g.dims  # (2m, n, n, 2r), validated by the pass
     A = g.adapted
     # -(2m + n) dF(mean curvature of the fibers) + (2 - n - 2r) dF(grad ln lambda); T's vertical trace
-    rhs = (2.0 - n - 2.0 * r) * A.grad - np.trace(A.T[:, A.vert, A.vert], axis1=1, axis2=2)
+    rhs = (2.0 - n - r2) * A.grad - np.trace(A.T[:, A.vert, A.vert], axis1=1, axis2=2)
     minimal = _norms_g(_mapped(g.tensors.fiber_mean_curvature, g.DFf), g.GNf) < tol.theorem
-    homothetic = g.grad_ln_lambda.horizontal_norm < tol.theorem
-    branch = "minimal-fibers-iff-harmonic" if n_target == 2 else "paired-implications"
+    homothetic = g.horizontal_dilation < tol.theorem
+    branch = "minimal-fibers-iff-harmonic" if n + r2 == 2 else "paired-implications"
     labels = [f"{branch}; minimal={a}; homothetic={b}"
               for a, b in zip(minimal.tolist(), homothetic.tolist())]
     return [_reports("harmonicity", g, _norms_g(g.tensors.tension, g.GNf), _norms_g(rhs, A.gram),
@@ -462,7 +459,7 @@ def check_corollaries(g: _Group, tol: Tolerances):
     rows = []
     _, n, _, r = g.dims
     anti_holo = g.Jf is not None and r == 0 and n > 0
-    h_norm = g.grad_ln_lambda.horizontal_norm
+    h_norm = g.horizontal_dilation
 
     # anti-holomorphic case: J(d2) spans the whole horizontal space
     name1, name2 = "antiholomorphic_integrability", "antiholomorphic_horizontal_geodesic"
@@ -496,7 +493,7 @@ def check_corollaries(g: _Group, tol: Tolerances):
     rows.append(parallel_reports(
         "d2_parallel_homothety", h_norm, lambda A: A.H, lambda A: A.d2, "d2 not parallel along horizontal",
         lambda A: _amax(_jd2_terms(g))))
-    ra4 = g.data.lam * _norms_g(_mapped(g.grad_ln_lambda.vector, g.PMUf), g.Gf) if r else 0.0
+    ra4 = g.data.lam * _norms_g(_mapped(g.grad_ln_lambda, g.PMUf), g.Gf) if r else 0.0
     rows.append(parallel_reports(
         "mu_parallel_dilation", ra4, lambda A: A.V, lambda A: A.mu, "mu not parallel along the fibers",
         lambda A: _amax(_vertical_mu_terms(g, with_gradient=False))))
@@ -517,7 +514,7 @@ def check_sff_identities(g: _Group, tol: Tolerances):
     """
     tt, G, DF = g.tensors, g.Gf, g.DFf
     H, V = g.data.horizontal.v, g.data.vertical.v
-    grad = g.grad_ln_lambda.vector
+    grad = g.grad_ln_lambda
     pushed, dln = _mapped(H, DF), _mapped(grad, H @ G)
     rhs = (dln[:, :, None, None] * pushed[:, None] + dln[:, None, :, None] * pushed[:, :, None]
            - (H @ G @ _T(H))[..., None] * _mapped(grad, DF)[:, None, None])

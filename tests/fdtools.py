@@ -221,7 +221,7 @@ def fd_sff(fmap, p, Xfield, Yfield, h=H):
 
 PASS_FIELDS = (
     "vertical", "horizontal", "d1", "d2", "jd2", "mu",
-    "PV", "PH", "PD1", "PD2", "PJD2", "PMU", "lambda_sq",
+    "PV", "PH", "PMU", "lambda_sq",
 )
 
 

@@ -64,10 +64,11 @@ def assert_entries_equal(batched, single, fmap, tol):
     assert _same(_at(g.data, k), _at(s.data, j))
     assert _same(g.split(k), s.split(j))
     if use_j:
-        assert [r[k] for r in g.kahler] == [r[j] for r in s.kahler]
+        assert _same(_at(g.kahler, k), _at(s.kahler, j))
     assert _same(_at(g.gamma_src, k), _at(s.gamma_src, j))
     assert _same(_at(g.tensors, k), _at(s.tensors, j))
     assert _same(_at(g.grad_ln_lambda, k), _at(s.grad_ln_lambda, j))
+    assert _same(_at(g.horizontal_dilation, k), _at(s.horizontal_dilation, j))
     for name in FRAMES:
         if getattr(g.data, name) is not None:
             assert _same(_at(g.nabla(name), k), _at(s.nabla(name), j)), name

@@ -12,7 +12,7 @@ from confsub.errors import (
 )
 from confsub.expr import Const, eval_jet2, parse
 from confsub.geometry import ChartedManifold, brackets, euclidean, nabla
-from confsub.submersion import SmoothMap, row_norms
+from confsub.submersion import SmoothMap, _projector, row_norms
 from confsub.theorems import check_sff_identities
 
 from .conftest import entries, entry, points, reports_at, scene
@@ -54,7 +54,7 @@ def split(F, p):
 def grad_ln_lambda(F, p):
     """(grad ln lambda, horizontal norm of grad lambda) of the batch of one at p."""
     g, k = entry(F, p)
-    return g.grad_ln_lambda.vector[k], g.grad_ln_lambda.horizontal_norm[k]
+    return g.grad_ln_lambda[k], g.horizontal_dilation[k]
 
 
 def sff_identity_residuals(e, tol=DEFAULT_TOLERANCES):
@@ -62,9 +62,14 @@ def sff_identity_residuals(e, tol=DEFAULT_TOLERANCES):
     return tuple(r.residual_a for r in reports_at(check_sff_identities, e, tol))
 
 
+def projector(g, name):
+    """The jet of the metric-orthogonal projector onto the pass's frame `name` at the group's points."""
+    return _projector(g.data.G, getattr(g.data, name))
+
+
 def op(g, name):
     """x -> P J x as matrices: phi and omega split J on the vertical space, B and C on the horizontal one."""
-    return {"phi": g.PVf, "omega": g.PJD2f, "B": g.PD2f, "C": g.PMUf}[name] @ g.Jf
+    return {"phi": g.PVf, "omega": projector(g, "jd2").v, "B": projector(g, "d2").v, "C": g.PMUf}[name] @ g.Jf
 
 
 def gnorm(e, v):
@@ -142,7 +147,7 @@ def test_split_frame_invariant_projection():
         sf = g.split(k)
         J = g.Jf[k]
         for u in sf.d1:
-            w = J @ u - g.PD1f[k] @ (J @ u)
+            w = J @ u - projector(g, "d1").v[k] @ (J @ u)
             assert gnorm(e, w) < 1e-9
         for w0 in sf.d2:
             assert gnorm(e, g.PVf[k] @ (J @ w0)) < 1e-9
@@ -424,7 +429,7 @@ def test_sff_identity_horizontal_hand_value():
     g, k = entry(F, p)
     e1 = np.array([1.0, 0.0])
     lhs = on_pairs(g.tensors.sff[k], e1, e1)
-    vector, G, DF = g.grad_ln_lambda.vector[k], g.Gf[k], g.DFf[k]
+    vector, G, DF = g.grad_ln_lambda[k], g.Gf[k], g.DFf[k]
     dln = float(e1 @ G @ vector)  # d ln(lambda) along e1
     rhs = 2.0 * dln * (DF @ e1) - float(e1 @ G @ e1) * (DF @ vector)
     assert lhs == pytest.approx([1.0], abs=1e-9)
@@ -441,7 +446,7 @@ def test_covariant_phi_omega_structure_identities():
             PV, PH = g.PVf[k], g.PHf[k]
             # nabla of the fields phi(V_j) = P_V J V_j and omega(V_j) = P_JD2 J V_j
             nabla_phi = nabla(g.gamma_src, f.vertical @ (f.PV @ f.J).T)[k]
-            nabla_omega = nabla(g.gamma_src, f.vertical @ (f.PJD2 @ f.J).T)[k]
+            nabla_omega = nabla(g.gamma_src, f.vertical @ (projector(g, "jd2") @ f.J).T)[k]
             for V in f.vertical.v[k]:
                 for j, W in enumerate(f.vertical.v[k]):
                     TVW = on_pairs(T, V, W)
@@ -481,7 +486,7 @@ def test_adapted_tables_are_the_frames_and_operators_in_components():
             for mine, theirs in ((A.T, g.tensors.t), (A.A, g.tensors.a)):
                 want = np.einsum("kij,li,rj->lrk", theirs[k], E, E)
                 assert np.allclose(mine[k] @ E, want, atol=1e-9)
-            assert np.allclose(A.grad[k], g.grad_ln_lambda.vector[k] @ G @ E.T, atol=1e-12)
+            assert np.allclose(A.grad[k], g.grad_ln_lambda[k] @ G @ E.T, atol=1e-12)
             assert np.allclose(A.push[k], E @ g.DFf[k].T, atol=1e-12)
             gram = np.zeros((D, D))
             gram[A.hor, A.hor] = f.lam[k] ** 2 * np.eye(len(g.DFf[k]))  # dF kills the vertical block
@@ -527,7 +532,7 @@ seed = 5
         assert got == pytest.approx(want, abs=1e-6)
         # dilation tracks the composed target metric: lambda = e^{x1}
         assert g.split(k).lam == pytest.approx(math.exp(p[0]), rel=1e-12)
-        assert g.grad_ln_lambda.vector[k] == pytest.approx([1.0, 0.0], abs=1e-10)
+        assert g.grad_ln_lambda[k] == pytest.approx([1.0, 0.0], abs=1e-10)
         rh, rv, rm = sff_identity_residuals((g, k), sc.tolerances)
         assert max(rh, rv, rm) < 1e-9
 

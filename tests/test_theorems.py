@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsub import submersion
+from confsub.cli import main
 from confsub.config import DEFAULT_TOLERANCES as TOL
-from confsub.errors import BookkeepingError
+from confsub.errors import StructureError
+from confsub.expr import raise_first
 from confsub.report import RunReport
 from confsub.runner import run
-from confsub.scenes import load_scene_text, sample_points
-from confsub.submersion import AdaptedFrame, bookkeeping
+from confsub.scenes import load_preset, load_scene_text, sample_points
+from confsub.submersion import AdaptedFrame
 from confsub.theorems import (
     CHECKERS,
     ConditionReport,
@@ -242,14 +245,32 @@ def test_report_agreement_rule():
     assert report.disagreements() == [(0, r)]
 
 
-def test_dimension_bookkeeping_validation():
-    m, n, r = bookkeeping((2, 2, 2, 0), 6, 2)  # (m, n, r) = (1, 2, 0)
-    assert (m, n, r) == (1, 2, 0)
-    assert 2 * m + n == 4  # fiber dimension
-    with pytest.raises(BookkeepingError):
-        bookkeeping((2, 2, 2, 0), 6, 3)
-    with pytest.raises(BookkeepingError):
-        bookkeeping((2, 0, 0, 2), 6, 2)  # (m, n, r) = (1, 0, 1)
+def test_split_that_does_not_add_up_fails_its_point(monkeypatch, capsys):
+    # example33 splits as (d1, d2, jd2, mu) = (2, 2, 2, 0) against 4 vertical
+    # and 2 horizontal directions.  Here the d2 frame loses its last row: J(d2)
+    # follows it and mu takes the horizontal direction left over, so every
+    # frame is orthonormal, |J(d2)| = |d2|, and |d1| + |d2| falls one short
+    gram_schmidt, built_against = submersion._gram_schmidt, []
+
+    def lossy(G, seeds, drop, against=None, fail=raise_first):
+        out = gram_schmidt(G, seeds, drop, against=against, fail=fail)
+        if against is not None and any(seeds is x for x in built_against):  # d2: the vertical frame against d1
+            out = out.rows(np.arange(out.v.shape[1] - 1))
+        if against is not None:  # the vertical frame is the first of these
+            built_against.append(out)
+        return out
+
+    monkeypatch.setattr(submersion, "_gram_schmidt", lossy)
+    sc = load_preset("example33")
+    pts = sample_points(sc, count=3, seed=1)
+    want = "split dims (2, 1, 1, 1) do not add up to 4 vertical and 2 horizontal at {}"
+    errors, groups = sc.fmap.frame_pass(pts)
+    assert not groups
+    for e, p in zip(errors, pts):
+        assert isinstance(e, StructureError) and str(e) == want.format(tuple(float(x) for x in p))
+    assert main(["check", "example33", "--points", "3", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"structural failure: {want.format(tuple(float(x) for x in pts[0]))}\n"
 
 
 CONFORMAL_SURFACE = """
