@@ -3,7 +3,7 @@
 The theorem tolerance drives checker verdicts (holds below tol, fails above
 10*tol, inconclusive between); it is the only setting a scene, `--tol` or
 CONFSUB_TOL can change.  The thresholds of the frame pass, the Kaehler test
-and the identity checkers are fixed constants of the class.
+and the checkers are fixed constants of the class.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ class Tolerances:
     conformality: ClassVar[float] = 1e-8  # relative to the square dilation
     kahler: ClassVar[float] = 1e-9
     drop: ClassVar[float] = 1e-10  # Gram-Schmidt drop threshold
+    pushed_drop: ClassVar[float] = 1e-12  # Gram-Schmidt drop threshold of the frame dF(mu) in the target
+    definiteness: ClassVar[float] = 1e-12  # a metric's smallest eigenvalue, relative to its largest
     split_threshold: ClassVar[float] = 1e-7  # invariant part: singular value > 1 - split_threshold
     split_margin: ClassVar[float] = 1e-3  # anything closer below the threshold is ambiguous
     exclusion_distance: ClassVar[float] = 1e-3

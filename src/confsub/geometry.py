@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
 from .jets import ArrayJet
@@ -113,9 +114,13 @@ def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
     Values v[q, ...] at points[q] and derivatives d[q, l, ...].  Entries are
     evaluated in row order, equal ones (a symmetric metric's mirror entries)
     once, so a failing point reports the first entry that fails it
-    (`expr.evaluate` explains `fail`).
+    (`expr.evaluate` explains `fail`).  A grid of constants is evaluated by
+    no expression, and its derivative is a structural zero.
     """
     cells = np.array(grid, dtype=object)
+    if all(isinstance(e, Const) for e in cells.flat):
+        values = np.array([e.value for e in cells.flat], dtype=float).reshape(cells.shape)
+        return ArrayJet.constant(np.repeat(values[None], len(points), axis=0), np.shape(points)[1])
     seeds = jet_seeds(points)
     jets = [*map(functools.cache(lambda e: evaluate(e, seeds, fail)), cells.ravel())]
     lead = (len(seeds[0].value),)
@@ -128,13 +133,13 @@ def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
 def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
     """Fail each point q of a stack whose metric G[q] is not positive definite.
 
-    A metric fails when its smallest eigenvalue is at most 1e-12 of its
-    largest; the error reads "`what` not positive definite at `at(q)`"
-    (`expr.evaluate` explains `fail`).
+    A metric fails when its smallest eigenvalue is at most
+    `Tolerances.definiteness` (1e-12) of its largest; the error reads "`what`
+    not positive definite at `at(q)`" (`expr.evaluate` explains `fail`).
     """
     eigs = np.linalg.eigvalsh((G + G.swapaxes(-1, -2)) / 2.0)
-    fail(eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1e-300), lambda q: NonSPDMetricError(
-        f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
+    bad = eigs[:, 0] <= Tolerances.definiteness * np.maximum(eigs[:, -1], 1e-300)
+    fail(bad, lambda q: NonSPDMetricError(f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
 
 
 def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:
@@ -142,8 +147,10 @@ def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:
 
     `inv` is the inverse of the metric values when the caller holds it already.
     """
-    G, dG = g.v, g.d
-    n = G.shape[-1]
+    G, n = g.v, g.v.shape[-1]
+    if g.const:  # a metric that does not vary is flat
+        return np.zeros((len(G), n, n, n))
+    dG = g.d
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), a matrix product per point
     sym = dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)
     prod = sym.reshape(-1, n * n, n) @ (np.linalg.inv(G) if inv is None else inv).swapaxes(1, 2)

@@ -18,6 +18,12 @@ of ``.d`` calls it and keeps the array.  Each ``d`` is ``dim`` times the size
 of its ``v``, so a caller that reads values only (the structure data of the
 frame pass) builds no derivative at all, and one that reads them builds each
 once, with the same operations as an eager product rule.
+
+A jet whose values do not vary (`ArrayJet.constant`: a constant metric or J)
+has a derivative that is zero by construction: it stores no array, and its
+``.d`` builds the zeros on first read.  The rules leave out every term whose
+factor is such a jet, and a result of such jets only is one too: activity
+analysis (Griewank & Walther, ch. 6).
 """
 
 from __future__ import annotations
@@ -34,13 +40,16 @@ class ArrayJet:
     on first read.
     """
 
-    __slots__ = ("v", "_d")
+    __slots__ = ("v", "_d", "_zero")
     # makes `ndarray @ jet` return NotImplemented, so `__rmatmul__` runs
     __array_ufunc__ = None
 
-    def __init__(self, v, d):
+    def __init__(self, v, d, zero: int = 0):
         self.v = v
         self._d = d
+        self._zero = zero  # the number of coordinates when d is zero by construction, else 0
+
+    const = property(lambda self: self._zero > 0, doc="Whether the derivative is zero by construction.")
 
     @property
     def d(self) -> np.ndarray:
@@ -50,40 +59,48 @@ class ArrayJet:
 
     @classmethod
     def constant(cls, v, dim: int) -> "ArrayJet":
-        """The jet of values `v[q, ...]` that do not vary."""
+        """The jet of values `v[q, ...]` that do not vary, along `dim` coordinates."""
         v = np.asarray(v, dtype=float)
-        return cls(v, np.zeros(v.shape[:1] + (dim,) + v.shape[1:]))
+        return cls(v, lambda: np.zeros(v.shape[:1] + (dim,) + v.shape[1:]), dim)
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""
-        return ArrayJet(np.take(self.v, idx, axis=1), lambda: np.take(self.d, idx, axis=2))
+        return _rule(np.take(self.v, idx, axis=1), self, lambda: np.take(self.d, idx, axis=2))
 
     @property
     def T(self) -> "ArrayJet":
         """Transpose of each matrix."""
-        return ArrayJet(self.v.swapaxes(-1, -2), lambda: self.d.swapaxes(-1, -2))
+        return _rule(self.v.swapaxes(-1, -2), self, lambda: self.d.swapaxes(-1, -2))
 
     def __matmul__(self, other):
         if not isinstance(other, ArrayJet):  # constant right factor
             other = _constant_factor(other)
-            return ArrayJet(self.v @ other, lambda: self.d @ other)
-        return ArrayJet(self.v @ other.v, lambda: self.d @ other.v[:, None] + self.v[:, None] @ other.d)
+            return _rule(self.v @ other, self, lambda: self.d @ other)
+        return _rule(self.v @ other.v, self, lambda: self.d @ other.v[:, None],
+                     other, lambda: self.v[:, None] @ other.d)
 
     def __rmatmul__(self, other):  # constant left factor
         other = _constant_factor(other)
-        return ArrayJet(other @ self.v, lambda: other @ self.d)
+        return _rule(other @ self.v, self, lambda: other @ self.d)
 
     def __add__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v + other.v, lambda: self.d + other.d)
+        return _rule(self.v + other.v, self, lambda: self.d, other, lambda: other.d)
 
     def __sub__(self, other: "ArrayJet") -> "ArrayJet":
-        return ArrayJet(self.v - other.v, lambda: self.d - other.d)
+        return _rule(self.v - other.v, self, lambda: self.d, other, lambda: -other.d)
 
     def __neg__(self) -> "ArrayJet":
-        return ArrayJet(-self.v, lambda: -self.d)
+        return _rule(-self.v, self, lambda: -self.d)
 
     def __repr__(self):
         return f"ArrayJet(v={self.v!r}, d={self.d!r})"
+
+
+def _rule(v, a: ArrayJet, da, b: ArrayJet | None = None, db=None) -> ArrayJet:
+    """The jet of values `v` whose derivative is `da() + db()`, without the term of a structural zero."""
+    if b is not None and not b._zero:
+        return ArrayJet(v, db if a._zero else lambda: da() + db())
+    return ArrayJet.constant(v, a._zero) if a._zero else ArrayJet(v, da)
 
 
 def _constant_factor(c) -> np.ndarray:

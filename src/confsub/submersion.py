@@ -322,11 +322,14 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
     G = grid_jet(src.metric, points, fail)
     N, n, dim = DF.v.shape
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
-    gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n))
+    gN = ArrayJet.constant(gT.v, dim) if gT.const else ArrayJet(
+        gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n))
     for what, jet in (("source metric", G), ("map derivatives", DF),
                       ("target metric", gN), ("complex structure", J)):
         if jet is not None:
-            finite = np.isfinite(jet.v.reshape(N, -1)).all(1) & np.isfinite(jet.d.reshape(N, -1)).all(1)
+            finite = np.isfinite(jet.v.reshape(N, -1)).all(1)
+            if not jet.const:
+                finite &= np.isfinite(jet.d.reshape(N, -1)).all(1)
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
     check_spd(G.v, "source metric", at, fail)
     check_spd(gT.v, "target metric", lambda q: f"{at(q)}, image point {tuple(map(float, image[q]))}", fail)
@@ -337,7 +340,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
             f"J^2 residual {jres[q, 0]:.3e}, compatibility residual {jres[q, 1]:.3e}"))
     inv = np.linalg.inv(G.v)
     # the derivatives built here by hand are built on first read, from operands bound now
-    Ginv = ArrayJet(inv, lambda inv=inv, dG=G.d: -(inv[:, None] @ dG @ inv[:, None]))  # -G^-1 dG G^-1
+    Ginv = ArrayJet.constant(inv, dim) if G.const else ArrayJet(
+        inv, lambda inv=inv, dG=G.d: -(inv[:, None] @ dG @ inv[:, None]))  # -G^-1 dG G^-1
 
     horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
     h = horizontal.v.shape[1]
@@ -506,6 +510,8 @@ class _Group:
     def kahler(self) -> np.ndarray | None:
         """|nabla J| at every point, the Kaehler test; None without J."""
         f = self.data
+        if f.J is not None and f.J.const and f.G.const:  # a constant J on a flat chart is parallel
+            return np.zeros(len(self.points))
         return None if f.J is None else nabla_j_norm(f.G.v, f.J, self.gamma_src)
 
     @functools.cached_property

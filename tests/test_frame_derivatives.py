@@ -140,6 +140,47 @@ def test_per_point_plain_factors_are_rejected(rng):
     assert np.array_equal((C[0] @ j).d, C[0] @ j.d) and np.array_equal((j @ C[0]).d, j.d @ C[0])
 
 
+def _zero_operands(rng):
+    """A varying jet A (4x3) and structural zeros W (4x3) and Z (3x5), at 2 points along 3 coordinates."""
+    A = _cat(*(_affine_jet(rng, (4, 3), 3)[0] for _ in range(2)))
+    return A, ArrayJet.constant(rng.normal(size=(2, 4, 3)), 3), ArrayJet.constant(rng.normal(size=(2, 3, 5)), 3)
+
+
+# rules with one structural-zero operand, then with structural zeros only
+ONE_ZERO = {
+    "A @ Z": lambda A, W, Z: A @ Z, "W.T @ A": lambda A, W, Z: W.T @ A,
+    "A + W": lambda A, W, Z: A + W, "W + A": lambda A, W, Z: W + A,
+    "A - W": lambda A, W, Z: A - W, "W - A": lambda A, W, Z: W - A,
+    "(A + W).rows": lambda A, W, Z: (A + W).rows([3, 0]), "(W.T @ A).T": lambda A, W, Z: (W.T @ A).T,
+}
+ALL_ZERO = {
+    "W @ Z": lambda A, W, Z: W @ Z, "W + W": lambda A, W, Z: W + W, "W - W": lambda A, W, Z: W - W,
+    "-W": lambda A, W, Z: -W, "W.T": lambda A, W, Z: W.T, "W.rows": lambda A, W, Z: W.rows([3, 0]),
+    "C @ W": lambda A, W, Z: np.eye(2, 4) @ W, "W @ C": lambda A, W, Z: W @ np.eye(3),
+}
+
+
+@pytest.mark.parametrize("rule", list(ONE_ZERO) + list(ALL_ZERO))
+def test_structural_zeros_match_the_eager_product_rule(rng, rule):
+    A, W, Z = _zero_operands(rng)
+    f = {**ONE_ZERO, **ALL_ZERO}[rule]
+    lazy = f(A, W, Z)
+    eager = f(A, *(ArrayJet(x.v, np.zeros_like(x.d)) for x in (W, Z)))  # every term computed
+    assert lazy.const == (rule in ALL_ZERO) and not eager.const
+    assert lazy.v.tobytes() == eager.v.tobytes() and np.array_equal(lazy.d, eager.d)
+    if rule in ONE_ZERO:  # bit for bit; an all-zero eager derivative may hold -0.0 (that of -W)
+        assert lazy.d.tobytes() == eager.d.tobytes()
+
+
+def test_structural_zero_derivatives_read_as_zeros(rng):
+    _, W, Z = _zero_operands(rng)
+    assert callable(W._d)  # no array until read
+    for jet in (W, Z, W @ Z, W.T, W - W, ArrayJet.constant(np.ones((2, 3)), 5)):
+        dim = jet._zero
+        assert jet.const and jet.d.shape == jet.v.shape[:1] + (dim,) + jet.v.shape[1:]
+        assert not jet.d.any() and jet.d is jet.d
+
+
 def test_derivatives_are_built_once(rng):
     A, _ = _affine_jet(rng, (4, 3), 3)
     B, _ = _affine_jet(rng, (3, 5), 3)
@@ -147,6 +188,7 @@ def test_derivatives_are_built_once(rng):
         assert jet.d is jet.d
     sc = fresh_scene("example33")
     _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=4, seed=1))
+    assert g.data.Ginv.const  # G^-1 of the Euclidean metric is a structural zero
     for jet in (g.data.PMU, g.data.Ginv, g.data.lambda_sq, g.adapted.E, g.adapted._J):
         assert jet.d is jet.d
 
@@ -166,6 +208,10 @@ def test_structure_data_build_no_frame_derivative():
         for name in DERIVED:
             jet = getattr(g.data, name)
             assert jet.v.size == 0 or callable(jet._d), f"{name} derivative built"
+        # the constant inputs are structural zeros, and not even their zeros are built
+        for name in ("G", "J", "gN", "Ginv"):
+            jet = getattr(g.data, name)
+            assert jet.const and callable(jet._d), f"{name} derivative built"
         g.tensors  # a checker's table reads them
         assert not callable(g.data.PV._d) and not callable(g.data.vertical._d)
 
