@@ -43,7 +43,7 @@ def main() -> int:
             scale = max(1.0, float(np.max(np.abs(want))))
             worst_g = max(worst_g, float(np.max(np.abs(g.gamma_src[k] - want))) / scale)
             for pair in ((X, X), (X, V)):
-                a = on_pairs(g.tensors.sff[k], *(F.values_at(p) for F in pair))
+                a = on_pairs(g.sff[k], *(F.values_at(p) for F in pair))
                 b = fd_sff(sc.fmap, p, *pair)
                 s = max(1.0, float(np.max(np.abs(b))))
                 worst_s = max(worst_s, float(np.max(np.abs(a - b))) / s)

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import Jet2, eval_jet2, parse, to_string
 from .geometry import ChartedManifold, euclidean, nabla_j_residual
-from .submersion import FundamentalTensorsAtPoint, SmoothMap, SplitFrame
+from .submersion import SmoothMap, SplitFrame
 
 __all__ = [
     "__version__",
@@ -25,5 +25,4 @@ __all__ = [
     "nabla_j_residual",
     "SmoothMap",
     "SplitFrame",
-    "FundamentalTensorsAtPoint",
 ]

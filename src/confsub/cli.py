@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import env_default_theorem_tol
 from .errors import EngineError, SceneError
 from .report import render_table, to_canonical
 from .runner import EXIT_SCENE, EXIT_STRUCTURAL, run
@@ -66,15 +65,12 @@ def main(argv=None) -> int:
 
     tol = scene.tolerances
     try:
-        env_tol = env_default_theorem_tol()
-        if env_tol is not None:
-            tol = tol.with_theorem(env_tol)
         if args.tol is not None:
             tol = tol.with_theorem(args.tol)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCENE
-    only = [s.strip() for s in args.only.split(",") if s.strip()] if args.only else None
+    only = None if args.only is None else [s.strip() for s in args.only.split(",") if s.strip()]
 
     try:
         report = run(

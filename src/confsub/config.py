@@ -1,19 +1,19 @@
 """Tolerance settings shared across the engine.
 
 The theorem tolerance drives checker verdicts (holds below tol, fails above
-10*tol, inconclusive between); it is the only setting a scene, `--tol` or
-CONFSUB_TOL can change.  The thresholds of the frame pass, the Kaehler test
-and the checkers are fixed constants of the class.
+10*tol, inconclusive between); it is the only setting a scene's
+`[tolerances]`, `--tol` or `Tolerances(theorem=...)` can change.  The
+thresholds of the frame pass, the Kaehler test and the checkers are fixed
+constants of the class.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "env_default_theorem_tol"]
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,3 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def env_default_theorem_tol() -> float | None:
-    """Optional override of the theorem tolerance via CONFSUB_TOL; ValueError if malformed."""
-    raw = os.environ.get("CONFSUB_TOL")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"CONFSUB_TOL must be a finite number > 0, got {raw!r}") from None

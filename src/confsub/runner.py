@@ -11,9 +11,10 @@ report k of every row is at the point of structure row k.
 
 Exit code contract: 0 success, 2 scene error (raised in place of a report:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
-an unknown checker name in `only`, or a map, metric or complex structure
-that leaves its domain, or a value of the frame pass or a residual of a
-report row that is not finite, at a sample point), 3 structural failure,
+an empty `only` or an unknown checker name in it, a sample count above
+`scenes.MAX_POINTS`, or a map, metric or complex structure that leaves its
+domain, or a value of the frame pass or a residual of a report row that is
+not finite, at a sample point), 3 structural failure,
 4 theorem disagreement, 5 hypothesis violations only.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
@@ -72,6 +73,8 @@ def run(
     hypothesis_ok: bool = False,
 ) -> RunReport:
     tol = tol if tol is not None else scene.tolerances
+    if only is not None and not only:
+        raise SceneError("only names no checker")
     unknown = [n for n in only or () if n not in CHECKERS]
     if unknown:
         raise SceneError(f"unknown checkers: {', '.join(unknown)}")
@@ -99,12 +102,12 @@ def run(
             raise entry
     rows, dims_seen = [None] * len(entries), set()
     for members, group in groups:  # each group's rows read at once
-        f, dims, kah = group.data, None, [None] * len(members)
+        dims, kah = None, [None] * len(members)
         if use_j:
             dims, kah = group.dims, group.kahler.tolist()
             dims_seen.add(dims)
-        for q, point, lam, conf, k in zip(members.tolist(), group.points.tolist(), f.lam.tolist(),
-                                          f.conf_residual.tolist(), kah):
+        for q, point, lam, conf, k in zip(members.tolist(), group.points.tolist(), group.lam.tolist(),
+                                          group.conf_residual.tolist(), kah):
             rows[q] = StructureRow(index=q, point=tuple(point), lam=lam, dims=dims,
                                    conformality_residual=conf, kahler_residual=k)
     report.structure = rows

@@ -49,7 +49,10 @@ from .geometry import (
 from .submersion import SmoothMap
 
 __all__ = ["Scene", "load_scene", "load_scene_text", "load_preset", "resolve_scene",
-           "preset_names", "sample_points", "ScrambledHalton", "PRESETS"]
+           "preset_names", "sample_points", "ScrambledHalton", "PRESETS", "MAX_POINTS"]
+
+# the largest sample count of a scene, `--points` or `run(points=...)`; a larger one is a scene error
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,7 @@ def _grid(sections, section: str, shorthand: str, entry: str, dim: int, shorthan
 
 
 _DIM = _integer("dimension", 1, 16, "an integer in 1..16")
-_COUNT = _integer("count", 1, float("inf"), "a positive integer")
+_COUNT = _integer("count", 1, MAX_POINTS, f"a positive integer up to {MAX_POINTS}")
 _SEED = _integer("seed", 0, float("inf"), "a non-negative integer")
 _METRICS = {"euclidean": euclidean_metric}
 _COMPLEX_STRUCTURES = {"canonical": canonical_complex_structure, "none": lambda dim: None}
@@ -506,6 +509,8 @@ def sample_points(scene: Scene, count: int | None = None, seed: int | None = Non
     seed = scene.seed if seed is None else int(seed)
     if count < 1:
         raise SceneError("sample count must be positive")
+    if count > MAX_POINTS:
+        raise SceneError(f"sample count {count} exceeds the maximum of {MAX_POINTS}")
     if seed < 0:
         raise SceneError("sample seed must be non-negative")
     src = scene.source

@@ -3,6 +3,7 @@
 `SmoothMap.frame_pass(points)` runs the frame pass over all sample points as
 one batch and returns, per point, its entry: the group of points that share
 a pass run (`_Group`) and its position k there, or its own first error.  A
+group is one object: its fields are what its run of the pass computes.  A
 point is addressed as `(group, k)`: every value and table of a group carries
 the point axis first, and index k is the point's.  One run of the frame pass
 evaluates the map, both metrics and J on jets of its points (`expr.Jet2`) and,
@@ -20,19 +21,19 @@ is not Riemannian or a J that is not almost Hermitian.  Points whose
 Gram-Schmidt drops differ run as separate groups, and a point's numbers are
 the same bit for bit in any batch.
 
-Each group builds its tables once and on first use, with the point axis
-leading: the connections, the Kaehler test, the second fundamental form
-`S[q, a, i, j]` from the component Hessians, O'Neill's `T[q, :, i, j]` and
-`A[q, :, i, j]` from the projector jets and the covariant derivatives
+Each group builds its tables once and on first use, each on its own, with the
+point axis leading: the connections, the Kaehler test, the second fundamental
+form `sff[q, a, i, j]` from the component Hessians, O'Neill's `t[q, :, i, j]`
+and `a[q, :, i, j]` from the projector jets, and the covariant derivatives
 `nabla_{d_l}` of the pass's frames, which the definition-level side of the
 checkers and the identity rows read; and the tables of the equivalent side,
 in the adapted frame E = [d1, d2, J(d2), mu] (`AdaptedFrame`: connection
 coefficients, J and its derivatives, the second fundamental form, dF and the
 pullback connection, all in E-components).  Every contraction is a `matmul`
-with the point axis as its batch axis.  A structure-only run builds none of them,
-and no derivative of the frames, the projectors, G^-1 or the dilation either:
-the pass computes the values of each jet it builds, and a derivative is built
-when a table first reads it (`jets.ArrayJet.d`).
+with the point axis as its batch axis.  A structure-only run builds none of
+them, and no derivative of the frames, the projectors, G^-1 or the dilation
+either: the pass computes the values of each jet it builds, and a derivative
+is built when a table first reads it (`jets.ArrayJet.d`).
 
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
@@ -46,7 +47,7 @@ ambiguous points.  A scene declared machinery-only has no J from the start.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +75,6 @@ from .jets import ArrayJet
 __all__ = [
     "SmoothMap",
     "SplitFrame",
-    "FundamentalTensorsAtPoint",
     "PointContext",
     "AdaptedFrame",
     "pairs",
@@ -122,11 +122,9 @@ class SmoothMap:
                     raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
                 try:
-                    res = _run_pipeline(self, points[idx], fail)
+                    groups.append((idx, _run_pipeline(self, points[idx], fail)))
                 except _Regroup as split:
                     pending += [idx[g] for g in split.groups if len(g)]
-                else:
-                    groups.append((idx, _Group(res, points[idx])))
         entries = [errors.get(q) for q in range(len(points))]
         for members, group in groups:
             for k, q in enumerate(members.tolist()):
@@ -155,52 +153,6 @@ class SplitFrame:
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return (len(self.d1), len(self.d2), len(self.jd2), len(self.mu))
-
-
-@dataclass(frozen=True)
-class FundamentalTensorsAtPoint:
-    """The submersion tensors of a group as coordinate tables, point axis leading.
-
-    `t[q, :, i, j]` and `a[q, :, i, j]` are O'Neill's T and A on the
-    coordinate fields d_i, d_j (skew-symmetric as operators in their second
-    slot), `sff[q, :, i, j]` the second fundamental form with values in the
-    target chart, `tension[q]` its trace over the full orthonormal frame,
-    `fiber_mean_curvature[q]` the normalized vertical trace of `t`.  On
-    vectors the tables contract bilinearly (`pairs`).
-    """
-
-    t: np.ndarray
-    a: np.ndarray
-    sff: np.ndarray
-    tension: np.ndarray
-    fiber_mean_curvature: np.ndarray
-
-
-@dataclass
-class _PipelineResult:
-    """The frame pass at a group's points: frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`.
-
-    Every jet and array carries the point axis first.
-    """
-
-    G: ArrayJet
-    Ginv: ArrayJet
-    DF: ArrayJet  # DF.v[q, a, i] = d_i F^a
-    J: ArrayJet | None
-    gN: ArrayJet  # target metric at the image point, as a function on the source
-    gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
-    vertical: ArrayJet
-    horizontal: ArrayJet
-    d1: ArrayJet | None
-    d2: ArrayJet | None
-    jd2: ArrayJet | None
-    mu: ArrayJet | None
-    PV: ArrayJet
-    PH: ArrayJet
-    PMU: ArrayJet | None
-    lambda_sq: ArrayJet  # scalar jet: v[q] the square dilation, d[q] its coordinate gradient
-    lam: np.ndarray
-    conf_residual: np.ndarray
 
 
 class _Regroup(Exception):
@@ -298,7 +250,7 @@ def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
 
 
-def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
+def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     """The frame pass on array jets at stacked points; every decision reads values only.
 
     The pass evaluates its own inputs on jets of the points: the map, the
@@ -421,7 +373,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _PipelineResult:
     fail(big.any(axis=1), lambda q: StructureError(
         f"pushforward of vertical vector has norm {pushed[q][big[q]][0]:.3e} at {at(q)}"))
 
-    return _PipelineResult(
+    return _Group(
+        points=points,
         G=G,
         Ginv=Ginv,
         DF=DF,
@@ -472,18 +425,41 @@ def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.moveaxis(X[:, None] @ table @ _T(Y)[:, None], 1, -1)
 
 
+@dataclass(eq=False)
 class _Group:
-    """Points of a batch that share a frame-pass run and every table at them, point axis leading.
+    """The frame pass at points of a batch that share its run, and every table at them, point axis leading.
 
-    `data` is their pass at `points`, and `Gf`, `GNf`, ... the values of its
-    fields (None without a complex structure); each table is built once, on
-    first use.
+    Frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`; the frames of the
+    split and `PMU` are None without a complex structure.  Each table is
+    built once, on first read: the second fundamental form `sff[q, :, i, j]`
+    with values in the target chart, O'Neill's `t[q, :, i, j]` and
+    `a[q, :, i, j]` on the coordinate fields d_i, d_j (skew-symmetric as
+    operators in their second slot), the `tension[q]`, the trace of `sff`
+    over the full orthonormal frame, and `fiber_mean_curvature[q]`, the
+    normalized vertical trace of `t`.  On vectors the tables contract
+    bilinearly (`pairs`).
     """
 
-    def __init__(self, data: _PipelineResult, points: np.ndarray):
-        self.data, self.points, self._memo, f = data, points, {}, data
-        self.Gf, self.GNf, self.DFf, self.Jf, self.PVf, self.PHf, self.PMUf = (
-            None if x is None else x.v for x in (f.G, f.gN, f.DF, f.J, f.PV, f.PH, f.PMU))
+    points: np.ndarray
+    G: ArrayJet
+    Ginv: ArrayJet
+    DF: ArrayJet  # DF.v[q, a, i] = d_i F^a
+    J: ArrayJet | None
+    gN: ArrayJet  # target metric at the image point, as a function on the source
+    gT: ArrayJet  # target metric at the image point, derivatives in target coordinates
+    vertical: ArrayJet
+    horizontal: ArrayJet
+    d1: ArrayJet | None
+    d2: ArrayJet | None
+    jd2: ArrayJet | None
+    mu: ArrayJet | None
+    PV: ArrayJet
+    PH: ArrayJet
+    PMU: ArrayJet | None
+    lambda_sq: ArrayJet  # scalar jet: v[q] the square dilation, d[q] its coordinate gradient
+    lam: np.ndarray
+    conf_residual: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def memo(self, key, build):
         """build(), once per group and key."""
@@ -493,69 +469,71 @@ class _Group:
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
-        f = self.data
-        return tuple(0 if x is None else x.v.shape[1] for x in (f.d1, f.d2, f.jd2, f.mu))
+        return tuple(0 if x is None else x.v.shape[1] for x in (self.d1, self.d2, self.jd2, self.mu))
 
     def split(self, k: int) -> SplitFrame:
         """The frames and the dilation at point k."""
-        f = self.data
-        frames = (() if x is None else tuple(x.v[k]) for x in (f.vertical, f.horizontal, f.d1, f.d2, f.jd2, f.mu))
-        return SplitFrame(*frames, float(f.lam[k]), float(f.conf_residual[k]))
+        frames = (() if x is None else tuple(x.v[k])
+                  for x in (self.vertical, self.horizontal, self.d1, self.d2, self.jd2, self.mu))
+        return SplitFrame(*frames, float(self.lam[k]), float(self.conf_residual[k]))
 
     @functools.cached_property
     def gamma_src(self) -> np.ndarray:
-        return _levi_civita(self.data.G, self.data.Ginv.v)
+        return _levi_civita(self.G, self.Ginv.v)
 
     @functools.cached_property
     def kahler(self) -> np.ndarray | None:
         """|nabla J| at every point, the Kaehler test; None without J."""
-        f = self.data
-        if f.J is not None and f.J.const and f.G.const:  # a constant J on a flat chart is parallel
+        if self.J is not None and self.J.const and self.G.const:  # a constant J on a flat chart is parallel
             return np.zeros(len(self.points))
-        return None if f.J is None else nabla_j_norm(f.G.v, f.J, self.gamma_src)
+        return None if self.J is None else nabla_j_norm(self.G.v, self.J, self.gamma_src)
 
     @functools.cached_property
     def gamma_pull(self) -> np.ndarray:
         """Gamma_N^a_cb d_l F^c at [q, a, l, b]: the target connection pulled back to the source."""
-        return _T(self.DFf)[:, None] @ _levi_civita(self.data.gT)
+        return _T(self.DF.v)[:, None] @ _levi_civita(self.gT)
 
     def nabla(self, name: str) -> np.ndarray:
         """out[q, l, r] = nabla_{d_l} of row r of the pass's frame `name` (vertical, horizontal, d1 or d2)."""
-        return self.memo(("nabla", name), lambda: nabla(self.gamma_src, getattr(self.data, name)))
+        return self.memo(("nabla", name), lambda: nabla(self.gamma_src, getattr(self, name)))
 
     @functools.cached_property
     def adapted(self) -> "AdaptedFrame":
         """The side-b tables in the adapted frame; a group with a complex structure only."""
         return AdaptedFrame(self)
 
+    # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
+    sff = functools.cached_property(
+        lambda self: np.moveaxis(nabla(self.gamma_pull, self.DF.T), -1, 1) - along(self.DF.v, self.gamma_src))
+
+    # the projector columns P e_j as fields: _nabla_PV[q, l, j] = nabla_{d_l}(P_V e_j)
+    _nabla_PV = functools.cached_property(lambda self: nabla(self.gamma_src, self.PV.T))
+    _nabla_PH = functools.cached_property(lambda self: nabla(self.gamma_src, self.PH.T))
+    t = functools.cached_property(lambda self: _oneill(self.PV.v, self.PH.v, self._nabla_PV, self._nabla_PH))
+    a = functools.cached_property(lambda self: _oneill(self.PH.v, self.PV.v, self._nabla_PH, self._nabla_PV))
+
     @functools.cached_property
-    def tensors(self) -> FundamentalTensorsAtPoint:
-        f, gamma = self.data, self.gamma_src
-        # the projector columns P e_j as fields: nV[q, l, j] = nabla_{d_l}(P_V e_j)
-        nV, nH = nabla(gamma, f.PV.T), nabla(gamma, f.PH.T)
+    def tension(self) -> np.ndarray:
+        frame = np.concatenate((self.vertical.v, self.horizontal.v), axis=1)
+        return np.trace(pairs(self.sff, frame, frame), axis1=1, axis2=2)
 
-        def oneill(P, Q, nP, nQ):  # Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j)
-            return np.moveaxis(_mapped(along(_T(P), nP), Q) + _mapped(along(_T(P), nQ), P), -1, 1)
-
-        # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
-        sff = np.moveaxis(nabla(self.gamma_pull, f.DF.T), -1, 1) - along(self.DFf, gamma)
-        t = oneill(self.PVf, self.PHf, nV, nH)
-        V, frame = f.vertical.v, np.concatenate((f.vertical.v, f.horizontal.v), axis=1)
-        return FundamentalTensorsAtPoint(
-            t=t,
-            a=oneill(self.PHf, self.PVf, nH, nV),
-            sff=sff,
-            tension=np.trace(pairs(sff, frame, frame), axis1=1, axis2=2),
-            fiber_mean_curvature=np.trace(pairs(t, V, V), axis1=1, axis2=2) / V.shape[1],
-        )
+    @functools.cached_property
+    def fiber_mean_curvature(self) -> np.ndarray:
+        V = self.vertical.v
+        return np.trace(pairs(self.t, V, V), axis1=1, axis2=2) / V.shape[1]
 
     # the differential of ln(lambda) in coordinates
-    dln_lambda = functools.cached_property(lambda self: 0.5 * self.data.lambda_sq.d / self.data.lambda_sq.v[:, None])
+    dln_lambda = functools.cached_property(lambda self: 0.5 * self.lambda_sq.d / self.lambda_sq.v[:, None])
 
     # grad ln(lambda), and lambda |H grad ln lambda| = |H grad lambda|, the g-norm of grad(lambda)'s horizontal part
-    grad_ln_lambda = functools.cached_property(lambda self: _mapped(self.dln_lambda, self.data.Ginv.v))
+    grad_ln_lambda = functools.cached_property(lambda self: _mapped(self.dln_lambda, self.Ginv.v))
     horizontal_dilation = functools.cached_property(
-        lambda self: self.data.lam * _norms(_mapped(self.grad_ln_lambda, self.PHf), self.Gf))
+        lambda self: self.lam * _norms(_mapped(self.grad_ln_lambda, self.PH.v), self.G.v))
+
+
+def _oneill(P, Q, nP, nQ) -> np.ndarray:
+    """O'Neill's tensor Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j) at [q, :, i, j] (T: P = P_V, A: P = P_H)."""
+    return np.moveaxis(_mapped(along(_T(P), nP), Q) + _mapped(along(_T(P), nQ), P), -1, 1)
 
 
 class AdaptedFrame:
@@ -569,12 +547,13 @@ class AdaptedFrame:
     vertical, Jd2, d2 and mu blocks (on rows: J X = X @ J); `S[q, l, r, a] = (nabla dF)(E_l, E_r)`,
     `push[q, r] = dF(E_r)`, `gram[q, r, s] = g_N(dF E_r, dF E_s)` and `pull[q, l, r, t] = g_N(nabla^F_{E_l}
     dF(E_r), dF(E_t)) = g_N(S[l, r], dF E_t) + sum_s omega[l, r, s] gram[s, t]`; `grad[q, s] = E_s(ln
-    lambda)`; `V`, `H`, `I`: the pass's frames and E's own rows.  The slices `d1`, `d2`, `jd2`, `mu`,
-    `vert`, `hor` select blocks, which `PV` and `PH` project onto.  Side a never reads these tables.
+    lambda)` and `horizontal_dilation[q]`, lambda times the norm of grad's horizontal part; `V`, `H`,
+    `I`: the pass's frames and E's own rows.  The slices `d1`, `d2`, `jd2`, `mu`, `vert`, `hor` select
+    blocks, which `PV` and `PH` project onto.  Side a never reads these tables.
     """
 
     def __init__(self, group: _Group):
-        f, self._group = group.data, group
+        f = self._group = group
         m1, m2, _, _ = group.dims
         v = m1 + m2
         self.d1, self.d2, self.jd2, self.mu = slice(0, m1), slice(m1, v), slice(v, v + m2), slice(v + m2, None)
@@ -593,19 +572,21 @@ class AdaptedFrame:
         lambda self: along(self.E.v, nabla(self._group.gamma_src, self.E)) @ self._GE[:, None])
     T = functools.cached_property(lambda self: self.omega * self._mask_T)
     A = functools.cached_property(lambda self: self.omega * self._mask_A)
-    _J = functools.cached_property(lambda self: self.E @ (self._group.data.J.T @ self._group.data.G) @ self.E.T)
+    _J = functools.cached_property(lambda self: self.E @ (self._group.J.T @ self._group.G) @ self.E.T)
     J = property(lambda self: self._J.v)
     dJ = functools.cached_property(lambda self: along(self.E.v, self._J.d))
     phi = functools.cached_property(lambda self: self.J @ self.PV)
     om = functools.cached_property(lambda self: self.J * self.I[0, self.jd2].sum(0))
     B = functools.cached_property(lambda self: self.J * self.I[0, self.d2].sum(0))
     C = functools.cached_property(lambda self: self.J * self.I[0, self.mu].sum(0))
-    S = functools.cached_property(lambda self: pairs(self._group.tensors.sff, self.E.v, self.E.v))
-    push = functools.cached_property(lambda self: self.E.v @ _T(self._group.DFf))
-    gram = functools.cached_property(lambda self: self.push @ self._group.GNf @ _T(self.push))
+    S = functools.cached_property(lambda self: pairs(self._group.sff, self.E.v, self.E.v))
+    push = functools.cached_property(lambda self: self.E.v @ _T(self._group.DF.v))
+    gram = functools.cached_property(lambda self: self.push @ self._group.gN.v @ _T(self.push))
     pull = functools.cached_property(
-        lambda self: self.S @ (self._group.GNf @ _T(self.push))[:, None] + self.omega @ self.gram[:, None])
+        lambda self: self.S @ (self._group.gN.v @ _T(self.push))[:, None] + self.omega @ self.gram[:, None])
     grad = functools.cached_property(lambda self: (self.E.v @ self._group.dln_lambda[..., None])[..., 0])
+    horizontal_dilation = functools.cached_property(
+        lambda self: self._group.lam * np.linalg.norm(self.grad @ self.PH, axis=-1))
 
     def nabla(self, c: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
         """out[q, l, r, s] = g(nabla_{E_l} F_r, E_s) for fields F_r = sum_s c[q, r, s] E_s, dc[q, l, r, s] =

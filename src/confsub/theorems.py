@@ -155,26 +155,26 @@ def _upper(x: np.ndarray, strict: bool = True) -> np.ndarray:
 
 def _stack(g: _Group, *names: str) -> np.ndarray:
     """The rows of the pass's frames named, stacked."""
-    return np.concatenate([getattr(g.data, name).v for name in names], axis=1)
+    return np.concatenate([getattr(g, name).v for name in names], axis=1)
 
 
 def _bracket_residual(g: _Group, name: str, *against: str) -> np.ndarray:
     """max |g([F_a, F_b], Z_c)| over the pairs a < b of the pass's frame F named and the rows Z of `against`."""
-    F = getattr(g.data, name)
+    F = getattr(g, name)
     return g.memo(("bracket", name, against),
-                  lambda: _amax(_upper(brackets(F, F)) @ g.Gf @ _T(_stack(g, *against))))
+                  lambda: _amax(_upper(brackets(F, F)) @ g.G.v @ _T(_stack(g, *against))))
 
 
 def _geodesic_residual(g: _Group, name: str, *against: str) -> np.ndarray:
     """max |g(nabla_{F_a} F_b, Z_c)| over the rows of the pass's frame F named and of `against`."""
-    F = getattr(g.data, name).v
+    F = getattr(g, name).v
     return g.memo(("geodesic", name, against),
-                  lambda: _amax(_flat(along(F, g.nabla(name))) @ g.Gf @ _T(_stack(g, *against))))
+                  lambda: _amax(_flat(along(F, g.nabla(name))) @ g.G.v @ _T(_stack(g, *against))))
 
 
 def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
     """g_N-norms of the parts of the target vectors W[q, ..., :] orthogonal to dF(mu)."""
-    GN = g.GNf
+    GN = g.gN.v
 
     def basis():  # a zero row for a dropped seed leaves the projection as it is
         A = g.adapted
@@ -189,7 +189,7 @@ def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
 
 def _over_lam2(x: np.ndarray, g: _Group) -> np.ndarray:
     """x[q, ...] / lambda^2 at every point."""
-    return x / (g.data.lam ** 2).reshape((-1,) + (1,) * (x.ndim - 1))
+    return x / (g.lam ** 2).reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 # Side b reads the adapted-frame tables (`g.adapted`) only: vectors are rows
@@ -250,11 +250,11 @@ def _horizontal_pair_residual(g: _Group, extra=None) -> np.ndarray:
 
 
 def check_horizontal_integrability(g: _Group, tol: Tolerances):
-    if g.data.horizontal.v.shape[1] < 2:
+    if g.horizontal.v.shape[1] < 2:
         return [_reports("horizontal_integrability", g, 0.0, 0.0, tol.theorem, vacuous=True,
                          label="vacuous: fewer than two horizontal directions")]
     ra = _bracket_residual(g, "horizontal", "vertical")
-    if g.Jf is None:
+    if g.J is None:
         return [_reports("horizontal_integrability", g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     A = g.adapted
     H, CH = A.H, A.H @ A.C
@@ -277,7 +277,7 @@ def check_homothetic_characterization(g: _Group, tol: Tolerances):
     """Horizontal homothety against the pullback-connection identity on horizontal pairs."""
     name = "homothety_characterization"
     ra = g.horizontal_dilation
-    if g.Jf is None:
+    if g.J is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     if not g.dims[1] or not g.dims[3]:
         # with either part empty the identity holds identically and carries
@@ -303,7 +303,7 @@ def _jd2_terms(g: _Group) -> np.ndarray:
 def check_horizontal_totally_geodesic(g: _Group, tol: Tolerances):
     name = "horizontal_totally_geodesic"
     ra = _geodesic_residual(g, "horizontal", "vertical")
-    if g.Jf is None:
+    if g.J is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     A = g.adapted
     H, BH, CH = A.H, A.H @ A.B, A.H @ A.C
@@ -333,7 +333,7 @@ def _vertical_mu_terms(g: _Group, with_gradient: bool) -> np.ndarray:
 def check_vertical_totally_geodesic(g: _Group, tol: Tolerances):
     name = "vertical_totally_geodesic"
     ra = _geodesic_residual(g, "vertical", "horizontal")
-    if g.Jf is None:
+    if g.J is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     A, V = g.adapted, g.adapted.V
     # phi V lies in d1: no d2 components to differentiate
@@ -352,7 +352,7 @@ def check_d1_totally_geodesic(g: _Group, tol: Tolerances):
     D1, H = A.I[:, A.d1], A.H
     S = _on(A.S, D1, A.J[:, A.d1])  # S[q, i, j] = sff(d1_i, J d1_j)
     rb = _amax(_off_pushed_mu(g, S))
-    lhs = _over_lam2(_mapped(S, H @ A.C @ A.push @ g.GNf), g)
+    lhs = _over_lam2(_mapped(S, H @ A.C @ A.push @ g.gN.v), g)
     rhs = _T(_on(A.T, D1, H @ A.B @ A.om)[..., A.d1])
     return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
@@ -388,7 +388,7 @@ def check_product_structures(g: _Group, tol: Tolerances):
     first = lambda check: _group_rows(check, g, tol)[0]
     out = [_combine("product_total_space", g, tol, first(check_horizontal_totally_geodesic),
                     first(check_vertical_totally_geodesic))]
-    if g.Jf is not None:
+    if g.J is not None:
         out.append(_combine("product_fibers", g, tol, first(check_d1_totally_geodesic),
                             first(check_d2_totally_geodesic)))
     return out
@@ -400,9 +400,9 @@ def check_product_structures(g: _Group, tol: Tolerances):
 
 def check_tension_formula(g: _Group, tol: Tolerances):
     m2, n, _, r2 = g.dims  # (2m, n, n, 2r), validated by the pass
-    mean, grad = g.tensors.fiber_mean_curvature, g.grad_ln_lambda
-    rhs = -float(m2 + n) * _mapped(mean, g.DFf) + (2.0 - n - r2) * _mapped(grad, g.DFf)
-    res = _norms_g(g.tensors.tension - rhs, g.GNf)
+    mean, grad = g.fiber_mean_curvature, g.grad_ln_lambda
+    rhs = -float(m2 + n) * _mapped(mean, g.DF.v) + (2.0 - n - r2) * _mapped(grad, g.DF.v)
+    res = _norms_g(g.tension - rhs, g.gN.v)
     return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
 
 
@@ -412,12 +412,12 @@ def check_harmonicity(g: _Group, tol: Tolerances):
     A = g.adapted
     # -(2m + n) dF(mean curvature of the fibers) + (2 - n - 2r) dF(grad ln lambda); T's vertical trace
     rhs = (2.0 - n - r2) * A.grad - np.trace(A.T[:, A.vert, A.vert], axis1=1, axis2=2)
-    minimal = _norms_g(_mapped(g.tensors.fiber_mean_curvature, g.DFf), g.GNf) < tol.theorem
+    minimal = _norms_g(_mapped(g.fiber_mean_curvature, g.DF.v), g.gN.v) < tol.theorem
     homothetic = g.horizontal_dilation < tol.theorem
     branch = "minimal-fibers-iff-harmonic" if n + r2 == 2 else "paired-implications"
     labels = [f"{branch}; minimal={a}; homothetic={b}"
               for a, b in zip(minimal.tolist(), homothetic.tolist())]
-    return [_reports("harmonicity", g, _norms_g(g.tensors.tension, g.GNf), _norms_g(rhs, A.gram),
+    return [_reports("harmonicity", g, _norms_g(g.tension, g.gN.v), _norms_g(rhs, A.gram),
                      tol.theorem, label=labels)]
 
 
@@ -425,20 +425,20 @@ def check_jd2_mu_totally_geodesic(g: _Group, tol: Tolerances):
     """Vanishing sff on (J d2) x horizontal pairs iff horizontally homothetic."""
     name = "jd2_mu_totally_geodesic"
     A = g.adapted
-    rb = g.data.lam * np.linalg.norm(A.grad @ A.PH, axis=-1)
+    rb = A.horizontal_dilation
     if not g.dims[1]:
         return [_reports(name, g, 0.0, rb, tol.theorem, vacuous=True,
                          label="vacuous: anti-invariant part is zero")]
-    JD2 = _mapped(g.data.d2.v, g.Jf)
-    ra = _amax(row_norms(_flat(pairs(g.tensors.sff, JD2, _stack(g, "horizontal"))), g.GNf))
+    JD2 = _mapped(g.d2.v, g.J.v)
+    ra = _amax(row_norms(_flat(pairs(g.sff, JD2, _stack(g, "horizontal"))), g.gN.v))
     return [_reports(name, g, ra, rb, tol.theorem)]
 
 
 def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
     name = "totally_geodesic_characterization"
     E = _stack(g, "vertical", "horizontal")
-    ra = _amax(row_norms(_upper(pairs(g.tensors.sff, E, E), strict=False), g.GNf))
-    if g.Jf is None:
+    ra = _amax(row_norms(_upper(pairs(g.sff, E, E), strict=False), g.gN.v))
+    if g.J is None:
         return [_reports(name, g, ra, None, tol.theorem, label=DIRECT_ONLY)]
     A = g.adapted
     D1, V, JD2 = A.I[:, A.d1], A.V, A.J[:, A.d2]
@@ -448,7 +448,7 @@ def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
     # C(H nabla_{V_i} J d2_j) + omega T(V_i, J d2_j)
     wb = along(V, A.nabla(JD2, A.dJ[:, :, A.d2])) @ A.PH @ A.C[:, None] + _on(A.T, V, JD2) @ A.om[:, None]
     rb = np.maximum(_amax(np.linalg.norm(wa, axis=-1)), _amax(np.linalg.norm(wb, axis=-1)))
-    return [_reports(name, g, ra, np.maximum(rb, g.data.lam * np.linalg.norm(A.grad @ A.PH, axis=-1)), tol.theorem)]
+    return [_reports(name, g, ra, np.maximum(rb, A.horizontal_dilation), tol.theorem)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
 def check_corollaries(g: _Group, tol: Tolerances):
     rows = []
     _, n, _, r = g.dims
-    anti_holo = g.Jf is not None and r == 0 and n > 0
+    anti_holo = g.J is not None and r == 0 and n > 0
     h_norm = g.horizontal_dilation
 
     # anti-holomorphic case: J(d2) spans the whole horizontal space
@@ -472,7 +472,7 @@ def check_corollaries(g: _Group, tol: Tolerances):
         JD2 = A.J[:, A.d2]
         S = _on(A.S, A.V, JD2)  # S[q, k, i] = sff(V_k, J d2_i)
         # M[q, i, j, k] = g_N(dF(J d2_i), S[q, k, j])
-        M = _mapped(S, JD2 @ A.push @ g.GNf).transpose(0, 3, 2, 1)
+        M = _mapped(S, JD2 @ A.push @ g.gN.v).transpose(0, 3, 2, 1)
         ra, rb = _bracket_residual(g, "horizontal", "vertical"), _over_lam2(_amax(_upper(M - _swap(M))), g)
         rows.append(_reports(name1, g, ra, rb, tol.theorem))
         ra2 = _geodesic_residual(g, "horizontal", "vertical")
@@ -493,7 +493,7 @@ def check_corollaries(g: _Group, tol: Tolerances):
     rows.append(parallel_reports(
         "d2_parallel_homothety", h_norm, lambda A: A.H, lambda A: A.d2, "d2 not parallel along horizontal",
         lambda A: _amax(_jd2_terms(g))))
-    ra4 = g.data.lam * _norms_g(_mapped(g.grad_ln_lambda, g.PMUf), g.Gf) if r else 0.0
+    ra4 = g.lam * _norms_g(_mapped(g.grad_ln_lambda, g.PMU.v), g.G.v) if r else 0.0
     rows.append(parallel_reports(
         "mu_parallel_dilation", ra4, lambda A: A.V, lambda A: A.mu, "mu not parallel along the fibers",
         lambda A: _amax(_vertical_mu_terms(g, with_gradient=False))))
@@ -512,18 +512,17 @@ def check_sff_identities(g: _Group, tol: Tolerances):
     Each residual is the max g_N-norm gap over the respective frame pairs
     (unordered pairs where both slots range over the same frame).
     """
-    tt, G, DF = g.tensors, g.Gf, g.DFf
-    H, V = g.data.horizontal.v, g.data.vertical.v
+    G, DF, H, V = g.G.v, g.DF.v, g.horizontal.v, g.vertical.v
     grad = g.grad_ln_lambda
     pushed, dln = _mapped(H, DF), _mapped(grad, H @ G)
     rhs = (dln[:, :, None, None] * pushed[:, None] + dln[:, None, :, None] * pushed[:, :, None]
            - (H @ G @ _T(H))[..., None] * _mapped(grad, DF)[:, None, None])
     gaps = (
-        _upper(pairs(tt.sff, H, H) - rhs, strict=False),
-        _upper(pairs(tt.sff, V, V) + _mapped(pairs(tt.t, V, V), DF), strict=False),
-        pairs(tt.sff, H, V) + _mapped(pairs(tt.a, H, V), DF),
+        _upper(pairs(g.sff, H, H) - rhs, strict=False),
+        _upper(pairs(g.sff, V, V) + _mapped(pairs(g.t, V, V), DF), strict=False),
+        pairs(g.sff, H, V) + _mapped(pairs(g.a, H, V), DF),
     )
-    residuals = (_amax(row_norms(_flat(x), g.GNf)) for x in gaps)
+    residuals = (_amax(row_norms(_flat(x), g.gN.v)) for x in gaps)
     return [_reports(f"sff_identity_{slots}", g, r, r, tol.identity, label="identity")
             for slots, r in zip(("horizontal", "vertical", "mixed"), residuals)]
 

@@ -181,7 +181,7 @@ class FrameField:
 
     def values_at(self, q):
         g, k = entry(self.fmap, q)
-        return getattr(g.data, self.name).v[k, self.index]
+        return getattr(g, self.name).v[k, self.index]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +243,10 @@ def pass_derivative_margins(fmap, g, k, h=H):
     p = g.points[k]
     out = {}
     for name in PASS_FIELDS:
-        jet = getattr(g.data, name)
+        jet = getattr(g, name)
         if jet is None:
             continue
-        fd = fd_jacobian(lambda q: getattr(entry(fmap, q)[0].data, name).v[0], p, h)
+        fd = fd_jacobian(lambda q: getattr(entry(fmap, q)[0], name).v[0], p, h)
         out[name] = _rel_gap(jet.d[k], np.moveaxis(fd, -1, 0))
     out["gamma_src"] = _rel_gap(g.gamma_src[k], fd_christoffel(fmap.source, p, h))
     return out
@@ -292,26 +292,25 @@ def table_margins(fmap, g, k, h=H):
     def cov(rows):  # nabla_{d_l} of each row of rows(q), at [l, r, k]
         return deriv(rows) + np.einsum("kli,ri->lrk", gamma, rows(p))
 
-    tt = g.tensors
-    out = {"sff": _rel_gap(tt.sff[k], fd_sff_table(fmap, p, h))}
-    PV, PH = g.PVf[k], g.PHf[k]
-    nV, nH = cov(lambda q: at(q).PVf[0].T), cov(lambda q: at(q).PHf[0].T)
+    out = {"sff": _rel_gap(g.sff[k], fd_sff_table(fmap, p, h))}
+    PV, PH = g.PV.v[k], g.PH.v[k]
+    nV, nH = cov(lambda q: at(q).PV.v[0].T), cov(lambda q: at(q).PH.v[0].T)
     # T(e_i, e_j) = P_H nabla_{P_V e_i}(P_V e_j) + P_V nabla_{P_V e_i}(P_H e_j); A swaps V and H
     want_t = np.einsum("mk,li,ljk->mij", PH, PV, nV) + np.einsum("mk,li,ljk->mij", PV, PV, nH)
     want_a = np.einsum("mk,li,ljk->mij", PV, PH, nH) + np.einsum("mk,li,ljk->mij", PH, PH, nV)
-    out["T"], out["A"] = _rel_gap(tt.t[k], want_t), _rel_gap(tt.a[k], want_a)
+    out["T"], out["A"] = _rel_gap(g.t[k], want_t), _rel_gap(g.a[k], want_a)
     for name in FRAMES:
-        frame = getattr(g.data, name)
+        frame = getattr(g, name)
         if frame is not None and frame.v.shape[1]:
-            out[f"nabla {name}"] = _rel_gap(g.nabla(name)[k], cov(lambda q: getattr(at(q).data, name).v[0]))
-    if g.Jf is None:
+            out[f"nabla {name}"] = _rel_gap(g.nabla(name)[k], cov(lambda q: getattr(at(q), name).v[0]))
+    if g.J is None:
         return out
     A = g.adapted
-    E, G, GN = A.E.v[k], g.Gf[k], g.GNf[k]
+    E, G, GN = A.E.v[k], g.G.v[k], g.gN.v[k]
     rows = lambda q: at(q).adapted.E.v[0]
     out["omega"] = _rel_gap(A.omega[k], np.einsum("ml,lrk,kj,sj->mrs", E, cov(rows), G, E))
     out["dJ"] = _rel_gap(A.dJ[k], np.einsum("ml,lrs->mrs", E, deriv(lambda q: at(q).adapted.J[0])))
-    pushed = lambda q: rows(q) @ at(q).DFf[0].T
+    pushed = lambda q: rows(q) @ at(q).DF.v[0].T
     npushed = deriv(pushed) + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
     out["pull"] = _rel_gap(A.pull[k], np.einsum("ml,lra,ab,tb->mrt", E, npushed, GN, pushed(p)))
     return out

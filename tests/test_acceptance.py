@@ -38,7 +38,7 @@ def test_criterion_1_example_reproduction():
         worst_lam = max(worst_lam, abs(sf.lam - math.exp(p[2])) / math.exp(p[2]))
         dims_ok = dims_ok and sf.dims == (2, 2, 2, 0)
         for w in sf.d2:
-            worst_inv = max(worst_inv, float(row_norms(g.PVf[k] @ (g.Jf[k] @ w), g.Gf[k])))
+            worst_inv = max(worst_inv, float(row_norms(g.PV.v[k] @ (g.J.v[k] @ w), g.G.v[k])))
     elapsed = time.perf_counter() - start
     ok = worst_lam < 1e-9 and dims_ok and worst_inv < 1e-9 and elapsed < 5.0
     _verdict(
@@ -75,7 +75,7 @@ def test_criterion_3_conformal_sff_identities():
     F = scene("exp1").fmap
     e1 = np.array([1.0, 0.0])
     g, k = entry(F, np.zeros(2))
-    hand = on_pairs(g.tensors.sff[k], e1, e1)
+    hand = on_pairs(g.sff[k], e1, e1)
     hand_ok = abs(hand[0] - 1.0) < 1e-9
     _verdict(
         3,
@@ -113,9 +113,9 @@ def test_criterion_5_tensor_properties(rng):
         for n in range(per_preset):
             g, k = es[n % len(es)]
             E, W, Z = rng.normal(size=(3, dim))
-            G, T, A, S = g.Gf[k], g.tensors.t[k], g.tensors.a[k], g.tensors.sff[k]
-            V = g.PVf[k] @ E
-            X = g.PHf[k] @ E
+            G, T, A, S = g.G.v[k], g.t[k], g.a[k], g.sff[k]
+            V = g.PV.v[k] @ E
+            X = g.PH.v[k] @ E
             worst = max(
                 worst,
                 abs(float(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z))),
@@ -165,7 +165,7 @@ def test_criterion_7_derivatives_vs_finite_differences(rng):
             X = FrameField(sc.fmap, "horizontal", 0)
             V = FrameField(sc.fmap, "vertical", 0)
             g, j = entry(sc.fmap, p)
-            S = g.tensors.sff[j]
+            S = g.sff[j]
             for pair in ((X, V), (X, X)):
                 a = on_pairs(S, pair[0].values_at(p), pair[1].values_at(p))
                 b = fd_sff(sc.fmap, p, pair[0], pair[1])

@@ -61,7 +61,7 @@ def test_tables_match_finite_differences(name):
         margins = table_margins(sc.fmap, g, k)
         assert {"sff", "T", "A", "nabla vertical", "nabla horizontal"} <= set(margins)
         if sc.source.complex_structure is not None:
-            present = {f"nabla {n}" for n in FRAMES if getattr(g.data, n).v.shape[1]}
+            present = {f"nabla {n}" for n in FRAMES if getattr(g, n).v.shape[1]}
             assert present | set(ADAPTED) <= set(margins)
         bad = {k: v for k, v in margins.items() if v > MARGIN}
         assert not bad, f"{name} at {tuple(p)}: {bad}"
@@ -188,8 +188,8 @@ def test_derivatives_are_built_once(rng):
         assert jet.d is jet.d
     sc = fresh_scene("example33")
     _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=4, seed=1))
-    assert g.data.Ginv.const  # G^-1 of the Euclidean metric is a structural zero
-    for jet in (g.data.PMU, g.data.Ginv, g.data.lambda_sq, g.adapted.E, g.adapted._J):
+    assert g.Ginv.const  # G^-1 of the Euclidean metric is a structural zero
+    for jet in (g.PMU, g.Ginv, g.lambda_sq, g.adapted.E, g.adapted._J):
         assert jet.d is jet.d
 
 
@@ -204,16 +204,28 @@ def test_structure_data_build_no_frame_derivative():
     entries, groups = sc.fmap.frame_pass(sample_points(sc, count=16, seed=1))
     assert len(entries) == 16 and groups
     for _, g in groups:  # what a structure-only run reads
-        g.kahler, g.dims, g.data.lam, g.data.conf_residual
+        g.kahler, g.dims, g.lam, g.conf_residual
         for name in DERIVED:
-            jet = getattr(g.data, name)
+            jet = getattr(g, name)
             assert jet.v.size == 0 or callable(jet._d), f"{name} derivative built"
         # the constant inputs are structural zeros, and not even their zeros are built
         for name in ("G", "J", "gN", "Ginv"):
-            jet = getattr(g.data, name)
+            jet = getattr(g, name)
             assert jet.const and callable(jet._d), f"{name} derivative built"
-        g.tensors  # a checker's table reads them
-        assert not callable(g.data.PV._d) and not callable(g.data.vertical._d)
+        g.t  # a checker's table reads them
+        assert not callable(g.PV._d) and not callable(g.vertical._d)
+
+
+def test_a_checker_that_reads_the_sff_builds_no_oneill_table():
+    # d1_integrability reads the second fundamental form, through the adapted frame on side b,
+    # and no O'Neill tensor: neither T nor A is built, nor the derivative of P_H they read
+    sc = fresh_scene("example33")
+    _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=8, seed=1))
+    _group_rows(CHECKERS["d1_integrability"].func, g, sc.tolerances)
+    assert "sff" in vars(g) and "S" in vars(g.adapted)
+    assert not {"t", "a", "tension", "fiber_mean_curvature"} & vars(g).keys()
+    assert not {"omega", "T", "A"} & vars(g.adapted).keys()
+    assert callable(g.PH._d)
 
 
 @pytest.mark.parametrize("name", ALL_SCENE_NAMES)
@@ -228,7 +240,7 @@ def test_full_check_raises_no_floating_point_error(name):
         for _, g in groups:
             g.kahler
             for spec in CHECKERS.values():
-                if g.Jf is not None or not spec.needs_j:
+                if g.J is not None or not spec.needs_j:
                     _group_rows(spec.func, g, sc.tolerances)
         report = runner.run(fresh_scene(name))
     assert report.reports and report.structure

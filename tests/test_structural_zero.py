@@ -55,8 +55,8 @@ def test_constant_entries_as_expressions_give_the_same_report(name, seed, struct
     forced = _as_expressions(plain)
     (_, g), *_ = plain.fmap.frame_pass(sample_points(plain, count=2, seed=seed))[1]
     (_, h), *_ = forced.fmap.frame_pass(sample_points(forced, count=2, seed=seed))[1]
-    assert g.data.G.const and g.data.J.const and g.data.gN.const and g.data.Ginv.const
-    assert not (h.data.G.const or h.data.J.const or h.data.gN.const or h.data.Ginv.const)
+    assert g.G.const and g.J.const and g.gN.const and g.Ginv.const
+    assert not (h.G.const or h.J.const or h.gN.const or h.Ginv.const)
     want = to_canonical(run(forced, seed=seed, structure_only=structure_only))
     assert to_canonical(run(plain, seed=seed, structure_only=structure_only)) == want
 
@@ -66,7 +66,7 @@ def test_kahler_test_of_a_constant_j_is_the_full_test(name):
     sc = fresh_scene(name)
     _, groups = sc.fmap.frame_pass(sample_points(sc, count=8, seed=3))
     for _, g in groups:
-        G, J = g.data.G, g.data.J
+        G, J = g.G, g.J
         assert G.const and J.const
         evaluated = ArrayJet(G.v, G.d), ArrayJet(J.v, J.d)  # plain zero arrays: every term computed
         for metric, cs in ((G, J), evaluated):
@@ -80,5 +80,5 @@ def test_varying_metrics_are_never_structural_zeros(name):
     _, groups = sc.fmap.frame_pass(sample_points(sc, count=6, seed=2))
     constant_target = all(isinstance(e, Const) for row in sc.target.metric for e in row)
     for _, g in groups:
-        assert not (g.data.G.const or g.data.Ginv.const)
-        assert g.data.gN.const == constant_target
+        assert not (g.G.const or g.Ginv.const)
+        assert g.gN.const == constant_target

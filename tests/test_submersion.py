@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,11 +38,13 @@ def fmap(name):
     return scene(name).fmap
 
 
+TENSORS = ("sff", "t", "a", "tension", "fiber_mean_curvature")
+
+
 def tensors(F, p):
     """The tables of the batch of one at p, at its point."""
     g, k = entry(F, p)
-    t = g.tensors
-    return type(t)(*(getattr(t, f.name)[k] for f in fields(t)))
+    return SimpleNamespace(**{name: getattr(g, name)[k] for name in TENSORS})
 
 
 def split(F, p):
@@ -64,17 +66,17 @@ def sff_identity_residuals(e, tol=DEFAULT_TOLERANCES):
 
 def projector(g, name):
     """The jet of the metric-orthogonal projector onto the pass's frame `name` at the group's points."""
-    return _projector(g.data.G, getattr(g.data, name))
+    return _projector(g.G, getattr(g, name))
 
 
 def op(g, name):
     """x -> P J x as matrices: phi and omega split J on the vertical space, B and C on the horizontal one."""
-    return {"phi": g.PVf, "omega": projector(g, "jd2").v, "B": projector(g, "d2").v, "C": g.PMUf}[name] @ g.Jf
+    return {"phi": g.PV.v, "omega": projector(g, "jd2").v, "B": projector(g, "d2").v, "C": g.PMU.v}[name] @ g.J.v
 
 
 def gnorm(e, v):
     g, k = e
-    return float(row_norms(np.asarray(v, dtype=float), g.Gf[k]))
+    return float(row_norms(np.asarray(v, dtype=float), g.G.v[k]))
 
 
 def coordinate_sff(F, p, X, Y):
@@ -99,7 +101,7 @@ def coordinate_sff(F, p, X, Y):
 def test_jacobian_matches_component_gradients():
     p = np.array([0.0, 0.0, 0.0, 0.0, math.pi / 6, 0.0])
     g, k = entry(fmap(E33), p)
-    jac = g.DFf[k]
+    jac = g.DF.v[k]
     c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
     assert jac == pytest.approx(
         np.array([[0, 0, c, 0, -s, 0], [0, 0, s, 0, c, 0]]), abs=1e-15
@@ -108,7 +110,7 @@ def test_jacobian_matches_component_gradients():
 
 def test_jacobian_linear_projection_constant():
     g, k = entry(fmap("linproj42"), np.array([0.3, -0.4, 0.5, 0.9]))
-    jac = g.DFf[k]
+    jac = g.DF.v[k]
     assert np.array_equal(jac, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 
 
@@ -133,10 +135,10 @@ def test_split_frame_orthonormal_and_kernel():
     for g, k in entries(E33, count=4):
         sf = g.split(k)
         frame = np.stack(sf.vertical + sf.horizontal)
-        gram = frame @ g.Gf[k] @ frame.T
+        gram = frame @ g.G.v[k] @ frame.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-9
         for v in sf.vertical:
-            assert np.linalg.norm(g.DFf[k] @ v) < 1e-9
+            assert np.linalg.norm(g.DF.v[k] @ v) < 1e-9
         assert sf.lambda_sq_residual < 1e-8 * sf.lam**2
         assert sf.lam == pytest.approx(math.exp(g.points[k, 2]), rel=1e-12)
 
@@ -145,12 +147,12 @@ def test_split_frame_invariant_projection():
     for e in entries(E33, count=4):
         g, k = e
         sf = g.split(k)
-        J = g.Jf[k]
+        J = g.J.v[k]
         for u in sf.d1:
             w = J @ u - projector(g, "d1").v[k] @ (J @ u)
             assert gnorm(e, w) < 1e-9
         for w0 in sf.d2:
-            assert gnorm(e, g.PVf[k] @ (J @ w0)) < 1e-9
+            assert gnorm(e, g.PV.v[k] @ (J @ w0)) < 1e-9
 
 
 def test_split_frame_trivial_projection():
@@ -164,7 +166,7 @@ def test_split_frame_holomorphic_like():
     F = fmap("holo4")
     p = np.array([0.4, -0.2, 0.35, 0.7])
     g, k = entry(F, p)
-    jac = g.DFf[k]
+    jac = g.DF.v[k]
     assert np.linalg.norm(jac[0]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert np.linalg.norm(jac[1]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert abs(jac[0] @ jac[1]) < 1e-12
@@ -205,7 +207,7 @@ def test_phi_omega_anti_invariant_direction():
     g, k = entry(fmap(E33), e33_point())
     e4 = np.eye(6)[3]
     assert np.linalg.norm(op(g, "phi")[k] @ e4) < 1e-12
-    assert op(g, "omega")[k] @ e4 == pytest.approx(g.Jf[k] @ e4, abs=1e-12)  # fully horizontal image
+    assert op(g, "omega")[k] @ e4 == pytest.approx(g.J.v[k] @ e4, abs=1e-12)  # fully horizontal image
 
 
 def test_omega_vanishes_on_d1():
@@ -225,14 +227,14 @@ def test_bc_decompose_on_jd2():
 def test_bc_b_of_jw_is_minus_w():
     for g, k in entries(E33, count=3):
         for w in g.split(k).d2:
-            assert op(g, "B")[k] @ (g.Jf[k] @ w) == pytest.approx(-w, abs=1e-10)
+            assert op(g, "B")[k] @ (g.J.v[k] @ w) == pytest.approx(-w, abs=1e-10)
 
 
 def test_bc_trivial_when_d2_empty():
     g, k = entry(fmap("holo4"), np.array([0.1, 0.2, 0.0, 0.5]))
     for x in g.split(k).horizontal:
         assert np.linalg.norm(op(g, "B")[k] @ x) < 1e-12
-        assert op(g, "C")[k] @ x == pytest.approx(g.Jf[k] @ x, abs=1e-12)
+        assert op(g, "C")[k] @ x == pytest.approx(g.J.v[k] @ x, abs=1e-12)
 
 
 def test_j_coherence():
@@ -249,7 +251,7 @@ def test_pushed_distributions_orthogonal():
     for g, k in entries("linproj63", count=3):
         for w in g.split(k).d2:
             for x in g.split(k).mu:
-                val = (g.DFf[k] @ g.Jf[k] @ w) @ g.GNf[k] @ (g.DFf[k] @ x)
+                val = (g.DF.v[k] @ g.J.v[k] @ w) @ g.gN.v[k] @ (g.DF.v[k] @ x)
                 assert abs(val) < 1e-8
 
 
@@ -261,13 +263,13 @@ def test_t_vanishes_on_affine_fibers():
     g, k = entry(fmap(E33), e33_point())
     for v in g.split(k).vertical:
         for w in g.split(k).vertical:
-            assert np.linalg.norm(on_pairs(g.tensors.t[k], v, w)) < 1e-12
+            assert np.linalg.norm(on_pairs(g.t[k], v, w)) < 1e-12
 
 
 def test_t_ignores_horizontal_first_slot():
     g, k = entry(fmap(E33), e33_point())
     for x in g.split(k).horizontal:
-        out = on_pairs(g.tensors.t[k], x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
+        out = on_pairs(g.t[k], x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
         assert np.linalg.norm(out) < 1e-12
 
 
@@ -285,21 +287,21 @@ def test_a_alternation_against_bracket():
     p = e33_point()
     g, k = entry(F, p)
     X1, X2 = g.split(k).horizontal
-    H = g.data.horizontal
+    H = g.horizontal
     br = brackets(H, H)[k, 0, 1]
-    a12 = g.PVf[k] @ on_pairs(g.tensors.a[k], X1, X2)
-    assert a12 == pytest.approx(0.5 * (g.PVf[k] @ br), abs=1e-9)
+    a12 = g.PV.v[k] @ on_pairs(g.a[k], X1, X2)
+    assert a12 == pytest.approx(0.5 * (g.PV.v[k] @ br), abs=1e-9)
 
 
 def test_tensor_skew_symmetry(rng):
     for name in (E33, "linproj63", "holo4"):
         g, k = entry(fmap(name), np.asarray(points(name, count=1)[0]))
-        G = g.Gf[k]
+        G = g.G.v[k]
         for _ in range(25):
             E, W, Z = rng.normal(size=(3, fmap(name).source.dim))
-            V = g.PVf[k] @ E
-            X = g.PHf[k] @ E
-            T, A = g.tensors.t[k], g.tensors.a[k]
+            V = g.PV.v[k] @ E
+            X = g.PH.v[k] @ E
+            T, A = g.t[k], g.a[k]
             assert abs(on_pairs(T, V, W) @ G @ Z + W @ G @ on_pairs(T, V, Z)) < 1e-8
             assert abs(on_pairs(A, X, W) @ G @ Z + W @ G @ on_pairs(A, X, Z)) < 1e-8
 
@@ -428,8 +430,8 @@ def test_sff_identity_horizontal_hand_value():
     p = np.zeros(2)
     g, k = entry(F, p)
     e1 = np.array([1.0, 0.0])
-    lhs = on_pairs(g.tensors.sff[k], e1, e1)
-    vector, G, DF = g.grad_ln_lambda[k], g.Gf[k], g.DFf[k]
+    lhs = on_pairs(g.sff[k], e1, e1)
+    vector, G, DF = g.grad_ln_lambda[k], g.G.v[k], g.DF.v[k]
     dln = float(e1 @ G @ vector)  # d ln(lambda) along e1
     rhs = 2.0 * dln * (DF @ e1) - float(e1 @ G @ e1) * (DF @ vector)
     assert lhs == pytest.approx([1.0], abs=1e-9)
@@ -441,14 +443,14 @@ def test_covariant_phi_omega_structure_identities():
     for name in (E33, "linproj63"):
         for e in entries(name, count=3):
             g, k = e
-            f, T = g.data, g.tensors.t[k]
+            T = g.t[k]
             phi, omega, B, C = (op(g, name)[k] for name in ("phi", "omega", "B", "C"))
-            PV, PH = g.PVf[k], g.PHf[k]
+            PV, PH = g.PV.v[k], g.PH.v[k]
             # nabla of the fields phi(V_j) = P_V J V_j and omega(V_j) = P_JD2 J V_j
-            nabla_phi = nabla(g.gamma_src, f.vertical @ (f.PV @ f.J).T)[k]
-            nabla_omega = nabla(g.gamma_src, f.vertical @ (projector(g, "jd2") @ f.J).T)[k]
-            for V in f.vertical.v[k]:
-                for j, W in enumerate(f.vertical.v[k]):
+            nabla_phi = nabla(g.gamma_src, g.vertical @ (g.PV @ g.J).T)[k]
+            nabla_omega = nabla(g.gamma_src, g.vertical @ (projector(g, "jd2") @ g.J).T)[k]
+            for V in g.vertical.v[k]:
+                for j, W in enumerate(g.vertical.v[k]):
                     TVW = on_pairs(T, V, W)
                     phi_W = phi @ W
                     om_W = omega @ W
@@ -469,34 +471,34 @@ def test_adapted_tables_are_the_frames_and_operators_in_components():
     # gram are grad ln lambda, dF and g_N on its rows
     for name in (E33, "linproj63", "holo4"):
         for g, k in entries(name, count=2):
-            A, f = g.adapted, g.data
-            E, G = A.E.v[k], g.Gf[k]
+            A = g.adapted
+            E, G = A.E.v[k], g.G.v[k]
             D = len(E)
-            assert np.allclose(E, np.concatenate([f.d1.v[k], f.d2.v[k], f.jd2.v[k], f.mu.v[k]]), atol=0)
+            assert np.allclose(E, np.concatenate([g.d1.v[k], g.d2.v[k], g.jd2.v[k], g.mu.v[k]]), atol=0)
             assert np.allclose(E @ G @ E.T, np.eye(D), atol=1e-12)
-            assert np.allclose(A.V[k] @ E, f.vertical.v[k], atol=1e-12)
-            assert np.allclose(A.H[k] @ E, f.horizontal.v[k], atol=1e-12)
-            assert np.allclose(A.J[k], E @ g.Jf[k].T @ G @ E.T, atol=1e-12)
+            assert np.allclose(A.V[k] @ E, g.vertical.v[k], atol=1e-12)
+            assert np.allclose(A.H[k] @ E, g.horizontal.v[k], atol=1e-12)
+            assert np.allclose(A.J[k], E @ g.J.v[k].T @ G @ E.T, atol=1e-12)
             assert np.allclose(A.J[k][A.d2, A.jd2], np.eye(g.dims[1]), atol=1e-12)  # Jd2 is J(d2)
-            assert np.allclose(A.H[k] @ A.B[k] @ E, f.horizontal.v[k] @ op(g, "B")[k].T, atol=1e-12)
-            assert np.allclose(A.H[k] @ A.C[k] @ E, f.horizontal.v[k] @ op(g, "C")[k].T, atol=1e-12)
-            assert np.allclose(A.V[k] @ A.phi[k] @ E, f.vertical.v[k] @ op(g, "phi")[k].T, atol=1e-12)
-            assert np.allclose(A.V[k] @ A.om[k] @ E, f.vertical.v[k] @ op(g, "omega")[k].T, atol=1e-12)
-            # O'Neill's T and A as blocks of omega, against the projector route of `tensors`
-            for mine, theirs in ((A.T, g.tensors.t), (A.A, g.tensors.a)):
+            assert np.allclose(A.H[k] @ A.B[k] @ E, g.horizontal.v[k] @ op(g, "B")[k].T, atol=1e-12)
+            assert np.allclose(A.H[k] @ A.C[k] @ E, g.horizontal.v[k] @ op(g, "C")[k].T, atol=1e-12)
+            assert np.allclose(A.V[k] @ A.phi[k] @ E, g.vertical.v[k] @ op(g, "phi")[k].T, atol=1e-12)
+            assert np.allclose(A.V[k] @ A.om[k] @ E, g.vertical.v[k] @ op(g, "omega")[k].T, atol=1e-12)
+            # O'Neill's T and A as blocks of omega, against the projector route of the group's `t` and `a`
+            for mine, theirs in ((A.T, g.t), (A.A, g.a)):
                 want = np.einsum("kij,li,rj->lrk", theirs[k], E, E)
                 assert np.allclose(mine[k] @ E, want, atol=1e-9)
             assert np.allclose(A.grad[k], g.grad_ln_lambda[k] @ G @ E.T, atol=1e-12)
-            assert np.allclose(A.push[k], E @ g.DFf[k].T, atol=1e-12)
+            assert np.allclose(A.push[k], E @ g.DF.v[k].T, atol=1e-12)
             gram = np.zeros((D, D))
-            gram[A.hor, A.hor] = f.lam[k] ** 2 * np.eye(len(g.DFf[k]))  # dF kills the vertical block
+            gram[A.hor, A.hor] = g.lam[k] ** 2 * np.eye(len(g.DF.v[k]))  # dF kills the vertical block
             assert np.allclose(A.gram[k], gram, atol=1e-9)
 
 
 def test_splitting_completeness():
     for name in (E33, "linproj63", "holo4"):
         for g, k in entries(name, count=2):
-            assert np.max(np.abs(g.PVf[k] + g.PHf[k] - np.eye(fmap(name).source.dim))) < 1e-10
+            assert np.max(np.abs(g.PV.v[k] + g.PH.v[k] - np.eye(fmap(name).source.dim))) < 1e-10
 
 
 def test_curved_target_connection_enters_sff():
@@ -526,7 +528,7 @@ seed = 5
         p = np.array(p)
         e1 = np.array([1.0, 0.0])
         g, k = entry(F, p)
-        got = on_pairs(g.tensors.sff[k], e1, e1)
+        got = on_pairs(g.sff[k], e1, e1)
         want = fd_sff(F, p, ConstantField(e1), ConstantField(e1))
         assert got == pytest.approx([1.0], abs=1e-12)  # Gamma_N = 1 everywhere
         assert got == pytest.approx(want, abs=1e-6)
@@ -541,14 +543,13 @@ def test_fundamental_tensors_bundle():
     F = fmap(E33)
     p = e33_point()
     g, k = entry(F, p)
-    ft = g.tensors
     assert tuple(g.points[k]) == tuple(p)
-    assert np.linalg.norm(ft.tension[k]) < 1e-7
-    assert np.linalg.norm(ft.fiber_mean_curvature[k]) < 1e-12
+    assert np.linalg.norm(g.tension[k]) < 1e-7
+    assert np.linalg.norm(g.fiber_mean_curvature[k]) < 1e-12
     v = np.eye(6)[0]
-    assert np.linalg.norm(on_pairs(ft.t[k], v, v)) < 1e-12
-    pushed_t = g.DFf[k] @ on_pairs(ft.t[k], v, v)
-    assert on_pairs(ft.sff[k], v, v) == pytest.approx(-pushed_t, abs=1e-9)
+    assert np.linalg.norm(on_pairs(g.t[k], v, v)) < 1e-12
+    pushed_t = g.DF.v[k] @ on_pairs(g.t[k], v, v)
+    assert on_pairs(g.sff[k], v, v) == pytest.approx(-pushed_t, abs=1e-9)
 
 
 def test_non_conformal_map_rejected():

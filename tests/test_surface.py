@@ -46,5 +46,5 @@ def test_readme_library_example():
     alone = ns["alone"]
     assert ns["lam1"] == alone[0].split(alone[1]).lam  # a batch entry is its batch of one, bit for bit
     g1, k1 = ns["entries"][1]
-    assert np.array_equal(g1.tensors.sff[k1], alone[0].tensors.sff[alone[1]])
+    assert np.array_equal(g1.sff[k1], alone[0].sff[alone[1]])
     assert ns["j"].value.shape == (3,)
