@@ -95,10 +95,6 @@ MALFORMED = {
     "unknown-sampling-key": ("seed = 7", "seed = 7\nfoo = 3"),
     "unknown-tolerances-keys": ("seed = 7", "seed = 7\n[tolerances]\ndrop = 0.5\nstructural = oops"),
     "repeated-name": ("name = linproj42", "name = linproj42\nname = other"),
-    "repeated-machinery-only": ("name = linproj42",
-                                "name = linproj42\nmachinery_only = false\nmachinery_only = true"),
-    "repeated-kahler-expected": ("name = linproj42",
-                                 "name = linproj42\nkahler_expected = false\nkahler_expected = true"),
     "repeated-theorem": ("seed = 7", "seed = 7\n[tolerances]\ntheorem = 1e-3\ntheorem = 1e-6"),
     "repeated-g-entry": ("[target]\ndim = 2\nmetric = euclidean",
                          "[target]\ndim = 2\ng 1 1 = 5\ng 1 1 = 1\ng 2 2 = 1"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import Tolerances
 from .errors import EngineError, SceneError
 from .report import render_table, to_canonical
 from .runner import EXIT_SCENE, EXIT_STRUCTURAL, run
@@ -30,11 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--structure-only", action="store_true", help="skip checkers, report structure only"
-    )
-    check.add_argument(
-        "--hypothesis-ok",
-        action="store_true",
-        help="exit 0 when the only anomalies are unmet hypotheses",
     )
     check.add_argument("--list-presets", action="store_true", help="list builtin presets")
     return parser
@@ -66,7 +62,7 @@ def main(argv=None) -> int:
     tol = scene.tolerances
     try:
         if args.tol is not None:
-            tol = tol.with_theorem(args.tol)
+            tol = Tolerances(theorem=args.tol)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCENE
@@ -80,7 +76,6 @@ def main(argv=None) -> int:
             tol=tol,
             only=only,
             structure_only=args.structure_only,
-            hypothesis_ok=args.hypothesis_ok,
         )
     except SceneError as err:
         print(f"scene error: {err}", file=sys.stderr)

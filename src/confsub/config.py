@@ -10,7 +10,7 @@ constants of the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 __all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
@@ -34,9 +34,6 @@ class Tolerances:
         # nan or a non-positive tolerance would make every verdict inconclusive
         if not (math.isfinite(self.theorem) and self.theorem > 0.0):
             raise ValueError(f"theorem tolerance must be a finite number > 0, got {self.theorem!r}")
-
-    def with_theorem(self, tol: float) -> "Tolerances":
-        return replace(self, theorem=float(tol))
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -15,7 +15,9 @@ an empty `only` or an unknown checker name in it, a sample count above
 `scenes.MAX_POINTS`, or a map, metric or complex structure that leaves its
 domain, or a value of the frame pass or a residual of a report row that is
 not finite, at a sample point), 3 structural failure,
-4 theorem disagreement, 5 hypothesis violations only.
+4 theorem disagreement, 5 hypothesis violations only: J fails the Kaehler
+test, side b of every gated row is withheld and a warning says so; no
+option turns that into 0.
 Vacuous reports never count as disagreements: an equivalence with an empty
 side carries no claim.
 """
@@ -70,7 +72,6 @@ def run(
     tol: Tolerances | None = None,
     only: list[str] | None = None,
     structure_only: bool = False,
-    hypothesis_ok: bool = False,
 ) -> RunReport:
     tol = tol if tol is not None else scene.tolerances
     if only is not None and not only:
@@ -121,7 +122,7 @@ def run(
             for row in report.structure
         )
         report.kahler_verified = kahler_ok
-        if not kahler_ok and scene.kahler_expected:
+        if not kahler_ok:
             report.warnings.append(
                 "kaehler structure expected but the parallelism residual exceeds tolerance; "
                 "equivalence verdicts withheld"
@@ -149,7 +150,7 @@ def run(
 
     if report.disagreements():
         report.exit_code = EXIT_DISAGREE
-    elif report.warnings and not hypothesis_ok:
+    elif report.warnings:
         report.exit_code = EXIT_HYPOTHESIS
     else:
         report.exit_code = EXIT_OK

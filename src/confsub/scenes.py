@@ -2,7 +2,8 @@
 
 A scene is a line-oriented key/value file with sections.  Each section admits
 the keys listed in `_KEYS`, each at most once (only `exclude` repeats); an
-unknown or repeated key is an error at its line.  Metric entries are given
+unknown or repeated key is an error at its line.  The top level admits only
+`name`; a scene without J (`J = none`, or no `J`) is machinery-only.  Metric entries are given
 upper-triangle only (`g 1 2 = <expr>`), the almost complex structure as a full
 grid (`J 1 2 = <expr>`, `[source]` only); the shorthands `metric = euclidean`
 and `J = canonical|none` cannot be mixed with entries.  Sampling is a
@@ -62,12 +63,15 @@ class Scene:
     count: int
     seed: int
     tolerances: Tolerances
-    kahler_expected: bool
 
     @property
     def machinery_only(self) -> bool:
-        """No complex structure takes part: none is declared, or a declared one was dropped at load."""
+        """No complex structure takes part: none is declared."""
         return self.source.complex_structure is None
+
+    @property
+    def kahler_expected(self) -> bool:  # read only by the runner replica of bench/layers.py
+        return not self.machinery_only
 
     @property
     def source(self) -> ChartedManifold:
@@ -85,7 +89,7 @@ class Scene:
 # `g 1 2 = <expr>`, ("J", 0) the shorthand `J = canonical`.  The top level is "".
 # A key may appear once per section; only `exclude` repeats.
 _KEYS = {
-    "": {("name", 0), ("machinery_only", 0), ("kahler_expected", 0)},
+    "": {("name", 0)},
     "source": {("dim", 0), ("metric", 0), ("g", 2), ("J", 0), ("J", 2)},
     "target": {("dim", 0), ("metric", 0), ("g", 2)},
     "map": {("F", 1)},
@@ -144,15 +148,6 @@ def _single(sections, section: str, name: str, parse, default=None):
     return _at(lineno, parse, value)
 
 
-def _bool(raw: str) -> bool:
-    v = raw.lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _integer(what: str, low: int, high: float, expected: str):
     """A parser of the integers in [low, high]; `expected` names them in its error."""
 
@@ -170,7 +165,7 @@ def _integer(what: str, low: int, high: float, expected: str):
 
 def _theorem_tolerance(raw: str) -> Tolerances:
     try:
-        return DEFAULT_TOLERANCES.with_theorem(float(raw))
+        return Tolerances(theorem=float(raw))
     except ValueError:
         raise ValueError(f"bad tolerance {raw!r}: must be a finite number > 0") from None
 
@@ -265,7 +260,6 @@ def _manifold(sections, section: str):
 def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
     sections = _read(text)
     name = _single(sections, "", "name", str, name_hint)
-    machinery = _single(sections, "", "machinery_only", _bool, False)
     src_dim, src_metric, src_j = _manifold(sections, "source")
     tgt_dim, tgt_metric, _ = _manifold(sections, "target")
 
@@ -287,21 +281,12 @@ def load_scene_text(text: str, name_hint: str = "scene") -> Scene:
     tol = _single(sections, "tolerances", "theorem", _theorem_tolerance, DEFAULT_TOLERANCES)
 
     try:
-        # a machinery-only scene ignores a declared J everywhere: drop it here, once
-        source = ChartedManifold(src_dim, src_metric, None if machinery else src_j, box, excluded)
+        source = ChartedManifold(src_dim, src_metric, src_j, box, excluded)
         target = ChartedManifold(tgt_dim, tgt_metric, None, None, ())
         fmap = SmoothMap(source, target, tuple(components[i] for i in range(1, tgt_dim + 1)))
     except ValueError as err:
         raise SceneError(str(err)) from None
-    kahler_expected = _single(sections, "", "kahler_expected", _bool, src_j is not None and not machinery)
-    return Scene(
-        name=name,
-        fmap=fmap,
-        count=count,
-        seed=seed,
-        tolerances=tol,
-        kahler_expected=kahler_expected,
-    )
+    return Scene(name=name, fmap=fmap, count=count, seed=seed, tolerances=tol)
 
 
 def _parse_expr(text: str, dim: int, lineno: int):
@@ -397,7 +382,6 @@ seed = 7
 """,
     "exp1": """
 name = exp1
-machinery_only = true
 [source]
 dim = 2
 metric = euclidean
@@ -413,7 +397,6 @@ seed = 7
 """,
     "diag-x1sq": """
 name = diag-x1sq
-machinery_only = true
 [source]
 dim = 2
 g 1 1 = 1

@@ -41,7 +41,7 @@ fields in coordinate order, and Gram-Schmidt drops seeds whose norm falls
 below the drop tolerance after projection against all earlier basis vectors.
 The invariant part of the vertical space is the range of -(P_V J P_V)^2; a
 singular value decomposition of P_V J P_V validates the split and rejects
-ambiguous points.  A scene declared machinery-only has no J from the start.
+ambiguous points.  A scene with no J (`J = none`, or no `J`) is machinery-only.
 """
 
 from __future__ import annotations

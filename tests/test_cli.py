@@ -137,6 +137,13 @@ def test_only_without_names_is_a_scene_error(names):
         run(load_preset("linproj42"), points=2, only=[])
 
 
+def test_no_option_overrides_the_hypothesis_exit_code():
+    # exit 5 is the only signal that the Kaehler hypothesis failed
+    code, out, err = run_cli("check", "linproj42", "--points", "2", "--hypothesis-ok")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --hypothesis-ok" in err
+
+
 def test_structure_only():
     code, out, _ = run_cli("check", "example33", "--points", "5", "--structure-only")
     assert code == 0
@@ -245,21 +252,16 @@ def test_aggregates_match_recomputation(sample_report):
 def test_machinery_report_round_trip():
     rep = run(load_preset("diag-x1sq"), points=3)
     assert from_canonical(to_canonical(rep)) == rep
-
-
-def test_machinery_only_scene_ignores_its_j():
-    # a machinery-only scene with a declared J reports exactly what the same
-    # scene without the J line reports: no side b, no product_fibers row
-    text = PRESETS["example33"].replace("[source]", "machinery_only = true\n[source]", 1)
-    without_j = text.replace("J = canonical\n", "")
-    assert without_j != text and "machinery_only = true" in text
-    rep = run(load_scene_text(text), points=4)
-    assert to_canonical(rep) == to_canonical(run(load_scene_text(without_j), points=4))
+    # a scene without J: no Kaehler test, no product_fibers row, and side b
+    # only for the identities and the vacuous rows
     assert rep.machinery_only and rep.kahler_verified is None and rep.exit_code == 0
     assert "product_fibers" not in rep.reports
     for name, reps in rep.reports.items():
-        if not name.startswith("sff_identity"):
-            assert all(r.residual_b is None and r.verdict_b == "inconclusive" for r in reps), name
+        for r in reps:
+            if not (name.startswith("sff_identity") or r.vacuous):
+                assert r.residual_b is None and r.verdict_b == "inconclusive", name
+
+
 
 
 def test_disagreement_exit_code(monkeypatch, capsys):
@@ -409,7 +411,10 @@ SCENE_ERRORS = {
     "component-index": (("F 1 = x1 + x2", "F 2 = x1 + x2"), "line 9: component index 2 out of range for target dim 1"),
     "component-count": (("[target]\ndim = 1", "[target]\ndim = 2"), r"\[map\] needs 2 components, got 1"),
     "missing-dim": ((EUCLIDEAN_PLANE, "metric = euclidean"), r"missing 'dim' in \[source\]"),
-    "boolean": (("name = toy", "name = toy\nmachinery_only = maybe"), "line 2: expected a boolean, got 'maybe'"),
+    "kahler-expected": (("name = toy", "name = toy\nkahler_expected = false"),
+                        "line 2: unknown key 'kahler_expected' in the top level"),
+    "machinery-only": (("name = toy", "name = toy\nmachinery_only = true"),
+                       "line 2: unknown key 'machinery_only' in the top level"),
     "unreadable": (None, r"cannot read scene file: \[Errno 2\] No such file or directory: '.*missing\.scene'"),
     "count-above-maximum": (("count = 4", "count = 99999999999999999999999"),
                             "line 12: bad count '99999999999999999999999': expected a positive integer up to 100000"),

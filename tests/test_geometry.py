@@ -271,7 +271,7 @@ def test_runner_kahler_residual_matches_geometry():
     checked = 0
     for name in ALL_SCENE_NAMES:
         sc = fresh_scene(name)
-        if sc.source.complex_structure is None or sc.machinery_only:
+        if sc.source.complex_structure is None:
             continue
         for row in run(sc, points=4, structure_only=True).structure:
             assert row.kahler_residual == nabla_j_residual(sc.source, row.point), name

@@ -94,8 +94,6 @@ MALFORMED_ERRORS = {
     "unknown-sampling-key": (17, r"unknown key 'foo' in \[sampling\]"),
     "unknown-tolerances-keys": (18, r"unknown key 'drop' in \[tolerances\]"),
     "repeated-name": (3, "duplicate 'name' in the top level, first given on line 2"),
-    "repeated-machinery-only": (4, "duplicate 'machinery_only' in the top level, first given on line 3"),
-    "repeated-kahler-expected": (4, "duplicate 'kahler_expected' in the top level, first given on line 3"),
     "repeated-theorem": (19, r"duplicate 'theorem' in \[tolerances\], first given on line 18"),
     "repeated-g-entry": (10, r"duplicate 'g 1 1' in \[target\], first given on line 9"),
     "repeated-metric": (6, r"duplicate 'metric' in \[source\], first given on line 5"),

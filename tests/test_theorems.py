@@ -199,7 +199,6 @@ seed = 3
             else:
                 assert r.residual_b is None
                 assert "Kaehler" in r.label
-    assert run(scene, hypothesis_ok=True).exit_code == 0
 
 
 # ---------------------------------------------------------------------------
