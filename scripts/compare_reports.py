@@ -5,8 +5,10 @@ Usage: python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC
 
 Runs `python -m confsub check <scene> --seed S --format canonical` as a
 subprocess with PYTHONPATH set to each tree in turn, for the six presets and
-the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, once with
-the scene's own point count and once with `--structure-only --points 128`.
+the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, in three
+modes: a full check at the scene's own point count, a full check at
+`--points 64` (so the checker tables also run on large groups), and
+`--structure-only --points 128`.
 Prints how many canonical reports are byte-identical.  Each report is parsed
 with `confsub.report.from_canonical` (from CHANGE_SRC), and rows are compared
 by position; row k of a checker is at the point of structure row k.  Prints
@@ -43,7 +45,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 11, 12)
-MODES = ((), ("--structure-only", "--points", "128"))
+MODES = ((), ("--points", "64"), ("--structure-only", "--points", "128"))
 STRUCTURE = ("lambda", "conformality", "kahler")
 BENCH_SCENES = sorted(str(f) for f in (REPO / "bench" / "scenes").glob("*.txt"))
 FAILING_SCENE = """name = {name}

@@ -10,6 +10,11 @@ and a point that leaves the domain of a subexpression is reported through the
 ``fail(bad, error)`` contract of the frame pass, which drops the point and
 restarts on the others.
 
+Constants and the derivatives of the coordinates are held once, with a point
+axis of length 1 (the point-uniform rule of `jets`), so a sum of coordinates
+and constants keeps derivatives of length 1; `eval_jet2` widens its result to
+N points.
+
 Grammar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
@@ -29,6 +34,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .jets import full
 
 __all__ = [
     "Jet2",
@@ -77,9 +84,10 @@ class ExprDomainError(ExprError):
 class Jet2:
     """A stack of second-order jets: ``value[q]``, ``gradient[q, l]``, ``hessian[q, l, m]``.
 
-    All arithmetic keeps each Hessian exactly symmetric: every update is a sum
-    of symmetric terms, and ``a*b + b*a`` style outer products are
-    elementwise-commutative in IEEE arithmetic.
+    Each of the three has a point axis of length N, or 1 where it is the
+    same at every point.  All arithmetic keeps each Hessian exactly
+    symmetric: every update is a sum of symmetric terms, and ``a*b + b*a``
+    style outer products are elementwise-commutative in IEEE arithmetic.
     """
 
     __slots__ = ("value", "gradient", "hessian")
@@ -90,8 +98,9 @@ class Jet2:
         self.hessian = hessian
 
     def constant_like(self, value: float) -> "Jet2":
-        return Jet2(np.full_like(self.value, value), np.zeros_like(self.gradient),
-                    np.zeros_like(self.hessian))
+        """The jet of a constant, held once for every point."""
+        n = self.gradient.shape[1]
+        return Jet2(np.full(1, float(value)), np.zeros((1, n)), np.zeros((1, n, n)))
 
     def __add__(self, other: "Jet2") -> "Jet2":
         return Jet2(self.value + other.value, self.gradient + other.gradient, self.hessian + other.hessian)
@@ -119,11 +128,12 @@ class Jet2:
 
 
 def jet_seeds(points) -> list[Jet2]:
-    """Coordinate jets at a stack of points ``points[q, i]``: unit gradients, zero Hessians."""
+    """Coordinate jets at a stack of points ``points[q, i]``: values ``(N,)``, and the unit
+    gradients ``(1, n)`` and zero Hessians ``(1, n, n)``, which are the same at every point."""
     points = np.asarray(points, dtype=float)
-    count, n = points.shape
-    unit, zero = np.repeat(np.eye(n)[None], count, axis=0), np.zeros((count, n, n))
-    return [Jet2(points[:, i].copy(), unit[:, i], zero) for i in range(n)]
+    n = points.shape[1]
+    unit, zero = np.eye(n), np.zeros((1, n, n))
+    return [Jet2(points[:, i].copy(), unit[i:i + 1], zero) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +432,19 @@ def evaluate(e: ScalarExpr, xs: list[Jet2], fail=raise_first) -> Jet2:
     `ExprDomainError` of point q, which names the innermost failing
     subexpression.  Subexpressions are visited in evaluation order, children
     first, so a point's first failure is the one a single-point evaluation
-    meets.  Every `fail` in `src` raises: the default raises the error of the
-    first bad point, and the frame pass's records each bad point's error and
-    restarts without them.  A `fail` that returns lets the other points go
-    on, and the numbers of a failed point mean nothing.
+    meets.  `bad` has one entry per point, also where it tests a value held
+    once for every point.  Every `fail` in `src` raises: the default raises
+    the error of the first bad point, and the frame pass's records each bad
+    point's error and restarts without them.  A `fail` that returns lets the
+    other points go on, and the numbers of a failed point mean nothing.
     """
+    count = len(xs[0].value)
+
+    def each(bad, error):  # the mask of a uniform value covers every point
+        fail(full(bad, count), error)
+
     with np.errstate(all="ignore"):  # points outside a domain fail explicitly
-        return _walk(e, xs, fail)
+        return _walk(e, xs, each)
 
 
 def _walk(e: ScalarExpr, xs: list[Jet2], fail) -> Jet2:
@@ -457,5 +473,11 @@ def _walk(e: ScalarExpr, xs: list[Jet2], fail) -> Jet2:
 
 
 def eval_jet2(e: ScalarExpr, points) -> Jet2:
-    """Values, gradients and Hessians of the expression at a stack of chart points `points[q]`."""
-    return evaluate(e, jet_seeds(points))
+    """Values, gradients and Hessians of the expression at a stack of chart points `points[q]`.
+
+    Each has a point axis of length N: a part that is the same at every point
+    is a read-only view that repeats it.
+    """
+    seeds = jet_seeds(points)
+    j, count = evaluate(e, seeds), len(seeds[0].value)
+    return Jet2(full(j.value, count), full(j.gradient, count), full(j.hessian, count))

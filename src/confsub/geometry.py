@@ -21,7 +21,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
-from .jets import ArrayJet
+from .jets import ArrayJet, at_point, full, stacked
 
 __all__ = [
     "ExcludedLocus",
@@ -115,19 +115,20 @@ def grid_jet(grid, points, fail=raise_first) -> ArrayJet:
     evaluated in row order, equal ones (a symmetric metric's mirror entries)
     once, so a failing point reports the first entry that fails it
     (`expr.evaluate` explains `fail`).  A grid of constants is evaluated by
-    no expression, and its derivative is a structural zero.
+    no expression, its values are held once for every point (a point axis of
+    length 1), and its derivative is a structural zero.  Another grid's
+    derivative has as many points as its values, also where its entries are
+    affine (`jets.ArrayJet.full` reads that).
     """
     cells = np.array(grid, dtype=object)
     if all(isinstance(e, Const) for e in cells.flat):
         values = np.array([e.value for e in cells.flat], dtype=float).reshape(cells.shape)
-        return ArrayJet.constant(np.repeat(values[None], len(points), axis=0), np.shape(points)[1])
+        return ArrayJet.constant(values[None], np.shape(points)[1])
     seeds = jet_seeds(points)
     jets = [*map(functools.cache(lambda e: evaluate(e, seeds, fail)), cells.ravel())]
-    lead = (len(seeds[0].value),)
-    return ArrayJet(
-        np.stack([j.value for j in jets], -1).reshape(lead + cells.shape),
-        np.stack([j.gradient for j in jets], -1).reshape(lead + (len(seeds),) + cells.shape),
-    )
+    v = stacked([j.value for j in jets], -1).reshape((-1,) + cells.shape)
+    d = stacked([j.gradient for j in jets], -1).reshape((-1, len(seeds)) + cells.shape)
+    return ArrayJet(v, full(d, len(v)))
 
 
 def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
@@ -135,11 +136,13 @@ def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
 
     A metric fails when its smallest eigenvalue is at most
     `Tolerances.definiteness` (1e-12) of its largest; the error reads "`what`
-    not positive definite at `at(q)`" (`expr.evaluate` explains `fail`).
+    not positive definite at `at(q)`" (`expr.evaluate` explains `fail`).  A
+    metric held once for every point fails them all with a mask of length 1.
     """
     eigs = np.linalg.eigvalsh((G + G.swapaxes(-1, -2)) / 2.0)
     bad = eigs[:, 0] <= Tolerances.definiteness * np.maximum(eigs[:, -1], 1e-300)
-    fail(bad, lambda q: NonSPDMetricError(f"{what} not positive definite at {at(q)}: eigs {eigs[q]}"))
+    fail(bad, lambda q: NonSPDMetricError(
+        f"{what} not positive definite at {at(q)}: eigs {at_point(eigs, q)}"))
 
 
 def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:

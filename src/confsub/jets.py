@@ -24,13 +24,42 @@ has a derivative that is zero by construction: it stores no array, and its
 ``.d`` builds the zeros on first read.  The rules leave out every term whose
 factor is such a jet, and a result of such jets only is one too: activity
 analysis (Griewank & Walther, ch. 6).
+
+The point axis follows the same rule: a value that is the same at every point
+of a pass run is held once, with a point axis of length 1, and numpy
+broadcasting carries it through every later operation, as SPMD compilers keep
+"uniform" values beside "varying" ones (Pharr & Mark, ispc, InPar 2012).  A
+constant grid (`geometry.grid_jet`), an expression's constant subtrees and
+the derivatives of the coordinates (`expr.jet_seeds`) are such values, and so
+is everything computed from them alone: on a scene whose metrics, J and
+differential do not vary, every frame of the pass has length 1.  Inside the
+frame pass a stack's point axis therefore has length 1 or N: `stacked` stacks
+both kinds, `at_point` reads point q of either, and `full` widens a stack to
+N (a read-only view that repeats it) where it leaves the pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArrayJet"]
+__all__ = ["ArrayJet", "full", "at_point", "stacked"]
+
+
+def full(x, count: int) -> np.ndarray:
+    """The stack x[q, ...] with a point axis of length `count`: a length-1 axis becomes a read-only view."""
+    return x if len(x) == count else np.broadcast_to(x, (count,) + x.shape[1:])
+
+
+def at_point(x, q: int):
+    """Point q of a stack whose point axis has length N, or 1 for a value the same at every point."""
+    return x[q if len(x) > 1 else 0]
+
+
+def stacked(arrays, axis: int) -> np.ndarray:
+    """`np.stack` of stacks whose point axes have length 1 or N; broadcasts only where lengths differ."""
+    if len({len(x) for x in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    return np.stack(arrays, axis)
 
 
 class ArrayJet:
@@ -62,6 +91,16 @@ class ArrayJet:
         """The jet of values `v[q, ...]` that do not vary, along `dim` coordinates."""
         v = np.asarray(v, dtype=float)
         return cls(v, lambda: np.zeros(v.shape[:1] + (dim,) + v.shape[1:]), dim)
+
+    def full(self, count: int) -> "ArrayJet":
+        """The jet with values and derivatives widened to `count` points (`full`); `.d` stays lazy.
+
+        A derivative has at least the point length of its values (`geometry.grid_jet` makes it so,
+        and every rule keeps it), so a jet whose values have all `count` points is returned as it is.
+        """
+        if len(self.v) == count:
+            return self
+        return ArrayJet(full(self.v, count), lambda: full(self.d, count), self._zero)
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""

@@ -21,6 +21,13 @@ is not Riemannian or a J that is not almost Hermitian.  Points whose
 Gram-Schmidt drops differ run as separate groups, and a point's numbers are
 the same bit for bit in any batch.
 
+A value the same at every point of a run (a constant metric or J, the
+differential of an affine map, and all the pass derives from them alone) is
+computed once, with a point axis of length 1 (the point-uniform rule of
+`jets`); its validation fails all the points with a mask of length 1.  The
+fields of a group have N points: such a value leaves the pass as a read-only
+view that repeats it (`jets.full`).
+
 Each group builds its tables once and on first use, each on its own, with the
 point axis leading: the connections, the Kaehler test, the second fundamental
 form `sff[q, a, i, j]` from the component Hessians, O'Neill's `t[q, :, i, j]`
@@ -70,7 +77,7 @@ from .geometry import (
     nabla,
     nabla_j_norm,
 )
-from .jets import ArrayJet
+from .jets import ArrayJet, at_point, full, stacked
 
 __all__ = [
     "SmoothMap",
@@ -175,7 +182,7 @@ def _orthonormal_rows(Gv: np.ndarray, Pv: np.ndarray, drop: float):
     """The value loop of `_gram_schmidt`: (B = Linv Pv with a zero row per dropped seed,
     Linv, kept seeds, points whose squared norms are all finite)."""
     PG = Pv @ Gv
-    N, k, dim = Pv.shape
+    N, k, dim = PG.shape
     B = np.zeros((N, k, dim))
     Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
     keep = np.zeros((N, k), dtype=bool)
@@ -217,7 +224,7 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     if against is not None:
         Pv = Pv - (Pv @ Gv @ against.v.swapaxes(1, 2)) @ against.v
     B, Linv, keep, finite = _orthonormal_rows(Gv, Pv, drop)
-    N, k, dim = Pv.shape
+    N, k, dim = B.shape
     fail(~finite, lambda q: NumericalOverflowError("numerical overflow in a Gram-Schmidt squared norm"))
     if (keep != keep[:1]).any():
         _, group = np.unique(keep, axis=0, return_inverse=True)
@@ -257,39 +264,41 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     target metric at the image points, J and the source metric, in that
     order.  Each validation, from a subexpression outside its domain on,
     calls `fail(bad, error)` with a mask over the points and the error
-    `error(q)` of a failing point q, in pipeline order.  After the
-    evaluation, the first ones reject non-finite inputs, then a source metric
-    (at the point) or a target metric (at the image point) that is not
-    positive definite, then a J that is not almost Hermitian.
+    `error(q)` of a failing point q, in pipeline order; the mask of a value
+    held once for every point has length 1 (or is a bool) and covers them
+    all.  After the evaluation, the first ones reject non-finite inputs, then
+    a source metric (at the point) or a target metric (at the image point)
+    that is not positive definite, then a J that is not almost Hermitian.
     """
     tol = Tolerances  # the fixed thresholds
     at = lambda q: tuple(float(x) for x in points[q])
     src, seeds = fmap.source, jet_seeds(points)
     comps = [evaluate(c, seeds, fail) for c in fmap.components]
-    image = np.stack([c.value for c in comps], axis=1)
+    image = stacked([c.value for c in comps], 1)
     # d_l DF[a, i] is the Hessian entry [a, l, i]
-    DF = ArrayJet(np.stack([c.gradient for c in comps], 1), np.stack([c.hessian for c in comps], 2))
+    DF = ArrayJet(stacked([c.gradient for c in comps], 1), stacked([c.hessian for c in comps], 2))
     gT = grid_jet(fmap.target.metric, image, fail)
     J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
     G = grid_jet(src.metric, points, fail)
-    N, n, dim = DF.v.shape
+    N, (n, dim) = len(points), DF.v.shape[1:]
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
     gN = ArrayJet.constant(gT.v, dim) if gT.const else ArrayJet(
-        gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(N, n, n * n)).reshape(N, dim, n, n))
+        gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(-1, n, n * n)).reshape(-1, dim, n, n))
     for what, jet in (("source metric", G), ("map derivatives", DF),
                       ("target metric", gN), ("complex structure", J)):
         if jet is not None:
-            finite = np.isfinite(jet.v.reshape(N, -1)).all(1)
+            finite = np.isfinite(jet.v.reshape(len(jet.v), -1)).all(1)
             if not jet.const:
-                finite &= np.isfinite(jet.d.reshape(N, -1)).all(1)
+                finite = finite & np.isfinite(jet.d.reshape(len(jet.d), -1)).all(1)
             fail(~finite, lambda q: NumericalOverflowError(f"numerical overflow in the {what}"))
     check_spd(G.v, "source metric", at, fail)
-    check_spd(gT.v, "target metric", lambda q: f"{at(q)}, image point {tuple(map(float, image[q]))}", fail)
+    check_spd(gT.v, "target metric",
+              lambda q: f"{at(q)}, image point {tuple(map(float, at_point(image, q)))}", fail)
     if J is not None:
-        jres = np.stack(j_residuals(G.v, J.v), axis=1)
+        jres = stacked(j_residuals(G.v, J.v), 1)
         fail((jres > tol.structural).any(axis=1), lambda q: StructureError(
-            f"complex structure invalid at {at(q)}: "
-            f"J^2 residual {jres[q, 0]:.3e}, compatibility residual {jres[q, 1]:.3e}"))
+            f"complex structure invalid at {at(q)}: J^2 residual {at_point(jres, q)[0]:.3e}, "
+            f"compatibility residual {at_point(jres, q)[1]:.3e}"))
     inv = np.linalg.inv(G.v)
     # the derivatives built here by hand are built on first read, from operands bound now
     Ginv = ArrayJet.constant(inv, dim) if G.const else ArrayJet(
@@ -311,8 +320,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
     conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
     fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
-        f"not horizontally conformal at {at(q)}: residual {conf_residual[q]:.3e} "
-        f"against square dilation {lsq[q]:.3e}"))
+        f"not horizontally conformal at {at(q)}: residual {at_point(conf_residual, q):.3e} "
+        f"against square dilation {at_point(lsq, q):.3e}"))
 
     PV = _projector(G, vertical)
     PH = _projector(G, horizontal)
@@ -328,15 +337,15 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
         # between means the invariant subspace is not well separated
         between = (tol.split_margin <= svals) & (svals <= thr)
         fail(between.any(axis=1), lambda q: AmbiguousSplittingError(
-            f"splitting ambiguous at {at(q)}: singular value {svals[q][between[q]][0]:.6f} "
-            f"between {tol.split_margin} and {thr:.7f}"))
+            f"splitting ambiguous at {at(q)}: singular value "
+            f"{at_point(svals, q)[at_point(between, q)][0]:.6f} between {tol.split_margin} and {thr:.7f}"))
         fail(n_d1 % 2 != 0, lambda q: StructureError(
-            f"invariant vertical subspace has odd dimension {n_d1[q]} at {at(q)}"))
+            f"invariant vertical subspace has odd dimension {at_point(n_d1, q)} at {at(q)}"))
         # -(P_V J P_V)^2 projects onto the J-invariant part of the vertical space
         d1 = _gram_schmidt(G, -(vertical @ (Qm @ Qm).T), tol.drop, fail=fail)
         m1 = d1.v.shape[1]
         fail(n_d1 != m1, lambda q: StructureError(
-            f"invariant frame has {m1} vectors but {n_d1[q]} singular values "
+            f"invariant frame has {m1} vectors but {at_point(n_d1, q)} singular values "
             f"above threshold at {at(q)}"))
         d2 = _gram_schmidt(G, vertical, tol.drop, against=d1, fail=fail)
         jd2 = _gram_schmidt(G, d2 @ J.T, tol.drop, fail=fail)
@@ -357,43 +366,27 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
         r_d2 = np.max(row_norms(d2.v @ JT @ PV.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
         fail((r_d1 > tol.structural) | (r_d2 > tol.structural), lambda q: StructureError(
             f"vertical space is not semi-invariant at {at(q)}: "
-            f"J(d1) residual {r_d1[q]:.3e}, J(d2) horizontality residual {r_d2[q]:.3e}"))
+            f"J(d1) residual {at_point(r_d1, q):.3e}, "
+            f"J(d2) horizontality residual {at_point(r_d2, q):.3e}"))
 
     frame = np.concatenate((vertical.v, horizontal.v), axis=1)
     ortho = frame @ G.v @ frame.swapaxes(1, 2)
     off = np.abs(ortho - np.eye(dim)) > tol.structural
 
     def not_orthonormal(q):
-        i, j = np.argwhere(off[q])[0]
-        return StructureError(f"frame not orthonormal at {at(q)}: gram[{i},{j}] = {ortho[q, i, j]}")
+        i, j = np.argwhere(at_point(off, q))[0]
+        return StructureError(f"frame not orthonormal at {at(q)}: gram[{i},{j}] = {at_point(ortho, q)[i, j]}")
 
     fail(off.any(axis=(1, 2)), not_orthonormal)
     pushed = row_norms(vertical.v @ DF.v.swapaxes(1, 2), gN.v)
     big = pushed > tol.structural
     fail(big.any(axis=1), lambda q: StructureError(
-        f"pushforward of vertical vector has norm {pushed[q][big[q]][0]:.3e} at {at(q)}"))
+        f"pushforward of vertical vector has norm {at_point(pushed, q)[at_point(big, q)][0]:.3e} at {at(q)}"))
 
-    return _Group(
-        points=points,
-        G=G,
-        Ginv=Ginv,
-        DF=DF,
-        J=J,
-        gN=gN,
-        gT=gT,
-        vertical=vertical,
-        horizontal=horizontal,
-        d1=d1,
-        d2=d2,
-        jd2=jd2,
-        mu=mu,
-        PV=PV,
-        PH=PH,
-        PMU=PMU,
-        lambda_sq=lambda_sq,
-        lam=np.sqrt(lsq),
-        conf_residual=conf_residual,
-    )
+    jets = dict(G=G, Ginv=Ginv, DF=DF, J=J, gN=gN, gT=gT, vertical=vertical, horizontal=horizontal,
+                d1=d1, d2=d2, jd2=jd2, mu=mu, PV=PV, PH=PH, PMU=PMU, lambda_sq=lambda_sq)
+    return _Group(points=points, lam=full(np.sqrt(lsq), N), conf_residual=full(conf_residual, N),
+                  **{name: None if x is None else x.full(N) for name, x in jets.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +422,16 @@ def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 class _Group:
     """The frame pass at points of a batch that share its run, and every table at them, point axis leading.
 
-    Frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`; the frames of the
-    split and `PMU` are None without a complex structure.  Each table is
-    built once, on first read: the second fundamental form `sff[q, :, i, j]`
-    with values in the target chart, O'Neill's `t[q, :, i, j]` and
-    `a[q, :, i, j]` on the coordinate fields d_i, d_j (skew-symmetric as
-    operators in their second slot), the `tension[q]`, the trace of `sff`
-    over the full orthonormal frame, and `fiber_mean_curvature[q]`, the
-    normalized vertical trace of `t`.  On vectors the tables contract
-    bilinearly (`pairs`).
+    Frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`, and a field the
+    same at every point is a read-only view of length N that repeats one
+    point; the frames of the split and `PMU` are None without a complex
+    structure.  Each table is built once, on first read: the second
+    fundamental form `sff[q, :, i, j]` with values in the target chart,
+    O'Neill's `t[q, :, i, j]` and `a[q, :, i, j]` on the coordinate fields
+    d_i, d_j (skew-symmetric as operators in their second slot), the
+    `tension[q]`, the trace of `sff` over the full orthonormal frame, and
+    `fiber_mean_curvature[q]`, the normalized vertical trace of `t`.  On
+    vectors the tables contract bilinearly (`pairs`).
     """
 
     points: np.ndarray

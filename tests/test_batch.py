@@ -241,6 +241,16 @@ def test_failing_points_keep_their_errors(monkeypatch, order):
     message = str(err.value)
     assert f"at {first}" in message or f"at point {first}" in message
 
+    # a constant indefinite metric is held once for all 8 points and fails each with its own error
+    indefinite = load_scene_text(PARABOLA.replace("metric = euclidean", "g 1 1 = 1\ng 2 2 = neg(1)", 1))
+    points = sample_points(indefinite, count=8, seed=1)
+    entries, groups = indefinite.fmap.frame_pass(points)
+    assert not groups and len({str(e) for e in entries}) == 8
+    for p, e in zip(points, entries):
+        with pytest.raises(NonSPDMetricError) as want:
+            entry(indefinite.fmap, p)
+        assert type(e) is NonSPDMetricError and str(e) == str(want.value)
+
 
 # J = (1 + x1^2) times the canonical J is a complex structure on x1 = 0 only, which
 # the frame pass checks right after the metrics; F is critical at the origin

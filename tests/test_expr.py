@@ -306,9 +306,19 @@ def _sym(rng):
     return m + m.T
 
 
+def test_eval_jet2_keeps_the_point_axis():
+    # a constant, and a sum whose derivatives are the same at every point, still have N rows
+    points = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    for text in ("3", "x1 + 2", "x1 + x2"):
+        j = eval_jet2(parse(text, 2), points)
+        assert (j.value.shape, j.gradient.shape, j.hessian.shape) == ((3,), (3, 2), (3, 2, 2)), text
+    assert eval_jet2(parse("x1 + x2", 2), points).gradient.tolist() == [[1.0, 1.0]] * 3
+
+
 def test_jet_seeds_shape():
+    # values vary; unit gradients and zero Hessians are held once for every point
     seeds = jet_seeds([(1.0, 2.0), (3.0, 4.0)])
     assert [s.value.tolist() for s in seeds] == [[1.0, 3.0], [2.0, 4.0]]
-    for q in range(2):
-        assert np.array_equal(seeds[0].hessian[q], np.zeros((2, 2)))
-        assert seeds[0].gradient[q] == pytest.approx([1.0, 0.0])
+    for i, s in enumerate(seeds):
+        assert s.gradient.tolist() == [np.eye(2)[i].tolist()]
+        assert np.array_equal(s.hessian, np.zeros((1, 2, 2)))
