@@ -9,7 +9,8 @@ the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, in three
 modes: a full check at the scene's own point count, a full check at
 `--points 64` (so the checker tables also run on large groups), and
 `--structure-only --points 128`.
-Prints how many canonical reports are byte-identical.  Each report is parsed
+Prints how many canonical reports are byte-identical, and, for the two full
+modes, how many `--format table` outputs are.  Each report is parsed
 with `confsub.report.from_canonical` (from CHANGE_SRC), and rows are compared
 by position; row k of a checker is at the point of structure row k.  Prints
 the number of verdict changes (verdict_a, verdict_b, agreement, vacuity,
@@ -187,7 +188,7 @@ def main(argv: list[str]) -> int:
 
     _, listing, _ = check(change, "--list-presets")
     scenes = listing.split() + BENCH_SCENES
-    rows = structure_rows = verdict_changes = exit_changes = reports = identical = 0
+    rows = structure_rows = verdict_changes = exit_changes = reports = identical = tables = same_tables = 0
     worst: dict[str, float] = {}
     moved = dict.fromkeys(STRUCTURE, 0.0)
     for scene in scenes:
@@ -198,6 +199,11 @@ def main(argv: list[str]) -> int:
             if code_p != code_c:
                 exit_changes += 1
                 print(f"exit code {code_p} -> {code_c}: {label}")
+            if "--structure-only" not in mode:  # the table's aggregates read every checker row
+                table = (scene, "--seed", str(seed), "--format", "table", *mode)
+                (_, table_p, _), (_, table_c, _) = check(parent, *table), check(change, *table)
+                tables += 1
+                same_tables += table_p == table_c
             if not (out_p and out_c):
                 continue
             reports += 1
@@ -225,6 +231,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(scenes)} scenes x {len(SEEDS)} seeds x {len(MODES)} modes: "
           f"{rows} rows and {structure_rows} structure rows compared")
     print(f"identical canonical reports: {identical} of {reports}")
+    print(f"identical tables: {same_tables} of {tables}")
     exit_changes += scene_changes(parent, change, "failing", failing_scenes())
     exit_changes += scene_changes(parent, change, "malformed", malformed_scenes(PRESETS["linproj42"]))
     print(f"verdict changes: {verdict_changes}")

@@ -31,7 +31,7 @@ __all__ = [
 _SEP = " | "
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructureRow:
     index: int
     point: tuple[float, ...]
@@ -39,6 +39,10 @@ class StructureRow:
     dims: tuple[int, int, int, int] | None  # (d1, d2, jd2, mu); None without J
     conformality_residual: float
     kahler_residual: float | None
+
+    def __init__(self, index, point, lam, dims, conformality_residual, kahler_residual):
+        self.__dict__.update(index=index, point=point, lam=lam, dims=dims,  # frozen
+                             conformality_residual=conformality_residual, kahler_residual=kahler_residual)
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,6 @@ class RunReport:
 # Canonical text
 
 
-def _fnum(v: float | None) -> str:
-    return "-" if v is None else repr(float(v))
-
-
 def _pnum(raw: str) -> float | None:
     return None if raw == "-" else float(raw)
 
@@ -109,75 +109,69 @@ def _ppoint(raw: str) -> tuple[float, ...]:
 
 
 def to_canonical(report: RunReport) -> str:
-    """The canonical text of `report`; row k of each checker is written with the point of structure row k."""
-    points = [",".join(repr(float(x)) for x in row.point) for row in report.structure]
+    """The canonical text of `report`; row k of each checker is written with the point of structure row k.
+
+    A report object that points share (`theorems._reports`) is formatted once per section.
+    """
+    texts = {}  # a zero is written afresh: 0.0 and -0.0 are equal keys
+
+    def fnum(v: float | None) -> str:
+        if not v:
+            return "-" if v is None else repr(float(v))
+        return texts.get(v) or texts.setdefault(v, repr(float(v)))
+
+    heads = [f"{i}{_SEP}point={','.join([repr(float(x)) for x in row.point])}{_SEP}"
+             for i, row in enumerate(report.structure)]
     lines = [
         "confsub-report = 1",
         f"scene = {report.scene}",
         f"engine = {report.engine_version}",
         f"seed = {report.seed}",
         f"count = {report.count}",
-        f"tol.theorem = {_fnum(report.theorem_tolerance)}",
+        f"tol.theorem = {fnum(report.theorem_tolerance)}",
         f"machinery_only = {int(report.machinery_only)}",
         f"kahler_verified = {'-' if report.kahler_verified is None else int(report.kahler_verified)}",
         f"exit = {report.exit_code}",
+        "[structure]",
     ]
-    lines.append("[structure]")
-    for i, (row, point) in enumerate(zip(report.structure, points)):
+    for head, row in zip(heads, report.structure):
         dims = "-" if row.dims is None else ",".join(str(d) for d in row.dims)
-        lines.append(
-            _SEP.join(
-                [
-                    str(i),
-                    f"point={point}",
-                    f"lambda={_fnum(row.lam)}",
-                    f"dims={dims}",
-                    f"conformality={_fnum(row.conformality_residual)}",
-                    f"kahler={_fnum(row.kahler_residual)}",
-                ]
-            )
-        )
-    for name in report.reports:
+        lines.append(head + _SEP.join([
+            f"lambda={fnum(row.lam)}",
+            f"dims={dims}",
+            f"conformality={fnum(row.conformality_residual)}",
+            f"kahler={fnum(row.kahler_residual)}",
+        ]))
+    for name, rows in report.reports.items():
         lines.append(f"[checker {name}]")
-        for i, (r, point) in enumerate(zip(report.reports[name], points, strict=True)):
-            assert _SEP not in r.label, "labels must not contain the field separator"
-            lines.append(
-                _SEP.join(
-                    [
-                        str(i),
-                        f"point={point}",
-                        f"ra={_fnum(r.residual_a)}",
-                        f"rb={_fnum(r.residual_b)}",
-                        f"va={r.verdict_a}",
-                        f"vb={r.verdict_b}",
-                        f"agree={int(r.agree)}",
-                        f"vacuous={int(r.vacuous)}",
-                        f"tol={_fnum(r.tolerance)}",
-                        f"label={r.label}",
-                    ]
-                )
-            )
+        tails = {}  # by identity: every row is alive in `report` while it is written
+        for head, r in zip(heads, rows, strict=True):
+            tail = tails.get(id(r))
+            if tail is None:
+                assert _SEP not in r.label, "labels must not contain the field separator"
+                tail = tails[id(r)] = _SEP.join([
+                    f"ra={fnum(r.residual_a)}",
+                    f"rb={fnum(r.residual_b)}",
+                    f"va={r.verdict_a}",
+                    f"vb={r.verdict_b}",
+                    f"agree={int(r.agree)}",
+                    f"vacuous={int(r.vacuous)}",
+                    f"tol={fnum(r.tolerance)}",
+                    f"label={r.label}",
+                ])
+            lines.append(head + tail)
     lines.append("[aggregates]")
     for agg in report.aggregates():
-        lines.append(
-            _SEP.join(
-                [
-                    agg.name,
-                    f"n={agg.total}",
-                    f"max_ra={_fnum(agg.max_residual_a)}",
-                    f"max_rb={_fnum(agg.max_residual_b)}",
-                    f"agree={agg.agree_count}/{agg.total}",
-                    f"vacuous={agg.vacuous_count}",
-                ]
-            )
-        )
-    lines.append("[skipped]")
-    for name, reason in report.skipped:
-        lines.append(f"{name}{_SEP}{reason}")
-    lines.append("[warnings]")
-    for w in report.warnings:
-        lines.append(w)
-    lines.append("[end]")
+        lines.append(_SEP.join([
+            agg.name,
+            f"n={agg.total}",
+            f"max_ra={fnum(agg.max_residual_a)}",
+            f"max_rb={fnum(agg.max_residual_b)}",
+            f"agree={agg.agree_count}/{agg.total}",
+            f"vacuous={agg.vacuous_count}",
+        ]))
+    lines += ["[skipped]", *(f"{name}{_SEP}{reason}" for name, reason in report.skipped),
+              "[warnings]", *report.warnings, "[end]"]
     return "\n".join(lines) + "\n"
 
 

@@ -107,6 +107,7 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     `rb` may be None, or a list with None where side b is withheld; `label`
     is one label, or a list of one per point.  Where the mask `unmet` is set
     side b is withheld and labelled with `label`, elsewhere unlabelled.
+    Points with equal residuals and label share one report (it is frozen).
     """
     n = len(g.points)
     per_point = lambda x: x if isinstance(x, list) else x.tolist() if getattr(x, "ndim", 0) else [float(x)] * n
@@ -115,8 +116,11 @@ def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     if unmet is not None:
         rb = [None if u else b for u, b in zip(unmet.tolist(), rb)]
         labels = [label if u else "" for u in unmet.tolist()]
-    return [ConditionReport(name, a, b, tol, vacuous, lab)
-            for a, b, lab in zip(per_point(ra), rb, labels)]
+    out, shared = [], {}
+    for a, b, lab in zip(per_point(ra), rb, labels):
+        key = (a or repr(a), b or repr(b), lab)  # a zero keys by its text: 0.0 == -0.0 but is written apart
+        out.append(shared.get(key) or shared.setdefault(key, ConditionReport(name, a, b, tol, vacuous, lab)))
+    return out
 
 
 def _group_rows(check, group: _Group, tol: Tolerances) -> list[list[ConditionReport]]:
