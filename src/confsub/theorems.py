@@ -407,7 +407,7 @@ def check_tension_formula(g: _Group, tol: Tolerances):
     mean, grad = g.fiber_mean_curvature, g.grad_ln_lambda
     rhs = -float(m2 + n) * _mapped(mean, g.DF.v) + (2.0 - n - r2) * _mapped(grad, g.DF.v)
     res = _norms_g(g.tension - rhs, g.gN.v)
-    return [_reports("tension_formula", g, res, res, tol.identity, label="identity")]
+    return [_reports("tension_formula", g, res, 0.0, tol.identity, label="identity")]
 
 
 def check_harmonicity(g: _Group, tol: Tolerances):
@@ -514,7 +514,8 @@ def check_sff_identities(g: _Group, tol: Tolerances):
     Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
     vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
     Each residual is the max g_N-norm gap over the respective frame pairs
-    (unordered pairs where both slots range over the same frame).
+    (unordered pairs where both slots range over the same frame).  Side b here and in `tension_formula`
+    is the identity's claim, 0.0, so a gap that fails disagrees with it.
     """
     G, DF, H, V = g.G.v, g.DF.v, g.horizontal.v, g.vertical.v
     grad = g.grad_ln_lambda
@@ -527,7 +528,7 @@ def check_sff_identities(g: _Group, tol: Tolerances):
         pairs(g.sff, H, V) + _mapped(pairs(g.a, H, V), DF),
     )
     residuals = (_amax(row_norms(_flat(x), g.gN.v)) for x in gaps)
-    return [_reports(f"sff_identity_{slots}", g, r, r, tol.identity, label="identity")
+    return [_reports(f"sff_identity_{slots}", g, r, 0.0, tol.identity, label="identity")
             for slots, r in zip(("horizontal", "vertical", "mixed"), residuals)]
 
 

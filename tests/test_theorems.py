@@ -116,6 +116,18 @@ def test_tension_formula_residuals():
         for e in entries(preset, count=4):
             (r,) = reports_at(check_tension_formula, e, TOL)
             assert r.residual_a < 1e-7, preset
+            assert r.residual_b == 0.0 and r.verdict_b == "holds"  # the identity's claim
+
+
+def test_identity_rows_catch_a_sign_error_in_oneills_a(monkeypatch):
+    # side b of an identity row states the identity, so an A tensor of the wrong
+    # sign fails sff_identity_mixed on side a only: a disagreement, exit 4
+    a = submersion._Group.a
+    monkeypatch.setattr(submersion._Group, "a", property(lambda g: -a.func(g)))
+    for name in ("twisted4", "generic-metric"):
+        rep = run(fresh_scene(name), points=8, seed=1)
+        assert rep.exit_code == 4, name
+        assert {r.name for _, r in rep.disagreements()} == {"sff_identity_mixed"}, name
 
 
 def test_harmonicity_branches():
