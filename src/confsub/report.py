@@ -100,6 +100,10 @@ class RunReport:
 # Canonical text
 
 
+def _fnum(v: float | None) -> str:
+    return "-" if v is None else repr(float(v))
+
+
 def _pnum(raw: str) -> float | None:
     return None if raw == "-" else float(raw)
 
@@ -113,13 +117,6 @@ def to_canonical(report: RunReport) -> str:
 
     A report object that points share (`theorems._reports`) is formatted once per section.
     """
-    texts = {}  # a zero is written afresh: 0.0 and -0.0 are equal keys
-
-    def fnum(v: float | None) -> str:
-        if not v:
-            return "-" if v is None else repr(float(v))
-        return texts.get(v) or texts.setdefault(v, repr(float(v)))
-
     heads = [f"{i}{_SEP}point={','.join([repr(float(x)) for x in row.point])}{_SEP}"
              for i, row in enumerate(report.structure)]
     lines = [
@@ -128,7 +125,7 @@ def to_canonical(report: RunReport) -> str:
         f"engine = {report.engine_version}",
         f"seed = {report.seed}",
         f"count = {report.count}",
-        f"tol.theorem = {fnum(report.theorem_tolerance)}",
+        f"tol.theorem = {_fnum(report.theorem_tolerance)}",
         f"machinery_only = {int(report.machinery_only)}",
         f"kahler_verified = {'-' if report.kahler_verified is None else int(report.kahler_verified)}",
         f"exit = {report.exit_code}",
@@ -137,10 +134,10 @@ def to_canonical(report: RunReport) -> str:
     for head, row in zip(heads, report.structure):
         dims = "-" if row.dims is None else ",".join(str(d) for d in row.dims)
         lines.append(head + _SEP.join([
-            f"lambda={fnum(row.lam)}",
+            f"lambda={_fnum(row.lam)}",
             f"dims={dims}",
-            f"conformality={fnum(row.conformality_residual)}",
-            f"kahler={fnum(row.kahler_residual)}",
+            f"conformality={_fnum(row.conformality_residual)}",
+            f"kahler={_fnum(row.kahler_residual)}",
         ]))
     for name, rows in report.reports.items():
         lines.append(f"[checker {name}]")
@@ -150,13 +147,13 @@ def to_canonical(report: RunReport) -> str:
             if tail is None:
                 assert _SEP not in r.label, "labels must not contain the field separator"
                 tail = tails[id(r)] = _SEP.join([
-                    f"ra={fnum(r.residual_a)}",
-                    f"rb={fnum(r.residual_b)}",
+                    f"ra={_fnum(r.residual_a)}",
+                    f"rb={_fnum(r.residual_b)}",
                     f"va={r.verdict_a}",
                     f"vb={r.verdict_b}",
                     f"agree={int(r.agree)}",
                     f"vacuous={int(r.vacuous)}",
-                    f"tol={fnum(r.tolerance)}",
+                    f"tol={_fnum(r.tolerance)}",
                     f"label={r.label}",
                 ])
             lines.append(head + tail)
@@ -165,8 +162,8 @@ def to_canonical(report: RunReport) -> str:
         lines.append(_SEP.join([
             agg.name,
             f"n={agg.total}",
-            f"max_ra={fnum(agg.max_residual_a)}",
-            f"max_rb={fnum(agg.max_residual_b)}",
+            f"max_ra={_fnum(agg.max_residual_a)}",
+            f"max_rb={_fnum(agg.max_residual_b)}",
             f"agree={agg.agree_count}/{agg.total}",
             f"vacuous={agg.vacuous_count}",
         ]))

@@ -139,9 +139,8 @@ def run(
                 if use_j and spec.kahler_gated and not kahler_ok:
                     gate_label = "hypothesis unmet: Kaehler parallelism residual above tolerance"
                 for row in _in_sample_order(spec.func, groups, len(entries), tol):
-                    if gate_label is not None:  # points may share a report: strip each one once
-                        stripped = {id(r): _strip_verdict_b(r, gate_label) for r in {id(r): r for r in row}.values()}
-                        row = [stripped[id(r)] for r in row]
+                    if gate_label is not None:
+                        row = [_strip_verdict_b(r, gate_label) for r in row]
                     report.reports[row[0].name] = row
         overflow = [(q, name) for name, row in report.reports.items() for q, r in enumerate(row)
                     if not math.isfinite(r.residual_a) or not math.isfinite(r.residual_b or 0.0)]

@@ -9,7 +9,9 @@ Each checker computes two residuals independently at a sample point:
   tensors, the phi/omega/B/C decompositions and the pullback connection.
 
 Verdicts are compared: a sound equivalence can never yield ``holds`` on one
-side and ``fails`` on the other.  Conditions quantified over an empty frame
+side and ``fails`` on the other.  The identity rows (``tension_formula``,
+``sff_identity_*``) take as ``residual_b`` the identity's claim, 0.0, so an
+identity whose gap fails disagrees.  Conditions quantified over an empty frame
 range are reported as vacuous; equivalences whose content degenerates (the
 dilation characterizations need both the anti-invariant part and its
 horizontal complement to be nonzero) are vacuous as well.
@@ -25,8 +27,9 @@ is a mask over them.
 
 Whether J takes part is decided once, at scene load (a machinery-only scene
 carries none).  With J both sides are produced; the runner withholds side b
-when the Kaehler test fails.  Without J only the definition-level side is
-reported, labelled accordingly, and no agreement claim is made.
+when the Kaehler test fails.  Without J the characterization checkers report
+only the definition-level side, labelled accordingly, with no agreement
+claim; the ungated ``sff_identity_*`` rows still compare against 0.0.
 """
 
 from __future__ import annotations
@@ -514,8 +517,7 @@ def check_sff_identities(g: _Group, tol: Tolerances):
     Horizontal slots: (nabla dF)(X,Y) against the dilation-gradient expression;
     vertical slots: against -dF(T_V W); mixed slots: against -dF(A_X V).
     Each residual is the max g_N-norm gap over the respective frame pairs
-    (unordered pairs where both slots range over the same frame).  Side b here and in `tension_formula`
-    is the identity's claim, 0.0, so a gap that fails disagrees with it.
+    (unordered pairs where both slots range over the same frame).
     """
     G, DF, H, V = g.G.v, g.DF.v, g.horizontal.v, g.vertical.v
     grad = g.grad_ln_lambda
