@@ -9,8 +9,8 @@ the three scenes in `bench/scenes/`, at seeds 1, 2, 3, 11 and 12, in three
 modes: a full check at the scene's own point count, a full check at
 `--points 64` (so the checker tables also run on large groups), and
 `--structure-only --points 128`.
-Prints how many canonical reports are byte-identical, and, for the two full
-modes, how many `--format table` outputs are.  Each report is parsed
+Prints how many canonical reports are byte-identical, and how many
+`--format table` outputs are, in all three modes.  Each report is parsed
 with `confsub.report.from_canonical` (from CHANGE_SRC), and rows are compared
 by position; row k of a checker is at the point of structure row k.  Prints
 the number of verdict changes (verdict_a, verdict_b, agreement, vacuity,
@@ -199,11 +199,10 @@ def main(argv: list[str]) -> int:
             if code_p != code_c:
                 exit_changes += 1
                 print(f"exit code {code_p} -> {code_c}: {label}")
-            if "--structure-only" not in mode:  # the table's aggregates read every checker row
-                table = (scene, "--seed", str(seed), "--format", "table", *mode)
-                (_, table_p, _), (_, table_c, _) = check(parent, *table), check(change, *table)
-                tables += 1
-                same_tables += table_p == table_c
+            table = (scene, "--seed", str(seed), "--format", "table", *mode)
+            (_, table_p, _), (_, table_c, _) = check(parent, *table), check(change, *table)
+            tables += 1
+            same_tables += table_p == table_c
             if not (out_p and out_c):
                 continue
             reports += 1

@@ -1,4 +1,4 @@
-"""Run reports: per-point structure rows, per-checker condition reports, aggregates.
+"""Run reports: the structure table, per-checker condition reports, aggregates.
 
 Two output formats: a human-readable table and a canonical structured text
 with stable key order.  The canonical form contains no timestamps and uses
@@ -10,6 +10,11 @@ the rows, is an error at its line.  Rows are numbered by position, there is
 one structure row per sample point, and row k of every checker section is at
 the point of structure row k, so a section with one row too many or too few
 for the header's `count` is an error at its header.
+
+The structure rows are held as columns (`StructureTable`), and the writer
+formats each column with one `repr` of its list: `repr` of a list of floats
+writes each element with `float.__repr__`.  A list of `StructureRow` values
+is turned into a table first.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
+import numpy as np
+
 from .theorems import ConditionReport
 
 __all__ = [
     "StructureRow",
+    "StructureTable",
     "CheckerAggregate",
     "RunReport",
     "to_canonical",
@@ -33,6 +41,13 @@ _SEP = " | "
 
 @dataclass(frozen=True, init=False)
 class StructureRow:
+    """The structure at one sample point, as a value: row `index` of a `StructureTable`.
+
+    `index` is the row's position.  It is kept for the step-by-step replica of
+    the runner in `bench/layers.py`, which builds its report from rows, until
+    that replica is removed (ROADMAP item 1).
+    """
+
     index: int
     point: tuple[float, ...]
     lam: float
@@ -43,6 +58,65 @@ class StructureRow:
     def __init__(self, index, point, lam, dims, conformality_residual, kahler_residual):
         self.__dict__.update(index=index, point=point, lam=lam, dims=dims,  # frozen
                              conformality_residual=conformality_residual, kahler_residual=kahler_residual)
+
+
+class StructureTable:
+    """The structure rows of a report as columns, one entry per sample point.
+
+    `points` is the `(N, dim)` array of the sample points; `lam`,
+    `conformality` and `kahler` hold the dilation, the conformality residual
+    and the Kaehler residual at each.  `dims`, the split's (d1, d2, jd2, mu),
+    is held once: the runner refuses points whose dims differ.  `kahler` and
+    `dims` are None without a complex structure; a table of rows of which only
+    some have a Kaehler residual holds them, and None, in an object array.
+    `len`, `table[k]` and iteration give `StructureRow` values, and `==`
+    compares a table with a table or a list of rows by those values.
+    """
+
+    __slots__ = ("points", "lam", "conformality", "kahler", "dims")
+
+    def __init__(self, points, lam, conformality, kahler, dims):
+        self.points, self.lam, self.conformality, self.kahler, self.dims = points, lam, conformality, kahler, dims
+
+    @classmethod
+    def of(cls, structure) -> "StructureTable":
+        """`structure` if it is a table, else its rows as one; rows that carry two dims are a ValueError."""
+        if isinstance(structure, cls):
+            return structure
+        dims = {row.dims for row in structure}
+        if len(dims) > 1:
+            raise ValueError(f"structure rows carry different dims: {sorted(dims, key=str)}")
+        return _table([row.point for row in structure], [row.lam for row in structure],
+                      [row.conformality_residual for row in structure],
+                      [row.kahler_residual for row in structure], dims.pop() if dims else None)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, k: int) -> StructureRow:
+        k = range(len(self))[k]
+        kah = None if self.kahler is None else self.kahler[k]
+        return StructureRow(index=k, point=tuple(self.points[k].tolist()), lam=float(self.lam[k]), dims=self.dims,
+                            conformality_residual=float(self.conformality[k]),
+                            kahler_residual=None if kah is None else float(kah))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (StructureTable, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _table(points: list, lam: list, conformality: list, kahler: list, dims) -> StructureTable:
+    """The table of these columns of rows; a Kaehler column that is all None is None as a whole."""
+    kah = None
+    if any(k is not None for k in kahler):
+        kah = np.array([None if k is None else float(k) for k in kahler],
+                       dtype=object if None in kahler else float)
+    return StructureTable(np.array(points, dtype=float), np.array(lam, dtype=float),
+                          np.array(conformality, dtype=float), kah, dims)
 
 
 @dataclass(frozen=True)
@@ -75,7 +149,7 @@ class RunReport:
     theorem_tolerance: float
     machinery_only: bool
     kahler_verified: bool | None  # None when there is no complex structure
-    structure: list[StructureRow] = field(default_factory=list)
+    structure: StructureTable | list[StructureRow] = field(default_factory=list)
     reports: dict[str, list[ConditionReport]] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -112,13 +186,27 @@ def _ppoint(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(",")) if raw else ()
 
 
+def _fnums(column: np.ndarray) -> list[str]:
+    """`_fnum` of each entry of a column of floats and None, with one `repr` for the column."""
+    text = repr(column.tolist())[1:-1]
+    return text.replace("None", "-").split(", ") if text else []
+
+
+def _fpoints(points: np.ndarray) -> list[str]:
+    """Each row of an `(N, dim)` array as comma-separated `repr`s, with one `repr` for the array."""
+    return repr(points.tolist())[2:-2].replace(", ", ",").split("],[") if len(points) else []
+
+
 def to_canonical(report: RunReport) -> str:
     """The canonical text of `report`; row k of each checker is written with the point of structure row k.
 
-    A report object that points share (`theorems._reports`) is formatted once per section.
+    The structure is written from its columns, and a report object that
+    points share (`theorems._reports`) is formatted once per section.
     """
-    heads = [f"{i}{_SEP}point={','.join([repr(float(x)) for x in row.point])}{_SEP}"
-             for i, row in enumerate(report.structure)]
+    table = StructureTable.of(report.structure)
+    heads = [f"{i}{_SEP}point={point}{_SEP}" for i, point in enumerate(_fpoints(table.points))]
+    kahler = ["-"] * len(table) if table.kahler is None else _fnums(table.kahler)
+    mid = f"{_SEP}dims={'-' if table.dims is None else ','.join(map(str, table.dims))}{_SEP}conformality="
     lines = [
         "confsub-report = 1",
         f"scene = {report.scene}",
@@ -131,14 +219,8 @@ def to_canonical(report: RunReport) -> str:
         f"exit = {report.exit_code}",
         "[structure]",
     ]
-    for head, row in zip(heads, report.structure):
-        dims = "-" if row.dims is None else ",".join(str(d) for d in row.dims)
-        lines.append(head + _SEP.join([
-            f"lambda={_fnum(row.lam)}",
-            f"dims={dims}",
-            f"conformality={_fnum(row.conformality_residual)}",
-            f"kahler={_fnum(row.kahler_residual)}",
-        ]))
+    lines += [f"{head}lambda={lam}{mid}{conf}{_SEP}kahler={kah}"
+              for head, lam, conf, kah in zip(heads, _fnums(table.lam), _fnums(table.conformality), kahler)]
     for name, rows in report.reports.items():
         lines.append(f"[checker {name}]")
         tails = {}  # by identity: every row is alive in `report` while it is written
@@ -201,6 +283,7 @@ def from_canonical(text: str) -> RunReport:
             kahler_verified=None if head["kahler_verified"] == "-" else bool(int(head["kahler_verified"])),
             exit_code=int(head["exit"]),
         )
+        points, lam, dims, conformality, kahler = [], [], [], [], []
         section = checker = None
         for i in range(i, len(lines)):
             line = lines[i]
@@ -214,17 +297,15 @@ def from_canonical(text: str) -> RunReport:
                     section = tag
             elif section == "structure":
                 fields = line.split(_SEP)
+                point = _ppoint(_take(fields[1], "point"))
+                if points and len(point) != len(points[0]):
+                    raise ValueError(f"a point of {len(point)} coordinates after points of {len(points[0])}")
                 dims_raw = _take(fields[3], "dims")
-                report.structure.append(
-                    StructureRow(
-                        index=len(report.structure),
-                        point=_ppoint(_take(fields[1], "point")),
-                        lam=float(_take(fields[2], "lambda")),
-                        dims=None if dims_raw == "-" else tuple(int(x) for x in dims_raw.split(",")),
-                        conformality_residual=float(_take(fields[4], "conformality")),
-                        kahler_residual=_pnum(_take(fields[5], "kahler")),
-                    )
-                )
+                points.append(point)
+                lam.append(float(_take(fields[2], "lambda")))
+                dims.append(None if dims_raw == "-" else tuple(int(x) for x in dims_raw.split(",")))
+                conformality.append(float(_take(fields[4], "conformality")))
+                kahler.append(_pnum(_take(fields[5], "kahler")))
             elif section == "checker":
                 fields = line.split(_SEP)
                 r = ConditionReport(
@@ -250,6 +331,8 @@ def from_canonical(text: str) -> RunReport:
         raise ValueError(f"line {i + 1}: too few fields in {lines[i]!r}") from None
     except ValueError as err:
         raise ValueError(f"line {i + 1}: {err}") from None
+    # the first row's dims for all: a row with other dims differs from its rewrite below
+    report.structure = _table(points, lam, conformality, kahler, dims[0] if dims else None)
     if "[structure]" in lines and report.count != len(report.structure):
         raise ValueError(f"line {lines.index('[structure]') + 1}: [structure] has {len(report.structure)} rows, "
                          f"the header's count is {report.count}")
@@ -282,12 +365,14 @@ def render_table(report: RunReport) -> str:
     out.append("")
     out.append("structure per point")
     out.append(f"{'idx':>4} {'lambda':>18} {'d1':>3} {'d2':>3} {'jd2':>4} {'mu':>3} {'conf_resid':>11} {'kahler_resid':>13}")
-    for i, row in enumerate(report.structure):
-        dims = row.dims or ("-", "-", "-", "-")
-        kah = "-" if row.kahler_residual is None else f"{row.kahler_residual:.2e}"
+    table = StructureTable.of(report.structure)
+    dims = table.dims or ("-", "-", "-", "-")
+    kahler = [None] * len(table) if table.kahler is None else table.kahler.tolist()
+    for i, (lam, conf, kah) in enumerate(zip(table.lam.tolist(), table.conformality.tolist(), kahler)):
+        kah = "-" if kah is None else f"{kah:.2e}"
         out.append(
-            f"{i:>4} {row.lam:>18.12f} {dims[0]:>3} {dims[1]:>3} {dims[2]:>4} {dims[3]:>3} "
-            f"{row.conformality_residual:>11.2e} {kah:>13}"
+            f"{i:>4} {lam:>18.12f} {dims[0]:>3} {dims[1]:>3} {dims[2]:>4} {dims[3]:>3} "
+            f"{conf:>11.2e} {kah:>13}"
         )
     out.append("")
     if report.reports:

@@ -4,10 +4,11 @@ The frame pass and the Kaehler test run once over all sample points, in
 groups of points that share a pass run (`SmoothMap.frame_pass`); the
 pass validates J along with the frames, at its fixed thresholds.  The first
 failing point in sample order is reported, with the error a single-point run
-gives.  The structure rows are read off the groups, each group's at once, in
-sample order; each checker then runs once per group
-(`theorems._group_rows`), and its rows are put back in sample order, so
-report k of every row is at the point of structure row k.
+gives.  The structure table's columns are filled from the groups: each
+group's dilation and residuals are scattered to its points (`members`), and
+the Kaehler verdict is one reduction over the Kaehler column.  Each checker
+then runs once per group (`theorems._group_rows`), and its rows are put back
+in sample order, so report k of every row is at the point of structure row k.
 
 Exit code contract: 0 success, 2 scene error (raised in place of a report:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
@@ -33,7 +34,7 @@ from . import __version__
 from .config import Tolerances
 from .errors import NumericalOverflowError, SceneError, StructureError
 from .expr import ExprDomainError
-from .report import RunReport, StructureRow
+from .report import RunReport, StructureTable
 from .scenes import Scene, sample_points
 from .theorems import CHECKERS, ConditionReport, _group_rows
 
@@ -81,7 +82,7 @@ def run(
         raise SceneError(f"unknown checkers: {', '.join(unknown)}")
     count = scene.count if points is None else int(points)
     the_seed = scene.seed if seed is None else int(seed)
-    sampled = sample_points(scene, count=count, seed=the_seed)
+    sampled = np.asarray(sample_points(scene, count=count, seed=the_seed), dtype=float)
     use_j = not scene.machinery_only
 
     report = RunReport(
@@ -101,26 +102,20 @@ def run(
             raise SceneError(f"{entry} at point {tuple(float(x) for x in p)}") from None
         if isinstance(entry, Exception):  # the point's own first error
             raise entry
-    rows, dims_seen = [None] * len(entries), set()
-    for members, group in groups:  # each group's rows read at once
-        dims, kah = None, [None] * len(members)
+    lam, conf = np.empty(len(entries)), np.empty(len(entries))
+    kah, dims_seen = np.empty(len(entries)) if use_j else None, set()
+    for members, group in groups:  # each group's values scattered to its points
+        lam[members], conf[members] = group.lam, group.conf_residual
         if use_j:
-            dims, kah = group.dims, group.kahler.tolist()
-            dims_seen.add(dims)
-        for q, point, lam, conf, k in zip(members.tolist(), group.points.tolist(), group.lam.tolist(),
-                                          group.conf_residual.tolist(), kah):
-            rows[q] = StructureRow(index=q, point=tuple(point), lam=lam, dims=dims,
-                                   conformality_residual=conf, kahler_residual=k)
-    report.structure = rows
+            kah[members] = group.kahler
+            dims_seen.add(group.dims)
     if use_j and len(dims_seen) > 1:
         raise StructureError(f"distribution dimensions vary across points: {sorted(dims_seen)}")
+    report.structure = StructureTable(sampled, lam, conf, kah, dims_seen.pop() if use_j else None)
 
     kahler_ok = None
     if use_j:
-        kahler_ok = all(
-            row.kahler_residual is not None and row.kahler_residual < tol.kahler
-            for row in report.structure
-        )
+        kahler_ok = bool(np.all(kah < tol.kahler))  # a NaN residual is not verified
         report.kahler_verified = kahler_ok
         if not kahler_ok:
             report.warnings.append(

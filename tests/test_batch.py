@@ -24,6 +24,7 @@ from confsub.errors import (
 )
 from confsub.expr import ExprDomainError
 from confsub.jets import ArrayJet
+from confsub.report import to_canonical
 from confsub.scenes import load_scene_text, sample_points
 from confsub.theorems import CHECKERS, _memo_check
 
@@ -182,6 +183,14 @@ def test_runner_rows_come_in_sample_order(monkeypatch):
                 for r in reports_at(spec.func, single, sc.tolerances)]
         assert [r.name for r in want] == list(report.reports)
         assert _same([report.reports[r.name][q] for r in want], want)
+    # the writer's [structure] lines, scattered from the two groups, are those of single-point runs
+    lines = to_canonical(report).splitlines()
+    structure = lines[lines.index("[structure]") + 1:lines.index("[structure]") + 1 + len(points)]
+    for q, p in enumerate(points):
+        monkeypatch.setattr(runner, "sample_points", lambda scene, count, seed, p=p: [p])
+        alone = to_canonical(runner.run(sc)).splitlines()
+        assert alone[alone.index("[structure]") + 2].startswith("[")
+        assert structure[q] == f"{q} | " + alone[alone.index("[structure]") + 1].removeprefix("0 | ")
 
 
 def test_checkers_run_once_per_group(monkeypatch):

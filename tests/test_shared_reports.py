@@ -1,10 +1,12 @@
-"""Report rows shared by points, and the canonical writer that formats each shared row once."""
+"""Report rows shared by points, structure rows held as columns, and the canonical writer
+that formats each shared row once and each structure column with one `repr`."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from confsub.report import RunReport, StructureRow, from_canonical, to_canonical
+from confsub.report import RunReport, StructureRow, StructureTable, from_canonical, to_canonical
 from confsub.runner import run
 from confsub.scenes import load_preset
 from confsub.theorems import ConditionReport, _reports
@@ -88,3 +90,37 @@ def test_writer_formats_shared_rows_like_the_reference():
     parsed = from_canonical(text)
     assert parsed == report
     assert to_canonical(parsed) == text
+
+    # the same structure as a table and as a list of rows writes the same bytes, subnormals included
+    lam = np.array([1.5, 5e-324, -0.0, 1e-300, 0.0, 2.0])
+    conformality = np.array([0.0, -0.0, 5e-324, 1e-300, -5e-324, 0.0])
+    kahler = np.array([1e-17, -0.0, 5e-324, 0.0, 1e-300, None], dtype=object)
+    table = StructureTable(np.array([r.point for r in structure]), lam, conformality, kahler, (2, 0, 0, 1))
+    listed = [StructureRow(index=k, point=row.point, lam=np.float64(lam[k]), dims=(2, 0, 0, 1),
+                           conformality_residual=np.float64(conformality[k]), kahler_residual=kahler[k])
+              for k, row in enumerate(structure)]
+    as_table, as_rows = (RunReport("writer", "0.1.0", 3, len(rows), 1e-6, False, True, s, {"row": rows})
+                         for s in (table, listed))
+    text = to_canonical(as_table)
+    assert text == to_canonical(as_rows) == reference_canonical(as_rows)
+    assert "lambda=5e-324" in text and "kahler=-0.0" in text and "conformality=-5e-324" in text
+    lines = text.splitlines()
+    assert lines[lines.index("[structure]") + 6].endswith(" | kahler=-")
+    assert as_table == as_rows and from_canonical(text) == as_rows
+
+
+def test_a_row_list_with_two_dims_is_refused():
+    rows = [StructureRow(index=k, point=(0.0,), lam=1.0, dims=dims, conformality_residual=0.0, kahler_residual=0.0)
+            for k, dims in enumerate([(0, 2, 2, 0), (2, 0, 0, 2)])]
+    with pytest.raises(ValueError, match="different dims"):
+        to_canonical(RunReport("dims", "0", 1, 2, 1e-6, False, True, rows))
+
+
+def test_a_structure_only_check_builds_no_structure_row(monkeypatch):
+    built = []
+    init = StructureRow.__init__
+    monkeypatch.setattr(StructureRow, "__init__", lambda self, *args, **kw: built.append(init(self, *args, **kw)))
+    rep = run(load_preset("example33"), points=128, structure_only=True)
+    text = to_canonical(rep)
+    assert built == [] and len(rep.structure) == 128 and rep.exit_code == 0
+    assert text.count(" | dims=") == 128
