@@ -18,7 +18,7 @@ def main() -> int:
         vac = sum(a.vacuous_count for a in aggs)
         status = "ok" if report.exit_code == 0 else f"EXIT {report.exit_code}"
         print(
-            f"{name:<12} exit={report.exit_code} checkers={len(aggs):>2} "
+            f"{name:<12} exit={report.exit_code} rows={len(aggs):>2} "
             f"reports={total:>4} agree={agree:>4} vacuous={vac:>4} "
             f"skipped={len(report.skipped)}  [{status}]"
         )

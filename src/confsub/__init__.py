@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import Jet2, eval_jet2, parse, to_string
-from .geometry import ChartedManifold, euclidean, nabla_j_residual
-from .submersion import SmoothMap, SplitFrame
+from .geometry import ChartedManifold, euclidean
+from .submersion import SmoothMap
 
 __all__ = [
     "__version__",
@@ -22,7 +22,5 @@ __all__ = [
     "eval_jet2",
     "ChartedManifold",
     "euclidean",
-    "nabla_j_residual",
     "SmoothMap",
-    "SplitFrame",
 ]

@@ -39,7 +39,7 @@ __all__ = [
 _SEP = " | "
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class StructureRow:
     """The structure at one sample point, as a value: row `index` of a `StructureTable`.
 
@@ -54,10 +54,6 @@ class StructureRow:
     dims: tuple[int, int, int, int] | None  # (d1, d2, jd2, mu); None without J
     conformality_residual: float
     kahler_residual: float | None
-
-    def __init__(self, index, point, lam, dims, conformality_residual, kahler_residual):
-        self.__dict__.update(index=index, point=point, lam=lam, dims=dims,  # frozen
-                             conformality_residual=conformality_residual, kahler_residual=kahler_residual)
 
 
 class StructureTable:

@@ -5,7 +5,9 @@ one batch and returns, per point, its entry: the group of points that share
 a pass run (`_Group`) and its position k there, or its own first error.  A
 group is one object: its fields are what its run of the pass computes.  A
 point is addressed as `(group, k)`: every value and table of a group carries
-the point axis first, and index k is the point's.  One run of the frame pass
+the point axis first, and index k is the point's, so a point's frames and
+dilation are read at k (`group.d1.v[k]`, `group.lam[k]`), with no per-point
+copy.  One run of the frame pass
 evaluates the map, both metrics and J on jets of its points (`expr.Jet2`) and,
 on first-order array jets (`jets.ArrayJet`: values `v[q, ...]`,
 derivatives `d[q, l, ...] = d_l v[q, ...]`), builds the metric, Jacobian,
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,7 +84,6 @@ from .jets import ArrayJet, at_point, full, stacked
 
 __all__ = [
     "SmoothMap",
-    "SplitFrame",
     "PointContext",
     "AdaptedFrame",
     "pairs",
@@ -142,24 +144,6 @@ class SmoothMap:
         """The entry of p in `frame_pass([p])`, the batch of one; `tol` is not read."""
         (entry,), _ = self.frame_pass([p])
         return PointContext(entry)
-
-
-@dataclass(frozen=True)
-class SplitFrame:
-    """Point-local orthonormal frames and the dilation."""
-
-    vertical: tuple[np.ndarray, ...]
-    horizontal: tuple[np.ndarray, ...]
-    d1: tuple[np.ndarray, ...]
-    d2: tuple[np.ndarray, ...]
-    jd2: tuple[np.ndarray, ...]
-    mu: tuple[np.ndarray, ...]
-    lam: float
-    lambda_sq_residual: float
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return (len(self.d1), len(self.d2), len(self.jd2), len(self.mu))
 
 
 class _Regroup(Exception):
@@ -465,12 +449,6 @@ class _Group:
     def dims(self) -> tuple[int, int, int, int]:
         return tuple(0 if x is None else x.v.shape[1] for x in (self.d1, self.d2, self.jd2, self.mu))
 
-    def split(self, k: int) -> SplitFrame:
-        """The frames and the dilation at point k."""
-        frames = (() if x is None else tuple(x.v[k])
-                  for x in (self.vertical, self.horizontal, self.d1, self.d2, self.jd2, self.mu))
-        return SplitFrame(*frames, float(self.lam[k]), float(self.conf_residual[k]))
-
     @functools.cached_property
     def gamma_src(self) -> np.ndarray:
         return _levi_civita(self.G, self.Ginv.v)
@@ -594,7 +572,11 @@ class AdaptedFrame:
 
 
 class PointContext:
-    """The entry of one point in its batch of one (`SmoothMap.context`)."""
+    """The entry of one point in its batch of one (`SmoothMap.context`).
+
+    Kept for the step-by-step replica of the runner in `bench/layers.py`,
+    until that replica is removed (ROADMAP item 1).
+    """
 
     def __init__(self, entry: tuple | Exception):
         self._entry = entry
@@ -607,6 +589,9 @@ class PointContext:
         return self._entry
 
     @property
-    def split(self) -> SplitFrame:
+    def split(self) -> SimpleNamespace:
+        """The split's `dims`, the dilation `lam` and the conformality residual `lambda_sq_residual`, read
+        from the group at this point; raises the point's error."""
         group, k = self.group
-        return group.split(k)
+        return SimpleNamespace(dims=group.dims, lam=float(group.lam[k]),
+                               lambda_sq_residual=float(group.conf_residual[k]))

@@ -63,13 +63,12 @@ ADAPTED_TABLES = ("omega", "T", "A", "J", "dJ", "phi", "om", "B", "C", "S", "pus
 
 
 def assert_entries_equal(batched, single, fmap, tol):
-    """Pass, split, Kaehler residuals, tables and checker reports of two entries agree bit for bit."""
+    """Pass, Kaehler residuals, tables and checker reports of two entries agree bit for bit."""
     (g, k), (s, j) = batched, single
     use_j = fmap.source.complex_structure is not None
     for f in fields(g):
         if f.init:  # the points and the pass's jets and values
             assert _same(_at(getattr(g, f.name), k), _at(getattr(s, f.name), j)), f.name
-    assert _same(g.split(k), s.split(j))
     if use_j:
         assert _same(_at(g.kahler, k), _at(s.kahler, j))
     for name in TABLES:
@@ -124,7 +123,7 @@ def test_drop_pattern_groups():
     # the two patterns ran as separate groups
     assert sorted(sorted(members.tolist()) for members, _ in groups) == [[0, 2], [1, 3]]
     g, k = entries[1]
-    assert np.array_equal(np.abs(g.split(k).vertical[0]), [0.0, 1.0])
+    assert np.array_equal(np.abs(g.vertical.v[k, 0]), [0.0, 1.0])
 
 
 def test_frame_pass_runs_the_pipeline_once_per_group(monkeypatch):
@@ -141,7 +140,7 @@ def test_frame_pass_runs_the_pipeline_once_per_group(monkeypatch):
     entries, groups = sc.fmap.frame_pass([np.array(p) for p in PARABOLA_POINTS])
     assert len(groups) == 2 and len(calls) == 3
     for g, k in entries:  # reading the tables and the reports runs no further pass
-        g.split(k), g.nabla("vertical")
+        g.nabla("vertical")
         for name in TABLES:
             getattr(g, name)
         for spec in CHECKERS.values():
@@ -155,11 +154,24 @@ def test_context_is_the_entry_of_the_batch_of_one():
     for p in PARABOLA_POINTS:
         ctx = sc.fmap.context(np.array(p), sc.tolerances)
         assert_entries_equal(ctx.group, entry(sc.fmap, np.array(p)), sc.fmap, sc.tolerances)
-        g, k = ctx.group
-        assert _same(ctx.split, g.split(k))
         for spec in CHECKERS.values():
             if not spec.needs_j:
                 assert _same(_memo_check(spec.func, ctx, sc.tolerances), reports_at(spec.func, ctx.group, sc.tolerances))
+
+
+@pytest.mark.parametrize("name", ["holo4", "parabola"])
+def test_context_split_reads_the_group(name):
+    """`PointContext.split` holds the split's dims, the dilation and the conformality residual of the point's
+    group at k, bit for bit (with J and without)."""
+    sc = load_scene_text(PARABOLA) if name == "parabola" else fresh_scene(name)
+    assert (sc.fmap.source.complex_structure is None) == (name == "parabola")
+    for p in sample_points(sc, count=4, seed=3):
+        ctx = sc.fmap.context(p, sc.tolerances)
+        g, k = ctx.group
+        split = ctx.split
+        assert split.dims == g.dims
+        assert np.float64(split.lam).tobytes() == g.lam[k].tobytes()
+        assert np.float64(split.lambda_sq_residual).tobytes() == g.conf_residual[k].tobytes()
 
 
 def _sample_interleaved_groups(monkeypatch):
@@ -176,9 +188,9 @@ def test_runner_rows_come_in_sample_order(monkeypatch):
     assert [row.point for row in report.structure] == list(PARABOLA_POINTS)
     for q, p in enumerate(points):
         single = entry(sc.fmap, p)
-        split = single[0].split(single[1])
+        g, k = single
         row = report.structure[q]
-        assert (row.lam, row.conformality_residual) == (split.lam, split.lambda_sq_residual)
+        assert (row.lam, row.conformality_residual) == (g.lam[k], g.conf_residual[k])
         want = [r for spec in CHECKERS.values() if not spec.needs_j
                 for r in reports_at(spec.func, single, sc.tolerances)]
         assert [r.name for r in want] == list(report.reports)

@@ -26,8 +26,7 @@ def _layers():
 
 
 @pytest.mark.parametrize("structure_only", [False, True], ids=["full", "structure-only"])
-def test_traced_replica_matches_cli(monkeypatch, structure_only):
-    monkeypatch.delenv("CONFSUB_TOL", raising=False)
+def test_traced_replica_matches_cli(structure_only):
     layers = _layers()
     tracer = layers.Tracer()
     text = layers.traced_check(tracer, "holo4", 5, 4, structure_only)

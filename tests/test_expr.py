@@ -150,7 +150,7 @@ box = -1 1, -1 1
     points = [np.array(p) for p in ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5))]
     entries, _ = scene.fmap.frame_pass(points)
     g, k = entries[0]
-    g.split(k)  # in both domains
+    assert g.points[k].tolist() == [0.5, 0.5]  # in both domains
     for p, got, subexpr in zip(points[1:], entries[1:], ("log(x1)", "sqrt(x2)", "log(x1)")):
         assert isinstance(got, ExprDomainError)
         assert got.subexpr == subexpr

@@ -47,10 +47,15 @@ def tensors(F, p):
     return SimpleNamespace(**{name: getattr(g, name)[k] for name in TENSORS})
 
 
+SPLIT = ("vertical", "horizontal", "d1", "d2", "jd2", "mu")
+
+
 def split(F, p):
-    """The frames and dilation of the batch of one at p; raises the point's error."""
+    """The frames, dims and dilation of the batch of one at p, at its point; raises the point's error."""
     g, k = entry(F, p)
-    return g.split(k)
+    frames = {name: getattr(g, name) for name in SPLIT}  # the split's frames are None without J
+    return SimpleNamespace(**{name: None if x is None else x.v[k] for name, x in frames.items()},
+                           dims=g.dims, lam=g.lam[k])
 
 
 def grad_ln_lambda(F, p):
@@ -125,33 +130,29 @@ def test_split_frame_dilation_and_dims():
     assert sf.lam == pytest.approx(2.0, rel=1e-12)
     assert sf.dims == (2, 2, 2, 0)
     # d1 spans the first coordinate pair, d2 the (4, 6) pair
-    span_d1 = np.stack(sf.d1)
-    assert np.max(np.abs(span_d1[:, 2:])) < 1e-12
-    span_d2 = np.stack(sf.d2)
-    assert np.max(np.abs(span_d2[:, [0, 1, 2, 4]])) < 1e-12
+    assert np.max(np.abs(sf.d1[:, 2:])) < 1e-12
+    assert np.max(np.abs(sf.d2[:, [0, 1, 2, 4]])) < 1e-12
 
 
 def test_split_frame_orthonormal_and_kernel():
     for g, k in entries(E33, count=4):
-        sf = g.split(k)
-        frame = np.stack(sf.vertical + sf.horizontal)
+        frame = np.vstack([g.vertical.v[k], g.horizontal.v[k]])
         gram = frame @ g.G.v[k] @ frame.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-9
-        for v in sf.vertical:
+        for v in g.vertical.v[k]:
             assert np.linalg.norm(g.DF.v[k] @ v) < 1e-9
-        assert sf.lambda_sq_residual < 1e-8 * sf.lam**2
-        assert sf.lam == pytest.approx(math.exp(g.points[k, 2]), rel=1e-12)
+        assert g.conf_residual[k] < 1e-8 * g.lam[k]**2
+        assert g.lam[k] == pytest.approx(math.exp(g.points[k, 2]), rel=1e-12)
 
 
 def test_split_frame_invariant_projection():
     for e in entries(E33, count=4):
         g, k = e
-        sf = g.split(k)
         J = g.J.v[k]
-        for u in sf.d1:
+        for u in g.d1.v[k]:
             w = J @ u - projector(g, "d1").v[k] @ (J @ u)
             assert gnorm(e, w) < 1e-9
-        for w0 in sf.d2:
+        for w0 in g.d2.v[k]:
             assert gnorm(e, g.PV.v[k] @ (J @ w0)) < 1e-9
 
 
@@ -170,11 +171,9 @@ def test_split_frame_holomorphic_like():
     assert np.linalg.norm(jac[0]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert np.linalg.norm(jac[1]) == pytest.approx(math.exp(p[2]), rel=1e-12)
     assert abs(jac[0] @ jac[1]) < 1e-12
-    sf = g.split(k)
-    assert sf.lam == pytest.approx(math.exp(p[2]), rel=1e-12)
-    assert sf.dims == (2, 0, 0, 2)
-    kernel = np.stack(sf.vertical)
-    assert np.max(np.abs(kernel[:, 2:])) < 1e-12  # ker spanned by the first pair
+    assert g.lam[k] == pytest.approx(math.exp(p[2]), rel=1e-12)
+    assert g.dims == (2, 0, 0, 2)
+    assert np.max(np.abs(g.vertical.v[k][:, 2:])) < 1e-12  # ker spanned by the first pair
 
 
 def test_split_frame_proper_semi_invariant():
@@ -212,27 +211,27 @@ def test_phi_omega_anti_invariant_direction():
 
 def test_omega_vanishes_on_d1():
     for g, k in entries(E33, count=3):
-        for u in g.split(k).d1:
+        for u in g.d1.v[k]:
             assert np.linalg.norm(op(g, "omega")[k] @ u) < 1e-12
 
 
 def test_bc_decompose_on_jd2():
     for e in entries(E33, count=3):
         g, k = e
-        for x in g.split(k).jd2:
+        for x in g.jd2.v[k]:
             assert np.linalg.norm(op(g, "C")[k] @ x) < 1e-10
             assert gnorm(e, op(g, "B")[k] @ x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bc_b_of_jw_is_minus_w():
     for g, k in entries(E33, count=3):
-        for w in g.split(k).d2:
+        for w in g.d2.v[k]:
             assert op(g, "B")[k] @ (g.J.v[k] @ w) == pytest.approx(-w, abs=1e-10)
 
 
 def test_bc_trivial_when_d2_empty():
     g, k = entry(fmap("holo4"), np.array([0.1, 0.2, 0.0, 0.5]))
-    for x in g.split(k).horizontal:
+    for x in g.horizontal.v[k]:
         assert np.linalg.norm(op(g, "B")[k] @ x) < 1e-12
         assert op(g, "C")[k] @ x == pytest.approx(g.J.v[k] @ x, abs=1e-12)
 
@@ -241,7 +240,7 @@ def test_j_coherence():
     # phi(phi v) + B(omega v) = -v on the vertical space
     for e in entries(E33, count=3) + entries("linproj63", count=3):
         g, k = e
-        for v in g.split(k).vertical:
+        for v in g.vertical.v[k]:
             res = op(g, "phi")[k] @ (op(g, "phi")[k] @ v) + op(g, "B")[k] @ (op(g, "omega")[k] @ v) + v
             assert gnorm(e, res) < 1e-9
 
@@ -249,8 +248,8 @@ def test_j_coherence():
 def test_pushed_distributions_orthogonal():
     # dF(J d2) is g_N-orthogonal to dF(mu)
     for g, k in entries("linproj63", count=3):
-        for w in g.split(k).d2:
-            for x in g.split(k).mu:
+        for w in g.d2.v[k]:
+            for x in g.mu.v[k]:
                 val = (g.DF.v[k] @ g.J.v[k] @ w) @ g.gN.v[k] @ (g.DF.v[k] @ x)
                 assert abs(val) < 1e-8
 
@@ -261,14 +260,14 @@ def test_pushed_distributions_orthogonal():
 
 def test_t_vanishes_on_affine_fibers():
     g, k = entry(fmap(E33), e33_point())
-    for v in g.split(k).vertical:
-        for w in g.split(k).vertical:
+    for v in g.vertical.v[k]:
+        for w in g.vertical.v[k]:
             assert np.linalg.norm(on_pairs(g.t[k], v, w)) < 1e-12
 
 
 def test_t_ignores_horizontal_first_slot():
     g, k = entry(fmap(E33), e33_point())
-    for x in g.split(k).horizontal:
+    for x in g.horizontal.v[k]:
         out = on_pairs(g.t[k], x, np.array([1.0, -2.0, 0.5, 0.3, 0.1, 0.9]))
         assert np.linalg.norm(out) < 1e-12
 
@@ -286,7 +285,7 @@ def test_a_alternation_against_bracket():
     F = fmap(E33)
     p = e33_point()
     g, k = entry(F, p)
-    X1, X2 = g.split(k).horizontal
+    X1, X2 = g.horizontal.v[k]
     H = g.horizontal
     br = brackets(H, H)[k, 0, 1]
     a12 = g.PV.v[k] @ on_pairs(g.a[k], X1, X2)
@@ -533,7 +532,7 @@ seed = 5
         assert got == pytest.approx([1.0], abs=1e-12)  # Gamma_N = 1 everywhere
         assert got == pytest.approx(want, abs=1e-6)
         # dilation tracks the composed target metric: lambda = e^{x1}
-        assert g.split(k).lam == pytest.approx(math.exp(p[0]), rel=1e-12)
+        assert g.lam[k] == pytest.approx(math.exp(p[0]), rel=1e-12)
         assert g.grad_ln_lambda[k] == pytest.approx([1.0, 0.0], abs=1e-10)
         rh, rv, rm = sff_identity_residuals((g, k), sc.tolerances)
         assert max(rh, rv, rm) < 1e-9

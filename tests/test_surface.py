@@ -40,11 +40,10 @@ def test_readme_library_example():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     ns: dict = {}
     exec(compile(block, "README.md", "exec"), ns)
-    sf = ns["sf"]
-    assert sf.lam == 2.0 and sf.dims == (2, 2, 2, 0)
+    assert ns["lam"] == 2.0 and ns["dims"] == (2, 2, 2, 0) and ns["d1"].shape == (2, 6)
     assert np.max(np.abs(ns["tau"])) < 1e-12  # harmonic: the fibers are minimal
     alone = ns["alone"]
-    assert ns["lam1"] == alone[0].split(alone[1]).lam  # a batch entry is its batch of one, bit for bit
+    assert ns["lam1"].tobytes() == alone[0].lam[alone[1]].tobytes()  # a batch entry is its batch of one, bit for bit
     g1, k1 = ns["entries"][1]
     assert np.array_equal(g1.sff[k1], alone[0].sff[alone[1]])
     assert ns["j"].value.shape == (3,)
