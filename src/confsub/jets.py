@@ -35,7 +35,8 @@ is everything computed from them alone: on a scene whose metrics, J and
 differential do not vary, every frame of the pass has length 1.  Inside the
 frame pass a stack's point axis therefore has length 1 or N: `stacked` stacks
 both kinds, `at_point` reads point q of either, and `full` widens a stack to
-N (a read-only view that repeats it) where it leaves the pass.
+N (a read-only view that repeats it) where it leaves the pass beside values
+that vary.  A pass run in which nothing varies leaves it as one point.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ gives.  The structure table's columns are filled from the groups: each
 group's dilation and residuals are scattered to its points (`members`), and
 the Kaehler verdict is one reduction over the Kaehler column.  Each checker
 then runs once per group (`theorems._group_rows`), and its rows are put back
-in sample order, so report k of every row is at the point of structure row k.
+in sample order, so report k of every row is at the point of structure row k;
+a point-uniform group has one row, whose one report goes to all its points.
 
 Exit code contract: 0 success, 2 scene error (raised in place of a report:
 an unreadable or invalid scene, a tolerance that is not a finite number > 0,
@@ -54,13 +55,16 @@ def _strip_verdict_b(r: ConditionReport, label: str) -> ConditionReport:
 def _in_sample_order(check, groups, count: int, tol: Tolerances) -> list[list[ConditionReport]]:
     """The report rows of a checker at the `count` sample points, in sample order.
 
-    The checker runs once per group (`members`: the indices of its points).
+    The checker runs once per group (`members`: the indices of its points);
+    the one report of a point-uniform group's row is every member's.
     """
     rows = []
     for members, group in groups:
         group_rows = _group_rows(check, group, tol)
         rows = rows or [[None] * count for _ in group_rows]
         for row, group_row in zip(rows, group_rows):
+            if len(group_row) == 1:  # a point-uniform group: one report for all its points
+                group_row = group_row * len(members)
             for q, r in zip(members.tolist(), group_row):
                 row[q] = r
     return rows

@@ -26,9 +26,13 @@ the same bit for bit in any batch.
 A value the same at every point of a run (a constant metric or J, the
 differential of an affine map, and all the pass derives from them alone) is
 computed once, with a point axis of length 1 (the point-uniform rule of
-`jets`); its validation fails all the points with a mask of length 1.  The
-fields of a group have N points: such a value leaves the pass as a read-only
-view that repeats it (`jets.full`).
+`jets`); its validation fails all the points with a mask of length 1.  A run
+where every field is such a value, and the differential's Hessians too, is
+one point: its group has one row, which holds its first point, and every
+point of the run has the entry `(group, 0)`, so its tables, checkers and
+report rows run once.  In any other group every field has N points, and a
+uniform value leaves the pass as a read-only view that repeats it
+(`jets.full`).
 
 Each group builds its tables once and on first use, each on its own, with the
 point axis leading: the connections, the Kaehler test, the second fundamental
@@ -114,8 +118,8 @@ class SmoothMap:
         groups.  Either way the pass restarts on the remaining points, which
         repeats their numbers bit for bit: every operation acts on each point
         on its own.  A point's entry is its group (`_Group`) and position k
-        there, or its error; `members` are the indices of a group's points,
-        in order.
+        there (0 in a group of one point-uniform row), or its error; `members`
+        are the indices of a group's points, in order.
         """
         points, errors, groups = np.asarray(points, dtype=float), {}, []
         pending = [np.arange(len(points))] if len(points) else []
@@ -137,7 +141,7 @@ class SmoothMap:
         entries = [errors.get(q) for q in range(len(points))]
         for members, group in groups:
             for k, q in enumerate(members.tolist()):
-                entries[q] = (group, k)
+                entries[q] = (group, k if len(group.points) > 1 else 0)
         return entries, groups
 
     def context(self, p, tol: Tolerances | None = None) -> "PointContext":
@@ -369,6 +373,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
 
     jets = dict(G=G, Ginv=Ginv, DF=DF, J=J, gN=gN, gT=gT, vertical=vertical, horizontal=horizontal,
                 d1=d1, d2=d2, jd2=jd2, mu=mu, PV=PV, PH=PH, PMU=PMU, lambda_sq=lambda_sq)
+    if all(len(x.v) == 1 for x in jets.values() if x is not None) and len(DF.d) == 1:
+        N, points = 1, points[:1]  # a point-uniform run: one row, its first point's, for all its points
     return _Group(points=points, lam=full(np.sqrt(lsq), N), conf_residual=full(conf_residual, N),
                   **{name: None if x is None else x.full(N) for name, x in jets.items()})
 
@@ -408,8 +414,9 @@ class _Group:
 
     Frames are `(N, k, dim)` jets, matrices `(N, dim, dim)`, and a field the
     same at every point is a read-only view of length N that repeats one
-    point; the frames of the split and `PMU` are None without a complex
-    structure.  Each table is built once, on first read: the second
+    point, unless every field is: then N = 1, and the one row, at the
+    group's first point, stands for all its points.  The frames of the split
+    and `PMU` are None without a complex structure.  Each table is built once, on first read: the second
     fundamental form `sff[q, :, i, j]` with values in the target chart,
     O'Neill's `t[q, :, i, j]` and `a[q, :, i, j]` on the coordinate fields
     d_i, d_j (skew-symmetric as operators in their second slot), the

@@ -67,7 +67,9 @@ def assert_entries_equal(batched, single, fmap, tol):
     (g, k), (s, j) = batched, single
     use_j = fmap.source.complex_structure is not None
     for f in fields(g):
-        if f.init:  # the points and the pass's jets and values
+        # the points (of a group of N rows: a uniform group's one row holds its first point) and the pass's
+        # jets and values
+        if f.init and (f.name != "points" or len(g.points) > 1):
             assert _same(_at(getattr(g, f.name), k), _at(getattr(s, f.name), j)), f.name
     if use_j:
         assert _same(_at(g.kahler, k), _at(s.kahler, j))
@@ -88,10 +90,12 @@ def assert_entries_equal(batched, single, fmap, tol):
 def test_batch_equals_single(name):
     sc = fresh_scene(name)
     points = sample_points(sc, count=8, seed=3)
-    entries, _ = sc.fmap.frame_pass(points)
+    entries, groups = sc.fmap.frame_pass(points)
     assert len(entries) == len(points)
     for p, e in zip(points, entries):
         assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances)
+    for members, g in groups:  # N rows, or one point-uniform row that holds the first member's point
+        assert np.array_equal(g.points, points[members if len(g.points) > 1 else members[:1]])
 
 
 # F = x1 + x2^2: on x2 = 0 the gradient is parallel to e1, so the vertical
