@@ -54,8 +54,8 @@ class ExcludedLocus:
         x = np.asarray(p, dtype=float)[..., self.coord]
         if self.kind == "eq":
             return np.abs(x - self.value)
-        half = self.value / 2.0
-        return np.abs(((x + half) % self.value) - half)  # numpy's float % follows Python's sign rule
+        d = np.abs(np.fmod(x, self.value))  # exact, also where the modulus dwarfs x
+        return np.minimum(d, self.value - d)
 
 
 @dataclass(frozen=True)

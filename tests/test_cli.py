@@ -438,6 +438,17 @@ def test_scene_errors_exit_2_with_their_message(tmp_path, name):
     assert len(lines) == 1 and re.fullmatch(f"scene error: {message}", lines[0]), lines
 
 
+@pytest.mark.parametrize("modulus", ["1e17", "1e300"])
+def test_an_exclusion_modulus_far_above_the_box_keeps_the_box(tmp_path, modulus):
+    # the only multiple of the modulus in the box is 0, so nearly every point keeps its distance
+    f = tmp_path / "wide-mod.scene"
+    f.write_text(TOY.replace("seed = 1", f"seed = 1\nexclude = x1 mod {modulus}", 1))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(f)])
+    assert code == 0 and err.getvalue() == ""
+
+
 def test_scene_file_not_utf8_is_a_scene_error(tmp_path):
     f = tmp_path / "latin1.scene"
     f.write_bytes(TOY.replace("name = toy", "name = toy\xff").encode("latin-1"))

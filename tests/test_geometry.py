@@ -244,7 +244,7 @@ def test_excluded_locus_distance():
     eq = ExcludedLocus("eq", 0, 2.0)
     assert eq.distance(np.array([1.5, 0.0])) == pytest.approx(0.5)
     # a stack of points gives, bit for bit, each point's own distance and the
-    # distance that Python's float arithmetic gives (numpy's % keeps its sign rule)
+    # distance that Python's float arithmetic gives from the exact remainder
     stack = np.random.default_rng(5).uniform(-7.0, 7.0, size=(3, 5, 6))
     stack[0, :3, 4] = (-math.pi, 0.0, math.pi / 2)
     for loc in (ExcludedLocus("mod", 4, math.pi / 2), ExcludedLocus("mod", 4, 0.3),
@@ -256,8 +256,17 @@ def test_excluded_locus_distance():
             if loc.kind == "eq":
                 want = abs(x - loc.value)
             else:
-                want = abs(((x + loc.value / 2.0) % loc.value) - loc.value / 2.0)
+                d = abs(math.fmod(x, loc.value))
+                want = min(d, loc.value - d)
             assert got[idx] == loc.distance(stack[idx]) == want, (loc, idx)
+
+
+@pytest.mark.parametrize("modulus", (1e17, 1e300))
+def test_a_modulus_that_dwarfs_the_point_keeps_its_distance(modulus):
+    # x + modulus/2 rounds x away; the exact remainder keeps it, on both sides of 0
+    loc = ExcludedLocus("mod", 0, modulus)
+    assert loc.distance(np.array([[0.5], [-0.5], [0.0]])).tolist() == [0.5, 0.5, 0.0]
+    assert ExcludedLocus("mod", 0, 1.0).distance(np.array([[2.75], [-2.75], [-3.0]])).tolist() == [0.25, 0.25, 0.0]
 
 
 def test_christoffel_exact_lower_symmetry(polar_like):
