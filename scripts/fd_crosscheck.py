@@ -34,11 +34,11 @@ def main() -> int:
     for name in preset_names():
         sc = load_preset(name)
         worst_g = worst_s = 0.0
-        entries, _ = sc.fmap.frame_pass(sample_points(sc, count=5, seed=11))
+        points = sample_points(sc, count=5, seed=11)
+        entries, _ = sc.fmap.frame_pass(points)
         X = FrameField(sc.fmap, "horizontal", 0)
         V = FrameField(sc.fmap, "vertical", 0)
-        for g, k in entries:
-            p = g.points[k]
+        for p, (g, k) in zip(points, entries):
             want = fd_christoffel(sc.source, p)
             scale = max(1.0, float(np.max(np.abs(want))))
             worst_g = max(worst_g, float(np.max(np.abs(g.gamma_src[k] - want))) / scale)
@@ -59,9 +59,10 @@ def main() -> int:
         for name in SCENES_WITH_GENERIC:
             sc = fresh_scene(name)
             worst: dict[str, float] = {}
-            entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
-            for g, k in entries:
-                for key, v in margins(sc.fmap, g, k).items():
+            points = sample_points(sc, count=3, seed=5)
+            entries, _ = sc.fmap.frame_pass(points)
+            for p, (g, k) in zip(points, entries):
+                for key, v in margins(sc.fmap, p, g, k).items():
                     worst[key] = max(worst.get(key, 0.0), v)
             cells = "".join(f"{worst[c]:>11.1e}" if c in worst else f"{'-':>11}" for c in columns)
             print(f"{name:<18}{cells}")

@@ -230,8 +230,8 @@ def _rel_gap(got, want):
     return float(np.max(np.abs(got - want), initial=0.0)) / scale
 
 
-def pass_derivative_margins(fmap, g, k, h=H):
-    """Gap between each array jet's derivative part at the point `(g, k)` and central differences.
+def pass_derivative_margins(fmap, p, g, k, h=H):
+    """Gap between each array jet's derivative part at p, whose entry is `(g, k)`, and central differences.
 
     Every frame, projector and the square dilation of the frame pass is
     compared with `fd_jacobian` of its values at p +- h e_l, each a batch of
@@ -240,7 +240,7 @@ def pass_derivative_margins(fmap, g, k, h=H):
     relative to max(1, largest reference entry); frames a scene lacks are
     left out.
     """
-    p = g.points[k]
+    p = np.asarray(p, dtype=float)
     out = {}
     for name in PASS_FIELDS:
         jet = getattr(g, name)
@@ -258,8 +258,8 @@ FRAMES = ("vertical", "horizontal", "d1", "d2")
 ADAPTED = ("omega", "dJ", "pull")
 
 
-def table_margins(fmap, g, k, h=H):
-    """Gap between each table of the group `g` at point k and a finite-difference oracle.
+def table_margins(fmap, p, g, k, h=H):
+    """Gap between each table of the group `g` at point k, the point p, and a finite-difference oracle.
 
     The oracles use only values of the frame pass at p +- h e_l and
     `fd_christoffel`: the sff table against `fd_sff_table`; O'Neill's T and A
@@ -273,7 +273,7 @@ def table_margins(fmap, g, k, h=H):
     target connection, each paired with E, G and g_N at p.  Gaps are relative
     to max(1, largest reference entry); frames a scene lacks are left out.
     """
-    p = g.points[k]
+    p = np.asarray(p, dtype=float)
     seen = {}
 
     def at(q):  # the group of the batch of one at q

@@ -107,10 +107,10 @@ def test_criterion_5_tensor_properties(rng):
     worst = 0.0
     per_preset = 500
     for name in preset_names():
-        es = entries(name, count=5)
+        pairs = list(zip(points(name, count=5), entries(name, count=5)))
         dim = scene(name).fmap.source.dim
         for n in range(per_preset):
-            g, k = es[n % len(es)]
+            p, (g, k) = pairs[n % len(pairs)]
             E, W, Z = rng.normal(size=(3, dim))
             G, T, A, S = g.G.v[k], g.t[k], g.a[k], g.sff[k]
             V = g.PV.v[k] @ E
@@ -123,7 +123,7 @@ def test_criterion_5_tensor_properties(rng):
             s1 = on_pairs(S, W, Z)
             s2 = on_pairs(S, Z, W)
             worst = max(worst, float(np.max(np.abs(s1 - s2))))
-            coord = coordinate_sff(scene(name).fmap, g.points[k], W, Z)
+            coord = coordinate_sff(scene(name).fmap, np.array(p), W, Z)
             worst = max(worst, float(np.max(np.abs(s1 - coord))))
     _verdict(
         5,

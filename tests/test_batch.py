@@ -62,14 +62,16 @@ ADAPTED_TABLES = ("omega", "T", "A", "J", "dJ", "phi", "om", "B", "C", "S", "pus
                   "horizontal_dilation", "V", "H")
 
 
-def assert_entries_equal(batched, single, fmap, tol):
-    """Pass, Kaehler residuals, tables and checker reports of two entries agree bit for bit."""
+def assert_entries_equal(batched, single, fmap, tol, points=True):
+    """Pass, Kaehler residuals, tables and checker reports of two entries agree bit for bit.
+
+    `points=False` leaves out the point, for a point-uniform group: its one
+    row holds its first member's point.
+    """
     (g, k), (s, j) = batched, single
     use_j = fmap.source.complex_structure is not None
     for f in fields(g):
-        # the points (of a group of N rows: a uniform group's one row holds its first point) and the pass's
-        # jets and values
-        if f.init and (f.name != "points" or len(g.points) > 1):
+        if f.init and (points or f.name != "points"):  # the points and the pass's jets and values
             assert _same(_at(getattr(g, f.name), k), _at(getattr(s, f.name), j)), f.name
     if use_j:
         assert _same(_at(g.kahler, k), _at(s.kahler, j))
@@ -93,7 +95,7 @@ def test_batch_equals_single(name):
     entries, groups = sc.fmap.frame_pass(points)
     assert len(entries) == len(points)
     for p, e in zip(points, entries):
-        assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances)
+        assert_entries_equal(e, entry(sc.fmap, p), sc.fmap, sc.tolerances, points=len(e[0].points) > 1)
     for members, g in groups:  # N rows, or one point-uniform row that holds the first member's point
         assert np.array_equal(g.points, points[members if len(g.points) > 1 else members[:1]])
 

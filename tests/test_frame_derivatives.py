@@ -41,10 +41,10 @@ MARGIN = 1e-7
 @pytest.mark.parametrize("name", SCENES)
 def test_pass_derivatives_match_finite_differences(name):
     sc = fresh_scene(name)
-    entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
-    for g, k in entries:
-        p = g.points[k]
-        margins = pass_derivative_margins(sc.fmap, g, k)
+    points = sample_points(sc, count=3, seed=5)
+    entries, _ = sc.fmap.frame_pass(points)
+    for p, (g, k) in zip(points, entries):
+        margins = pass_derivative_margins(sc.fmap, p, g, k)
         assert {"vertical", "horizontal", "PV", "PH", "lambda_sq", "gamma_src"} <= set(margins)
         if sc.source.complex_structure is not None:
             assert {"d1", "d2", "jd2", "mu", "PMU"} <= set(margins)
@@ -55,10 +55,10 @@ def test_pass_derivatives_match_finite_differences(name):
 @pytest.mark.parametrize("name", SCENES)
 def test_tables_match_finite_differences(name):
     sc = fresh_scene(name)
-    entries, _ = sc.fmap.frame_pass(sample_points(sc, count=3, seed=5))
-    for g, k in entries:
-        p = g.points[k]
-        margins = table_margins(sc.fmap, g, k)
+    points = sample_points(sc, count=3, seed=5)
+    entries, _ = sc.fmap.frame_pass(points)
+    for p, (g, k) in zip(points, entries):
+        margins = table_margins(sc.fmap, p, g, k)
         assert {"sff", "T", "A", "nabla vertical", "nabla horizontal"} <= set(margins)
         if sc.source.complex_structure is not None:
             present = {f"nabla {n}" for n in FRAMES if getattr(g, n).v.shape[1]}

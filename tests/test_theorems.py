@@ -25,7 +25,7 @@ from confsub.theorems import (
     verdict_of,
 )
 
-from .conftest import SCENES_WITH_GENERIC, entries, fresh_scene, reports_at
+from .conftest import SCENES_WITH_GENERIC, entries, fresh_scene, points, reports_at
 
 J_PRESETS = ("example33", "linproj42", "holo4", "linproj63")
 
@@ -33,9 +33,9 @@ J_PRESETS = ("example33", "linproj42", "holo4", "linproj63")
 def all_reports(name, count=6):
     """(point, report) for every report row of every checker at the sample points of a preset."""
     out = []
-    for g, k in entries(name, count=count):
+    for p, (g, k) in zip(points(name, count), entries(name, count=count)):
         for spec in CHECKERS.values():
-            out.extend((tuple(g.points[k]), r) for r in reports_at(spec.func, (g, k), TOL))
+            out.extend((p, r) for r in reports_at(spec.func, (g, k), TOL))
     return out
 
 
