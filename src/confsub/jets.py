@@ -19,11 +19,15 @@ of its ``v``, so a caller that reads values only (the structure data of the
 frame pass) builds no derivative at all, and one that reads them builds each
 once, with the same operations as an eager product rule.
 
-A jet whose values do not vary (`ArrayJet.constant`: a constant metric or J)
-has a derivative that is zero by construction: it stores no array, and its
-``.d`` builds the zeros on first read.  The rules leave out every term whose
-factor is such a jet, and a result of such jets only is one too: activity
-analysis (Griewank & Walther, ch. 6).
+A jet whose values do not vary (`ArrayJet.constant`: a constant metric or J,
+or the differential of an affine map, whose Hessians are exactly zero) has a
+derivative that is zero by construction: it stores no array, and its ``.d``
+builds the zeros on first read.  The rules leave out every term whose factor
+is such a jet, and a result of such jets only is one too: activity analysis
+(Griewank & Walther, ch. 6).  The frame pass applies the same rule to its own
+steps: Gram-Schmidt of such seeds under such a metric, and the square
+dilation of such a Gram matrix, are structural zeros, so on an affine map
+with constant metrics and J no derivative of the pass is ever built.
 
 The point axis follows the same rule: a value that is the same at every point
 of a pass run is held once, with a point axis of length 1, and numpy

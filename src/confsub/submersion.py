@@ -32,7 +32,10 @@ one point: its group has one row, which holds its first point, and every
 point of the run has the entry `(group, 0)`, so its tables, checkers and
 report rows run once.  In any other group every field has N points, and a
 uniform value leaves the pass as a read-only view that repeats it
-(`jets.full`).
+(`jets.full`).  Apart from the point axis, a value that does not vary is a
+structural zero (`jets.ArrayJet.constant`): a constant metric or J, the
+differential of a map whose Hessians are exactly zero in the run, and every
+frame, projector and square dilation built from such values alone.
 
 Each group builds its tables once and on first use, each on its own, with the
 point axis leading: the connections, the Kaehler test, the second fundamental
@@ -166,26 +169,44 @@ def _half_lower(m: int) -> np.ndarray:
     return mask
 
 
+def _affine(hessians: np.ndarray) -> bool:
+    """Whether the map's Hessians are exactly zero at every point of a run (NaN is not zero):
+    then its differential `DF` is a structural zero."""
+    return not hessians.any()
+
+
 def _orthonormal_rows(Gv: np.ndarray, Pv: np.ndarray, drop: float):
-    """The value loop of `_gram_schmidt`: (B = Linv Pv with a zero row per dropped seed,
-    Linv, kept seeds, points whose squared norms are all finite)."""
+    """The value loop of `_gram_schmidt`: (B, kept seeds, points whose squared norms are all finite, steps).
+
+    Row i of B is seed i less its projection on the earlier rows, normalized, or a zero row
+    where its squared norm falls below drop**2.  `steps[i]` holds the projection coefficients
+    and the inverse norm (0 for a dropped seed) of row i, all that `_inverse_factor` reads.
+    """
     PG = Pv @ Gv
     N, k, dim = PG.shape
     B = np.zeros((N, k, dim))
-    Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
-    keep = np.zeros((N, k), dtype=bool)
-    finite = np.ones(N, dtype=bool)
+    n2 = np.empty((N, k))
+    steps = []
     for i in range(k):
         c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
         w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
-        n2 = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
-        finite &= np.isfinite(n2)
-        ok = keep[:, i] = n2 >= drop * drop
-        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, n2, 1.0)), 0.0)
+        s = n2[:, i] = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
+        ok = s >= drop * drop
+        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, s, 1.0)), 0.0)
         B[:, i] = w * r[:, None]
+        steps.append((c, r))
+    return B, n2 >= drop * drop, np.isfinite(n2).all(axis=1), steps
+
+
+def _inverse_factor(steps) -> np.ndarray:
+    """Linv with B = Linv Pv (row j: B[j] as a combination of the seeds), replayed from the steps of
+    `_orthonormal_rows` in their order."""
+    N, k = len(steps[0][1]), len(steps)
+    Linv = np.zeros((N, k, k))
+    for i, (c, r) in enumerate(steps):
         Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
         Linv[:, i, i] = r
-    return B, Linv, keep, finite
+    return Linv
 
 
 def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet | None = None,
@@ -203,7 +224,8 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     derivatives follow at once from the derivative of a Cholesky factor:
     dB = L^-1 dP - Phi(L^-1 dM L^-T) B with M = P G P^T, where Phi keeps the
     lower triangle and halves the diagonal.  Like every derivative of the
-    pass, dB is built on first read.
+    pass, dB is built on first read, and L^-1 with it (`_inverse_factor`).
+    Seeds, `against` and G that are all structural zeros give one too.
     """
     if against is not None and not against.v.shape[1]:
         against = None
@@ -211,7 +233,7 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
     Pv = seeds.v
     if against is not None:
         Pv = Pv - (Pv @ Gv @ against.v.swapaxes(1, 2)) @ against.v
-    B, Linv, keep, finite = _orthonormal_rows(Gv, Pv, drop)
+    B, keep, finite, steps = _orthonormal_rows(Gv, Pv, drop)
     N, k, dim = B.shape
     fail(~finite, lambda q: NumericalOverflowError("numerical overflow in a Gram-Schmidt squared norm"))
     if (keep != keep[:1]).any():
@@ -219,12 +241,14 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
         group = group.ravel()
         raise _Regroup([np.flatnonzero(group == g) for g in range(group.max() + 1)])
     kept = np.flatnonzero(keep[0])
-    m = len(kept)
+    B, m = np.take(B, kept, axis=1), len(kept)
+    if G.const and seeds.const and (against is None or against.const):
+        return ArrayJet.constant(B, dim)
     if m == 0:
-        return ArrayJet(B[:, :0], np.zeros((N, dim, 0, dim)))
-    B, Linv = np.take(B, kept, axis=1), np.take(np.take(Linv, kept, axis=1), kept, axis=2)
+        return ArrayJet(B, np.zeros((N, dim, 0, dim)))
 
     def dB():
+        Linv = np.take(np.take(_inverse_factor(steps), kept, axis=1), kept, axis=2)
         P = seeds if m == k else seeds.rows(kept)
         if against is not None:
             P = P - (P @ G @ against.T) @ against
@@ -264,11 +288,12 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     comps = [evaluate(c, seeds, fail) for c in fmap.components]
     image = stacked([c.value for c in comps], 1)
     # d_l DF[a, i] is the Hessian entry [a, l, i]
-    DF = ArrayJet(stacked([c.gradient for c in comps], 1), stacked([c.hessian for c in comps], 2))
+    grad, hess = stacked([c.gradient for c in comps], 1), stacked([c.hessian for c in comps], 2)
+    N, (n, dim) = len(points), grad.shape[1:]
+    DF = ArrayJet.constant(grad, dim) if _affine(hess) else ArrayJet(grad, hess)
     gT = grid_jet(fmap.target.metric, image, fail)
     J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
     G = grid_jet(src.metric, points, fail)
-    N, (n, dim) = len(points), DF.v.shape[1:]
     # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
     gN = ArrayJet.constant(gT.v, dim) if gT.const else ArrayJet(
         gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(-1, n, n * n)).reshape(-1, dim, n, n))
@@ -304,7 +329,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     FX = horizontal @ DF.T  # rows dF(X_a)
     gram = FX @ gN @ FX.T
     lsq = np.trace(gram.v, axis1=1, axis2=2) / n
-    lambda_sq = ArrayJet(lsq, lambda gram=gram: np.trace(gram.d, axis1=2, axis2=3) / n)
+    lambda_sq = ArrayJet.constant(lsq, dim) if gram.const else ArrayJet(
+        lsq, lambda gram=gram: np.trace(gram.d, axis1=2, axis2=3) / n)
     fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
     conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
     fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
@@ -373,7 +399,7 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
 
     jets = dict(G=G, Ginv=Ginv, DF=DF, J=J, gN=gN, gT=gT, vertical=vertical, horizontal=horizontal,
                 d1=d1, d2=d2, jd2=jd2, mu=mu, PV=PV, PH=PH, PMU=PMU, lambda_sq=lambda_sq)
-    if all(len(x.v) == 1 for x in jets.values() if x is not None) and len(DF.d) == 1:
+    if all(len(x.v) == 1 for x in jets.values() if x is not None) and len(hess) == 1:
         N, points = 1, points[:1]  # a point-uniform run: one row, its first point's, for all its points
     return _Group(points=points, lam=full(np.sqrt(lsq), N), conf_residual=full(conf_residual, N),
                   **{name: None if x is None else x.full(N) for name, x in jets.items()})

@@ -185,7 +185,7 @@ def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
 
     def basis():  # a zero row for a dropped seed leaves the projection as it is
         A = g.adapted
-        Q, _, _, finite = _orthonormal_rows(GN, A.push[:, A.mu], Tolerances.pushed_drop)
+        Q, _, finite, _ = _orthonormal_rows(GN, A.push[:, A.mu], Tolerances.pushed_drop)
         raise_first(~finite, lambda q: NumericalOverflowError(
             "numerical overflow in a Gram-Schmidt squared norm"))
         return Q

@@ -314,3 +314,33 @@ def table_margins(fmap, p, g, k, h=H):
     npushed = deriv(pushed) + np.einsum("acb,cl,rb->lra", gamma_n, DF, pushed(p))
     out["pull"] = _rel_gap(A.pull[k], np.einsum("ml,lra,ab,tb->mrt", E, npushed, GN, pushed(p)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt with its inverse factor built in the loop
+
+
+def orthonormal_rows(Gv, Pv, drop):
+    """The value loop of Gram-Schmidt that builds L^-1 beside B, step by step: the reference for the
+    trimmed loop `submersion._orthonormal_rows` and its replay `_inverse_factor`.
+
+    Returns (B = Linv Pv with a zero row per dropped seed, Linv, kept seeds, points whose squared
+    norms are all finite).
+    """
+    PG = Pv @ Gv
+    N, k, dim = PG.shape
+    B = np.zeros((N, k, dim))
+    Linv = np.zeros((N, k, k))  # row j: B[j] as a combination of the seeds
+    keep = np.zeros((N, k), dtype=bool)
+    finite = np.ones(N, dtype=bool)
+    for i in range(k):
+        c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
+        w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
+        n2 = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
+        finite &= np.isfinite(n2)
+        ok = keep[:, i] = n2 >= drop * drop
+        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, n2, 1.0)), 0.0)
+        B[:, i] = w * r[:, None]
+        Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
+        Linv[:, i, i] = r
+    return B, Linv, keep, finite

@@ -12,16 +12,18 @@ in no verdict, so this oracle is what checks them independently.
 
 Derivatives are built on first read: a structure-only run must build none
 of the frame pass's, and a full check, which builds them outside the pass,
-must raise no floating-point error.
+must raise no floating-point error.  Gram-Schmidt's value loop keeps no
+inverse factor; replayed for a derivative, it must equal the one the loop
+built before, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from confsub import runner
+from confsub import runner, submersion
 from confsub.jets import ArrayJet
 from confsub.scenes import sample_points
-from confsub.submersion import _gram_schmidt
+from confsub.submersion import _gram_schmidt, _inverse_factor, _orthonormal_rows
 from confsub.theorems import CHECKERS, _group_rows
 
 from .conftest import ALL_SCENE_NAMES, SCENES_WITH_GENERIC as SCENES, fresh_scene
@@ -29,6 +31,7 @@ from .fdtools import (
     ADAPTED,
     FRAMES,
     fd_jacobian,
+    orthonormal_rows,
     pass_derivative_margins,
     table_margins,
 )
@@ -126,6 +129,63 @@ def test_gram_schmidt_derivatives_on_generic_input(rng):
         assert np.allclose(got @ Gq @ got.T, np.eye(3)) and np.allclose(got @ Gq @ against_q.T, 0.0)
         want = np.moveaxis(fd_jacobian(gs, p), -1, 0)
         assert np.max(np.abs(out.d[k] - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+def test_gram_schmidt_is_a_structural_zero_only_on_constant_inputs(rng):
+    dim = 4
+    R, _ = _affine_jet(rng, (dim, dim), dim)
+    G = R @ R.T + ArrayJet.constant(dim * np.eye(dim)[None], dim)
+    G0 = ArrayJet.constant(G.v, dim)  # the same values, not varying
+    seeds, _ = _affine_jet(rng, (3, dim), dim)
+    seeds0 = ArrayJet.constant(seeds.v, dim)
+    against0 = _gram_schmidt(G0, ArrayJet.constant(rng.normal(size=(1, 1, dim)), dim), 1e-10)
+    against = _gram_schmidt(G, ArrayJet.constant(against0.v, dim), 1e-10)  # equal values, varying
+    assert against0.const and _gram_schmidt(G0, seeds0, 1e-10, against=against0).const
+    for inputs in ((G, seeds0, against0), (G0, seeds, against0), (G0, seeds0, against)):
+        out = _gram_schmidt(*inputs[:2], 1e-10, against=inputs[2])
+        assert not out.const and out.d.any()
+
+
+def _spd(rng, shape, dim):
+    A = rng.normal(size=shape + (dim, dim))
+    return A @ A.swapaxes(-1, -2) + dim * np.eye(dim)
+
+
+def test_value_loop_and_replayed_factor_match_the_reference(rng):
+    # the trimmed loop keeps no L^-1; replayed from its steps, L^-1 and the rows B must be
+    # the in-loop reference's bit for bit, under one metric for all points and a metric per point
+    N, k, dim = 7, 5, 6
+    seeds = rng.normal(size=(N, k, dim))
+    seeds[0, 0] = 0.0  # a zero seed, dropped first
+    seeds[1, 2] = 0.5 * seeds[1, 0] - 2.0 * seeds[1, 1]  # dropped in the middle
+    seeds[2, 4] = seeds[2, 1] + seeds[2, 3]  # dropped last
+    seeds[3, 3] = seeds[3, 0]  # a copy of an earlier seed
+    seeds[4, 2, 1] = np.nan  # fails its point
+    seeds[5, 1, 0] = np.inf  # fails its point
+    dropped = {(0, 0), (1, 2), (2, 4), (3, 3)}
+    for Gv in (_spd(rng, (1,), dim), _spd(rng, (N,), dim)):
+        with np.errstate(all="ignore"):  # as in the frame pass: a non-finite seed fails its point
+            B, keep, finite, steps = _orthonormal_rows(Gv, seeds, 1e-10)
+            want_B, want_Linv, want_keep, want_finite = orthonormal_rows(Gv, seeds, 1e-10)
+        assert finite.tolist() == want_finite.tolist() == [True] * 4 + [False, False, True]
+        Linv = _inverse_factor(steps)
+        for q in np.flatnonzero(want_finite):  # a failed point's rows are never read
+            assert B[q].tobytes() == want_B[q].tobytes()
+            assert keep[q].tobytes() == want_keep[q].tobytes()
+            assert Linv[q].tobytes() == want_Linv[q].tobytes()
+            assert {(q, i) for i in range(k) if not keep[q, i]} == {d for d in dropped if d[0] == q}
+
+
+@pytest.mark.parametrize("name, mode, replays", (
+    ("example33", {"structure_only": True, "points": 128}, 0),  # reads no derivative
+    ("linproj63", {}, 0),  # an affine map on constant metrics and J: every frame is a structural zero
+    ("example33", {}, None),  # the checkers read the frames' derivatives
+), ids=("example33-structure-only", "linproj63-full", "example33-full"))
+def test_inverse_factor_is_replayed_only_for_a_derivative(monkeypatch, name, mode, replays):
+    calls = []
+    monkeypatch.setattr(submersion, "_inverse_factor", lambda steps: calls.append(1) or _inverse_factor(steps))
+    assert runner.run(fresh_scene(name), seed=1, **mode).exit_code == 0
+    assert len(calls) == replays if replays is not None else calls
 
 
 def test_per_point_plain_factors_are_rejected(rng):

@@ -4,16 +4,22 @@ When the metrics, J and the differential do not vary, the frame pass holds them,
 and everything it derives from them alone, with a point axis of length 1, and
 such a run leaves the pass as a group of one row that all its points read at
 k = 0: its tables, checkers and report rows run once.  With the term `0*x1*x2`
-added to each map component, the gradients and Hessians vary, the same numbers
-take the per-point path, and every canonical report must stay the same byte
-for byte.
+added to each map component, the gradients are stacks of N points, the same
+numbers take the per-point path, and every canonical report must stay the same
+byte for byte.
+
+An affine map's Hessians are exactly zero, so its differential is a structural
+zero (`jets.ArrayJet.constant`), and so is every frame, projector and square
+dilation built from it and constant metrics and J alone.  With that one
+decision turned off, every product-rule term is computed, and again every
+canonical report must stay the same byte for byte.
 """
 
 import dataclasses
 
 import pytest
 
-from confsub import theorems
+from confsub import submersion, theorems
 from confsub.expr import BinOp, Const, Var
 from confsub.report import to_canonical
 from confsub.runner import run
@@ -23,7 +29,8 @@ from confsub.theorems import CHECKERS
 from .conftest import fresh_scene
 
 # affine maps (a constant differential) and maps with a varying one
-UNIFORM_SCENES = ("linproj42", "linproj63", "anti-toy", "example33", "twisted4")
+AFFINE_SCENES = ("linproj42", "linproj63", "anti-toy")
+UNIFORM_SCENES = AFFINE_SCENES + ("example33", "twisted4")
 # every jet of the pass that a constant differential leaves constant
 PASS_JETS = ("G", "Ginv", "J", "DF", "gN", "vertical", "horizontal", "d1", "d2", "jd2", "mu",
              "PV", "PH", "PMU", "lambda_sq")
@@ -36,14 +43,49 @@ def _varying(sc):
     return dataclasses.replace(sc, fmap=fmap)
 
 
-@pytest.mark.parametrize("mode", ({}, {"points": 64}, {"structure_only": True, "points": 128}),
-                         ids=("full", "full-64", "structure-only"))
+MODES = pytest.mark.parametrize("mode", ({}, {"points": 64}, {"structure_only": True, "points": 128}),
+                                 ids=("full", "full-64", "structure-only"))
+
+
+@MODES
 @pytest.mark.parametrize("seed", (1, 2))
 @pytest.mark.parametrize("name", UNIFORM_SCENES)
 def test_varying_map_terms_give_the_same_report(name, seed, mode):
     plain = fresh_scene(name)
     want = to_canonical(run(_varying(plain), seed=seed, **mode))
     assert to_canonical(run(plain, seed=seed, **mode)) == want
+
+
+@MODES
+@pytest.mark.parametrize("rewrite", (None, _varying), ids=("plain", "varying"))
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("name", AFFINE_SCENES)
+def test_evaluated_differential_gives_the_same_report(monkeypatch, name, seed, rewrite, mode):
+    plain = fresh_scene(name)
+    want = to_canonical(run(plain, seed=seed, **mode))
+    monkeypatch.setattr(submersion, "_affine", lambda hessians: False)  # every product-rule term computed
+    sc = plain if rewrite is None else rewrite(plain)
+    (_, g), = sc.fmap.frame_pass(sample_points(sc, count=4, seed=seed))[1]
+    assert not any(getattr(g, n).const for n in ("DF", "vertical", "horizontal", "PV", "PH", "lambda_sq"))
+    assert to_canonical(run(sc, seed=seed, **mode)) == want
+
+
+@pytest.mark.parametrize("name", AFFINE_SCENES)
+def test_an_affine_map_on_constant_inputs_is_a_structural_zero(name):
+    sc = fresh_scene(name)
+    (_, g), = sc.fmap.frame_pass(sample_points(sc, count=8, seed=1))[1]
+    for n in PASS_JETS:  # no dB, no L^-1 and no product-rule term is ever built
+        assert getattr(g, n).const, n
+
+
+def test_a_constant_differential_leaves_varying_inputs_varying():
+    # example33: a varying differential; conformal-surface: F 1 = x1, affine over a varying metric
+    for name, affine in (("example33", False), ("conformal-surface", True)):
+        sc = fresh_scene(name)
+        (_, g), = sc.fmap.frame_pass(sample_points(sc, count=8, seed=1))[1]
+        assert g.DF.const == affine and g.G.const != affine, name
+        for n in PASS_JETS[5:]:  # the frames, projectors and square dilation
+            assert not getattr(g, n).const, (name, n)
 
 
 def test_a_constant_differential_is_computed_once():
