@@ -21,7 +21,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
-from .jets import ArrayJet, at_point, full, stacked
+from .jets import ArrayJet, at_point, eye, full, stacked
 
 __all__ = [
     "ExcludedLocus",
@@ -190,8 +190,8 @@ def brackets(X: ArrayJet, Y: ArrayJet) -> np.ndarray:
 
 def j_residuals(G: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point of stacks G[q], J[q]: (max |J^2 + I|, max |g(JX,JY) - g(X,Y)| on coordinate pairs)."""
-    r_square = np.max(np.abs(J @ J + np.eye(J.shape[-1])), axis=(1, 2))
-    r_compat = np.max(np.abs(J.swapaxes(1, 2) @ G @ J - G), axis=(1, 2))
+    r_square = np.abs(J @ J + eye(J.shape[-1])).max(axis=(1, 2))
+    r_compat = np.abs(J.swapaxes(1, 2) @ G @ J - G).max(axis=(1, 2))
     return r_square, r_compat
 
 
@@ -205,7 +205,7 @@ def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> np.ndarray:
     Jv = J.v[:, None]
     nab = J.d + gam @ Jv - Jv @ gam
     cols = nab.swapaxes(2, 3)  # cols[q, i, j] = (nabla_i J) d_j
-    sq = np.max(np.sum((cols @ G[:, None]) * cols, axis=-1), axis=(1, 2))
+    sq = ((cols @ G[:, None]) * cols).sum(-1).max(axis=(1, 2))
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -45,9 +45,19 @@ that vary.  A pass run in which nothing varies leaves it as one point.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["ArrayJet", "full", "at_point", "stacked"]
+__all__ = ["ArrayJet", "eye", "full", "at_point", "stacked"]
+
+
+@functools.lru_cache(maxsize=None)
+def eye(m: int) -> np.ndarray:
+    """The m x m identity (shared, read-only)."""
+    out = np.eye(m)
+    out.flags.writeable = False
+    return out
 
 
 def full(x, count: int) -> np.ndarray:
@@ -109,7 +119,7 @@ class ArrayJet:
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""
-        return _rule(np.take(self.v, idx, axis=1), self, lambda: np.take(self.d, idx, axis=2))
+        return _rule(self.v.take(idx, 1), self, lambda: self.d.take(idx, 2))
 
     @property
     def T(self) -> "ArrayJet":

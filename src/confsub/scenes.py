@@ -33,6 +33,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -449,22 +450,15 @@ class ScrambledHalton:
     PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)  # a scene has <= 16 dimensions
 
     def __init__(self, d: int, seed: int):
-        bases = self.PRIMES[:d]
-        if len(bases) < d:
+        if d > len(self.PRIMES):
             raise ValueError(f"at most {len(self.PRIMES)} dimensions")
-        self._bases, self._cols = np.array(bases), np.arange(d)
+        self._bases, self._cols, digits, self._weights, self._powers = _halton_tables(d)
         rng = np.random.default_rng(seed)
-        counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
         # base 2 has the most positions; a zero past a base's own count adds +0.0
-        self._perm = np.zeros((counts[0], d, bases[-1]), dtype=np.int64)
-        for k, (b, count) in enumerate(zip(bases, counts)):
-            self._perm[:count, k, :b] = rng.permuted(np.repeat(np.arange(b)[None], count, axis=0), axis=1)
-        # 1/b, 1/b/b, ...: repeated division, not powers, as the reference does
-        steps = np.vstack([np.ones(d), np.tile(self._bases, (counts[0], 1))])
-        self._weights = np.divide.accumulate(steps)[1:]
+        self._perm = np.zeros((len(digits[0]), d, self._bases[-1]), dtype=np.int64)
+        for k, rows in enumerate(digits):
+            self._perm[:len(rows), k, :rows.shape[1]] = rng.permuted(rows, axis=1)
         self._zero_terms = self._perm[:, :, 0] * self._weights
-        # b**j as an integer: exact below 2**53, and above every index from there on (digit 0)
-        self._powers = np.minimum(np.multiply.accumulate(steps)[:-1], 2.0 ** 62).astype(np.int64)
         self._index = 0
 
     def random(self, n: int) -> np.ndarray:
@@ -480,6 +474,24 @@ class ScrambledHalton:
         # (pairwise summation, which could move the last bit, runs along the fastest axis only, and
         # along the digit axis when it is the only one longer than 1)
         return np.add.reduce(terms, axis=0) if terms[0].size > 1 else np.add.accumulate(terms)[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _halton_tables(d: int) -> tuple:
+    """The seed-free tables of `ScrambledHalton` in d dimensions, shared and read-only: (bases, coordinate
+    indices, per base the digits 0..b-1 once per digit position, weights b**-(j+1), integer powers b**j)."""
+    bases = ScrambledHalton.PRIMES[:d]
+    counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+    digits = tuple(np.repeat(np.arange(b)[None], count, axis=0) for b, count in zip(bases, counts))
+    # 1/b, 1/b/b, ...: repeated division, not powers, as the reference does
+    steps = np.vstack([np.ones(d), np.tile(bases, (counts[0], 1))])
+    weights = np.divide.accumulate(steps)[1:]
+    # b**j as an integer: exact below 2**53, and above every index from there on (digit 0)
+    powers = np.minimum(np.multiply.accumulate(steps)[:-1], 2.0 ** 62).astype(np.int64)
+    bases, cols = np.array(bases), np.arange(d)
+    for x in (bases, cols, *digits, weights, powers):
+        x.flags.writeable = False
+    return bases, cols, digits, weights, powers
 
 
 def sample_points(scene: Scene, count: int | None = None, seed: int | None = None) -> np.ndarray:

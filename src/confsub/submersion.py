@@ -51,6 +51,14 @@ them, and no derivative of the frames, the projectors, G^-1 or the dilation
 either: the pass computes the values of each jet it builds, and a derivative
 is built when a table first reads it (`jets.ArrayJet.d`).
 
+The pass and the tables are the hot path of a check, on 1-24 points per
+group, where a numpy call's overhead outweighs its arithmetic.  They call
+array methods and views (`.sum`, `.max`, `.trace`, `.take`, `.transpose`),
+`lengths` for `np.linalg.norm(x, axis=-1)` and shared read-only constants
+(`jets.eye`, `_half_lower`), not numpy's Python-level wrappers: the same
+ufunc over the same axes, so every number is the same bit for bit.
+`tests/test_hot_path.py` holds the code to that.
+
 Frame construction is deterministic: horizontal seeds are the metric-raised
 component gradients in component order, vertical seeds are the coordinate
 fields in coordinate order, and Gram-Schmidt drops seeds whose norm falls
@@ -87,7 +95,7 @@ from .geometry import (
     nabla,
     nabla_j_norm,
 )
-from .jets import ArrayJet, at_point, full, stacked
+from .jets import ArrayJet, at_point, eye, full, stacked
 
 __all__ = [
     "SmoothMap",
@@ -95,6 +103,7 @@ __all__ = [
     "AdaptedFrame",
     "pairs",
     "row_norms",
+    "lengths",
 ]
 
 
@@ -131,9 +140,9 @@ class SmoothMap:
                 idx = pending.pop()
 
                 def fail(bad, error, idx=idx):
-                    if not np.any(bad):
+                    if not (bad if isinstance(bad, bool) else bad.any()):
                         return
-                    bad = np.flatnonzero(np.broadcast_to(bad, idx.shape))
+                    bad = np.broadcast_to(bad, idx.shape).nonzero()[0]
                     errors.update((int(idx[q]), error(q)) for q in bad)
                     raise _Regroup([np.setdiff1d(np.arange(len(idx)), bad)])
 
@@ -164,7 +173,7 @@ class _Regroup(Exception):
 @functools.lru_cache(maxsize=None)
 def _half_lower(m: int) -> np.ndarray:
     """Mask that keeps the lower triangle and halves the diagonal (shared, read-only)."""
-    mask = np.tri(m) - 0.5 * np.eye(m)
+    mask = np.tri(m) - 0.5 * eye(m)
     mask.flags.writeable = False
     return mask
 
@@ -188,8 +197,11 @@ def _orthonormal_rows(Gv: np.ndarray, Pv: np.ndarray, drop: float):
     n2 = np.empty((N, k))
     steps = []
     for i in range(k):
-        c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
-        w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
+        if i:
+            c = (B[:, :i] @ PG[:, i, :, None])[..., 0]
+            w = Pv[:, i] - (c[:, None] @ B[:, :i])[:, 0]
+        else:  # nothing to project on: x - 0.0 is x, bit for bit
+            c, w = np.empty((N, 0)), Pv[:, 0]
         s = n2[:, i] = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
         ok = s >= drop * drop
         r = np.where(ok, 1.0 / np.sqrt(np.where(ok, s, 1.0)), 0.0)
@@ -240,15 +252,16 @@ def _gram_schmidt(G: ArrayJet, seeds: ArrayJet, drop: float, against: ArrayJet |
         _, group = np.unique(keep, axis=0, return_inverse=True)
         group = group.ravel()
         raise _Regroup([np.flatnonzero(group == g) for g in range(group.max() + 1)])
-    kept = np.flatnonzero(keep[0])
-    B, m = np.take(B, kept, axis=1), len(kept)
+    kept = keep[0].nonzero()[0]
+    m = len(kept)
+    B = B if m == k else B.take(kept, 1)
     if G.const and seeds.const and (against is None or against.const):
         return ArrayJet.constant(B, dim)
     if m == 0:
         return ArrayJet(B, np.zeros((N, dim, 0, dim)))
 
     def dB():
-        Linv = np.take(np.take(_inverse_factor(steps), kept, axis=1), kept, axis=2)
+        Linv = _inverse_factor(steps).take(kept, 1).take(kept, 2)
         P = seeds if m == k else seeds.rows(kept)
         if against is not None:
             P = P - (P @ G @ against.T) @ against
@@ -266,7 +279,12 @@ def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
 
 def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Metric norms of the vectors W[..., :]."""
-    return np.sqrt(np.maximum(np.sum((W @ G) * W, axis=-1), 0.0))
+    return np.sqrt(np.maximum(((W @ G) * W).sum(-1), 0.0))
+
+
+def lengths(x: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the vectors x[..., :]: `np.linalg.norm(x, axis=-1)` by numpy's own formula."""
+    return np.sqrt((x * x).sum(-1))
 
 
 def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
@@ -320,19 +338,19 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     horizontal = _gram_schmidt(G, DF @ Ginv.T, tol.drop, fail=fail)  # seeds: G^-1 grad F^a
     h = horizontal.v.shape[1]
     fail(h < n, lambda q: CriticalPointError(f"differential has rank {h} < {n} at {at(q)}"))
-    eye = ArrayJet.constant(np.broadcast_to(np.eye(dim), G.v.shape), dim)
-    vertical = _gram_schmidt(G, eye, tol.drop, against=horizontal, fail=fail)
+    coords = ArrayJet.constant(np.broadcast_to(eye(dim), G.v.shape), dim)
+    vertical = _gram_schmidt(G, coords, tol.drop, against=horizontal, fail=fail)
     v = vertical.v.shape[1]
     fail(v != dim - n, lambda q: StructureError(
         f"vertical frame has {v} vectors, expected {dim - n} at {at(q)}"))
 
     FX = horizontal @ DF.T  # rows dF(X_a)
     gram = FX @ gN @ FX.T
-    lsq = np.trace(gram.v, axis1=1, axis2=2) / n
+    lsq = gram.v.trace(axis1=1, axis2=2) / n
     lambda_sq = ArrayJet.constant(lsq, dim) if gram.const else ArrayJet(
-        lsq, lambda gram=gram: np.trace(gram.d, axis1=2, axis2=3) / n)
+        lsq, lambda gram=gram: gram.d.trace(axis1=2, axis2=3) / n)
     fail(~np.isfinite(lsq), lambda q: NumericalOverflowError("numerical overflow in the square dilation"))
-    conf_residual = np.max(np.abs(gram.v - lsq[:, None, None] * np.eye(n)), axis=(1, 2))
+    conf_residual = np.abs(gram.v - lsq[:, None, None] * eye(n)).max(axis=(1, 2))
     fail(conf_residual > tol.conformality * lsq, lambda q: NotConformalError(
         f"not horizontally conformal at {at(q)}: residual {at_point(conf_residual, q):.3e} "
         f"against square dilation {at_point(lsq, q):.3e}"))
@@ -346,7 +364,7 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
         Qv = vertical.v @ G.v @ Qm.v @ vertical.v.swapaxes(1, 2)
         svals = np.linalg.svd(Qv, compute_uv=False)
         thr = 1.0 - tol.split_threshold
-        n_d1 = np.sum(svals > thr, axis=1)
+        n_d1 = (svals > thr).sum(1)
         # genuine structures give singular values at 1 or 0; anything in
         # between means the invariant subspace is not well separated
         between = (tol.split_margin <= svals) & (svals <= thr)
@@ -376,8 +394,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
         JT = J.v.swapaxes(1, 2)
         Jd1 = d1.v @ JT
         PD1 = _projector(G, d1).v
-        r_d1 = np.max(row_norms(Jd1 - Jd1 @ PD1.swapaxes(1, 2), G.v), axis=1, initial=0.0)
-        r_d2 = np.max(row_norms(d2.v @ JT @ PV.v.swapaxes(1, 2), G.v), axis=1, initial=0.0)
+        r_d1 = row_norms(Jd1 - Jd1 @ PD1.swapaxes(1, 2), G.v).max(axis=1, initial=0.0)
+        r_d2 = row_norms(d2.v @ JT @ PV.v.swapaxes(1, 2), G.v).max(axis=1, initial=0.0)
         fail((r_d1 > tol.structural) | (r_d2 > tol.structural), lambda q: StructureError(
             f"vertical space is not semi-invariant at {at(q)}: "
             f"J(d1) residual {at_point(r_d1, q):.3e}, "
@@ -385,7 +403,7 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
 
     frame = np.concatenate((vertical.v, horizontal.v), axis=1)
     ortho = frame @ G.v @ frame.swapaxes(1, 2)
-    off = np.abs(ortho - np.eye(dim)) > tol.structural
+    off = np.abs(ortho - eye(dim)) > tol.structural
 
     def not_orthonormal(q):
         i, j = np.argwhere(at_point(off, q))[0]
@@ -431,7 +449,7 @@ def _norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Tables t[q, :, i, j] on stacks of vectors X[q, r], Y[q, s]: out[q, r, s] = t_q(X_r, Y_s)."""
-    return np.moveaxis(X[:, None] @ table @ _T(Y)[:, None], 1, -1)
+    return (X[:, None] @ table @ _T(Y)[:, None]).transpose(0, 2, 3, 1)
 
 
 @dataclass(eq=False)
@@ -509,7 +527,7 @@ class _Group:
 
     # S[a, i, j] = d_i d_j F^a + Gamma_N^a_bc DF^b_i DF^c_j - Gamma^k_ij DF^a_k
     sff = functools.cached_property(
-        lambda self: np.moveaxis(nabla(self.gamma_pull, self.DF.T), -1, 1) - along(self.DF.v, self.gamma_src))
+        lambda self: nabla(self.gamma_pull, self.DF.T).transpose(0, 3, 1, 2) - along(self.DF.v, self.gamma_src))
 
     # the projector columns P e_j as fields: _nabla_PV[q, l, j] = nabla_{d_l}(P_V e_j)
     _nabla_PV = functools.cached_property(lambda self: nabla(self.gamma_src, self.PV.T))
@@ -520,12 +538,12 @@ class _Group:
     @functools.cached_property
     def tension(self) -> np.ndarray:
         frame = np.concatenate((self.vertical.v, self.horizontal.v), axis=1)
-        return np.trace(pairs(self.sff, frame, frame), axis1=1, axis2=2)
+        return pairs(self.sff, frame, frame).trace(axis1=1, axis2=2)
 
     @functools.cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
         V = self.vertical.v
-        return np.trace(pairs(self.t, V, V), axis1=1, axis2=2) / V.shape[1]
+        return pairs(self.t, V, V).trace(axis1=1, axis2=2) / V.shape[1]
 
     # the differential of ln(lambda) in coordinates
     dln_lambda = functools.cached_property(lambda self: 0.5 * self.lambda_sq.d / self.lambda_sq.v[:, None])
@@ -538,7 +556,7 @@ class _Group:
 
 def _oneill(P, Q, nP, nQ) -> np.ndarray:
     """O'Neill's tensor Q nabla_{P e_i}(P e_j) + P nabla_{P e_i}(Q e_j) at [q, :, i, j] (T: P = P_V, A: P = P_H)."""
-    return np.moveaxis(_mapped(along(_T(P), nP), Q) + _mapped(along(_T(P), nQ), P), -1, 1)
+    return (_mapped(along(_T(P), nP), Q) + _mapped(along(_T(P), nQ), P)).transpose(0, 3, 1, 2)
 
 
 class AdaptedFrame:
@@ -568,7 +586,7 @@ class AdaptedFrame:
         N, D, _ = self.E.v.shape
         self._GE = f.G.v @ _T(self.E.v)  # g(X, E_s) = (X @ GE)[s]
         self.V, self.H = f.vertical.v @ self._GE, f.horizontal.v @ self._GE
-        self.I = np.broadcast_to(np.eye(D), (N, D, D))
+        self.I = np.broadcast_to(eye(D), (N, D, D))
         is_v = np.arange(D) < v
         self.PV, self.PH, mixed = np.diag(is_v * 1.0), np.diag(~is_v * 1.0), is_v[:, None] != is_v
         self._mask_T, self._mask_A = is_v[:, None, None] & mixed, ~is_v[:, None, None] & mixed
@@ -591,7 +609,7 @@ class AdaptedFrame:
         lambda self: self.S @ (self._group.gN.v @ _T(self.push))[:, None] + self.omega @ self.gram[:, None])
     grad = functools.cached_property(lambda self: (self.E.v @ self._group.dln_lambda[..., None])[..., 0])
     horizontal_dilation = functools.cached_property(
-        lambda self: self._group.lam * np.linalg.norm(self.grad @ self.PH, axis=-1))
+        lambda self: self._group.lam * lengths(self.grad @ self.PH))
 
     def nabla(self, c: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
         """out[q, l, r, s] = g(nabla_{E_l} F_r, E_s) for fields F_r = sum_s c[q, r, s] E_s, dc[q, l, r, s] =

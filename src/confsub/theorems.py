@@ -52,6 +52,7 @@ from .submersion import (
     _norms as _norms_g,
     _orthonormal_rows,
     _T,
+    lengths,
     pairs,
     row_norms,
 )
@@ -418,7 +419,7 @@ def check_harmonicity(g: _Group, tol: Tolerances):
     _, n, _, r2 = g.dims  # (2m, n, n, 2r), validated by the pass
     A = g.adapted
     # -(2m + n) dF(mean curvature of the fibers) + (2 - n - 2r) dF(grad ln lambda); T's vertical trace
-    rhs = (2.0 - n - r2) * A.grad - np.trace(A.T[:, A.vert, A.vert], axis1=1, axis2=2)
+    rhs = (2.0 - n - r2) * A.grad - A.T[:, A.vert, A.vert].trace(axis1=1, axis2=2)
     minimal = _norms_g(_mapped(g.fiber_mean_curvature, g.DF.v), g.gN.v) < tol.theorem
     homothetic = g.horizontal_dilation < tol.theorem
     branch = "minimal-fibers-iff-harmonic" if n + r2 == 2 else "paired-implications"
@@ -454,7 +455,7 @@ def check_totally_geodesic_characterization(g: _Group, tol: Tolerances):
           + along(D1, A.nabla(A.J[:, A.d1], A.dJ[:, :, A.d1])) @ A.PV @ A.om[:, None])
     # C(H nabla_{V_i} J d2_j) + omega T(V_i, J d2_j)
     wb = along(V, A.nabla(JD2, A.dJ[:, :, A.d2])) @ A.PH @ A.C[:, None] + _on(A.T, V, JD2) @ A.om[:, None]
-    rb = np.maximum(_amax(np.linalg.norm(wa, axis=-1)), _amax(np.linalg.norm(wb, axis=-1)))
+    rb = np.maximum(_amax(lengths(wa)), _amax(lengths(wb)))
     return [_reports(name, g, ra, np.maximum(rb, A.horizontal_dilation), tol.theorem)]
 
 
@@ -493,7 +494,7 @@ def check_corollaries(g: _Group, tol: Tolerances):
                             label="vacuous: needs nonzero d2 and mu")
         A = g.adapted
         nab = along(X(A), A.nabla(A.I[:, block(A)]))  # the block stays in its span along X
-        unmet = _amax(np.linalg.norm(nab - nab * A.I[0, block(A)].sum(0), axis=-1)) > tol.theorem
+        unmet = _amax(lengths(nab - nab * A.I[0, block(A)].sum(0))) > tol.theorem
         return _reports(name, g, ra, side_b(g.adapted), tol.theorem, unmet=unmet,
                         label=f"hypothesis unmet: {what}")
 
