@@ -108,13 +108,13 @@ def verdict_of(residual: float, tol: float) -> str:
 def _reports(name, g: _Group, ra, rb, tol, vacuous=False, label="", unmet=None):
     """One report per point of the group from residuals ra[q] and rb[q] (a scalar: at every point).
 
-    `rb` may be None, or a list with None where side b is withheld; `label`
-    is one label, or a list of one per point.  Where the mask `unmet` is set
-    side b is withheld and labelled with `label`, elsewhere unlabelled.
+    `rb` None withholds side b at every point; `label` is one label, or one
+    per point.  Where the mask `unmet` is set side b is withheld and
+    labelled with `label`, elsewhere unlabelled.
     Points with equal residuals and label share one report (it is frozen).
     """
     n = len(g.points)
-    per_point = lambda x: x if isinstance(x, list) else x.tolist() if getattr(x, "ndim", 0) else [float(x)] * n
+    per_point = lambda x: x.tolist() if getattr(x, "ndim", 0) else [float(x)] * n
     rb = [None] * n if rb is None else per_point(rb)
     labels = [label] * n if isinstance(label, str) else label
     if unmet is not None:
@@ -381,24 +381,21 @@ def check_d2_totally_geodesic(g: _Group, tol: Tolerances):
     return [_reports(name, g, ra, np.maximum(rb, _amax(lhs - rhs)), tol.theorem)]
 
 
-def _combine(name, g: _Group, tol, *rows):
-    """The conjunction of report rows, point by point (vacuity is decided per group)."""
-    parts = list(zip(*rows))
-    rbs = [[p.residual_b for p in at if p.residual_b is not None] for at in parts]
-    return _reports(name, g, [max(p.residual_a for p in at) for at in parts],
-                    [max(r) if r else None for r in rbs], tol.theorem,
-                    vacuous=all(p.vacuous for p in parts[0]),
-                    label="conjunction: " + ", ".join(p.name for p in parts[0]))
-
-
 def check_product_structures(g: _Group, tol: Tolerances):
-    """Local product structures: total space (horizontal x fibers) and within fibers."""
-    first = lambda check: _group_rows(check, g, tol)[0]
-    out = [_combine("product_total_space", g, tol, first(check_horizontal_totally_geodesic),
-                    first(check_vertical_totally_geodesic))]
+    """Local product structures: total space (horizontal x fibers) and within fibers.
+
+    Each side of a row is the pointwise maximum of its two parts' sides (a NaN
+    part stays NaN), and a row is vacuous only where both parts are.
+    """
+    def conjunction(name, first, second):
+        rows = [_group_rows(CHECKERS[part].func, g, tol)[0] for part in (first, second)]
+        side = lambda s: np.maximum(*([getattr(r, s) for r in row] for row in rows))
+        return _reports(name, g, side("residual_a"), None if g.J is None else side("residual_b"), tol.theorem,
+                        vacuous=rows[0][0].vacuous and rows[1][0].vacuous, label=f"conjunction: {first}, {second}")
+
+    out = [conjunction("product_total_space", "horizontal_totally_geodesic", "vertical_totally_geodesic")]
     if g.J is not None:
-        out.append(_combine("product_fibers", g, tol, first(check_d1_totally_geodesic),
-                            first(check_d2_totally_geodesic)))
+        out.append(conjunction("product_fibers", "d1_totally_geodesic", "d2_totally_geodesic"))
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from confsub import runner, submersion, theorems
+from confsub import runner, submersion
 from confsub.errors import (
     CriticalPointError,
     NonSPDMetricError,
@@ -220,8 +220,6 @@ def test_checkers_run_once_per_group(monkeypatch):
             return body(group, tol)
 
         monkeypatch.setitem(CHECKERS, name, replace(spec, func=counted))
-        # product_structures reads the rows of other checkers through their module names
-        monkeypatch.setattr(theorems, spec.func.__name__, counted)
 
     # the parabola's four points run as two groups; it has no J
     with monkeypatch.context() as m:

@@ -60,7 +60,7 @@ def test_a_constant_scene_builds_one_report_per_row(monkeypatch):
 
 def test_signed_zeros_are_not_shared():
     # 0.0 and -0.0 compare and hash equal, but are written apart
-    plus, minus = _reports("row", SimpleNamespace(points=[(0.0,), (1.0,)]), [0.0, -0.0], None, 1e-6)
+    plus, minus = _reports("row", SimpleNamespace(points=[(0.0,), (1.0,)]), np.array([0.0, -0.0]), None, 1e-6)
     assert plus is not minus
     structure = [StructureRow(index=k, point=(float(k),), lam=1.0, dims=None, conformality_residual=0.0,
                               kahler_residual=None) for k in range(2)]
