@@ -21,7 +21,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import NonSPDMetricError, StructureError
 from .expr import Const, ScalarExpr, evaluate, jet_seeds, raise_first
-from .jets import ArrayJet, at_point, eye, full, stacked
+from .jets import ArrayJet, Zero, at_point, eye, full, stacked
 
 __all__ = [
     "ExcludedLocus",
@@ -145,14 +145,15 @@ def check_spd(G: np.ndarray, what: str, at, fail=raise_first) -> None:
         f"{what} not positive definite at {at(q)}: eigs {at_point(eigs, q)}"))
 
 
-def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:
+def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray | Zero:
     """gamma[q, k, i, j] = Gamma^k_ij from a metric jet, without the definiteness test.
 
     `inv` is the inverse of the metric values when the caller holds it already.
+    A metric that does not vary is flat: its connection is a `Zero`.
     """
     G, n = g.v, g.v.shape[-1]
-    if g.const:  # a metric that does not vary is flat
-        return np.zeros((len(G), n, n, n))
+    if g.const:
+        return Zero((len(G), n, n, n))
     dG = g.d
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), a matrix product per point
     sym = dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)
@@ -161,8 +162,10 @@ def _levi_civita(g: ArrayJet, inv: np.ndarray | None = None) -> np.ndarray:
     return (gamma + gamma.swapaxes(2, 3)) / 2.0  # exact lower-index symmetry
 
 
-def along(X: np.ndarray, table: np.ndarray) -> np.ndarray:
+def along(X: np.ndarray, table: np.ndarray | Zero) -> np.ndarray | Zero:
     """Derivatives along stacks of vectors X[q, r] from tables t[q, l, ...] = d_l(...): out[q, r, ...]."""
+    if type(table) is Zero:
+        return Zero(X.shape[:2] + table.shape[2:])
     N, dim = table.shape[:2]
     return (X @ table.reshape(N, dim, math.prod(table.shape[2:]))).reshape(X.shape[:2] + table.shape[2:])
 
@@ -200,6 +203,8 @@ def nabla_j_norm(G: np.ndarray, J: ArrayJet, gamma: np.ndarray) -> np.ndarray:
 
     Zero iff Kaehler; `G`, `J` and `gamma` carry the point axis first.
     """
+    if type(J.d) is Zero and type(gamma) is Zero:  # a constant J on a flat chart is parallel
+        return np.zeros(len(G))
     gam = gamma.swapaxes(1, 2)  # gam[q, i][k, j] = Gamma^k_ij
     # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - J^k_m Gamma^m_ij, stacked over i
     Jv = J.v[:, None]

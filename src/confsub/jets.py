@@ -21,13 +21,18 @@ once, with the same operations as an eager product rule.
 
 A jet whose values do not vary (`ArrayJet.constant`: a constant metric or J,
 or the differential of an affine map, whose Hessians are exactly zero) has a
-derivative that is zero by construction: it stores no array, and its ``.d``
-builds the zeros on first read.  The rules leave out every term whose factor
-is such a jet, and a result of such jets only is one too: activity analysis
+derivative that is zero by construction: its ``.d`` is a `Zero`, which holds
+its shape and no array.  The rules leave out every term whose factor is such
+a jet, and a result of such jets only is one too: activity analysis
 (Griewank & Walther, ch. 6).  The frame pass applies the same rule to its own
 steps: Gram-Schmidt of such seeds under such a metric, and the square
 dilation of such a Gram matrix, are structural zeros, so on an affine map
-with constant metrics and J no derivative of the pass is ever built.
+with constant metrics and J no derivative of the pass is ever built.  The
+rule goes on past the pass, because a `Zero` is a value: a product with one
+is a `Zero` of the product's shape and a sum with one is the other term, so
+the connection of a constant metric (`geometry._levi_civita`) and every table
+built from such derivatives alone are `Zero`s too, and a residual of one is
+0.0 without arithmetic.
 
 The point axis follows the same rule: a value that is the same at every point
 of a pass run is held once, with a point axis of length 1, and numpy
@@ -49,7 +54,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["ArrayJet", "eye", "full", "at_point", "stacked"]
+__all__ = ["ArrayJet", "Zero", "eye", "full", "at_point", "stacked"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,11 +82,102 @@ def stacked(arrays, axis: int) -> np.ndarray:
     return np.stack(arrays, axis)
 
 
+_BYTE = np.zeros(1, np.int8)
+
+
+def _probe(shape: tuple) -> np.ndarray:
+    """An int8 array of `shape` on one byte (all strides 0): numpy's shape rules with no data behind them."""
+    return np.ndarray(shape, np.int8, _BYTE, 0, (0,) * len(shape))
+
+
+def _shape(x) -> tuple:
+    return getattr(x, "shape", ())
+
+
+# numpy's broadcast of shapes; a check meets a few dozen distinct pairs
+_broadcast = functools.lru_cache(maxsize=4096)(np.broadcast_shapes)
+
+
+class Zero:
+    """A structural zero: the array of zeros of `shape`, which is never built.
+
+    A product with a `Zero`, and its selections, reshapes, transposes and
+    traces, are a `Zero` of numpy's result shape; a sum with one is the other
+    term, and its negation is itself.  numpy defers to it (`__array_ufunc__ =
+    None`), so `array @ zero` and `array * zero` stay symbolic while a ufunc
+    such as `np.abs(zero)` raises TypeError; `np.asarray(zero)` builds the
+    zeros, for tests and oracles.
+    """
+
+    __slots__ = ("shape",)
+    __array_ufunc__ = None
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+
+    ndim = property(lambda self: len(self.shape))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.zeros(self.shape, dtype or float)
+
+    def __repr__(self):
+        return f"Zero({self.shape})"
+
+    def __matmul__(self, other):
+        return Zero(_matmul_shape(self.shape, other.shape))
+
+    def __rmatmul__(self, other):
+        return Zero(_matmul_shape(other.shape, self.shape))
+
+    def __mul__(self, other):
+        return Zero(_broadcast(self.shape, _shape(other)))
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __add__(self, other):
+        shape = _broadcast(self.shape, _shape(other))
+        if type(other) is Zero:
+            return Zero(shape)
+        return other if _shape(other) == shape else np.broadcast_to(other, shape)
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self
+
+    def __getitem__(self, index):
+        return Zero(_probe(self.shape)[index].shape)
+
+    def reshape(self, *shape):
+        return Zero(_probe(self.shape).reshape(*shape).shape)
+
+    def transpose(self, *axes):
+        return Zero(_probe(self.shape).transpose(*axes).shape)
+
+    def swapaxes(self, a: int, b: int):
+        return Zero(_probe(self.shape).swapaxes(a, b).shape)
+
+    def trace(self, *, axis1: int = 0, axis2: int = 1):
+        return Zero(_probe(self.shape).diagonal(0, axis1, axis2).shape[:-1])
+
+
+@functools.lru_cache(maxsize=4096)
+def _matmul_shape(a: tuple, b: tuple) -> tuple:
+    """numpy's shape of `matmul` of operands of shapes a and b."""
+    return (_probe(a) @ _probe(b)).shape
+
+
 class ArrayJet:
     """Values ``v[q, ...]`` and derivatives ``d[q, l, ...] = d_l v[q, ...]`` at points q.
 
     `d` is given as an array, or as a function of no arguments that builds it
-    on first read.
+    on first read; a jet that does not vary is `constant`.
     """
 
     __slots__ = ("v", "_d", "_zero")
@@ -103,19 +199,21 @@ class ArrayJet:
 
     @classmethod
     def constant(cls, v, dim: int) -> "ArrayJet":
-        """The jet of values `v[q, ...]` that do not vary, along `dim` coordinates."""
+        """The jet of values `v[q, ...]` that do not vary, along `dim` coordinates: its derivative is a `Zero`."""
         v = np.asarray(v, dtype=float)
-        return cls(v, lambda: np.zeros(v.shape[:1] + (dim,) + v.shape[1:]), dim)
+        return cls(v, Zero(v.shape[:1] + (dim,) + v.shape[1:]), dim)
 
     def full(self, count: int) -> "ArrayJet":
-        """The jet with values and derivatives widened to `count` points (`full`); `.d` stays lazy.
+        """The jet with values and derivatives widened to `count` points (`full`); `.d` stays lazy, or a `Zero`.
 
         A derivative has at least the point length of its values (`geometry.grid_jet` makes it so,
         and every rule keeps it), so a jet whose values have all `count` points is returned as it is.
         """
         if len(self.v) == count:
             return self
-        return ArrayJet(full(self.v, count), lambda: full(self.d, count), self._zero)
+        if self._zero:
+            return ArrayJet.constant(full(self.v, count), self._zero)
+        return ArrayJet(full(self.v, count), lambda: full(self.d, count))
 
     def rows(self, idx) -> "ArrayJet":
         """The rows `idx` of every matrix (copies, point axis outermost)."""

@@ -119,7 +119,7 @@ def run(
 
     kahler_ok = None
     if use_j:
-        kahler_ok = bool(np.all(kah < tol.kahler))  # a NaN residual is not verified
+        kahler_ok = bool((kah < tol.kahler).all())  # a NaN residual is not verified
         report.kahler_verified = kahler_ok
         if not kahler_ok:
             report.warnings.append(

@@ -33,9 +33,15 @@ point of the run has the entry `(group, 0)`, so its tables, checkers and
 report rows run once.  In any other group every field has N points, and a
 uniform value leaves the pass as a read-only view that repeats it
 (`jets.full`).  Apart from the point axis, a value that does not vary is a
-structural zero (`jets.ArrayJet.constant`): a constant metric or J, the
-differential of a map whose Hessians are exactly zero in the run, and every
-frame, projector and square dilation built from such values alone.
+structural zero (`jets.ArrayJet.constant`, whose derivative is a
+`jets.Zero`): a constant metric or J, the differential of a map whose
+Hessians are exactly zero in the run, and every frame, projector and square
+dilation built from such values alone.  The tables carry the same rule: the
+connection of a constant metric is a `Zero`, and so is every table and
+contraction built from `Zero` derivatives and connections alone (`pairs`,
+`_mapped` and `geometry.along` return one at once), while a norm of one
+(`row_norms`, `lengths`) is 0.0 without arithmetic.  On an affine map with
+constant metrics and J every table the checkers read is a `Zero`.
 
 Each group builds its tables once and on first use, each on its own, with the
 point axis leading: the connections, the Kaehler test, the second fundamental
@@ -95,7 +101,7 @@ from .geometry import (
     nabla,
     nabla_j_norm,
 )
-from .jets import ArrayJet, at_point, eye, full, stacked
+from .jets import ArrayJet, Zero, at_point, eye, full, stacked
 
 __all__ = [
     "SmoothMap",
@@ -203,8 +209,7 @@ def _orthonormal_rows(Gv: np.ndarray, Pv: np.ndarray, drop: float):
         else:  # nothing to project on: x - 0.0 is x, bit for bit
             c, w = np.empty((N, 0)), Pv[:, 0]
         s = n2[:, i] = (w[:, None] @ Gv @ w[..., None])[:, 0, 0]
-        ok = s >= drop * drop
-        r = np.where(ok, 1.0 / np.sqrt(np.where(ok, s, 1.0)), 0.0)
+        r = (s >= drop * drop) / np.sqrt(np.maximum(s, drop * drop))  # 1/sqrt(s), or 0 below drop**2
         B[:, i] = w * r[:, None]
         steps.append((c, r))
     return B, n2 >= drop * drop, np.isfinite(n2).all(axis=1), steps
@@ -277,13 +282,17 @@ def _projector(G: ArrayJet, B: ArrayJet) -> ArrayJet:
     return B.T @ (B @ G)
 
 
-def row_norms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+def row_norms(W: np.ndarray | Zero, G: np.ndarray) -> np.ndarray:
     """Metric norms of the vectors W[..., :]."""
+    if type(W) is Zero:
+        return np.zeros(W.shape[:-1])
     return np.sqrt(np.maximum(((W @ G) * W).sum(-1), 0.0))
 
 
-def lengths(x: np.ndarray) -> np.ndarray:
+def lengths(x: np.ndarray | Zero) -> np.ndarray:
     """Euclidean lengths of the vectors x[..., :]: `np.linalg.norm(x, axis=-1)` by numpy's own formula."""
+    if type(x) is Zero:
+        return np.zeros(x.shape[:-1])
     return np.sqrt((x * x).sum(-1))
 
 
@@ -437,8 +446,10 @@ def _flat(W: np.ndarray) -> np.ndarray:
     return W.reshape(len(W), -1, W.shape[-1])
 
 
-def _mapped(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _mapped(W: np.ndarray | Zero, M: np.ndarray) -> np.ndarray | Zero:
     """M[q] applied to the vectors W[q, ..., :]."""
+    if type(W) is Zero:
+        return Zero(W.shape[:-1] + M.shape[1:2])
     return (_flat(W) @ _T(M)).reshape(W.shape[:-1] + M.shape[1:2])
 
 
@@ -447,8 +458,10 @@ def _norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
     return row_norms(w[:, None], G)[:, 0]
 
 
-def pairs(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def pairs(table: np.ndarray | Zero, X: np.ndarray, Y: np.ndarray) -> np.ndarray | Zero:
     """Tables t[q, :, i, j] on stacks of vectors X[q, r], Y[q, s]: out[q, r, s] = t_q(X_r, Y_s)."""
+    if type(table) is Zero:
+        return Zero(table.shape[:1] + X.shape[1:2] + Y.shape[1:2] + table.shape[1:2])
     return (X[:, None] @ table @ _T(Y)[:, None]).transpose(0, 2, 3, 1)
 
 
@@ -507,8 +520,6 @@ class _Group:
     @functools.cached_property
     def kahler(self) -> np.ndarray | None:
         """|nabla J| at every point, the Kaehler test; None without J."""
-        if self.J is not None and self.J.const and self.G.const:  # a constant J on a flat chart is parallel
-            return np.zeros(len(self.points))
         return None if self.J is None else nabla_j_norm(self.G.v, self.J, self.gamma_src)
 
     @functools.cached_property
@@ -582,7 +593,9 @@ class AdaptedFrame:
         self.d1, self.d2, self.jd2, self.mu = slice(0, m1), slice(m1, v), slice(v, v + m2), slice(v + m2, None)
         self.vert, self.hor = slice(0, v), slice(v, None)
         frames = (f.d1, f.d2, f.jd2, f.mu)
-        self.E = ArrayJet(np.concatenate([x.v for x in frames], 1), lambda: np.concatenate([x.d for x in frames], 2))
+        Ev = np.concatenate([x.v for x in frames], 1)
+        self.E = (ArrayJet.constant(Ev, Ev.shape[-1]) if all(x.const for x in frames)
+                  else ArrayJet(Ev, lambda: np.concatenate([x.d for x in frames], 2)))
         N, D, _ = self.E.v.shape
         self._GE = f.G.v @ _T(self.E.v)  # g(X, E_s) = (X @ GE)[s]
         self.V, self.H = f.vertical.v @ self._GE, f.horizontal.v @ self._GE

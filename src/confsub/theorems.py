@@ -44,6 +44,7 @@ from .config import Tolerances
 from .errors import NumericalOverflowError
 from .expr import raise_first
 from .geometry import along, brackets
+from .jets import Zero
 from .submersion import (
     PointContext,
     _flat,
@@ -139,7 +140,9 @@ def _memo_check(check, ctx: PointContext, tol: Tolerances) -> list[ConditionRepo
 
 
 def _amax(x) -> np.ndarray:
-    """The largest absolute entry per point; 0 where a point has none."""
+    """The largest absolute entry per point; 0 where a point has none (or x is a `Zero`)."""
+    if type(x) is Zero:
+        return np.zeros(len(x))
     return np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
 
 
@@ -166,23 +169,30 @@ def _stack(g: _Group, *names: str) -> np.ndarray:
     return np.concatenate([getattr(g, name).v for name in names], axis=1)
 
 
+def _against(g: _Group, W, against: tuple) -> np.ndarray:
+    """max |g(W_a, Z_c)| over the vectors W[q, a] and the rows Z of the pass's frames `against`; a `Zero` W
+    stacks no frame."""
+    return _amax(W if type(W) is Zero else W @ g.G.v @ _T(_stack(g, *against)))
+
+
 def _bracket_residual(g: _Group, name: str, *against: str) -> np.ndarray:
     """max |g([F_a, F_b], Z_c)| over the pairs a < b of the pass's frame F named and the rows Z of `against`."""
     F = getattr(g, name)
-    return g.memo(("bracket", name, against),
-                  lambda: _amax(_upper(brackets(F, F)) @ g.G.v @ _T(_stack(g, *against))))
+    return g.memo(("bracket", name, against), lambda: _against(g, _upper(brackets(F, F)), against))
 
 
 def _geodesic_residual(g: _Group, name: str, *against: str) -> np.ndarray:
     """max |g(nabla_{F_a} F_b, Z_c)| over the rows of the pass's frame F named and of `against`."""
     F = getattr(g, name).v
-    return g.memo(("geodesic", name, against),
-                  lambda: _amax(_flat(along(F, g.nabla(name))) @ g.G.v @ _T(_stack(g, *against))))
+    return g.memo(("geodesic", name, against), lambda: _against(g, _flat(along(F, g.nabla(name))), against))
 
 
-def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
-    """g_N-norms of the parts of the target vectors W[q, ..., :] orthogonal to dF(mu)."""
-    GN = g.gN.v
+def _off_pushed_mu(g: _Group, W) -> np.ndarray:
+    """g_N-norms of the parts of the target vectors W[q, ..., :] orthogonal to dF(mu); a `Zero` W builds no
+    basis."""
+    GN, W = g.gN.v, _flat(W)
+    if type(W) is Zero:
+        return row_norms(W, GN)
 
     def basis():  # a zero row for a dropped seed leaves the projection as it is
         A = g.adapted
@@ -191,7 +201,7 @@ def _off_pushed_mu(g: _Group, W: np.ndarray) -> np.ndarray:
             "numerical overflow in a Gram-Schmidt squared norm"))
         return Q
 
-    Q, W = g.memo("pushed_mu_basis", basis), _flat(W)
+    Q = g.memo("pushed_mu_basis", basis)
     return row_norms(W - (W @ GN @ _T(Q)) @ Q, GN)
 
 

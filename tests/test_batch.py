@@ -23,7 +23,7 @@ from confsub.errors import (
     StructureError,
 )
 from confsub.expr import ExprDomainError
-from confsub.jets import ArrayJet
+from confsub.jets import ArrayJet, Zero
 from confsub.report import to_canonical
 from confsub.scenes import load_scene_text, sample_points
 from confsub.theorems import CHECKERS, _memo_check
@@ -36,6 +36,8 @@ def _same(a, b) -> bool:
     """Bitwise equality of the numbers in two results of the same shape."""
     if isinstance(a, ArrayJet):
         return _same(a.v, b.v) and _same(a.d, b.d)
+    if isinstance(a, Zero) or isinstance(b, Zero):  # a structural zero on both sides, or on neither
+        return type(a) is type(b) and a.shape == b.shape
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):

@@ -91,7 +91,7 @@ def test_grid_jet_outside_the_domain_raises_without_numpy_warnings():
 
 def test_christoffel_flat_zero():
     gamma = gamma_at(euclidean(4), np.zeros(4))
-    assert np.max(np.abs(gamma)) == 0.0
+    assert np.max(np.abs(np.asarray(gamma))) == 0.0
 
 
 def test_christoffel_polar_like(polar_like):

@@ -16,8 +16,8 @@ import pytest
 
 from confsub import cli
 
-WRAPPERS = ((np, "moveaxis"), (np, "any"), (np, "sum"), (np, "max"), (np, "amax"),
-            (np, "trace"), (np, "take"), (np.linalg, "norm"))
+WRAPPERS = ((np, "moveaxis"), (np, "any"), (np, "all"), (np, "sum"), (np, "max"), (np, "amax"),
+            (np, "trace"), (np, "take"), (np, "where"), (np.linalg, "norm"))
 
 CHECKS = (["example33", "--points", "4"], ["holo4", "--points", "4"], ["linproj63", "--points", "4"],
           ["example33", "--points", "128", "--structure-only"])
