@@ -22,17 +22,19 @@ once, with the same operations as an eager product rule.
 A jet whose values do not vary (`ArrayJet.constant`: a constant metric or J,
 or the differential of an affine map, whose Hessians are exactly zero) has a
 derivative that is zero by construction: its ``.d`` is a `Zero`, which holds
-its shape and no array.  The rules leave out every term whose factor is such
-a jet, and a result of such jets only is one too: activity analysis
-(Griewank & Walther, ch. 6).  The frame pass applies the same rule to its own
-steps: Gram-Schmidt of such seeds under such a metric, and the square
-dilation of such a Gram matrix, are structural zeros, so on an affine map
-with constant metrics and J no derivative of the pass is ever built.  The
-rule goes on past the pass, because a `Zero` is a value: a product with one
-is a `Zero` of the product's shape and a sum with one is the other term, so
-the connection of a constant metric (`geometry._levi_civita`) and every table
-built from such derivatives alone are `Zero`s too, and a residual of one is
-0.0 without arithmetic.
+its shape and no array, and a jet is `const` exactly when its ``.d`` is one.
+The rules leave out every term whose factor is such a jet, and a result of
+such jets only is one too: activity analysis (Griewank & Walther, ch. 6).
+Products take jets only: a plain array is no factor, and ``ndarray @ jet``
+raises TypeError.  The frame pass applies the same rule to its own steps:
+Gram-Schmidt of such seeds under such a metric, and the square dilation of
+such a Gram matrix, are structural zeros, so on an affine map with constant
+metrics and J no derivative of the pass is ever built.  The rule goes on past
+the pass, because a `Zero` is a value: a product with one is a `Zero` of the
+product's shape and a sum with one is the other term, so the connection of a
+constant metric (`geometry._levi_civita`) and every table built from such
+derivatives alone are `Zero`s too, and a residual of one is 0.0 without
+arithmetic.
 
 The point axis follows the same rule: a value that is the same at every point
 of a pass run is held once, with a point axis of length 1, and numpy
@@ -176,23 +178,22 @@ def _matmul_shape(a: tuple, b: tuple) -> tuple:
 class ArrayJet:
     """Values ``v[q, ...]`` and derivatives ``d[q, l, ...] = d_l v[q, ...]`` at points q.
 
-    `d` is given as an array, or as a function of no arguments that builds it
-    on first read; a jet that does not vary is `constant`.
+    `d` is given as an array, a `Zero`, or a function of no arguments that
+    builds it on first read; a jet is `const` exactly when its `d` is a `Zero`.
     """
 
-    __slots__ = ("v", "_d", "_zero")
-    # makes `ndarray @ jet` return NotImplemented, so `__rmatmul__` runs
+    __slots__ = ("v", "_d")
+    # makes `ndarray @ jet` raise TypeError: a product takes jets only
     __array_ufunc__ = None
 
-    def __init__(self, v, d, zero: int = 0):
+    def __init__(self, v, d):
         self.v = v
         self._d = d
-        self._zero = zero  # the number of coordinates when d is zero by construction, else 0
 
-    const = property(lambda self: self._zero > 0, doc="Whether the derivative is zero by construction.")
+    const = property(lambda self: type(self._d) is Zero, doc="Whether the derivative is zero by construction.")
 
     @property
-    def d(self) -> np.ndarray:
+    def d(self) -> np.ndarray | Zero:
         if callable(self._d):
             self._d = self._d()
         return self._d
@@ -201,7 +202,7 @@ class ArrayJet:
     def constant(cls, v, dim: int) -> "ArrayJet":
         """The jet of values `v[q, ...]` that do not vary, along `dim` coordinates: its derivative is a `Zero`."""
         v = np.asarray(v, dtype=float)
-        return cls(v, Zero(v.shape[:1] + (dim,) + v.shape[1:]), dim)
+        return cls(v, Zero(v.shape[:1] + (dim,) + v.shape[1:]))
 
     def full(self, count: int) -> "ArrayJet":
         """The jet with values and derivatives widened to `count` points (`full`); `.d` stays lazy, or a `Zero`.
@@ -211,8 +212,8 @@ class ArrayJet:
         """
         if len(self.v) == count:
             return self
-        if self._zero:
-            return ArrayJet.constant(full(self.v, count), self._zero)
+        if type(self._d) is Zero:
+            return ArrayJet.constant(full(self.v, count), self._d.shape[1])
         return ArrayJet(full(self.v, count), lambda: full(self.d, count))
 
     def rows(self, idx) -> "ArrayJet":
@@ -224,16 +225,9 @@ class ArrayJet:
         """Transpose of each matrix."""
         return _rule(self.v.swapaxes(-1, -2), self, lambda: self.d.swapaxes(-1, -2))
 
-    def __matmul__(self, other):
-        if not isinstance(other, ArrayJet):  # constant right factor
-            other = _constant_factor(other)
-            return _rule(self.v @ other, self, lambda: self.d @ other)
+    def __matmul__(self, other: "ArrayJet") -> "ArrayJet":
         return _rule(self.v @ other.v, self, lambda: self.d @ other.v[:, None],
                      other, lambda: self.v[:, None] @ other.d)
-
-    def __rmatmul__(self, other):  # constant left factor
-        other = _constant_factor(other)
-        return _rule(other @ self.v, self, lambda: other @ self.d)
 
     def __add__(self, other: "ArrayJet") -> "ArrayJet":
         return _rule(self.v + other.v, self, lambda: self.d, other, lambda: other.d)
@@ -244,24 +238,10 @@ class ArrayJet:
     def __neg__(self) -> "ArrayJet":
         return _rule(-self.v, self, lambda: -self.d)
 
-    def __repr__(self):
-        return f"ArrayJet(v={self.v!r}, d={self.d!r})"
-
 
 def _rule(v, a: ArrayJet, da, b: ArrayJet | None = None, db=None) -> ArrayJet:
     """The jet of values `v` whose derivative is `da() + db()`, without the term of a structural zero."""
-    if b is not None and not b._zero:
-        return ArrayJet(v, db if a._zero else lambda: da() + db())
-    return ArrayJet.constant(v, a._zero) if a._zero else ArrayJet(v, da)
-
-
-def _constant_factor(c) -> np.ndarray:
-    """A plain-array factor of a jet product, the same matrix at every point.
-
-    Only a 2-D matrix is accepted: a stack `c[q]` of per-point matrices would
-    broadcast against `d[q, l, ...]` over the wrong axes without an error.
-    """
-    c = np.asarray(c)
-    if c.ndim != 2:
-        raise ValueError(f"a plain factor of a jet product must be one 2-D matrix, not shape {c.shape}")
-    return c
+    a_zero = type(a._d) is Zero
+    if b is not None and type(b._d) is not Zero:
+        return ArrayJet(v, db if a_zero else lambda: da() + db())
+    return ArrayJet(v, Zero(v.shape[:1] + a._d.shape[1:2] + v.shape[1:])) if a_zero else ArrayJet(v, da)

@@ -63,8 +63,7 @@ class StructureTable:
     `conformality` and `kahler` hold the dilation, the conformality residual
     and the Kaehler residual at each.  `dims`, the split's (d1, d2, jd2, mu),
     is held once: the runner refuses points whose dims differ.  `kahler` and
-    `dims` are None without a complex structure; a table of rows of which only
-    some have a Kaehler residual holds them, and None, in an object array.
+    `dims` are None without a complex structure.
     `len`, `table[k]` and iteration give `StructureRow` values, and `==`
     compares a table with a table or a list of rows by those values.
     """
@@ -76,7 +75,10 @@ class StructureTable:
 
     @classmethod
     def of(cls, structure) -> "StructureTable":
-        """`structure` if it is a table, else its rows as one; rows that carry two dims are a ValueError."""
+        """`structure` if it is a table, else its rows as one.
+
+        Rows that carry two dims, or of which only some have a Kaehler residual, are a ValueError.
+        """
         if isinstance(structure, cls):
             return structure
         dims = {row.dims for row in structure}
@@ -91,10 +93,9 @@ class StructureTable:
 
     def __getitem__(self, k: int) -> StructureRow:
         k = range(len(self))[k]
-        kah = None if self.kahler is None else self.kahler[k]
         return StructureRow(index=k, point=tuple(self.points[k].tolist()), lam=float(self.lam[k]), dims=self.dims,
                             conformality_residual=float(self.conformality[k]),
-                            kahler_residual=None if kah is None else float(kah))
+                            kahler_residual=None if self.kahler is None else float(self.kahler[k]))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -106,13 +107,17 @@ class StructureTable:
 
 
 def _table(points: list, lam: list, conformality: list, kahler: list, dims) -> StructureTable:
-    """The table of these columns of rows; a Kaehler column that is all None is None as a whole."""
-    kah = None
-    if any(k is not None for k in kahler):
-        kah = np.array([None if k is None else float(k) for k in kahler],
-                       dtype=object if None in kahler else float)
+    """The table of these columns of rows; a Kaehler column that is all None is None as a whole.
+
+    A Kaehler column that mixes None and numbers is a ValueError: with J every point has a
+    Kaehler residual, and without J none has.
+    """
+    missing = [k is None for k in kahler]
+    if any(missing) and not all(missing):
+        raise ValueError("structure rows of which only some have a Kaehler residual")
     return StructureTable(np.array(points, dtype=float), np.array(lam, dtype=float),
-                          np.array(conformality, dtype=float), kah, dims)
+                          np.array(conformality, dtype=float), None if all(missing) else np.array(kahler, float),
+                          dims)
 
 
 @dataclass(frozen=True)
@@ -183,9 +188,9 @@ def _ppoint(raw: str) -> tuple[float, ...]:
 
 
 def _fnums(column: np.ndarray) -> list[str]:
-    """`_fnum` of each entry of a column of floats and None, with one `repr` for the column."""
+    """`_fnum` of each entry of a column of floats, with one `repr` for the column."""
     text = repr(column.tolist())[1:-1]
-    return text.replace("None", "-").split(", ") if text else []
+    return text.split(", ") if text else []
 
 
 def _fpoints(points: np.ndarray) -> list[str]:
@@ -328,7 +333,10 @@ def from_canonical(text: str) -> RunReport:
     except ValueError as err:
         raise ValueError(f"line {i + 1}: {err}") from None
     # the first row's dims for all: a row with other dims differs from its rewrite below
-    report.structure = _table(points, lam, conformality, kahler, dims[0] if dims else None)
+    try:
+        report.structure = _table(points, lam, conformality, kahler, dims[0] if dims else None)
+    except ValueError as err:
+        raise ValueError(f"line {lines.index('[structure]') + 1}: {err}") from None
     if "[structure]" in lines and report.count != len(report.structure):
         raise ValueError(f"line {lines.index('[structure]') + 1}: [structure] has {len(report.structure)} rows, "
                          f"the header's count is {report.count}")
@@ -363,9 +371,8 @@ def render_table(report: RunReport) -> str:
     out.append(f"{'idx':>4} {'lambda':>18} {'d1':>3} {'d2':>3} {'jd2':>4} {'mu':>3} {'conf_resid':>11} {'kahler_resid':>13}")
     table = StructureTable.of(report.structure)
     dims = table.dims or ("-", "-", "-", "-")
-    kahler = [None] * len(table) if table.kahler is None else table.kahler.tolist()
+    kahler = ["-"] * len(table) if table.kahler is None else [f"{k:.2e}" for k in table.kahler.tolist()]
     for i, (lam, conf, kah) in enumerate(zip(table.lam.tolist(), table.conformality.tolist(), kahler)):
-        kah = "-" if kah is None else f"{kah:.2e}"
         out.append(
             f"{i:>4} {lam:>18.12f} {dims[0]:>3} {dims[1]:>3} {dims[2]:>4} {dims[3]:>3} "
             f"{conf:>11.2e} {kah:>13}"

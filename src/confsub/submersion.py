@@ -321,9 +321,8 @@ def _run_pipeline(fmap: SmoothMap, points: np.ndarray, fail) -> _Group:
     gT = grid_jet(fmap.target.metric, image, fail)
     J = None if src.complex_structure is None else grid_jet(src.complex_structure, points, fail)
     G = grid_jet(src.metric, points, fail)
-    # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F)
-    gN = ArrayJet.constant(gT.v, dim) if gT.const else ArrayJet(
-        gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(-1, n, n * n)).reshape(-1, dim, n, n))
+    # chain rule: d_l gN_ab = sum_c d_l F^c (d_c g_ab)(F), a `Zero` when gT's derivative is one
+    gN = ArrayJet(gT.v, (DF.v.swapaxes(1, 2) @ gT.d.reshape(-1, n, n * n)).reshape(-1, dim, n, n))
     for what, jet in (("source metric", G), ("map derivatives", DF),
                       ("target metric", gN), ("complex structure", J)):
         if jet is not None:

@@ -3,14 +3,17 @@ single-point formulas for fields, connections and brackets on the batch of one.
 
 The single-point oracles (`covariant_derivative`, `lie_bracket`) keep formulas of
 their own: they do not call the stacked `nabla`, `brackets` or `along` of the
-frame pass.
+frame pass.  `noise` measures how far rounding noise in the evaluated inputs
+moves each residual of a full check.
 """
 
 import numpy as np
 
-from confsub.expr import eval_jet2, parse
+from confsub import geometry, submersion
+from confsub.expr import Jet2, eval_jet2, evaluate, parse
 from confsub.geometry import _levi_civita, check_spd, grid_jet
 from confsub.jets import ArrayJet
+from confsub.runner import run
 
 from .conftest import entry
 
@@ -344,3 +347,46 @@ def orthonormal_rows(Gv, Pv, drop):
         Linv[:, i, :i] = -r[:, None] * (c[:, None] @ Linv[:, :i, :i])[:, 0]
         Linv[:, i, i] = r
     return B, Linv, keep, finite
+
+
+# ---------------------------------------------------------------------------
+# Rounding noise in the evaluated inputs
+
+
+def _perturbed_run(scene, points, seed, rng):
+    """A full check in which every value, gradient and Hessian of `expr.evaluate` is off by up to one ulp."""
+    def noisy(e, xs, *fail):
+        j = evaluate(e, xs, *fail)
+        return Jet2(*(x * (1.0 + rng.uniform(-1.0, 1.0, x.shape) * 2.0 ** -52)
+                      for x in (j.value, j.gradient, j.hessian)))
+
+    saved = submersion.evaluate, geometry.evaluate
+    submersion.evaluate = geometry.evaluate = noisy
+    try:
+        return run(scene, points=points, seed=seed)
+    finally:
+        submersion.evaluate, geometry.evaluate = saved
+
+
+def noise(scene, points, seed, runs):
+    """The spread (max - min) of each checker residual over a plain full check and `runs` perturbed ones.
+
+    Run r multiplies every value, gradient and Hessian that the frame pass evaluates (the map, both
+    metrics and J) by 1 + u * 2^-52, with u uniform in [-1, 1] from `default_rng(r)`.  Returns
+    `{(row, side): spread[k]}` for sides "a" and "b" of every checker row, in units of the row's
+    tolerance at point k; a side b withheld in every run spreads by 0, and one withheld in some runs
+    only by inf.  Every run must exit as the plain one does.
+    """
+    plain = run(scene, points=points, seed=seed)
+    reports = [plain] + [_perturbed_run(scene, points, seed, np.random.default_rng(r)) for r in range(runs)]
+    assert {r.exit_code for r in reports} == {plain.exit_code}, [r.exit_code for r in reports]
+    out = {}
+    for name, rows in plain.reports.items():
+        tol = np.array([r.tolerance for r in rows])
+        for side in ("a", "b"):
+            values = np.array([[getattr(r, f"residual_{side}") for r in rep.reports[name]] for rep in reports],
+                              dtype=float)  # None reads nan
+            withheld = np.isnan(values)
+            spread = np.where(withheld.any(0), np.where(withheld.all(0), 0.0, np.inf), np.ptp(values, 0))
+            out[name, side] = spread / tol
+    return out

@@ -80,7 +80,7 @@ def test_writer_formats_shared_rows_like_the_reference():
     ]
     structure = [StructureRow(index=k, point=(0.1 * k, np.float64(-0.0), 1e-300), lam=np.float64(1.5),
                               dims=(2, 0, 0, 1), conformality_residual=-0.0 if k % 2 else 0.0,
-                              kahler_residual=None if k == 5 else 1e-17)
+                              kahler_residual=5e-324 if k == 5 else 1e-17)
                  for k in range(len(rows))]
     report = RunReport("writer", "0.1.0", 3, len(rows), 1e-6, False, True, structure, {"row": rows},
                        skipped=[("other", "no complex structure")], warnings=["a warning"], exit_code=4)
@@ -94,7 +94,7 @@ def test_writer_formats_shared_rows_like_the_reference():
     # the same structure as a table and as a list of rows writes the same bytes, subnormals included
     lam = np.array([1.5, 5e-324, -0.0, 1e-300, 0.0, 2.0])
     conformality = np.array([0.0, -0.0, 5e-324, 1e-300, -5e-324, 0.0])
-    kahler = np.array([1e-17, -0.0, 5e-324, 0.0, 1e-300, None], dtype=object)
+    kahler = np.array([1e-17, -0.0, 5e-324, 0.0, 1e-300, 2.5e-16])
     table = StructureTable(np.array([r.point for r in structure]), lam, conformality, kahler, (2, 0, 0, 1))
     listed = [StructureRow(index=k, point=row.point, lam=np.float64(lam[k]), dims=(2, 0, 0, 1),
                            conformality_residual=np.float64(conformality[k]), kahler_residual=kahler[k])
@@ -105,7 +105,7 @@ def test_writer_formats_shared_rows_like_the_reference():
     assert text == to_canonical(as_rows) == reference_canonical(as_rows)
     assert "lambda=5e-324" in text and "kahler=-0.0" in text and "conformality=-5e-324" in text
     lines = text.splitlines()
-    assert lines[lines.index("[structure]") + 6].endswith(" | kahler=-")
+    assert lines[lines.index("[structure]") + 6].endswith(" | kahler=2.5e-16")
     assert as_table == as_rows and from_canonical(text) == as_rows
 
 
@@ -114,6 +114,20 @@ def test_a_row_list_with_two_dims_is_refused():
             for k, dims in enumerate([(0, 2, 2, 0), (2, 0, 0, 2)])]
     with pytest.raises(ValueError, match="different dims"):
         to_canonical(RunReport("dims", "0", 1, 2, 1e-6, False, True, rows))
+
+
+def test_a_kahler_column_that_mixes_none_and_numbers_is_refused():
+    rows = [StructureRow(index=k, point=(0.0,), lam=1.0, dims=(0, 2, 2, 0), conformality_residual=0.0,
+                         kahler_residual=kah) for k, kah in enumerate([1e-17, None])]
+    with pytest.raises(ValueError, match="only some have a Kaehler residual"):
+        StructureTable.of(rows)
+    full = [StructureRow(index=k, point=(0.0,), lam=1.0, dims=(0, 2, 2, 0), conformality_residual=0.0,
+                         kahler_residual=1e-17) for k in range(2)]
+    lines = to_canonical(RunReport("mixed", "0", 1, 2, 1e-6, False, True, full)).splitlines()
+    at = lines.index("[structure]") + 2
+    lines[at] = lines[at].replace("kahler=1e-17", "kahler=-")
+    with pytest.raises(ValueError, match=rf"^line {at - 1}: structure rows of which only some"):
+        from_canonical("\n".join(lines) + "\n")
 
 
 def test_a_structure_only_check_builds_no_structure_row(monkeypatch):

@@ -4,7 +4,9 @@ A grid of constant entries is a structural zero (`jets.ArrayJet.constant`):
 it is evaluated by no expression, its connection is zero without arithmetic,
 and the Kaehler test of a constant J on it reads 0.  Written as expressions in
 the coordinates (`1 + 0*x1`, `0*x1`), the same grids take the evaluated path,
-and every canonical report must stay the same byte for byte.
+and every canonical report must stay the same byte for byte.  So must a
+scene file whose constants are written as expressions of constants only
+(`0 - 1`, `2*0.5`, `1 + 0`): those are evaluated too, once for every point.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from confsub.geometry import _levi_civita, nabla_j_norm
 from confsub.jets import ArrayJet, Zero
 from confsub.report import to_canonical
 from confsub.runner import run
-from confsub.scenes import sample_points
+from confsub.scenes import PRESETS, load_scene_text, sample_points
 
 from .conftest import fresh_scene
 
@@ -83,3 +85,35 @@ def test_varying_metrics_are_never_structural_zeros(name):
     for _, g in groups:
         assert not (g.G.const or g.Ginv.const)
         assert g.gN.const == constant_target
+
+
+def _diagonal(dim, entry):
+    return "\n".join(f"g {i} {i} = {entry}" for i in range(1, dim + 1))
+
+
+# (preset, its text with the constant entries written as expressions of constants)
+WRITTEN_OUT = {
+    "example33": PRESETS["example33"].replace("J = canonical", "\n".join(
+        f"J {k} {k + 1} = 0 - 1\nJ {k + 1} {k} = 2 - 1" for k in (1, 3, 5))),
+    "diag-x1sq": PRESETS["diag-x1sq"].replace("g 1 1 = 1", "g 1 1 = 2*0.5"),
+    "linproj42": PRESETS["linproj42"].replace("dim = 4\nmetric = euclidean", "dim = 4\n" + _diagonal(4, "1 + 0"))
+                                     .replace("dim = 2\nmetric = euclidean", "dim = 2\n" + _diagonal(2, "1 + 0")),
+}
+
+
+@pytest.mark.parametrize("count", (4, 24))
+@pytest.mark.parametrize("name", WRITTEN_OUT)
+def test_constants_written_as_expressions_give_the_literal_report(name, count):
+    written = load_scene_text(WRITTEN_OUT[name], name_hint=name)
+    assert written.fmap != fresh_scene(name).fmap
+    want = to_canonical(run(fresh_scene(name), points=count, seed=1))
+    assert to_canonical(run(written, points=count, seed=1)) == want
+
+
+def test_a_constant_expression_is_widened_lazily_beside_varying_values():
+    # J written out is evaluated, held once for every point, and widened to the group's points
+    # by `ArrayJet.full`, whose derivative stays unbuilt until it is read
+    sc = load_scene_text(WRITTEN_OUT["example33"], name_hint="example33")
+    _, ((_, g),) = sc.fmap.frame_pass(sample_points(sc, count=4, seed=1))
+    assert not g.J.const and g.J.v.shape == (4, 6, 6) and callable(g.J._d)
+    assert not g.J.d.any() and g.J.d.shape == (4, 6, 6, 6)
